@@ -30,7 +30,7 @@ from .mapping import (
     extract_obstacles,
     inflate_lethal,
 )
-from .planning import Path, PlanRequest, astar_cost, astar_obstacle, bspline_path, path_collides, path_cost
+from .planning import Path, astar_cost, astar_obstacle, bspline_path, path_collides, path_cost
 from .control import PathTracker, PursuitConfig, dynamic_lookahead, pure_pursuit
 from .map_server import GlobalCostmap, MapServer, ReplanReason, WaypointQueue
 from .waypoints import global_cost_from_dem, min_cost_search, plan_waypoints, sparsify_waypoints

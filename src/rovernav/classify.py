@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import base64
 import json
-import math
 import socket
 import urllib.error
 import urllib.request
@@ -30,11 +29,10 @@ from .errors import (
     VlmTimeoutError,
     VlmTransportError,
 )
-from .grids import plane_fit_grid, plane_fit_points, slope_degrees
+from .grids import cell_center, hillshade, neighbor_slices, plane_fit_grid, plane_fit_points, slope_degrees
 from .mapping import ElevationGrid
 from .modes import TerrainClass
 from .terrain import HeightField, ROCK_SCORE_GAIN, TerrainSpec
-from . import pgmio
 
 
 @dataclass(frozen=True)
@@ -118,9 +116,7 @@ def compute_terrain_metrics(
 
     cx = origin[0] + half_x
     cy = origin[1] + half_y
-    xs = origin[0] + (np.arange(cols) + 0.5) * cell
-    ys = origin[1] + (np.arange(rows) + 0.5) * cell
-    gx, gy = np.meshgrid(xs, ys)
+    gx, gy = np.meshgrid(*cell_center(np.arange(rows), np.arange(cols), origin, cell))
     region = (gx - cx) ** 2 + (gy - cy) ** 2 <= radius * radius
     if not (region & known).any():
         raise InsufficientDataError("no known cells inside the analysis region")
@@ -147,22 +143,17 @@ def compute_terrain_metrics(
 
 def _neighborhood_std(z: np.ndarray, known: np.ndarray) -> np.ndarray:
     """Std-dev of the known 3x3 neighborhood around each cell."""
-    rows, cols = z.shape
     vals = np.where(known, z, 0.0)
     mask = known.astype(float)
-    s1 = np.zeros((rows, cols))
-    sv = np.zeros((rows, cols))
-    sq = np.zeros((rows, cols))
-    for dr in (-1, 0, 1):
-        for dc in (-1, 0, 1):
-            src_r = slice(max(-dr, 0), rows - max(dr, 0))
-            dst_r = slice(max(dr, 0), rows - max(-dr, 0))
-            src_c = slice(max(-dc, 0), cols - max(dc, 0))
-            dst_c = slice(max(dc, 0), cols - max(-dc, 0))
-            s1[dst_r, dst_c] += mask[src_r, src_c]
-            sv[dst_r, dst_c] += vals[src_r, src_c]
-            sq[dst_r, dst_c] += (vals * vals)[src_r, src_c]
-    out = np.zeros((rows, cols))
+    vals_sq = vals * vals
+    s1 = np.zeros(z.shape)
+    sv = np.zeros(z.shape)
+    sq = np.zeros(z.shape)
+    for dst, src in neighbor_slices(z.shape):
+        s1[dst] += mask[src]
+        sv[dst] += vals[src]
+        sq[dst] += vals_sq[src]
+    out = np.zeros(z.shape)
     ok = s1 > 0
     mean = np.where(ok, sv / np.maximum(s1, 1), 0.0)
     var = np.where(ok, sq / np.maximum(s1, 1) - mean * mean, 0.0)
@@ -275,11 +266,7 @@ def render_patch_image(patch: HeightField) -> bytes:
     This is the simulated stand-in for a forward camera frame: a top-down
     hillshade of the sensed elevation, light from the north-west.
     """
-    z = patch.elevation
-    gy, gx = np.gradient(z, patch.cell_size)
-    light = np.array([-0.5, 0.5, math.sqrt(0.5)])
-    nz = 1.0 / np.sqrt(gx**2 + gy**2 + 1.0)
-    shade = (-gx * light[0] - gy * light[1] + light[2]) * nz
+    shade = hillshade(patch.elevation, patch.cell_size)
     shade = np.clip((shade - shade.min()) / max(np.ptp(shade), 1e-9), 0.0, 1.0)
     pixels = (shade * 255).astype(np.uint8)
     header = f"P5\n{pixels.shape[1]} {pixels.shape[0]}\n255\n".encode("ascii")

@@ -9,11 +9,12 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from pathlib import Path as FsPath
 
 from .classify import VlmConfig
 from .errors import MissionConfigError, ValidationError
+from .grids import cell_center
 from .map_server import WaypointQueue
 from .mission import (
     GeometricClassifierBackend,
@@ -22,7 +23,7 @@ from .mission import (
     VlmClassifierBackend,
 )
 from .modes import NavMode, TerrainClass
-from .terrain import Terrain, TerrainSpec, build_mixed_terrain, build_terrain, load_terrain
+from .terrain import Terrain, TerrainSpec, build_mixed_terrain, build_terrain, load_terrain, spec_from_dict
 from .waypoints import load_waypoints, plan_waypoints
 from .world import RoverState, World
 
@@ -96,9 +97,7 @@ def _flatten_site(terrain: Terrain, cx: float, cy: float, radius: float) -> None
     import numpy as np
 
     g = terrain.ground
-    xs = g.origin[0] + (np.arange(g.cols) + 0.5) * g.cell_size
-    ys = g.origin[1] + (np.arange(g.rows) + 0.5) * g.cell_size
-    gx, gy = np.meshgrid(xs, ys)
+    gx, gy = np.meshgrid(*cell_center(np.arange(g.rows), np.arange(g.cols), g.origin, g.cell_size))
     d = np.hypot(gx - cx, gy - cy)
     inside = d < radius
     if not inside.any():
@@ -157,8 +156,7 @@ CONFIG_KEYS = [
 
 _KNOWN_KEYS = {k for k, _, _ in CONFIG_KEYS}
 
-_SPEC_KEYS = {"octaves", "lacunarity", "persistence", "height_variation",
-              "rock_coverage", "extent", "cell_size", "seed", "ground_truth_class"}
+_SPEC_KEYS = {f.name for f in fields(TerrainSpec)}
 
 
 def config_reference() -> str:
@@ -217,17 +215,7 @@ def _spec_from_config(d: dict) -> TerrainSpec:
     if unknown:
         raise MissionConfigError(f"unknown terrain spec keys: {sorted(unknown)}")
     try:
-        return TerrainSpec(
-            octaves=int(d["octaves"]),
-            lacunarity=float(d["lacunarity"]),
-            persistence=float(d.get("persistence", 0.5)),
-            height_variation=float(d["height_variation"]),
-            rock_coverage=float(d["rock_coverage"]),
-            extent=float(d["extent"]),
-            cell_size=float(d["cell_size"]),
-            seed=int(d["seed"]),
-            ground_truth_class=TerrainClass(d["ground_truth_class"]),
-        )
+        return spec_from_dict(d)
     except KeyError as exc:
         raise MissionConfigError(f"terrain spec missing key: {exc}") from exc
 

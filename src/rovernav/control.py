@@ -17,7 +17,6 @@ class PursuitConfig:
     l_min: float = 1.0
     l_max: float = 5.0
     goal_tolerance: float = 0.5
-    rate_hz: float = 10.0
     taper_distance: float = 2.0
     min_speed_factor: float = 0.3
 
@@ -98,10 +97,6 @@ class PathTracker:
             state, self.path, target_speed, self.cfg, self._cursor, taper
         )
         return cmd
-
-    @property
-    def done_tolerance(self) -> float:
-        return self.cfg.goal_tolerance
 
     def reached(self, state: RoverState) -> bool:
         gx, gy = self.path.points[-1]

@@ -1,11 +1,16 @@
-"""Shared grid math: world/cell transforms, bilinear sampling, plane fits.
+"""Shared grid math: the one home of each grid primitive.
 
 All grids in this package are row-major with row 0 at the minimum-y edge;
 cell (r, c) has its center at (origin_x + (c + 0.5) * cell_size,
-origin_y + (r + 0.5) * cell_size).
+origin_y + (r + 0.5) * cell_size). This module holds the only copies of
+the world<->cell transform (`world_to_cell`, `cell_center`), the 3x3
+neighborhood (`neighbor_slices`) and the hillshade (`hillshade`), next to
+bilinear sampling and plane fits.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 from scipy import ndimage
@@ -22,6 +27,30 @@ def cell_center(row, col, origin, cell_size):
     x = origin[0] + (np.asarray(col) + 0.5) * cell_size
     y = origin[1] + (np.asarray(row) + 0.5) * cell_size
     return x, y
+
+
+def neighbor_slices(shape):
+    """Slice pairs (dst, src) over the 3x3 neighborhood, row-major offsets.
+
+    For offset (dr, dc), `out[dst] = a[src]` puts a[r - dr, c - dc] at each
+    cell (r, c) whose neighbor lies inside the grid; the nine offsets cover
+    the whole neighborhood, center included. Cells whose neighbor falls
+    outside are left untouched.
+    """
+    rows, cols = shape
+    for dr in (-1, 0, 1):
+        for dc in (-1, 0, 1):
+            dst = (slice(max(dr, 0), rows - max(-dr, 0)), slice(max(dc, 0), cols - max(-dc, 0)))
+            src = (slice(max(-dr, 0), rows - max(dr, 0)), slice(max(-dc, 0), cols - max(dc, 0)))
+            yield dst, src
+
+
+def hillshade(elevation: np.ndarray, cell_size: float) -> np.ndarray:
+    """Unscaled Lambertian shading, light from the north-west."""
+    gy, gx = np.gradient(elevation, cell_size)
+    lx, ly, lz = -0.5, 0.5, math.sqrt(0.5)
+    norm = 1.0 / np.sqrt(gx * gx + gy * gy + 1.0)
+    return (-gx * lx - gy * ly + lz) * norm
 
 
 def bilinear_sample(values: np.ndarray, origin, cell_size, xs, ys):

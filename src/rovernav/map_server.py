@@ -19,6 +19,7 @@ from pathlib import Path as FsPath
 import numpy as np
 
 from .errors import MissionConfigError, ValidationError
+from .grids import cell_center, world_to_cell
 from .mapping import COST_MAX, COST_UNKNOWN, CostGrid, OBSTACLE, ObstacleGrid
 from .modes import NavMode
 from .planning import COST_REPLAN_TOLERANCE, Path, path_collides, path_cost
@@ -116,10 +117,8 @@ class MapServer:
         gm = self.global_map
         rows, cols = gm.values.shape
         rr, cc = np.nonzero(known)
-        xs = local.origin[0] + (cc + 0.5) * local.cell_size
-        ys = local.origin[1] + (rr + 0.5) * local.cell_size
-        gc = np.floor((xs - gm.origin[0]) / gm.cell_size).astype(int)
-        gr = np.floor((ys - gm.origin[1]) / gm.cell_size).astype(int)
+        xs, ys = cell_center(rr, cc, local.origin, local.cell_size)
+        gr, gc = world_to_cell(xs, ys, gm.origin, gm.cell_size)
         ok = (gr >= 0) & (gr < rows) & (gc >= 0) & (gc < cols)
         if not ok.any():
             return 0
@@ -149,14 +148,13 @@ class MapServer:
         half = size / 2.0
         # Snap the window onto the requested-resolution lattice anchored at
         # the map origin, then clamp it inside the extent at full size.
-        c0 = int(math.floor((pose_xy[0] - gm.origin[0] - half) / resolution))
-        r0 = int(math.floor((pose_xy[1] - gm.origin[1] - half) / resolution))
-        c0 = min(max(c0, 0), total_c - n)
-        r0 = min(max(r0, 0), total_r - n)
-        xs = gm.origin[0] + (np.arange(c0, c0 + n) + 0.5) * resolution
-        ys = gm.origin[1] + (np.arange(r0, r0 + n) + 0.5) * resolution
-        src_c = np.clip(((xs - gm.origin[0]) / gm.cell_size).astype(int), 0, gm.values.shape[1] - 1)
-        src_r = np.clip(((ys - gm.origin[1]) / gm.cell_size).astype(int), 0, gm.values.shape[0] - 1)
+        r0, c0 = world_to_cell(pose_xy[0] - half, pose_xy[1] - half, gm.origin, resolution)
+        c0 = min(max(int(c0), 0), total_c - n)
+        r0 = min(max(int(r0), 0), total_r - n)
+        xs, ys = cell_center(np.arange(r0, r0 + n), np.arange(c0, c0 + n), gm.origin, resolution)
+        src_r, src_c = world_to_cell(xs, ys, gm.origin, gm.cell_size)
+        src_c = np.clip(src_c, 0, gm.values.shape[1] - 1)
+        src_r = np.clip(src_r, 0, gm.values.shape[0] - 1)
         block = gm.values[np.ix_(src_r, src_c)].copy()
         origin = (gm.origin[0] + c0 * resolution, gm.origin[1] + r0 * resolution)
         return CostGrid(block, origin, resolution)

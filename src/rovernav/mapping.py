@@ -18,7 +18,7 @@ import numpy as np
 from scipy import ndimage
 
 from .errors import ValidationError
-from .grids import disk_footprint, plane_fit_grid, slope_degrees
+from .grids import disk_footprint, neighbor_slices, plane_fit_grid, slope_degrees, world_to_cell
 from . import pgmio
 
 FREE = 0
@@ -116,8 +116,7 @@ def build_elevation_grid(points: np.ndarray, geometry: GridGeometry) -> Elevatio
     pts = np.asarray(points, dtype=float).reshape(-1, 3)
     if len(pts) == 0:
         return ElevationGrid(elevation, known, origin, cell)
-    c = np.floor((pts[:, 0] - origin[0]) / cell).astype(int)
-    r = np.floor((pts[:, 1] - origin[1]) / cell).astype(int)
+    r, c = world_to_cell(pts[:, 0], pts[:, 1], origin, cell)
     ok = (r >= 0) & (r < rows) & (c >= 0) & (c < cols)
     r, c, z = r[ok], c[ok], pts[ok, 2]
     acc = np.full((rows, cols), -np.inf)
@@ -144,19 +143,10 @@ def extract_obstacles(
         raise ValidationError("elevation grid is empty")
     z = elev.elevation
     known = elev.known
+    masked = np.where(known, z, np.nan)
     stack = np.full((9, elev.rows, elev.cols), np.nan)
-    idx = 0
-    for dr in (-1, 0, 1):
-        for dc in (-1, 0, 1):
-            shifted = np.full_like(z, np.nan)
-            src_r = slice(max(-dr, 0), elev.rows - max(dr, 0))
-            dst_r = slice(max(dr, 0), elev.rows - max(-dr, 0))
-            src_c = slice(max(-dc, 0), elev.cols - max(dc, 0))
-            dst_c = slice(max(dc, 0), elev.cols - max(-dc, 0))
-            block = np.where(known, z, np.nan)[src_r, src_c]
-            shifted[dst_r, dst_c] = block
-            stack[idx] = shifted
-            idx += 1
+    for layer, (dst, src) in zip(stack, neighbor_slices(z.shape)):
+        layer[dst] = masked[src]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         median = np.nanmedian(stack, axis=0)

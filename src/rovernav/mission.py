@@ -38,6 +38,7 @@ from .errors import (
     ValidationError,
     VlmError,
 )
+from .grids import cell_center, world_to_cell
 from .map_server import MapServer, ReplanReason, WaypointQueue
 from .mapping import (
     COST_MAX,
@@ -366,23 +367,24 @@ class MissionRunner:
         """Zero out the cells under the rover so planning can always leave
         the (physically occupied, hazard-checked) current pose."""
         radius = self.config.start_clear_radius
-        c0 = int((self.state.x - radius - grid.origin[0]) / grid.cell_size)
-        c1 = int((self.state.x + radius - grid.origin[0]) / grid.cell_size) + 1
-        r0 = int((self.state.y - radius - grid.origin[1]) / grid.cell_size)
-        r1 = int((self.state.y + radius - grid.origin[1]) / grid.cell_size) + 1
-        for r in range(max(r0, 0), min(r1, grid.rows)):
-            for c in range(max(c0, 0), min(c1, grid.cols)):
-                cx = grid.origin[0] + (c + 0.5) * grid.cell_size
-                cy = grid.origin[1] + (r + 0.5) * grid.cell_size
-                if math.hypot(cx - self.state.x, cy - self.state.y) <= radius:
+        x, y = self.state.x, self.state.y
+        (r0, r1), (c0, c1) = world_to_cell(
+            [x - radius, x + radius], [y - radius, y + radius], grid.origin, grid.cell_size)
+        rows = np.arange(max(r0, 0), min(r1 + 1, grid.rows))
+        cols = np.arange(max(c0, 0), min(c1 + 1, grid.cols))
+        xs, ys = cell_center(rows, cols, grid.origin, grid.cell_size)
+        for r, cy in zip(rows, ys.tolist()):
+            for c, cx in zip(cols, xs.tolist()):
+                if math.hypot(cx - x, cy - y) <= radius:
                     grid.values[r, c] = 0
 
     def _clear_breadcrumbs(self, grid: CostGrid) -> None:
-        for bx, by in self._breadcrumbs:
-            c = int((bx - grid.origin[0]) / grid.cell_size)
-            r = int((by - grid.origin[1]) / grid.cell_size)
-            if 0 <= r < grid.rows and 0 <= c < grid.cols and grid.values[r, c] >= COST_MAX:
-                grid.values[r, c] = 0
+        """Zero out lethal cells the rover has driven through (proven drivable)."""
+        rows, cols = world_to_cell(*np.transpose(self._breadcrumbs), grid.origin, grid.cell_size)
+        inside = (rows >= 0) & (rows < grid.rows) & (cols >= 0) & (cols < grid.cols)
+        rows, cols = rows[inside], cols[inside]
+        lethal = grid.values[rows, cols] >= COST_MAX
+        grid.values[rows[lethal], cols[lethal]] = 0
 
     def _plan(self, mode: NavMode, waypoint, now: float) -> Path | None:
         """Plan a path toward the waypoint with the mode's machinery.

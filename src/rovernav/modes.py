@@ -52,13 +52,8 @@ _MODE_PRIORITY = {
     NavMode.CONSERVATIVE: 3,
 }
 
-# Priority 0 is reserved for "no data yet" in the global map source layer.
-SOURCE_NONE = 0
-
 MODE_FOR_CLASS = {
     TerrainClass.FLAT: NavMode.EFFICIENT,
     TerrainClass.ROCKY: NavMode.SAFE,
     TerrainClass.CHALLENGING: NavMode.CONSERVATIVE,
 }
-
-CLASS_FOR_MODE = {mode: cls for cls, mode in MODE_FOR_CLASS.items()}

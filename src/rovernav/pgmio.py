@@ -1,8 +1,8 @@
-"""Binary portable graymap / pixmap readers and writers.
+"""Binary portable graymap reader and graymap / pixmap writers.
 
 Only the features this package needs: P5 graymaps at maxval 255 or 65535
-(16-bit samples big-endian, per the netpbm convention) and P6 pixmaps at
-maxval 255. No external imaging dependency.
+(16-bit samples big-endian, per the netpbm convention), read and written,
+and P6 pixmaps at maxval 255, written only. No external imaging dependency.
 """
 
 from __future__ import annotations
@@ -49,21 +49,6 @@ def write_ppm(path, rgb: np.ndarray) -> None:
         raise ValueError("pixmap data must have shape (H, W, 3)")
     header = f"P6\n{rgb.shape[1]} {rgb.shape[0]}\n255\n".encode("ascii")
     Path(path).write_bytes(header + rgb.tobytes())
-
-
-def read_ppm(path) -> np.ndarray:
-    raw = Path(path).read_bytes()
-    magic, rest = _token(raw, 0)
-    if magic != b"P6":
-        raise ValueError("not a binary P6 pixmap")
-    width, rest = _token(raw, rest)
-    height, rest = _token(raw, rest)
-    maxval, rest = _token(raw, rest)
-    width, height = int(width), int(height)
-    if int(maxval) != 255:
-        raise ValueError("only maxval 255 pixmaps supported")
-    data = np.frombuffer(raw, dtype=np.uint8, count=width * height * 3, offset=rest)
-    return data.reshape(height, width, 3).copy()
 
 
 def _token(raw: bytes, offset: int) -> tuple[bytes, int]:

@@ -1,25 +1,35 @@
-"""Path generation: clamped B-spline smoothing and grid A* searches.
+"""Path generation: clamped B-spline smoothing and one grid search core.
 
-Three planners, one per navigation mode. The fast mode draws a cubic
-B-spline from pose to waypoint with a heading-tangent control point. The
-mid mode runs 8-connected A* over the binary obstacle grid with an octile
-heuristic (unknown cells are optimistically free). The cautious mode runs
-A* over the costmap with edge weights scaled by cell cost; unknown cells
-are blocked there.
+The fast mode draws a cubic B-spline from pose to waypoint with a
+heading-tangent control point. The mid and cautious modes share one
+8-connected search over the local grid, `_search`, which runs in two modes:
+
+* goal mode: A* toward a goal cell with the octile heuristic.
+  `astar_obstacle` runs it on the binary obstacle grid (uniform edge
+  weights; unknown cells are optimistically free), `astar_cost` on the
+  costmap (edge weights scaled by cell cost; lethal and unknown cells are
+  blocked there).
+* flood mode: Dijkstra from the start with no goal (h = 0).
+  `best_progress_path` floods the same graph and targets the settled cell
+  that gets closest to a goal the direct planners could not reach.
 
 All searches are deterministic: ties break on lower f, then lower h, then
-row-major cell order.
+row-major cell order. World points become cells through
+`grids.world_to_cell`, and cells become path points through
+`grids.cell_center`.
 """
 
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidStartError, NoPathError, ValidationError
+from .grids import cell_center, neighbor_slices, world_to_cell
 from .mapping import COST_MAX, CostGrid, OBSTACLE, ObstacleGrid
 from .modes import NavMode
 
@@ -74,14 +84,6 @@ class Path:
         return "\n".join(f"{x:.6f},{y:.6f}" for x, y in self.points)
 
 
-@dataclass
-class PlanRequest:
-    start: tuple[float, float]
-    goal: tuple[float, float]
-    cost_threshold: int = COST_MAX
-    mode: NavMode | None = None
-
-
 def bspline_path(start, goal, heading: float, spacing: float = PATH_SAMPLE_SPACING,
                  created_at: float = 0.0) -> Path:
     """Smooth path from start to goal, tangent to the current heading.
@@ -131,20 +133,7 @@ def astar_obstacle(grid: ObstacleGrid, start, goal, created_at: float = 0.0) -> 
     behavior of planning beyond sensed range. Octile heuristic; diagonal
     steps cost sqrt(2).
     """
-    rows, cols = grid.rows, grid.cols
-    blocked = grid.cells == OBSTACLE
-    sr, sc = _to_cell(grid, start)
-    gr, gc = _to_cell(grid, goal)
-    _check_bounds(rows, cols, sr, sc, gr, gc)
-    if blocked[sr, sc]:
-        raise InvalidStartError("start cell is inside an obstacle")
-    if blocked[gr, gc]:
-        raise NoPathError("goal cell is inside an obstacle")
-
-    came, ok = _search(blocked, None, sr, sc, gr, gc, 1.0)
-    if not ok:
-        raise NoPathError("no obstacle-free path to the goal")
-    return _reconstruct(grid, came, sr, sc, gr, gc, NavMode.SAFE, created_at)
+    return _plan_to_goal(grid, start, goal, COST_MAX, COST_EDGE_ALPHA, created_at)
 
 
 def astar_cost(grid: CostGrid, start, goal, lethal: int = COST_MAX,
@@ -155,96 +144,110 @@ def astar_cost(grid: CostGrid, start, goal, lethal: int = COST_MAX,
     Cells at or past `lethal`, and unknown cells, are blocked: this planner
     must not commit the rover to unsensed ground.
     """
-    rows, cols = grid.rows, grid.cols
+    return _plan_to_goal(grid, start, goal, lethal, alpha, created_at)
+
+
+def _graph(grid: ObstacleGrid | CostGrid, lethal: int, alpha: float):
+    """(blocked mask, edge multiplier or None for uniform, mode) of a grid."""
+    if isinstance(grid, ObstacleGrid):
+        return grid.cells == OBSTACLE, None, NavMode.SAFE
     values = grid.values
-    blocked = (values >= lethal) | (values < 0)
-    sr, sc = _to_cell(grid, start)
-    gr, gc = _to_cell(grid, goal)
-    _check_bounds(rows, cols, sr, sc, gr, gc)
-    if values[sr, sc] < 0 or values[sr, sc] >= lethal:
-        raise InvalidStartError("start cell is lethal or unknown")
-    if blocked[gr, gc]:
-        raise NoPathError("goal cell is lethal or unknown")
-
     mult = 1.0 + alpha * values.astype(float) / 100.0
-    came, ok = _search(blocked, mult, sr, sc, gr, gc, 1.0)
-    if not ok:
+    return (values >= lethal) | (values < 0), mult, NavMode.CONSERVATIVE
+
+
+def _endpoint_cells(grid, start, goal) -> tuple[int, int, int, int]:
+    (sr, gr), (sc, gc) = np.array(world_to_cell(
+        [start[0], goal[0]], [start[1], goal[1]], grid.origin, grid.cell_size)).tolist()
+    return sr, sc, gr, gc
+
+
+def _plan_to_goal(grid, start, goal, lethal, alpha, created_at) -> Path:
+    blocked, mult, mode = _graph(grid, lethal, alpha)
+    rows, cols = blocked.shape
+    sr, sc, gr, gc = _endpoint_cells(grid, start, goal)
+    if not (0 <= sr < rows and 0 <= sc < cols):
+        raise InvalidStartError("start lies outside the grid")
+    if not (0 <= gr < rows and 0 <= gc < cols):
+        raise NoPathError("goal lies outside the grid")
+    if blocked[sr, sc]:
+        raise InvalidStartError("start cell is blocked")
+    if blocked[gr, gc]:
+        raise NoPathError("goal cell is blocked")
+    _, came, _, reached = _search(blocked, mult, sr, sc, (gr, gc))
+    if not reached:
         raise NoPathError("no admissible path to the goal")
-    return _reconstruct(grid, came, sr, sc, gr, gc, NavMode.CONSERVATIVE, created_at)
+    return _reconstruct(grid, came, sr * cols + sc, gr * cols + gc, mode, created_at)
 
 
-def _search(blocked, mult, sr, sc, gr, gc, h_scale):
-    """A* core. mult is the per-cell weight multiplier (None = uniform).
+def _search(blocked, mult, sr, sc, goal=None):
+    """The one search core: A* toward `goal`, or a Dijkstra flood without one.
 
-    Returns (came_from, reached). The heuristic is octile distance times the
-    minimum possible edge multiplier (1.0), which is admissible and
-    consistent for both planners.
+    mult is the per-cell edge multiplier (None = uniform); an edge weighs
+    its step length times the mean multiplier of its endpoints. The
+    heuristic is octile distance to the goal (0 in a flood), admissible and
+    consistent because every multiplier is >= 1. Heap entries are
+    (f, h, row-major index), which fixes the tie order. Returns (dist,
+    came_from, closed cells in pop order, goal reached); the goal itself is
+    not in the closed list.
     """
     rows, cols = blocked.shape
+    # nested lists index several times faster than numpy scalars
+    blocked = blocked.tolist()
+    if mult is not None:
+        mult = mult.tolist()
     start_idx = sr * cols + sc
-    goal_idx = gr * cols + gc
+    if goal is None:
+        goal_idx = -1
+        h0 = 0.0
+    else:
+        gr, gc = goal
+        goal_idx = gr * cols + gc
+        h0 = octile(sr - gr, sc - gc)
     dist = {start_idx: 0.0}
     came: dict[int, int] = {}
-    h0 = octile(sr - gr, sc - gc) * h_scale
     heap = [(h0, h0, start_idx)]
-    closed = set()
+    closed: dict[int, None] = {}  # insertion order = pop order
+    pop, push = heapq.heappop, heapq.heappush
     while heap:
-        f, h, idx = heapq.heappop(heap)
+        f, h, idx = pop(heap)
         if idx in closed:
             continue
         if idx == goal_idx:
-            return came, True
-        closed.add(idx)
+            return dist, came, list(closed), True
+        closed[idx] = None
         g = dist[idx]
         r, c = divmod(idx, cols)
+        if mult is not None:
+            m_here = mult[r][c]
         for dr, dc, step_len in _NEIGHBORS:
             nr, nc = r + dr, c + dc
-            if nr < 0 or nr >= rows or nc < 0 or nc >= cols:
-                continue
-            if blocked[nr, nc]:
+            if nr < 0 or nr >= rows or nc < 0 or nc >= cols or blocked[nr][nc]:
                 continue
             if mult is None:
                 w = step_len
             else:
-                w = step_len * 0.5 * (mult[r, c] + mult[nr, nc])
+                w = step_len * 0.5 * (m_here + mult[nr][nc])
             nidx = nr * cols + nc
             ng = g + w
             if nidx not in dist or ng < dist[nidx] - 1e-12:
                 dist[nidx] = ng
                 came[nidx] = idx
-                nh = octile(nr - gr, nc - gc) * h_scale
-                heapq.heappush(heap, (ng + nh, nh, nidx))
-    return came, False
+                nh = 0.0 if goal is None else octile(nr - gr, nc - gc)
+                push(heap, (ng + nh, nh, nidx))
+    return dist, came, list(closed), False
 
 
-def _reconstruct(grid, came, sr, sc, gr, gc, mode, created_at) -> Path:
-    cols = grid.cols
-    idx = gr * cols + gc
+def _reconstruct(grid, came, start_idx, end_idx, mode, created_at) -> Path:
+    idx = end_idx
     cells = [idx]
-    start_idx = sr * cols + sc
     while idx != start_idx:
         idx = came[idx]
         cells.append(idx)
     cells.reverse()
-    rr = np.array([i // cols for i in cells])
-    cc = np.array([i % cols for i in cells])
-    xs = grid.origin[0] + (cc + 0.5) * grid.cell_size
-    ys = grid.origin[1] + (rr + 0.5) * grid.cell_size
+    rr, cc = np.divmod(np.array(cells), grid.cols)
+    xs, ys = cell_center(rr, cc, grid.origin, grid.cell_size)
     return Path(np.column_stack([xs, ys]), mode, created_at)
-
-
-def _to_cell(grid, point):
-    x, y = float(point[0]), float(point[1])
-    c = int(math.floor((x - grid.origin[0]) / grid.cell_size))
-    r = int(math.floor((y - grid.origin[1]) / grid.cell_size))
-    return r, c
-
-
-def _check_bounds(rows, cols, sr, sc, gr, gc):
-    if not (0 <= sr < rows and 0 <= sc < cols):
-        raise InvalidStartError("start lies outside the grid")
-    if not (0 <= gr < rows and 0 <= gc < cols):
-        raise NoPathError("goal lies outside the grid")
 
 
 def best_progress_path(grid: ObstacleGrid | CostGrid, start, goal,
@@ -252,84 +255,39 @@ def best_progress_path(grid: ObstacleGrid | CostGrid, start, goal,
                        created_at: float = 0.0) -> Path:
     """Path to the reachable cell that gets closest to an unreachable goal.
 
-    Runs the same weighted search as the mode's planner but floods from the
-    start instead of aiming at the goal, then picks the settled cell with
-    the smallest Euclidean distance to the goal (ties: lower path weight,
-    then row-major order). On a costmap, when no settled cell improves on
-    the start (the rover is pressed against a wall), the target becomes the
-    settled frontier cell nearest the goal - a reachable cell bordering
-    unknown space - so fresh sensing from there can open the route. Falls
-    back to a single-point path at the start cell when nothing else is
-    reachable. Used when the direct planners report no path, so the rover
-    can still make progress around large blocked regions.
+    Floods the mode's weighted graph from the start (the search core
+    without a goal), then picks the settled cell with the smallest
+    Euclidean distance to the goal (ties: lower path weight, then row-major
+    order). On a costmap, when no settled cell improves on the start (the
+    rover is pressed against a wall), the target becomes the settled
+    frontier cell nearest the goal - a reachable cell bordering unknown
+    space - so fresh sensing from there can open the route. Falls back to a
+    single-point path at the start cell when nothing else is reachable.
+    Used when the direct planners report no path, so the rover can still
+    make progress around large blocked regions.
     """
-    if isinstance(grid, ObstacleGrid):
-        blocked = grid.cells == OBSTACLE
-        mult = None
-        mode = NavMode.SAFE
-    else:
-        blocked = (grid.values >= lethal) | (grid.values < 0)
-        mult = 1.0 + alpha * grid.values.astype(float) / 100.0
-        mode = NavMode.CONSERVATIVE
+    blocked, mult, mode = _graph(grid, lethal, alpha)
     rows, cols = blocked.shape
-    sr, sc = _to_cell(grid, start)
+    sr, sc, gr, gc = _endpoint_cells(grid, start, goal)
     if not (0 <= sr < rows and 0 <= sc < cols) or blocked[sr, sc]:
         raise InvalidStartError("start cell is blocked or outside the grid")
-    gr, gc = _to_cell(grid, goal)
+    dist, came, closed, _ = _search(blocked, mult, sr, sc)
 
-    start_idx = sr * cols + sc
-    dist = {start_idx: 0.0}
-    came: dict[int, int] = {}
-    heap = [(0.0, start_idx)]
-    closed = set()
-    best = (math.inf, math.inf, start_idx)
-    while heap:
-        g, idx = heapq.heappop(heap)
-        if idx in closed:
-            continue
-        closed.add(idx)
-        r, c = divmod(idx, cols)
-        d_goal = math.hypot(r - gr, c - gc)
-        key = (d_goal, g, idx)
-        if key < best:
-            best = key
-        for dr, dc, step_len in _NEIGHBORS:
-            nr, nc = r + dr, c + dc
-            if nr < 0 or nr >= rows or nc < 0 or nc >= cols or blocked[nr, nc]:
-                continue
-            if mult is None:
-                w = step_len
-            else:
-                w = step_len * 0.5 * (mult[r, c] + mult[nr, nc])
-            nidx = nr * cols + nc
-            ng = g + w
-            if nidx not in dist or ng < dist[nidx] - 1e-12:
-                dist[nidx] = ng
-                came[nidx] = idx
-                heapq.heappush(heap, (ng, nidx))
-    start_d_goal = math.hypot(sr - gr, sc - gc)
+    # key of a settled cell: (distance to goal, path weight, row-major index)
+    rr, cc = np.divmod(np.array(closed), cols)
+    to_goal = list(map(math.hypot, (rr - gr).tolist(), (cc - gc).tolist()))
+    weight = [dist[idx] for idx in closed]
+    best = min(zip(to_goal, weight, closed))
     min_progress_cells = 3.0 / grid.cell_size
-    if mult is not None and best[0] >= start_d_goal - min_progress_cells and closed:
+    if mult is not None and best[0] >= math.hypot(sr - gr, sc - gc) - min_progress_cells:
         # walled in: aim for the reachable frontier nearest the goal
         unknown = grid.values < 0
         near_unknown = np.zeros_like(unknown)
-        for dr, dc, _ in _NEIGHBORS:
-            src_r = slice(max(-dr, 0), rows - max(dr, 0))
-            dst_r = slice(max(dr, 0), rows - max(-dr, 0))
-            src_c = slice(max(-dc, 0), cols - max(dc, 0))
-            dst_c = slice(max(dc, 0), cols - max(-dc, 0))
-            near_unknown[dst_r, dst_c] |= unknown[src_r, src_c]
-        frontier_best = None
-        for idx in closed:
-            r, c = divmod(idx, cols)
-            if near_unknown[r, c]:
-                key = (math.hypot(r - gr, c - gc), dist[idx], idx)
-                if frontier_best is None or key < frontier_best:
-                    frontier_best = key
-        if frontier_best is not None:
-            best = frontier_best
-    tr, tc = divmod(best[2], cols)
-    return _reconstruct(grid, came, sr, sc, tr, tc, mode, created_at)
+        for dst, src in neighbor_slices(unknown.shape):
+            near_unknown[dst] |= unknown[src]
+        frontier = near_unknown.ravel()[closed].tolist()
+        best = min(itertools.compress(zip(to_goal, weight, closed), frontier), default=best)
+    return _reconstruct(grid, came, sr * cols + sc, best[2], mode, created_at)
 
 
 def path_collides(path: Path, grid: ObstacleGrid | CostGrid, lethal: int = COST_MAX) -> bool:
@@ -339,31 +297,21 @@ def path_collides(path: Path, grid: ObstacleGrid | CostGrid, lethal: int = COST_
     a collision requires positive evidence.
     """
     if isinstance(grid, ObstacleGrid):
-        data = grid.cells
-        hit = lambda v: v == OBSTACLE  # noqa: E731
-    else:
-        data = grid.values
-        hit = lambda v: v >= lethal  # noqa: E731
-    rows, cols = data.shape
-    for x, y in path.points:
-        c = int(math.floor((x - grid.origin[0]) / grid.cell_size))
-        r = int(math.floor((y - grid.origin[1]) / grid.cell_size))
-        if 0 <= r < rows and 0 <= c < cols and hit(data[r, c]):
-            return True
-    return False
+        return bool((_values_under(path, grid, grid.cells) == OBSTACLE).any())
+    return bool((_values_under(path, grid, grid.values) >= lethal).any())
 
 
 def path_cost(path: Path, grid: CostGrid) -> float:
     """Mean cell cost over the path samples that land on known cells."""
-    if len(path.points) == 0:
-        raise ValidationError("path is empty")
-    rows, cols = grid.values.shape
-    total = 0.0
-    count = 0
-    for x, y in path.points:
-        c = int(math.floor((x - grid.origin[0]) / grid.cell_size))
-        r = int(math.floor((y - grid.origin[1]) / grid.cell_size))
-        if 0 <= r < rows and 0 <= c < cols and grid.values[r, c] >= 0:
-            total += float(grid.values[r, c])
-            count += 1
-    return total / count if count else 0.0
+    values = _values_under(path, grid, grid.values)
+    known = values[values >= 0]
+    # integer sum, so the mean matches a sequential float accumulation exactly
+    return int(known.sum()) / known.size if known.size else 0.0
+
+
+def _values_under(path: Path, grid, data: np.ndarray) -> np.ndarray:
+    """Entries of `data` under the path points that land inside the grid."""
+    rows, cols = data.shape
+    r, c = world_to_cell(path.points[:, 0], path.points[:, 1], grid.origin, grid.cell_size)
+    inside = (r >= 0) & (r < rows) & (c >= 0) & (c < cols)
+    return data[r[inside], c[inside]]

@@ -8,10 +8,9 @@ diagnostics.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
+from . import grids
 from .mapping import CostGrid
 from .modes import NavMode
 from .terrain import HeightField, Terrain
@@ -26,17 +25,14 @@ UNKNOWN_COLOR = (70, 90, 140)
 
 def hillshade(fld: HeightField) -> np.ndarray:
     """Lambertian shading with light from the north-west, uint8."""
-    gy, gx = np.gradient(fld.elevation, fld.cell_size)
-    lx, ly, lz = -0.5, 0.5, math.sqrt(0.5)
-    norm = 1.0 / np.sqrt(gx * gx + gy * gy + 1.0)
-    shade = (-gx * lx - gy * ly + lz) * norm
+    shade = grids.hillshade(fld.elevation, fld.cell_size)
     lo, hi = float(shade.min()), float(shade.max())
     if hi - lo < 1e-12:
         return np.full(fld.elevation.shape, 180, dtype=np.uint8)
     return (40 + 200 * (shade - lo) / (hi - lo)).astype(np.uint8)
 
 
-def render_terrain(terrain: Terrain, scale: float = 1.0) -> np.ndarray:
+def render_terrain(terrain: Terrain) -> np.ndarray:
     """Shaded relief of the full surface, tinted rust like dry regolith."""
     gray = hillshade(terrain.full_field()).astype(float)
     rgb = np.stack([gray * 0.95, gray * 0.62, gray * 0.45], axis=-1)
@@ -67,27 +63,10 @@ def draw_trajectory(image: np.ndarray, rows: list[str], origin, cell_size: float
         x, y = float(parts[1]), float(parts[2])
         mode = parts[5]
         color = MODE_COLORS.get(mode, (255, 255, 255))
-        c = int((x - origin[0]) / cell_size)
-        r = int((y - origin[1]) / cell_size)
+        r, c = grids.world_to_cell(x, y, origin, cell_size)
         for dr in range(-thickness, thickness + 1):
             for dc in range(-thickness, thickness + 1):
                 rr, cc = r + dr, c + dc
                 if 0 <= rr < h and 0 <= cc < w:
                     out[rr, cc] = color
-    return out
-
-
-def draw_points(image: np.ndarray, points, origin, cell_size: float,
-                color=(255, 255, 255), radius: int = 2) -> np.ndarray:
-    out = image.copy()
-    h, w = out.shape[:2]
-    for x, y in points:
-        c = int((x - origin[0]) / cell_size)
-        r = int((y - origin[1]) / cell_size)
-        for dr in range(-radius, radius + 1):
-            for dc in range(-radius, radius + 1):
-                if dr * dr + dc * dc <= radius * radius:
-                    rr, cc = r + dr, c + dc
-                    if 0 <= rr < h and 0 <= cc < w:
-                        out[rr, cc] = color
     return out

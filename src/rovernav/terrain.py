@@ -20,7 +20,7 @@ import numpy as np
 from .errors import ValidationError
 from .modes import TerrainClass
 from . import pgmio
-from .grids import bilinear_sample
+from .grids import bilinear_sample, cell_center, world_to_cell
 
 log = logging.getLogger(__name__)
 
@@ -278,14 +278,14 @@ def add_rocks_to_field(fld: HeightField, rocks: RockSet) -> HeightField:
     out = fld.elevation.copy()
     if not rocks.rocks:
         return HeightField(out, fld.origin, fld.cell_size)
-    xs = fld.origin[0] + (np.arange(fld.cols) + 0.5) * fld.cell_size
-    ys = fld.origin[1] + (np.arange(fld.rows) + 0.5) * fld.cell_size
+    xs, ys = cell_center(np.arange(fld.rows), np.arange(fld.cols), fld.origin, fld.cell_size)
     layer = np.zeros_like(out)
     for rock in rocks.rocks:
-        c0 = max(int((rock.x - rock.radius - fld.origin[0]) / fld.cell_size) - 1, 0)
-        c1 = min(int((rock.x + rock.radius - fld.origin[0]) / fld.cell_size) + 2, fld.cols)
-        r0 = max(int((rock.y - rock.radius - fld.origin[1]) / fld.cell_size) - 1, 0)
-        r1 = min(int((rock.y + rock.radius - fld.origin[1]) / fld.cell_size) + 2, fld.rows)
+        (r0, r1), (c0, c1) = world_to_cell(
+            [rock.x - rock.radius, rock.x + rock.radius],
+            [rock.y - rock.radius, rock.y + rock.radius], fld.origin, fld.cell_size)
+        c0, c1 = max(c0 - 1, 0), min(c1 + 2, fld.cols)
+        r0, r1 = max(r0 - 1, 0), min(r1 + 2, fld.rows)
         if c0 >= c1 or r0 >= r1:
             continue
         sub_x, sub_y = np.meshgrid(xs[c0:c1], ys[r0:r1])
@@ -466,7 +466,7 @@ def load_terrain(in_dir) -> Terrain:
     """Rebuild a terrain from its export directory (exact inverse of save)."""
     src = Path(in_dir)
     meta = json.loads((src / TERRAIN_META).read_text(encoding="utf-8"))
-    specs = [_spec_from_dict(seg["spec"]) for seg in meta["segments"]]
+    specs = [spec_from_dict(seg["spec"]) for seg in meta["segments"]]
     if len(specs) == 1:
         terrain = build_terrain(specs[0])
     else:
@@ -494,7 +494,8 @@ def _spec_to_dict(spec: TerrainSpec) -> dict:
     }
 
 
-def _spec_from_dict(data: dict) -> TerrainSpec:
+def spec_from_dict(data: dict) -> TerrainSpec:
+    """Inverse of `_spec_to_dict`; `persistence` is optional (default 0.5)."""
     return TerrainSpec(
         octaves=int(data["octaves"]),
         lacunarity=float(data["lacunarity"]),

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyPatchError, ValidationError
-from .grids import plane_fit_points, slope_degrees
+from .grids import cell_center, plane_fit_points, slope_degrees
 from .terrain import HeightField, Terrain
 
 # Physics tick: 20 Hz divides every scheduler rate used by the mission.
@@ -114,9 +114,6 @@ class World:
     def extent_y(self) -> float:
         return self.terrain.extent_y
 
-    def surface_at(self, xs, ys):
-        return self.terrain.elevation_at(xs, ys)
-
     def sense_elevation_patch(self, pose: RoverState, size: float, resolution: float) -> HeightField:
         """Resample the true surface on a size x size window around the pose.
 
@@ -133,9 +130,7 @@ class World:
             raise EmptyPatchError("sensing window lies entirely outside the terrain")
         n = round(size / resolution)
         origin = (pose.x - half, pose.y - half)
-        xs = origin[0] + (np.arange(n) + 0.5) * resolution
-        ys = origin[1] + (np.arange(n) + 0.5) * resolution
-        gx, gy = np.meshgrid(xs, ys)
+        gx, gy = np.meshgrid(*cell_center(np.arange(n), np.arange(n), origin, resolution))
         z = np.asarray(self.terrain.ground.sample(gx, gy), dtype=float)
         rocks = self._rocks_near(pose.x, pose.y, half + 0.1)
         if rocks:
@@ -155,9 +150,8 @@ class World:
         edge-clamped elevation.
         """
         patch = self.sense_elevation_patch(pose, size, resolution)
-        xs = patch.origin[0] + (np.arange(patch.cols) + 0.5) * patch.cell_size
-        ys = patch.origin[1] + (np.arange(patch.rows) + 0.5) * patch.cell_size
-        gx, gy = np.meshgrid(xs, ys)
+        gx, gy = np.meshgrid(*cell_center(np.arange(patch.rows), np.arange(patch.cols),
+                                          patch.origin, patch.cell_size))
         inside = (gx >= 0) & (gx <= self.extent_x) & (gy >= 0) & (gy <= self.extent_y)
         return np.column_stack([gx[inside], gy[inside], patch.elevation[inside]])
 

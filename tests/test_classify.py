@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -190,3 +192,11 @@ class TestRendering:
         data = render_patch_image(patch)
         assert data.startswith(b"P5\n40 40\n255\n")
         assert len(data) == len(b"P5\n40 40\n255\n") + 1600
+
+    def test_patch_image_bytes_pinned(self):
+        ys, xs = np.mgrid[0:24, 0:32] * 0.5
+        z = np.sin(0.7 * xs) + 0.4 * np.cos(1.3 * ys) + 0.05 * xs * ys
+        data = render_patch_image(HeightField(z, (3.0, -2.0), 0.5))
+        assert data.startswith(b"P5\n32 24\n255\n")
+        assert hashlib.sha256(data).hexdigest() == (
+            "7a66af972ef66c5e8a5b63102913d8ee02ab0d99eb3b3d5df14f6a6cd2cfb3f3")

@@ -5,16 +5,23 @@ import pytest
 
 from rovernav.errors import InvalidStartError, NoPathError
 from rovernav.mapping import CostGrid, FREE, OBSTACLE, ObstacleGrid, UNKNOWN
+from rovernav.modes import NavMode
 from rovernav.planning import (
     astar_cost,
     astar_obstacle,
+    best_progress_path,
     bspline_path,
     octile,
     path_collides,
     path_cost,
 )
 
-from oracles import dijkstra_grid_length, dijkstra_weighted_cost, point_segment_distance
+from oracles import (
+    dijkstra_grid_length,
+    dijkstra_weighted_cost,
+    point_segment_distance,
+    values_under_points,
+)
 
 SQRT2 = math.sqrt(2.0)
 
@@ -181,6 +188,68 @@ class TestAstarCost:
             assert weight == pytest.approx(oracle, abs=1e-9)
 
 
+class TestBestProgress:
+    @staticmethod
+    def walled(start):
+        # column 5 is a wall and (2, 4) is blocked, so the reachable cells
+        # nearest the goal (2, 8) are (1, 4) and (3, 4), both sqrt(17) away
+        cells = np.zeros((5, 9))
+        cells[:, 5] = OBSTACLE
+        cells[2, 4] = OBSTACLE
+        return best_progress_path(obstacle_grid(cells), center(*start), center(2, 8))
+
+    def test_nearest_reachable_cell(self):
+        cells = np.zeros((5, 9))
+        cells[:, 5] = OBSTACLE
+        path = best_progress_path(obstacle_grid(cells), center(2, 0), center(2, 8))
+        assert path.mode is NavMode.SAFE
+        assert tuple(path.points[0]) == center(2, 0)
+        assert tuple(path.points[-1]) == center(2, 4)
+        assert path.length() == pytest.approx(4.0)
+
+    def test_distance_tie_breaks_on_path_weight(self):
+        # from row 3, (3, 4) is a straight run; (1, 4) needs two diagonals
+        assert tuple(self.walled((3, 0)).points[-1]) == center(3, 4)
+
+    def test_full_tie_breaks_row_major(self):
+        # from row 2 both candidates cost 3 + sqrt(2); the lower row wins
+        assert tuple(self.walled((2, 0)).points[-1]) == center(1, 4)
+
+    def test_costmap_walled_in_aims_for_frontier(self):
+        values = np.zeros((12, 12), dtype=int)
+        values[:, 6] = 100
+        values[0, 0:3] = -1
+        path = best_progress_path(cost_grid(values), center(6, 5), center(6, 11))
+        assert path.mode is NavMode.CONSERVATIVE
+        # (1, 3) borders the unknown patch and is the frontier cell nearest the goal
+        assert tuple(path.points[-1]) == center(1, 3)
+
+    def test_costmap_walled_in_without_frontier_stays(self):
+        values = np.zeros((12, 12), dtype=int)
+        values[:, 6] = 100
+        path = best_progress_path(cost_grid(values), center(6, 5), center(6, 11))
+        assert path.points.tolist() == [list(center(6, 5))]
+
+    def test_single_point_when_nothing_reachable(self):
+        cells = np.zeros((5, 5))
+        cells[1:4, 1:4] = OBSTACLE
+        cells[2, 2] = FREE
+        path = best_progress_path(obstacle_grid(cells), center(2, 2), center(0, 4))
+        assert path.points.tolist() == [list(center(2, 2))]
+
+    def test_blocked_start_rejected(self):
+        cells = np.zeros((5, 5))
+        cells[2, 2] = OBSTACLE
+        with pytest.raises(InvalidStartError):
+            best_progress_path(obstacle_grid(cells), center(2, 2), center(0, 0))
+        values = np.zeros((5, 5), dtype=int)
+        values[2, 2] = -1
+        with pytest.raises(InvalidStartError):
+            best_progress_path(cost_grid(values), center(2, 2), center(0, 0))
+        with pytest.raises(InvalidStartError):
+            best_progress_path(cost_grid(values), (-3.0, 1.0), center(0, 0))
+
+
 def _path_weight(path, values, cell_size=1.0, alpha=4.0):
     total = 0.0
     cells = [(int(y // cell_size), int(x // cell_size)) for x, y in path.points]
@@ -238,6 +307,22 @@ class TestPathChecks:
         values = np.full((4, 4), 40, dtype=int)
         pts = np.array([[0.5, 0.5], [1.5, 1.5], [2.5, 2.5]])
         assert path_cost(Path(pts), cost_grid(values)) == 40.0
+
+    def test_checks_match_pointwise_oracle(self, rng):
+        from rovernav.planning import Path
+
+        for _ in range(40):
+            values = rng.integers(-1, 101, size=(12, 15))
+            grid = CostGrid(values.astype(np.int16), (-2.0, 3.0), 0.5)
+            cells = np.where(values >= 80, OBSTACLE, np.where(values < 0, UNKNOWN, FREE))
+            obstacles = ObstacleGrid(cells.astype(np.int8), grid.origin, grid.cell_size)
+            pts = rng.uniform((-4.0, 1.0), (7.0, 11.0), size=(30, 2))
+            under = values_under_points(values.tolist(), grid.origin, grid.cell_size, pts.tolist())
+            known = [float(v) for v in under if v >= 0]
+            path = Path(pts)
+            assert path_cost(path, grid) == (sum(known) / len(known) if known else 0.0)
+            assert path_collides(path, grid, lethal=80) == any(v >= 80 for v in under)
+            assert path_collides(path, obstacles) == any(v >= 80 for v in under)
 
     def test_path_cost_unknown_only_is_zero(self):
         from rovernav.planning import Path

@@ -1,0 +1,41 @@
+import hashlib
+
+import numpy as np
+
+from rovernav.render import MODE_COLORS, draw_trajectory, hillshade
+from rovernav.terrain import HeightField
+
+
+def test_hillshade_pinned():
+    ys, xs = np.mgrid[0:24, 0:32] * 0.5
+    z = np.sin(0.7 * xs) + 0.4 * np.cos(1.3 * ys) + 0.05 * xs * ys
+    shade = hillshade(HeightField(z, (3.0, -2.0), 0.5))
+    assert shade.dtype == np.uint8 and shade.shape == (24, 32)
+    assert hashlib.sha256(shade.tobytes()).hexdigest() == (
+        "2bd950299443c965357f84381df5ae499cb1419a43052ba9f79cd7f45093ba0d")
+
+
+def test_hillshade_flat_is_uniform():
+    shade = hillshade(HeightField(np.zeros((5, 7)), (0.0, 0.0), 1.0))
+    assert (shade == 180).all()
+
+
+def _rows(*points, mode="safe"):
+    return ["time,x,y,heading,speed,mode"] + [f"0.0,{x},{y},0.0,0.0,{mode}" for x, y in points]
+
+
+def test_trajectory_point_lands_on_its_cell():
+    image = np.zeros((6, 8, 3), dtype=np.uint8)
+    out = draw_trajectory(image, _rows((2.5, 4.5)), (0.0, 0.0), 1.0, thickness=0)
+    drawn = np.argwhere(out.any(axis=2))
+    assert drawn.tolist() == [[4, 2]]
+    assert tuple(out[4, 2]) == MODE_COLORS["safe"]
+
+
+def test_trajectory_points_off_image_are_not_drawn():
+    # points up to one cell left of or below the image must not be drawn on
+    # its edge row or column
+    image = np.zeros((6, 8, 3), dtype=np.uint8)
+    rows = _rows((-0.4, 3.5), (2.5, -0.7), (-0.2, -0.2))
+    out = draw_trajectory(image, rows, (0.0, 0.0), 1.0, thickness=0)
+    assert not out.any()
