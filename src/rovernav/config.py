@@ -218,6 +218,8 @@ def _spec_from_config(d: dict) -> TerrainSpec:
         return spec_from_dict(d)
     except KeyError as exc:
         raise MissionConfigError(f"terrain spec missing key: {exc}") from exc
+    except (ValueError, TypeError) as exc:
+        raise MissionConfigError(f"bad terrain spec value: {exc}") from exc
 
 
 def scene_from_config(cfg: dict) -> SceneBundle:

@@ -4,8 +4,8 @@ All grids in this package are row-major with row 0 at the minimum-y edge;
 cell (r, c) has its center at (origin_x + (c + 0.5) * cell_size,
 origin_y + (r + 0.5) * cell_size). This module holds the only copies of
 the world<->cell transform (`world_to_cell`, `cell_center`), the 3x3
-neighborhood (`neighbor_slices`) and the hillshade (`hillshade`), next to
-bilinear sampling and plane fits.
+neighborhood (`neighbor_slices`), the hillshade (`hillshade`) and disc
+inflation (`dilate_disc`), next to bilinear sampling and plane fits.
 """
 
 from __future__ import annotations
@@ -180,6 +180,20 @@ def plane_fit_points(points: np.ndarray):
 def slope_degrees(a, b):
     """Inclination of the plane z = a*x + b*y + c, in degrees."""
     return np.degrees(np.arctan(np.hypot(a, b)))
+
+
+def dilate_disc(mask: np.ndarray, radius_cells: float) -> np.ndarray:
+    """Grow a boolean mask by a disc of radius_cells (Euclidean, in cells).
+
+    Same cells as a binary dilation with `disk_footprint(radius_cells)`, at
+    the cost of one exact distance transform whatever the radius. Squared
+    distances are whole numbers, so comparing them to radius_cells**2 keeps
+    the disc edge exact where a radius lies within rounding of sqrt(n).
+    """
+    if not mask.any():
+        return np.zeros_like(mask, dtype=bool)
+    d = ndimage.distance_transform_edt(~mask)
+    return np.rint(d * d) <= radius_cells * radius_cells
 
 
 def disk_footprint(radius_cells: float) -> np.ndarray:

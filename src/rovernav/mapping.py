@@ -4,6 +4,9 @@ Sensed point clouds become elevation grids (max-z per cell, so thin
 obstacles survive). From there two products are derived: a binary obstacle
 grid for the mid-tier navigation mode, and a 0-100 traversal costmap for
 the cautious mode, built from slope, roughness, and step-height features.
+`cost_features` is the one pass that fits the planes and applies the cost
+law; every costmap quantizes its output. All inflation goes through
+`grids.dilate_disc`.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ import numpy as np
 from scipy import ndimage
 
 from .errors import ValidationError
-from .grids import disk_footprint, neighbor_slices, plane_fit_grid, slope_degrees, world_to_cell
+from .grids import dilate_disc, disk_footprint, neighbor_slices, plane_fit_grid, slope_degrees, world_to_cell
 from . import pgmio
 
 FREE = 0
@@ -152,14 +155,11 @@ def extract_obstacles(
         median = np.nanmedian(stack, axis=0)
     raw = known & np.isfinite(median) & (np.abs(z - median) > h_obstacle)
 
+    if inflate_radius > 0:
+        raw = dilate_disc(raw, inflate_radius / elev.cell_size)
     cells = np.full((elev.rows, elev.cols), UNKNOWN, dtype=np.int8)
     cells[known] = FREE
-    if inflate_radius > 0 and raw.any():
-        footprint = disk_footprint(inflate_radius / elev.cell_size)
-        inflated = ndimage.binary_dilation(raw, structure=footprint)
-        cells[known & inflated] = OBSTACLE
-    else:
-        cells[raw] = OBSTACLE
+    cells[known & raw] = OBSTACLE
     return ObstacleGrid(cells, elev.origin, elev.cell_size)
 
 
@@ -183,45 +183,17 @@ class CostWeights:
     step_radius_m: float = 0.5
 
 
-def compute_costmap(elev: ElevationGrid, weights: CostWeights = CostWeights()) -> CostGrid:
-    """Traversal cost from slope, roughness, and residual step height.
+def cost_features(elev: ElevationGrid, weights: CostWeights = CostWeights()):
+    """Unrounded cost plus the raw (slope_deg, roughness, step) features.
 
-    Per known cell: fit a plane over the footprint-scaled window (slope =
-    plane inclination, roughness = RMS residual of the fit), then measure
-    the largest detrended elevation jump to any cell within step_radius.
-    cost = round(100 * (w_s*min(s/s_max,1) + w_r*min(r/r_max,1) +
-    w_h*min(h/h_max,1))), forced to 100 when any feature saturates.
-    Unknown cells map to -1.
+    Per cell: fit a plane over the footprint-scaled window (slope = plane
+    inclination, roughness = RMS residual of the fit), then measure the
+    largest detrended elevation jump to any known cell within step_radius.
+    cost = 100 * (w_s*min(s/s_max,1) + w_r*min(r/r_max,1) +
+    w_h*min(h/h_max,1)), forced to 100 when any feature saturates.
     """
     if elev.rows == 0 or elev.cols == 0:
         raise ValidationError("elevation grid is empty")
-    cell = elev.cell_size
-    win = max(int(round(weights.fit_window_m / cell)) | 1, 3)
-    a, b, c, rough, _count = plane_fit_grid(elev.elevation, elev.known, win, cell)
-    slope = slope_degrees(a, b)
-
-    res = np.where(elev.known, elev.elevation - c, 0.0)
-    ring = disk_footprint(max(weights.step_radius_m / cell, 1.0))
-    res_hi = ndimage.maximum_filter(np.where(elev.known, res, -np.inf), footprint=ring, mode="nearest")
-    res_lo = ndimage.minimum_filter(np.where(elev.known, res, np.inf), footprint=ring, mode="nearest")
-    step = np.maximum(res - res_lo, res_hi - res)
-    step = np.where(np.isfinite(step), step, 0.0)
-
-    f_s = np.minimum(slope / weights.slope_max_deg, 1.0)
-    f_r = np.minimum(rough / weights.rough_max, 1.0)
-    f_h = np.minimum(step / weights.step_max, 1.0)
-    cost = 100.0 * (weights.w_slope * f_s + weights.w_rough * f_r + weights.w_step * f_h)
-    lethal = (slope >= weights.slope_max_deg) | (rough >= weights.rough_max) | (step >= weights.step_max)
-    cost[lethal] = float(COST_MAX)
-
-    values = np.rint(cost).astype(np.int16)
-    values = np.clip(values, 0, COST_MAX)
-    values[~elev.known] = COST_UNKNOWN
-    return CostGrid(values, elev.origin, elev.cell_size)
-
-
-def cost_features(elev: ElevationGrid, weights: CostWeights = CostWeights()):
-    """Unrounded cost plus the raw (slope_deg, roughness, step) features."""
     cell = elev.cell_size
     win = max(int(round(weights.fit_window_m / cell)) | 1, 3)
     a, b, c, rough, _ = plane_fit_grid(elev.elevation, elev.known, win, cell)
@@ -242,6 +214,19 @@ def cost_features(elev: ElevationGrid, weights: CostWeights = CostWeights()):
     return f, slope, rough, step
 
 
+def _quantize(f: np.ndarray, known: np.ndarray) -> np.ndarray:
+    """Round unrounded costs to int16 0..100, unknown cells to -1."""
+    values = np.clip(np.rint(f).astype(np.int16), 0, COST_MAX)
+    values[~known] = COST_UNKNOWN
+    return values
+
+
+def compute_costmap(elev: ElevationGrid, weights: CostWeights = CostWeights()) -> CostGrid:
+    """Traversal cost: `cost_features` rounded to 0..100, unknown cells -1."""
+    f, *_ = cost_features(elev, weights)
+    return CostGrid(_quantize(f, elev.known), elev.origin, elev.cell_size)
+
+
 def build_navigation_costmap(
     elev: ElevationGrid,
     weights: CostWeights = CostWeights(),
@@ -256,18 +241,15 @@ def build_navigation_costmap(
     need a small quantization-and-tracking margin, or every boulder would
     seal the corridors around it.
     """
-    cost = compute_costmap(elev, weights)
-    _, slope, rough, step = cost_features(elev, weights)
-    out = cost.values.copy()
+    f, slope, rough, step = cost_features(elev, weights)
+    values = _quantize(f, elev.known)
     for mask, radius in (
         (slope >= weights.slope_max_deg, slope_inflation),
         ((rough >= weights.rough_max) | (step >= weights.step_max), bump_inflation),
     ):
-        mask = mask & elev.known
-        if radius > 0 and mask.any():
-            grown = ndimage.binary_dilation(mask, structure=disk_footprint(radius / elev.cell_size))
-            out[grown & (cost.values >= 0)] = COST_MAX
-    return CostGrid(out, cost.origin, cost.cell_size)
+        if radius > 0:
+            values[dilate_disc(mask & elev.known, radius / elev.cell_size) & elev.known] = COST_MAX
+    return CostGrid(values, elev.origin, elev.cell_size)
 
 
 def inflate_lethal(cost: CostGrid, radius: float) -> CostGrid:
@@ -277,11 +259,8 @@ def inflate_lethal(cost: CostGrid, radius: float) -> CostGrid:
     rover's own size. Unknown cells stay unknown.
     """
     out = cost.values.copy()
-    lethal = cost.values >= COST_MAX
-    if radius > 0 and lethal.any():
-        footprint = disk_footprint(radius / cost.cell_size)
-        grown = ndimage.binary_dilation(lethal, structure=footprint)
-        out[grown & (cost.values >= 0)] = COST_MAX
+    if radius > 0:
+        out[dilate_disc(cost.values >= COST_MAX, radius / cost.cell_size) & (cost.values >= 0)] = COST_MAX
     return CostGrid(out, cost.origin, cost.cell_size)
 
 

@@ -1,8 +1,8 @@
-"""Independent reference implementations used to check the planners.
+"""Independent reference implementations used to check the package.
 
 These deliberately share no code with the package: plain-dict Dijkstra
-over the same 8-connected movement model, and a brute-force point-to-
-segment distance. Keep them simple and slow.
+over the same 8-connected movement model, a brute-force point-to-segment
+distance and a shift-and-OR disc dilation. Keep them simple and slow.
 """
 
 import heapq
@@ -92,6 +92,27 @@ def values_under_points(values, origin, cell_size, points):
         r = math.floor((y - origin[1]) / cell_size)
         if 0 <= r < rows and 0 <= c < cols:
             out.append(values[r][c])
+    return out
+
+
+def dilate_disc(mask, radius_cells):
+    """Binary dilation of a 2-D boolean array by a disc of radius_cells.
+
+    ORs in the mask shifted by every integer offset (dr, dc) with
+    dr*dr + dc*dc <= radius_cells**2; cells shifted past the border drop.
+    """
+    rows = len(mask)
+    cols = len(mask[0]) if rows else 0
+    out = [[False] * cols for _ in range(rows)]
+    reach = int(math.floor(radius_cells))
+    offsets = [(dr, dc) for dr in range(-reach, reach + 1) for dc in range(-reach, reach + 1)
+               if dr * dr + dc * dc <= radius_cells * radius_cells]
+    for r in range(rows):
+        for c in range(cols):
+            if mask[r][c]:
+                for dr, dc in offsets:
+                    if 0 <= r + dr < rows and 0 <= c + dc < cols:
+                        out[r + dr][c + dc] = True
     return out
 
 

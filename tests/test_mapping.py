@@ -1,16 +1,23 @@
+import hashlib
+
 import numpy as np
 import pytest
 
+from rovernav.errors import ValidationError
 from rovernav.mapping import (
     COST_MAX,
     COST_UNKNOWN,
+    CostGrid,
     CostWeights,
+    ElevationGrid,
     FREE,
     GridGeometry,
     OBSTACLE,
     UNKNOWN,
     build_elevation_grid,
+    build_navigation_costmap,
     compute_costmap,
+    cost_features,
     cost_to_obstacle,
     extract_obstacles,
     inflate_lethal,
@@ -201,6 +208,45 @@ def _law(s, r, h, w):
                     + w.w_step * min(h / w.step_max, 1.0))
 
 
+def _sha(values):
+    return hashlib.sha256(np.ascontiguousarray(values).tobytes()).hexdigest()
+
+
+def _ramp_and_rock_grid():
+    """0.1 m grid: a diagonal ramp easing into 40 deg (slope-lethal), a 0.8 m
+    rock cap (bump-lethal) on the flat part, and two patches of unknown cells."""
+    n, cell = 160, 0.1
+    coords = (np.arange(n) + 0.5) * cell
+    gx, gy = np.meshgrid(coords, coords)
+    u = (gx + 0.5 * gy) / np.sqrt(1.25)
+    z = np.tan(np.radians(40.0)) * 2.0 * np.logaddexp(0.0, (5.0 - u) / 2.0)
+    d2 = (gx - 11.0) ** 2 + (gy - 8.0) ** 2
+    sphere_r = (1.0 + 0.64) / 1.6
+    z = z + np.where(d2 <= 1.0, np.sqrt(np.maximum(sphere_r**2 - d2, 0)) - (sphere_r - 0.8), 0.0)
+    known = np.ones((n, n), dtype=bool)
+    known[130:150, 20:60] = False
+    known[::7, 100] = False
+    return ElevationGrid(z, known, (5.0, -2.0), cell)
+
+
+class TestNavigationCostmap:
+    def test_byte_pin(self):
+        # slope-lethal cells inflate by 35 cells, bump-lethal ones by 15
+        elev = _ramp_and_rock_grid()
+        w = CostWeights()
+        _, slope, rough, step = cost_features(elev)
+        assert ((slope >= w.slope_max_deg) & elev.known).any()
+        assert (((rough >= w.rough_max) | (step >= w.step_max)) & elev.known).any()
+        cost = build_navigation_costmap(elev)
+        assert cost.values.dtype == np.int16
+        assert _sha(cost.values) == "67c67500320bb803f54e699c7a6580ada71e2fdcdadef47dea54b6f6aa80c720"
+
+    def test_empty_grid_rejected(self):
+        grid = ElevationGrid(np.zeros((0, 5)), np.zeros((0, 5), dtype=bool), (0.0, 0.0), 0.1)
+        with pytest.raises(ValidationError):
+            build_navigation_costmap(grid)
+
+
 class TestLethalInflation:
     def test_lethal_dilated(self):
         vals = np.zeros((20, 20), dtype=np.int16)
@@ -218,6 +264,14 @@ class TestLethalInflation:
 
         out = inflate_lethal(CostGrid(vals, (0, 0), 0.5), 2.0)
         assert out.values[5, 7] == -1
+
+    def test_byte_pin_non_integer_radius(self):
+        rng = np.random.default_rng(7)
+        vals = rng.integers(0, 100, size=(60, 60)).astype(np.int16)
+        vals[rng.random((60, 60)) < 0.01] = COST_MAX
+        vals[rng.random((60, 60)) < 0.1] = COST_UNKNOWN
+        out = inflate_lethal(CostGrid(vals, (0.0, 0.0), 0.1), 0.35)  # 3.4999... cells
+        assert _sha(out.values) == "599486a91fcfc29b2836fd8ba361c494e3944fa30645d6fd07c2066c5e9e589d"
 
 
 class TestConversions:

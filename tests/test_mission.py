@@ -9,6 +9,7 @@ from rovernav.config import build_scene
 from rovernav.map_server import WaypointQueue
 from rovernav.mapping import COST_MAX, CostGrid
 from rovernav.mission import MissionRunner, MockClassifierBackend, run_mission
+from rovernav.modes import NavMode
 from rovernav.world import RoverState, World
 
 from conftest import flat_terrain
@@ -20,6 +21,10 @@ GOLDEN_DIGESTS = {
     "flat": "89664f7dc96d8248d3662bfa5477f1b85a00faf8a69bc70e4be3bfd34e85e9fb",
     "rocky": "8c9df14903c8d4c025ef410b9fcb3ee12865e3249601e0d658f017b92eef4046",
 }
+
+# Forced-conservative mission on build_scene("rocky", 0), first 2 auto
+# waypoints, no classifier: the only digest that runs the costmap path.
+CONSERVATIVE_DIGEST = "5ad6b2e404bbd4ece4846f0ed3cd4ceeb46bbde5377f0848999c98895eb2e5b2"
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -39,6 +44,13 @@ def test_golden_digests():
         result = run_mission(scene.world, scene.waypoints, MockClassifierBackend(0), start=scene.start)
         got[kind] = mission_digest(result.metrics.to_dict(), result.trajectory)
     assert got == GOLDEN_DIGESTS
+
+
+def test_golden_conservative_digest():
+    scene = build_scene("rocky", 0)
+    queue = WaypointQueue(list(scene.waypoints.points[:2]))
+    result = run_mission(scene.world, queue, None, forced_mode=NavMode.CONSERVATIVE, start=scene.start)
+    assert mission_digest(result.metrics.to_dict(), result.trajectory) == CONSERVATIVE_DIGEST
 
 
 def _runner(x=20.0, y=20.0):
