@@ -11,7 +11,6 @@ from .world import HazardEvent, HazardKind, RoverState, VelocityCommand, World, 
 from .classify import (
     GeometricMetrics,
     GeometricThresholds,
-    ScoreRule,
     TerrainAssessment,
     VlmConfig,
     compute_terrain_metrics,

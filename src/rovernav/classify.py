@@ -31,8 +31,8 @@ from .errors import (
 )
 from .grids import cell_center, hillshade, neighbor_slices, plane_fit_grid, plane_fit_points, slope_degrees
 from .mapping import ElevationGrid
-from .modes import TerrainClass
-from .terrain import HeightField, ROCK_SCORE_GAIN, TerrainSpec
+from .modes import ROCK_SCORE_GAIN, SLOPE_SCORE_FULL_DEG, TerrainClass, class_for_scores
+from .terrain import HeightField, TerrainSpec
 
 
 @dataclass(frozen=True)
@@ -69,21 +69,6 @@ class GeometricThresholds:
     slope_avg_min_challenging: float = 14.0
     stddev_rock_cell: float = 0.1
     analysis_radius: float = 10.0
-
-
-@dataclass(frozen=True)
-class ScoreRule:
-    """Maps (rock, slope) scores to a class; shared by mock and validation."""
-
-    slope_cutoff: float = 0.5
-    rock_cutoff: float = 0.25
-
-    def classify(self, rock: float, slope: float) -> TerrainClass:
-        if slope >= self.slope_cutoff:
-            return TerrainClass.CHALLENGING
-        if rock >= self.rock_cutoff:
-            return TerrainClass.ROCKY
-        return TerrainClass.FLAT
 
 
 def compute_terrain_metrics(
@@ -175,7 +160,7 @@ def threshold_classify(metrics: GeometricMetrics, thresholds: GeometricThreshold
     else:
         cls = TerrainClass.FLAT
     rock = min(max(metrics.rock_grid_count / 1000.0, 0.0), 1.0)
-    slope = min(max(metrics.slope_avg / 45.0, 0.0), 1.0)
+    slope = min(max(metrics.slope_avg / SLOPE_SCORE_FULL_DEG, 0.0), 1.0)
     return TerrainAssessment(cls, rock, slope, timestamp)
 
 
@@ -276,7 +261,6 @@ def render_patch_image(patch: HeightField) -> bytes:
 # --- deterministic mock ------------------------------------------------------
 
 MOCK_JITTER = 0.05
-SLOPE_SCORE_FULL_DEG = 45.0
 
 
 def mock_classify(
@@ -284,7 +268,6 @@ def mock_classify(
     ground: HeightField,
     position: tuple[float, float],
     seed: int,
-    rule: ScoreRule = ScoreRule(),
     analysis_radius: float = 10.0,
     timestamp: float = 0.0,
 ) -> TerrainAssessment:
@@ -294,7 +277,7 @@ def mock_classify(
     local plane-fit inclination around `position` over 45 degrees. Both get
     seeded jitter of +/-0.05 (keyed on seed and the quantized position, so
     identical runs reproduce identical scores) and clamp to [0, 1]. The
-    class always equals the rule applied to the emitted scores.
+    class is always `class_for_scores` of the emitted scores.
     """
     key = np.random.SeedSequence([
         seed & 0xFFFFFFFFFFFFFFFF,
@@ -308,7 +291,7 @@ def mock_classify(
     rock = min(max(ROCK_SCORE_GAIN * spec.rock_coverage + jit_rock, 0.0), 1.0)
     slope_deg = _local_slope(ground, position, analysis_radius)
     slope = min(max(slope_deg / SLOPE_SCORE_FULL_DEG + jit_slope, 0.0), 1.0)
-    return TerrainAssessment(rule.classify(rock, slope), rock, slope, timestamp)
+    return TerrainAssessment(class_for_scores(rock, slope), rock, slope, timestamp)
 
 
 def _local_slope(ground: HeightField, position: tuple[float, float], radius: float) -> float:

@@ -112,7 +112,7 @@ def cmd_run(args) -> int:
     if cfg.get("classifier") == "vlm" and not cfg.get("vlm_endpoint"):
         print("error: vlm classifier selected but no vlm_endpoint configured", file=sys.stderr)
         return EXIT_BACKEND
-    seed = int(cfg.get("seed", 0))
+    seed = cfg.get("seed", 0)
     scene = cfgmod.scene_from_config(cfg)
     forced = cfgmod.forced_mode_from(cfg)
     classifier = None if forced else cfgmod.classifier_from_config(cfg, seed)
@@ -150,7 +150,7 @@ def cmd_compare(args) -> int:
     if not seeds:
         print("error: no seeds given", file=sys.stderr)
         return EXIT_CONFIG
-    reference = float(cfg.get("reference_speedup", 1.795))
+    reference = cfg.get("reference_speedup", 1.795)
 
     out = FsPath(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -170,10 +170,10 @@ def cmd_compare(args) -> int:
         row["reference_speedup"] = reference
         rows.append(row)
         multi = report.multi
-        flag = "" if (report.single.success and report.multi.success) else "  [failure recorded]"
+        speedup, flag = (f"{report.speedup:8.3f}", "") if report.valid else ("invalid", "  [failure recorded]")
         print(f"{seed:>4}  {report.single.total_time:>10.1f}  {multi.total_time:>10.1f}  "
               f"{multi.time_by_mode['efficient']:>8.1f}  {multi.time_by_mode['safe']:>8.1f}  "
-              f"{multi.time_by_mode['conservative']:>8.1f}  {report.speedup:>8.3f}  "
+              f"{multi.time_by_mode['conservative']:>8.1f}  {speedup:>8}  "
               f"{reference:>7.3f}{flag}")
     (out / "comparison.json").write_text(json.dumps(rows, indent=2, sort_keys=True) + "\n",
                                          encoding="utf-8")

@@ -2,7 +2,8 @@
 
 A mission config is a JSON object; every key is optional except `terrain`.
 `config_reference()` renders the full key table with defaults, which the
-CLI exposes so the file format stays self-documenting.
+CLI exposes so the file format stays self-documenting. The functions below
+take a config as `load_mission_config` returns it, numbers converted.
 """
 
 from __future__ import annotations
@@ -156,6 +157,9 @@ CONFIG_KEYS = [
 
 _KNOWN_KEYS = {k for k, _, _ in CONFIG_KEYS}
 
+_NUMBER_KEYS = {"seed": int, "sensor_sigma": float, "waypoint_spacing": float, "vlm_timeout_s": float,
+                "reference_speedup": float, "speeds": lambda values: [float(v) for v in values]}
+
 _SPEC_KEYS = {f.name for f in fields(TerrainSpec)}
 
 
@@ -184,6 +188,13 @@ def load_mission_config(path) -> dict:
         raise MissionConfigError(f"unknown config keys: {sorted(unknown)}")
     if "terrain" not in cfg:
         raise MissionConfigError("config requires a 'terrain' section")
+    terrain = cfg["terrain"] if isinstance(cfg["terrain"], dict) else {}
+    for holder, key, kind in [*((cfg, k, f) for k, f in _NUMBER_KEYS.items()), (terrain, "seed", int)]:
+        if key in holder:
+            try:
+                holder[key] = kind(holder[key])
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise MissionConfigError(f"bad value for {key!r}: {exc}") from exc
     return cfg
 
 
@@ -191,7 +202,7 @@ def terrain_from_config(cfg: dict) -> Terrain:
     t = cfg["terrain"]
     if not isinstance(t, dict):
         raise MissionConfigError("'terrain' must be an object")
-    seed = int(t.get("seed", cfg.get("seed", 0)))
+    seed = t.get("seed", cfg.get("seed", 0))
     try:
         if "preset" in t:
             return build_terrain(preset_spec(t["preset"], seed))
@@ -224,7 +235,7 @@ def _spec_from_config(d: dict) -> TerrainSpec:
 
 def scene_from_config(cfg: dict) -> SceneBundle:
     terrain = terrain_from_config(cfg)
-    seed = int(cfg.get("seed", 0))
+    seed = cfg.get("seed", 0)
     start_xy = tuple(cfg["start"]) if isinstance(cfg.get("start"), list) else None
     goal_xy = tuple(cfg["goal"]) if isinstance(cfg.get("goal"), list) else None
     queue = None
@@ -240,8 +251,8 @@ def scene_from_config(cfg: dict) -> SceneBundle:
         raise MissionConfigError("waypoints must be \"auto\" or an object")
     return _assemble(
         terrain, seed,
-        sensor_sigma=float(cfg.get("sensor_sigma", 0.0)),
-        waypoint_spacing=float(cfg.get("waypoint_spacing", 20.0)),
+        sensor_sigma=cfg.get("sensor_sigma", 0.0),
+        waypoint_spacing=cfg.get("waypoint_spacing", 20.0),
         start_xy=start_xy, goal_xy=goal_xy, queue=queue,
     )
 
@@ -250,11 +261,7 @@ def mode_config_from(cfg: dict) -> ModeConfig:
     speeds = cfg.get("speeds", [2.0, 0.8, 0.5])
     if len(speeds) != 3:
         raise MissionConfigError("speeds must list three values")
-    return ModeConfig(
-        speed_efficient=float(speeds[0]),
-        speed_safe=float(speeds[1]),
-        speed_conservative=float(speeds[2]),
-    )
+    return ModeConfig(speed_efficient=speeds[0], speed_safe=speeds[1], speed_conservative=speeds[2])
 
 
 def classifier_from_config(cfg: dict, seed: int):
@@ -267,7 +274,7 @@ def classifier_from_config(cfg: dict, seed: int):
         url = cfg.get("vlm_endpoint")
         if not url:
             raise MissionConfigError("vlm classifier requires 'vlm_endpoint'")
-        return VlmClassifierBackend(VlmConfig(url, float(cfg.get("vlm_timeout_s", 10.0))))
+        return VlmClassifierBackend(VlmConfig(url, cfg.get("vlm_timeout_s", 10.0)))
     raise MissionConfigError(f"unknown classifier {name!r}")
 
 

@@ -4,8 +4,9 @@ All grids in this package are row-major with row 0 at the minimum-y edge;
 cell (r, c) has its center at (origin_x + (c + 0.5) * cell_size,
 origin_y + (r + 0.5) * cell_size). This module holds the only copies of
 the world<->cell transform (`world_to_cell`, `cell_center`), the 3x3
-neighborhood (`neighbor_slices`), the hillshade (`hillshade`) and disc
-inflation (`dilate_disc`), next to bilinear sampling and plane fits.
+neighborhood (`neighbor_slices`), the hillshade (`hillshade`), disc
+inflation (`dilate_disc`) and the least-squares plane solve, which
+`plane_fit_grid` and `plane_fit_points` share, next to bilinear sampling.
 """
 
 from __future__ import annotations
@@ -106,7 +107,9 @@ def plane_fit_grid(z: np.ndarray, known: np.ndarray, window_cells: int, cell_siz
     def w(a):
         return window_sums(a, window_cells)
 
-    s1 = w(k)
+    # The known-cell count, rounded: the filter can sum 3 cells to 2.999...,
+    # which would fail the 3-sample test below.
+    s1 = np.rint(w(k))
     sx = w(k * gx)
     sy = w(k * gy)
     sxx = w(k * gx * gx)
@@ -130,51 +133,57 @@ def plane_fit_grid(z: np.ndarray, known: np.ndarray, window_cells: int, cell_siz
     m_zx = szx - cx * sz
     m_zy = szy - cy * sz
 
-    n = rows * cols
-    mats = np.zeros((n, 3, 3))
-    mats[:, 0, 0] = m_xx.ravel()
-    mats[:, 0, 1] = m_xy.ravel()
-    mats[:, 0, 2] = m_x.ravel()
-    mats[:, 1, 0] = m_xy.ravel()
-    mats[:, 1, 1] = m_yy.ravel()
-    mats[:, 1, 2] = m_y.ravel()
-    mats[:, 2, 0] = m_x.ravel()
-    mats[:, 2, 1] = m_y.ravel()
-    mats[:, 2, 2] = s1.ravel()
-    rhs = np.stack([m_zx.ravel(), m_zy.ravel(), sz.ravel()], axis=1)
-
-    dets = np.linalg.det(mats)
-    ok = (s1.ravel() >= 3) & (np.abs(dets) > 1e-12)
-    mats[~ok] = np.eye(3)
-    rhs[~ok] = 0.0
-    sol = np.linalg.solve(mats, rhs[:, :, None])[:, :, 0]
-
-    a = sol[:, 0].reshape(rows, cols)
-    b = sol[:, 1].reshape(rows, cols)
-    c = sol[:, 2].reshape(rows, cols)
-
-    # Sum of squared residuals: sum(z^2) - x_hat . rhs
-    ss_res = szz.ravel() - np.einsum("ij,ij->i", sol, rhs)
-    ss_res = np.maximum(ss_res, 0.0).reshape(rows, cols)
-    count = s1
-    rms = np.zeros_like(z, dtype=float)
-    good = count > 0
-    rms[good] = np.sqrt(ss_res[good] / count[good])
-    okg = ok.reshape(rows, cols)
-    a[~okg] = 0.0
-    b[~okg] = 0.0
-    rms[~okg] = 0.0
-    return a, b, c, rms, count
+    # Empty windows (s1 = 0) divide by zero; ok is false there.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        a, b, c, ss_res, ok = _plane_from_moments(s1, m_x, m_y, m_xx, m_yy, m_xy, sz, m_zx, m_zy, szz)
+        rms = np.sqrt(np.maximum(ss_res, 0.0) / s1)
+    return np.where(ok, a, 0.0), np.where(ok, b, 0.0), np.where(ok, c, 0.0), np.where(ok, rms, 0.0), s1
 
 
 def plane_fit_points(points: np.ndarray):
-    """Fit z = a*x + b*y + c to an (N, 3) point set. Returns (a, b, c)."""
+    """Fit z = a*x + b*y + c to an (N, 3) point set. Returns (a, b, c).
+
+    Fewer than 3 points, or points along one line, give the flat plane
+    through their mean height.
+    """
     pts = np.asarray(points, dtype=float)
     if pts.shape[0] < 3:
         return 0.0, 0.0, float(pts[:, 2].mean()) if pts.size else 0.0
-    design = np.column_stack([pts[:, 0], pts[:, 1], np.ones(len(pts))])
-    coeffs, *_ = np.linalg.lstsq(design, pts[:, 2], rcond=None)
-    return float(coeffs[0]), float(coeffs[1]), float(coeffs[2])
+    # Moments about the first point, so that far-off coordinates don't cancel.
+    x0, y0 = pts[0, :2].tolist()
+    rel = pts - (x0, y0, 0.0)
+    lhs = rel.copy()
+    lhs[:, 2] = 1.0
+    (sxx, sxy, szx), (_, syy, szy), (sx, sy, sz) = (lhs.T @ rel).tolist()
+    a, b, c, _, _ = _plane_from_moments(float(len(pts)), sx, sy, sxx, syy, sxy, sz, szx, szy, 0.0)
+    return a, b, c - a * x0 - b * y0
+
+
+def _plane_from_moments(s1, sx, sy, sxx, syy, sxy, sz, szx, szy, szz):
+    """Least-squares plane z = a*x + b*y + c from sample count and moment sums.
+
+    Arrays or floats. Eliminating c leaves a 2x2 system about the centroid,
+    solved by Cramer's rule. Returns (a, b, c, sum of squared residuals, ok).
+    ok is false below 3 samples or when |s1 * det2|, the 3x3 normal-equation
+    determinant (Schur complement), is at most 1e-12; then a = b = 0 and c
+    is the mean z.
+    """
+    mx = sx / s1
+    my = sy / s1
+    mz = sz / s1
+    cxx = sxx - sx * mx
+    cyy = syy - sy * my
+    cxy = sxy - sx * my
+    czx = szx - sz * mx
+    czy = szy - sz * my
+    det2 = cxx * cyy - cxy * cxy
+    ok = (s1 >= 3) & (abs(s1 * det2) > 1e-12)
+    inv = ok / (det2 + (1 - ok))  # 1 / det2 where ok, else 0, never dividing by zero
+    a = (czx * cyy - czy * cxy) * inv
+    b = (cxx * czy - cxy * czx) * inv
+    c = mz - a * mx - b * my
+    ss_res = szz - sz * mz - a * czx - b * czy
+    return a, b, c, ss_res, ok
 
 
 def slope_degrees(a, b):

@@ -18,7 +18,6 @@ import numpy as np
 
 from .classify import (
     GeometricThresholds,
-    ScoreRule,
     TerrainAssessment,
     VlmConfig,
     compute_terrain_metrics,
@@ -156,16 +155,15 @@ class MissionMetrics:
 class MockClassifierBackend:
     """Scores terrain from the generating spec; no sensing, no network."""
 
-    def __init__(self, seed: int, rule: ScoreRule = ScoreRule(), analysis_radius: float = 10.0):
+    def __init__(self, seed: int, analysis_radius: float = 10.0):
         self.seed = seed
-        self.rule = rule
         self.analysis_radius = analysis_radius
 
     def assess(self, world: World, center, timestamp: float) -> TerrainAssessment:
         spec = world.terrain.spec_at(center[0])
         return mock_classify(
             spec, world.terrain.ground, center, self.seed,
-            rule=self.rule, analysis_radius=self.analysis_radius, timestamp=timestamp,
+            analysis_radius=self.analysis_radius, timestamp=timestamp,
         )
 
 
@@ -633,6 +631,11 @@ class ComparisonReport:
     multi: MissionMetrics
 
     @property
+    def valid(self) -> bool:
+        """Both runs succeeded; only then are their times compared."""
+        return self.single.success and self.multi.success
+
+    @property
     def time_ratio(self) -> float:
         return self.multi.total_time / self.single.total_time if self.single.total_time else math.inf
 
@@ -658,8 +661,8 @@ class ComparisonReport:
         return {
             "single": self.single.to_dict(),
             "multi": self.multi.to_dict(),
-            "time_ratio": round(self.time_ratio, 6),
-            "speedup": round(self.speedup, 6),
+            "time_ratio": round(self.time_ratio, 6) if self.valid else None,
+            "speedup": round(self.speedup, 6) if self.valid else None,
             "distance_ratio": round(self.distance_ratio, 6),
             "multi_time_shares": {k: round(v, 6) for k, v in self.multi_time_shares().items()},
             "multi_distance_shares": {k: round(v, 6) for k, v in self.multi_distance_shares().items()},

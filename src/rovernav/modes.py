@@ -57,3 +57,21 @@ MODE_FOR_CLASS = {
     TerrainClass.ROCKY: NavMode.SAFE,
     TerrainClass.CHALLENGING: NavMode.CONSERVATIVE,
 }
+
+# Class cutoffs on the (rock, slope) complexity scores, shared by the mock
+# classifier and terrain-spec validation. The mock's rock score is
+# ROCK_SCORE_GAIN x rock coverage; a slope score is an inclination over
+# SLOPE_SCORE_FULL_DEG. Both scores clamp to [0, 1].
+ROCK_SCORE_GAIN = 9.0
+SLOPE_SCORE_FULL_DEG = 45.0
+ROCK_SCORE_CUTOFF = 0.25
+SLOPE_SCORE_CUTOFF = 0.5
+
+
+def class_for_scores(rock: float, slope: float) -> TerrainClass:
+    """Class of a (rock, slope) score pair: slope decides challenging first."""
+    if slope >= SLOPE_SCORE_CUTOFF:
+        return TerrainClass.CHALLENGING
+    if rock >= ROCK_SCORE_CUTOFF:
+        return TerrainClass.ROCKY
+    return TerrainClass.FLAT

@@ -80,9 +80,6 @@ class Path:
         seg = np.hypot(*np.diff(self.points, axis=0).T)
         return np.concatenate([[0.0], np.cumsum(seg)])
 
-    def to_csv(self) -> str:
-        return "\n".join(f"{x:.6f},{y:.6f}" for x, y in self.points)
-
 
 def bspline_path(start, goal, heading: float, spacing: float = PATH_SAMPLE_SPACING,
                  created_at: float = 0.0) -> Path:

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ValidationError
-from .modes import TerrainClass
+from .modes import ROCK_SCORE_CUTOFF, ROCK_SCORE_GAIN, TerrainClass
 from . import pgmio
 from .grids import bilinear_sample, cell_center, world_to_cell
 
@@ -39,12 +39,6 @@ ROCK_MIN_GAP = 8.5
 # Base noise feature size: four features across the extent before lacunarity
 # scaling kicks in per octave.
 BASE_FEATURES_PER_EXTENT = 4.0
-
-# Score rule constants shared with the deterministic mock classifier: the
-# rock score is 9x coverage, class cutoffs are 0.25 (rocky) and 0.5
-# (challenging, on the slope score).
-ROCK_SCORE_GAIN = 9.0
-ROCK_SCORE_CUTOFF = 0.25
 
 
 @dataclass(frozen=True)
@@ -325,20 +319,6 @@ class Terrain:
     def full_field(self) -> HeightField:
         """Ground with rock caps stamped in (for export and rendering)."""
         return add_rocks_to_field(self.ground, self.rocks)
-
-    def elevation_at(self, xs, ys):
-        """True surface height: bilinear ground plus analytic rock caps.
-
-        Overlapping caps take the tallest contribution, matching the
-        stamped-field convention in add_rocks_to_field.
-        """
-        z = np.asarray(self.ground.sample(xs, ys), dtype=float)
-        if self.rocks.rocks:
-            layer = np.zeros_like(z)
-            for rock in self.rocks.rocks:
-                layer = np.maximum(layer, rock.cap_height(xs, ys))
-            z = z + layer
-        return z
 
 
 def build_terrain(spec: TerrainSpec) -> Terrain:

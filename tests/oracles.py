@@ -2,11 +2,14 @@
 
 These deliberately share no code with the package: plain-dict Dijkstra
 over the same 8-connected movement model, a brute-force point-to-segment
-distance and a shift-and-OR disc dilation. Keep them simple and slow.
+distance, a shift-and-OR disc dilation and a per-window least-squares plane
+fit. Keep them simple and slow.
 """
 
 import heapq
 import math
+
+import numpy as np
 
 SQRT2 = math.sqrt(2.0)
 
@@ -113,6 +116,39 @@ def dilate_disc(mask, radius_cells):
                 for dr, dc in offsets:
                     if 0 <= r + dr < rows and 0 <= c + dc < cols:
                         out[r + dr][c + dc] = True
+    return out
+
+
+def plane_fit_window(z, known, window, cell_size):
+    """Least-squares plane over the known cells of each clipped window.
+
+    For every cell (r, c), fits z = a*dx + b*dy + c with np.linalg.lstsq to
+    the known cells of the window x window block centered on it (clipped at
+    the border), dx and dy in meters from the cell. A window with fewer than
+    3 known cells, or whose known cells do not span a plane, gets a zero
+    plane and zero rms. Returns nested lists (a, b, c, rms, count).
+    """
+    rows = len(z)
+    cols = len(z[0])
+    half = window // 2
+    out = [[[0.0] * cols for _ in range(rows)] for _ in range(5)]
+    for r in range(rows):
+        for c in range(cols):
+            cells = [(rr, cc)
+                     for rr in range(max(r - half, 0), min(r + half + 1, rows))
+                     for cc in range(max(c - half, 0), min(c + half + 1, cols))
+                     if known[rr][cc]]
+            out[4][r][c] = float(len(cells))
+            if len(cells) < 3:
+                continue
+            design = np.array([[(cc - c) * cell_size, (rr - r) * cell_size, 1.0] for rr, cc in cells])
+            zs = np.array([z[rr][cc] for rr, cc in cells])
+            coef, _, rank, _ = np.linalg.lstsq(design, zs, rcond=None)
+            if rank < 3:
+                continue
+            res = zs - design @ coef
+            out[0][r][c], out[1][r][c], out[2][r][c] = (float(v) for v in coef)
+            out[3][r][c] = math.sqrt(float(res @ res) / len(cells))
     return out
 
 

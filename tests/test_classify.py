@@ -6,7 +6,6 @@ import pytest
 from rovernav.classify import (
     GeometricMetrics,
     GeometricThresholds,
-    ScoreRule,
     TerrainAssessment,
     compute_terrain_metrics,
     mock_classify,
@@ -16,7 +15,7 @@ from rovernav.classify import (
 )
 from rovernav.errors import InsufficientDataError, ValidationError, VlmSchemaError
 from rovernav.mapping import ElevationGrid
-from rovernav.modes import TerrainClass
+from rovernav.modes import TerrainClass, class_for_scores
 from rovernav.terrain import HeightField
 
 from conftest import make_spec, plane_terrain
@@ -175,15 +174,24 @@ class TestMockClassifier:
         assert (a.rock_complexity, a.slope_complexity) != (c.rock_complexity, c.slope_complexity)
 
     def test_class_consistent_with_own_scores(self):
-        rule = ScoreRule()
         terrain = plane_terrain(12.0, extent=100.0)
         for seed in range(40):
             spec = make_spec(rock_coverage=0.01 + (seed % 5) * 0.011,
                              ground_truth_class=TerrainClass.FLAT if (seed % 5) < 2 else TerrainClass.ROCKY)
             a = mock_classify(spec, terrain.ground, (20.0 + seed, 30.0), seed=seed)
-            assert a.terrain_class is rule.classify(a.rock_complexity, a.slope_complexity)
+            assert a.terrain_class is class_for_scores(a.rock_complexity, a.slope_complexity)
             assert 0.0 <= a.rock_complexity <= 1.0
             assert 0.0 <= a.slope_complexity <= 1.0
+
+    @pytest.mark.parametrize("rock, slope, cls", [
+        (0.0, 0.0, TerrainClass.FLAT),
+        (0.2499, 0.4999, TerrainClass.FLAT),
+        (0.25, 0.4999, TerrainClass.ROCKY),
+        (0.0, 0.5, TerrainClass.CHALLENGING),
+        (1.0, 1.0, TerrainClass.CHALLENGING),
+    ])
+    def test_class_for_scores_cutoffs(self, rock, slope, cls):
+        assert class_for_scores(rock, slope) is cls
 
 
 class TestRendering:

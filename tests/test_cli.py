@@ -2,7 +2,9 @@ import json
 
 import pytest
 
-from rovernav import cli
+from rovernav import cli, mission
+from rovernav import config as cfgmod
+from rovernav.mission import ComparisonReport, MissionMetrics
 
 SPEC = {
     "octaves": 2,
@@ -30,3 +32,44 @@ def test_gen_terrain_from_spec(tmp_path):
 def test_bad_spec_value_is_config_error(tmp_path, capsys, key, value):
     assert _gen_terrain(tmp_path, **{key: value}) == cli.EXIT_CONFIG
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def _write_config(tmp_path, cfg):
+    path = tmp_path / "mission.json"
+    path.write_text(json.dumps(cfg), encoding="utf-8")
+    return str(path)
+
+
+FLAT = {"preset": "flat"}
+
+
+@pytest.mark.parametrize("command, cfg", [
+    ("run", {"terrain": FLAT, "sensor_sigma": "lots"}),
+    ("run", {"terrain": FLAT, "speeds": ["fast", 1, 0.5]}),
+    ("run", {"terrain": {"preset": "flat", "seed": "x"}}),
+    ("run", {"terrain": FLAT, "seed": "x"}),
+    ("run", {"terrain": FLAT, "waypoint_spacing": "far"}),
+    ("run", {"terrain": FLAT, "classifier": "vlm", "vlm_endpoint": "http://localhost:9/",
+             "vlm_timeout_s": "soon"}),
+    ("compare", {"terrain": FLAT, "reference_speedup": "big"}),
+], ids=["sensor_sigma", "speeds", "terrain.seed", "seed", "waypoint_spacing", "vlm_timeout_s",
+        "reference_speedup"])
+def test_non_numeric_config_value_is_config_error(tmp_path, capsys, command, cfg):
+    path = _write_config(tmp_path, cfg)
+    assert cli.main([command, path, "-o", str(tmp_path / "out")]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_compare_prints_no_speedup_from_a_failed_run(tmp_path, capsys, monkeypatch):
+    single = MissionMetrics(success=True, end_reason="complete")
+    single.time_by_mode["conservative"] = 120.0
+    multi = MissionMetrics(success=False, end_reason="rock_collision")
+    multi.time_by_mode["safe"] = 40.0
+    monkeypatch.setattr(cfgmod, "scene_from_config", lambda cfg: cfgmod.SceneBundle(None, None, None, None, None))
+    monkeypatch.setattr(mission, "compare_single_vs_multi", lambda *args, **kw: ComparisonReport(single, multi))
+    out = tmp_path / "out"
+    assert cli.main(["compare", _write_config(tmp_path, {"terrain": FLAT}), "-o", str(out)]) == cli.EXIT_OK
+    row = capsys.readouterr().out.splitlines()[2].split()
+    assert row[6] == "invalid"
+    (report,) = json.loads((out / "comparison.json").read_text(encoding="utf-8"))
+    assert report["speedup"] is None and report["time_ratio"] is None

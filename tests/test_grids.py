@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from rovernav.grids import dilate_disc
+from rovernav.grids import dilate_disc, plane_fit_grid, plane_fit_points
 
 from oracles import dilate_disc as dilate_disc_oracle
+from oracles import plane_fit_window
 
 # Radii in cells as the package forms them (metres / cell size), and radii
 # at and one ulp below sqrt(n). The float sqrt(13) and sqrt(65) square to
@@ -43,3 +44,55 @@ def test_single_border_cell(radius):
         mask[r, c] = True
         _check(mask, radius)
 
+
+def _check_plane_fit(z, known, window, cell):
+    # The residual comes from moment sums, where an exact fit leaves rounding
+    # of order 1e-16 that the square root lifts to 1e-8, so rms is compared
+    # squared (mean squared residual).
+    a, b, c, rms, count = plane_fit_grid(z, known, window, cell)
+    want = plane_fit_window(z.tolist(), known.tolist(), window, cell)
+    want[3] = np.square(want[3])
+    for name, g, w in zip(("a", "b", "c", "rms^2", "count"), (a, b, c, rms * rms, count), want):
+        assert g.shape == z.shape, name
+        np.testing.assert_allclose(g, w, rtol=0, atol=1e-9, err_msg=name)
+
+
+@pytest.mark.parametrize("window", [3, 5, 41])
+def test_plane_fit_grid_matches_oracle(window):
+    rng = np.random.default_rng(window)
+    for shape, cell in (((9, 13), 0.5), ((16, 11), 0.1), ((7, 7), 2.0)):
+        z = rng.normal(0.0, 1.0, shape) + 0.3 * np.arange(shape[1]) * cell
+        _check_plane_fit(z, rng.random(shape) >= 0.3, window, cell)
+
+
+@pytest.mark.parametrize("window", [3, 5])
+def test_plane_fit_grid_degenerate_windows_give_zero_plane(window):
+    z = np.random.default_rng(5).normal(0.0, 1.0, (8, 10))
+    too_few = np.zeros(z.shape, dtype=bool)
+    too_few[3, 4] = too_few[4, 6] = True
+    one_row = np.zeros(z.shape, dtype=bool)
+    one_row[5, 1:9] = True
+    for known in (too_few, one_row):
+        a, b, c, rms, count = plane_fit_grid(z, known, window, 0.5)
+        for out in (a, b, c, rms):
+            assert not out.any()
+        _check_plane_fit(z, known, window, 0.5)
+
+
+def test_plane_fit_points_matches_lstsq():
+    rng = np.random.default_rng(7)
+    for n in (3, 4, 17, 60):
+        xy = rng.uniform(-5.0, 5.0, (n, 2)) + rng.uniform(-1e3, 1e3, 2)
+        z = 0.2 * xy[:, 0] - 0.7 * xy[:, 1] + 30.0 + rng.normal(0.0, 0.1, n)
+        centre = xy.mean(axis=0)
+        design = np.column_stack([xy - centre, np.ones(n)])
+        (a, b, c0), *_ = np.linalg.lstsq(design, z, rcond=None)
+        want = (a, b, c0 - a * centre[0] - b * centre[1])
+        got = plane_fit_points(np.column_stack([xy, z]))
+        assert all(isinstance(v, float) for v in got)
+        np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-9)
+
+
+def test_plane_fit_points_on_a_line_give_flat_plane():
+    points = np.array([[480.0 + t, 70.0 + 2.0 * t, 0.1 * t] for t in range(5)])
+    assert plane_fit_points(points) == pytest.approx((0.0, 0.0, 0.2))

@@ -4,11 +4,12 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from rovernav.config import build_scene
 from rovernav.map_server import WaypointQueue
 from rovernav.mapping import COST_MAX, CostGrid
-from rovernav.mission import MissionRunner, MockClassifierBackend, run_mission
+from rovernav.mission import ComparisonReport, MissionMetrics, MissionRunner, MockClassifierBackend, run_mission
 from rovernav.modes import NavMode
 from rovernav.world import RoverState, World
 
@@ -98,3 +99,16 @@ def test_benchmark_targets_resolve(monkeypatch):
     finally:
         shim.restore()
     assert shim.unrestored() == []
+
+
+@pytest.mark.parametrize("single_ok, multi_ok", [(True, True), (True, False), (False, True), (False, False)])
+def test_comparison_speedup_only_when_both_runs_succeed(single_ok, multi_ok):
+    single = MissionMetrics(success=single_ok)
+    single.time_by_mode["conservative"] = 120.0
+    multi = MissionMetrics(success=multi_ok)
+    multi.time_by_mode["safe"] = 40.0
+    row = ComparisonReport(single, multi).to_dict()
+    if single_ok and multi_ok:
+        assert (row["speedup"], row["time_ratio"]) == (3.0, round(1 / 3, 6))
+    else:
+        assert row["speedup"] is None and row["time_ratio"] is None
