@@ -23,7 +23,6 @@ from .mapping import (
     CostWeights,
     ElevationGrid,
     GridGeometry,
-    ObstacleGrid,
     build_elevation_grid,
     compute_costmap,
     extract_obstacles,

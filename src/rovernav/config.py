@@ -157,8 +157,20 @@ CONFIG_KEYS = [
 
 _KNOWN_KEYS = {k for k, _, _ in CONFIG_KEYS}
 
+
+def _xy(point) -> list[float]:
+    x, y = point
+    return [float(x), float(y)]
+
+
+def _xy_or_auto(value):
+    """The string "auto", or an [x, y] pair as floats."""
+    return value if value == "auto" else _xy(value)
+
+
 _NUMBER_KEYS = {"seed": int, "sensor_sigma": float, "waypoint_spacing": float, "vlm_timeout_s": float,
-                "reference_speedup": float, "speeds": lambda values: [float(v) for v in values]}
+                "reference_speedup": float, "speeds": lambda values: [float(v) for v in values],
+                "start": _xy_or_auto, "goal": _xy_or_auto}
 
 _SPEC_KEYS = {f.name for f in fields(TerrainSpec)}
 
@@ -189,7 +201,9 @@ def load_mission_config(path) -> dict:
     if "terrain" not in cfg:
         raise MissionConfigError("config requires a 'terrain' section")
     terrain = cfg["terrain"] if isinstance(cfg["terrain"], dict) else {}
-    for holder, key, kind in [*((cfg, k, f) for k, f in _NUMBER_KEYS.items()), (terrain, "seed", int)]:
+    waypoints = cfg["waypoints"] if isinstance(cfg.get("waypoints"), dict) else {}
+    for holder, key, kind in [*((cfg, k, f) for k, f in _NUMBER_KEYS.items()), (terrain, "seed", int),
+                              (waypoints, "points", lambda points: [_xy(p) for p in points])]:
         if key in holder:
             try:
                 holder[key] = kind(holder[key])
@@ -244,7 +258,7 @@ def scene_from_config(cfg: dict) -> SceneBundle:
         if "file" in wp:
             queue = load_waypoints(wp["file"])
         elif "points" in wp:
-            queue = WaypointQueue([(float(x), float(y)) for x, y in wp["points"]])
+            queue = WaypointQueue([(x, y) for x, y in wp["points"]])
         else:
             raise MissionConfigError("waypoints object needs 'file' or 'points'")
     elif wp != "auto":

@@ -2,10 +2,12 @@
 
 One server instance owns the mission-wide costmap (0-100 traversal cost,
 -1 unknown) plus a per-cell record of which navigation mode wrote it.
-Local maps merge in under a strict priority rule: data from a more cautious
-mode is never overwritten by a less cautious one. The server also holds the
-waypoint queue and runs the periodic path collision check that emits replan
-signals.
+Every local map arrives as the same `CostGrid` type: the mid-tier mode's
+obstacle map (0 free, 100 obstacle) and the cautious mode's graded
+costmap. They merge in under a strict priority rule: data from a more
+cautious mode is never overwritten by a less cautious one. The server also
+holds the waypoint queue and runs the periodic path collision check that
+emits replan signals.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import numpy as np
 
 from .errors import MissionConfigError, ValidationError
 from .grids import cell_center, world_to_cell
-from .mapping import COST_MAX, COST_UNKNOWN, CostGrid, OBSTACLE, ObstacleGrid
+from .mapping import COST_MAX, COST_UNKNOWN, CostGrid
 from .modes import NavMode
 from .planning import COST_REPLAN_TOLERANCE, Path, path_collides, path_cost
 from . import pgmio
@@ -57,6 +59,11 @@ class WaypointQueue:
     def complete(self) -> bool:
         return self.cursor >= len(self.points)
 
+    @property
+    def at_final(self) -> bool:
+        """The cursor is on the last waypoint, or past it."""
+        return self.cursor >= len(self.points) - 1
+
     def current(self) -> tuple[float, float] | None:
         if self.complete:
             return None
@@ -91,7 +98,7 @@ class MapServer:
 
     # -- map updates --------------------------------------------------------
 
-    def update_from_local(self, local: CostGrid | ObstacleGrid, mode: NavMode) -> int:
+    def update_from_local(self, local: CostGrid, mode: NavMode) -> int:
         """Merge a local map into the global costmap under mode priority.
 
         Known local cells write into the global map only where the incoming
@@ -106,12 +113,7 @@ class MapServer:
         """
         if mode is NavMode.EFFICIENT:
             return 0
-        if isinstance(local, ObstacleGrid):
-            known = local.cells != -1
-            values = np.where(local.cells == OBSTACLE, COST_MAX, 0).astype(np.int16)
-        else:
-            known = local.values >= 0
-            values = local.values.astype(np.int16)
+        known = local.values >= 0
         if not known.any():
             return 0
         gm = self.global_map
@@ -123,7 +125,7 @@ class MapServer:
         if not ok.any():
             return 0
         acc = np.full((rows, cols), COST_UNKNOWN, dtype=np.int16)
-        np.maximum.at(acc, (gr[ok], gc[ok]), values[rr[ok], cc[ok]])
+        np.maximum.at(acc, (gr[ok], gc[ok]), local.values[rr[ok], cc[ok]])
         downgrade = (gm.values >= self.lethal) & (mode.priority == gm.source) & (acc < self.lethal)
         writable = (acc >= 0) & (mode.priority >= gm.source) & ~downgrade
         gm.values[writable] = acc[writable]

@@ -1,20 +1,20 @@
 """Local mapping: elevation rasterization, obstacle extraction, costmaps.
 
 Sensed point clouds become elevation grids (max-z per cell, so thin
-obstacles survive). From there two products are derived: a binary obstacle
-grid for the mid-tier navigation mode, and a 0-100 traversal costmap for
-the cautious mode, built from slope, roughness, and step-height features.
-`cost_features` is the one pass that fits the planes and applies the cost
-law; every costmap quantizes its output. All inflation goes through
-`grids.dilate_disc`.
+obstacles survive). Every map product derived from them is a `CostGrid`
+(0..100 traversal cost, -1 unknown): the mid-tier mode's obstacle map is
+one with only 0 (free) and `COST_MAX` (obstacle) in its known cells, and
+the cautious mode's costmap grades cost by slope, roughness, and step
+height. `cost_to_obstacle` turns any cost layer into the safe view the
+mid-tier planner searches. `cost_features` is the one pass that fits the
+planes and applies the cost law; every costmap quantizes its output. All
+inflation goes through `grids.dilate_disc`.
 """
 
 from __future__ import annotations
 
-import json
 import warnings
 from dataclasses import dataclass
-from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
@@ -22,11 +22,6 @@ from scipy import ndimage
 
 from .errors import ValidationError
 from .grids import dilate_disc, disk_footprint, neighbor_slices, plane_fit_grid, slope_degrees, world_to_cell
-from . import pgmio
-
-FREE = 0
-OBSTACLE = 1
-UNKNOWN = -1
 
 COST_MAX = 100
 COST_UNKNOWN = -1
@@ -68,23 +63,6 @@ class ElevationGrid:
     @property
     def geometry(self) -> GridGeometry:
         return GridGeometry(self.rows, self.cols, self.origin, self.cell_size)
-
-
-@dataclass
-class ObstacleGrid:
-    """Ternary occupancy: FREE, OBSTACLE, or UNKNOWN per cell."""
-
-    cells: np.ndarray  # int8
-    origin: tuple[float, float]
-    cell_size: float
-
-    @property
-    def rows(self) -> int:
-        return self.cells.shape[0]
-
-    @property
-    def cols(self) -> int:
-        return self.cells.shape[1]
 
 
 @dataclass
@@ -133,14 +111,15 @@ def extract_obstacles(
     elev: ElevationGrid,
     h_obstacle: float = DEFAULT_OBSTACLE_HEIGHT,
     inflate_radius: float = DEFAULT_INFLATION_RADIUS,
-) -> ObstacleGrid:
+) -> CostGrid:
     """Mark cells that stand out from their 3x3 neighborhood as obstacles.
 
     A cell is an obstacle when |z - median(known 3x3 neighborhood)| exceeds
     h_obstacle; the rule is symmetric, so both rocks and pits register, and
     it only sees elevation differences, so a constant offset changes
     nothing. Obstacles are then inflated into surrounding free cells by
-    inflate_radius; unknown cells stay unknown.
+    inflate_radius. Obstacle cells cost `COST_MAX`, free cells 0, and
+    unknown cells stay unknown (-1).
     """
     if elev.rows == 0 or elev.cols == 0:
         raise ValidationError("elevation grid is empty")
@@ -157,10 +136,10 @@ def extract_obstacles(
 
     if inflate_radius > 0:
         raw = dilate_disc(raw, inflate_radius / elev.cell_size)
-    cells = np.full((elev.rows, elev.cols), UNKNOWN, dtype=np.int8)
-    cells[known] = FREE
-    cells[known & raw] = OBSTACLE
-    return ObstacleGrid(cells, elev.origin, elev.cell_size)
+    values = np.full((elev.rows, elev.cols), COST_UNKNOWN, dtype=np.int16)
+    values[known] = 0
+    values[known & raw] = COST_MAX
+    return CostGrid(values, elev.origin, elev.cell_size)
 
 
 @dataclass(frozen=True)
@@ -264,58 +243,12 @@ def inflate_lethal(cost: CostGrid, radius: float) -> CostGrid:
     return CostGrid(out, cost.origin, cost.cell_size)
 
 
-def obstacle_to_cost(grid: ObstacleGrid) -> CostGrid:
-    """Binary occupancy as a cost layer: obstacle -> 100, free -> 0."""
-    values = np.full(grid.cells.shape, COST_UNKNOWN, dtype=np.int16)
-    values[grid.cells == FREE] = 0
-    values[grid.cells == OBSTACLE] = COST_MAX
-    return CostGrid(values, grid.origin, grid.cell_size)
+def cost_to_obstacle(grid: CostGrid) -> CostGrid:
+    """The safe view of a cost layer: lethal cells `COST_MAX`, all others 0.
 
-
-def cost_to_obstacle(grid: CostGrid, lethal: int = COST_MAX) -> ObstacleGrid:
-    """Binarize a cost layer: cost >= lethal -> obstacle, known -> free."""
-    cells = np.full(grid.values.shape, UNKNOWN, dtype=np.int8)
-    cells[grid.values >= 0] = FREE
-    cells[grid.values >= lethal] = OBSTACLE
-    return ObstacleGrid(cells, grid.origin, grid.cell_size)
-
-
-# --- serialization ---------------------------------------------------------
-
-_UNKNOWN_PIXEL = 255
-
-
-def save_grid(grid: ObstacleGrid | CostGrid, path_stem) -> None:
-    """Write a grid as graymap + metadata sidecar.
-
-    Pixel encoding: cost/occupancy value as-is, 255 for unknown (documented
-    in the sidecar).
+    Unknown cells become 0 too, so the mid-tier planner treats unsensed
+    ground as free, and with no graded cost left every step weighs its
+    length alone.
     """
-    stem = Path(path_stem)
-    if isinstance(grid, ObstacleGrid):
-        data = grid.cells.astype(np.int16)
-        kind = "obstacle"
-    else:
-        data = grid.values.astype(np.int16)
-        kind = "cost"
-    pixels = np.where(data < 0, _UNKNOWN_PIXEL, data).astype(np.uint8)
-    pgmio.write_pgm(stem.with_suffix(".pgm"), pixels, maxval=255)
-    meta = {
-        "kind": kind,
-        "origin": list(grid.origin),
-        "cell_size": grid.cell_size,
-        "unknown_pixel": _UNKNOWN_PIXEL,
-    }
-    stem.with_suffix(".json").write_text(json.dumps(meta, indent=2, sort_keys=True), encoding="utf-8")
-
-
-def load_grid(path_stem) -> ObstacleGrid | CostGrid:
-    stem = Path(path_stem)
-    meta = json.loads(stem.with_suffix(".json").read_text(encoding="utf-8"))
-    pixels, _ = pgmio.read_pgm(stem.with_suffix(".pgm"))
-    data = pixels.astype(np.int16)
-    data[pixels == meta["unknown_pixel"]] = -1
-    origin = tuple(meta["origin"])
-    if meta["kind"] == "obstacle":
-        return ObstacleGrid(data.astype(np.int8), origin, meta["cell_size"])
-    return CostGrid(data, origin, meta["cell_size"])
+    values = np.where(grid.values >= COST_MAX, COST_MAX, 0).astype(np.int16)
+    return CostGrid(values, grid.origin, grid.cell_size)

@@ -12,6 +12,7 @@ reproducible from its seed when using the mock or geometric classifier.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -186,12 +187,14 @@ class GeometricClassifierBackend:
 
 
 class VlmClassifierBackend:
-    """Renders the terrain ahead and queries the configured endpoint."""
+    """Renders the terrain ahead and queries the configured endpoint.
 
-    def __init__(self, config: VlmConfig, api_key: str | None = None,
-                 patch_size: float = 20.0, patch_resolution: float = 0.5):
+    The API key, when one is set, comes from the environment variable named
+    by `config.api_key_env`, read on every request.
+    """
+
+    def __init__(self, config: VlmConfig, patch_size: float = 20.0, patch_resolution: float = 0.5):
         self.config = config
-        self.api_key = api_key
         self.prompt = default_prompt()
         self.patch_size = patch_size
         self.patch_resolution = patch_resolution
@@ -200,7 +203,8 @@ class VlmClassifierBackend:
         pose = RoverState(center[0], center[1], 0.0)
         patch = world.sense_elevation_patch(pose, self.patch_size, self.patch_resolution)
         image = render_patch_image(patch)
-        return vlm_classify(image, self.prompt, self.config, timestamp, self.api_key)
+        api_key = os.environ.get(self.config.api_key_env)
+        return vlm_classify(image, self.prompt, self.config, timestamp, api_key)
 
 
 class ModeSwitcher:
@@ -384,7 +388,7 @@ class MissionRunner:
         lethal = grid.values[rows, cols] >= COST_MAX
         grid.values[rows[lethal], cols[lethal]] = 0
 
-    def _plan(self, mode: NavMode, waypoint, now: float) -> Path | None:
+    def _plan(self, mode: NavMode, waypoint) -> Path | None:
         """Plan a path toward the waypoint with the mode's machinery.
 
         The goal is the waypoint clamped into the local window. When the
@@ -394,8 +398,7 @@ class MissionRunner:
         when the mode's map holds no data yet.
         """
         if mode is NavMode.EFFICIENT:
-            return bspline_path((self.state.x, self.state.y), waypoint, self.state.heading,
-                                created_at=now)
+            return bspline_path((self.state.x, self.state.y), waypoint, self.state.heading)
         # Repeated failures mean the exit lies beyond the local horizon:
         # retry over a doubled window (coarser in the cautious mode to keep
         # the search tractable).
@@ -415,11 +418,10 @@ class MissionRunner:
         grid = cost_to_obstacle(window) if mode is NavMode.SAFE else window
         try:
             try:
-                path = (astar_obstacle(grid, start, goal, created_at=now)
-                        if mode is NavMode.SAFE
-                        else astar_cost(grid, start, goal, created_at=now))
+                path = (astar_obstacle(grid, start, goal) if mode is NavMode.SAFE
+                        else astar_cost(grid, start, goal))
             except NoPathError:
-                path = best_progress_path(grid, start, goal, created_at=now)
+                path = best_progress_path(grid, start, goal)
         except InvalidStartError:
             self._no_path_streak += 1
             return None
@@ -437,7 +439,7 @@ class MissionRunner:
             self._no_path_streak += 1
             return None
         self._no_path_streak = 0
-        return Path(pts, mode, now)
+        return Path(pts)
 
     # -- main loop --
 
@@ -525,9 +527,8 @@ class MissionRunner:
                 wp_now = self.server.next_waypoint()
                 if wp_now is not None and tracker.reached(self.state):
                     d_wp = math.hypot(wp_now[0] - self.state.x, wp_now[1] - self.state.y)
-                    final_wp = self.server.waypoints.cursor >= len(self.server.waypoints) - 1
                     if d_wp > cfg.waypoint_tolerance:
-                        if not final_wp and d_wp <= cfg.blocked_waypoint_slack:
+                        if not self.server.waypoints.at_final and d_wp <= cfg.blocked_waypoint_slack:
                             self.server.waypoints.advance()
                             metrics.waypoints_skipped += 1
                         tracker = None
@@ -535,15 +536,14 @@ class MissionRunner:
             # planning
             waypoint = self.server.next_waypoint()
             if waypoint is not None and (tracker is None or stale_path) and n >= next_plan_tick:
-                path = self._plan(mode, waypoint, now)
+                path = self._plan(mode, waypoint)
                 if path is not None:
                     tracker = PathTracker(path, self.pursuit)
                     stale_path = False
                 else:
                     next_plan_tick = n + col_ticks
                     if self._no_path_streak >= cfg.no_path_limit:
-                        final_wp = self.server.waypoints.cursor >= len(self.server.waypoints) - 1
-                        if not final_wp:
+                        if not self.server.waypoints.at_final:
                             # this leg is walled off; route via the next one
                             self.server.waypoints.advance()
                             metrics.waypoints_skipped += 1
@@ -558,8 +558,7 @@ class MissionRunner:
             if n % ctl_ticks == 0:
                 counts["control"] += 1
                 if tracker is not None:
-                    final_leg = self.server.waypoints.cursor >= len(self.server.waypoints) - 1
-                    last_cmd = tracker.step(self.state, cfg.speed(mode), taper=final_leg)
+                    last_cmd = tracker.step(self.state, cfg.speed(mode), taper=self.server.waypoints.at_final)
                 else:
                     last_cmd = VelocityCommand(0.0, 0.0)
 
@@ -588,8 +587,7 @@ class MissionRunner:
                 break
 
             # waypoint arrival
-            final_wp = self.server.waypoints.cursor >= len(self.server.waypoints) - 1
-            tol = cfg.final_tolerance if final_wp else cfg.waypoint_tolerance
+            tol = cfg.final_tolerance if self.server.waypoints.at_final else cfg.waypoint_tolerance
             if self.server.advance_waypoint((self.state.x, self.state.y), tol):
                 metrics.waypoints_reached += 1
                 tracker = None

@@ -1,14 +1,16 @@
 """Path generation: clamped B-spline smoothing and one grid search core.
 
 The fast mode draws a cubic B-spline from pose to waypoint with a
-heading-tangent control point. The mid and cautious modes share one
-8-connected search over the local grid, `_search`, which runs in two modes:
+heading-tangent control point. The mid and cautious modes plan on a
+`CostGrid` through one graph rule, `_graph`: lethal and unknown cells are
+blocked, and an edge weighs its step length scaled by the cost of its
+endpoints. The mid-tier mode plans on the safe view of its window
+(`mapping.cost_to_obstacle`), where every open cell costs 0; the cautious
+mode plans on the costmap itself. One 8-connected search core, `_search`,
+runs in two modes:
 
-* goal mode: A* toward a goal cell with the octile heuristic.
-  `astar_obstacle` runs it on the binary obstacle grid (uniform edge
-  weights; unknown cells are optimistically free), `astar_cost` on the
-  costmap (edge weights scaled by cell cost; lethal and unknown cells are
-  blocked there).
+* goal mode: A* toward a goal cell with the octile heuristic
+  (`astar_obstacle`, `astar_cost`).
 * flood mode: Dijkstra from the start with no goal (h = 0).
   `best_progress_path` floods the same graph and targets the settled cell
   that gets closest to a goal the direct planners could not reach.
@@ -30,8 +32,7 @@ import numpy as np
 
 from .errors import InvalidStartError, NoPathError, ValidationError
 from .grids import cell_center, neighbor_slices, world_to_cell
-from .mapping import COST_MAX, CostGrid, OBSTACLE, ObstacleGrid
-from .modes import NavMode
+from .mapping import COST_MAX, CostGrid
 
 SQRT2 = math.sqrt(2.0)
 
@@ -51,8 +52,6 @@ _NEIGHBORS = (
 @dataclass
 class Path:
     points: np.ndarray  # (N, 2)
-    mode: NavMode | None = None
-    created_at: float = 0.0
 
     def __post_init__(self):
         self.points = np.asarray(self.points, dtype=float).reshape(-1, 2)
@@ -81,8 +80,7 @@ class Path:
         return np.concatenate([[0.0], np.cumsum(seg)])
 
 
-def bspline_path(start, goal, heading: float, spacing: float = PATH_SAMPLE_SPACING,
-                 created_at: float = 0.0) -> Path:
+def bspline_path(start, goal, heading: float, spacing: float = PATH_SAMPLE_SPACING) -> Path:
     """Smooth path from start to goal, tangent to the current heading.
 
     Cubic clamped B-spline (here: a Bezier segment) through four control
@@ -93,7 +91,7 @@ def bspline_path(start, goal, heading: float, spacing: float = PATH_SAMPLE_SPACI
     start = np.asarray(start, dtype=float)
     goal = np.asarray(goal, dtype=float)
     if np.allclose(start, goal):
-        return Path(start[None, :], NavMode.EFFICIENT, created_at)
+        return Path(start[None, :])
     ahead = start + SPLINE_TANGENT_LEN * np.array([math.cos(heading), math.sin(heading)])
     ctrl = np.stack([start, ahead, 0.5 * (start + goal), goal])
 
@@ -114,7 +112,7 @@ def bspline_path(start, goal, heading: float, spacing: float = PATH_SAMPLE_SPACI
     pts = np.column_stack([xs, ys])
     pts[0] = start
     pts[-1] = goal
-    return Path(pts, NavMode.EFFICIENT, created_at)
+    return Path(pts)
 
 
 def octile(dr: int, dc: int) -> float:
@@ -123,44 +121,24 @@ def octile(dr: int, dc: int) -> float:
     return max(dr, dc) + (SQRT2 - 1.0) * min(dr, dc)
 
 
-def astar_obstacle(grid: ObstacleGrid, start, goal, created_at: float = 0.0) -> Path:
-    """Shortest path over the binary obstacle grid (8-connected).
+def astar_obstacle(grid: CostGrid, start, goal) -> Path:
+    """Shortest path over the safe view of a window (8-connected).
 
-    Unknown cells are treated as traversable at free cost, matching the
-    behavior of planning beyond sensed range. Octile heuristic; diagonal
-    steps cost sqrt(2).
+    `grid` is `cost_to_obstacle` of the window: lethal cells are blocked,
+    and everything else, unknown ground beyond sensed range included, is
+    free at uniform cost. Octile heuristic; diagonal steps cost sqrt(2).
     """
-    return _plan_to_goal(grid, start, goal, COST_MAX, COST_EDGE_ALPHA, created_at)
+    return astar_cost(grid, start, goal)
 
 
-def astar_cost(grid: CostGrid, start, goal, lethal: int = COST_MAX,
-               alpha: float = COST_EDGE_ALPHA, created_at: float = 0.0) -> Path:
+def astar_cost(grid: CostGrid, start, goal) -> Path:
     """Minimum-weight path over the costmap (8-connected).
 
-    Edge weight = step length * (1 + alpha * mean endpoint cost / 100).
-    Cells at or past `lethal`, and unknown cells, are blocked: this planner
-    must not commit the rover to unsensed ground.
+    Edge weight = step length * (1 + COST_EDGE_ALPHA * mean endpoint cost
+    / 100). Lethal and unknown cells are blocked: this planner must not
+    commit the rover to unsensed ground.
     """
-    return _plan_to_goal(grid, start, goal, lethal, alpha, created_at)
-
-
-def _graph(grid: ObstacleGrid | CostGrid, lethal: int, alpha: float):
-    """(blocked mask, edge multiplier or None for uniform, mode) of a grid."""
-    if isinstance(grid, ObstacleGrid):
-        return grid.cells == OBSTACLE, None, NavMode.SAFE
-    values = grid.values
-    mult = 1.0 + alpha * values.astype(float) / 100.0
-    return (values >= lethal) | (values < 0), mult, NavMode.CONSERVATIVE
-
-
-def _endpoint_cells(grid, start, goal) -> tuple[int, int, int, int]:
-    (sr, gr), (sc, gc) = np.array(world_to_cell(
-        [start[0], goal[0]], [start[1], goal[1]], grid.origin, grid.cell_size)).tolist()
-    return sr, sc, gr, gc
-
-
-def _plan_to_goal(grid, start, goal, lethal, alpha, created_at) -> Path:
-    blocked, mult, mode = _graph(grid, lethal, alpha)
+    blocked, mult = _graph(grid)
     rows, cols = blocked.shape
     sr, sc, gr, gc = _endpoint_cells(grid, start, goal)
     if not (0 <= sr < rows and 0 <= sc < cols):
@@ -174,7 +152,27 @@ def _plan_to_goal(grid, start, goal, lethal, alpha, created_at) -> Path:
     _, came, _, reached = _search(blocked, mult, sr, sc, (gr, gc))
     if not reached:
         raise NoPathError("no admissible path to the goal")
-    return _reconstruct(grid, came, sr * cols + sc, gr * cols + gc, mode, created_at)
+    return _reconstruct(grid, came, sr * cols + sc, gr * cols + gc)
+
+
+def _graph(grid: CostGrid):
+    """(blocked mask, per-cell edge multiplier) of a grid.
+
+    Lethal and unknown cells are blocked. The multiplier is None (uniform
+    weights) when no open cell has cost: 1 + alpha * 0 / 100 is exactly 1,
+    so this only skips the per-edge arithmetic.
+    """
+    values = grid.values
+    blocked = (values >= COST_MAX) | (values < 0)
+    if not ((values > 0) & ~blocked).any():
+        return blocked, None
+    return blocked, 1.0 + COST_EDGE_ALPHA * values.astype(float) / 100.0
+
+
+def _endpoint_cells(grid, start, goal) -> tuple[int, int, int, int]:
+    (sr, gr), (sc, gc) = np.array(world_to_cell(
+        [start[0], goal[0]], [start[1], goal[1]], grid.origin, grid.cell_size)).tolist()
+    return sr, sc, gr, gc
 
 
 def _search(blocked, mult, sr, sc, goal=None):
@@ -235,7 +233,7 @@ def _search(blocked, mult, sr, sc, goal=None):
     return dist, came, list(closed), False
 
 
-def _reconstruct(grid, came, start_idx, end_idx, mode, created_at) -> Path:
+def _reconstruct(grid, came, start_idx, end_idx) -> Path:
     idx = end_idx
     cells = [idx]
     while idx != start_idx:
@@ -244,26 +242,25 @@ def _reconstruct(grid, came, start_idx, end_idx, mode, created_at) -> Path:
     cells.reverse()
     rr, cc = np.divmod(np.array(cells), grid.cols)
     xs, ys = cell_center(rr, cc, grid.origin, grid.cell_size)
-    return Path(np.column_stack([xs, ys]), mode, created_at)
+    return Path(np.column_stack([xs, ys]))
 
 
-def best_progress_path(grid: ObstacleGrid | CostGrid, start, goal,
-                       lethal: int = COST_MAX, alpha: float = COST_EDGE_ALPHA,
-                       created_at: float = 0.0) -> Path:
+def best_progress_path(grid: CostGrid, start, goal) -> Path:
     """Path to the reachable cell that gets closest to an unreachable goal.
 
-    Floods the mode's weighted graph from the start (the search core
+    Floods the grid's weighted graph from the start (the search core
     without a goal), then picks the settled cell with the smallest
     Euclidean distance to the goal (ties: lower path weight, then row-major
-    order). On a costmap, when no settled cell improves on the start (the
-    rover is pressed against a wall), the target becomes the settled
-    frontier cell nearest the goal - a reachable cell bordering unknown
-    space - so fresh sensing from there can open the route. Falls back to a
+    order). When no settled cell improves on the start (the rover is
+    pressed against a wall), the target becomes the settled frontier cell
+    nearest the goal - a reachable cell bordering unknown space - so fresh
+    sensing from there can open the route; the safe view has no unknown
+    cells, so there it keeps the nearest settled cell. Falls back to a
     single-point path at the start cell when nothing else is reachable.
     Used when the direct planners report no path, so the rover can still
     make progress around large blocked regions.
     """
-    blocked, mult, mode = _graph(grid, lethal, alpha)
+    blocked, mult = _graph(grid)
     rows, cols = blocked.shape
     sr, sc, gr, gc = _endpoint_cells(grid, start, goal)
     if not (0 <= sr < rows and 0 <= sc < cols) or blocked[sr, sc]:
@@ -276,7 +273,7 @@ def best_progress_path(grid: ObstacleGrid | CostGrid, start, goal,
     weight = [dist[idx] for idx in closed]
     best = min(zip(to_goal, weight, closed))
     min_progress_cells = 3.0 / grid.cell_size
-    if mult is not None and best[0] >= math.hypot(sr - gr, sc - gc) - min_progress_cells:
+    if best[0] >= math.hypot(sr - gr, sc - gc) - min_progress_cells:
         # walled in: aim for the reachable frontier nearest the goal
         unknown = grid.values < 0
         near_unknown = np.zeros_like(unknown)
@@ -284,31 +281,28 @@ def best_progress_path(grid: ObstacleGrid | CostGrid, start, goal,
             near_unknown[dst] |= unknown[src]
         frontier = near_unknown.ravel()[closed].tolist()
         best = min(itertools.compress(zip(to_goal, weight, closed), frontier), default=best)
-    return _reconstruct(grid, came, sr * cols + sc, best[2], mode, created_at)
+    return _reconstruct(grid, came, sr * cols + sc, best[2])
 
 
-def path_collides(path: Path, grid: ObstacleGrid | CostGrid, lethal: int = COST_MAX) -> bool:
-    """True when any path point lands on an obstacle / lethal-cost cell.
+def path_collides(path: Path, grid: CostGrid, lethal: int = COST_MAX) -> bool:
+    """True when any path point lands on a cell of cost >= lethal.
 
     Points outside the grid are ignored, and unknown cells never collide:
     a collision requires positive evidence.
     """
-    if isinstance(grid, ObstacleGrid):
-        return bool((_values_under(path, grid, grid.cells) == OBSTACLE).any())
-    return bool((_values_under(path, grid, grid.values) >= lethal).any())
+    return bool((_values_under(path, grid) >= lethal).any())
 
 
 def path_cost(path: Path, grid: CostGrid) -> float:
     """Mean cell cost over the path samples that land on known cells."""
-    values = _values_under(path, grid, grid.values)
+    values = _values_under(path, grid)
     known = values[values >= 0]
     # integer sum, so the mean matches a sequential float accumulation exactly
     return int(known.sum()) / known.size if known.size else 0.0
 
 
-def _values_under(path: Path, grid, data: np.ndarray) -> np.ndarray:
-    """Entries of `data` under the path points that land inside the grid."""
-    rows, cols = data.shape
+def _values_under(path: Path, grid: CostGrid) -> np.ndarray:
+    """Grid values under the path points that land inside the grid."""
     r, c = world_to_cell(path.points[:, 0], path.points[:, 1], grid.origin, grid.cell_size)
-    inside = (r >= 0) & (r < rows) & (c >= 0) & (c < cols)
-    return data[r[inside], c[inside]]
+    inside = (r >= 0) & (r < grid.rows) & (c >= 0) & (c < grid.cols)
+    return grid.values[r[inside], c[inside]]

@@ -138,16 +138,6 @@ class RockSet:
     def __len__(self) -> int:
         return len(self.rocks)
 
-    def disc_area(self) -> float:
-        return float(sum(math.pi * r.radius**2 for r in self.rocks))
-
-
-def grayscale_to_elevation(g: int, height_variation: float) -> float:
-    """Map an 8-bit gray level linearly onto [0, height_variation] meters."""
-    if not 0 <= g <= 255:
-        raise ValidationError("gray level must lie in [0, 255]")
-    return g / 255.0 * height_variation
-
 
 def generate_heightfield(spec: TerrainSpec, origin: tuple[float, float] = (0.0, 0.0)) -> HeightField:
     """Generate the ground layer (no rocks) for a terrain spec.

@@ -52,8 +52,13 @@ FLAT = {"preset": "flat"}
     ("run", {"terrain": FLAT, "classifier": "vlm", "vlm_endpoint": "http://localhost:9/",
              "vlm_timeout_s": "soon"}),
     ("compare", {"terrain": FLAT, "reference_speedup": "big"}),
+    ("run", {"terrain": FLAT, "start": ["a", 20]}),
+    ("run", {"terrain": FLAT, "start": "15, 70"}),
+    ("run", {"terrain": FLAT, "goal": [120, 70, 1]}),
+    ("run", {"terrain": FLAT, "waypoints": {"points": [["a", 1]]}}),
+    ("run", {"terrain": FLAT, "waypoints": {"points": [[20, 70], 5]}}),
 ], ids=["sensor_sigma", "speeds", "terrain.seed", "seed", "waypoint_spacing", "vlm_timeout_s",
-        "reference_speedup"])
+        "reference_speedup", "start", "start.string", "goal", "waypoints.points", "waypoints.points.pair"])
 def test_non_numeric_config_value_is_config_error(tmp_path, capsys, command, cfg):
     path = _write_config(tmp_path, cfg)
     assert cli.main([command, path, "-o", str(tmp_path / "out")]) == cli.EXIT_CONFIG

@@ -3,17 +3,13 @@ import pytest
 
 from rovernav.errors import MissionConfigError
 from rovernav.map_server import MapServer, ReplanReason, WaypointQueue
-from rovernav.mapping import CostGrid, ObstacleGrid
+from rovernav.mapping import CostGrid
 from rovernav.modes import NavMode
 from rovernav.planning import Path
 
 
 def cost_local(values, origin, cell=0.5):
     return CostGrid(np.asarray(values, dtype=np.int16), origin, cell)
-
-
-def obstacle_local(cells, origin, cell=0.5):
-    return ObstacleGrid(np.asarray(cells, dtype=np.int8), origin, cell)
 
 
 def server(extent=(40.0, 40.0)):
@@ -50,7 +46,7 @@ class TestUpdatePriority:
 
     def test_obstacle_grid_binarized(self):
         srv = server()
-        srv.update_from_local(obstacle_local([[1, 0], [-1, 0]], (10.0, 10.0)), NavMode.SAFE)
+        srv.update_from_local(cost_local([[100, 0], [-1, 0]], (10.0, 10.0)), NavMode.SAFE)
         assert srv.global_map.values[20, 20] == 100
         assert srv.global_map.values[20, 21] == 0
         assert srv.global_map.values[21, 20] == -1  # unknown never written
@@ -150,6 +146,14 @@ class TestWaypoints:
         assert srv.advance_waypoint((5.0, 5.0), 0.5)
         assert srv.next_waypoint() is None
         assert srv.waypoints.complete
+
+    def test_at_final_from_last_waypoint_on(self):
+        queue = WaypointQueue([(5.0, 5.0), (10.0, 10.0)])
+        seen = []
+        for _ in range(3):
+            seen.append(queue.at_final)
+            queue.advance()
+        assert seen == [False, True, True]
 
     def test_empty_queue_rejected(self):
         with pytest.raises(MissionConfigError):

@@ -10,10 +10,7 @@ from rovernav.mapping import (
     CostGrid,
     CostWeights,
     ElevationGrid,
-    FREE,
     GridGeometry,
-    OBSTACLE,
-    UNKNOWN,
     build_elevation_grid,
     build_navigation_costmap,
     compute_costmap,
@@ -21,9 +18,6 @@ from rovernav.mapping import (
     cost_to_obstacle,
     extract_obstacles,
     inflate_lethal,
-    load_grid,
-    obstacle_to_cost,
-    save_grid,
 )
 
 from conftest import full_grid
@@ -61,34 +55,34 @@ class TestElevationGrid:
 class TestObstacleExtraction:
     def test_flat_grid_no_obstacles(self):
         grid = extract_obstacles(full_grid(np.zeros((40, 40))))
-        assert not (grid.cells == OBSTACLE).any()
+        assert not (grid.values == COST_MAX).any()
 
     def test_single_bump_marked_and_inflated(self):
         z = np.zeros((40, 40))
         z[20, 20] = 0.5
         grid = extract_obstacles(full_grid(z), h_obstacle=0.2, inflate_radius=1.0)
-        assert grid.cells[20, 20] == OBSTACLE
-        assert grid.cells[20, 22] == OBSTACLE  # within 1 m at 0.5 m cells
-        assert grid.cells[20, 25] == FREE
+        assert grid.values[20, 20] == COST_MAX
+        assert grid.values[20, 22] == COST_MAX  # within 1 m at 0.5 m cells
+        assert grid.values[20, 25] == 0
 
     def test_pit_marked_too(self):
         z = np.zeros((40, 40))
         z[10, 10] = -0.5
         grid = extract_obstacles(full_grid(z), inflate_radius=0.0)
-        assert grid.cells[10, 10] == OBSTACLE
+        assert grid.values[10, 10] == COST_MAX
 
     def test_small_bump_below_threshold_free(self):
         z = np.zeros((40, 40))
         z[20, 20] = 0.1
         grid = extract_obstacles(full_grid(z), h_obstacle=0.2, inflate_radius=0.0)
-        assert grid.cells[20, 20] == FREE
+        assert grid.values[20, 20] == 0
 
     def test_offset_invariance(self, rng):
         for _ in range(50):
             z = rng.normal(0.0, 0.12, size=(30, 30))
             base = extract_obstacles(full_grid(z), inflate_radius=0.0)
             shifted = extract_obstacles(full_grid(z + 37.5), inflate_radius=0.0)
-            assert np.array_equal(base.cells, shifted.cells)
+            assert np.array_equal(base.values, shifted.values)
 
     def test_unknown_stays_unknown(self):
         z = np.zeros((20, 20))
@@ -96,7 +90,7 @@ class TestObstacleExtraction:
         grid = full_grid(z)
         grid.known[:5, :] = False
         out = extract_obstacles(grid, inflate_radius=3.0)
-        assert (out.cells[:5, :] == UNKNOWN).all()
+        assert (out.values[:5, :] == COST_UNKNOWN).all()
 
     def test_no_free_cell_within_inflation_radius(self, rng):
         for _ in range(20):
@@ -107,7 +101,7 @@ class TestObstacleExtraction:
             grid = full_grid(z)
             out = extract_obstacles(grid, inflate_radius=radius)
             raw = np.abs(z) > 0.2
-            rr, cc = np.nonzero(out.cells == FREE)
+            rr, cc = np.nonzero(out.values == 0)
             orr, occ = np.nonzero(raw)
             for r, c in zip(rr, cc):
                 d = np.hypot((orr - r) * 0.5, (occ - c) * 0.5)
@@ -275,26 +269,9 @@ class TestLethalInflation:
 
 
 class TestConversions:
-    def test_obstacle_cost_round_trip(self):
-        cells = np.array([[FREE, OBSTACLE], [UNKNOWN, FREE]], dtype=np.int8)
-        from rovernav.mapping import ObstacleGrid
-
-        grid = ObstacleGrid(cells, (0, 0), 0.5)
-        cost = obstacle_to_cost(grid)
-        assert cost.values.tolist() == [[0, 100], [-1, 0]]
-        back = cost_to_obstacle(cost)
-        assert np.array_equal(back.cells, cells)
-
-
-class TestSerialization:
-    def test_cost_grid_round_trip(self, tmp_path, rng):
-        from rovernav.mapping import CostGrid
-
-        vals = rng.integers(-1, 101, size=(25, 30)).astype(np.int16)
-        grid = CostGrid(vals, (4.0, 8.0), 0.5)
-        save_grid(grid, tmp_path / "g")
-        loaded = load_grid(tmp_path / "g")
-        assert isinstance(loaded, CostGrid)
-        assert np.array_equal(loaded.values, vals)
-        assert loaded.origin == (4.0, 8.0)
-        assert loaded.cell_size == 0.5
+    def test_safe_view_keeps_only_lethal_cells(self):
+        cost = CostGrid(np.array([[0, 100], [-1, 99]], dtype=np.int16), (4.0, 8.0), 0.5)
+        safe = cost_to_obstacle(cost)
+        assert safe.values.dtype == np.int16
+        assert safe.values.tolist() == [[0, 100], [0, 0]]
+        assert (safe.origin, safe.cell_size) == ((4.0, 8.0), 0.5)

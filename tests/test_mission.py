@@ -1,16 +1,27 @@
 import hashlib
+import http.server
 import json
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from rovernav.classify import TerrainAssessment, VlmConfig
 from rovernav.config import build_scene
 from rovernav.map_server import WaypointQueue
 from rovernav.mapping import COST_MAX, CostGrid
-from rovernav.mission import ComparisonReport, MissionMetrics, MissionRunner, MockClassifierBackend, run_mission
-from rovernav.modes import NavMode
+from rovernav.mission import (
+    ComparisonReport,
+    MissionMetrics,
+    MissionRunner,
+    MockClassifierBackend,
+    ModeSwitcher,
+    VlmClassifierBackend,
+    run_mission,
+)
+from rovernav.modes import NavMode, TerrainClass
 from rovernav.world import RoverState, World
 
 from conftest import flat_terrain
@@ -112,3 +123,92 @@ def test_comparison_speedup_only_when_both_runs_succeed(single_ok, multi_ok):
         assert (row["speedup"], row["time_ratio"]) == (3.0, round(1 / 3, 6))
     else:
         assert row["speedup"] is None and row["time_ratio"] is None
+
+
+FLAT, ROCKY, CHALLENGING = (TerrainAssessment(c, 0.1, 0.1) for c in TerrainClass)
+
+
+def _modes(switcher, verdicts):
+    return [switcher.update(v) for v in verdicts]
+
+
+def test_mode_switcher_upgrades_immediately():
+    assert _modes(ModeSwitcher(2), [FLAT, ROCKY, CHALLENGING]) == [
+        NavMode.EFFICIENT, NavMode.SAFE, NavMode.CONSERVATIVE]
+
+
+def test_mode_switcher_downgrade_waits_for_consecutive_calmer_verdicts():
+    switcher = ModeSwitcher(3)
+    switcher.update(CHALLENGING)
+    assert _modes(switcher, [FLAT, FLAT, FLAT]) == [
+        NavMode.CONSERVATIVE, NavMode.CONSERVATIVE, NavMode.EFFICIENT]
+
+
+def test_mode_switcher_interrupted_streak_resets():
+    switcher = ModeSwitcher(2)
+    switcher.update(CHALLENGING)
+    # a same-mode verdict, then a different calmer class, each restart the count
+    assert _modes(switcher, [FLAT, CHALLENGING, FLAT, ROCKY, ROCKY]) == [
+        NavMode.CONSERVATIVE, NavMode.CONSERVATIVE, NavMode.CONSERVATIVE,
+        NavMode.CONSERVATIVE, NavMode.SAFE]
+
+
+def test_mode_switcher_keeps_mode_over_one_missed_verdict():
+    switcher = ModeSwitcher(2)
+    switcher.update(FLAT)
+    assert _modes(switcher, [None, FLAT, None]) == [NavMode.EFFICIENT] * 3
+    assert switcher.assessment is FLAT
+
+
+def test_mode_switcher_falls_back_to_conservative():
+    switcher = ModeSwitcher(2)
+    switcher.update(FLAT)
+    assert _modes(switcher, [None, None]) == [NavMode.EFFICIENT, NavMode.CONSERVATIVE]
+    assert switcher.assessment is None
+    assert ModeSwitcher(2).update(None) is NavMode.CONSERVATIVE
+
+
+class _VlmStub(http.server.BaseHTTPRequestHandler):
+    """Answers every POST with a fixed valid assessment and records its
+    Authorization header."""
+
+    def do_POST(self):
+        self.rfile.read(int(self.headers["Content-Length"]))
+        self.server.auth_headers.append(self.headers.get("Authorization"))
+        body = b'{"terrain_class": "rocky", "rock_complexity": 0.5, "slope_complexity": 0.1}'
+        self.send_response(200)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(body)))
+        self.end_headers()
+        self.wfile.write(body)
+
+    def log_message(self, *args):
+        pass
+
+
+@pytest.fixture
+def vlm_stub():
+    server = http.server.HTTPServer(("127.0.0.1", 0), _VlmStub)
+    server.auth_headers = []
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        yield server
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=5.0)
+    assert not thread.is_alive()
+
+
+@pytest.mark.parametrize("key, header", [("s3cret", "Bearer s3cret"), (None, None)], ids=["set", "unset"])
+def test_vlm_backend_sends_key_from_env(vlm_stub, monkeypatch, key, header):
+    config = VlmConfig(f"http://127.0.0.1:{vlm_stub.server_port}/", timeout_s=5.0)
+    monkeypatch.setenv("NO_PROXY", "127.0.0.1")
+    if key is None:
+        monkeypatch.delenv(config.api_key_env, raising=False)
+    else:
+        monkeypatch.setenv(config.api_key_env, key)
+    assessment = VlmClassifierBackend(config).assess(World(flat_terrain()), (30.0, 30.0), 5.0)
+    assert (assessment.terrain_class, assessment.timestamp) == (TerrainClass.ROCKY, 5.0)
+    assert vlm_stub.auth_headers == [header]

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from rovernav.errors import InvalidStartError, NoPathError
-from rovernav.mapping import CostGrid, FREE, OBSTACLE, ObstacleGrid, UNKNOWN
-from rovernav.modes import NavMode
+from rovernav.mapping import COST_MAX, COST_UNKNOWN, CostGrid, cost_to_obstacle
 from rovernav.planning import (
     astar_cost,
     astar_obstacle,
@@ -26,12 +25,13 @@ from oracles import (
 SQRT2 = math.sqrt(2.0)
 
 
-def obstacle_grid(cells, cell_size=1.0):
-    return ObstacleGrid(np.asarray(cells, dtype=np.int8), (0.0, 0.0), cell_size)
-
-
 def cost_grid(values, cell_size=1.0):
     return CostGrid(np.asarray(values, dtype=np.int16), (0.0, 0.0), cell_size)
+
+
+def obstacle_grid(cells, cell_size=1.0):
+    """The safe view the mid-tier planner searches."""
+    return cost_to_obstacle(cost_grid(cells, cell_size))
 
 
 def center(r, c, cs=1.0):
@@ -86,45 +86,45 @@ class TestAstarObstacle:
 
     def test_enclosed_goal_unreachable(self):
         cells = np.zeros((10, 10))
-        cells[4:7, 4:7] = OBSTACLE
-        cells[5, 5] = FREE
+        cells[4:7, 4:7] = COST_MAX
+        cells[5, 5] = 0
         with pytest.raises(NoPathError):
             astar_obstacle(obstacle_grid(cells), center(0, 0), center(5, 5))
 
     def test_wall_with_gap(self):
         cells = np.zeros((11, 11))
-        cells[:, 5] = OBSTACLE
-        cells[7, 5] = FREE
+        cells[:, 5] = COST_MAX
+        cells[7, 5] = 0
         grid = obstacle_grid(cells)
         path = astar_obstacle(grid, center(2, 1), center(2, 9))
         cols = ((path.points[:, 0]) - 0.5).round().astype(int)
         rows = ((path.points[:, 1]) - 0.5).round().astype(int)
         on_wall = [tuple(p) for p in zip(rows, cols) if p[1] == 5]
         assert on_wall == [(7, 5)]
-        blocked = cells == OBSTACLE
+        blocked = cells == COST_MAX
         assert path.length() == pytest.approx(
             dijkstra_grid_length(blocked.tolist(), (2, 1), (2, 9)))
 
     def test_start_in_obstacle_rejected(self):
         cells = np.zeros((5, 5))
-        cells[2, 2] = OBSTACLE
+        cells[2, 2] = COST_MAX
         with pytest.raises(InvalidStartError):
             astar_obstacle(obstacle_grid(cells), center(2, 2), center(0, 0))
 
     def test_unknown_cells_traversable(self):
-        cells = np.full((9, 9), UNKNOWN)
-        cells[0, 0] = FREE
-        cells[8, 8] = FREE
+        cells = np.full((9, 9), COST_UNKNOWN)
+        cells[0, 0] = 0
+        cells[8, 8] = 0
         path = astar_obstacle(obstacle_grid(cells), center(0, 0), center(8, 8))
         assert path.length() == pytest.approx(8 * SQRT2)
 
     def test_matches_oracle_on_random_grids(self, rng):
         for _ in range(60):
-            cells = (rng.random((30, 30)) < 0.25).astype(np.int8)
-            cells[0, 0] = FREE
-            cells[29, 29] = FREE
+            cells = np.where(rng.random((30, 30)) < 0.25, COST_MAX, 0)
+            cells[0, 0] = 0
+            cells[29, 29] = 0
             grid = obstacle_grid(cells)
-            oracle = dijkstra_grid_length(cells == OBSTACLE, (0, 0), (29, 29))
+            oracle = dijkstra_grid_length(cells == COST_MAX, (0, 0), (29, 29))
             if oracle is None:
                 with pytest.raises(NoPathError):
                     astar_obstacle(grid, center(0, 0), center(29, 29))
@@ -187,6 +187,21 @@ class TestAstarCost:
             weight = _path_weight(path, values)
             assert weight == pytest.approx(oracle, abs=1e-9)
 
+    def test_zero_cost_grid_matches_weighted_oracle(self, rng):
+        # no open cell has cost, so the search runs with uniform weights;
+        # unknown cells must still block
+        for _ in range(30):
+            values = np.where(rng.random((25, 25)) < 0.25, 100, 0)
+            values[rng.random((25, 25)) < 0.1] = -1
+            values[0, 0] = values[24, 24] = 0
+            oracle = dijkstra_weighted_cost(values.tolist(), (0, 0), (24, 24))
+            if oracle is None:
+                with pytest.raises(NoPathError):
+                    astar_cost(cost_grid(values), center(0, 0), center(24, 24))
+                continue
+            path = astar_cost(cost_grid(values), center(0, 0), center(24, 24))
+            assert _path_weight(path, values) == pytest.approx(oracle, abs=1e-9)
+
 
 class TestBestProgress:
     @staticmethod
@@ -194,15 +209,14 @@ class TestBestProgress:
         # column 5 is a wall and (2, 4) is blocked, so the reachable cells
         # nearest the goal (2, 8) are (1, 4) and (3, 4), both sqrt(17) away
         cells = np.zeros((5, 9))
-        cells[:, 5] = OBSTACLE
-        cells[2, 4] = OBSTACLE
+        cells[:, 5] = COST_MAX
+        cells[2, 4] = COST_MAX
         return best_progress_path(obstacle_grid(cells), center(*start), center(2, 8))
 
     def test_nearest_reachable_cell(self):
         cells = np.zeros((5, 9))
-        cells[:, 5] = OBSTACLE
+        cells[:, 5] = COST_MAX
         path = best_progress_path(obstacle_grid(cells), center(2, 0), center(2, 8))
-        assert path.mode is NavMode.SAFE
         assert tuple(path.points[0]) == center(2, 0)
         assert tuple(path.points[-1]) == center(2, 4)
         assert path.length() == pytest.approx(4.0)
@@ -220,7 +234,6 @@ class TestBestProgress:
         values[:, 6] = 100
         values[0, 0:3] = -1
         path = best_progress_path(cost_grid(values), center(6, 5), center(6, 11))
-        assert path.mode is NavMode.CONSERVATIVE
         # (1, 3) borders the unknown patch and is the frontier cell nearest the goal
         assert tuple(path.points[-1]) == center(1, 3)
 
@@ -232,14 +245,14 @@ class TestBestProgress:
 
     def test_single_point_when_nothing_reachable(self):
         cells = np.zeros((5, 5))
-        cells[1:4, 1:4] = OBSTACLE
-        cells[2, 2] = FREE
+        cells[1:4, 1:4] = COST_MAX
+        cells[2, 2] = 0
         path = best_progress_path(obstacle_grid(cells), center(2, 2), center(0, 4))
         assert path.points.tolist() == [list(center(2, 2))]
 
     def test_blocked_start_rejected(self):
         cells = np.zeros((5, 5))
-        cells[2, 2] = OBSTACLE
+        cells[2, 2] = COST_MAX
         with pytest.raises(InvalidStartError):
             best_progress_path(obstacle_grid(cells), center(2, 2), center(0, 0))
         values = np.zeros((5, 5), dtype=int)
@@ -262,7 +275,7 @@ def _path_weight(path, values, cell_size=1.0, alpha=4.0):
 class TestPathChecks:
     def test_collision_on_obstacle_cell(self):
         cells = np.zeros((10, 10))
-        cells[5, 5] = OBSTACLE
+        cells[5, 5] = COST_MAX
         grid = obstacle_grid(cells)
         path = astar_obstacle(grid, center(5, 0), center(5, 9))
         hit = type(path)(np.array([[5.5, 5.5]]))
@@ -270,8 +283,8 @@ class TestPathChecks:
         assert not path_collides(path, grid)
 
     def test_unknown_cells_do_not_collide(self):
-        cells = np.full((6, 6), UNKNOWN)
-        grid = obstacle_grid(cells)
+        cells = np.full((6, 6), COST_UNKNOWN)
+        grid = cost_grid(cells)
         probe = astar_obstacle(
             obstacle_grid(np.zeros((6, 6))), center(0, 0), center(5, 5))
         assert not path_collides(probe, grid)
@@ -314,15 +327,12 @@ class TestPathChecks:
         for _ in range(40):
             values = rng.integers(-1, 101, size=(12, 15))
             grid = CostGrid(values.astype(np.int16), (-2.0, 3.0), 0.5)
-            cells = np.where(values >= 80, OBSTACLE, np.where(values < 0, UNKNOWN, FREE))
-            obstacles = ObstacleGrid(cells.astype(np.int8), grid.origin, grid.cell_size)
             pts = rng.uniform((-4.0, 1.0), (7.0, 11.0), size=(30, 2))
             under = values_under_points(values.tolist(), grid.origin, grid.cell_size, pts.tolist())
             known = [float(v) for v in under if v >= 0]
             path = Path(pts)
             assert path_cost(path, grid) == (sum(known) / len(known) if known else 0.0)
             assert path_collides(path, grid, lethal=80) == any(v >= 80 for v in under)
-            assert path_collides(path, obstacles) == any(v >= 80 for v in under)
 
     def test_path_cost_unknown_only_is_zero(self):
         from rovernav.planning import Path
