@@ -10,7 +10,6 @@ from .terrain import HeightField, Rock, RockSet, Terrain, TerrainSpec, build_mix
 from .world import HazardEvent, HazardKind, RoverState, VelocityCommand, World, step
 from .classify import (
     GeometricMetrics,
-    GeometricThresholds,
     TerrainAssessment,
     VlmConfig,
     compute_terrain_metrics,
@@ -29,9 +28,9 @@ from .mapping import (
     inflate_lethal,
 )
 from .planning import Path, astar_cost, astar_obstacle, bspline_path, path_collides, path_cost
-from .control import PathTracker, PursuitConfig, dynamic_lookahead, pure_pursuit
+from .control import PathTracker, dynamic_lookahead, pure_pursuit
 from .map_server import GlobalCostmap, MapServer, ReplanReason, WaypointQueue
-from .waypoints import global_cost_from_dem, min_cost_search, plan_waypoints, sparsify_waypoints
+from .waypoints import global_cost_from_dem, plan_waypoints, sparsify_waypoints
 from .mission import (
     ComparisonReport,
     MissionMetrics,

@@ -30,8 +30,14 @@ from .errors import (
     VlmTransportError,
 )
 from .grids import cell_center, hillshade, neighbor_slices, plane_fit_grid, plane_fit_points, slope_degrees
-from .mapping import ElevationGrid
-from .modes import ROCK_SCORE_GAIN, SLOPE_SCORE_FULL_DEG, TerrainClass, class_for_scores
+from .modes import (
+    CHALLENGING_MIN_SLOPE_DEG,
+    ROCK_SCORE_GAIN,
+    ROCKY_MIN_ROUGH_CELLS,
+    SLOPE_SCORE_FULL_DEG,
+    TerrainClass,
+    class_for_scores,
+)
 from .terrain import HeightField, TerrainSpec
 
 
@@ -54,43 +60,28 @@ class GeometricMetrics:
     slope_variance: float  # degrees^2
 
 
-@dataclass(frozen=True)
-class GeometricThresholds:
-    """Hand-set classification cutoffs for the geometric baseline.
-
-    The defaults split the measured flat/rocky/challenging populations at
-    their midpoints: flat patches measure ~0 rough cells against >=125 for
-    rocky ones, and rocky patches stay below ~8 deg average slope against
-    >=20 deg for challenging ones. Slope variance is deliberately unused;
-    it overlaps between the rocky and challenging populations.
-    """
-
-    rock_count_min_rocky: float = 60.0
-    slope_avg_min_challenging: float = 14.0
-    stddev_rock_cell: float = 0.1
-    analysis_radius: float = 10.0
+# Radius of the region around its center that a classifier judges, meters.
+ANALYSIS_RADIUS = 10.0
+# A cell is rough when the elevation std-dev of its known 3x3 neighborhood
+# exceeds this, meters.
+STDDEV_ROCK_CELL = 0.1
+# Side of the plane-fit sub-windows behind the slope statistics, and the
+# spacing of their centers, meters.
+FIT_WINDOW_M = 2.0
+FIT_STRIDE_M = 1.0
 
 
-def compute_terrain_metrics(
-    patch: HeightField | ElevationGrid,
-    radius: float,
-    stddev_rock_cell: float = 0.1,
-    fit_window_m: float = 2.0,
-    fit_stride_m: float = 1.0,
-) -> GeometricMetrics:
+def compute_terrain_metrics(patch: HeightField, radius: float) -> GeometricMetrics:
     """Geometric terrain features over a circular region of a patch.
 
-    rock_grid_count counts cells whose known 3x3 neighborhood elevation
-    standard deviation exceeds stddev_rock_cell. Average slope and slope
-    variance come from least-squares plane fits over overlapping
-    fit_window_m sub-windows whose centers lie inside the region.
+    Cells with a non-finite elevation are unknown. rock_grid_count counts
+    cells whose known 3x3 neighborhood elevation standard deviation exceeds
+    STDDEV_ROCK_CELL. Average slope and slope variance come from
+    least-squares plane fits over overlapping FIT_WINDOW_M sub-windows
+    whose centers, FIT_STRIDE_M apart, lie inside the region.
     """
-    if isinstance(patch, ElevationGrid):
-        z, known = patch.elevation, patch.known
-        cell, origin = patch.cell_size, patch.origin
-    else:
-        z, known = patch.elevation, np.isfinite(patch.elevation)
-        cell, origin = patch.cell_size, patch.origin
+    z, known = patch.elevation, np.isfinite(patch.elevation)
+    cell, origin = patch.cell_size, patch.origin
     rows, cols = z.shape
     if rows == 0 or cols == 0:
         raise InsufficientDataError("patch is empty")
@@ -107,12 +98,12 @@ def compute_terrain_metrics(
         raise InsufficientDataError("no known cells inside the analysis region")
 
     std = _neighborhood_std(z, known)
-    rock_grid_count = int(np.count_nonzero(region & known & (std > stddev_rock_cell)))
+    rock_grid_count = int(np.count_nonzero(region & known & (std > STDDEV_ROCK_CELL)))
 
-    win = max(int(round(fit_window_m / cell)) | 1, 3)
+    win = max(int(round(FIT_WINDOW_M / cell)) | 1, 3)
     a, b, _, _, count = plane_fit_grid(z, known, win, cell)
     slope = slope_degrees(a, b)
-    stride = max(int(round(fit_stride_m / cell)), 1)
+    stride = max(int(round(FIT_STRIDE_M / cell)), 1)
     centers = np.zeros_like(region)
     centers[::stride, ::stride] = True
     sel = centers & region & (count >= 3)
@@ -146,16 +137,15 @@ def _neighborhood_std(z: np.ndarray, known: np.ndarray) -> np.ndarray:
     return out
 
 
-def threshold_classify(metrics: GeometricMetrics, thresholds: GeometricThresholds = GeometricThresholds(),
-                       timestamp: float = 0.0) -> TerrainAssessment:
-    """Classify from geometric metrics with hand-set thresholds.
+def threshold_classify(metrics: GeometricMetrics, timestamp: float = 0.0) -> TerrainAssessment:
+    """Classify from geometric metrics with the hand-set cutoffs in `modes`.
 
     Slope decides first (challenging), then rough-cell count (rocky), else
     flat. Scores are normalized projections of the same metrics.
     """
-    if metrics.slope_avg > thresholds.slope_avg_min_challenging:
+    if metrics.slope_avg > CHALLENGING_MIN_SLOPE_DEG:
         cls = TerrainClass.CHALLENGING
-    elif metrics.rock_grid_count >= thresholds.rock_count_min_rocky:
+    elif metrics.rock_grid_count >= ROCKY_MIN_ROUGH_CELLS:
         cls = TerrainClass.ROCKY
     else:
         cls = TerrainClass.FLAT
@@ -268,13 +258,13 @@ def mock_classify(
     ground: HeightField,
     position: tuple[float, float],
     seed: int,
-    analysis_radius: float = 10.0,
     timestamp: float = 0.0,
 ) -> TerrainAssessment:
     """Deterministic assessment from the world's own generating parameters.
 
     The rock score is 9x the spec's rock coverage; the slope score is the
-    local plane-fit inclination around `position` over 45 degrees. Both get
+    plane-fit inclination of the ground within ANALYSIS_RADIUS of
+    `position`, over 45 degrees. Both get
     seeded jitter of +/-0.05 (keyed on seed and the quantized position, so
     identical runs reproduce identical scores) and clamp to [0, 1]. The
     class is always `class_for_scores` of the emitted scores.
@@ -289,17 +279,17 @@ def mock_classify(
     jit_rock, jit_slope = rng.uniform(-MOCK_JITTER, MOCK_JITTER, size=2)
 
     rock = min(max(ROCK_SCORE_GAIN * spec.rock_coverage + jit_rock, 0.0), 1.0)
-    slope_deg = _local_slope(ground, position, analysis_radius)
+    slope_deg = _local_slope(ground, position)
     slope = min(max(slope_deg / SLOPE_SCORE_FULL_DEG + jit_slope, 0.0), 1.0)
     return TerrainAssessment(class_for_scores(rock, slope), rock, slope, timestamp)
 
 
-def _local_slope(ground: HeightField, position: tuple[float, float], radius: float) -> float:
-    """Plane-fit slope (degrees) of the ground around a position."""
+def _local_slope(ground: HeightField, position: tuple[float, float]) -> float:
+    """Plane-fit slope (degrees) of the ground within ANALYSIS_RADIUS of a position."""
     n = 9
-    span = np.linspace(-radius, radius, n)
+    span = np.linspace(-ANALYSIS_RADIUS, ANALYSIS_RADIUS, n)
     gx, gy = np.meshgrid(position[0] + span, position[1] + span)
-    keep = (gx - position[0]) ** 2 + (gy - position[1]) ** 2 <= radius * radius
+    keep = (gx - position[0]) ** 2 + (gy - position[1]) ** 2 <= ANALYSIS_RADIUS * ANALYSIS_RADIUS
     xs = gx[keep]
     ys = gy[keep]
     zs = np.asarray(ground.sample(xs, ys), dtype=float)

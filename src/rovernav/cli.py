@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path as FsPath
 
@@ -107,10 +106,16 @@ def _apply_overrides(cfg: dict, args) -> dict:
     return cfg
 
 
-def cmd_run(args) -> int:
-    cfg = _apply_overrides(cfgmod.load_mission_config(args.config), args)
+def _vlm_endpoint_missing(cfg: dict) -> bool:
     if cfg.get("classifier") == "vlm" and not cfg.get("vlm_endpoint"):
         print("error: vlm classifier selected but no vlm_endpoint configured", file=sys.stderr)
+        return True
+    return False
+
+
+def cmd_run(args) -> int:
+    cfg = _apply_overrides(cfgmod.load_mission_config(args.config), args)
+    if _vlm_endpoint_missing(cfg):
         return EXIT_BACKEND
     seed = cfg.get("seed", 0)
     scene = cfgmod.scene_from_config(cfg)
@@ -142,6 +147,8 @@ def cmd_compare(args) -> int:
     from .mission import compare_single_vs_multi
 
     cfg = cfgmod.load_mission_config(args.config)
+    if _vlm_endpoint_missing(cfg):
+        return EXIT_BACKEND
     try:
         seeds = [int(s) for s in str(args.seeds).split(",") if s.strip() != ""]
     except ValueError:
@@ -164,7 +171,9 @@ def cmd_compare(args) -> int:
         cfg_seed["seed"] = seed
         scene = cfgmod.scene_from_config(cfg_seed)
         report = compare_single_vs_multi(scene.terrain, scene.waypoints, seed,
-                                         cfgmod.mode_config_from(cfg_seed), start=scene.start)
+                                         cfgmod.classifier_from_config(cfg_seed, seed),
+                                         cfgmod.mode_config_from(cfg_seed), start=scene.start,
+                                         sensor_sigma=cfg_seed.get("sensor_sigma", 0.0))
         row = report.to_dict()
         row["seed"] = seed
         row["reference_speedup"] = reference

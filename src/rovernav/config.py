@@ -142,12 +142,14 @@ CONFIG_KEYS = [
     ("goal", "auto", "Mission goal [x, y]; default 15 m inside the east edge."),
     ("waypoints", "auto", "\"auto\" (coarse-model route), {\"file\": path}, or "
      "{\"points\": [[x, y], ...]}."),
-    ("classifier", "mock", "Terrain classifier backend: mock | geometric | vlm."),
+    ("classifier", "mock", "Terrain classifier backend: mock | geometric | vlm. It also "
+     "drives the adaptive run of `compare`."),
     ("mode", "auto", "auto (classifier-driven) or a forced mode: "
      "efficient | safe | conservative."),
     ("vlm_endpoint", None, "Endpoint URL for the vlm classifier (required with it)."),
     ("vlm_timeout_s", 10.0, "Request timeout for the vlm classifier, seconds."),
-    ("sensor_sigma", 0.0, "Std-dev of elevation sensing noise, meters."),
+    ("sensor_sigma", 0.0, "Std-dev of elevation sensing noise, meters; `compare` "
+     "applies it to both of its runs."),
     ("speeds", [2.0, 0.8, 0.5], "Path-following speed caps [efficient, safe, "
      "conservative], m/s."),
     ("waypoint_spacing", 20.0, "Arc spacing of auto-generated waypoints, meters."),

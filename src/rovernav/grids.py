@@ -164,9 +164,11 @@ def _plane_from_moments(s1, sx, sy, sxx, syy, sxy, sz, szx, szy, szz):
 
     Arrays or floats. Eliminating c leaves a 2x2 system about the centroid,
     solved by Cramer's rule. Returns (a, b, c, sum of squared residuals, ok).
-    ok is false below 3 samples or when |s1 * det2|, the 3x3 normal-equation
-    determinant (Schur complement), is at most 1e-12; then a = b = 0 and c
-    is the mean z.
+    ok is false below 3 samples or when the samples lie on one line, that
+    is when det2, the determinant of the centered 2x2 system, is at most
+    1e-9 * (cxx + cyy)**2: the product of the spread's two principal
+    variances against the square of their sum, so the test does not depend
+    on the coordinate scale or offset. Then a = b = 0 and c is the mean z.
     """
     mx = sx / s1
     my = sy / s1
@@ -177,7 +179,7 @@ def _plane_from_moments(s1, sx, sy, sxx, syy, sxy, sz, szx, szy, szz):
     czx = szx - sz * mx
     czy = szy - sz * my
     det2 = cxx * cyy - cxy * cxy
-    ok = (s1 >= 3) & (abs(s1 * det2) > 1e-12)
+    ok = (s1 >= 3) & (det2 > 1e-9 * (cxx + cyy) ** 2)
     inv = ok / (det2 + (1 - ok))  # 1 / det2 where ok, else 0, never dividing by zero
     a = (czx * cyy - czy * cxy) * inv
     b = (cxx * czy - cxy * czx) * inv

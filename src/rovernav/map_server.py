@@ -27,7 +27,7 @@ from .modes import NavMode
 from .planning import COST_REPLAN_TOLERANCE, Path, path_collides, path_cost
 from . import pgmio
 
-DEFAULT_GLOBAL_RESOLUTION = 0.5
+GLOBAL_RESOLUTION = 0.5
 
 
 class ReplanReason(enum.Enum):
@@ -75,25 +75,20 @@ class WaypointQueue:
 
 
 class MapServer:
-    def __init__(
-        self,
-        extent: tuple[float, float],
-        resolution: float = DEFAULT_GLOBAL_RESOLUTION,
-        cost_tolerance: float = COST_REPLAN_TOLERANCE,
-        lethal: int = COST_MAX,
-    ):
-        if extent[0] <= 0 or extent[1] <= 0 or resolution <= 0:
-            raise ValidationError("extent and resolution must be positive")
-        cols = round(extent[0] / resolution)
-        rows = round(extent[1] / resolution)
+    """The mission-wide map: `extent` (x, y) meters at GLOBAL_RESOLUTION,
+    plus the waypoint queue and the periodic path check."""
+
+    def __init__(self, extent: tuple[float, float]):
+        if extent[0] <= 0 or extent[1] <= 0:
+            raise ValidationError("extent must be positive")
+        cols = round(extent[0] / GLOBAL_RESOLUTION)
+        rows = round(extent[1] / GLOBAL_RESOLUTION)
         self.global_map = GlobalCostmap(
             values=np.full((rows, cols), COST_UNKNOWN, dtype=np.int16),
             source=np.zeros((rows, cols), dtype=np.uint8),
             origin=(0.0, 0.0),
-            cell_size=resolution,
+            cell_size=GLOBAL_RESOLUTION,
         )
-        self.cost_tolerance = cost_tolerance
-        self.lethal = lethal
         self.waypoints: WaypointQueue | None = None
 
     # -- map updates --------------------------------------------------------
@@ -126,7 +121,7 @@ class MapServer:
             return 0
         acc = np.full((rows, cols), COST_UNKNOWN, dtype=np.int16)
         np.maximum.at(acc, (gr[ok], gc[ok]), local.values[rr[ok], cc[ok]])
-        downgrade = (gm.values >= self.lethal) & (mode.priority == gm.source) & (acc < self.lethal)
+        downgrade = (gm.values >= COST_MAX) & (mode.priority == gm.source) & (acc < COST_MAX)
         writable = (acc >= 0) & (mode.priority >= gm.source) & ~downgrade
         gm.values[writable] = acc[writable]
         gm.source[writable] = mode.priority
@@ -198,9 +193,9 @@ class MapServer:
             return None
         gm = self.global_map
         snapshot = CostGrid(gm.values, gm.origin, gm.cell_size)
-        if path_collides(active_path, snapshot, lethal=self.lethal):
+        if path_collides(active_path, snapshot):
             return ReplanReason.COLLISION
-        if mode is NavMode.CONSERVATIVE and path_cost(active_path, snapshot) > self.cost_tolerance:
+        if mode is NavMode.CONSERVATIVE and path_cost(active_path, snapshot) > COST_REPLAN_TOLERANCE:
             return ReplanReason.COST_TOLERANCE
         return None
 

@@ -34,6 +34,9 @@ DEFAULT_OBSTACLE_HEIGHT = 0.12
 # worst-case cell quantization of the sensed rim and the global-map storage
 # (2 x 0.35 m at 0.5 m cells) plus tracking error.
 DEFAULT_INFLATION_RADIUS = 3.5
+# Lethal inflation of the costmap's roughness and step hazards; see
+# `build_navigation_costmap`.
+BUMP_INFLATION_RADIUS = 1.5
 
 
 class GridGeometry(NamedTuple):
@@ -206,28 +209,24 @@ def compute_costmap(elev: ElevationGrid, weights: CostWeights = CostWeights()) -
     return CostGrid(_quantize(f, elev.known), elev.origin, elev.cell_size)
 
 
-def build_navigation_costmap(
-    elev: ElevationGrid,
-    weights: CostWeights = CostWeights(),
-    slope_inflation: float = DEFAULT_INFLATION_RADIUS,
-    bump_inflation: float = 1.5,
-) -> CostGrid:
+def build_navigation_costmap(elev: ElevationGrid) -> CostGrid:
     """Costmap with per-source lethal inflation for planning use.
 
     Slope-lethal cells mark the hazard itself, so they inflate by the full
-    footprint-plus-margin radius. Roughness- and step-lethal cells already
-    extend half a fit window beyond the bump that caused them; they only
-    need a small quantization-and-tracking margin, or every boulder would
-    seal the corridors around it.
+    footprint-plus-margin radius (`DEFAULT_INFLATION_RADIUS`). Roughness-
+    and step-lethal cells already extend half a fit window beyond the bump
+    that caused them; they only need a small quantization-and-tracking
+    margin (`BUMP_INFLATION_RADIUS`), or every boulder would seal the
+    corridors around it.
     """
+    weights = CostWeights()
     f, slope, rough, step = cost_features(elev, weights)
     values = _quantize(f, elev.known)
     for mask, radius in (
-        (slope >= weights.slope_max_deg, slope_inflation),
-        ((rough >= weights.rough_max) | (step >= weights.step_max), bump_inflation),
+        (slope >= weights.slope_max_deg, DEFAULT_INFLATION_RADIUS),
+        ((rough >= weights.rough_max) | (step >= weights.step_max), BUMP_INFLATION_RADIUS),
     ):
-        if radius > 0:
-            values[dilate_disc(mask & elev.known, radius / elev.cell_size) & elev.known] = COST_MAX
+        values[dilate_disc(mask & elev.known, radius / elev.cell_size) & elev.known] = COST_MAX
     return CostGrid(values, elev.origin, elev.cell_size)
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .classify import (
-    GeometricThresholds,
+    ANALYSIS_RADIUS,
     TerrainAssessment,
     VlmConfig,
     compute_terrain_metrics,
@@ -28,7 +28,7 @@ from .classify import (
     threshold_classify,
     vlm_classify,
 )
-from .control import PathTracker, PursuitConfig
+from .control import PathTracker
 from .errors import (
     EmptyPatchError,
     InsufficientDataError,
@@ -39,7 +39,7 @@ from .errors import (
     VlmError,
 )
 from .grids import cell_center, world_to_cell
-from .map_server import MapServer, ReplanReason, WaypointQueue
+from .map_server import MapServer, WaypointQueue
 from .mapping import (
     COST_MAX,
     CostGrid,
@@ -50,10 +50,9 @@ from .mapping import (
     cost_to_obstacle,
     extract_obstacles,
 )
-from .modes import MODE_FOR_CLASS, NavMode, TerrainClass
+from .modes import MODE_FOR_CLASS, NavMode
 from .planning import Path, astar_cost, astar_obstacle, best_progress_path, bspline_path
 from .world import (
-    HazardEvent,
     RoverState,
     TICK_DT,
     VelocityCommand,
@@ -65,43 +64,41 @@ from .world import (
 
 @dataclass(frozen=True)
 class ModeConfig:
-    """Per-mode speeds, map geometry, and scheduler rates."""
+    """Per-mode speed caps, the one setting a mission config can change.
+
+    The map geometry, scheduler rates and mission limits below are class
+    constants shared by every mission. Each rate must divide the tick rate.
+    """
 
     speed_efficient: float = 2.0
     speed_safe: float = 0.8
     speed_conservative: float = 0.5
-    map_window: float = 20.0
-    obstacle_resolution: float = 0.5
-    cost_resolution: float = 0.1
-    sense_resolution_safe: float = 0.25
-    control_rate: float = 10.0
-    obstacle_rate: float = 1.0
-    costmap_rate: float = 0.5
-    collision_rate: float = 1.0
-    classifier_rate: float = 0.2
-    tick_rate: float = 1.0 / TICK_DT
-    classifier_lookahead: float = 12.0
-    waypoint_tolerance: float = 1.0
-    final_tolerance: float = 0.5
-    downswitch_periods: int = 2
-    lethal_inflation: float = 3.5
-    start_clear_radius: float = 1.15
+
+    map_window = 20.0
+    obstacle_resolution = 0.5
+    cost_resolution = 0.1
+    sense_resolution_safe = 0.25
+    control_rate = 10.0
+    obstacle_rate = 1.0
+    costmap_rate = 0.5
+    collision_rate = 1.0
+    classifier_rate = 0.2
+    tick_rate = 1.0 / TICK_DT
+    classifier_lookahead = 12.0
+    waypoint_tolerance = 1.0
+    final_tolerance = 0.5
+    start_clear_radius = 1.15
     # An intermediate waypoint whose surroundings are blocked counts as
     # served once the rover stands at the closest approachable point within
     # this distance of it; the final goal is never relaxed.
-    blocked_waypoint_slack: float = 8.0
-    off_path_limit: float = 1.2
-    no_path_limit: int = 5
-    timeout_factor: float = 5.0
+    blocked_waypoint_slack = 8.0
+    off_path_limit = 1.2
+    no_path_limit = 5
+    timeout_factor = 5.0
 
     def __post_init__(self):
         if not self.speed_efficient > self.speed_safe > self.speed_conservative > 0:
             raise ValidationError("mode speeds must strictly decrease with severity")
-        for rate in (self.control_rate, self.obstacle_rate, self.costmap_rate,
-                     self.collision_rate, self.classifier_rate):
-            ticks = self.tick_rate / rate
-            if abs(ticks - round(ticks)) > 1e-9:
-                raise ValidationError(f"rate {rate} Hz does not divide the {self.tick_rate} Hz tick")
 
     def speed(self, mode: NavMode) -> float:
         return {
@@ -153,37 +150,31 @@ class MissionMetrics:
 # --- classifier backends -----------------------------------------------------
 
 
+# Side of the square patch a sensing classifier looks at, meters, and the
+# sample pitch of each backend's patch.
+CLASSIFIER_PATCH_SIZE = 20.0
+GEOMETRIC_PATCH_RESOLUTION = 0.1
+VLM_PATCH_RESOLUTION = 0.5
+
+
 class MockClassifierBackend:
     """Scores terrain from the generating spec; no sensing, no network."""
 
-    def __init__(self, seed: int, analysis_radius: float = 10.0):
+    def __init__(self, seed: int):
         self.seed = seed
-        self.analysis_radius = analysis_radius
 
     def assess(self, world: World, center, timestamp: float) -> TerrainAssessment:
         spec = world.terrain.spec_at(center[0])
-        return mock_classify(
-            spec, world.terrain.ground, center, self.seed,
-            analysis_radius=self.analysis_radius, timestamp=timestamp,
-        )
+        return mock_classify(spec, world.terrain.ground, center, self.seed, timestamp=timestamp)
 
 
 class GeometricClassifierBackend:
     """Senses an elevation patch ahead and applies the geometric baseline."""
 
-    def __init__(self, thresholds: GeometricThresholds = GeometricThresholds(),
-                 patch_size: float = 20.0, patch_resolution: float = 0.1):
-        self.thresholds = thresholds
-        self.patch_size = patch_size
-        self.patch_resolution = patch_resolution
-
     def assess(self, world: World, center, timestamp: float) -> TerrainAssessment:
         pose = RoverState(center[0], center[1], 0.0)
-        patch = world.sense_elevation_patch(pose, self.patch_size, self.patch_resolution)
-        metrics = compute_terrain_metrics(
-            patch, self.thresholds.analysis_radius, self.thresholds.stddev_rock_cell
-        )
-        return threshold_classify(metrics, self.thresholds, timestamp)
+        patch = world.sense_elevation_patch(pose, CLASSIFIER_PATCH_SIZE, GEOMETRIC_PATCH_RESOLUTION)
+        return threshold_classify(compute_terrain_metrics(patch, ANALYSIS_RADIUS), timestamp)
 
 
 class VlmClassifierBackend:
@@ -193,32 +184,34 @@ class VlmClassifierBackend:
     by `config.api_key_env`, read on every request.
     """
 
-    def __init__(self, config: VlmConfig, patch_size: float = 20.0, patch_resolution: float = 0.5):
+    def __init__(self, config: VlmConfig):
         self.config = config
         self.prompt = default_prompt()
-        self.patch_size = patch_size
-        self.patch_resolution = patch_resolution
 
     def assess(self, world: World, center, timestamp: float) -> TerrainAssessment:
         pose = RoverState(center[0], center[1], 0.0)
-        patch = world.sense_elevation_patch(pose, self.patch_size, self.patch_resolution)
+        patch = world.sense_elevation_patch(pose, CLASSIFIER_PATCH_SIZE, VLM_PATCH_RESOLUTION)
         image = render_patch_image(patch)
         api_key = os.environ.get(self.config.api_key_env)
         return vlm_classify(image, self.prompt, self.config, timestamp, api_key)
+
+
+# Consecutive classifier periods a calmer class must persist before the
+# mode moves down to it.
+DOWNSWITCH_PERIODS = 2
 
 
 class ModeSwitcher:
     """Mode selection with fail-safe fallback and down-switch hysteresis.
 
     Moving to a more severe mode happens immediately; moving down requires
-    the calmer class to persist for `downswitch_periods` consecutive
+    the calmer class to persist for `DOWNSWITCH_PERIODS` consecutive
     classifier periods. On classifier failure the previous assessment is
     retained for one period; persistent failure falls back to the most
     cautious mode.
     """
 
-    def __init__(self, downswitch_periods: int = 2):
-        self.downswitch_periods = downswitch_periods
+    def __init__(self):
         self.mode: NavMode | None = None
         self.assessment: TerrainAssessment | None = None
         self._pending: NavMode | None = None
@@ -245,7 +238,7 @@ class ModeSwitcher:
             else:
                 self._pending = target
                 self._pending_count = 1
-            if self._pending_count >= self.downswitch_periods:
+            if self._pending_count >= DOWNSWITCH_PERIODS:
                 self.mode = target
                 self._pending = None
                 self._pending_count = 0
@@ -275,7 +268,6 @@ class MissionRunner:
         config: ModeConfig = ModeConfig(),
         forced_mode: NavMode | None = None,
         start: RoverState | None = None,
-        pursuit: PursuitConfig = PursuitConfig(),
     ):
         if len(waypoints) == 0:
             raise MissionConfigError("waypoint queue is empty")
@@ -289,8 +281,7 @@ class MissionRunner:
             first = waypoints.points[0]
             start = RoverState(first[0], first[1], 0.0)
         self.state = start
-        self.switcher = ModeSwitcher(config.downswitch_periods)
-        self.pursuit = pursuit
+        self.switcher = ModeSwitcher()
         # cells the rover has actually traversed are proven drivable; they
         # stay plannable so the rover can always back out of regions the
         # map later condemns
@@ -330,7 +321,7 @@ class MissionRunner:
         pts = self.world.sense_points(self.state, self.config.map_window + 1.0,
                                       self.config.sense_resolution_safe)
         elev = build_elevation_grid(pts, geom)
-        grid = extract_obstacles(elev, inflate_radius=self.config.lethal_inflation)
+        grid = extract_obstacles(elev)
         self.server.update_from_local(grid, NavMode.SAFE)
 
     def _update_costmap(self) -> None:
@@ -350,7 +341,7 @@ class MissionRunner:
         pts = self.world.sense_points(self.state, self.config.map_window + 2.0 * margin + 1.0,
                                       self.config.cost_resolution)
         elev = build_elevation_grid(pts, geom)
-        cost = build_navigation_costmap(elev, slope_inflation=self.config.lethal_inflation)
+        cost = build_navigation_costmap(elev)
         core = CostGrid(
             cost.values[margin_cells:-margin_cells, margin_cells:-margin_cells].copy(),
             inner.origin, res,
@@ -538,7 +529,7 @@ class MissionRunner:
             if waypoint is not None and (tracker is None or stale_path) and n >= next_plan_tick:
                 path = self._plan(mode, waypoint)
                 if path is not None:
-                    tracker = PathTracker(path, self.pursuit)
+                    tracker = PathTracker(path)
                     stale_path = False
                 else:
                     next_plan_tick = n + col_ticks
@@ -671,12 +662,14 @@ def compare_single_vs_multi(
     terrain,
     waypoints: WaypointQueue,
     seed: int,
+    classifier,
     config: ModeConfig = ModeConfig(),
     start: RoverState | None = None,
     sensor_sigma: float = 0.0,
 ) -> ComparisonReport:
-    """Run the cautious-only baseline and the adaptive system on the same
-    world and waypoints, then report times, distances, and mode shares.
+    """Run the cautious-only baseline and the adaptive system, driven by
+    `classifier`, on the same world and waypoints, then report times,
+    distances, and mode shares.
 
     Mission failures propagate into the report (success flags / end
     reasons), not as exceptions.
@@ -689,6 +682,6 @@ def compare_single_vs_multi(
     multi_world = World(terrain, sensor_sigma=sensor_sigma, seed=seed)
     multi = run_mission(
         multi_world, WaypointQueue(list(waypoints.points)),
-        MockClassifierBackend(seed), config, forced_mode=None, start=start,
+        classifier, config, forced_mode=None, start=start,
     )
     return ComparisonReport(single.metrics, multi.metrics)

@@ -67,6 +67,15 @@ SLOPE_SCORE_FULL_DEG = 45.0
 ROCK_SCORE_CUTOFF = 0.25
 SLOPE_SCORE_CUTOFF = 0.5
 
+# Class cutoffs of the geometric baseline on its raw metrics. They split
+# the measured flat/rocky/challenging populations at their midpoints: flat
+# patches measure ~0 rough cells against >=125 for rocky ones, and rocky
+# patches stay below ~8 deg average slope against >=20 deg for challenging
+# ones. Slope variance is deliberately unused; it overlaps between the
+# rocky and challenging populations.
+ROCKY_MIN_ROUGH_CELLS = 60.0
+CHALLENGING_MIN_SLOPE_DEG = 14.0
+
 
 def class_for_scores(rock: float, slope: float) -> TerrainClass:
     """Class of a (rock, slope) score pair: slope decides challenging first."""

@@ -80,13 +80,14 @@ class Path:
         return np.concatenate([[0.0], np.cumsum(seg)])
 
 
-def bspline_path(start, goal, heading: float, spacing: float = PATH_SAMPLE_SPACING) -> Path:
+def bspline_path(start, goal, heading: float) -> Path:
     """Smooth path from start to goal, tangent to the current heading.
 
     Cubic clamped B-spline (here: a Bezier segment) through four control
     points: start, a point SPLINE_TANGENT_LEN ahead along the heading, the
-    start-goal midpoint, and the goal. Resampled at roughly `spacing` arc
-    steps; first and last points equal start and goal exactly.
+    start-goal midpoint, and the goal. Resampled at roughly
+    PATH_SAMPLE_SPACING arc steps; first and last points equal start and
+    goal exactly.
     """
     start = np.asarray(start, dtype=float)
     goal = np.asarray(goal, dtype=float)
@@ -105,7 +106,7 @@ def bspline_path(start, goal, heading: float, spacing: float = PATH_SAMPLE_SPACI
     seg = np.hypot(*np.diff(dense, axis=0).T)
     arc = np.concatenate([[0.0], np.cumsum(seg)])
     total = arc[-1]
-    n_samples = max(int(total / spacing), 1)
+    n_samples = max(int(total / PATH_SAMPLE_SPACING), 1)
     targets = np.linspace(0.0, total, n_samples + 1)
     xs = np.interp(targets, arc, dense[:, 0])
     ys = np.interp(targets, arc, dense[:, 1])
@@ -136,8 +137,11 @@ def astar_cost(grid: CostGrid, start, goal) -> Path:
 
     Edge weight = step length * (1 + COST_EDGE_ALPHA * mean endpoint cost
     / 100). Lethal and unknown cells are blocked: this planner must not
-    commit the rover to unsensed ground.
+    commit the rover to unsensed ground. A start that equals the goal
+    yields the one-point path at the start, whatever its cell holds.
     """
+    if np.allclose(start, goal):
+        return Path(start)
     blocked, mult = _graph(grid)
     rows, cols = blocked.shape
     sr, sc, gr, gc = _endpoint_cells(grid, start, goal)
@@ -284,13 +288,13 @@ def best_progress_path(grid: CostGrid, start, goal) -> Path:
     return _reconstruct(grid, came, sr * cols + sc, best[2])
 
 
-def path_collides(path: Path, grid: CostGrid, lethal: int = COST_MAX) -> bool:
-    """True when any path point lands on a cell of cost >= lethal.
+def path_collides(path: Path, grid: CostGrid) -> bool:
+    """True when any path point lands on a lethal cell (cost `COST_MAX`).
 
     Points outside the grid are ignored, and unknown cells never collide:
     a collision requires positive evidence.
     """
-    return bool((_values_under(path, grid) >= lethal).any())
+    return bool((_values_under(path, grid) >= COST_MAX).any())
 
 
 def path_cost(path: Path, grid: CostGrid) -> float:

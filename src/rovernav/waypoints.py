@@ -19,7 +19,9 @@ from .map_server import WaypointQueue
 from .planning import Path, astar_cost
 from .terrain import HeightField
 
-DEFAULT_COARSE_RESOLUTION = 2.0
+COARSE_RESOLUTION = 2.0
+# Lethal inflation of the coarse route costmap, meters.
+ROUTE_INFLATION = 3.0
 DEFAULT_WAYPOINT_SPACING = 20.0
 
 # At coarse scale the step feature only sees cell-to-cell jumps, so the
@@ -30,12 +32,11 @@ COARSE_WEIGHTS = CostWeights(fit_window_m=8.0, step_radius_m=2.0, rough_max=0.6,
                              slope_max_deg=27.0)
 
 
-def global_cost_from_dem(dem: HeightField, coarse_resolution: float = DEFAULT_COARSE_RESOLUTION,
-                         weights: CostWeights = COARSE_WEIGHTS) -> CostGrid:
-    """Mean-pool the elevation model to coarse cells, then cost it."""
+def global_cost_from_dem(dem: HeightField, weights: CostWeights = COARSE_WEIGHTS) -> CostGrid:
+    """Mean-pool the elevation model to COARSE_RESOLUTION cells, then cost it."""
     if dem.rows == 0 or dem.cols == 0:
         raise ValidationError("elevation model is empty")
-    block = max(round(coarse_resolution / dem.cell_size), 1)
+    block = max(round(COARSE_RESOLUTION / dem.cell_size), 1)
     rows = dem.rows // block
     cols = dem.cols // block
     if rows == 0 or cols == 0:
@@ -49,13 +50,6 @@ def global_cost_from_dem(dem: HeightField, coarse_resolution: float = DEFAULT_CO
         cell_size=block * dem.cell_size,
     )
     return compute_costmap(elev, weights)
-
-
-def min_cost_search(cost: CostGrid, start, goal) -> Path:
-    """Cost-minimizing route at coarse scale (same contract as astar_cost)."""
-    if np.allclose(np.asarray(start, dtype=float), np.asarray(goal, dtype=float)):
-        return Path(np.asarray(start, dtype=float)[None, :])
-    return astar_cost(cost, start, goal)
 
 
 def sparsify_waypoints(path: Path, spacing: float = DEFAULT_WAYPOINT_SPACING) -> WaypointQueue:
@@ -78,9 +72,7 @@ def sparsify_waypoints(path: Path, spacing: float = DEFAULT_WAYPOINT_SPACING) ->
 
 
 def plan_waypoints(dem: HeightField, start, goal,
-                   coarse_resolution: float = DEFAULT_COARSE_RESOLUTION,
-                   spacing: float = DEFAULT_WAYPOINT_SPACING,
-                   lethal_inflation: float = 3.0) -> WaypointQueue:
+                   spacing: float = DEFAULT_WAYPOINT_SPACING) -> WaypointQueue:
     """Full pre-mission pipeline: coarse costmap, route search, thinning.
 
     When no route satisfies the slope margin, the constraint ladder relaxes
@@ -90,14 +82,14 @@ def plan_waypoints(dem: HeightField, start, goal,
     from dataclasses import replace
 
     last_error = None
-    for slope_limit, inflation in ((COARSE_WEIGHTS.slope_max_deg, lethal_inflation),
-                                   (28.0, lethal_inflation), (29.5, 0.0)):
+    for slope_limit, inflation in ((COARSE_WEIGHTS.slope_max_deg, ROUTE_INFLATION),
+                                   (28.0, ROUTE_INFLATION), (29.5, 0.0)):
         weights = replace(COARSE_WEIGHTS, slope_max_deg=slope_limit)
-        cost = global_cost_from_dem(dem, coarse_resolution, weights)
+        cost = global_cost_from_dem(dem, weights)
         if inflation > 0:
             cost = inflate_lethal(cost, inflation)
         try:
-            route = min_cost_search(cost, start, goal)
+            route = astar_cost(cost, start, goal)
             return sparsify_waypoints(route, spacing)
         except (NoPathError, InvalidStartError) as exc:
             last_error = exc

@@ -24,7 +24,7 @@ TICK_DT = 0.05
 # Circumscribed disc of the 3.3 m x 3.2 m rover body.
 FOOTPRINT_RADIUS = 2.3
 
-DEFAULT_TILT_LIMIT_DEG = 30.0
+TILT_LIMIT_DEG = 30.0
 
 
 @dataclass(frozen=True)
@@ -83,26 +83,17 @@ def step(state: RoverState, cmd: VelocityCommand, dt: float) -> RoverState:
 
 
 class World:
-    """One simulation world: terrain plus sensing and hazard parameters."""
+    """One simulation world: terrain plus sensing noise and hazard checks."""
 
-    def __init__(
-        self,
-        terrain: Terrain,
-        sensor_sigma: float = 0.0,
-        seed: int = 0,
-        tilt_limit_deg: float = DEFAULT_TILT_LIMIT_DEG,
-        footprint_radius: float = FOOTPRINT_RADIUS,
-    ):
+    def __init__(self, terrain: Terrain, sensor_sigma: float = 0.0, seed: int = 0):
         self.terrain = terrain
         self.sensor_sigma = sensor_sigma
-        self.tilt_limit_deg = tilt_limit_deg
-        self.footprint_radius = footprint_radius
         self._rng = np.random.default_rng(np.random.SeedSequence([seed & 0xFFFFFFFFFFFFFFFF, 23]))
         # Fixed sample pattern for the footprint tilt fit: center plus two
         # rings of eight.
         angles = np.linspace(0.0, 2.0 * math.pi, 8, endpoint=False)
-        ring1 = footprint_radius * 0.5
-        ring2 = footprint_radius
+        ring1 = FOOTPRINT_RADIUS * 0.5
+        ring2 = FOOTPRINT_RADIUS
         self._tilt_dx = np.concatenate([[0.0], ring1 * np.cos(angles), ring2 * np.cos(angles)])
         self._tilt_dy = np.concatenate([[0.0], ring1 * np.sin(angles), ring2 * np.sin(angles)])
 
@@ -162,7 +153,7 @@ class World:
         contact (rock disc intersects the footprint disc), then tilt (plane
         fit of the ground under the footprint steeper than the limit).
         """
-        r = self.footprint_radius
+        r = FOOTPRINT_RADIUS
         if (pose.x - r < 0 or pose.x + r > self.extent_x
                 or pose.y - r < 0 or pose.y + r > self.extent_y):
             pos = (min(max(pose.x, 0.0), self.extent_x), min(max(pose.y, 0.0), self.extent_y))
@@ -174,7 +165,7 @@ class World:
         ys = pose.y + self._tilt_dy
         zs = np.asarray(self.terrain.ground.sample(xs, ys), dtype=float)
         a, b, _ = plane_fit_points(np.column_stack([xs, ys, zs]))
-        if slope_degrees(a, b) > self.tilt_limit_deg:
+        if slope_degrees(a, b) > TILT_LIMIT_DEG:
             return HazardEvent(HazardKind.TILT_EXCEEDED, (pose.x, pose.y), pose.time)
         return None
 

@@ -5,7 +5,6 @@ import pytest
 
 from rovernav.classify import (
     GeometricMetrics,
-    GeometricThresholds,
     TerrainAssessment,
     compute_terrain_metrics,
     mock_classify,
@@ -14,7 +13,6 @@ from rovernav.classify import (
     threshold_classify,
 )
 from rovernav.errors import InsufficientDataError, ValidationError, VlmSchemaError
-from rovernav.mapping import ElevationGrid
 from rovernav.modes import TerrainClass, class_for_scores
 from rovernav.terrain import HeightField
 
@@ -79,9 +77,8 @@ class TestGeometricMetrics:
         assert abs(a.slope_avg - b.slope_avg) < 0.5
 
     def test_unknown_only_region_raises(self):
-        grid = ElevationGrid(np.zeros((50, 50)), np.zeros((50, 50), dtype=bool), (0, 0), 0.1)
         with pytest.raises(InsufficientDataError):
-            compute_terrain_metrics(grid, radius=2.0)
+            compute_terrain_metrics(patch_from(np.full((50, 50), np.nan)), radius=2.0)
 
     def test_radius_beyond_patch_rejected(self):
         with pytest.raises(ValidationError):

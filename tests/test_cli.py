@@ -4,7 +4,8 @@ import pytest
 
 from rovernav import cli, mission
 from rovernav import config as cfgmod
-from rovernav.mission import ComparisonReport, MissionMetrics
+from rovernav.mission import ComparisonReport, GeometricClassifierBackend, MissionMetrics, MissionResult
+from rovernav.modes import NavMode
 
 SPEC = {
     "octaves": 2,
@@ -65,6 +66,13 @@ def test_non_numeric_config_value_is_config_error(tmp_path, capsys, command, cfg
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("command", ["run", "compare"])
+def test_vlm_without_endpoint_is_backend_error(tmp_path, capsys, command):
+    path = _write_config(tmp_path, {"terrain": FLAT, "classifier": "vlm"})
+    assert cli.main([command, path, "-o", str(tmp_path / "out")]) == cli.EXIT_BACKEND
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_compare_prints_no_speedup_from_a_failed_run(tmp_path, capsys, monkeypatch):
     single = MissionMetrics(success=True, end_reason="complete")
     single.time_by_mode["conservative"] = 120.0
@@ -78,3 +86,22 @@ def test_compare_prints_no_speedup_from_a_failed_run(tmp_path, capsys, monkeypat
     assert row[6] == "invalid"
     (report,) = json.loads((out / "comparison.json").read_text(encoding="utf-8"))
     assert report["speedup"] is None and report["time_ratio"] is None
+
+
+def test_compare_runs_the_configured_classifier_and_sensor_noise(tmp_path, monkeypatch):
+    calls = []
+
+    def fake_run_mission(world, waypoints, classifier, config, forced_mode=None, start=None):
+        calls.append((world, classifier, forced_mode))
+        metrics = MissionMetrics(success=True, end_reason="complete")
+        metrics.time_by_mode["conservative"] = 10.0
+        return MissionResult(metrics, [], None, None)
+
+    monkeypatch.setattr(mission, "run_mission", fake_run_mission)
+    cfg = {"terrain": {"specs": [SPEC]}, "waypoints": {"points": [[15, 10], [5, 10]]},
+           "classifier": "geometric", "sensor_sigma": 0.02}
+    assert cli.main(["compare", _write_config(tmp_path, cfg), "-o", str(tmp_path / "out")]) == cli.EXIT_OK
+    (single_world, single_classifier, single_mode), (multi_world, multi_classifier, multi_mode) = calls
+    assert (single_classifier, single_mode) == (None, NavMode.CONSERVATIVE)
+    assert isinstance(multi_classifier, GeometricClassifierBackend) and multi_mode is None
+    assert single_world.sensor_sigma == multi_world.sensor_sigma == 0.02

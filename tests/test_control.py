@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from rovernav.control import PathTracker, PursuitConfig, dynamic_lookahead, pure_pursuit
+from rovernav.control import L_MIN, PathTracker, dynamic_lookahead, pure_pursuit
 from rovernav.planning import Path
 from rovernav.world import RoverState, VelocityCommand, step
 
@@ -15,18 +15,17 @@ def straight_path(length=300.0, spacing=0.5, y=0.0):
 
 class TestLookahead:
     def test_zero_speed_clamps_low(self):
-        assert dynamic_lookahead(0.0, PursuitConfig()) == 1.0
+        assert dynamic_lookahead(0.0) == 1.0
 
     def test_formula(self):
-        cfg = PursuitConfig(k_lookahead=1.5, l_min=1.0, l_max=5.0)
-        assert dynamic_lookahead(2.0, cfg) == pytest.approx(3.0)
+        assert dynamic_lookahead(2.0) == pytest.approx(3.0)
 
     def test_high_speed_clamps_high(self):
-        assert dynamic_lookahead(100.0, PursuitConfig()) == 5.0
+        assert dynamic_lookahead(100.0) == 5.0
 
     def test_negative_speed_rejected(self):
         with pytest.raises(ValueError):
-            dynamic_lookahead(-0.1, PursuitConfig())
+            dynamic_lookahead(-0.1)
 
 
 class TestPurePursuit:
@@ -56,13 +55,12 @@ class TestPurePursuit:
             assert cmd.linear <= 2.0 + 1e-12
 
     def test_curvature_bound(self):
-        cfg = PursuitConfig()
         path = Path(np.array([[0.0, 1.0], [-3.0, 1.0], [-3.0, 20.0]]))
         for heading in np.linspace(-math.pi, math.pi, 17):
             state = RoverState(0.0, 0.0, heading, speed=2.0)
-            cmd, _ = pure_pursuit(state, path, 2.0, cfg)
+            cmd, _ = pure_pursuit(state, path, 2.0)
             if cmd.linear > 0:
-                assert abs(cmd.angular) <= 2.0 * cmd.linear / cfg.l_min + 1e-9
+                assert abs(cmd.angular) <= 2.0 * cmd.linear / L_MIN + 1e-9
 
     def test_monotone_cursor(self):
         path = straight_path(50.0)

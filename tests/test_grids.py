@@ -79,6 +79,22 @@ def test_plane_fit_grid_degenerate_windows_give_zero_plane(window):
         _check_plane_fit(z, known, window, 0.5)
 
 
+def test_plane_fit_grid_collinear_cells_give_zero_plane_anywhere():
+    # Three known cells in one column span no plane. The moments are sums
+    # of grid coordinates, so far from the origin their rounding must not
+    # pass for a spread in the second direction.
+    placements = [(r, c) for r in range(0, 120, 8) for c in range(0, 119, 7)]
+    assert len(placements) == 255
+    for r, c in placements:
+        z = np.zeros((120, 120))
+        known = np.zeros(z.shape, dtype=bool)
+        known[r:r + 3, c] = True
+        z[r:r + 3, c] = (0.3, -0.2, 0.5)
+        a, b, c_, rms, _ = plane_fit_grid(z, known, 9, 0.5)
+        for out in (a, b, c_, rms):
+            assert not out.any(), (r, c)
+
+
 def test_plane_fit_points_matches_lstsq():
     rng = np.random.default_rng(7)
     for n in (3, 4, 17, 60):

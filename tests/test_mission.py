@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import http.server
 import json
@@ -10,13 +11,16 @@ import pytest
 
 from rovernav.classify import TerrainAssessment, VlmConfig
 from rovernav.config import build_scene
+from rovernav.errors import ValidationError
 from rovernav.map_server import WaypointQueue
 from rovernav.mapping import COST_MAX, CostGrid
 from rovernav.mission import (
+    DOWNSWITCH_PERIODS,
     ComparisonReport,
     MissionMetrics,
     MissionRunner,
     MockClassifierBackend,
+    ModeConfig,
     ModeSwitcher,
     VlmClassifierBackend,
     run_mission,
@@ -125,6 +129,21 @@ def test_comparison_speedup_only_when_both_runs_succeed(single_ok, multi_ok):
         assert row["speedup"] is None and row["time_ratio"] is None
 
 
+def test_every_scheduler_rate_divides_the_tick():
+    config = ModeConfig()
+    for rate in (config.control_rate, config.obstacle_rate, config.costmap_rate,
+                 config.collision_rate, config.classifier_rate):
+        ticks = config.tick_rate / rate
+        assert ticks == round(ticks) == config.ticks(rate), rate
+
+
+def test_mode_config_sets_only_speeds():
+    assert [f.name for f in dataclasses.fields(ModeConfig)] == [
+        "speed_efficient", "speed_safe", "speed_conservative"]
+    with pytest.raises(ValidationError):
+        ModeConfig(speed_efficient=0.8, speed_safe=0.8, speed_conservative=0.5)
+
+
 FLAT, ROCKY, CHALLENGING = (TerrainAssessment(c, 0.1, 0.1) for c in TerrainClass)
 
 
@@ -133,19 +152,19 @@ def _modes(switcher, verdicts):
 
 
 def test_mode_switcher_upgrades_immediately():
-    assert _modes(ModeSwitcher(2), [FLAT, ROCKY, CHALLENGING]) == [
+    assert _modes(ModeSwitcher(), [FLAT, ROCKY, CHALLENGING]) == [
         NavMode.EFFICIENT, NavMode.SAFE, NavMode.CONSERVATIVE]
 
 
 def test_mode_switcher_downgrade_waits_for_consecutive_calmer_verdicts():
-    switcher = ModeSwitcher(3)
+    switcher = ModeSwitcher()
     switcher.update(CHALLENGING)
-    assert _modes(switcher, [FLAT, FLAT, FLAT]) == [
-        NavMode.CONSERVATIVE, NavMode.CONSERVATIVE, NavMode.EFFICIENT]
+    assert _modes(switcher, [FLAT] * DOWNSWITCH_PERIODS) == (
+        [NavMode.CONSERVATIVE] * (DOWNSWITCH_PERIODS - 1) + [NavMode.EFFICIENT])
 
 
 def test_mode_switcher_interrupted_streak_resets():
-    switcher = ModeSwitcher(2)
+    switcher = ModeSwitcher()
     switcher.update(CHALLENGING)
     # a same-mode verdict, then a different calmer class, each restart the count
     assert _modes(switcher, [FLAT, CHALLENGING, FLAT, ROCKY, ROCKY]) == [
@@ -154,18 +173,18 @@ def test_mode_switcher_interrupted_streak_resets():
 
 
 def test_mode_switcher_keeps_mode_over_one_missed_verdict():
-    switcher = ModeSwitcher(2)
+    switcher = ModeSwitcher()
     switcher.update(FLAT)
     assert _modes(switcher, [None, FLAT, None]) == [NavMode.EFFICIENT] * 3
     assert switcher.assessment is FLAT
 
 
 def test_mode_switcher_falls_back_to_conservative():
-    switcher = ModeSwitcher(2)
+    switcher = ModeSwitcher()
     switcher.update(FLAT)
     assert _modes(switcher, [None, None]) == [NavMode.EFFICIENT, NavMode.CONSERVATIVE]
     assert switcher.assessment is None
-    assert ModeSwitcher(2).update(None) is NavMode.CONSERVATIVE
+    assert ModeSwitcher().update(None) is NavMode.CONSERVATIVE
 
 
 class _VlmStub(http.server.BaseHTTPRequestHandler):

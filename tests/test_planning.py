@@ -332,7 +332,7 @@ class TestPathChecks:
             known = [float(v) for v in under if v >= 0]
             path = Path(pts)
             assert path_cost(path, grid) == (sum(known) / len(known) if known else 0.0)
-            assert path_collides(path, grid, lethal=80) == any(v >= 80 for v in under)
+            assert path_collides(path, grid) == any(v >= COST_MAX for v in under)
 
     def test_path_cost_unknown_only_is_zero(self):
         from rovernav.planning import Path

@@ -2,12 +2,11 @@ import numpy as np
 import pytest
 
 from rovernav.errors import ValidationError
-from rovernav.planning import Path
+from rovernav.planning import Path, astar_cost
 from rovernav.terrain import HeightField
 from rovernav.waypoints import (
     global_cost_from_dem,
     load_waypoints,
-    min_cost_search,
     plan_waypoints,
     save_waypoints,
     sparsify_waypoints,
@@ -22,12 +21,12 @@ def dem(elevation, cell=0.5):
 
 class TestCoarseCost:
     def test_flat_dem_zero_cost(self):
-        cost = global_cost_from_dem(dem(np.zeros((200, 200))), 2.0)
+        cost = global_cost_from_dem(dem(np.zeros((200, 200))))
         assert (cost.values == 0).all()
         assert cost.cell_size == 2.0
 
     def test_dimensions(self):
-        cost = global_cost_from_dem(dem(np.zeros((800, 800))), 2.0)
+        cost = global_cost_from_dem(dem(np.zeros((800, 800))))
         assert cost.rows == cost.cols == 200
 
     def test_ridge_cost_positive_valley_zero(self):
@@ -35,7 +34,7 @@ class TestCoarseCost:
         xs = (np.arange(n) + 0.5) * 0.5
         ridge = 6.0 * np.exp(-((xs - 50.0) ** 2) / (2 * 4.0**2))  # ~25 deg flanks
         z = np.tile(ridge, (n, 1))
-        cost = global_cost_from_dem(dem(z), 2.0)
+        cost = global_cost_from_dem(dem(z))
         mid = cost.cols // 2
         assert (cost.values[:, mid - 3 : mid + 3] > 0).all()
         assert (cost.values[:, :5] == 0).all()
@@ -43,13 +42,13 @@ class TestCoarseCost:
 
 class TestMinCostSearch:
     def test_uniform_grid_straight(self):
-        cost = global_cost_from_dem(dem(np.zeros((100, 100))), 2.0)
-        path = min_cost_search(cost, (3.0, 25.0), (47.0, 25.0))
+        cost = global_cost_from_dem(dem(np.zeros((100, 100))))
+        path = astar_cost(cost, (3.0, 25.0), (47.0, 25.0))
         assert path.length() == pytest.approx(44.0, abs=2.1)
 
     def test_start_equals_goal(self):
-        cost = global_cost_from_dem(dem(np.zeros((100, 100))), 2.0)
-        path = min_cost_search(cost, (10.0, 10.0), (10.0, 10.0))
+        cost = global_cost_from_dem(dem(np.zeros((100, 100))))
+        path = astar_cost(cost, (10.0, 10.0), (10.0, 10.0))
         assert len(path) == 1
 
     def test_detours_around_high_cost_hill(self):
@@ -57,8 +56,8 @@ class TestMinCostSearch:
         coords = (np.arange(n) + 0.5) * 0.5
         gx, gy = np.meshgrid(coords, coords)
         z = 14.0 * np.exp(-((gx - 60.0) ** 2 + (gy - 60.0) ** 2) / (2 * 9.0**2))
-        cost = global_cost_from_dem(dem(z), 2.0)
-        path = min_cost_search(cost, (11.0, 60.0), (109.0, 60.0))
+        cost = global_cost_from_dem(dem(z))
+        path = astar_cost(cost, (11.0, 60.0), (109.0, 60.0))
         # oracle agreement on total weight
         sr, sc = int(60.0 / 2.0), int(11.0 / 2.0)
         gr, gc = int(60.0 / 2.0), int(109.0 / 2.0)
