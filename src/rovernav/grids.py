@@ -5,12 +5,18 @@ cell (r, c) has its center at (origin_x + (c + 0.5) * cell_size,
 origin_y + (r + 0.5) * cell_size). This module holds the only copies of
 the world<->cell transform (`world_to_cell`, `cell_center`), the 3x3
 neighborhood (`neighbor_slices`), the hillshade (`hillshade`), disc
-inflation (`dilate_disc`) and the least-squares plane solve, which
+inflation (`dilate_disc`), the disc extrema (`disc_max`, `disc_min`, one
+1-D filter per disc row width) and the least-squares plane solve, which
 `plane_fit_grid` and `plane_fit_points` share, next to bilinear sampling.
+The solve is split into a sample-layout half and a height half; for grids
+the layout half depends only on the known-cell mask, so `plane_fit_grid`
+caches it for the last mask seen and refits a new surface on an unchanged
+mask from its four height moments alone.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -63,12 +69,14 @@ def bilinear_sample(values: np.ndarray, origin, cell_size, xs, ys):
     fx = (np.asarray(xs, dtype=float) - origin[0]) / cell_size - 0.5
     fy = (np.asarray(ys, dtype=float) - origin[1]) / cell_size - 0.5
     rows, cols = values.shape
-    fx = np.clip(fx, 0.0, cols - 1.0)
-    fy = np.clip(fy, 0.0, rows - 1.0)
-    c0 = np.clip(np.floor(fx).astype(int), 0, cols - 2) if cols > 1 else np.zeros_like(fx, dtype=int)
-    r0 = np.clip(np.floor(fy).astype(int), 0, rows - 2) if rows > 1 else np.zeros_like(fy, dtype=int)
-    c1 = np.minimum(c0 + 1, cols - 1)
-    r1 = np.minimum(r0 + 1, rows - 1)
+    fx = np.minimum(np.maximum(fx, 0.0), cols - 1.0)
+    fy = np.minimum(np.maximum(fy, 0.0), rows - 1.0)
+    # Truncation is the floor once clamped to >= 0. A grid one cell wide
+    # reads its one column (row) twice.
+    c0 = np.minimum(fx.astype(int), max(cols - 2, 0))
+    r0 = np.minimum(fy.astype(int), max(rows - 2, 0))
+    c1 = c0 + (cols > 1)
+    r1 = r0 + (rows > 1)
     tx = fx - c0
     ty = fy - r0
     v00 = values[r0, c0]
@@ -94,50 +102,65 @@ def plane_fit_grid(z: np.ndarray, known: np.ndarray, window_cells: int, cell_siz
     window_cells x window_cells window (dx, dy in meters relative to the
     window center). Returns (a, b, c, rms_residual, count) arrays. Cells
     whose window holds fewer than 3 known samples, or a degenerate sample
-    layout, get a zero plane and zero residual.
+    layout, get a zero plane and zero residual. The mask half of the solve
+    is cached (`_mask_geometry`), so the returned count is read-only.
     """
-    rows, cols = z.shape
-    k = known.astype(float)
+    known = np.asarray(known, dtype=bool)
+    geom = _mask_geometry(known.shape, window_cells, cell_size, known.tobytes())
+    count, ok = geom[0], geom[-1]
+    gx, gy = _cell_coords(known.shape, cell_size)
     zk = np.where(known, z, 0.0)
+    sz = window_sums(zk, window_cells)
+    szx = window_sums(zk * gx, window_cells)
+    szy = window_sums(zk * gy, window_cells)
+    szz = window_sums(zk * zk, window_cells)
+    # Empty windows (count = 0) divide by zero; ok is false there.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        a, b, c, ss_res = _plane_solve(geom, sz, szx - gx * sz, szy - gy * sz, szz)
+        rms = np.sqrt(np.maximum(ss_res, 0.0) / count)
+    return np.where(ok, a, 0.0), np.where(ok, b, 0.0), np.where(ok, c, 0.0), np.where(ok, rms, 0.0), count
+
+
+def _cell_coords(shape, cell_size):
+    """Cell-center x and y in meters from the grid corner, broadcast to shape."""
+    rows, cols = shape
     xs = (np.arange(cols) + 0.5) * cell_size
     ys = (np.arange(rows) + 0.5) * cell_size
-    gx = np.broadcast_to(xs, (rows, cols))
-    gy = np.broadcast_to(ys[:, None], (rows, cols))
+    return np.broadcast_to(xs, shape), np.broadcast_to(ys[:, None], shape)
+
+
+@functools.lru_cache(maxsize=1)
+def _mask_geometry(shape, window_cells, cell_size, known_bytes):
+    """`_plane_geometry` of every window of a mask, kept for the last mask.
+
+    The moments are taken about each window's own center cell, which keeps
+    the normal equations exact for irregular known-cell masks. The arrays
+    are shared by every caller of the cache, so they are read-only.
+    """
+    k = np.frombuffer(known_bytes, dtype=bool).reshape(shape).astype(float)
+    gx, gy = _cell_coords(shape, cell_size)
 
     def w(a):
         return window_sums(a, window_cells)
 
     # The known-cell count, rounded: the filter can sum 3 cells to 2.999...,
-    # which would fail the 3-sample test below.
+    # which would fail the 3-sample test.
     s1 = np.rint(w(k))
     sx = w(k * gx)
     sy = w(k * gy)
     sxx = w(k * gx * gx)
     syy = w(k * gy * gy)
     sxy = w(k * gx * gy)
-    sz = w(zk)
-    szx = w(zk * gx)
-    szy = w(zk * gy)
-    szz = w(zk * zk)
-
-    # Re-center moments on each window's own centroid-free coordinates
-    # (relative to the cell center), keeping the normal equations exact
-    # for irregular known-cell masks.
-    cx = gx
-    cy = gy
-    m_x = sx - s1 * cx
-    m_y = sy - s1 * cy
-    m_xx = sxx - 2 * cx * sx + cx * cx * s1
-    m_yy = syy - 2 * cy * sy + cy * cy * s1
-    m_xy = sxy - cx * sy - cy * sx + cx * cy * s1
-    m_zx = szx - cx * sz
-    m_zy = szy - cy * sz
-
-    # Empty windows (s1 = 0) divide by zero; ok is false there.
     with np.errstate(divide="ignore", invalid="ignore"):
-        a, b, c, ss_res, ok = _plane_from_moments(s1, m_x, m_y, m_xx, m_yy, m_xy, sz, m_zx, m_zy, szz)
-        rms = np.sqrt(np.maximum(ss_res, 0.0) / s1)
-    return np.where(ok, a, 0.0), np.where(ok, b, 0.0), np.where(ok, c, 0.0), np.where(ok, rms, 0.0), s1
+        geom = _plane_geometry(
+            s1, sx - s1 * gx, sy - s1 * gy,
+            sxx - 2 * gx * sx + gx * gx * s1,
+            syy - 2 * gy * sy + gy * gy * s1,
+            sxy - gx * sy - gy * sx + gx * gy * s1,
+        )
+    for arr in geom:
+        arr.flags.writeable = False
+    return geom
 
 
 def plane_fit_points(points: np.ndarray):
@@ -155,37 +178,47 @@ def plane_fit_points(points: np.ndarray):
     lhs = rel.copy()
     lhs[:, 2] = 1.0
     (sxx, sxy, szx), (_, syy, szy), (sx, sy, sz) = (lhs.T @ rel).tolist()
-    a, b, c, _, _ = _plane_from_moments(float(len(pts)), sx, sy, sxx, syy, sxy, sz, szx, szy, 0.0)
+    geom = _plane_geometry(float(len(pts)), sx, sy, sxx, syy, sxy)
+    a, b, c, _ = _plane_solve(geom, sz, szx, szy, 0.0)
     return a, b, c - a * x0 - b * y0
 
 
-def _plane_from_moments(s1, sx, sy, sxx, syy, sxy, sz, szx, szy, szz):
-    """Least-squares plane z = a*x + b*y + c from sample count and moment sums.
+def _plane_geometry(s1, sx, sy, sxx, syy, sxy):
+    """Sample-layout half of the least-squares plane z = a*x + b*y + c.
 
-    Arrays or floats. Eliminating c leaves a 2x2 system about the centroid,
-    solved by Cramer's rule. Returns (a, b, c, sum of squared residuals, ok).
-    ok is false below 3 samples or when the samples lie on one line, that
-    is when det2, the determinant of the centered 2x2 system, is at most
+    Arrays or floats: the sample count and x, y moment sums. Eliminating c
+    leaves a 2x2 system about the centroid, which `_plane_solve` solves by
+    Cramer's rule. Returns (s1, mx, my, cxx, cyy, cxy, inv, ok). ok is
+    false below 3 samples or when the samples lie on one line, that is when
+    det2, the determinant of the centered 2x2 system, is at most
     1e-9 * (cxx + cyy)**2: the product of the spread's two principal
     variances against the square of their sum, so the test does not depend
-    on the coordinate scale or offset. Then a = b = 0 and c is the mean z.
+    on the coordinate scale or offset. inv is 1 / det2 where ok, else 0,
+    which makes a = b = 0 and c the mean z.
     """
     mx = sx / s1
     my = sy / s1
-    mz = sz / s1
     cxx = sxx - sx * mx
     cyy = syy - sy * my
     cxy = sxy - sx * my
-    czx = szx - sz * mx
-    czy = szy - sz * my
     det2 = cxx * cyy - cxy * cxy
     ok = (s1 >= 3) & (det2 > 1e-9 * (cxx + cyy) ** 2)
-    inv = ok / (det2 + (1 - ok))  # 1 / det2 where ok, else 0, never dividing by zero
+    inv = ok / (det2 + (1 - ok))  # never divides by zero
+    return s1, mx, my, cxx, cyy, cxy, inv, ok
+
+
+def _plane_solve(geom, sz, szx, szy, szz):
+    """Height half of the plane fit, from `_plane_geometry` and the z, zx,
+    zy, zz moment sums. Returns (a, b, c, sum of squared residuals)."""
+    s1, mx, my, cxx, cyy, cxy, inv, _ = geom
+    mz = sz / s1
+    czx = szx - sz * mx
+    czy = szy - sz * my
     a = (czx * cyy - czy * cxy) * inv
     b = (cxx * czy - cxy * czx) * inv
     c = mz - a * mx - b * my
     ss_res = szz - sz * mz - a * czx - b * czy
-    return a, b, c, ss_res, ok
+    return a, b, c, ss_res
 
 
 def slope_degrees(a, b):
@@ -205,6 +238,36 @@ def dilate_disc(mask: np.ndarray, radius_cells: float) -> np.ndarray:
         return np.zeros_like(mask, dtype=bool)
     d = ndimage.distance_transform_edt(~mask)
     return np.rint(d * d) <= radius_cells * radius_cells
+
+
+def disc_max(values: np.ndarray, radius_cells: float) -> np.ndarray:
+    """Maximum of `values` over the disc `disk_footprint(radius_cells)`
+    around each cell, edge cells repeated beyond the border."""
+    return _disc_extremum(values, radius_cells, ndimage.maximum_filter1d, np.maximum)
+
+
+def disc_min(values: np.ndarray, radius_cells: float) -> np.ndarray:
+    """Minimum counterpart of `disc_max`."""
+    return _disc_extremum(values, radius_cells, ndimage.minimum_filter1d, np.minimum)
+
+
+def _disc_extremum(values, radius_cells, filter1d, combine):
+    """The disc as row segments: its row at offset dy spans columns -w..w,
+    so it is one 1-D filter of width 2w + 1 (one per distinct w), read dy
+    rows away with the row index clamped to the grid. Max and min round
+    nothing, so this equals the 2-D footprint filter bit for bit.
+    """
+    half = disk_footprint(radius_cells).sum(axis=1) // 2
+    reach = len(half) // 2
+    rows = values.shape[0]
+    # Edge-padded by `reach` rows: padded row y + i is row y + i - reach, clamped.
+    padded = {w: np.pad(filter1d(values, 2 * w + 1, axis=1, mode="nearest"),
+                        ((reach, reach), (0, 0)), mode="edge")
+              for w in set(half.tolist())}
+    out = padded[half[0]][:rows].copy()
+    for i, w in enumerate(half.tolist()[1:], start=1):
+        combine(out, padded[w][i:i + rows], out=out)
+    return out
 
 
 def disk_footprint(radius_cells: float) -> np.ndarray:

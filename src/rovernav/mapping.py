@@ -18,10 +18,9 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy import ndimage
 
 from .errors import ValidationError
-from .grids import dilate_disc, disk_footprint, neighbor_slices, plane_fit_grid, slope_degrees, world_to_cell
+from .grids import dilate_disc, disc_max, disc_min, neighbor_slices, plane_fit_grid, slope_degrees, world_to_cell
 
 COST_MAX = 100
 COST_UNKNOWN = -1
@@ -170,7 +169,10 @@ def cost_features(elev: ElevationGrid, weights: CostWeights = CostWeights()):
 
     Per cell: fit a plane over the footprint-scaled window (slope = plane
     inclination, roughness = RMS residual of the fit), then measure the
-    largest detrended elevation jump to any known cell within step_radius.
+    largest detrended elevation jump to any known cell within step_radius,
+    from the disc maximum and minimum of the detrended heights
+    (`grids.disc_max`, `grids.disc_min`; unknown cells enter as -inf and
+    +inf, so they never win).
     cost = 100 * (w_s*min(s/s_max,1) + w_r*min(r/r_max,1) +
     w_h*min(h/h_max,1)), forced to 100 when any feature saturates.
     """
@@ -181,9 +183,9 @@ def cost_features(elev: ElevationGrid, weights: CostWeights = CostWeights()):
     a, b, c, rough, _ = plane_fit_grid(elev.elevation, elev.known, win, cell)
     slope = slope_degrees(a, b)
     res = np.where(elev.known, elev.elevation - c, 0.0)
-    ring = disk_footprint(max(weights.step_radius_m / cell, 1.0))
-    res_hi = ndimage.maximum_filter(np.where(elev.known, res, -np.inf), footprint=ring, mode="nearest")
-    res_lo = ndimage.minimum_filter(np.where(elev.known, res, np.inf), footprint=ring, mode="nearest")
+    ring = max(weights.step_radius_m / cell, 1.0)
+    res_hi = disc_max(np.where(elev.known, res, -np.inf), ring)
+    res_lo = disc_min(np.where(elev.known, res, np.inf), ring)
     step = np.maximum(res - res_lo, res_hi - res)
     step = np.where(np.isfinite(step), step, 0.0)
     f = 100.0 * (

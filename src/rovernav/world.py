@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import EmptyPatchError, ValidationError
 from .grids import cell_center, plane_fit_points, slope_degrees
-from .terrain import HeightField, Terrain
+from .terrain import HeightField, RockSet, Terrain, add_rocks_to_field
 
 # Physics tick: 20 Hz divides every scheduler rate used by the mission.
 TICK_DT = 0.05
@@ -108,10 +108,13 @@ class World:
     def sense_elevation_patch(self, pose: RoverState, size: float, resolution: float) -> HeightField:
         """Resample the true surface on a size x size window around the pose.
 
-        Ground is sampled bilinearly (edge-clamped beyond the map border) and
-        rock caps are evaluated analytically, so rocks register at their true
-        height regardless of the ground grid pitch. Optional zero-mean
-        Gaussian noise of the configured sigma is added per sample.
+        The window is a lattice of cell centers, so the ground is sampled
+        bilinearly (edge-clamped beyond the map border) from one row of x
+        and one column of y, broadcast against each other. Rock caps are
+        then evaluated analytically by `add_rocks_to_field`, inside each
+        nearby rock's bounding box, so rocks register at their true height
+        regardless of the ground grid pitch. Optional zero-mean Gaussian
+        noise of the configured sigma is added per sample, last.
         """
         if size <= 0 or resolution <= 0:
             raise ValidationError("size and resolution must be positive")
@@ -121,14 +124,11 @@ class World:
             raise EmptyPatchError("sensing window lies entirely outside the terrain")
         n = round(size / resolution)
         origin = (pose.x - half, pose.y - half)
-        gx, gy = np.meshgrid(*cell_center(np.arange(n), np.arange(n), origin, resolution))
-        z = np.asarray(self.terrain.ground.sample(gx, gy), dtype=float)
+        xs, ys = cell_center(np.arange(n), np.arange(n), origin, resolution)
+        z = np.asarray(self.terrain.ground.sample(xs[None, :], ys[:, None]), dtype=float)
         rocks = self._rocks_near(pose.x, pose.y, half + 0.1)
         if rocks:
-            layer = np.zeros_like(z)
-            for rock in rocks:
-                layer = np.maximum(layer, rock.cap_height(gx, gy))
-            z = z + layer
+            z = add_rocks_to_field(HeightField(z, origin, resolution), RockSet(rocks)).elevation
         if self.sensor_sigma > 0:
             z = z + self._rng.normal(0.0, self.sensor_sigma, size=z.shape)
         return HeightField(z, origin, resolution)
@@ -141,9 +141,9 @@ class World:
         edge-clamped elevation.
         """
         patch = self.sense_elevation_patch(pose, size, resolution)
-        gx, gy = np.meshgrid(*cell_center(np.arange(patch.rows), np.arange(patch.cols),
-                                          patch.origin, patch.cell_size))
-        inside = (gx >= 0) & (gx <= self.extent_x) & (gy >= 0) & (gy <= self.extent_y)
+        xs, ys = cell_center(np.arange(patch.rows), np.arange(patch.cols), patch.origin, patch.cell_size)
+        gx, gy = np.broadcast_arrays(xs[None, :], ys[:, None])
+        inside = ((xs >= 0) & (xs <= self.extent_x))[None, :] & ((ys >= 0) & (ys <= self.extent_y))[:, None]
         return np.column_stack([gx[inside], gy[inside], patch.elevation[inside]])
 
     def check_hazard(self, pose: RoverState) -> HazardEvent | None:

@@ -2,8 +2,8 @@
 
 These deliberately share no code with the package: plain-dict Dijkstra
 over the same 8-connected movement model, a brute-force point-to-segment
-distance, a shift-and-OR disc dilation and a per-window least-squares plane
-fit. Keep them simple and slow.
+distance, a shift-and-OR disc dilation, shift-and-compare disc extrema and a
+per-window least-squares plane fit. Keep them simple and slow.
 """
 
 import heapq
@@ -117,6 +117,32 @@ def dilate_disc(mask, radius_cells):
                     if 0 <= r + dr < rows and 0 <= c + dc < cols:
                         out[r + dr][c + dc] = True
     return out
+
+
+def _disc_extremum(values, radius_cells, pick):
+    rows, cols = values.shape
+    reach = int(math.floor(radius_cells))
+    out = None
+    for dr in range(-reach, reach + 1):
+        for dc in range(-reach, reach + 1):
+            if dr * dr + dc * dc > radius_cells * radius_cells:
+                continue
+            r_idx = [min(max(r + dr, 0), rows - 1) for r in range(rows)]
+            c_idx = [min(max(c + dc, 0), cols - 1) for c in range(cols)]
+            shifted = values[np.ix_(r_idx, c_idx)]
+            out = shifted if out is None else pick(out, shifted)
+    return out
+
+
+def disc_max(values, radius_cells):
+    """Max over every offset (dr, dc) with dr*dr + dc*dc <= radius_cells**2,
+    indices clamped to the grid edge."""
+    return _disc_extremum(np.asarray(values), radius_cells, np.maximum)
+
+
+def disc_min(values, radius_cells):
+    """Min counterpart of `disc_max`."""
+    return _disc_extremum(np.asarray(values), radius_cells, np.minimum)
 
 
 def plane_fit_window(z, known, window, cell_size):

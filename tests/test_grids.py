@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from rovernav.grids import dilate_disc, plane_fit_grid, plane_fit_points
+from rovernav.grids import bilinear_sample, dilate_disc, disc_max, disc_min, plane_fit_grid, plane_fit_points
 
+import oracles
 from oracles import dilate_disc as dilate_disc_oracle
 from oracles import plane_fit_window
 
@@ -45,6 +46,29 @@ def test_single_border_cell(radius):
         _check(mask, radius)
 
 
+DISC_EXTREMA_RADII = [1.0, 2.5, 5.0, math.sqrt(13), 7.3]
+
+
+def _holey_grid(rng, shape):
+    # Few holes, so that most discs, even at r = 7.3, hold only finite values.
+    grid = rng.normal(0.0, 1.0, shape)
+    holes = max(grid.size // 150, 1)
+    grid.flat[rng.choice(grid.size, holes)] = np.inf
+    grid.flat[rng.choice(grid.size, holes)] = -np.inf
+    return grid
+
+
+@pytest.mark.parametrize("radius", DISC_EXTREMA_RADII)
+def test_disc_extrema_match_oracle(radius):
+    # Shapes include grids narrower and shorter than the disc, where the
+    # clamped rows and columns repeat the edge many times over.
+    rng = np.random.default_rng(int(radius * 100))
+    for shape in ((24, 31), (40, 9), (3, 17), (1, 12), (11, 1), (2, 2)):
+        grid = _holey_grid(rng, shape)
+        assert np.array_equal(disc_max(grid, radius), oracles.disc_max(grid, radius))
+        assert np.array_equal(disc_min(grid, radius), oracles.disc_min(grid, radius))
+
+
 def _check_plane_fit(z, known, window, cell):
     # The residual comes from moment sums, where an exact fit leaves rounding
     # of order 1e-16 that the square root lifts to 1e-8, so rms is compared
@@ -63,6 +87,31 @@ def test_plane_fit_grid_matches_oracle(window):
     for shape, cell in (((9, 13), 0.5), ((16, 11), 0.1), ((7, 7), 2.0)):
         z = rng.normal(0.0, 1.0, shape) + 0.3 * np.arange(shape[1]) * cell
         _check_plane_fit(z, rng.random(shape) >= 0.3, window, cell)
+
+
+def test_plane_fit_grid_cache_follows_the_mask():
+    # Alternating masks, and one mask under new heights, must each give the
+    # fit of their own inputs, not of the mask or heights before them.
+    rng = np.random.default_rng(11)
+    shape, window, cell = (12, 10), 5, 0.5
+    masks = [rng.random(shape) >= 0.3, rng.random(shape) >= 0.6]
+    for known in masks + masks:
+        _check_plane_fit(rng.normal(0.0, 1.0, shape), known, window, cell)
+    for _ in range(3):
+        _check_plane_fit(rng.normal(0.0, 1.0, shape) + 0.2 * np.arange(shape[0])[:, None], masks[0], window, cell)
+
+
+def test_plane_fit_grid_count_is_read_only():
+    rng = np.random.default_rng(12)
+    z = rng.normal(0.0, 1.0, (9, 9))
+    known = rng.random(z.shape) >= 0.2
+    first = plane_fit_grid(z, known, 3, 0.5)
+    with pytest.raises(ValueError):
+        first[4][0, 0] = 99.0
+    again = plane_fit_grid(z, known, 3, 0.5)
+    for f, g in zip(first, again):
+        assert np.array_equal(f, g)
+    assert again[4][0, 0] != 99.0
 
 
 @pytest.mark.parametrize("window", [3, 5])
@@ -112,3 +161,34 @@ def test_plane_fit_points_matches_lstsq():
 def test_plane_fit_points_on_a_line_give_flat_plane():
     points = np.array([[480.0 + t, 70.0 + 2.0 * t, 0.1 * t] for t in range(5)])
     assert plane_fit_points(points) == pytest.approx((0.0, 0.0, 0.2))
+
+
+def _bilinear_reference(values, origin, cell_size, xs, ys):
+    """Edge-clamped bilinear interpolation, written with clip and floor."""
+    fx = (np.asarray(xs, dtype=float) - origin[0]) / cell_size - 0.5
+    fy = (np.asarray(ys, dtype=float) - origin[1]) / cell_size - 0.5
+    rows, cols = values.shape
+    fx = np.clip(fx, 0.0, cols - 1.0)
+    fy = np.clip(fy, 0.0, rows - 1.0)
+    c0 = np.clip(np.floor(fx).astype(int), 0, max(cols - 2, 0))
+    r0 = np.clip(np.floor(fy).astype(int), 0, max(rows - 2, 0))
+    c1 = np.minimum(c0 + 1, cols - 1)
+    r1 = np.minimum(r0 + 1, rows - 1)
+    tx = fx - c0
+    ty = fy - r0
+    return (values[r0, c0] * (1 - tx) * (1 - ty) + values[r0, c1] * tx * (1 - ty)
+            + values[r1, c0] * (1 - tx) * ty + values[r1, c1] * tx * ty)
+
+
+@pytest.mark.parametrize("shape", [(40, 30), (1, 12), (9, 1), (1, 1)])
+def test_bilinear_sample_matches_reference_bit_for_bit(shape):
+    # 200 sets of 17 points, the size of the footprint tilt sample, spread
+    # 3 m past every edge so that many points land off the map.
+    rng = np.random.default_rng(shape[0] * 100 + shape[1])
+    values = rng.normal(0.0, 2.0, shape)
+    origin, cell = (5.0, -3.0), 0.5
+    for _ in range(200):
+        xs = rng.uniform(origin[0] - 3.0, origin[0] + shape[1] * cell + 3.0, 17)
+        ys = rng.uniform(origin[1] - 3.0, origin[1] + shape[0] * cell + 3.0, 17)
+        got = bilinear_sample(values, origin, cell, xs, ys)
+        assert np.array_equal(got, _bilinear_reference(values, origin, cell, xs, ys))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from rovernav.errors import EmptyPatchError
-from rovernav.terrain import Rock, RockSet, build_terrain
+from rovernav.terrain import Rock, RockSet, Terrain, build_terrain
 from rovernav.world import (
     HazardKind,
     RoverState,
@@ -86,7 +86,33 @@ class TestSensing:
         ys = patch.origin[1] + (np.arange(patch.rows) + 0.5) * patch.cell_size
         gx, gy = np.meshgrid(xs, ys)
         direct = terrain.ground.sample(gx, gy)
-        assert np.allclose(patch.elevation, direct, atol=1e-12)
+        assert np.array_equal(patch.elevation, direct)
+
+    def test_patch_with_edge_rocks_and_noise_is_byte_exact(self):
+        # Rocks straddling the window edge, and one wholly outside it, against
+        # a full-lattice reference: ground sampled on the meshgrid, the tallest
+        # cap over the whole window, then noise from a generator of the same seed.
+        spec = make_spec(extent=60.0, height_variation=2.0, rock_coverage=0.0)
+        ground = build_terrain(spec)
+        rocks = RockSet([Rock(24.2, 30.0, 2.5, 1.6), Rock(35.9, 36.1, 3.0, 2.0),
+                         Rock(30.0, 24.05, 1.3, 0.9), Rock(31.0, 30.5, 1.0, 0.5),
+                         Rock(50.0, 50.0, 2.0, 1.0)])
+        terrain = Terrain(ground.ground, rocks, ground.segments)
+        pose, size, res, sigma, seed = RoverState(30.0, 30.0, 0), 12.0, 0.3, 0.02, 5
+        patch = World(terrain, sensor_sigma=sigma, seed=seed).sense_elevation_patch(pose, size, res)
+
+        origin = (pose.x - size / 2, pose.y - size / 2)
+        n = round(size / res)
+        xs = origin[0] + (np.arange(n) + 0.5) * res
+        ys = origin[1] + (np.arange(n) + 0.5) * res
+        gx, gy = np.meshgrid(xs, ys)
+        layer = np.zeros(gx.shape)
+        for rock in rocks.rocks:
+            layer = np.maximum(layer, rock.cap_height(gx, gy))
+        assert layer[0].any() and layer[:, 0].any() and layer[-1].any() and layer[:, -1].any()
+        rng = np.random.default_rng(np.random.SeedSequence([seed, 23]))
+        want = (terrain.ground.sample(gx, gy) + layer) + rng.normal(0.0, sigma, size=gx.shape)
+        assert patch.elevation.tobytes() == want.tobytes()
 
     def test_fully_outside_window_raises(self):
         world = World(flat_terrain(extent=60.0))
