@@ -20,7 +20,6 @@ from .classify import (
 from .mapping import (
     CostGrid,
     CostWeights,
-    ElevationGrid,
     GridGeometry,
     build_elevation_grid,
     compute_costmap,
@@ -29,7 +28,7 @@ from .mapping import (
 )
 from .planning import Path, astar_cost, astar_obstacle, bspline_path, path_collides, path_cost
 from .control import PathTracker, dynamic_lookahead, pure_pursuit
-from .map_server import GlobalCostmap, MapServer, ReplanReason, WaypointQueue
+from .map_server import MapServer, ReplanReason, WaypointQueue
 from .waypoints import global_cost_from_dem, plan_waypoints, sparsify_waypoints
 from .mission import (
     ComparisonReport,

@@ -101,7 +101,7 @@ def compute_terrain_metrics(patch: HeightField, radius: float) -> GeometricMetri
     rock_grid_count = int(np.count_nonzero(region & known & (std > STDDEV_ROCK_CELL)))
 
     win = max(int(round(FIT_WINDOW_M / cell)) | 1, 3)
-    a, b, _, _, count = plane_fit_grid(z, known, win, cell)
+    a, b, _, _, count = plane_fit_grid(z, win, cell)
     slope = slope_degrees(a, b)
     stride = max(int(round(FIT_STRIDE_M / cell)), 1)
     centers = np.zeros_like(region)

@@ -9,9 +9,9 @@ inflation (`dilate_disc`), the disc extrema (`disc_max`, `disc_min`, one
 1-D filter per disc row width) and the least-squares plane solve, which
 `plane_fit_grid` and `plane_fit_points` share, next to bilinear sampling.
 The solve is split into a sample-layout half and a height half; for grids
-the layout half depends only on the known-cell mask, so `plane_fit_grid`
-caches it for the last mask seen and refits a new surface on an unchanged
-mask from its four height moments alone.
+the layout half depends only on which cells are known (finite), so
+`plane_fit_grid` caches it for the last mask seen and refits a new surface
+on an unchanged mask from its four height moments alone.
 """
 
 from __future__ import annotations
@@ -95,17 +95,18 @@ def window_sums(arr: np.ndarray, size: int) -> np.ndarray:
     return ndimage.uniform_filter(arr, size=size, mode="constant", cval=0.0) * (size * size)
 
 
-def plane_fit_grid(z: np.ndarray, known: np.ndarray, window_cells: int, cell_size: float):
+def plane_fit_grid(z: np.ndarray, window_cells: int, cell_size: float):
     """Least-squares plane fit of the neighborhood around every cell.
 
-    Fits z = a*dx + b*dy + c over the known cells of each centered
+    Fits z = a*dx + b*dy + c over the known (finite) cells of each centered
     window_cells x window_cells window (dx, dy in meters relative to the
-    window center). Returns (a, b, c, rms_residual, count) arrays. Cells
-    whose window holds fewer than 3 known samples, or a degenerate sample
-    layout, get a zero plane and zero residual. The mask half of the solve
-    is cached (`_mask_geometry`), so the returned count is read-only.
+    window center); a non-finite z marks an unknown cell. Returns (a, b, c,
+    rms_residual, count) arrays. Cells whose window holds fewer than 3
+    known samples, or a degenerate sample layout, get a zero plane and zero
+    residual. The mask half of the solve is cached (`_mask_geometry`), so
+    the returned count is read-only.
     """
-    known = np.asarray(known, dtype=bool)
+    known = np.isfinite(z)
     geom = _mask_geometry(known.shape, window_cells, cell_size, known.tobytes())
     count, ok = geom[0], geom[-1]
     gx, gy = _cell_coords(known.shape, cell_size)

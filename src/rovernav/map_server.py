@@ -1,12 +1,13 @@
 """Global costmap ownership, priority merging, waypoints, collision checks.
 
-One server instance owns the mission-wide costmap (0-100 traversal cost,
--1 unknown) plus a per-cell record of which navigation mode wrote it.
-Every local map arrives as the same `CostGrid` type: the mid-tier mode's
-obstacle map (0 free, 100 obstacle) and the cautious mode's graded
-costmap. They merge in under a strict priority rule: data from a more
-cautious mode is never overwritten by a less cautious one. The server also
-holds the waypoint queue and runs the periodic path collision check that
+One server instance owns the mission-wide costmap, a `CostGrid` (0-100
+traversal cost, -1 unknown), plus `source`, a per-cell record of which
+navigation mode wrote it. Every local map arrives as the same `CostGrid`
+type: the mid-tier mode's obstacle map (0 free, 100 obstacle) and the
+cautious mode's graded costmap. They merge in under a strict priority
+rule: data from a more cautious mode is never overwritten by a less
+cautious one. The server also holds the waypoint queue and runs the
+periodic path collision check, straight on the global `CostGrid`, that
 emits replan signals.
 """
 
@@ -33,14 +34,6 @@ GLOBAL_RESOLUTION = 0.5
 class ReplanReason(enum.Enum):
     COLLISION = "collision"
     COST_TOLERANCE = "cost_tolerance"
-
-
-@dataclass
-class GlobalCostmap:
-    values: np.ndarray  # int16, -1 unknown
-    source: np.ndarray  # uint8 mode priority, 0 = none
-    origin: tuple[float, float]
-    cell_size: float
 
 
 @dataclass
@@ -76,19 +69,17 @@ class WaypointQueue:
 
 class MapServer:
     """The mission-wide map: `extent` (x, y) meters at GLOBAL_RESOLUTION,
-    plus the waypoint queue and the periodic path check."""
+    with the priority of the mode that wrote each cell (`source`, uint8,
+    0 = none), plus the waypoint queue and the periodic path check."""
 
     def __init__(self, extent: tuple[float, float]):
         if extent[0] <= 0 or extent[1] <= 0:
             raise ValidationError("extent must be positive")
         cols = round(extent[0] / GLOBAL_RESOLUTION)
         rows = round(extent[1] / GLOBAL_RESOLUTION)
-        self.global_map = GlobalCostmap(
-            values=np.full((rows, cols), COST_UNKNOWN, dtype=np.int16),
-            source=np.zeros((rows, cols), dtype=np.uint8),
-            origin=(0.0, 0.0),
-            cell_size=GLOBAL_RESOLUTION,
-        )
+        self.global_map = CostGrid(np.full((rows, cols), COST_UNKNOWN, dtype=np.int16),
+                                   (0.0, 0.0), GLOBAL_RESOLUTION)
+        self.source = np.zeros((rows, cols), dtype=np.uint8)
         self.waypoints: WaypointQueue | None = None
 
     # -- map updates --------------------------------------------------------
@@ -121,10 +112,10 @@ class MapServer:
             return 0
         acc = np.full((rows, cols), COST_UNKNOWN, dtype=np.int16)
         np.maximum.at(acc, (gr[ok], gc[ok]), local.values[rr[ok], cc[ok]])
-        downgrade = (gm.values >= COST_MAX) & (mode.priority == gm.source) & (acc < COST_MAX)
-        writable = (acc >= 0) & (mode.priority >= gm.source) & ~downgrade
+        downgrade = (gm.values >= COST_MAX) & (mode.priority == self.source) & (acc < COST_MAX)
+        writable = (acc >= 0) & (mode.priority >= self.source) & ~downgrade
         gm.values[writable] = acc[writable]
-        gm.source[writable] = mode.priority
+        self.source[writable] = mode.priority
         return int(np.count_nonzero(writable))
 
     # -- windows -------------------------------------------------------------
@@ -139,8 +130,8 @@ class MapServer:
         if size <= 0 or resolution <= 0:
             raise ValidationError("size and resolution must be positive")
         gm = self.global_map
-        total_c = round(gm.values.shape[1] * gm.cell_size / resolution)
-        total_r = round(gm.values.shape[0] * gm.cell_size / resolution)
+        total_c = round(gm.cols * gm.cell_size / resolution)
+        total_r = round(gm.rows * gm.cell_size / resolution)
         n = min(round(size / resolution), total_c, total_r)
         half = size / 2.0
         # Snap the window onto the requested-resolution lattice anchored at
@@ -150,8 +141,8 @@ class MapServer:
         r0 = min(max(int(r0), 0), total_r - n)
         xs, ys = cell_center(np.arange(r0, r0 + n), np.arange(c0, c0 + n), gm.origin, resolution)
         src_r, src_c = world_to_cell(xs, ys, gm.origin, gm.cell_size)
-        src_c = np.clip(src_c, 0, gm.values.shape[1] - 1)
-        src_r = np.clip(src_r, 0, gm.values.shape[0] - 1)
+        src_c = np.clip(src_c, 0, gm.cols - 1)
+        src_r = np.clip(src_r, 0, gm.rows - 1)
         block = gm.values[np.ix_(src_r, src_c)].copy()
         origin = (gm.origin[0] + c0 * resolution, gm.origin[1] + r0 * resolution)
         return CostGrid(block, origin, resolution)
@@ -161,8 +152,8 @@ class MapServer:
     def set_waypoints(self, queue: WaypointQueue) -> None:
         if len(queue) == 0:
             raise MissionConfigError("waypoint queue is empty")
-        ex = self.global_map.values.shape[1] * self.global_map.cell_size
-        ey = self.global_map.values.shape[0] * self.global_map.cell_size
+        ex = self.global_map.cols * self.global_map.cell_size
+        ey = self.global_map.rows * self.global_map.cell_size
         for x, y in queue.points:
             if not (0 <= x <= ex and 0 <= y <= ey):
                 raise MissionConfigError(f"waypoint ({x:.1f}, {y:.1f}) outside the map extent")
@@ -191,11 +182,9 @@ class MapServer:
         """1 Hz check of the active path against the global map."""
         if active_path is None:
             return None
-        gm = self.global_map
-        snapshot = CostGrid(gm.values, gm.origin, gm.cell_size)
-        if path_collides(active_path, snapshot):
+        if path_collides(active_path, self.global_map):
             return ReplanReason.COLLISION
-        if mode is NavMode.CONSERVATIVE and path_cost(active_path, snapshot) > COST_REPLAN_TOLERANCE:
+        if mode is NavMode.CONSERVATIVE and path_cost(active_path, self.global_map) > COST_REPLAN_TOLERANCE:
             return ReplanReason.COST_TOLERANCE
         return None
 
@@ -211,7 +200,7 @@ class MapServer:
         colors = np.array(
             [[40, 40, 40], [80, 200, 120], [240, 180, 60], [200, 70, 70]], dtype=np.uint8
         )
-        overlay = colors[gm.source]
+        overlay = colors[self.source]
         pgmio.write_ppm(out / "global_source.ppm", overlay)
         meta = {
             "origin": list(gm.origin),

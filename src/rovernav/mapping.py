@@ -1,14 +1,17 @@
 """Local mapping: elevation rasterization, obstacle extraction, costmaps.
 
-Sensed point clouds become elevation grids (max-z per cell, so thin
-obstacles survive). Every map product derived from them is a `CostGrid`
-(0..100 traversal cost, -1 unknown): the mid-tier mode's obstacle map is
-one with only 0 (free) and `COST_MAX` (obstacle) in its known cells, and
-the cautious mode's costmap grades cost by slope, roughness, and step
-height. `cost_to_obstacle` turns any cost layer into the safe view the
-mid-tier planner searches. `cost_features` is the one pass that fits the
-planes and applies the cost law; every costmap quantizes its output. All
-inflation goes through `grids.dilate_disc`.
+Sensed point clouds become `HeightField`s (max-z per cell, so thin
+obstacles survive; cells no point reached hold NaN, the unknown mark of
+every elevation raster). Every map product derived from them is a
+`CostGrid` (0..100 traversal cost, -1 unknown): the mid-tier mode's
+obstacle map is one with only 0 (free) and `COST_MAX` (obstacle) in its
+known cells, and the cautious mode's costmap grades cost by slope,
+roughness, and step height. Each function that needs the known-cell mask
+takes it once, as `np.isfinite(elevation)`. `cost_to_obstacle` turns any
+cost layer into the safe view the mid-tier planner searches.
+`cost_features` is the one pass that fits the planes and applies the cost
+law; every costmap quantizes its output. All inflation goes through
+`grids.dilate_disc`.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .grids import dilate_disc, disc_max, disc_min, neighbor_slices, plane_fit_grid, slope_degrees, world_to_cell
+from .terrain import HeightField
 
 COST_MAX = 100
 COST_UNKNOWN = -1
@@ -46,28 +50,6 @@ class GridGeometry(NamedTuple):
 
 
 @dataclass
-class ElevationGrid:
-    """Per-cell elevation with an explicit known mask."""
-
-    elevation: np.ndarray
-    known: np.ndarray
-    origin: tuple[float, float]
-    cell_size: float
-
-    @property
-    def rows(self) -> int:
-        return self.elevation.shape[0]
-
-    @property
-    def cols(self) -> int:
-        return self.elevation.shape[1]
-
-    @property
-    def geometry(self) -> GridGeometry:
-        return GridGeometry(self.rows, self.cols, self.origin, self.cell_size)
-
-
-@dataclass
 class CostGrid:
     """Traversal cost per cell: integers 0..100, or -1 for unknown."""
 
@@ -83,61 +65,45 @@ class CostGrid:
     def cols(self) -> int:
         return self.values.shape[1]
 
-    def copy(self) -> "CostGrid":
-        return CostGrid(self.values.copy(), self.origin, self.cell_size)
 
-
-def build_elevation_grid(points: np.ndarray, geometry: GridGeometry) -> ElevationGrid:
+def build_elevation_grid(points: np.ndarray, geometry: GridGeometry) -> HeightField:
     """Rasterize (x, y, z) points onto a grid, keeping the max z per cell.
 
-    Cells that receive no points stay unknown. Points outside the geometry
-    are dropped.
+    Cells that receive no points hold NaN (unknown). Points outside the
+    geometry are dropped.
     """
     rows, cols, origin, cell = geometry
-    elevation = np.zeros((rows, cols))
-    known = np.zeros((rows, cols), dtype=bool)
     pts = np.asarray(points, dtype=float).reshape(-1, 3)
-    if len(pts) == 0:
-        return ElevationGrid(elevation, known, origin, cell)
     r, c = world_to_cell(pts[:, 0], pts[:, 1], origin, cell)
     ok = (r >= 0) & (r < rows) & (c >= 0) & (c < cols)
-    r, c, z = r[ok], c[ok], pts[ok, 2]
-    acc = np.full((rows, cols), -np.inf)
-    np.maximum.at(acc, (r, c), z)
-    known = np.isfinite(acc)
-    elevation[known] = acc[known]
-    return ElevationGrid(elevation, known, origin, cell)
+    elevation = np.full((rows, cols), -np.inf)
+    np.maximum.at(elevation, (r[ok], c[ok]), pts[ok, 2])
+    elevation[np.isneginf(elevation)] = np.nan
+    return HeightField(elevation, origin, cell)
 
 
-def extract_obstacles(
-    elev: ElevationGrid,
-    h_obstacle: float = DEFAULT_OBSTACLE_HEIGHT,
-    inflate_radius: float = DEFAULT_INFLATION_RADIUS,
-) -> CostGrid:
+def extract_obstacles(elev: HeightField) -> CostGrid:
     """Mark cells that stand out from their 3x3 neighborhood as obstacles.
 
     A cell is an obstacle when |z - median(known 3x3 neighborhood)| exceeds
-    h_obstacle; the rule is symmetric, so both rocks and pits register, and
-    it only sees elevation differences, so a constant offset changes
-    nothing. Obstacles are then inflated into surrounding free cells by
-    inflate_radius. Obstacle cells cost `COST_MAX`, free cells 0, and
-    unknown cells stay unknown (-1).
+    `DEFAULT_OBSTACLE_HEIGHT`; the rule is symmetric, so both rocks and pits
+    register, and it only sees elevation differences, so a constant offset
+    changes nothing. Obstacles are then inflated into surrounding free
+    cells by `DEFAULT_INFLATION_RADIUS`. Obstacle cells cost `COST_MAX`,
+    free cells 0, and unknown cells stay unknown (-1).
     """
     if elev.rows == 0 or elev.cols == 0:
         raise ValidationError("elevation grid is empty")
     z = elev.elevation
-    known = elev.known
-    masked = np.where(known, z, np.nan)
+    known = np.isfinite(z)
     stack = np.full((9, elev.rows, elev.cols), np.nan)
     for layer, (dst, src) in zip(stack, neighbor_slices(z.shape)):
-        layer[dst] = masked[src]
+        layer[dst] = z[src]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         median = np.nanmedian(stack, axis=0)
-    raw = known & np.isfinite(median) & (np.abs(z - median) > h_obstacle)
-
-    if inflate_radius > 0:
-        raw = dilate_disc(raw, inflate_radius / elev.cell_size)
+    raw = known & np.isfinite(median) & (np.abs(z - median) > DEFAULT_OBSTACLE_HEIGHT)
+    raw = dilate_disc(raw, DEFAULT_INFLATION_RADIUS / elev.cell_size)
     values = np.full((elev.rows, elev.cols), COST_UNKNOWN, dtype=np.int16)
     values[known] = 0
     values[known & raw] = COST_MAX
@@ -164,7 +130,7 @@ class CostWeights:
     step_radius_m: float = 0.5
 
 
-def cost_features(elev: ElevationGrid, weights: CostWeights = CostWeights()):
+def cost_features(elev: HeightField, weights: CostWeights = CostWeights()):
     """Unrounded cost plus the raw (slope_deg, roughness, step) features.
 
     Per cell: fit a plane over the footprint-scaled window (slope = plane
@@ -179,13 +145,14 @@ def cost_features(elev: ElevationGrid, weights: CostWeights = CostWeights()):
     if elev.rows == 0 or elev.cols == 0:
         raise ValidationError("elevation grid is empty")
     cell = elev.cell_size
+    known = np.isfinite(elev.elevation)
     win = max(int(round(weights.fit_window_m / cell)) | 1, 3)
-    a, b, c, rough, _ = plane_fit_grid(elev.elevation, elev.known, win, cell)
+    a, b, c, rough, _ = plane_fit_grid(elev.elevation, win, cell)
     slope = slope_degrees(a, b)
-    res = np.where(elev.known, elev.elevation - c, 0.0)
+    res = np.where(known, elev.elevation - c, 0.0)
     ring = max(weights.step_radius_m / cell, 1.0)
-    res_hi = disc_max(np.where(elev.known, res, -np.inf), ring)
-    res_lo = disc_min(np.where(elev.known, res, np.inf), ring)
+    res_hi = disc_max(np.where(known, res, -np.inf), ring)
+    res_lo = disc_min(np.where(known, res, np.inf), ring)
     step = np.maximum(res - res_lo, res_hi - res)
     step = np.where(np.isfinite(step), step, 0.0)
     f = 100.0 * (
@@ -205,13 +172,13 @@ def _quantize(f: np.ndarray, known: np.ndarray) -> np.ndarray:
     return values
 
 
-def compute_costmap(elev: ElevationGrid, weights: CostWeights = CostWeights()) -> CostGrid:
+def compute_costmap(elev: HeightField, weights: CostWeights = CostWeights()) -> CostGrid:
     """Traversal cost: `cost_features` rounded to 0..100, unknown cells -1."""
     f, *_ = cost_features(elev, weights)
-    return CostGrid(_quantize(f, elev.known), elev.origin, elev.cell_size)
+    return CostGrid(_quantize(f, np.isfinite(elev.elevation)), elev.origin, elev.cell_size)
 
 
-def build_navigation_costmap(elev: ElevationGrid) -> CostGrid:
+def build_navigation_costmap(elev: HeightField) -> CostGrid:
     """Costmap with per-source lethal inflation for planning use.
 
     Slope-lethal cells mark the hazard itself, so they inflate by the full
@@ -223,12 +190,13 @@ def build_navigation_costmap(elev: ElevationGrid) -> CostGrid:
     """
     weights = CostWeights()
     f, slope, rough, step = cost_features(elev, weights)
-    values = _quantize(f, elev.known)
+    known = np.isfinite(elev.elevation)
+    values = _quantize(f, known)
     for mask, radius in (
         (slope >= weights.slope_max_deg, DEFAULT_INFLATION_RADIUS),
         ((rough >= weights.rough_max) | (step >= weights.step_max), BUMP_INFLATION_RADIUS),
     ):
-        values[dilate_disc(mask & elev.known, radius / elev.cell_size) & elev.known] = COST_MAX
+        values[dilate_disc(mask & known, radius / elev.cell_size) & known] = COST_MAX
     return CostGrid(values, elev.origin, elev.cell_size)
 
 

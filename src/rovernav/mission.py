@@ -621,8 +621,10 @@ class ComparisonReport:
 
     @property
     def valid(self) -> bool:
-        """Both runs succeeded; only then are their times compared."""
-        return self.single.success and self.multi.success
+        """Both runs succeeded and reached the same number of waypoints;
+        only then are their times compared."""
+        return (self.single.success and self.multi.success
+                and self.single.waypoints_reached == self.multi.waypoints_reached)
 
     @property
     def time_ratio(self) -> float:

@@ -1,8 +1,9 @@
-"""Terrain classes and navigation modes, with their shared severity order.
+"""Terrain classes and navigation modes.
 
-The same total order drives everything downstream: which navigation mode a
-classification activates, which mode's map data wins a merge conflict, and
-how mode-switch hysteresis is applied.
+Each terrain class activates one navigation mode (`MODE_FOR_CLASS`), and
+the modes are totally ordered by `NavMode.priority`: it decides which
+mode's map data wins a merge conflict and how mode-switch hysteresis is
+applied.
 """
 
 from __future__ import annotations
@@ -11,21 +12,11 @@ import enum
 
 
 class TerrainClass(enum.Enum):
-    """Terrain complexity category: flat < rocky < challenging."""
+    """Terrain complexity category: flat, rocky or challenging."""
 
     FLAT = "flat"
     ROCKY = "rocky"
     CHALLENGING = "challenging"
-
-    @property
-    def severity(self) -> int:
-        return _CLASS_SEVERITY[self]
-
-    def __lt__(self, other: "TerrainClass") -> bool:
-        return self.severity < other.severity
-
-    def __le__(self, other: "TerrainClass") -> bool:
-        return self.severity <= other.severity
 
 
 class NavMode(enum.Enum):
@@ -39,12 +30,6 @@ class NavMode(enum.Enum):
     def priority(self) -> int:
         return _MODE_PRIORITY[self]
 
-
-_CLASS_SEVERITY = {
-    TerrainClass.FLAT: 0,
-    TerrainClass.ROCKY: 1,
-    TerrainClass.CHALLENGING: 2,
-}
 
 _MODE_PRIORITY = {
     NavMode.EFFICIENT: 1,

@@ -63,10 +63,6 @@ class Path:
     def __len__(self) -> int:
         return len(self.points)
 
-    @property
-    def end(self) -> np.ndarray:
-        return self.points[-1]
-
     def length(self) -> float:
         if len(self.points) < 2:
             return 0.0

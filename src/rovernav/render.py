@@ -48,10 +48,10 @@ def render_cost(grid: CostGrid) -> np.ndarray:
     return rgb
 
 
-def draw_trajectory(image: np.ndarray, rows: list[str], origin, cell_size: float,
-                    thickness: int = 1) -> np.ndarray:
+def draw_trajectory(image: np.ndarray, rows: list[str], origin, cell_size: float) -> np.ndarray:
     """Overlay trajectory-log rows onto an image, colored by active mode.
 
+    Each point paints the 3x3 block around its cell, clipped to the image.
     Rows use the trajectory CSV layout: time,x,y,heading,speed,mode.
     """
     out = image.copy()
@@ -64,8 +64,8 @@ def draw_trajectory(image: np.ndarray, rows: list[str], origin, cell_size: float
         mode = parts[5]
         color = MODE_COLORS.get(mode, (255, 255, 255))
         r, c = grids.world_to_cell(x, y, origin, cell_size)
-        for dr in range(-thickness, thickness + 1):
-            for dc in range(-thickness, thickness + 1):
+        for dr in (-1, 0, 1):
+            for dc in (-1, 0, 1):
                 rr, cc = r + dr, c + dc
                 if 0 <= rr < h and 0 <= cc < w:
                     out[rr, cc] = color

@@ -84,7 +84,13 @@ class TerrainSpec:
 
 @dataclass
 class HeightField:
-    """Cell-centered elevation grid. Row 0 sits at the minimum-y edge."""
+    """Cell-centered elevation grid. Row 0 sits at the minimum-y edge.
+
+    The one elevation raster of the package. A non-finite height marks an
+    unknown cell; rasterized sensing (`mapping.build_elevation_grid`) writes
+    NaN where no point landed, and every reader takes its known-cell mask
+    from `np.isfinite(elevation)`.
+    """
 
     elevation: np.ndarray
     origin: tuple[float, float]
@@ -109,9 +115,6 @@ class HeightField:
     def sample(self, xs, ys):
         """Bilinear elevation at world coordinates (clamped at the edges)."""
         return bilinear_sample(self.elevation, self.origin, self.cell_size, xs, ys)
-
-    def copy(self) -> "HeightField":
-        return HeightField(self.elevation.copy(), self.origin, self.cell_size)
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ from pathlib import Path as FsPath
 import numpy as np
 
 from .errors import InvalidStartError, NoPathError, ValidationError
-from .mapping import CostWeights, ElevationGrid, CostGrid, compute_costmap, inflate_lethal
+from .mapping import CostWeights, CostGrid, compute_costmap, inflate_lethal
 from .map_server import WaypointQueue
 from .planning import Path, astar_cost
 from .terrain import HeightField
@@ -43,13 +43,7 @@ def global_cost_from_dem(dem: HeightField, weights: CostWeights = COARSE_WEIGHTS
         raise ValidationError("coarse resolution exceeds the model extent")
     trimmed = dem.elevation[: rows * block, : cols * block]
     coarse = trimmed.reshape(rows, block, cols, block).mean(axis=(1, 3))
-    elev = ElevationGrid(
-        elevation=coarse,
-        known=np.ones_like(coarse, dtype=bool),
-        origin=dem.origin,
-        cell_size=block * dem.cell_size,
-    )
-    return compute_costmap(elev, weights)
+    return compute_costmap(HeightField(coarse, dem.origin, block * dem.cell_size), weights)
 
 
 def sparsify_waypoints(path: Path, spacing: float = DEFAULT_WAYPOINT_SPACING) -> WaypointQueue:

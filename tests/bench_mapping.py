@@ -47,7 +47,7 @@ def test_build_navigation_costmap_246(benchmark, costmap_elevation):
 def test_step_disc_max_min_r5(benchmark, costmap_elevation):
     # The step feature's inputs: heights with unknown cells at -inf / +inf.
     z = costmap_elevation.elevation
-    known = costmap_elevation.known
+    known = np.isfinite(z)
     hi_in = np.where(known, z, -np.inf)
     lo_in = np.where(known, z, np.inf)
     hi, lo = benchmark(lambda: (disc_max(hi_in, 5.0), disc_min(lo_in, 5.0)))

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from rovernav.mapping import ElevationGrid
 from rovernav.modes import TerrainClass
 from rovernav.terrain import HeightField, RockSet, Terrain, TerrainSegment, TerrainSpec
 
@@ -41,13 +40,8 @@ def plane_terrain(slope_deg, extent=60.0, cell=0.5, axis="x"):
     return Terrain(fld, RockSet([]), [TerrainSegment(0.0, extent, spec)])
 
 
-def full_grid(elevation: np.ndarray, cell=0.5, origin=(0.0, 0.0)) -> ElevationGrid:
-    return ElevationGrid(
-        elevation=np.asarray(elevation, dtype=float),
-        known=np.ones_like(np.asarray(elevation), dtype=bool),
-        origin=origin,
-        cell_size=cell,
-    )
+def full_grid(elevation: np.ndarray, cell=0.5, origin=(0.0, 0.0)) -> HeightField:
+    return HeightField(np.array(elevation, dtype=float), origin, cell)
 
 
 @pytest.fixture

@@ -105,3 +105,15 @@ def test_compare_runs_the_configured_classifier_and_sensor_noise(tmp_path, monke
     assert (single_classifier, single_mode) == (None, NavMode.CONSERVATIVE)
     assert isinstance(multi_classifier, GeometricClassifierBackend) and multi_mode is None
     assert single_world.sensor_sigma == multi_world.sensor_sigma == 0.02
+
+
+def test_compare_runs_what_run_runs(tmp_path):
+    cfg = _write_config(tmp_path, {"terrain": {"preset": "rocky", "seed": 0}, "classifier": "geometric",
+                                   "waypoints": {"points": [[15, 70], [30, 70]]}})
+    assert cli.main(["run", cfg, "-o", str(tmp_path / "multi")]) == cli.EXIT_OK
+    assert cli.main(["run", cfg, "--mode", "conservative", "-o", str(tmp_path / "single")]) == cli.EXIT_OK
+    assert cli.main(["compare", cfg, "-o", str(tmp_path / "compare")]) == cli.EXIT_OK
+    (report,) = json.loads((tmp_path / "compare" / "comparison.json").read_text(encoding="utf-8"))
+    for block in ("multi", "single"):
+        ran = json.loads((tmp_path / block / "metrics.json").read_text(encoding="utf-8"))
+        assert report[block] == ran, block

@@ -73,7 +73,7 @@ def _check_plane_fit(z, known, window, cell):
     # The residual comes from moment sums, where an exact fit leaves rounding
     # of order 1e-16 that the square root lifts to 1e-8, so rms is compared
     # squared (mean squared residual).
-    a, b, c, rms, count = plane_fit_grid(z, known, window, cell)
+    a, b, c, rms, count = plane_fit_grid(np.where(known, z, np.nan), window, cell)
     want = plane_fit_window(z.tolist(), known.tolist(), window, cell)
     want[3] = np.square(want[3])
     for name, g, w in zip(("a", "b", "c", "rms^2", "count"), (a, b, c, rms * rms, count), want):
@@ -104,11 +104,11 @@ def test_plane_fit_grid_cache_follows_the_mask():
 def test_plane_fit_grid_count_is_read_only():
     rng = np.random.default_rng(12)
     z = rng.normal(0.0, 1.0, (9, 9))
-    known = rng.random(z.shape) >= 0.2
-    first = plane_fit_grid(z, known, 3, 0.5)
+    z[rng.random(z.shape) < 0.2] = np.nan
+    first = plane_fit_grid(z, 3, 0.5)
     with pytest.raises(ValueError):
         first[4][0, 0] = 99.0
-    again = plane_fit_grid(z, known, 3, 0.5)
+    again = plane_fit_grid(z, 3, 0.5)
     for f, g in zip(first, again):
         assert np.array_equal(f, g)
     assert again[4][0, 0] != 99.0
@@ -122,7 +122,7 @@ def test_plane_fit_grid_degenerate_windows_give_zero_plane(window):
     one_row = np.zeros(z.shape, dtype=bool)
     one_row[5, 1:9] = True
     for known in (too_few, one_row):
-        a, b, c, rms, count = plane_fit_grid(z, known, window, 0.5)
+        a, b, c, rms, count = plane_fit_grid(np.where(known, z, np.nan), window, 0.5)
         for out in (a, b, c, rms):
             assert not out.any()
         _check_plane_fit(z, known, window, 0.5)
@@ -135,11 +135,9 @@ def test_plane_fit_grid_collinear_cells_give_zero_plane_anywhere():
     placements = [(r, c) for r in range(0, 120, 8) for c in range(0, 119, 7)]
     assert len(placements) == 255
     for r, c in placements:
-        z = np.zeros((120, 120))
-        known = np.zeros(z.shape, dtype=bool)
-        known[r:r + 3, c] = True
+        z = np.full((120, 120), np.nan)
         z[r:r + 3, c] = (0.3, -0.2, 0.5)
-        a, b, c_, rms, _ = plane_fit_grid(z, known, 9, 0.5)
+        a, b, c_, rms, _ = plane_fit_grid(z, 9, 0.5)
         for out in (a, b, c_, rms):
             assert not out.any(), (r, c)
 

@@ -23,14 +23,14 @@ class TestUpdatePriority:
         assert written == 1
         r, c = 20, 20  # cell containing (10.25, 10.25) at 0.5 m
         assert srv.global_map.values[r, c] == 40
-        assert srv.global_map.source[r, c] == NavMode.SAFE.priority
+        assert srv.source[r, c] == NavMode.SAFE.priority
 
     def test_lower_mode_cannot_overwrite_higher(self):
         srv = server()
         srv.update_from_local(cost_local([[70]], (10.0, 10.0)), NavMode.CONSERVATIVE)
         srv.update_from_local(cost_local([[5]], (10.0, 10.0)), NavMode.SAFE)
         assert srv.global_map.values[20, 20] == 70
-        assert srv.global_map.source[20, 20] == NavMode.CONSERVATIVE.priority
+        assert srv.source[20, 20] == NavMode.CONSERVATIVE.priority
 
     def test_equal_priority_overwrites(self):
         srv = server()
@@ -67,10 +67,10 @@ class TestUpdatePriority:
         local = cost_local(np.arange(16).reshape(4, 4) * 6, (8.0, 8.0))
         srv.update_from_local(local, NavMode.CONSERVATIVE)
         vals = srv.global_map.values.copy()
-        src = srv.global_map.source.copy()
+        src = srv.source.copy()
         srv.update_from_local(local, NavMode.CONSERVATIVE)
         assert np.array_equal(vals, srv.global_map.values)
-        assert np.array_equal(src, srv.global_map.source)
+        assert np.array_equal(src, srv.source)
 
 
 class TestRandomizedInvariants:
@@ -88,14 +88,14 @@ class TestRandomizedInvariants:
                 vals = rng.integers(0, 101, size=(size, size)).astype(np.int16)
                 vals[rng.random((size, size)) < 0.2] = -1
                 local = cost_local(vals, origin)
-                before = srv.global_map.source.copy()
+                before = srv.source.copy()
                 srv.update_from_local(local, mode)
-                assert (srv.global_map.source >= before).all()
+                assert (srv.source >= before).all()
                 after_vals = srv.global_map.values.copy()
-                after_src = srv.global_map.source.copy()
+                after_src = srv.source.copy()
                 srv.update_from_local(local, mode)
                 assert np.array_equal(after_vals, srv.global_map.values)
-                assert np.array_equal(after_src, srv.global_map.source)
+                assert np.array_equal(after_src, srv.source)
                 window = srv.get_local_window((15.0, 15.0), 10.0, 0.5)
                 snapshots.append((window, window.values.copy()))
             for window, frozen in snapshots:

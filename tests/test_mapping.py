@@ -9,7 +9,7 @@ from rovernav.mapping import (
     COST_UNKNOWN,
     CostGrid,
     CostWeights,
-    ElevationGrid,
+    DEFAULT_INFLATION_RADIUS,
     GridGeometry,
     build_elevation_grid,
     build_navigation_costmap,
@@ -19,6 +19,7 @@ from rovernav.mapping import (
     extract_obstacles,
     inflate_lethal,
 )
+from rovernav.terrain import HeightField
 
 from conftest import full_grid
 
@@ -33,12 +34,12 @@ class TestElevationGrid:
         xs, ys = np.meshgrid(np.arange(10) + 0.5, np.arange(10) + 0.5)
         pts = np.column_stack([xs.ravel(), ys.ravel(), np.ones(100)])
         grid = build_elevation_grid(pts, geom)
-        assert grid.known.all()
+        assert np.isfinite(grid.elevation).all()
         assert np.all(grid.elevation == 1.0)
 
     def test_empty_points_all_unknown(self):
         grid = build_elevation_grid(np.empty((0, 3)), geometry())
-        assert not grid.known.any()
+        assert np.isnan(grid.elevation).all()
 
     def test_max_z_rule(self):
         geom = geometry(4, 1.0)
@@ -49,7 +50,13 @@ class TestElevationGrid:
     def test_out_of_bounds_points_dropped(self):
         geom = geometry(4, 1.0)
         grid = build_elevation_grid(np.array([[100.0, 100.0, 1.0]]), geom)
-        assert not grid.known.any()
+        assert np.isnan(grid.elevation).all()
+
+
+def _within_inflation(shape, center, cell):
+    """Cells whose centers lie within DEFAULT_INFLATION_RADIUS of a cell's."""
+    rr, cc = np.indices(shape)
+    return np.hypot((rr - center[0]) * cell, (cc - center[1]) * cell) <= DEFAULT_INFLATION_RADIUS
 
 
 class TestObstacleExtraction:
@@ -60,36 +67,41 @@ class TestObstacleExtraction:
     def test_single_bump_marked_and_inflated(self):
         z = np.zeros((40, 40))
         z[20, 20] = 0.5
-        grid = extract_obstacles(full_grid(z), h_obstacle=0.2, inflate_radius=1.0)
-        assert grid.values[20, 20] == COST_MAX
-        assert grid.values[20, 22] == COST_MAX  # within 1 m at 0.5 m cells
-        assert grid.values[20, 25] == 0
+        grid = extract_obstacles(full_grid(z))
+        disc = _within_inflation(z.shape, (20, 20), 0.5)
+        assert disc[20, 27] and not disc[20, 28] and not disc[25, 25]  # 3.5 m is 7 cells
+        assert (grid.values[disc] == COST_MAX).all()
+        assert (grid.values[~disc] == 0).all()
 
     def test_pit_marked_too(self):
         z = np.zeros((40, 40))
         z[10, 10] = -0.5
-        grid = extract_obstacles(full_grid(z), inflate_radius=0.0)
-        assert grid.values[10, 10] == COST_MAX
+        grid = extract_obstacles(full_grid(z))
+        disc = _within_inflation(z.shape, (10, 10), 0.5)
+        assert (grid.values[disc] == COST_MAX).all()
+        assert (grid.values[~disc] == 0).all()
 
     def test_small_bump_below_threshold_free(self):
         z = np.zeros((40, 40))
         z[20, 20] = 0.1
-        grid = extract_obstacles(full_grid(z), h_obstacle=0.2, inflate_radius=0.0)
-        assert grid.values[20, 20] == 0
+        grid = extract_obstacles(full_grid(z))
+        assert (grid.values == 0).all()
 
     def test_offset_invariance(self, rng):
+        # At 4 m cells the 3.5 m inflation disc is the cell itself, so the
+        # raw detections are compared.
         for _ in range(50):
             z = rng.normal(0.0, 0.12, size=(30, 30))
-            base = extract_obstacles(full_grid(z), inflate_radius=0.0)
-            shifted = extract_obstacles(full_grid(z + 37.5), inflate_radius=0.0)
+            base = extract_obstacles(full_grid(z, cell=4.0))
+            shifted = extract_obstacles(full_grid(z + 37.5, cell=4.0))
             assert np.array_equal(base.values, shifted.values)
 
     def test_unknown_stays_unknown(self):
         z = np.zeros((20, 20))
         z[10, 10] = 0.5
         grid = full_grid(z)
-        grid.known[:5, :] = False
-        out = extract_obstacles(grid, inflate_radius=3.0)
+        grid.elevation[:5, :] = np.nan
+        out = extract_obstacles(grid)
         assert (out.values[:5, :] == COST_UNKNOWN).all()
 
     def test_no_free_cell_within_inflation_radius(self, rng):
@@ -97,9 +109,9 @@ class TestObstacleExtraction:
             z = np.zeros((40, 40))
             hits = rng.integers(5, 35, size=(5, 2))
             z[hits[:, 0], hits[:, 1]] = 0.6
-            radius = 1.5
+            radius = DEFAULT_INFLATION_RADIUS
             grid = full_grid(z)
-            out = extract_obstacles(grid, inflate_radius=radius)
+            out = extract_obstacles(grid)
             raw = np.abs(z) > 0.2
             rr, cc = np.nonzero(out.values == 0)
             orr, occ = np.nonzero(raw)
@@ -129,7 +141,7 @@ class TestCostmap:
 
     def test_unknown_maps_to_minus_one(self):
         grid = full_grid(np.zeros((20, 20)))
-        grid.known[5, 5] = False
+        grid.elevation[5, 5] = np.nan
         cost = compute_costmap(grid)
         assert cost.values[5, 5] == COST_UNKNOWN
 
@@ -137,13 +149,14 @@ class TestCostmap:
         for _ in range(50):
             z = rng.normal(0.0, 0.3, size=(30, 30)).cumsum(axis=1) * 0.05
             grid = full_grid(z, cell=0.25)
-            grid.known[rng.random((30, 30)) < 0.2] = False
+            unknown = rng.random((30, 30)) < 0.2
+            grid.elevation[unknown] = np.nan
             cost = compute_costmap(grid)
             vals = cost.values
             assert vals.min() >= -1
             assert vals.max() <= 100
             assert ((vals >= 0) | (vals == -1)).all()
-            assert (vals[~grid.known] == -1).all()
+            assert (vals[unknown] == -1).all()
 
     def test_rock_cap_is_lethal(self):
         # a 1 m radius, 0.8 m tall cap on flat ground at mapping resolution
@@ -220,7 +233,7 @@ def _ramp_and_rock_grid():
     known = np.ones((n, n), dtype=bool)
     known[130:150, 20:60] = False
     known[::7, 100] = False
-    return ElevationGrid(z, known, (5.0, -2.0), cell)
+    return HeightField(np.where(known, z, np.nan), (5.0, -2.0), cell)
 
 
 class TestNavigationCostmap:
@@ -228,15 +241,16 @@ class TestNavigationCostmap:
         # slope-lethal cells inflate by 35 cells, bump-lethal ones by 15
         elev = _ramp_and_rock_grid()
         w = CostWeights()
+        known = np.isfinite(elev.elevation)
         _, slope, rough, step = cost_features(elev)
-        assert ((slope >= w.slope_max_deg) & elev.known).any()
-        assert (((rough >= w.rough_max) | (step >= w.step_max)) & elev.known).any()
+        assert ((slope >= w.slope_max_deg) & known).any()
+        assert (((rough >= w.rough_max) | (step >= w.step_max)) & known).any()
         cost = build_navigation_costmap(elev)
         assert cost.values.dtype == np.int16
         assert _sha(cost.values) == "67c67500320bb803f54e699c7a6580ada71e2fdcdadef47dea54b6f6aa80c720"
 
     def test_empty_grid_rejected(self):
-        grid = ElevationGrid(np.zeros((0, 5)), np.zeros((0, 5), dtype=bool), (0.0, 0.0), 0.1)
+        grid = HeightField(np.zeros((0, 5)), (0.0, 0.0), 0.1)
         with pytest.raises(ValidationError):
             build_navigation_costmap(grid)
 

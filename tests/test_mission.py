@@ -116,14 +116,20 @@ def test_benchmark_targets_resolve(monkeypatch):
     assert shim.unrestored() == []
 
 
-@pytest.mark.parametrize("single_ok, multi_ok", [(True, True), (True, False), (False, True), (False, False)])
-def test_comparison_speedup_only_when_both_runs_succeed(single_ok, multi_ok):
-    single = MissionMetrics(success=single_ok)
+@pytest.mark.parametrize(
+    "single_ok, multi_ok, multi_reached",
+    [(True, True, 3), (True, False, 3), (False, True, 3), (False, False, 3), (True, True, 2)],
+    ids=["True-True", "True-False", "False-True", "False-False", "True-True-fewer-waypoints"],
+)
+def test_comparison_speedup_only_when_both_runs_succeed(single_ok, multi_ok, multi_reached):
+    # Two runs that reached different waypoints served different missions,
+    # so their times are not compared either.
+    single = MissionMetrics(success=single_ok, waypoints_reached=3)
     single.time_by_mode["conservative"] = 120.0
-    multi = MissionMetrics(success=multi_ok)
+    multi = MissionMetrics(success=multi_ok, waypoints_reached=multi_reached)
     multi.time_by_mode["safe"] = 40.0
     row = ComparisonReport(single, multi).to_dict()
-    if single_ok and multi_ok:
+    if single_ok and multi_ok and multi_reached == 3:
         assert (row["speedup"], row["time_ratio"]) == (3.0, round(1 / 3, 6))
     else:
         assert row["speedup"] is None and row["time_ratio"] is None

@@ -24,18 +24,27 @@ def _rows(*points, mode="safe"):
     return ["time,x,y,heading,speed,mode"] + [f"0.0,{x},{y},0.0,0.0,{mode}" for x, y in points]
 
 
+def _blocks(shape, *cells):
+    """The 3x3 blocks around (row, col) cells, clipped to the image."""
+    mask = np.zeros(shape, dtype=bool)
+    for r, c in cells:
+        mask[max(r - 1, 0):r + 2, max(c - 1, 0):c + 2] = True
+    return mask
+
+
 def test_trajectory_point_lands_on_its_cell():
     image = np.zeros((6, 8, 3), dtype=np.uint8)
-    out = draw_trajectory(image, _rows((2.5, 4.5)), (0.0, 0.0), 1.0, thickness=0)
-    drawn = np.argwhere(out.any(axis=2))
-    assert drawn.tolist() == [[4, 2]]
+    out = draw_trajectory(image, _rows((2.5, 4.5)), (0.0, 0.0), 1.0)
+    assert np.array_equal(out.any(axis=2), _blocks((6, 8), (4, 2)))
     assert tuple(out[4, 2]) == MODE_COLORS["safe"]
 
 
-def test_trajectory_points_off_image_are_not_drawn():
-    # points up to one cell left of or below the image must not be drawn on
-    # its edge row or column
+def test_trajectory_points_off_image_draw_their_clipped_block():
+    # Points up to one cell left of or below the image sit in cell -1, so
+    # only the far edge of their block reaches the image; truncating the
+    # coordinate toward zero would put them in cell 0 and draw one more
+    # row or column.
     image = np.zeros((6, 8, 3), dtype=np.uint8)
     rows = _rows((-0.4, 3.5), (2.5, -0.7), (-0.2, -0.2))
-    out = draw_trajectory(image, rows, (0.0, 0.0), 1.0, thickness=0)
-    assert not out.any()
+    out = draw_trajectory(image, rows, (0.0, 0.0), 1.0)
+    assert np.array_equal(out.any(axis=2), _blocks((6, 8), (3, -1), (-1, 2), (-1, -1)))
