@@ -13,9 +13,8 @@ Three interchangeable backends produce the same assessment type:
 from __future__ import annotations
 
 import base64
+import http.client
 import json
-import socket
-import urllib.error
 import urllib.request
 from dataclasses import dataclass
 from importlib import resources
@@ -179,9 +178,10 @@ def vlm_classify(image: bytes, prompt: str, config: VlmConfig, timestamp: float 
     terrain_class ("flat"|"rocky"|"challenging"), rock_complexity and
     slope_complexity (numbers in [0, 1]). Anything else - extra fields,
     missing fields, wrong types, out-of-range values, non-JSON bodies -
-    raises VlmSchemaError. Transport timeouts raise VlmTimeoutError; other
-    transport failures raise VlmTransportError. No value is ever returned
-    on a violation.
+    raises VlmSchemaError. Transport timeouts raise VlmTimeoutError; every
+    other transport failure (refused, HTTP error status, connection closed
+    without a reply, truncated body) raises VlmTransportError. No value is
+    ever returned on a violation.
     """
     if not image:
         raise ValidationError("image payload is empty")
@@ -196,14 +196,12 @@ def vlm_classify(image: bytes, prompt: str, config: VlmConfig, timestamp: float 
     try:
         with urllib.request.urlopen(req, timeout=config.timeout_s) as resp:
             raw = resp.read()
-    except socket.timeout as exc:
-        raise VlmTimeoutError(f"endpoint timed out after {config.timeout_s}s") from exc
-    except urllib.error.URLError as exc:
-        if isinstance(getattr(exc, "reason", None), socket.timeout) or isinstance(exc, TimeoutError):
+    except (OSError, http.client.HTTPException) as exc:
+        # urllib wraps a timeout while connecting in URLError, one while
+        # reading the reply not at all
+        if isinstance(exc, TimeoutError) or isinstance(getattr(exc, "reason", None), TimeoutError):
             raise VlmTimeoutError(f"endpoint timed out after {config.timeout_s}s") from exc
         raise VlmTransportError(f"endpoint request failed: {exc}") from exc
-    except TimeoutError as exc:
-        raise VlmTimeoutError(f"endpoint timed out after {config.timeout_s}s") from exc
     return parse_vlm_response(raw, timestamp)
 
 

@@ -15,7 +15,6 @@ from pathlib import Path as FsPath
 from . import config as cfgmod
 from . import pgmio, render
 from .errors import MissionConfigError, RoverNavError
-from .map_server import WaypointQueue
 from .mapping import CostGrid
 from .mission import run_mission
 from .terrain import TERRAIN_META, load_terrain, save_terrain
@@ -134,7 +133,7 @@ def cmd_run(args) -> int:
     (out / "trajectory.csv").write_text(
         TRAJECTORY_HEADER + "\n" + "\n".join(result.trajectory) + "\n", encoding="utf-8")
     result.server.dump(out / "map")
-    save_waypoints(WaypointQueue(list(scene.waypoints.points)), out / "waypoints.csv")
+    save_waypoints(scene.waypoints, out / "waypoints.csv")
 
     status = "success" if metrics["success"] else f"FAILED ({metrics['end_reason']})"
     print(f"mission {status}: {metrics['total_time']:.1f} s over "

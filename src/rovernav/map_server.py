@@ -1,4 +1,4 @@
-"""Global costmap ownership, priority merging, waypoints, collision checks.
+"""Global costmap ownership, priority merging, collision checks.
 
 One server instance owns the mission-wide costmap, a `CostGrid` (0-100
 traversal cost, -1 unknown), plus `source`, a per-cell record of which
@@ -6,22 +6,22 @@ navigation mode wrote it. Every local map arrives as the same `CostGrid`
 type: the mid-tier mode's obstacle map (0 free, 100 obstacle) and the
 cautious mode's graded costmap. They merge in under a strict priority
 rule: data from a more cautious mode is never overwritten by a less
-cautious one. The server also holds the waypoint queue and runs the
-periodic path collision check, straight on the global `CostGrid`, that
-emits replan signals.
+cautious one. The server also runs the periodic path collision check,
+straight on the global `CostGrid`, that emits replan signals. The
+mission's waypoint queue, `WaypointQueue`, is defined here and owned by
+the mission runner.
 """
 
 from __future__ import annotations
 
 import enum
 import json
-import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path as FsPath
 
 import numpy as np
 
-from .errors import MissionConfigError, ValidationError
+from .errors import ValidationError
 from .grids import cell_center, world_to_cell
 from .mapping import COST_MAX, COST_UNKNOWN, CostGrid
 from .modes import NavMode
@@ -39,11 +39,7 @@ class ReplanReason(enum.Enum):
 @dataclass
 class WaypointQueue:
     points: list[tuple[float, float]]
-    cursor: int = 0
-
-    def __post_init__(self):
-        if self.cursor > len(self.points):
-            raise ValidationError("cursor beyond queue length")
+    cursor: int = field(default=0, init=False)
 
     def __len__(self) -> int:
         return len(self.points)
@@ -70,7 +66,7 @@ class WaypointQueue:
 class MapServer:
     """The mission-wide map: `extent` (x, y) meters at GLOBAL_RESOLUTION,
     with the priority of the mode that wrote each cell (`source`, uint8,
-    0 = none), plus the waypoint queue and the periodic path check."""
+    0 = none), plus the periodic path check."""
 
     def __init__(self, extent: tuple[float, float]):
         if extent[0] <= 0 or extent[1] <= 0:
@@ -80,7 +76,6 @@ class MapServer:
         self.global_map = CostGrid(np.full((rows, cols), COST_UNKNOWN, dtype=np.int16),
                                    (0.0, 0.0), GLOBAL_RESOLUTION)
         self.source = np.zeros((rows, cols), dtype=np.uint8)
-        self.waypoints: WaypointQueue | None = None
 
     # -- map updates --------------------------------------------------------
 
@@ -146,35 +141,6 @@ class MapServer:
         block = gm.values[np.ix_(src_r, src_c)].copy()
         origin = (gm.origin[0] + c0 * resolution, gm.origin[1] + r0 * resolution)
         return CostGrid(block, origin, resolution)
-
-    # -- waypoints ------------------------------------------------------------
-
-    def set_waypoints(self, queue: WaypointQueue) -> None:
-        if len(queue) == 0:
-            raise MissionConfigError("waypoint queue is empty")
-        ex = self.global_map.cols * self.global_map.cell_size
-        ey = self.global_map.rows * self.global_map.cell_size
-        for x, y in queue.points:
-            if not (0 <= x <= ex and 0 <= y <= ey):
-                raise MissionConfigError(f"waypoint ({x:.1f}, {y:.1f}) outside the map extent")
-        self.waypoints = queue
-
-    def next_waypoint(self) -> tuple[float, float] | None:
-        """Current waypoint, or None once the queue is exhausted."""
-        if self.waypoints is None:
-            raise MissionConfigError("waypoint queue not initialized")
-        return self.waypoints.current()
-
-    def advance_waypoint(self, pose_xy, tolerance: float) -> bool:
-        """Advance the cursor when the rover is within tolerance. Returns
-        True when an advance happened."""
-        wp = self.next_waypoint()
-        if wp is None:
-            return False
-        if math.hypot(wp[0] - pose_xy[0], wp[1] - pose_xy[1]) <= tolerance:
-            self.waypoints.advance()
-            return True
-        return False
 
     # -- collision checks ------------------------------------------------------
 

@@ -1,16 +1,16 @@
 """Closed-loop mission executor.
 
-A fixed 20 Hz tick drives every subsystem at its own rate: classification
-at 0.2 Hz, obstacle mapping at 1 Hz, costmapping at 0.5 Hz, path collision
-checks at 1 Hz, and control at 10 Hz. The classifier looks at the terrain
-ahead of the rover (toward the next waypoint); its verdict selects the
-navigation mode, which in turn selects the speed cap, the mapping product,
-and the planner. Everything is simulated time; a run is exactly
-reproducible from its seed when using the mock or geometric classifier.
+`MissionRunner` drives every subsystem at its own rate on a fixed 20 Hz
+tick. The classifier looks at the terrain ahead of the rover (toward the
+next waypoint); its verdict selects the navigation mode, which in turn
+selects the speed cap, the mapping product, and the planner. Everything is
+simulated time; a run is exactly reproducible from its seed when using the
+mock or geometric classifier.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 from dataclasses import dataclass, field
@@ -256,10 +256,24 @@ class MissionResult:
     metrics: MissionMetrics
     trajectory: list
     server: MapServer
-    final_state: RoverState
 
 
 class MissionRunner:
+    """One mission on a fixed 20 Hz tick.
+
+    `run` is the schedule. Each tick first counts the subsystems whose
+    period (`ModeConfig` rate, in ticks) is due, then runs, in order:
+    classification (0.2 Hz), the obstacle map (1 Hz, safe mode) and the
+    costmap (0.5 Hz, conservative mode), the path collision check (1 Hz),
+    the progress checks, planning when the path is missing or stale,
+    control (10 Hz), one physics step with its hazard check, waypoint
+    arrival, and the timeout. The mission ends on the first of no_path,
+    a hazard, complete or timeout.
+
+    The runner flies its own copy of the waypoint queue; the caller's
+    queue is never advanced.
+    """
+
     def __init__(
         self,
         world: World,
@@ -271,15 +285,17 @@ class MissionRunner:
     ):
         if len(waypoints) == 0:
             raise MissionConfigError("waypoint queue is empty")
+        for x, y in waypoints.points:
+            if not (0 <= x <= world.extent_x and 0 <= y <= world.extent_y):
+                raise MissionConfigError(f"waypoint ({x:.1f}, {y:.1f}) outside the map extent")
         self.world = world
         self.config = config
         self.classifier = classifier
         self.forced_mode = forced_mode
         self.server = MapServer((world.extent_x, world.extent_y))
-        self.server.set_waypoints(waypoints)
+        self.waypoints = WaypointQueue(list(waypoints.points))
         if start is None:
-            first = waypoints.points[0]
-            start = RoverState(first[0], first[1], 0.0)
+            start = RoverState(*waypoints.points[0], 0.0)
         self.state = start
         self.switcher = ModeSwitcher()
         # cells the rover has actually traversed are proven drivable; they
@@ -287,12 +303,35 @@ class MissionRunner:
         # map later condemns
         self._breadcrumbs: list[tuple[float, float]] = [(start.x, start.y)]
 
+        self.periods = {
+            "classifier": config.ticks(config.classifier_rate),
+            "obstacle_map": config.ticks(config.obstacle_rate),
+            "costmap": config.ticks(config.costmap_rate),
+            "collision": config.ticks(config.collision_rate),
+            "control": config.ticks(config.control_rate),
+        }
+        route_len = 0.0
+        prev = (start.x, start.y)
+        for wp in waypoints.points:
+            route_len += math.hypot(wp[0] - prev[0], wp[1] - prev[1])
+            prev = wp
+        self.budget = config.timeout_factor * max(route_len, config.map_window) / config.speed_conservative
+
+        self.mode = forced_mode or NavMode.CONSERVATIVE
+        self.tracker: PathTracker | None = None
+        # the tracked path was planned for an earlier mode; read only while
+        # a tracker exists, and reset with every new tracker
+        self.stale_path = False
+        self.last_cmd = VelocityCommand(0.0, 0.0)
+        self._no_path_streak = 0
+        self.next_plan_tick = 0
+        self.metrics = MissionMetrics()
+        self.trajectory: list[str] = []
+
     # -- helpers --
 
     def _classifier_center(self) -> tuple[float, float]:
-        wp = self.server.next_waypoint()
-        if wp is None:
-            return (self.state.x, self.state.y)
+        wp = self.waypoints.current()
         dx = wp[0] - self.state.x
         dy = wp[1] - self.state.y
         d = math.hypot(dx, dy)
@@ -317,6 +356,9 @@ class MissionRunner:
         return GridGeometry(n, n, (x0, y0), resolution)
 
     def _update_obstacle_map(self) -> None:
+        """Safe mode's obstacle map of the window around the rover."""
+        if self.mode is not NavMode.SAFE:
+            return
         geom = self._snapped_geometry(self.config.obstacle_resolution)
         pts = self.world.sense_points(self.state, self.config.map_window + 1.0,
                                       self.config.sense_resolution_safe)
@@ -325,6 +367,9 @@ class MissionRunner:
         self.server.update_from_local(grid, NavMode.SAFE)
 
     def _update_costmap(self) -> None:
+        """Conservative mode's costmap of the window around the rover."""
+        if self.mode is not NavMode.CONSERVATIVE:
+            return
         # Sense and fit over a margin wider than the published window, then
         # write only the interior: cost features near a grid edge come from
         # truncated fit windows and underestimate hazards.
@@ -432,171 +477,160 @@ class MissionRunner:
         self._no_path_streak = 0
         return Path(pts)
 
-    # -- main loop --
+    # -- the schedule --
 
     def run(self) -> MissionResult:
+        counts = dict.fromkeys(self.periods, 0)
+        for n in itertools.count():
+            due = {name for name, period in self.periods.items() if n % period == 0}
+            for name in due:
+                counts[name] += 1
+            if "classifier" in due:
+                self._classify(n)
+            if "obstacle_map" in due:
+                self._update_obstacle_map()
+            if "costmap" in due:
+                self._update_costmap()
+            if "collision" in due:
+                self._check_path(n)
+            self._check_progress()
+            end = self._plan_tick(n)
+            if end is None:
+                if "control" in due:
+                    self._control()
+                end = self._move() or self._arrive()
+            if end is None and n * TICK_DT > self.budget:
+                end = "timeout"
+            if end is not None:
+                break
+
+        self.metrics.success = end == "complete"
+        self.metrics.end_reason = end
+        self.metrics.scheduler_counts = counts
+        return MissionResult(self.metrics, self.trajectory, self.server)
+
+    # -- one step per subsystem --
+
+    def _classify(self, n: int) -> None:
+        """Classify the terrain ahead; a mode change makes the path stale
+        and asks for a plan this tick."""
+        if self.forced_mode is not None or self.classifier is None:
+            return
+        try:
+            assessment = self.classifier.assess(self.world, self._classifier_center(), n * TICK_DT)
+        except (VlmError, EmptyPatchError, InsufficientDataError):
+            assessment = None
+        mode = self.switcher.update(assessment)
+        if mode is not self.mode:
+            self.mode = mode
+            self.stale_path = True
+            self.next_plan_tick = n
+
+    def _check_path(self, n: int) -> None:
+        """Drop a path the global map now condemns and replan this tick."""
+        if self.tracker is None:
+            return
+        if self.server.collision_check_tick(self.tracker.path, self.mode) is not None:
+            self.metrics.replan_count += 1
+            self.tracker = None
+            self.next_plan_tick = n
+
+    def _check_progress(self) -> None:
+        """Drop a path the rover has left or used up.
+
+        A large cross-track excursion (turn-around sweeps after a
+        direction-reversing replan) invalidates the path: replan from where
+        the rover actually is, keeping deviations bounded. Partial-leg
+        paths (goal clamped to the local window, or best reachable
+        progress) end short of the waypoint: replan from the new pose once
+        consumed. A waypoint that cannot be touched but is already close
+        counts as served.
+        """
+        if self.tracker is None:
+            return
         cfg = self.config
-        metrics = MissionMetrics()
-        trajectory: list[str] = []
-        counts = {"classifier": 0, "obstacle_map": 0, "costmap": 0, "collision": 0, "control": 0}
+        pts = self.tracker.path.points
+        d_path = float(np.min(np.hypot(pts[:, 0] - self.state.x, pts[:, 1] - self.state.y)))
+        if d_path > cfg.off_path_limit:
+            self.tracker = None
+            return
+        if self.stale_path or not self.tracker.reached(self.state):
+            return
+        wp = self.waypoints.current()
+        d_wp = math.hypot(wp[0] - self.state.x, wp[1] - self.state.y)
+        if d_wp > cfg.waypoint_tolerance:
+            if not self.waypoints.at_final and d_wp <= cfg.blocked_waypoint_slack:
+                self.waypoints.advance()
+                self.metrics.waypoints_skipped += 1
+            self.tracker = None
 
-        route_len = 0.0
-        prev = (self.state.x, self.state.y)
-        for wp in self.server.waypoints.points:
-            route_len += math.hypot(wp[0] - prev[0], wp[1] - prev[1])
-            prev = wp
-        budget = cfg.timeout_factor * max(route_len, cfg.map_window) / cfg.speed_conservative
-
-        cls_ticks = cfg.ticks(cfg.classifier_rate)
-        obs_ticks = cfg.ticks(cfg.obstacle_rate)
-        cost_ticks = cfg.ticks(cfg.costmap_rate)
-        col_ticks = cfg.ticks(cfg.collision_rate)
-        ctl_ticks = cfg.ticks(cfg.control_rate)
-
-        mode = self.forced_mode or NavMode.CONSERVATIVE
-        tracker: PathTracker | None = None
-        stale_path = False
-        last_cmd = VelocityCommand(0.0, 0.0)
+    def _plan_tick(self, n: int) -> str | None:
+        """Plan when the path is missing or stale and the retry tick has
+        come. A leg that stays unplannable is skipped; on the final leg the
+        mission ends with "no_path"."""
+        if (self.tracker is not None and not self.stale_path) or n < self.next_plan_tick:
+            return None
+        path = self._plan(self.mode, self.waypoints.current())
+        if path is not None:
+            self.tracker = PathTracker(path)
+            self.stale_path = False
+            return None
+        self.next_plan_tick = n + self.periods["collision"]
+        if self._no_path_streak < self.config.no_path_limit:
+            return None
+        if self.waypoints.at_final:
+            return "no_path"
+        # this leg is walled off; route via the next one
+        self.waypoints.advance()
+        self.metrics.waypoints_skipped += 1
         self._no_path_streak = 0
-        next_plan_tick = 0
-        n = 0
+        self.next_plan_tick = n
+        return None
 
-        while True:
-            now = n * TICK_DT
+    def _control(self) -> None:
+        if self.tracker is None:
+            self.last_cmd = VelocityCommand(0.0, 0.0)
+        else:
+            self.last_cmd = self.tracker.step(self.state, self.config.speed(self.mode),
+                                              taper=self.waypoints.at_final)
 
-            # classification
-            if n % cls_ticks == 0:
-                counts["classifier"] += 1
-                if self.forced_mode is None and self.classifier is not None:
-                    center = self._classifier_center()
-                    try:
-                        assessment = self.classifier.assess(self.world, center, now)
-                    except (VlmError, EmptyPatchError, InsufficientDataError):
-                        assessment = None
-                    new_mode = self.switcher.update(assessment)
-                    if new_mode is not mode:
-                        mode = new_mode
-                        stale_path = True
-                        next_plan_tick = n
+    def _move(self) -> str | None:
+        """One physics step under the last command, logged per mode, then
+        the hazard check. Returns the hazard kind, or None."""
+        self.state = step(self.state, self.last_cmd, TICK_DT)
+        bx, by = self._breadcrumbs[-1]
+        if math.hypot(self.state.x - bx, self.state.y - by) >= 0.5:
+            self._breadcrumbs.append((self.state.x, self.state.y))
+            if len(self._breadcrumbs) > 200:
+                self._breadcrumbs.pop(0)
+        self.metrics.time_by_mode[self.mode.value] += TICK_DT
+        self.metrics.distance_by_mode[self.mode.value] += self.last_cmd.linear * TICK_DT
+        self.trajectory.append(format_trajectory_row(self.state, self.mode.value))
+        hazard = self.world.check_hazard(self.state)
+        if hazard is None:
+            return None
+        self.metrics.hazards.append({
+            "kind": hazard.kind.value,
+            "x": round(hazard.position[0], 3),
+            "y": round(hazard.position[1], 3),
+            "time": round(hazard.time, 3),
+        })
+        return hazard.kind.value
 
-            # mapping
-            if n % obs_ticks == 0:
-                counts["obstacle_map"] += 1
-                if mode is NavMode.SAFE:
-                    self._update_obstacle_map()
-            if n % cost_ticks == 0:
-                counts["costmap"] += 1
-                if mode is NavMode.CONSERVATIVE:
-                    self._update_costmap()
-
-            # collision check
-            if n % col_ticks == 0:
-                counts["collision"] += 1
-                if tracker is not None:
-                    reason = self.server.collision_check_tick(tracker.path, mode)
-                    if reason is not None:
-                        metrics.replan_count += 1
-                        tracker = None
-                        stale_path = True
-                        next_plan_tick = n
-
-            # a large cross-track excursion (turn-around sweeps after a
-            # direction-reversing replan) invalidates the path: replan from
-            # where the rover actually is, keeping deviations bounded
-            if tracker is not None:
-                pts = tracker.path.points
-                d_path = float(np.min(np.hypot(pts[:, 0] - self.state.x, pts[:, 1] - self.state.y)))
-                if d_path > cfg.off_path_limit:
-                    tracker = None
-                    stale_path = False
-
-            # partial-leg paths (goal clamped to the local window, or best
-            # reachable progress) end short of the waypoint: replan from the
-            # new pose once consumed. A waypoint that cannot be touched but
-            # is already close counts as served.
-            if tracker is not None and not stale_path:
-                wp_now = self.server.next_waypoint()
-                if wp_now is not None and tracker.reached(self.state):
-                    d_wp = math.hypot(wp_now[0] - self.state.x, wp_now[1] - self.state.y)
-                    if d_wp > cfg.waypoint_tolerance:
-                        if not self.server.waypoints.at_final and d_wp <= cfg.blocked_waypoint_slack:
-                            self.server.waypoints.advance()
-                            metrics.waypoints_skipped += 1
-                        tracker = None
-
-            # planning
-            waypoint = self.server.next_waypoint()
-            if waypoint is not None and (tracker is None or stale_path) and n >= next_plan_tick:
-                path = self._plan(mode, waypoint)
-                if path is not None:
-                    tracker = PathTracker(path)
-                    stale_path = False
-                else:
-                    next_plan_tick = n + col_ticks
-                    if self._no_path_streak >= cfg.no_path_limit:
-                        if not self.server.waypoints.at_final:
-                            # this leg is walled off; route via the next one
-                            self.server.waypoints.advance()
-                            metrics.waypoints_skipped += 1
-                            self._no_path_streak = 0
-                            next_plan_tick = n
-                        else:
-                            metrics.success = False
-                            metrics.end_reason = "no_path"
-                            break
-
-            # control
-            if n % ctl_ticks == 0:
-                counts["control"] += 1
-                if tracker is not None:
-                    last_cmd = tracker.step(self.state, cfg.speed(mode), taper=self.server.waypoints.at_final)
-                else:
-                    last_cmd = VelocityCommand(0.0, 0.0)
-
-            # physics
-            self.state = step(self.state, last_cmd, TICK_DT)
-            bx, by = self._breadcrumbs[-1]
-            if math.hypot(self.state.x - bx, self.state.y - by) >= 0.5:
-                self._breadcrumbs.append((self.state.x, self.state.y))
-                if len(self._breadcrumbs) > 200:
-                    self._breadcrumbs.pop(0)
-            metrics.time_by_mode[mode.value] += TICK_DT
-            metrics.distance_by_mode[mode.value] += last_cmd.linear * TICK_DT
-            trajectory.append(format_trajectory_row(self.state, mode.value))
-
-            # hazards
-            hazard = self.world.check_hazard(self.state)
-            if hazard is not None:
-                metrics.hazards.append({
-                    "kind": hazard.kind.value,
-                    "x": round(hazard.position[0], 3),
-                    "y": round(hazard.position[1], 3),
-                    "time": round(hazard.time, 3),
-                })
-                metrics.success = False
-                metrics.end_reason = hazard.kind.value
-                break
-
-            # waypoint arrival
-            tol = cfg.final_tolerance if self.server.waypoints.at_final else cfg.waypoint_tolerance
-            if self.server.advance_waypoint((self.state.x, self.state.y), tol):
-                metrics.waypoints_reached += 1
-                tracker = None
-                stale_path = False
-                next_plan_tick = 0
-                if self.server.waypoints.complete:
-                    metrics.success = True
-                    metrics.end_reason = "complete"
-                    break
-
-            if now > budget:
-                metrics.success = False
-                metrics.end_reason = "timeout"
-                break
-            n += 1
-
-        metrics.scheduler_counts = counts
-        return MissionResult(metrics, trajectory, self.server, self.state)
+    def _arrive(self) -> str | None:
+        """Advance past a waypoint within tolerance. Returns "complete"
+        after the last one, else None."""
+        cfg = self.config
+        wp = self.waypoints.current()
+        tol = cfg.final_tolerance if self.waypoints.at_final else cfg.waypoint_tolerance
+        if math.hypot(wp[0] - self.state.x, wp[1] - self.state.y) <= tol:
+            self.waypoints.advance()
+            self.metrics.waypoints_reached += 1
+            self.tracker = None
+            self.next_plan_tick = 0
+            if self.waypoints.complete:
+                return "complete"
+        return None
 
 
 def run_mission(
@@ -677,13 +711,8 @@ def compare_single_vs_multi(
     reasons), not as exceptions.
     """
     single_world = World(terrain, sensor_sigma=sensor_sigma, seed=seed)
-    single = run_mission(
-        single_world, WaypointQueue(list(waypoints.points)), None, config,
-        forced_mode=NavMode.CONSERVATIVE, start=start,
-    )
+    single = run_mission(single_world, waypoints, None, config,
+                         forced_mode=NavMode.CONSERVATIVE, start=start)
     multi_world = World(terrain, sensor_sigma=sensor_sigma, seed=seed)
-    multi = run_mission(
-        multi_world, WaypointQueue(list(waypoints.points)),
-        classifier, config, forced_mode=None, start=start,
-    )
+    multi = run_mission(multi_world, waypoints, classifier, config, forced_mode=None, start=start)
     return ComparisonReport(single.metrics, multi.metrics)

@@ -95,7 +95,7 @@ def test_compare_runs_the_configured_classifier_and_sensor_noise(tmp_path, monke
         calls.append((world, classifier, forced_mode))
         metrics = MissionMetrics(success=True, end_reason="complete")
         metrics.time_by_mode["conservative"] = 10.0
-        return MissionResult(metrics, [], None, None)
+        return MissionResult(metrics, [], None)
 
     monkeypatch.setattr(mission, "run_mission", fake_run_mission)
     cfg = {"terrain": {"specs": [SPEC]}, "waypoints": {"points": [[15, 10], [5, 10]]},

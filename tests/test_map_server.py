@@ -4,8 +4,12 @@ import pytest
 from rovernav.errors import MissionConfigError
 from rovernav.map_server import MapServer, ReplanReason, WaypointQueue
 from rovernav.mapping import CostGrid
+from rovernav.mission import MissionRunner
 from rovernav.modes import NavMode
 from rovernav.planning import Path
+from rovernav.world import World
+
+from conftest import flat_terrain
 
 
 def cost_local(values, origin, cell=0.5):
@@ -132,20 +136,20 @@ class TestWindows:
 
 class TestWaypoints:
     def test_sequential_access(self):
-        srv = server()
-        srv.set_waypoints(WaypointQueue([(5.0, 5.0), (10.0, 10.0), (15.0, 15.0)]))
-        assert srv.next_waypoint() == (5.0, 5.0)
-        assert not srv.advance_waypoint((20.0, 20.0), 1.0)  # 10+ m away
-        assert srv.next_waypoint() == (5.0, 5.0)
-        assert srv.advance_waypoint((5.2, 5.0), 1.0)
-        assert srv.next_waypoint() == (10.0, 10.0)
+        queue = WaypointQueue([(5.0, 5.0), (10.0, 10.0), (15.0, 15.0)])
+        assert queue.current() == (5.0, 5.0)
+        queue.advance()
+        assert queue.current() == (10.0, 10.0)
+        queue.advance()
+        assert queue.current() == (15.0, 15.0)
 
     def test_complete_after_last(self):
-        srv = server()
-        srv.set_waypoints(WaypointQueue([(5.0, 5.0)]))
-        assert srv.advance_waypoint((5.0, 5.0), 0.5)
-        assert srv.next_waypoint() is None
-        assert srv.waypoints.complete
+        queue = WaypointQueue([(5.0, 5.0)])
+        assert not queue.complete
+        queue.advance()
+        assert queue.complete and queue.current() is None
+        queue.advance()
+        assert queue.cursor == 1
 
     def test_at_final_from_last_waypoint_on(self):
         queue = WaypointQueue([(5.0, 5.0), (10.0, 10.0)])
@@ -156,16 +160,12 @@ class TestWaypoints:
         assert seen == [False, True, True]
 
     def test_empty_queue_rejected(self):
-        with pytest.raises(MissionConfigError):
-            server().set_waypoints(WaypointQueue([]))
+        with pytest.raises(MissionConfigError, match="empty"):
+            MissionRunner(World(flat_terrain()), WaypointQueue([]), None)
 
     def test_waypoint_outside_extent_rejected(self):
-        with pytest.raises(MissionConfigError):
-            server().set_waypoints(WaypointQueue([(500.0, 5.0)]))
-
-    def test_uninitialized_queue_rejected(self):
-        with pytest.raises(MissionConfigError):
-            server().next_waypoint()
+        with pytest.raises(MissionConfigError, match="outside the map extent"):
+            MissionRunner(World(flat_terrain()), WaypointQueue([(5.0, 5.0), (500.0, 5.0)]), None)
 
 
 class TestCollisionCheck:

@@ -1,17 +1,20 @@
+import contextlib
 import dataclasses
 import hashlib
 import http.server
 import json
 import sys
 import threading
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import rovernav.mission as mission
 from rovernav.classify import TerrainAssessment, VlmConfig
 from rovernav.config import build_scene
-from rovernav.errors import ValidationError
+from rovernav.errors import InvalidStartError, ValidationError, VlmTimeoutError, VlmTransportError
 from rovernav.map_server import WaypointQueue
 from rovernav.mapping import COST_MAX, CostGrid
 from rovernav.mission import (
@@ -32,10 +35,13 @@ from conftest import flat_terrain
 
 # sha256 of json(metrics, sorted keys) + b"\n" + the trajectory rows, for the
 # adaptive mock-classifier mission on build_scene(kind, 0). A change that
-# moves one of these must explain why.
+# moves one of these must explain why. Mixed and challenging are the
+# benchmark's adaptive missions; both end in a rock collision.
 GOLDEN_DIGESTS = {
     "flat": "89664f7dc96d8248d3662bfa5477f1b85a00faf8a69bc70e4be3bfd34e85e9fb",
     "rocky": "8c9df14903c8d4c025ef410b9fcb3ee12865e3249601e0d658f017b92eef4046",
+    "mixed": "de1d0c96f18ebce4de196ce1d1ba42a6b306bf976370caa4c413bbdd28f7267a",
+    "challenging": "bf8e46d059fa2609c909698feaa4b71913d21d54d3f19e2fb4d6e4e249466ed5",
 }
 
 # Forced-conservative mission on build_scene("rocky", 0), first 2 auto
@@ -53,20 +59,57 @@ def mission_digest(metrics: dict, trajectory: list) -> str:
     return h.hexdigest()
 
 
-def test_golden_digests():
+@pytest.fixture
+def check_invariants(monkeypatch):
+    """The benchmark's run invariants, which every mission keeps."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    monkeypatch.delitem(sys.modules, "scenarios", raising=False)
+    import scenarios
+
+    return scenarios.check_invariants
+
+
+def test_golden_digests(check_invariants):
     got = {}
     for kind in GOLDEN_DIGESTS:
         scene = build_scene(kind, 0)
         result = run_mission(scene.world, scene.waypoints, MockClassifierBackend(0), start=scene.start)
-        got[kind] = mission_digest(result.metrics.to_dict(), result.trajectory)
+        metrics = result.metrics.to_dict()
+        assert check_invariants(metrics, result.trajectory, len(result.trajectory), None) == [], kind
+        got[kind] = mission_digest(metrics, result.trajectory)
     assert got == GOLDEN_DIGESTS
 
 
-def test_golden_conservative_digest():
+def test_golden_conservative_digest(check_invariants):
     scene = build_scene("rocky", 0)
     queue = WaypointQueue(list(scene.waypoints.points[:2]))
     result = run_mission(scene.world, queue, None, forced_mode=NavMode.CONSERVATIVE, start=scene.start)
-    assert mission_digest(result.metrics.to_dict(), result.trajectory) == CONSERVATIVE_DIGEST
+    metrics = result.metrics.to_dict()
+    assert check_invariants(metrics, result.trajectory, len(result.trajectory),
+                            NavMode.CONSERVATIVE.value) == []
+    assert mission_digest(metrics, result.trajectory) == CONSERVATIVE_DIGEST
+
+
+def test_no_path_ending_counts_the_control_period(monkeypatch, check_invariants):
+    # Every plan fails, so the streak reaches no_path_limit on the fifth
+    # retry, at tick 80: an even tick, where control is due.
+    def blocked(*args, **kwargs):
+        raise InvalidStartError("start cell is blocked")
+
+    monkeypatch.setattr(mission, "astar_obstacle", blocked)
+    result = run_mission(World(flat_terrain()), WaypointQueue([(40.0, 20.0)]), None,
+                         forced_mode=NavMode.SAFE, start=RoverState(20.0, 20.0, 0.0))
+    metrics = result.metrics.to_dict()
+    assert (metrics["success"], metrics["end_reason"]) == (False, "no_path")
+    assert check_invariants(metrics, result.trajectory, 80, NavMode.SAFE.value) == []
+
+
+def test_run_leaves_the_callers_queue_alone():
+    queue = WaypointQueue([(30.0, 20.0)])
+    result = run_mission(World(flat_terrain()), queue, None, forced_mode=NavMode.EFFICIENT,
+                         start=RoverState(20.0, 20.0, 0.0))
+    assert (result.metrics.success, result.metrics.waypoints_reached) == (True, 1)
+    assert queue.cursor == 0
 
 
 def _runner(x=20.0, y=20.0):
@@ -82,6 +125,13 @@ def test_clear_breadcrumbs_clears_only_visited_cells():
     runner._clear_breadcrumbs(grid)
     cleared = np.argwhere(grid.values < COST_MAX)
     assert cleared.tolist() == [[2, 1]]
+
+
+def test_arrival_on_the_final_waypoint_uses_its_tolerance():
+    runner = _runner(x=39.4)
+    assert runner._arrive() is None and runner.waypoints.cursor == 0
+    runner.state = RoverState(40.0 - runner.config.final_tolerance, 20.0, 0.0)
+    assert runner._arrive() == "complete"
 
 
 def test_clear_start_clears_disc_under_rover():
@@ -211,10 +261,32 @@ class _VlmStub(http.server.BaseHTTPRequestHandler):
         pass
 
 
-@pytest.fixture
-def vlm_stub():
-    server = http.server.HTTPServer(("127.0.0.1", 0), _VlmStub)
-    server.auth_headers = []
+class _FaultyVlmStub(http.server.BaseHTTPRequestHandler):
+    """Fails every POST the way `server.fault` names."""
+
+    def do_POST(self):
+        self.rfile.read(int(self.headers["Content-Length"]))
+        if self.server.fault == "slow":
+            time.sleep(0.5)  # then close without a reply
+        elif self.server.fault == "http_500":
+            self.send_error(500)
+        elif self.server.fault == "truncated":
+            self.send_response(200)
+            self.send_header("Content-Type", "application/json")
+            self.send_header("Content-Length", "100")
+            self.end_headers()
+            self.wfile.write(b'{"terrain_class": "rocky"')
+        # "closed": return without a reply; the connection closes
+
+    def log_message(self, *args):
+        pass
+
+
+@contextlib.contextmanager
+def _serve(handler, **attrs):
+    server = http.server.HTTPServer(("127.0.0.1", 0), handler)
+    for name, value in attrs.items():
+        setattr(server, name, value)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     try:
@@ -224,6 +296,12 @@ def vlm_stub():
         server.server_close()
         thread.join(timeout=5.0)
     assert not thread.is_alive()
+
+
+@pytest.fixture
+def vlm_stub():
+    with _serve(_VlmStub, auth_headers=[]) as server:
+        yield server
 
 
 @pytest.mark.parametrize("key, header", [("s3cret", "Bearer s3cret"), (None, None)], ids=["set", "unset"])
@@ -237,3 +315,18 @@ def test_vlm_backend_sends_key_from_env(vlm_stub, monkeypatch, key, header):
     assessment = VlmClassifierBackend(config).assess(World(flat_terrain()), (30.0, 30.0), 5.0)
     assert (assessment.terrain_class, assessment.timestamp) == (TerrainClass.ROCKY, 5.0)
     assert vlm_stub.auth_headers == [header]
+
+
+@pytest.mark.parametrize("fault, error", [
+    ("slow", VlmTimeoutError),
+    ("http_500", VlmTransportError),
+    ("closed", VlmTransportError),
+    ("truncated", VlmTransportError),
+])
+def test_vlm_transport_failures_raise_vlm_errors(monkeypatch, fault, error):
+    # the mission falls back on a VlmError; anything else would end it
+    monkeypatch.setenv("NO_PROXY", "127.0.0.1")
+    with _serve(_FaultyVlmStub, fault=fault) as server:
+        config = VlmConfig(f"http://127.0.0.1:{server.server_port}/", timeout_s=0.2)
+        with pytest.raises(error):
+            VlmClassifierBackend(config).assess(World(flat_terrain()), (30.0, 30.0), 5.0)
