@@ -105,12 +105,18 @@ class MapServer:
         ok = (gr >= 0) & (gr < rows) & (gc >= 0) & (gc < cols)
         if not ok.any():
             return 0
-        acc = np.full((rows, cols), COST_UNKNOWN, dtype=np.int16)
-        np.maximum.at(acc, (gr[ok], gc[ok]), local.values[rr[ok], cc[ok]])
-        downgrade = (gm.values >= COST_MAX) & (mode.priority == self.source) & (acc < COST_MAX)
-        writable = (acc >= 0) & (mode.priority >= self.source) & ~downgrade
-        gm.values[writable] = acc[writable]
-        self.source[writable] = mode.priority
+        # Only the bounding box of the written cells can change: outside it
+        # the max-pooled local map is unknown everywhere.
+        gr, gc = gr[ok], gc[ok]
+        r0, c0 = int(gr.min()), int(gc.min())
+        box = (slice(r0, int(gr.max()) + 1), slice(c0, int(gc.max()) + 1))
+        values, source = gm.values[box], self.source[box]
+        acc = np.full(values.shape, COST_UNKNOWN, dtype=np.int16)
+        np.maximum.at(acc, (gr - r0, gc - c0), local.values[rr[ok], cc[ok]])
+        downgrade = (values >= COST_MAX) & (mode.priority == source) & (acc < COST_MAX)
+        writable = (acc >= 0) & (mode.priority >= source) & ~downgrade
+        values[writable] = acc[writable]
+        source[writable] = mode.priority
         return int(np.count_nonzero(writable))
 
     # -- windows -------------------------------------------------------------

@@ -7,13 +7,17 @@ blocked, and an edge weighs its step length scaled by the cost of its
 endpoints. The mid-tier mode plans on the safe view of its window
 (`mapping.cost_to_obstacle`), where every open cell costs 0; the cautious
 mode plans on the costmap itself. One 8-connected search core, `_search`,
-runs in two modes:
+runs over the grid padded by one cell and flattened to Python lists:
+blocked and border cells hold a distance of -inf, so the relax test alone
+keeps the search on open cells. It runs in two modes:
 
 * goal mode: A* toward a goal cell with the octile heuristic
   (`astar_obstacle`, `astar_cost`).
 * flood mode: Dijkstra from the start with no goal (h = 0).
-  `best_progress_path` floods the same graph and targets the settled cell
-  that gets closest to a goal the direct planners could not reach.
+  `best_progress_path` targets the reachable cell that gets closest to a
+  goal the direct planners could not reach. It finds the candidates from
+  the start's connected component, then floods only until it settles the
+  first of them.
 
 All searches are deterministic: ties break on lower f, then lower h, then
 row-major cell order. World points become cells through
@@ -24,11 +28,12 @@ row-major cell order. World points become cells through
 from __future__ import annotations
 
 import heapq
-import itertools
 import math
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import ndimage
 
 from .errors import InvalidStartError, NoPathError, ValidationError
 from .grids import cell_center, neighbor_slices, world_to_cell
@@ -113,9 +118,9 @@ def bspline_path(start, goal, heading: float) -> Path:
 
 
 def octile(dr: int, dc: int) -> float:
-    """Shortest 8-connected distance between cells, in cell units."""
-    dr, dc = abs(dr), abs(dc)
-    return max(dr, dc) + (SQRT2 - 1.0) * min(dr, dc)
+    """Shortest 8-connected distance between cells, in cell units (elementwise)."""
+    dr, dc = np.abs(dr), np.abs(dc)
+    return np.maximum(dr, dc) + (SQRT2 - 1.0) * np.minimum(dr, dc)
 
 
 def astar_obstacle(grid: CostGrid, start, goal) -> Path:
@@ -149,10 +154,10 @@ def astar_cost(grid: CostGrid, start, goal) -> Path:
         raise InvalidStartError("start cell is blocked")
     if blocked[gr, gc]:
         raise NoPathError("goal cell is blocked")
-    _, came, _, reached = _search(blocked, mult, sr, sc, (gr, gc))
-    if not reached:
+    cells = _search(blocked, mult, (sr, sc), goal=(gr, gc))
+    if cells is None:
         raise NoPathError("no admissible path to the goal")
-    return _reconstruct(grid, came, sr * cols + sc, gr * cols + gc)
+    return Path(np.column_stack(cell_center(*cells, grid.origin, grid.cell_size)))
 
 
 def _graph(grid: CostGrid):
@@ -175,113 +180,140 @@ def _endpoint_cells(grid, start, goal) -> tuple[int, int, int, int]:
     return sr, sc, gr, gc
 
 
-def _search(blocked, mult, sr, sc, goal=None):
+def _search(blocked, mult, start, goal=None, targets=()):
     """The one search core: A* toward `goal`, or a Dijkstra flood without one.
 
-    mult is the per-cell edge multiplier (None = uniform); an edge weighs
-    its step length times the mean multiplier of its endpoints. The
-    heuristic is octile distance to the goal (0 in a flood), admissible and
-    consistent because every multiplier is >= 1. Heap entries are
-    (f, h, row-major index), which fixes the tie order. Returns (dist,
-    came_from, closed cells in pop order, goal reached); the goal itself is
-    not in the closed list.
+    The grid is padded by one cell and flattened: cell (r, c) has index
+    (r + 1) * (cols + 2) + c + 1, in row-major order, and its 8 neighbours
+    sit at fixed offsets. Blocked and border cells hold dist = -inf, so the
+    relax test `ng < dist - 1e-12` alone rejects them; closed cells are
+    relaxed like any other. mult is the per-cell edge multiplier (None =
+    uniform); an edge weighs its step length times the mean multiplier of
+    its endpoints. The octile heuristic is consistent because every
+    multiplier is >= 1. Heap entries are (f, h, index) in A* and (g, index)
+    in a flood, where h = 0: ties break on f, then h, then row-major order.
+
+    A* stops when it pops the goal, a flood when it pops a cell of
+    `targets`. Every edge weighs at least 1, so a flood pops cells in rising
+    (weight, index) order and never improves a popped cell: the first
+    target popped has the least (weight, index), and its came chain is
+    final. Returns the (rows, cols) arrays of the path's cells from the
+    start, or None when no stop cell is reachable.
     """
     rows, cols = blocked.shape
-    # nested lists index several times faster than numpy scalars
-    blocked = blocked.tolist()
-    if mult is not None:
-        mult = mult.tolist()
-    start_idx = sr * cols + sc
-    if goal is None:
-        goal_idx = -1
-        h0 = 0.0
+    width = cols + 2
+    wall = np.ones((rows + 2, width), dtype=bool)
+    wall[1:-1, 1:-1] = blocked
+    dist = [math.inf] * wall.size
+    for i in np.flatnonzero(wall).tolist():
+        dist[i] = -math.inf
+    came = [-1] * len(dist)
+    closed = bytearray(len(dist))
+    uniform = mult is None
+    if not uniform:
+        mult = np.pad(mult, 1, constant_values=1.0).ravel().tolist()
+    # a weighted edge is step * 0.5 * (m_here + m_next); step * 0.5 is exact
+    # and taken once here, so the sum rounds exactly as written out
+    steps = [(dr * width + dc, step if uniform else step * 0.5) for dr, dc, step in _NEIGHBORS]
+    s = (start[0] + 1) * width + start[1] + 1
+    dist[s] = 0.0
+    flood = goal is None
+    if flood:
+        heap = [(0.0, s)]
+        stop = {(r + 1) * width + c + 1 for r, c in targets}
     else:
         gr, gc = goal
-        goal_idx = gr * cols + gc
-        h0 = octile(sr - gr, sc - gc)
-    dist = {start_idx: 0.0}
-    came: dict[int, int] = {}
-    heap = [(h0, h0, start_idx)]
-    closed: dict[int, None] = {}  # insertion order = pop order
+        # a flat C-double array: a Python float is made only for each push
+        hl = array("d", octile(np.arange(-1, rows + 1)[:, None] - gr,
+                               np.arange(-1, cols + 1)[None, :] - gc).ravel().tobytes())
+        heap = [(hl[s], hl[s], s)]
+        stop = {(gr + 1) * width + gc + 1}
     pop, push = heapq.heappop, heapq.heappush
     while heap:
-        f, h, idx = pop(heap)
-        if idx in closed:
+        i = pop(heap)[-1]
+        if closed[i]:
             continue
-        if idx == goal_idx:
-            return dist, came, list(closed), True
-        closed[idx] = None
-        g = dist[idx]
-        r, c = divmod(idx, cols)
-        if mult is not None:
-            m_here = mult[r][c]
-        for dr, dc, step_len in _NEIGHBORS:
-            nr, nc = r + dr, c + dc
-            if nr < 0 or nr >= rows or nc < 0 or nc >= cols or blocked[nr][nc]:
-                continue
-            if mult is None:
-                w = step_len
-            else:
-                w = step_len * 0.5 * (m_here + mult[nr][nc])
-            nidx = nr * cols + nc
-            ng = g + w
-            if nidx not in dist or ng < dist[nidx] - 1e-12:
-                dist[nidx] = ng
-                came[nidx] = idx
-                nh = 0.0 if goal is None else octile(nr - gr, nc - gc)
-                push(heap, (ng + nh, nh, nidx))
-    return dist, came, list(closed), False
-
-
-def _reconstruct(grid, came, start_idx, end_idx) -> Path:
-    idx = end_idx
-    cells = [idx]
-    while idx != start_idx:
-        idx = came[idx]
-        cells.append(idx)
-    cells.reverse()
-    rr, cc = np.divmod(np.array(cells), grid.cols)
-    xs, ys = cell_center(rr, cc, grid.origin, grid.cell_size)
-    return Path(np.column_stack([xs, ys]))
+        if i in stop:
+            cells = [i]
+            while came[cells[-1]] >= 0:
+                cells.append(came[cells[-1]])
+            rr, cc = np.divmod(np.array(cells[::-1]), width)
+            return rr - 1, cc - 1
+        closed[i] = 1
+        g = dist[i]
+        if not uniform:
+            m = mult[i]
+        for off, w in steps:
+            j = i + off
+            ng = g + w if uniform else g + w * (m + mult[j])
+            if ng < dist[j] - 1e-12:
+                dist[j] = ng
+                came[j] = i
+                if flood:
+                    push(heap, (ng, j))
+                else:
+                    h = hl[j]
+                    push(heap, (ng + h, h, j))
+    return None
 
 
 def best_progress_path(grid: CostGrid, start, goal) -> Path:
     """Path to the reachable cell that gets closest to an unreachable goal.
 
-    Floods the grid's weighted graph from the start (the search core
-    without a goal), then picks the settled cell with the smallest
-    Euclidean distance to the goal (ties: lower path weight, then row-major
-    order). When no settled cell improves on the start (the rover is
-    pressed against a wall), the target becomes the settled frontier cell
-    nearest the goal - a reachable cell bordering unknown space - so fresh
-    sensing from there can open the route; the safe view has no unknown
-    cells, so there it keeps the nearest settled cell. Falls back to a
-    single-point path at the start cell when nothing else is reachable.
-    Used when the direct planners report no path, so the rover can still
-    make progress around large blocked regions.
+    The target is the reachable cell with the smallest Euclidean distance
+    to the goal (ties: lower path weight, then row-major order). When no
+    reachable cell improves on the start (the rover is pressed against a
+    wall), the target becomes the reachable frontier cell nearest the goal
+    - a cell bordering unknown space - so fresh sensing from there can
+    open the route; the safe view has no unknown cells, so there it keeps
+    the nearest reachable cell. Falls back to a single-point path at the
+    start cell when nothing else is reachable. Used when the direct
+    planners report no path, so the rover can still make progress around
+    large blocked regions.
+
+    The reachable cells are the start's 8-connected component of open
+    cells, which is exactly the set a flood of the search graph settles.
+    The candidates - every reachable cell at the target's distance to the
+    goal - come from that set. The flood (the search core without a goal)
+    stops at the first candidate it settles, which is the one of least
+    path weight, then row-major order.
     """
     blocked, mult = _graph(grid)
     rows, cols = blocked.shape
     sr, sc, gr, gc = _endpoint_cells(grid, start, goal)
     if not (0 <= sr < rows and 0 <= sc < cols) or blocked[sr, sc]:
         raise InvalidStartError("start cell is blocked or outside the grid")
-    dist, came, closed, _ = _search(blocked, mult, sr, sc)
-
-    # key of a settled cell: (distance to goal, path weight, row-major index)
-    rr, cc = np.divmod(np.array(closed), cols)
-    to_goal = list(map(math.hypot, (rr - gr).tolist(), (cc - gc).tolist()))
-    weight = [dist[idx] for idx in closed]
-    best = min(zip(to_goal, weight, closed))
+    labels, _ = ndimage.label(~blocked, structure=np.ones((3, 3)))
+    rr, cc = np.nonzero(labels == labels[sr, sc])
+    near, to_goal = _nearest(rr, cc, gr, gc)
     min_progress_cells = 3.0 / grid.cell_size
-    if best[0] >= math.hypot(sr - gr, sc - gc) - min_progress_cells:
+    if to_goal >= math.hypot(sr - gr, sc - gc) - min_progress_cells:
         # walled in: aim for the reachable frontier nearest the goal
         unknown = grid.values < 0
         near_unknown = np.zeros_like(unknown)
         for dst, src in neighbor_slices(unknown.shape):
             near_unknown[dst] |= unknown[src]
-        frontier = near_unknown.ravel()[closed].tolist()
-        best = min(itertools.compress(zip(to_goal, weight, closed), frontier), default=best)
-    return _reconstruct(grid, came, sr * cols + sc, best[2])
+        frontier = near_unknown[rr, cc]
+        if frontier.any():
+            rr, cc = rr[frontier], cc[frontier]
+            near, _ = _nearest(rr, cc, gr, gc)
+    cells = _search(blocked, mult, (sr, sc), targets=zip(rr[near].tolist(), cc[near].tolist()))
+    return Path(np.column_stack(cell_center(*cells, grid.origin, grid.cell_size)))
+
+
+def _nearest(rr, cc, gr, gc):
+    """Positions in (rr, cc) of the cells at the least `math.hypot` distance
+    to the goal cell (gr, gc), and that distance.
+
+    The square roots of distinct integer squared distances lie many ulps
+    apart on any grid that fits in memory, so only cells of the least
+    squared distance can tie; math.hypot settles the tie among those.
+    """
+    d2 = (rr - gr) ** 2 + (cc - gc) ** 2
+    near = np.flatnonzero(d2 == d2.min())
+    to_goal = [math.hypot(r - gr, c - gc) for r, c in zip(rr[near].tolist(), cc[near].tolist())]
+    least = min(to_goal)
+    return near[[d == least for d in to_goal]], least
 
 
 def path_collides(path: Path, grid: CostGrid) -> bool:

@@ -3,16 +3,21 @@
 The file name keeps it out of the default test run; run it with
 `python -m pytest tests/bench_planning.py`. The windows match what the
 mission loop plans on: the safe view (`cost_to_obstacle`) of a 20 m and a
-40 m escape window at 0.5 m cells, and a 20 m costmap window at 0.1 m.
+40 m escape window at 0.5 m cells, and a 20 m costmap window at 0.1 m. The
+route search is the one `waypoints.plan_waypoints` runs while the mixed
+course (seed 0) is set up: the coarse costmap of its ground layer, inflated,
+then `astar_cost` from start to goal.
 """
 
 import numpy as np
 import pytest
 from scipy import ndimage
 
+from rovernav.config import build_scene
 from rovernav.grids import dilate_disc
-from rovernav.mapping import COST_MAX, COST_UNKNOWN, CostGrid, cost_to_obstacle
+from rovernav.mapping import COST_MAX, COST_UNKNOWN, CostGrid, cost_to_obstacle, inflate_lethal
 from rovernav.planning import astar_cost, astar_obstacle, best_progress_path
+from rovernav.waypoints import ROUTE_INFLATION, global_cost_from_dem
 
 
 def _window(n, cell, graded, seed=0):
@@ -64,4 +69,16 @@ def test_astar_cost_200(benchmark):
 def test_best_progress_path_costmap_200(benchmark):
     window, start, goal = COSTMAP
     path = benchmark(best_progress_path, window, start, goal)
+    assert len(path) > 1
+
+
+MIXED = build_scene("mixed", 0)
+
+
+def test_route_search_mixed(benchmark):
+    def route():
+        cost = inflate_lethal(global_cost_from_dem(MIXED.terrain.ground), ROUTE_INFLATION)
+        return astar_cost(cost, (MIXED.start.x, MIXED.start.y), MIXED.goal)
+
+    path = benchmark(route)
     assert len(path) > 1

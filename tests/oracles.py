@@ -1,12 +1,15 @@
 """Independent reference implementations used to check the package.
 
 These deliberately share no code with the package: plain-dict Dijkstra
-over the same 8-connected movement model, a brute-force point-to-segment
-distance, a shift-and-OR disc dilation, shift-and-compare disc extrema and a
-per-window least-squares plane fit. Keep them simple and slow.
+over the same 8-connected movement model, the dict/heap grid search the
+planners used before their flat-array core (with the planners built on it),
+a full-map priority merge, a brute-force point-to-segment distance, a
+shift-and-OR disc dilation, shift-and-compare disc extrema and a per-window
+least-squares plane fit. Keep them simple and slow.
 """
 
 import heapq
+import itertools
 import math
 
 import numpy as np
@@ -189,3 +192,153 @@ def point_segment_distance(p, a, b):
         return math.hypot(px - ax, py - ay)
     t = max(0.0, min(1.0, ((px - ax) * dx + (py - ay) * dy) / denom))
     return math.hypot(px - (ax + t * dx), py - (ay + t * dy))
+
+
+# --- the dict/heap search core the planners used before the flat-array one --
+#
+# `search` is that core verbatim (as `_search`); the functions after it are
+# the planners' old bodies around it, in cell units. Paths are lists of
+# (row, col) cells.
+
+_NEIGHBORS = STEPS
+
+
+def octile(dr, dc):
+    dr, dc = abs(dr), abs(dc)
+    return max(dr, dc) + (SQRT2 - 1.0) * min(dr, dc)
+
+
+def search(blocked, mult, sr, sc, goal=None):
+    """The one search core: A* toward `goal`, or a Dijkstra flood without one.
+
+    mult is the per-cell edge multiplier (None = uniform); an edge weighs
+    its step length times the mean multiplier of its endpoints. The
+    heuristic is octile distance to the goal (0 in a flood), admissible and
+    consistent because every multiplier is >= 1. Heap entries are
+    (f, h, row-major index), which fixes the tie order. Returns (dist,
+    came_from, closed cells in pop order, goal reached); the goal itself is
+    not in the closed list.
+    """
+    rows, cols = blocked.shape
+    # nested lists index several times faster than numpy scalars
+    blocked = blocked.tolist()
+    if mult is not None:
+        mult = mult.tolist()
+    start_idx = sr * cols + sc
+    if goal is None:
+        goal_idx = -1
+        h0 = 0.0
+    else:
+        gr, gc = goal
+        goal_idx = gr * cols + gc
+        h0 = octile(sr - gr, sc - gc)
+    dist = {start_idx: 0.0}
+    came: dict[int, int] = {}
+    heap = [(h0, h0, start_idx)]
+    closed: dict[int, None] = {}  # insertion order = pop order
+    pop, push = heapq.heappop, heapq.heappush
+    while heap:
+        f, h, idx = pop(heap)
+        if idx in closed:
+            continue
+        if idx == goal_idx:
+            return dist, came, list(closed), True
+        closed[idx] = None
+        g = dist[idx]
+        r, c = divmod(idx, cols)
+        if mult is not None:
+            m_here = mult[r][c]
+        for dr, dc, step_len in _NEIGHBORS:
+            nr, nc = r + dr, c + dc
+            if nr < 0 or nr >= rows or nc < 0 or nc >= cols or blocked[nr][nc]:
+                continue
+            if mult is None:
+                w = step_len
+            else:
+                w = step_len * 0.5 * (m_here + mult[nr][nc])
+            nidx = nr * cols + nc
+            ng = g + w
+            if nidx not in dist or ng < dist[nidx] - 1e-12:
+                dist[nidx] = ng
+                came[nidx] = idx
+                nh = 0.0 if goal is None else octile(nr - gr, nc - gc)
+                push(heap, (ng + nh, nh, nidx))
+    return dist, came, list(closed), False
+
+
+def search_graph(values, lethal=100, alpha=4.0):
+    """(blocked, multiplier or None) of a costmap, as the planners build them."""
+    values = np.asarray(values)
+    blocked = (values >= lethal) | (values < 0)
+    if not ((values > 0) & ~blocked).any():
+        return blocked, None
+    return blocked, 1.0 + alpha * values.astype(float) / 100.0
+
+
+def _cells_to(came, cols, start_idx, end_idx):
+    idx = end_idx
+    cells = [idx]
+    while idx != start_idx:
+        idx = came[idx]
+        cells.append(idx)
+    return [divmod(i, cols) for i in reversed(cells)]
+
+
+def search_astar_cells(values, start, goal):
+    """A* cell path from start to goal (both open cells), or None."""
+    blocked, mult = search_graph(values)
+    cols = blocked.shape[1]
+    _, came, _, reached = search(blocked, mult, start[0], start[1], goal)
+    if not reached:
+        return None
+    return _cells_to(came, cols, start[0] * cols + start[1], goal[0] * cols + goal[1])
+
+
+def search_best_progress_cells(values, start, goal, cell_size):
+    """Cell path to the best-progress target of a flood from an open start."""
+    blocked, mult = search_graph(values)
+    cols = blocked.shape[1]
+    sr, sc = start
+    gr, gc = goal
+    dist, came, closed, _ = search(blocked, mult, sr, sc)
+    rr, cc = np.divmod(np.array(closed), cols)
+    to_goal = list(map(math.hypot, (rr - gr).tolist(), (cc - gc).tolist()))
+    weight = [dist[idx] for idx in closed]
+    best = min(zip(to_goal, weight, closed))
+    if best[0] >= math.hypot(sr - gr, sc - gc) - 3.0 / cell_size:
+        unknown = np.asarray(values) < 0
+        padded = np.pad(unknown, 1)
+        rows = unknown.shape[0]
+        near_unknown = np.zeros_like(unknown)
+        for dr in (-1, 0, 1):
+            for dc in (-1, 0, 1):
+                near_unknown |= padded[1 + dr:1 + dr + rows, 1 + dc:1 + dc + cols]
+        frontier = near_unknown.ravel()[closed].tolist()
+        best = min(itertools.compress(zip(to_goal, weight, closed), frontier), default=best)
+    return _cells_to(came, cols, sr * cols + sc, best[2])
+
+
+def merge_full_map(values, source, local_values, local_origin, local_cell, priority,
+                   origin, cell):
+    """Priority merge of a local map into a whole global map, in place.
+
+    Every known local cell max-pools into the global cell holding its
+    centre; a pooled cell is written where `priority` is at least the
+    cell's recorded source, except that a lethal (100) cell is never
+    lowered at equal priority. Returns the number of cells written.
+    """
+    rows, cols = values.shape
+    lr, lc = np.nonzero(local_values >= 0)
+    xs = local_origin[0] + (lc + 0.5) * local_cell
+    ys = local_origin[1] + (lr + 0.5) * local_cell
+    gc = np.floor((xs - origin[0]) / cell).astype(int)
+    gr = np.floor((ys - origin[1]) / cell).astype(int)
+    acc = np.full((rows, cols), -1, dtype=np.int16)
+    for r, c, v in zip(gr.tolist(), gc.tolist(), local_values[lr, lc].tolist()):
+        if 0 <= r < rows and 0 <= c < cols:
+            acc[r, c] = max(acc[r, c], v)
+    downgrade = (values >= 100) & (source == priority) & (acc < 100)
+    writable = (acc >= 0) & (source <= priority) & ~downgrade
+    values[writable] = acc[writable]
+    source[writable] = priority
+    return int(np.count_nonzero(writable))

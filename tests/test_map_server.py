@@ -10,6 +10,7 @@ from rovernav.planning import Path
 from rovernav.world import World
 
 from conftest import flat_terrain
+from oracles import merge_full_map
 
 
 def cost_local(values, origin, cell=0.5):
@@ -104,6 +105,53 @@ class TestRandomizedInvariants:
                 snapshots.append((window, window.values.copy()))
             for window, frozen in snapshots:
                 assert np.array_equal(window.values, frozen)
+
+
+class TestMergeMatchesFullMap:
+    """The merge works on the bounding box of the written cells; the bytes
+    of the map and of `source` must equal those of a whole-map merge."""
+
+    @staticmethod
+    def replay(srv, windows):
+        values, source = srv.global_map.values.copy(), srv.source.copy()
+        for local, mode in windows:
+            written = srv.update_from_local(local, mode)
+            expected = 0 if mode is NavMode.EFFICIENT else merge_full_map(
+                values, source, local.values, local.origin, local.cell_size, mode.priority,
+                srv.global_map.origin, srv.global_map.cell_size)
+            assert written == expected
+            assert srv.global_map.values.tobytes() == values.tobytes()
+            assert srv.source.tobytes() == source.tobytes()
+
+    def test_seeded_windows(self, rng):
+        modes = [NavMode.EFFICIENT, NavMode.SAFE, NavMode.CONSERVATIVE]
+        for _ in range(12):
+            srv = server((40.0, 30.0))
+            windows = []
+            for _step in range(25):
+                cell = float(rng.choice([0.1, 0.25, 0.3, 0.5, 1.0]))
+                n = int(rng.integers(1, 41))
+                # origins reach past every edge, so windows hang off the map
+                origin = (float(rng.uniform(-0.8 * n * cell, 41.0)),
+                          float(rng.uniform(-0.8 * n * cell, 31.0)))
+                vals = rng.integers(0, 100, size=(n, n)).astype(np.int16)
+                vals[rng.random((n, n)) < 0.3] = 100
+                vals[rng.random((n, n)) < 0.2] = -1
+                windows.append((cost_local(vals, origin, cell), modes[rng.integers(3)]))
+            self.replay(srv, windows)
+
+    def test_equal_priority_lethal_ratchet(self):
+        lethal = np.full((6, 6), 100, dtype=np.int16)
+        lethal[0] = -1
+        low = np.full((30, 30), 10, dtype=np.int16)
+        srv = server((40.0, 30.0))
+        self.replay(srv, [(cost_local(lethal, (9.9, 10.2)), NavMode.SAFE),
+                          (cost_local(low, (9.0, 9.0), 0.1), NavMode.SAFE)])
+        # the lethal cells inside the finer window survive the lower values
+        assert (srv.global_map.values == 100).sum() == 30
+        self.replay(srv, [(cost_local(low, (9.0, 9.0), 0.1), NavMode.CONSERVATIVE),
+                          (cost_local(lethal, (9.9, 10.2)), NavMode.SAFE)])
+        assert 0 < (srv.global_map.values == 100).sum() < 30
 
 
 class TestWindows:

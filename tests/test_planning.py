@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from rovernav.errors import InvalidStartError, NoPathError
+from rovernav.grids import world_to_cell
 from rovernav.mapping import COST_MAX, COST_UNKNOWN, CostGrid, cost_to_obstacle
 from rovernav.planning import (
     astar_cost,
@@ -19,6 +20,8 @@ from oracles import (
     dijkstra_grid_length,
     dijkstra_weighted_cost,
     point_segment_distance,
+    search_astar_cells,
+    search_best_progress_cells,
     values_under_points,
 )
 
@@ -38,7 +41,7 @@ def center(r, c, cs=1.0):
     return ((c + 0.5) * cs, (r + 0.5) * cs)
 
 
-class TestBattleSpline:
+class TestBSpline:
     def test_degenerate_single_point(self):
         path = bspline_path((3.0, 4.0), (3.0, 4.0), 0.0)
         assert len(path) == 1
@@ -261,6 +264,87 @@ class TestBestProgress:
             best_progress_path(cost_grid(values), center(2, 2), center(0, 0))
         with pytest.raises(InvalidStartError):
             best_progress_path(cost_grid(values), (-3.0, 1.0), center(0, 0))
+
+
+def _oracle_grids(rng):
+    """Seeded (values, start, goal) cases for the search oracle, 12 of each kind."""
+    def cell(rows, cols, col_lo=0):
+        return int(rng.integers(rows)), int(rng.integers(col_lo, cols))
+
+    for _ in range(12):  # uniform weights, heavy on ties
+        n, m = rng.integers(8, 30, size=2)
+        values = np.where(rng.random((n, m)) < rng.uniform(0.0, 0.35), 100, 0)
+        yield values, cell(n, m), cell(n, m)
+    for _ in range(12):  # graded costs: ramps, half of them cut into coarse steps
+        n, m = rng.integers(8, 30, size=2)
+        rows, cols = np.mgrid[0:n, 0:m]
+        values = (rng.integers(0, 8) * rows + rng.integers(0, 8) * cols) % 90
+        values = np.where(rng.random((n, m)) < 0.5, values, (values // 30) * 30)
+        values[rng.random((n, m)) < 0.15] = 100
+        yield values, cell(n, m), cell(n, m)
+    for _ in range(12):  # unknown patches
+        n, m = rng.integers(10, 30, size=2)
+        values = rng.integers(0, 4, size=(n, m)) * 20
+        for _patch in range(rng.integers(1, 4)):
+            (r, c), (h, w) = cell(n, m), rng.integers(2, 6, size=2)
+            values[r:r + h, c:c + w] = -1
+        values[rng.random((n, m)) < 0.08] = 100
+        yield values, cell(n, m), cell(n, m)
+    for k in range(12):  # walled-in starts, half with unknown ground on the start's side
+        n, m = rng.integers(10, 24), rng.integers(12, 30)
+        values = rng.integers(0, 3, size=(n, m)) * 25 if k % 3 else np.zeros((n, m), dtype=int)
+        wall = int(rng.integers(m // 3, 2 * m // 3))
+        values[:, wall] = 100
+        if k % 2:
+            r, c = cell(n - 2, max(wall - 2, 1))
+            values[r:r + 2, c:c + 2] = -1
+        yield values, cell(n, wall), cell(n, m, wall + 1)
+    for _ in range(12):  # goal behind a wall: two cells at equal distance, at different weights
+        n, m = 2 * int(rng.integers(5, 11)) + 1, int(rng.integers(14, 26))
+        mid, wall = n // 2, m - 5
+        values = rng.integers(0, 5, size=(n, m)) * 15
+        values[:, wall] = 100
+        values[mid, wall - 1] = 100  # leaves (mid - 1, wall - 1) and (mid + 1, wall - 1)
+        yield values, cell(n, wall - 1), (mid, m - 2)
+
+
+class TestSearchOracle:
+    """The planners' paths equal those of the dict/heap search core they
+    replaced, cell for cell, on seeded grids of every kind."""
+
+    @staticmethod
+    def cells(path, cell_size):
+        rows, cols = world_to_cell(path.points[:, 0], path.points[:, 1], (0.0, 0.0), cell_size)
+        return np.column_stack([rows, cols])
+
+    def test_paths_match_reference_search(self, rng):
+        cases = list(_oracle_grids(rng))
+        assert len(cases) >= 40
+        counts = {"astar": 0, "no_path": 0, "best_progress": 0, "walled_in": 0}
+        for values, start, goal in cases:
+            for cell_size in (1.0, 0.25):
+                grid = cost_grid(values, cell_size)
+                s, g = center(*start, cell_size), center(*goal, cell_size)
+                for planner, view in ((astar_cost, grid), (astar_obstacle, cost_to_obstacle(grid))):
+                    if not 0 <= view.values[start] < COST_MAX:
+                        continue
+                    expected = search_best_progress_cells(view.values, start, goal, cell_size)
+                    got = best_progress_path(view, s, g)
+                    assert np.array_equal(self.cells(got, cell_size), expected)
+                    counts["best_progress"] += 1
+                    counts["walled_in"] += math.dist(expected[-1], goal) >= (
+                        math.dist(start, goal) - 3.0 / cell_size)
+                    if start == goal or not 0 <= view.values[goal] < COST_MAX:
+                        continue
+                    expected = search_astar_cells(view.values, start, goal)
+                    if expected is None:
+                        counts["no_path"] += 1
+                        with pytest.raises(NoPathError):
+                            planner(view, s, g)
+                    else:
+                        counts["astar"] += 1
+                        assert np.array_equal(self.cells(planner(view, s, g), cell_size), expected)
+        assert min(counts.values()) >= 20, counts
 
 
 def _path_weight(path, values, cell_size=1.0, alpha=4.0):
