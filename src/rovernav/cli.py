@@ -14,7 +14,7 @@ from pathlib import Path as FsPath
 
 from . import config as cfgmod
 from . import pgmio, render
-from .errors import MissionConfigError, RoverNavError
+from .errors import RoverNavError, malformed_input
 from .mapping import CostGrid
 from .mission import run_mission
 from .terrain import TERRAIN_META, load_terrain, save_terrain
@@ -32,13 +32,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except MissionConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except RoverNavError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except FileNotFoundError as exc:
+    except (RoverNavError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
@@ -220,11 +214,14 @@ def cmd_render(args) -> int:
         print("error: a trajectory render needs a terrain directory too", file=sys.stderr)
         return EXIT_CONFIG
     if cost_dump is not None:
-        meta = json.loads((cost_dump / "global_map.json").read_text(encoding="utf-8"))
+        meta_path = cost_dump / "global_map.json"
+        with malformed_input(str(meta_path)):
+            meta = json.loads(meta_path.read_text(encoding="utf-8"))
+            unknown, origin, cell_size = meta["unknown_pixel"], tuple(meta["origin"]), float(meta["cell_size"])
         pixels, _ = pgmio.read_pgm(cost_dump / "global_cost.pgm")
         values = pixels.astype("int16")
-        values[pixels == meta["unknown_pixel"]] = -1
-        grid = CostGrid(values, tuple(meta["origin"]), meta["cell_size"])
+        values[pixels == unknown] = -1
+        grid = CostGrid(values, origin, cell_size)
         pgmio.write_ppm(out / "global_cost.ppm", render.render_cost(grid))
         wrote.append("global_cost.ppm")
     if not wrote:

@@ -25,7 +25,7 @@ from .mission import (
 )
 from .modes import NavMode, TerrainClass
 from .terrain import Terrain, TerrainSpec, build_mixed_terrain, build_terrain, load_terrain, spec_from_dict
-from .waypoints import load_waypoints, plan_waypoints
+from .waypoints import DEFAULT_WAYPOINT_SPACING, load_waypoints, plan_waypoints
 from .world import RoverState, World
 
 # Tuned scenario presets. Tile side and cell size are shared so tiles can
@@ -48,17 +48,9 @@ COURSE_MARGIN = 15.0
 
 def preset_spec(kind: str, seed: int, extent: float = TILE_EXTENT,
                 cell_size: float = TILE_CELL) -> TerrainSpec:
-    if kind not in _PRESET_PARAMS:
+    if not isinstance(kind, str) or kind not in _PRESET_PARAMS:
         raise MissionConfigError(f"unknown terrain preset {kind!r}")
     return TerrainSpec(extent=extent, cell_size=cell_size, seed=seed, **_PRESET_PARAMS[kind])
-
-
-def mixed_specs(seed: int) -> list[TerrainSpec]:
-    """Tile sequence for the long mixed course (flat, flat, rocky, challenging)."""
-    return [
-        preset_spec(kind, seed * 31 + i)
-        for i, kind in enumerate(MIXED_SEQUENCE)
-    ]
 
 
 @dataclass
@@ -79,14 +71,17 @@ def build_scene(kind: str, seed: int, sensor_sigma: float = 0.0,
                 waypoint_spacing: float | None = None) -> SceneBundle:
     """Standard scene for a preset kind ('flat', 'rocky', 'challenging',
     'mixed'): terrain, world, auto waypoints from the coarse model, and a
-    west-to-east course."""
-    if waypoint_spacing is None:
-        waypoint_spacing = SCENARIO_SPACING.get(kind, 20.0)
-    if kind == "mixed":
-        terrain = build_mixed_terrain(mixed_specs(seed))
-    else:
-        terrain = build_terrain(preset_spec(kind, seed))
-    return _assemble(terrain, seed, sensor_sigma, waypoint_spacing)
+    west-to-east course.
+
+    It builds the same scene as the config path: `scene_from_config` on
+    {"terrain": {"preset": kind} (or {"presets": MIXED_SEQUENCE} for
+    'mixed'), "seed": seed}.
+    """
+    terrain = {"presets": list(MIXED_SEQUENCE)} if kind == "mixed" else {"preset": kind}
+    cfg = {"terrain": terrain, "seed": seed, "sensor_sigma": sensor_sigma}
+    if waypoint_spacing is not None:
+        cfg["waypoint_spacing"] = waypoint_spacing
+    return scene_from_config(cfg)
 
 
 SPAWN_CLEARING = 8.0
@@ -107,28 +102,6 @@ def _flatten_site(terrain: Terrain, cx: float, cy: float, radius: float) -> None
     t = np.clip(d / radius, 0.0, 1.0)
     blend = t * t * (3.0 - 2.0 * t)
     g.elevation[:] = np.where(inside, level + (g.elevation - level) * blend, g.elevation)
-
-
-def _assemble(terrain: Terrain, seed: int, sensor_sigma: float, waypoint_spacing: float,
-              start_xy=None, goal_xy=None, queue: WaypointQueue | None = None) -> SceneBundle:
-    start_xy = start_xy or (COURSE_MARGIN, terrain.extent_y / 2.0)
-    goal_xy = goal_xy or (terrain.extent_x - COURSE_MARGIN, terrain.extent_y / 2.0)
-    # departure and arrival areas: no rocks, gentle ground
-    terrain.rocks.rocks = [
-        rock for rock in terrain.rocks.rocks
-        if math.hypot(rock.x - start_xy[0], rock.y - start_xy[1]) > SPAWN_CLEARING + rock.radius
-        and math.hypot(rock.x - goal_xy[0], rock.y - goal_xy[1]) > SPAWN_CLEARING + rock.radius
-    ]
-    _flatten_site(terrain, start_xy[0], start_xy[1], SPAWN_FLATTEN)
-    _flatten_site(terrain, goal_xy[0], goal_xy[1], SPAWN_FLATTEN)
-    world = World(terrain, sensor_sigma=sensor_sigma, seed=seed)
-    if queue is None:
-        # The coarse route model is the bare ground layer: an orbital
-        # elevation product resolves hills, not meter-scale boulders.
-        queue = plan_waypoints(terrain.ground, start_xy, goal_xy, spacing=waypoint_spacing)
-    heading = math.atan2(goal_xy[1] - start_xy[1], goal_xy[0] - start_xy[0])
-    start = RoverState(start_xy[0], start_xy[1], heading)
-    return SceneBundle(terrain, world, queue, start, goal_xy)
 
 
 # --- config files -------------------------------------------------------------
@@ -152,7 +125,8 @@ CONFIG_KEYS = [
      "applies it to both of its runs."),
     ("speeds", [2.0, 0.8, 0.5], "Path-following speed caps [efficient, safe, "
      "conservative], m/s."),
-    ("waypoint_spacing", 20.0, "Arc spacing of auto-generated waypoints, meters."),
+    ("waypoint_spacing", "auto: 30 m on the challenging preset, 20 m otherwise",
+     "Arc spacing of auto-generated waypoints, meters."),
     ("reference_speedup", 1.795, "Benchmark speedup target shown in comparison "
      "reports."),
 ]
@@ -181,7 +155,7 @@ def config_reference() -> str:
     lines = ["Mission configuration keys (JSON object):", ""]
     for key, default, doc in CONFIG_KEYS:
         lines.append(f"  {key}")
-        lines.append(f"      default: {json.dumps(default) if default != '(required)' else '(required)'}")
+        lines.append(f"      default: {default if isinstance(default, str) else json.dumps(default)}")
         lines.append(f"      {doc}")
         lines.append("")
     return "\n".join(lines)
@@ -194,7 +168,7 @@ def load_mission_config(path) -> dict:
     try:
         cfg = json.loads(p.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
-        raise MissionConfigError(f"config is not valid JSON: {exc}") from exc
+        raise MissionConfigError(f"{p}: config is not valid JSON: {exc}") from exc
     if not isinstance(cfg, dict):
         raise MissionConfigError("config must be a JSON object")
     unknown = set(cfg.keys()) - _KNOWN_KEYS
@@ -219,25 +193,27 @@ def terrain_from_config(cfg: dict) -> Terrain:
     if not isinstance(t, dict):
         raise MissionConfigError("'terrain' must be an object")
     seed = t.get("seed", cfg.get("seed", 0))
+    for key in ("presets", "specs"):
+        if key in t and not isinstance(t[key], list):
+            raise MissionConfigError(f"terrain {key!r} must be a list, not {t[key]!r}")
     try:
         if "preset" in t:
             return build_terrain(preset_spec(t["preset"], seed))
         if "presets" in t:
-            specs = [preset_spec(kind, seed * 31 + i) for i, kind in enumerate(t["presets"])]
-            return build_mixed_terrain(specs)
+            return build_mixed_terrain([preset_spec(kind, seed * 31 + i)
+                                        for i, kind in enumerate(t["presets"])])
         if "specs" in t:
-            specs = [_spec_from_config(d) for d in t["specs"]]
-            if len(specs) == 1:
-                return build_terrain(specs[0])
-            return build_mixed_terrain(specs)
+            return build_mixed_terrain([_spec_from_config(d) for d in t["specs"]])
         if "load" in t:
             return load_terrain(t["load"])
-    except (ValidationError, FileNotFoundError, KeyError) as exc:
+    except (ValidationError, FileNotFoundError) as exc:
         raise MissionConfigError(f"bad terrain section: {exc}") from exc
     raise MissionConfigError("terrain needs one of: preset, presets, specs, load")
 
 
 def _spec_from_config(d: dict) -> TerrainSpec:
+    if not isinstance(d, dict):
+        raise MissionConfigError(f"terrain spec must be an object, not {d!r}")
     unknown = set(d.keys()) - _SPEC_KEYS
     if unknown:
         raise MissionConfigError(f"unknown terrain spec keys: {sorted(unknown)}")
@@ -250,10 +226,14 @@ def _spec_from_config(d: dict) -> TerrainSpec:
 
 
 def scene_from_config(cfg: dict) -> SceneBundle:
+    """The scene a mission config describes: terrain with cleared and
+    flattened departure and arrival sites, world, waypoints and start pose."""
     terrain = terrain_from_config(cfg)
     seed = cfg.get("seed", 0)
-    start_xy = tuple(cfg["start"]) if isinstance(cfg.get("start"), list) else None
-    goal_xy = tuple(cfg["goal"]) if isinstance(cfg.get("goal"), list) else None
+    start_xy = tuple(cfg["start"]) if isinstance(cfg.get("start"), list) else (
+        COURSE_MARGIN, terrain.extent_y / 2.0)
+    goal_xy = tuple(cfg["goal"]) if isinstance(cfg.get("goal"), list) else (
+        terrain.extent_x - COURSE_MARGIN, terrain.extent_y / 2.0)
     queue = None
     wp = cfg.get("waypoints", "auto")
     if isinstance(wp, dict):
@@ -265,12 +245,23 @@ def scene_from_config(cfg: dict) -> SceneBundle:
             raise MissionConfigError("waypoints object needs 'file' or 'points'")
     elif wp != "auto":
         raise MissionConfigError("waypoints must be \"auto\" or an object")
-    return _assemble(
-        terrain, seed,
-        sensor_sigma=cfg.get("sensor_sigma", 0.0),
-        waypoint_spacing=cfg.get("waypoint_spacing", 20.0),
-        start_xy=start_xy, goal_xy=goal_xy, queue=queue,
-    )
+    # departure and arrival areas: no rocks, gentle ground
+    terrain.rocks.rocks = [
+        rock for rock in terrain.rocks.rocks
+        if math.hypot(rock.x - start_xy[0], rock.y - start_xy[1]) > SPAWN_CLEARING + rock.radius
+        and math.hypot(rock.x - goal_xy[0], rock.y - goal_xy[1]) > SPAWN_CLEARING + rock.radius
+    ]
+    _flatten_site(terrain, start_xy[0], start_xy[1], SPAWN_FLATTEN)
+    _flatten_site(terrain, goal_xy[0], goal_xy[1], SPAWN_FLATTEN)
+    world = World(terrain, sensor_sigma=cfg.get("sensor_sigma", 0.0), seed=seed)
+    if queue is None:
+        # The coarse route model is the bare ground layer: an orbital
+        # elevation product resolves hills, not meter-scale boulders.
+        spacing = cfg.get("waypoint_spacing",
+                          SCENARIO_SPACING.get(cfg["terrain"].get("preset"), DEFAULT_WAYPOINT_SPACING))
+        queue = plan_waypoints(terrain.ground, start_xy, goal_xy, spacing=spacing)
+    heading = math.atan2(goal_xy[1] - start_xy[1], goal_xy[0] - start_xy[0])
+    return SceneBundle(terrain, world, queue, RoverState(start_xy[0], start_xy[1], heading), goal_xy)
 
 
 def mode_config_from(cfg: dict) -> ModeConfig:

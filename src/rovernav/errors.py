@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+from contextlib import contextmanager
+
 
 class RoverNavError(Exception):
     """Base class for all package errors."""
@@ -7,6 +9,18 @@ class RoverNavError(Exception):
 
 class ValidationError(RoverNavError, ValueError):
     """Input violates a documented precondition or invariant."""
+
+
+@contextmanager
+def malformed_input(source: str):
+    """Re-raise a missing key or a bad value met while parsing an input
+    file as a `ValidationError` whose message starts with `source`."""
+    try:
+        yield
+    except KeyError as exc:
+        raise ValidationError(f"{source}: missing key {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"{source}: {exc}") from exc
 
 
 class EmptyPatchError(RoverNavError):

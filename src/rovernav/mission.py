@@ -263,8 +263,9 @@ class MissionRunner:
 
     `run` is the schedule. Each tick first counts the subsystems whose
     period (`ModeConfig` rate, in ticks) is due, then runs, in order:
-    classification (0.2 Hz), the obstacle map (1 Hz, safe mode) and the
-    costmap (0.5 Hz, conservative mode), the path collision check (1 Hz),
+    classification (0.2 Hz), the one local-map step `_update_map` (the
+    obstacle map at 1 Hz in safe mode, the costmap at 0.5 Hz in
+    conservative mode), the path collision check (1 Hz),
     the progress checks, planning when the path is missing or stale,
     control (10 Hz), one physics step with its hazard check, waypoint
     arrival, and the timeout. The mission ends on the first of no_path,
@@ -346,52 +347,36 @@ class MissionRunner:
         cy = min(max(cy, 1.0), self.world.extent_y - 1.0)
         return (cx, cy)
 
-    def _snapped_geometry(self, resolution: float) -> GridGeometry:
-        """Sensing grid geometry aligned to the global 0.5 m lattice."""
-        size = self.config.map_window
+    def _update_map(self, mode: NavMode) -> None:
+        """The mode's local map of the window around the rover, merged into
+        the global map; a no-op unless `mode` is the active mode.
+
+        Safe mode extracts obstacles at 0.5 m from points sensed every
+        0.25 m. Conservative mode builds a costmap at 0.1 m, sensed and fit
+        over a margin wider than the published window, and writes only the
+        interior: cost features near a grid edge come from truncated fit
+        windows and underestimate hazards. The window snaps to the global
+        0.5 m lattice.
+        """
+        if self.mode is not mode:
+            return
+        cfg = self.config
+        if mode is NavMode.SAFE:
+            res, pitch, margin = cfg.obstacle_resolution, cfg.sense_resolution_safe, 0.0
+            product = extract_obstacles
+        else:
+            res, pitch, margin = cfg.cost_resolution, cfg.cost_resolution, CostWeights().fit_window_m / 2.0
+            product = build_navigation_costmap
+        size = cfg.map_window
         base = self.server.global_map.cell_size
         x0 = math.floor((self.state.x - size / 2.0) / base) * base
         y0 = math.floor((self.state.y - size / 2.0) / base) * base
-        n = round(size / resolution)
-        return GridGeometry(n, n, (x0, y0), resolution)
-
-    def _update_obstacle_map(self) -> None:
-        """Safe mode's obstacle map of the window around the rover."""
-        if self.mode is not NavMode.SAFE:
-            return
-        geom = self._snapped_geometry(self.config.obstacle_resolution)
-        pts = self.world.sense_points(self.state, self.config.map_window + 1.0,
-                                      self.config.sense_resolution_safe)
-        elev = build_elevation_grid(pts, geom)
-        grid = extract_obstacles(elev)
-        self.server.update_from_local(grid, NavMode.SAFE)
-
-    def _update_costmap(self) -> None:
-        """Conservative mode's costmap of the window around the rover."""
-        if self.mode is not NavMode.CONSERVATIVE:
-            return
-        # Sense and fit over a margin wider than the published window, then
-        # write only the interior: cost features near a grid edge come from
-        # truncated fit windows and underestimate hazards.
-        res = self.config.cost_resolution
-        margin = CostWeights().fit_window_m / 2.0
-        margin_cells = int(math.ceil(margin / res))
-        inner = self._snapped_geometry(res)
-        geom = GridGeometry(
-            inner.rows + 2 * margin_cells,
-            inner.cols + 2 * margin_cells,
-            (inner.origin[0] - margin_cells * res, inner.origin[1] - margin_cells * res),
-            res,
-        )
-        pts = self.world.sense_points(self.state, self.config.map_window + 2.0 * margin + 1.0,
-                                      self.config.cost_resolution)
-        elev = build_elevation_grid(pts, geom)
-        cost = build_navigation_costmap(elev)
-        core = CostGrid(
-            cost.values[margin_cells:-margin_cells, margin_cells:-margin_cells].copy(),
-            inner.origin, res,
-        )
-        self.server.update_from_local(core, NavMode.CONSERVATIVE)
+        n = round(size / res)
+        m = int(math.ceil(margin / res))
+        geom = GridGeometry(n + 2 * m, n + 2 * m, (x0 - m * res, y0 - m * res), res)
+        pts = self.world.sense_points(self.state, size + 2.0 * margin + 1.0, pitch)
+        local = product(build_elevation_grid(pts, geom))
+        self.server.update_from_local(CostGrid(local.values[m:m + n, m:m + n], (x0, y0), res), mode)
 
     def _clamp_goal(self, grid: CostGrid, goal) -> tuple[float, float]:
         eps = grid.cell_size * 0.5
@@ -488,9 +473,9 @@ class MissionRunner:
             if "classifier" in due:
                 self._classify(n)
             if "obstacle_map" in due:
-                self._update_obstacle_map()
+                self._update_map(NavMode.SAFE)
             if "costmap" in due:
-                self._update_costmap()
+                self._update_map(NavMode.CONSERVATIVE)
             if "collision" in due:
                 self._check_path(n)
             self._check_progress()

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, malformed_input
 from .modes import ROCK_SCORE_CUTOFF, ROCK_SCORE_GAIN, TerrainClass
 from . import pgmio
 from .grids import bilinear_sample, cell_center, world_to_cell
@@ -315,9 +315,8 @@ class Terrain:
 
 
 def build_terrain(spec: TerrainSpec) -> Terrain:
-    ground = generate_heightfield(spec)
-    rocks = place_rocks(spec, ground)
-    return Terrain(ground, rocks, [TerrainSegment(0.0, spec.extent, spec)])
+    """One tile: the one-spec case of `build_mixed_terrain`."""
+    return build_mixed_terrain([spec])
 
 
 # Segments whose neighbors differ in relief by more than this get an
@@ -383,8 +382,9 @@ def build_mixed_terrain(specs: list[TerrainSpec]) -> Terrain:
             elevation[:, [j0]] * (1 - t)[None, :] + elevation[:, [j1]] * t[None, :]
         )
     ground = HeightField(elevation, (0.0, 0.0), cell)
-    total_area = ground.extent_x * ground.extent_y
-    rockset = RockSet(all_rocks, achieved_coverage=sum(math.pi * r.radius**2 for r in all_rocks) / total_area)
+    # summed as `place_rocks` sums, so a single tile reports its own coverage
+    area = sum(math.pi * r.radius * r.radius for r in all_rocks)
+    rockset = RockSet(all_rocks, achieved_coverage=area / (len(specs) * extent * extent))
     return Terrain(ground, rockset, segments)
 
 
@@ -437,19 +437,16 @@ def save_terrain(terrain: Terrain, out_dir) -> None:
 
 def load_terrain(in_dir) -> Terrain:
     """Rebuild a terrain from its export directory (exact inverse of save)."""
-    src = Path(in_dir)
-    meta = json.loads((src / TERRAIN_META).read_text(encoding="utf-8"))
-    specs = [spec_from_dict(seg["spec"]) for seg in meta["segments"]]
-    if len(specs) == 1:
-        terrain = build_terrain(specs[0])
-    else:
-        terrain = build_mixed_terrain(specs)
-    # The rock list in the sidecar is authoritative; it matches regeneration
-    # but guards against future constant changes.
-    terrain.rocks = RockSet(
-        [Rock(*vals) for vals in meta["rocks"]],
-        achieved_coverage=meta.get("achieved_coverage", 0.0),
-    )
+    meta_path = Path(in_dir) / TERRAIN_META
+    with malformed_input(str(meta_path)):
+        meta = json.loads(meta_path.read_text(encoding="utf-8"))
+        specs = [spec_from_dict(seg["spec"]) for seg in meta["segments"]]
+        # The rock list in the sidecar is authoritative; it matches
+        # regeneration but guards against future constant changes.
+        rocks = RockSet([Rock(*vals) for vals in meta["rocks"]],
+                        achieved_coverage=meta.get("achieved_coverage", 0.0))
+    terrain = build_mixed_terrain(specs)
+    terrain.rocks = rocks
     return terrain
 
 

@@ -13,7 +13,7 @@ from pathlib import Path as FsPath
 
 import numpy as np
 
-from .errors import InvalidStartError, NoPathError, ValidationError
+from .errors import InvalidStartError, NoPathError, ValidationError, malformed_input
 from .mapping import CostWeights, CostGrid, compute_costmap, inflate_lethal
 from .map_server import WaypointQueue
 from .planning import Path, astar_cost
@@ -98,12 +98,13 @@ def save_waypoints(queue: WaypointQueue, path) -> None:
 def load_waypoints(path) -> WaypointQueue:
     """Read an ordered x,y waypoint file (# starts a comment line)."""
     points = []
-    for line in FsPath(path).read_text(encoding="utf-8").splitlines():
+    for lineno, line in enumerate(FsPath(path).read_text(encoding="utf-8").splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
-        x_str, y_str = line.split(",")
-        points.append((float(x_str), float(y_str)))
+        with malformed_input(f"{path}:{lineno}: expected x,y, got {line!r}"):
+            x_str, y_str = line.split(",")
+            points.append((float(x_str), float(y_str)))
     if not points:
-        raise ValidationError("waypoint file holds no points")
+        raise ValidationError(f"{path}: waypoint file holds no points")
     return WaypointQueue(points)

@@ -4,6 +4,8 @@ import pytest
 
 from rovernav import cli, mission
 from rovernav import config as cfgmod
+from rovernav.config import MIXED_SEQUENCE, build_scene
+from rovernav.map_server import MapServer
 from rovernav.mission import ComparisonReport, GeometricClassifierBackend, MissionMetrics, MissionResult
 from rovernav.modes import NavMode
 
@@ -117,3 +119,70 @@ def test_compare_runs_what_run_runs(tmp_path):
     for block in ("multi", "single"):
         ran = json.loads((tmp_path / block / "metrics.json").read_text(encoding="utf-8"))
         assert report[block] == ran, block
+
+
+def _waypoint_line(tmp_path, line):
+    wp = tmp_path / "wp.csv"
+    wp.write_text(f"20,70\n{line}\n", encoding="utf-8")
+    return "run", {"terrain": FLAT, "waypoints": {"file": str(wp)}}, f"{wp}:2"
+
+
+def _terrain_not_json(tmp_path):
+    (tmp_path / "terrain").mkdir()
+    meta_path = tmp_path / "terrain" / "terrain.json"
+    meta_path.write_text("{not json", encoding="utf-8")
+    return "run", {"terrain": {"load": str(tmp_path / "terrain")}}, f"{meta_path}: Expecting property name"
+
+
+def _spec_without_lacunarity(tmp_path):
+    assert _gen_terrain(tmp_path) == cli.EXIT_OK
+    meta_path = tmp_path / "terrain" / "terrain.json"
+    meta = json.loads(meta_path.read_text(encoding="utf-8"))
+    del meta["segments"][0]["spec"]["lacunarity"]
+    meta_path.write_text(json.dumps(meta), encoding="utf-8")
+    return "render", str(tmp_path / "terrain"), f"{meta_path}: missing key 'lacunarity'"
+
+
+def _map_without_unknown_pixel(tmp_path):
+    MapServer((20.0, 20.0)).dump(tmp_path / "map")
+    meta_path = tmp_path / "map" / "global_map.json"
+    meta = json.loads(meta_path.read_text(encoding="utf-8"))
+    del meta["unknown_pixel"]
+    meta_path.write_text(json.dumps(meta), encoding="utf-8")
+    return "render", str(tmp_path / "map"), f"{meta_path}: missing key 'unknown_pixel'"
+
+
+@pytest.mark.parametrize("make", [
+    lambda tmp_path: _waypoint_line(tmp_path, "30,70,5"),
+    lambda tmp_path: _waypoint_line(tmp_path, "abc,70"),
+    _terrain_not_json,
+    _spec_without_lacunarity,
+    _map_without_unknown_pixel,
+    lambda tmp_path: ("run", {"terrain": {"specs": SPEC}}, "'specs' must be a list"),
+    lambda tmp_path: ("run", {"terrain": {"presets": "mixed"}}, "'presets' must be a list, not 'mixed'"),
+    lambda tmp_path: ("run", {"terrain": {"presets": [["flat"]]}}, "unknown terrain preset ['flat']"),
+    lambda tmp_path: ("run", {"terrain": {"specs": ["flat"]}}, "terrain spec must be an object, not 'flat'"),
+], ids=["waypoint.three_fields", "waypoint.not_a_number", "terrain.load.not_json",
+        "render.spec_without_lacunarity", "render.map_without_unknown_pixel", "terrain.specs.object",
+        "terrain.presets.string", "terrain.presets.nested_list", "terrain.specs.string_item"])
+def test_malformed_input_is_config_error(tmp_path, capsys, make):
+    command, source, message = make(tmp_path)
+    target = source if command == "render" else _write_config(tmp_path, source)
+    capsys.readouterr()
+    assert cli.main([command, target, "-o", str(tmp_path / "out")]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err, err
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("terrain", [{"preset": "flat"}, {"preset": "rocky"}, {"preset": "challenging"},
+                                     {"presets": list(MIXED_SEQUENCE)}],
+                         ids=["flat", "rocky", "challenging", "mixed"])
+def test_cli_builds_the_benchmark_scenes(tmp_path, terrain, seed):
+    cfg = cfgmod.load_mission_config(_write_config(tmp_path, {"terrain": terrain, "seed": seed}))
+    ours = cfgmod.scene_from_config(cfg)
+    bench = build_scene(terrain.get("preset", "mixed"), seed)
+    assert ours.terrain.ground.elevation.tobytes() == bench.terrain.ground.elevation.tobytes()
+    assert ours.terrain.rocks.rocks == bench.terrain.rocks.rocks
+    assert ours.waypoints.points == bench.waypoints.points
+    assert ours.start == bench.start

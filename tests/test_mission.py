@@ -166,6 +166,30 @@ def test_benchmark_targets_resolve(monkeypatch):
     assert shim.unrestored() == []
 
 
+def test_every_mission_loop_target_records_a_span(monkeypatch):
+    # A target the mission captured at import (a table of functions, a
+    # default argument) would escape its wrapper and read zero calls.
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    monkeypatch.delitem(sys.modules, "spans", raising=False)
+    import spans
+
+    loop = ("rovernav.mission", "rovernav.world", "rovernav.map_server", "rovernav.control")
+    # the flood fallback runs only where a scene blocks the direct search
+    expected = {span for module, _, span in spans.TARGETS
+                if module in loop and span != "planning.best_progress_path"}
+    shim, tracer = spans.Shim(), spans.Tracer()
+    shim.install(tracer)
+    try:
+        for forced, classifier in ((NavMode.SAFE, None), (NavMode.CONSERVATIVE, None),
+                                   (None, MockClassifierBackend(0))):
+            result = run_mission(World(flat_terrain()), WaypointQueue([(30.0, 20.0)]), classifier,
+                                 forced_mode=forced, start=RoverState(20.0, 20.0, 0.0))
+            assert result.metrics.success, forced
+    finally:
+        shim.restore()
+    assert sorted(expected - set(tracer.names)) == []
+
+
 @pytest.mark.parametrize(
     "single_ok, multi_ok, multi_reached",
     [(True, True, 3), (True, False, 3), (False, True, 3), (False, False, 3), (True, True, 2)],
