@@ -300,8 +300,11 @@ class MissionRunner:
         self.state = start
         self.switcher = ModeSwitcher()
         # cells the rover has actually traversed are proven drivable; they
-        # stay plannable so the rover can always back out of regions the
-        # map later condemns
+        # stay plannable. Crumbs lie about 0.5 m apart, so on the 0.5 m
+        # safe-mode window they clear a trail of mostly adjacent cells the
+        # rover can back out along when the map later condemns a region; on
+        # the 0.1 m conservative window they clear isolated cells that join
+        # into no corridor.
         self._breadcrumbs: list[tuple[float, float]] = [(start.x, start.y)]
 
         self.periods = {

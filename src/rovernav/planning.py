@@ -30,7 +30,7 @@ from __future__ import annotations
 import heapq
 import math
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import ndimage
@@ -57,6 +57,7 @@ _NEIGHBORS = (
 @dataclass
 class Path:
     points: np.ndarray  # (N, 2)
+    _arc: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.points = np.asarray(self.points, dtype=float).reshape(-1, 2)
@@ -71,14 +72,22 @@ class Path:
     def length(self) -> float:
         if len(self.points) < 2:
             return 0.0
+        # np.sum's pairwise order, which can differ from arc_lengths()[-1]
+        # in the last bit; the mission's short-path test reads this sum.
         return float(np.sum(np.hypot(*np.diff(self.points, axis=0).T)))
 
     def arc_lengths(self) -> np.ndarray:
-        """Cumulative arc length at each point (starts at 0)."""
-        if len(self.points) < 2:
-            return np.zeros(1)
-        seg = np.hypot(*np.diff(self.points, axis=0).T)
-        return np.concatenate([[0.0], np.cumsum(seg)])
+        """Cumulative arc length at each point (starts at 0). Computed on
+        the first call and kept, read-only, for the life of the path."""
+        if self._arc is None:
+            if len(self.points) < 2:
+                arc = np.zeros(1)
+            else:
+                seg = np.hypot(*np.diff(self.points, axis=0).T)
+                arc = np.concatenate([[0.0], np.cumsum(seg)])
+            arc.flags.writeable = False
+            self._arc = arc
+        return self._arc
 
 
 def bspline_path(start, goal, heading: float) -> Path:

@@ -8,6 +8,7 @@ three hazard conditions: rock contact, excessive tilt, and leaving the map.
 
 from __future__ import annotations
 
+import bisect
 import enum
 import math
 from dataclasses import dataclass
@@ -16,7 +17,7 @@ import numpy as np
 
 from .errors import EmptyPatchError, ValidationError
 from .grids import cell_center, plane_fit_points, slope_degrees
-from .terrain import HeightField, RockSet, Terrain, add_rocks_to_field
+from .terrain import HeightField, Rock, RockSet, Terrain, add_rocks_to_field
 
 # Physics tick: 20 Hz divides every scheduler rate used by the mission.
 TICK_DT = 0.05
@@ -25,6 +26,34 @@ TICK_DT = 0.05
 FOOTPRINT_RADIUS = 2.3
 
 TILT_LIMIT_DEG = 30.0
+
+# Fixed sample pattern for the footprint tilt fit: center plus two rings of
+# eight.
+_RING_ANGLES = np.linspace(0.0, 2.0 * math.pi, 8, endpoint=False)
+_TILT_DX = np.concatenate([[0.0], 0.5 * FOOTPRINT_RADIUS * np.cos(_RING_ANGLES),
+                           FOOTPRINT_RADIUS * np.cos(_RING_ANGLES)])
+_TILT_DY = np.concatenate([[0.0], 0.5 * FOOTPRINT_RADIUS * np.sin(_RING_ANGLES),
+                           FOOTPRINT_RADIUS * np.sin(_RING_ANGLES)])
+
+
+def _tilt_weight_sum() -> float:
+    """Sum over the samples of |w_i|, where the fitted gradient is
+    (a, b) = sum of w_i * z_i: the gradient of the fit to unit height at
+    sample i and zero elsewhere."""
+    total = 0.0
+    for unit in np.eye(len(_TILT_DX)):
+        a, b, _ = plane_fit_points(np.column_stack([_TILT_DX, _TILT_DY, unit]))
+        total += math.hypot(a, b)
+    return total
+
+
+# The slope weights sum to zero, so (a, b) = sum of w_i * (z_i - c) for any
+# c, and with c midway between the lowest and highest ground cell the
+# samples blend, |(a, b)| <= sum |w_i| * range / 2. Ground whose height range
+# stays under this bound therefore fits a plane under TILT_LIMIT_DEG. The
+# factor 1 - 1e-6 is the rounding margin: the fit's and the arctan's float
+# error is orders of magnitude smaller for ground heights up to 1e6 m.
+TILT_FLAT_RANGE = (2.0 * math.tan(math.radians(TILT_LIMIT_DEG)) / _tilt_weight_sum()) * (1.0 - 1e-6)
 
 
 @dataclass(frozen=True)
@@ -89,13 +118,12 @@ class World:
         self.terrain = terrain
         self.sensor_sigma = sensor_sigma
         self._rng = np.random.default_rng(np.random.SeedSequence([seed & 0xFFFFFFFFFFFFFFFF, 23]))
-        # Fixed sample pattern for the footprint tilt fit: center plus two
-        # rings of eight.
-        angles = np.linspace(0.0, 2.0 * math.pi, 8, endpoint=False)
-        ring1 = FOOTPRINT_RADIUS * 0.5
-        ring2 = FOOTPRINT_RADIUS
-        self._tilt_dx = np.concatenate([[0.0], ring1 * np.cos(angles), ring2 * np.cos(angles)])
-        self._tilt_dy = np.concatenate([[0.0], ring1 * np.sin(angles), ring2 * np.sin(angles)])
+        # Rocks sorted by x, searched by bisection in `_rocks_near`. The rock
+        # list is read once, here.
+        rocks = sorted(terrain.rocks.rocks, key=lambda rock: rock.x)
+        self._rocks_by_x = rocks
+        self._rock_xs = [rock.x for rock in rocks]
+        self._max_rock_radius = max((rock.radius for rock in rocks), default=0.0)
 
     @property
     def extent_x(self) -> float:
@@ -152,29 +180,61 @@ class World:
         Checked in order: off-map (footprint leaves the terrain), rock
         contact (rock disc intersects the footprint disc), then tilt (plane
         fit of the ground under the footprint steeper than the limit).
+
+        The tilt fit is skipped when the ground cells its samples blend,
+        `_tilt_window`, span less than `TILT_FLAT_RANGE` (1.107 m) in height:
+        every sample lies within that range, and the fitted gradient is at
+        most sum |w_i| * range / 2, under tan(TILT_LIMIT_DEG). The skip
+        therefore never changes the result.
         """
         r = FOOTPRINT_RADIUS
         if (pose.x - r < 0 or pose.x + r > self.extent_x
                 or pose.y - r < 0 or pose.y + r > self.extent_y):
             pos = (min(max(pose.x, 0.0), self.extent_x), min(max(pose.y, 0.0), self.extent_y))
             return HazardEvent(HazardKind.OFF_MAP, pos, pose.time)
-        for rock in self._rocks_near(pose.x, pose.y, r + 2.5):
+        for rock in self._rocks_near(pose.x, pose.y, r):
             if math.hypot(rock.x - pose.x, rock.y - pose.y) < rock.radius + r:
                 return HazardEvent(HazardKind.ROCK_COLLISION, (pose.x, pose.y), pose.time)
-        xs = pose.x + self._tilt_dx
-        ys = pose.y + self._tilt_dy
+        window = self.terrain.ground.elevation[self._tilt_window(pose.x, pose.y)]
+        if window.max() - window.min() < TILT_FLAT_RANGE:
+            return None
+        xs = pose.x + _TILT_DX
+        ys = pose.y + _TILT_DY
         zs = np.asarray(self.terrain.ground.sample(xs, ys), dtype=float)
         a, b, _ = plane_fit_points(np.column_stack([xs, ys, zs]))
         if slope_degrees(a, b) > TILT_LIMIT_DEG:
             return HazardEvent(HazardKind.TILT_EXCEEDED, (pose.x, pose.y), pose.time)
         return None
 
-    def _rocks_near(self, x: float, y: float, radius: float):
-        out = []
-        for rock in self.terrain.rocks.rocks:
-            if abs(rock.x - x) <= radius + rock.radius and abs(rock.y - y) <= radius + rock.radius:
-                out.append(rock)
-        return out
+    def _tilt_window(self, x: float, y: float) -> tuple[slice, slice]:
+        """(rows, cols) of the ground cells the tilt samples around (x, y)
+        can blend, for a pose whose footprint lies on the map.
+
+        A sample at fractional cell coordinate f (`grids.bilinear_sample`)
+        reads cells floor(f) and floor(f) + 1, and every sample lies within
+        FOOTPRINT_RADIUS of the pose. The window adds one cell each side as
+        slack for rounding, and is clamped to the grid as the sampler clamps.
+        """
+        ground = self.terrain.ground
+        reach = FOOTPRINT_RADIUS / ground.cell_size
+        fx = (x - ground.origin[0]) / ground.cell_size
+        fy = (y - ground.origin[1]) / ground.cell_size
+        return (slice(max(math.floor(fy - reach - 1.5), 0), min(math.floor(fy + reach + 2.5), ground.rows)),
+                slice(max(math.floor(fx - reach - 1.5), 0), min(math.floor(fx + reach + 2.5), ground.cols)))
+
+    def _rocks_near(self, x: float, y: float, radius: float) -> list[Rock]:
+        """Rocks whose bounding box comes within radius of (x, y) on both
+        axes, in order of x.
+
+        Bisection on the x-sorted rocks bounds the candidates by the widest
+        rock, widened by 1e-6 m so that rounding can only add candidates;
+        each candidate then takes the exact box test.
+        """
+        reach = radius + self._max_rock_radius + 1e-6
+        lo = bisect.bisect_left(self._rock_xs, x - reach)
+        hi = bisect.bisect_right(self._rock_xs, x + reach)
+        return [rock for rock in self._rocks_by_x[lo:hi]
+                if abs(rock.x - x) <= radius + rock.radius and abs(rock.y - y) <= radius + rock.radius]
 
 
 TRAJECTORY_HEADER = "time,x,y,heading,speed,mode"

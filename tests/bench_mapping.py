@@ -15,7 +15,7 @@ import pytest
 from rovernav.config import build_scene
 from rovernav.grids import disc_max, disc_min
 from rovernav.mapping import GridGeometry, build_elevation_grid, build_navigation_costmap, extract_obstacles
-from rovernav.world import RoverState
+from rovernav.world import TILT_FLAT_RANGE, RoverState
 
 SENSE_SIZE = 25.6
 COST_CELLS = 246
@@ -60,9 +60,26 @@ def test_sense_points_rocky_256(benchmark, rocky):
     assert pts.shape == (256 * 256, 3)
 
 
+def _ground_range(world, pose):
+    window = world.terrain.ground.elevation[world._tilt_window(pose.x, pose.y)]
+    return window.max() - window.min()
+
+
 def test_check_hazard(benchmark, rocky):
     world, pose = rocky
-    # No hazard at this pose, so every check runs through to the tilt fit.
+    # Flat ground with no hazard: the off-map and rock checks run, then the
+    # ground's height range under the footprint ends the check before the
+    # tilt fit, as on most ticks.
+    assert _ground_range(world, pose) < TILT_FLAT_RANGE
+    assert benchmark(world.check_hazard, pose) is None
+
+
+def test_check_hazard_steep(benchmark):
+    world = build_scene("challenging", 0).world
+    pose = RoverState(20.0, 50.0, 0.0)
+    # 4.3 m of relief under the footprint but no hazard, so the check runs
+    # through to the tilt fit.
+    assert _ground_range(world, pose) >= TILT_FLAT_RANGE
     assert benchmark(world.check_hazard, pose) is None
 
 

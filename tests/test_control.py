@@ -74,6 +74,15 @@ class TestPurePursuit:
         assert all(b >= a for a, b in zip(cursors, cursors[1:]))
 
 
+    def test_arc_lengths_computed_once_per_path(self, rng):
+        path = Path(np.cumsum(rng.normal(size=(40, 2)), axis=0))
+        arc = path.arc_lengths()
+        assert arc is path.arc_lengths()
+        seg = np.hypot(*np.diff(path.points, axis=0).T)
+        assert arc.tobytes() == np.concatenate([[0.0], np.cumsum(seg)]).tobytes()
+        assert not arc.flags.writeable
+        assert Path(np.array([[1.0, 2.0]])).arc_lengths().tolist() == [0.0]
+
 class TestConvergence:
     @pytest.mark.parametrize("speed", [2.0, 0.8, 0.5])
     def test_lateral_offset_converges(self, speed):

@@ -1,16 +1,20 @@
 import hashlib
+import warnings
 
 import numpy as np
 import pytest
 
 from rovernav.errors import ValidationError
+from rovernav.grids import dilate_disc, neighbor_slices
 from rovernav.mapping import (
     COST_MAX,
     COST_UNKNOWN,
     CostGrid,
     CostWeights,
     DEFAULT_INFLATION_RADIUS,
+    DEFAULT_OBSTACLE_HEIGHT,
     GridGeometry,
+    _nanmedian_layers,
     build_elevation_grid,
     build_navigation_costmap,
     compute_costmap,
@@ -118,6 +122,53 @@ class TestObstacleExtraction:
             for r, c in zip(rr, cc):
                 d = np.hypot((orr - r) * 0.5, (occ - c) * 0.5)
                 assert (d > radius - 1e-9).all()
+
+
+def nanmedian_reference(stack):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        return np.nanmedian(stack, axis=0)
+
+
+class TestSortedStackMedian:
+    @pytest.mark.parametrize("nan_frac", [0.0, 0.1, 0.3, 0.5, 0.7, 0.9, 1.0])
+    @pytest.mark.parametrize("ties", [False, True])
+    def test_equals_nanmedian(self, rng, nan_frac, ties):
+        for _ in range(20):
+            shape = (9, int(rng.integers(1, 30)), int(rng.integers(1, 30)))
+            # Ties: heights on a 0.1 m ladder of five steps, repeated often.
+            stack = (rng.integers(-2, 3, shape) * 0.1 if ties else rng.normal(0.0, 2.0, shape))
+            stack[rng.random(shape) < nan_frac] = np.nan
+            want = nanmedian_reference(stack)
+            assert np.array_equal(_nanmedian_layers(stack.copy()), want, equal_nan=True)
+
+    def test_every_known_count_and_all_nan_cells(self, rng):
+        # One cell per known count 0..9, and every cell has ties.
+        stack = np.round(rng.normal(0.0, 1.0, (9, 10, 50)), 1)
+        for k in range(10):
+            stack[k:, k, :] = np.nan
+        for col in range(50):
+            np.random.default_rng(col).shuffle(stack[:, :, col], axis=0)
+        got = _nanmedian_layers(stack.copy())
+        assert np.isnan(got[0]).all() and np.isfinite(got[1:]).all()
+        assert np.array_equal(got, nanmedian_reference(stack), equal_nan=True)
+
+    def test_extract_obstacles_matches_nanmedian_rule(self, rng):
+        # extract_obstacles against the rule written with np.nanmedian, on
+        # rough grids with unknown holes and borders.
+        for _ in range(10):
+            z = rng.normal(0.0, 0.15, (30, 30))
+            z[rng.random(z.shape) < 0.2] = np.nan
+            z[:3] = np.nan
+            known = np.isfinite(z)
+            stack = np.full((9,) + z.shape, np.nan)
+            for layer, (dst, src) in zip(stack, neighbor_slices(z.shape)):
+                layer[dst] = z[src]
+            median = nanmedian_reference(stack)
+            raw = known & np.isfinite(median) & (np.abs(z - median) > DEFAULT_OBSTACLE_HEIGHT)
+            raw = dilate_disc(raw, DEFAULT_INFLATION_RADIUS / 0.5)
+            want = np.where(known, np.where(raw, COST_MAX, 0), COST_UNKNOWN)
+            assert np.array_equal(extract_obstacles(full_grid(z)).values, want)
 
 
 class TestCostmap:

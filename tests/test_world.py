@@ -1,11 +1,16 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
+import rovernav.world as world_module
+from rovernav.config import build_scene
 from rovernav.errors import EmptyPatchError
-from rovernav.terrain import Rock, RockSet, Terrain, build_terrain
+from rovernav.terrain import HeightField, Rock, RockSet, Terrain, build_terrain
 from rovernav.world import (
+    FOOTPRINT_RADIUS,
+    TILT_FLAT_RANGE,
     HazardKind,
     RoverState,
     VelocityCommand,
@@ -170,3 +175,158 @@ class TestHazards:
         assert ev is not None and ev.kind is HazardKind.OFF_MAP
         # event position clamps inside the extent
         assert 0.0 <= ev.position[0] <= 60.0
+
+
+def full_fit_hazard(world, pose):
+    """`check_hazard` with the flat-ground early-out switched off, so the
+    tilt plane fit runs on every in-map, rock-free pose."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(world_module, "TILT_FLAT_RANGE", -math.inf)
+        return world.check_hazard(pose)
+
+
+def skips_fit(world, pose):
+    """Whether `check_hazard` answers this pose without the plane fit."""
+    window = world.terrain.ground.elevation[world._tilt_window(pose.x, pose.y)]
+    return bool(window.max() - window.min() < TILT_FLAT_RANGE)
+
+
+def terrain_of(elevation, cell=0.5):
+    return Terrain(HeightField(np.asarray(elevation, dtype=float), (0.0, 0.0), cell), RockSet([]), [])
+
+
+class TestTiltEarlyOut:
+    def test_threshold_is_the_stated_bound(self):
+        # The pattern is centred and symmetric, so the fit's slope weights
+        # are w_i = (x_i, y_i) / sum x_j^2, and sum |w_i| = sum r_i / sum x_j^2
+        # = 8 * (1.15 + 2.3) / (4 * (1.15^2 + 2.3^2)) = 24 / 23.
+        bound = 2.0 * math.tan(math.radians(30.0)) * 23.0 / 24.0
+        assert TILT_FLAT_RANGE < bound
+        assert TILT_FLAT_RANGE == pytest.approx(bound, rel=2e-6)
+        assert TILT_FLAT_RANGE == pytest.approx(1.107, abs=5e-4)
+
+    @pytest.mark.parametrize("kind", ["flat", "rocky", "challenging", "mixed"])
+    def test_preset_scenes_match_full_fit(self, kind):
+        world = build_scene(kind, 0).world
+        rng = np.random.default_rng(7)
+        skipped = fitted = tilted = 0
+        for x, y, heading in zip(rng.uniform(0.0, world.extent_x, 600),
+                                 rng.uniform(0.0, world.extent_y, 600),
+                                 rng.uniform(-math.pi, math.pi, 600)):
+            pose = RoverState(float(x), float(y), float(heading), time=1.5)
+            got = world.check_hazard(pose)
+            assert got == full_fit_hazard(world, pose), pose
+            if got is None or got.kind is HazardKind.TILT_EXCEEDED:
+                if skips_fit(world, pose):
+                    skipped += 1
+                else:
+                    fitted += 1
+            tilted += got is not None and got.kind is HazardKind.TILT_EXCEEDED
+        assert skipped > 0
+        if kind in ("challenging", "mixed"):
+            assert fitted > 0 and tilted > 0
+
+    @pytest.mark.parametrize("slope, hazard", [(29.9, False), (30.1, True)])
+    @pytest.mark.parametrize("axis", ["x", "y"])
+    def test_planes_either_side_of_the_limit(self, slope, hazard, axis):
+        world = World(plane_terrain(slope, axis=axis))
+        rng = np.random.default_rng(3)
+        # A cell in from the edges, where the edge-clamped sampler flattens
+        # the plane.
+        for x, y in rng.uniform(FOOTPRINT_RADIUS + 0.5, 60.0 - FOOTPRINT_RADIUS - 0.5, (50, 2)):
+            pose = RoverState(float(x), float(y), 0.0)
+            got = world.check_hazard(pose)
+            assert got == full_fit_hazard(world, pose)
+            assert (got is not None and got.kind is HazardKind.TILT_EXCEEDED) == hazard
+
+    @pytest.mark.parametrize("h, skip, tilt", [
+        (TILT_FLAT_RANGE * (1.0 - 1e-9), True, False),
+        (TILT_FLAT_RANGE * (1.0 + 1e-9), False, False),
+        (4.0, False, True),
+    ])
+    def test_adversarial_ground(self, h, skip, tilt):
+        # Every ground cell holds +h/2 or -h/2: +h/2 in the bilinear stencil
+        # of each sample whose x slope weight is positive (the weight has the
+        # sign of the sample's x offset), -h/2 elsewhere, so the samples pull
+        # the fitted x slope as far as ground of range h can.
+        cell, n = 0.5, 60
+        pose = RoverState(15.13, 14.87, 0.0)
+        dx, dy = world_module._TILT_DX, world_module._TILT_DY
+        z = np.full((n, n), -h / 2)
+        for sx, sy in zip(pose.x + dx, pose.y + dy):
+            if sx > pose.x:
+                c0, r0 = math.floor(sx / cell - 0.5), math.floor(sy / cell - 0.5)
+                z[r0:r0 + 2, c0:c0 + 2] = h / 2
+        world = World(terrain_of(z, cell))
+        assert skips_fit(world, pose) is skip
+        got = world.check_hazard(pose)
+        assert got == full_fit_hazard(world, pose)
+        assert (got is not None and got.kind is HazardKind.TILT_EXCEEDED) is tilt
+
+    @pytest.mark.parametrize("cell, n", [(0.5, 40), (0.5, 12), (0.25, 40), (1.0, 9), (0.3, 31)])
+    def test_window_holds_every_cell_the_samples_read(self, cell, n):
+        # Cells outside the window are NaN, and a bilinear read of a NaN cell
+        # gives NaN even at zero weight, so a finite sample read only window
+        # cells.
+        rng = np.random.default_rng(11)
+        extent = n * cell
+        world = World(terrain_of(rng.normal(size=(n, n)), cell))
+        r = FOOTPRINT_RADIUS
+        edges = [r, extent - r]
+        # poses whose footprint edge lies on a cell center or a cell edge
+        lattice = [k * cell / 2 + off for k in range(2 * n + 1) for off in (r, -r)]
+        coords = edges + [v for v in lattice if r <= v <= extent - r] + list(rng.uniform(r, extent - r, 20))
+        for x in coords:
+            for y in edges + list(rng.choice(coords, 4)):
+                masked = np.full((n, n), np.nan)
+                rows, cols = world._tilt_window(x, y)
+                masked[rows, cols] = world.terrain.ground.elevation[rows, cols]
+                zs = HeightField(masked, (0.0, 0.0), cell).sample(x + world_module._TILT_DX,
+                                                                  y + world_module._TILT_DY)
+                assert np.isfinite(zs).all(), (x, y)
+
+
+def brute_force_rocks_near(rocks, x, y, radius):
+    return [rock for rock in rocks
+            if abs(rock.x - x) <= radius + rock.radius and abs(rock.y - y) <= radius + rock.radius]
+
+
+class TestRockIndex:
+    def test_matches_brute_force_scan(self):
+        rng = np.random.default_rng(5)
+        rocks = [Rock(float(x), float(y), float(rad), 0.8 * float(rad))
+                 for x, y, rad in zip(rng.uniform(0, 100, 300), rng.uniform(0, 100, 300),
+                                      rng.uniform(0.3, 3.5, 300))]
+        # Rocks whose bounding box edge lies exactly at the query radius
+        # (every sum below is exact), and one a float step beyond it.
+        qx, qy, radius = 50.0, 40.0, 2.5
+        edge = [Rock(qx + 4.0, qy, 1.5, 1.0), Rock(qx - 4.25, qy + 4.25, 1.75, 1.0),
+                Rock(qx, qy - 5.5, 3.0, 2.0), Rock(qx - 3.0, qy + 3.0, 0.5, 0.4),
+                Rock(math.nextafter(qx + 4.0, math.inf), qy, 1.5, 1.0)]
+        terrain = flat_terrain(extent=100.0)
+        terrain.rocks = RockSet(rocks + edge)
+        world = World(terrain)
+        near = world._rocks_near(qx, qy, radius)
+        assert Counter(near) == Counter(brute_force_rocks_near(terrain.rocks.rocks, qx, qy, radius))
+        assert set(edge[:4]) <= set(near) and edge[4] not in near
+        for x, y, rad in zip(rng.uniform(-5, 105, 300), rng.uniform(-5, 105, 300),
+                             rng.choice([0.0, 0.1, FOOTPRINT_RADIUS, 10.1, 40.0], 300)):
+            want = brute_force_rocks_near(terrain.rocks.rocks, float(x), float(y), float(rad))
+            assert Counter(world._rocks_near(float(x), float(y), float(rad))) == Counter(want)
+
+    def test_no_rocks(self):
+        assert World(flat_terrain())._rocks_near(30.0, 30.0, 100.0) == []
+
+    def test_sensing_and_hazards_ignore_rock_order(self):
+        terrain = build_scene("rocky", 0).terrain
+        shuffled = list(terrain.rocks.rocks)
+        np.random.default_rng(2).shuffle(shuffled)
+        a = World(terrain, sensor_sigma=0.02, seed=4)
+        b = World(Terrain(terrain.ground, RockSet(shuffled), terrain.segments), sensor_sigma=0.02, seed=4)
+        rng = np.random.default_rng(9)
+        for x, y in rng.uniform(0.0, 140.0, (25, 2)):
+            pose = RoverState(float(x), float(y), 0.0)
+            pa = a.sense_elevation_patch(pose, 20.0, 0.25).elevation
+            pb = b.sense_elevation_patch(pose, 20.0, 0.25).elevation
+            assert pa.tobytes() == pb.tobytes()
+            assert a.check_hazard(pose) == b.check_hazard(pose)
