@@ -1,9 +1,10 @@
 """Mission configuration: scenario presets, config files, scene assembly.
 
 A mission config is a JSON object; every key is optional except `terrain`.
-`config_reference()` renders the full key table with defaults, which the
-CLI exposes so the file format stays self-documenting. The functions below
-take a config as `load_mission_config` returns it, numbers converted.
+`CONFIG_KEYS` is the one schema and the only source of defaults: rows of
+(key, default, converter, doc). `fill_config` checks and fills every
+config with it, and `config_reference()` renders it for the CLI. The
+functions below take a config as `fill_config` returns it.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass, fields
 from pathlib import Path as FsPath
 
 from .classify import VlmConfig
-from .errors import MissionConfigError, ValidationError
+from .errors import MissionConfigError, ValidationError, VlmError
 from .grids import cell_center
 from .map_server import WaypointQueue
 from .mission import (
@@ -46,11 +47,10 @@ MIXED_SEQUENCE = ("flat", "flat", "rocky", "challenging")
 COURSE_MARGIN = 15.0
 
 
-def preset_spec(kind: str, seed: int, extent: float = TILE_EXTENT,
-                cell_size: float = TILE_CELL) -> TerrainSpec:
+def preset_spec(kind: str, seed: int) -> TerrainSpec:
     if not isinstance(kind, str) or kind not in _PRESET_PARAMS:
         raise MissionConfigError(f"unknown terrain preset {kind!r}")
-    return TerrainSpec(extent=extent, cell_size=cell_size, seed=seed, **_PRESET_PARAMS[kind])
+    return TerrainSpec(extent=TILE_EXTENT, cell_size=TILE_CELL, seed=seed, **_PRESET_PARAMS[kind])
 
 
 @dataclass
@@ -67,21 +67,17 @@ class SceneBundle:
 SCENARIO_SPACING = {"challenging": 30.0}
 
 
-def build_scene(kind: str, seed: int, sensor_sigma: float = 0.0,
-                waypoint_spacing: float | None = None) -> SceneBundle:
+def build_scene(kind: str, seed: int) -> SceneBundle:
     """Standard scene for a preset kind ('flat', 'rocky', 'challenging',
     'mixed'): terrain, world, auto waypoints from the coarse model, and a
     west-to-east course.
 
     It builds the same scene as the config path: `scene_from_config` on
     {"terrain": {"preset": kind} (or {"presets": MIXED_SEQUENCE} for
-    'mixed'), "seed": seed}.
+    'mixed'), "seed": seed}, every other key at its default.
     """
     terrain = {"presets": list(MIXED_SEQUENCE)} if kind == "mixed" else {"preset": kind}
-    cfg = {"terrain": terrain, "seed": seed, "sensor_sigma": sensor_sigma}
-    if waypoint_spacing is not None:
-        cfg["waypoint_spacing"] = waypoint_spacing
-    return scene_from_config(cfg)
+    return scene_from_config(fill_config({"terrain": terrain, "seed": seed}))
 
 
 SPAWN_CLEARING = 8.0
@@ -106,33 +102,6 @@ def _flatten_site(terrain: Terrain, cx: float, cy: float, radius: float) -> None
 
 # --- config files -------------------------------------------------------------
 
-CONFIG_KEYS = [
-    ("terrain", "(required)", "Terrain source: {\"preset\": name, \"seed\": n}, "
-     "{\"presets\": [names...], \"seed\": n} for a mixed course, "
-     "{\"specs\": [spec objects]}, or {\"load\": dir} for an exported terrain."),
-    ("seed", 0, "Master seed for sensing noise and the mock classifier."),
-    ("start", "auto", "Rover start [x, y]; default 15 m inside the west edge."),
-    ("goal", "auto", "Mission goal [x, y]; default 15 m inside the east edge."),
-    ("waypoints", "auto", "\"auto\" (coarse-model route), {\"file\": path}, or "
-     "{\"points\": [[x, y], ...]}."),
-    ("classifier", "mock", "Terrain classifier backend: mock | geometric | vlm. It also "
-     "drives the adaptive run of `compare`."),
-    ("mode", "auto", "auto (classifier-driven) or a forced mode: "
-     "efficient | safe | conservative."),
-    ("vlm_endpoint", None, "Endpoint URL for the vlm classifier (required with it)."),
-    ("vlm_timeout_s", 10.0, "Request timeout for the vlm classifier, seconds."),
-    ("sensor_sigma", 0.0, "Std-dev of elevation sensing noise, meters; `compare` "
-     "applies it to both of its runs."),
-    ("speeds", [2.0, 0.8, 0.5], "Path-following speed caps [efficient, safe, "
-     "conservative], m/s."),
-    ("waypoint_spacing", "auto: 30 m on the challenging preset, 20 m otherwise",
-     "Arc spacing of auto-generated waypoints, meters."),
-    ("reference_speedup", 1.795, "Benchmark speedup target shown in comparison "
-     "reports."),
-]
-
-_KNOWN_KEYS = {k for k, _, _ in CONFIG_KEYS}
-
 
 def _xy(point) -> list[float]:
     x, y = point
@@ -144,21 +113,105 @@ def _xy_or_auto(value):
     return value if value == "auto" else _xy(value)
 
 
-_NUMBER_KEYS = {"seed": int, "sensor_sigma": float, "waypoint_spacing": float, "vlm_timeout_s": float,
-                "reference_speedup": float, "speeds": lambda values: [float(v) for v in values],
-                "start": _xy_or_auto, "goal": _xy_or_auto}
+def _positive(value, zero_ok: bool = False) -> float:
+    """A finite float > 0 (>= 0 if `zero_ok`)."""
+    x = float(value)
+    if not (math.isfinite(x) and (x > 0 or zero_ok and x == 0)):
+        raise ValueError(f"{value!r} is not a finite number {'>=' if zero_ok else '>'} 0")
+    return x
+
+
+def _one_of(*names):
+    def convert(value):
+        if value not in names:
+            raise ValueError(f"{value!r} is not one of: {', '.join(names)}")
+        return value
+    return convert
+
+
+def _terrain(value) -> dict:
+    sources = {"preset", "presets", "specs", "load"}
+    keys = set(value) if isinstance(value, dict) else set()
+    if len(keys & sources) != 1 or keys - sources - {"seed"}:
+        raise ValueError(f"must be an object with one of preset, presets, specs, load, and optionally seed; "
+                         f"not {value!r}")
+    for key in ("presets", "specs"):
+        if key in value and not isinstance(value[key], list):
+            raise ValueError(f"{key!r} must be a list, not {value[key]!r}")
+    return {**value, "seed": int(value["seed"])} if "seed" in value else value
+
+
+def _waypoints(value):
+    if value == "auto" or (isinstance(value, dict) and "file" in value):
+        return value
+    if isinstance(value, dict) and "points" in value:
+        return {**value, "points": [_xy(p) for p in value["points"]]}
+    raise ValueError("must be \"auto\", {\"file\": path} or {\"points\": [...]}")
+
+
+def _speeds(values) -> list[float]:
+    speeds = [_positive(v) for v in values]
+    if len(speeds) != 3:
+        raise ValueError("must list three values")
+    ModeConfig(*speeds)  # checks that they decrease with severity
+    return speeds
+
+
+_AUTO_SPACING = ("auto: " + "".join(f"{m:g} m on the {kind} preset, " for kind, m in SCENARIO_SPACING.items())
+                 + f"{DEFAULT_WAYPOINT_SPACING:g} m otherwise")
+
+CONFIG_KEYS = [
+    ("terrain", "(required)", _terrain, "Terrain source: {\"preset\": name, \"seed\": n}, "
+     "{\"presets\": [names...], \"seed\": n} for a mixed course, "
+     "{\"specs\": [spec objects]}, or {\"load\": dir} for an exported terrain."),
+    ("seed", 0, int, "Master seed for sensing noise and the mock classifier."),
+    ("start", "auto", _xy_or_auto, "Rover start [x, y]; default 15 m inside the west edge."),
+    ("goal", "auto", _xy_or_auto, "Mission goal [x, y]; default 15 m inside the east edge."),
+    ("waypoints", "auto", _waypoints, "\"auto\" (coarse-model route), {\"file\": path}, or "
+     "{\"points\": [[x, y], ...]}."),
+    ("classifier", "mock", _one_of("mock", "geometric", "vlm"), "Terrain classifier backend: "
+     "mock | geometric | vlm. It also drives the adaptive run of `compare`."),
+    ("mode", "auto", _one_of("auto", *(m.value for m in NavMode)), "auto (classifier-driven) or a "
+     "forced mode: efficient | safe | conservative."),
+    ("vlm_endpoint", None, lambda url: url if url is None else str(url),
+     "Endpoint URL for the vlm classifier (required with it)."),
+    ("vlm_timeout_s", VlmConfig.timeout_s, _positive, "Request timeout for the vlm classifier, seconds."),
+    ("sensor_sigma", 0.0, lambda sigma: _positive(sigma, zero_ok=True), "Std-dev of elevation sensing "
+     "noise, meters; `compare` applies it to both of its runs."),
+    ("speeds", tuple(f.default for f in fields(ModeConfig)), _speeds, "Path-following speed caps "
+     "[efficient, safe, conservative], m/s."),
+    ("waypoint_spacing", _AUTO_SPACING, _positive, "Arc spacing of auto-generated waypoints, meters."),
+]
 
 _SPEC_KEYS = {f.name for f in fields(TerrainSpec)}
 
 
 def config_reference() -> str:
     lines = ["Mission configuration keys (JSON object):", ""]
-    for key, default, doc in CONFIG_KEYS:
+    for key, default, _, doc in CONFIG_KEYS:
         lines.append(f"  {key}")
         lines.append(f"      default: {default if isinstance(default, str) else json.dumps(default)}")
         lines.append(f"      {doc}")
         lines.append("")
     return "\n".join(lines)
+
+
+def fill_config(cfg: dict) -> dict:
+    """`cfg` checked against `CONFIG_KEYS`, as a new dict: unknown keys and
+    a missing `terrain` are rejected, every given value is converted and
+    range-checked, and every absent key takes its default."""
+    unknown = set(cfg) - {key for key, *_ in CONFIG_KEYS}
+    if unknown:
+        raise MissionConfigError(f"unknown config keys: {sorted(unknown)}")
+    if "terrain" not in cfg:
+        raise MissionConfigError("config requires a 'terrain' section")
+    filled = {}
+    for key, default, convert, _ in CONFIG_KEYS:
+        try:
+            filled[key] = convert(cfg[key]) if key in cfg else default
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise MissionConfigError(f"bad value for {key!r}: {exc}") from exc
+    return filled
 
 
 def load_mission_config(path) -> dict:
@@ -171,31 +224,12 @@ def load_mission_config(path) -> dict:
         raise MissionConfigError(f"{p}: config is not valid JSON: {exc}") from exc
     if not isinstance(cfg, dict):
         raise MissionConfigError("config must be a JSON object")
-    unknown = set(cfg.keys()) - _KNOWN_KEYS
-    if unknown:
-        raise MissionConfigError(f"unknown config keys: {sorted(unknown)}")
-    if "terrain" not in cfg:
-        raise MissionConfigError("config requires a 'terrain' section")
-    terrain = cfg["terrain"] if isinstance(cfg["terrain"], dict) else {}
-    waypoints = cfg["waypoints"] if isinstance(cfg.get("waypoints"), dict) else {}
-    for holder, key, kind in [*((cfg, k, f) for k, f in _NUMBER_KEYS.items()), (terrain, "seed", int),
-                              (waypoints, "points", lambda points: [_xy(p) for p in points])]:
-        if key in holder:
-            try:
-                holder[key] = kind(holder[key])
-            except (TypeError, ValueError, OverflowError) as exc:
-                raise MissionConfigError(f"bad value for {key!r}: {exc}") from exc
-    return cfg
+    return fill_config(cfg)
 
 
 def terrain_from_config(cfg: dict) -> Terrain:
     t = cfg["terrain"]
-    if not isinstance(t, dict):
-        raise MissionConfigError("'terrain' must be an object")
-    seed = t.get("seed", cfg.get("seed", 0))
-    for key in ("presets", "specs"):
-        if key in t and not isinstance(t[key], list):
-            raise MissionConfigError(f"terrain {key!r} must be a list, not {t[key]!r}")
+    seed = t.get("seed", cfg["seed"])
     try:
         if "preset" in t:
             return build_terrain(preset_spec(t["preset"], seed))
@@ -204,11 +238,9 @@ def terrain_from_config(cfg: dict) -> Terrain:
                                         for i, kind in enumerate(t["presets"])])
         if "specs" in t:
             return build_mixed_terrain([_spec_from_config(d) for d in t["specs"]])
-        if "load" in t:
-            return load_terrain(t["load"])
+        return load_terrain(t["load"])
     except (ValidationError, FileNotFoundError) as exc:
         raise MissionConfigError(f"bad terrain section: {exc}") from exc
-    raise MissionConfigError("terrain needs one of: preset, presets, specs, load")
 
 
 def _spec_from_config(d: dict) -> TerrainSpec:
@@ -229,22 +261,13 @@ def scene_from_config(cfg: dict) -> SceneBundle:
     """The scene a mission config describes: terrain with cleared and
     flattened departure and arrival sites, world, waypoints and start pose."""
     terrain = terrain_from_config(cfg)
-    seed = cfg.get("seed", 0)
-    start_xy = tuple(cfg["start"]) if isinstance(cfg.get("start"), list) else (
-        COURSE_MARGIN, terrain.extent_y / 2.0)
-    goal_xy = tuple(cfg["goal"]) if isinstance(cfg.get("goal"), list) else (
-        terrain.extent_x - COURSE_MARGIN, terrain.extent_y / 2.0)
+    start_xy = (COURSE_MARGIN, terrain.extent_y / 2.0) if cfg["start"] == "auto" else tuple(cfg["start"])
+    goal_xy = ((terrain.extent_x - COURSE_MARGIN, terrain.extent_y / 2.0) if cfg["goal"] == "auto"
+               else tuple(cfg["goal"]))
+    wp = cfg["waypoints"]
     queue = None
-    wp = cfg.get("waypoints", "auto")
-    if isinstance(wp, dict):
-        if "file" in wp:
-            queue = load_waypoints(wp["file"])
-        elif "points" in wp:
-            queue = WaypointQueue([(x, y) for x, y in wp["points"]])
-        else:
-            raise MissionConfigError("waypoints object needs 'file' or 'points'")
-    elif wp != "auto":
-        raise MissionConfigError("waypoints must be \"auto\" or an object")
+    if wp != "auto":
+        queue = load_waypoints(wp["file"]) if "file" in wp else WaypointQueue(list(map(tuple, wp["points"])))
     # departure and arrival areas: no rocks, gentle ground
     terrain.rocks.rocks = [
         rock for rock in terrain.rocks.rocks
@@ -253,43 +276,34 @@ def scene_from_config(cfg: dict) -> SceneBundle:
     ]
     _flatten_site(terrain, start_xy[0], start_xy[1], SPAWN_FLATTEN)
     _flatten_site(terrain, goal_xy[0], goal_xy[1], SPAWN_FLATTEN)
-    world = World(terrain, sensor_sigma=cfg.get("sensor_sigma", 0.0), seed=seed)
+    world = World(terrain, sensor_sigma=cfg["sensor_sigma"], seed=cfg["seed"])
     if queue is None:
         # The coarse route model is the bare ground layer: an orbital
         # elevation product resolves hills, not meter-scale boulders.
-        spacing = cfg.get("waypoint_spacing",
-                          SCENARIO_SPACING.get(cfg["terrain"].get("preset"), DEFAULT_WAYPOINT_SPACING))
+        spacing = cfg["waypoint_spacing"]
+        if spacing == _AUTO_SPACING:
+            spacing = SCENARIO_SPACING.get(cfg["terrain"].get("preset"), DEFAULT_WAYPOINT_SPACING)
         queue = plan_waypoints(terrain.ground, start_xy, goal_xy, spacing=spacing)
     heading = math.atan2(goal_xy[1] - start_xy[1], goal_xy[0] - start_xy[0])
     return SceneBundle(terrain, world, queue, RoverState(start_xy[0], start_xy[1], heading), goal_xy)
 
 
 def mode_config_from(cfg: dict) -> ModeConfig:
-    speeds = cfg.get("speeds", [2.0, 0.8, 0.5])
-    if len(speeds) != 3:
-        raise MissionConfigError("speeds must list three values")
-    return ModeConfig(speed_efficient=speeds[0], speed_safe=speeds[1], speed_conservative=speeds[2])
+    return ModeConfig(*cfg["speeds"])
 
 
-def classifier_from_config(cfg: dict, seed: int):
-    name = cfg.get("classifier", "mock")
+def classifier_from_config(cfg: dict):
+    """The configured classifier backend; a vlm classifier without an
+    endpoint raises `VlmError`, since no backend can be reached."""
+    name = cfg["classifier"]
     if name == "mock":
-        return MockClassifierBackend(seed)
+        return MockClassifierBackend(cfg["seed"])
     if name == "geometric":
         return GeometricClassifierBackend()
-    if name == "vlm":
-        url = cfg.get("vlm_endpoint")
-        if not url:
-            raise MissionConfigError("vlm classifier requires 'vlm_endpoint'")
-        return VlmClassifierBackend(VlmConfig(url, cfg.get("vlm_timeout_s", 10.0)))
-    raise MissionConfigError(f"unknown classifier {name!r}")
+    if not cfg["vlm_endpoint"]:
+        raise VlmError("vlm classifier selected but no vlm_endpoint configured")
+    return VlmClassifierBackend(VlmConfig(cfg["vlm_endpoint"], cfg["vlm_timeout_s"]))
 
 
 def forced_mode_from(cfg: dict) -> NavMode | None:
-    mode = cfg.get("mode", "auto")
-    if mode == "auto":
-        return None
-    try:
-        return NavMode(mode)
-    except ValueError as exc:
-        raise MissionConfigError(f"unknown mode {mode!r}") from exc
+    return None if cfg["mode"] == "auto" else NavMode(cfg["mode"])

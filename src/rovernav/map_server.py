@@ -21,7 +21,7 @@ from pathlib import Path as FsPath
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, malformed_input
 from .grids import cell_center, world_to_cell
 from .mapping import COST_MAX, COST_UNKNOWN, CostGrid
 from .modes import NavMode
@@ -29,6 +29,7 @@ from .planning import COST_REPLAN_TOLERANCE, Path, path_collides, path_cost
 from . import pgmio
 
 GLOBAL_RESOLUTION = 0.5
+MAP_META = "global_map.json"  # names a map dump directory, beside global_cost.pgm
 
 
 class ReplanReason(enum.Enum):
@@ -180,4 +181,16 @@ class MapServer:
             "unknown_pixel": 255,
             "source_codes": {"none": 0, "efficient": 1, "safe": 2, "conservative": 3},
         }
-        (out / "global_map.json").write_text(json.dumps(meta, indent=2, sort_keys=True), encoding="utf-8")
+        (out / MAP_META).write_text(json.dumps(meta, indent=2, sort_keys=True), encoding="utf-8")
+
+
+def load_global_map(dump_dir) -> CostGrid:
+    """The global costmap that `MapServer.dump` wrote to `dump_dir`."""
+    meta_path = FsPath(dump_dir) / MAP_META
+    with malformed_input(str(meta_path)):
+        meta = json.loads(meta_path.read_text(encoding="utf-8"))
+        unknown, origin, cell_size = meta["unknown_pixel"], tuple(meta["origin"]), float(meta["cell_size"])
+    pixels, _ = pgmio.read_pgm(FsPath(dump_dir) / "global_cost.pgm")
+    values = pixels.astype(np.int16)
+    values[pixels == unknown] = COST_UNKNOWN
+    return CostGrid(values, origin, cell_size)

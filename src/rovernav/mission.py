@@ -75,7 +75,6 @@ class ModeConfig:
     speed_conservative: float = 0.5
 
     map_window = 20.0
-    obstacle_resolution = 0.5
     cost_resolution = 0.1
     sense_resolution_safe = 0.25
     control_rate = 10.0
@@ -354,24 +353,24 @@ class MissionRunner:
         """The mode's local map of the window around the rover, merged into
         the global map; a no-op unless `mode` is the active mode.
 
-        Safe mode extracts obstacles at 0.5 m from points sensed every
-        0.25 m. Conservative mode builds a costmap at 0.1 m, sensed and fit
-        over a margin wider than the published window, and writes only the
-        interior: cost features near a grid edge come from truncated fit
-        windows and underestimate hazards. The window snaps to the global
-        0.5 m lattice.
+        Safe mode extracts obstacles on the global map's own 0.5 m cells
+        from points sensed every 0.25 m. Conservative mode builds a costmap
+        at 0.1 m, sensed and fit over a margin wider than the published
+        window, and writes only the interior: cost features near a grid
+        edge come from truncated fit windows and underestimate hazards. The
+        window snaps to the global 0.5 m lattice.
         """
         if self.mode is not mode:
             return
         cfg = self.config
+        base = self.server.global_map.cell_size
         if mode is NavMode.SAFE:
-            res, pitch, margin = cfg.obstacle_resolution, cfg.sense_resolution_safe, 0.0
+            res, pitch, margin = base, cfg.sense_resolution_safe, 0.0
             product = extract_obstacles
         else:
             res, pitch, margin = cfg.cost_resolution, cfg.cost_resolution, CostWeights().fit_window_m / 2.0
             product = build_navigation_costmap
         size = cfg.map_window
-        base = self.server.global_map.cell_size
         x0 = math.floor((self.state.x - size / 2.0) / base) * base
         y0 = math.floor((self.state.y - size / 2.0) / base) * base
         n = round(size / res)
@@ -429,7 +428,7 @@ class MissionRunner:
         escape = self._no_path_streak >= 2
         size = self.config.map_window * (2.0 if escape else 1.0)
         if mode is NavMode.SAFE:
-            res = self.config.obstacle_resolution
+            res = self.server.global_map.cell_size
         else:
             res = 0.2 if escape else self.config.cost_resolution
         window = self.server.get_local_window((self.state.x, self.state.y), size, res)

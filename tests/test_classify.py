@@ -1,4 +1,5 @@
 import hashlib
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -12,7 +13,9 @@ from rovernav.classify import (
     render_patch_image,
     threshold_classify,
 )
+from rovernav.config import build_scene
 from rovernav.errors import InsufficientDataError, ValidationError, VlmSchemaError
+from rovernav.mission import GeometricClassifierBackend, MockClassifierBackend
 from rovernav.modes import TerrainClass, class_for_scores
 from rovernav.terrain import HeightField
 
@@ -205,3 +208,29 @@ class TestRendering:
         assert data.startswith(b"P5\n32 24\n255\n")
         assert hashlib.sha256(data).hexdigest() == (
             "7a66af972ef66c5e8a5b63102913d8ee02ab0d99eb3b3d5df14f6a6cd2cfb3f3")
+
+
+# Verdicts of the offline classifiers on each preset's scenes, seeds 0-2,
+# 18 patch centres per scene, keyed by the preset's ground-truth class. A
+# change to either classifier moves these counts on purpose and says so.
+CONFUSION = {
+    "geometric": {"flat": {"flat": 54}, "rocky": {"rocky": 38, "flat": 16},
+                  "challenging": {"challenging": 50, "flat": 3, "rocky": 1}},
+    "mock": {"flat": {"flat": 54}, "rocky": {"rocky": 54},
+             "challenging": {"challenging": 9, "rocky": 45}},
+}
+
+
+def test_offline_classifiers_against_preset_ground_truth():
+    got = {name: {} for name in CONFUSION}
+    for truth in ("flat", "rocky", "challenging"):
+        for seed in range(3):
+            world = build_scene(truth, seed).world
+            assert {seg.spec.ground_truth_class.value for seg in world.terrain.segments} == {truth}
+            for name, backend in (("geometric", GeometricClassifierBackend()),
+                                  ("mock", MockClassifierBackend(seed))):
+                counts = got[name].setdefault(truth, Counter())
+                for x in range(20, 121, 20):
+                    for y in (35.0, 70.0, 105.0):
+                        counts[backend.assess(world, (float(x), y), 0.0).terrain_class.value] += 1
+    assert got == CONFUSION

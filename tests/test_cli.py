@@ -5,8 +5,9 @@ import pytest
 from rovernav import cli, mission
 from rovernav import config as cfgmod
 from rovernav.config import MIXED_SEQUENCE, build_scene
+from rovernav.errors import MissionConfigError
 from rovernav.map_server import MapServer
-from rovernav.mission import ComparisonReport, GeometricClassifierBackend, MissionMetrics, MissionResult
+from rovernav.mission import ComparisonReport, GeometricClassifierBackend, MissionMetrics, MissionResult, ModeConfig
 from rovernav.modes import NavMode
 
 SPEC = {
@@ -60,19 +61,51 @@ FLAT = {"preset": "flat"}
     ("run", {"terrain": FLAT, "goal": [120, 70, 1]}),
     ("run", {"terrain": FLAT, "waypoints": {"points": [["a", 1]]}}),
     ("run", {"terrain": FLAT, "waypoints": {"points": [[20, 70], 5]}}),
+    ("run", {"terrain": FLAT, "sensor_sigma": -0.02}),
+    ("compare", {"terrain": FLAT, "sensor_sigma": float("nan")}),
+    ("run", {"terrain": FLAT, "classifier": "vlm", "vlm_endpoint": "http://localhost:9/",
+             "vlm_timeout_s": 0}),
+    ("run", {"terrain": FLAT, "classifier": "vlm", "vlm_endpoint": "http://localhost:9/",
+             "vlm_timeout_s": float("nan")}),
 ], ids=["sensor_sigma", "speeds", "terrain.seed", "seed", "waypoint_spacing", "vlm_timeout_s",
-        "reference_speedup", "start", "start.string", "goal", "waypoints.points", "waypoints.points.pair"])
+        "reference_speedup", "start", "start.string", "goal", "waypoints.points", "waypoints.points.pair",
+        "sensor_sigma.negative", "sensor_sigma.nan", "vlm_timeout_s.zero", "vlm_timeout_s.nan"])
 def test_non_numeric_config_value_is_config_error(tmp_path, capsys, command, cfg):
     path = _write_config(tmp_path, cfg)
     assert cli.main([command, path, "-o", str(tmp_path / "out")]) == cli.EXIT_CONFIG
     assert capsys.readouterr().err.startswith("error: ")
 
 
-@pytest.mark.parametrize("command", ["run", "compare"])
-def test_vlm_without_endpoint_is_backend_error(tmp_path, capsys, command):
-    path = _write_config(tmp_path, {"terrain": FLAT, "classifier": "vlm"})
-    assert cli.main([command, path, "-o", str(tmp_path / "out")]) == cli.EXIT_BACKEND
-    assert capsys.readouterr().err.startswith("error: ")
+@pytest.mark.parametrize("argv, code", [
+    (["run"], cli.EXIT_BACKEND),
+    (["compare"], cli.EXIT_BACKEND),
+    (["run", "--mode", "conservative"], cli.EXIT_OK),
+], ids=["run", "compare", "run.forced"])
+def test_vlm_without_endpoint_is_backend_error(tmp_path, capsys, argv, code):
+    # A forced run builds no classifier, so it needs no endpoint.
+    path = _write_config(tmp_path, {"terrain": FLAT, "classifier": "vlm",
+                                    "waypoints": {"points": [[20, 70]]}})
+    assert cli.main([argv[0], path, *argv[1:], "-o", str(tmp_path / "out")]) == code
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") if code == cli.EXIT_BACKEND else err == ""
+
+
+def test_config_ref_documents_the_defaults_a_config_gets(capsys):
+    assert cli.main(["config-ref"]) == cli.EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    documented = {key.strip(): line.removeprefix("      default: ")
+                  for key, line in zip(lines, lines[1:]) if line.startswith("      default: ")}
+    assert list(documented) == [key for key, *_ in cfgmod.CONFIG_KEYS]
+    filled = cfgmod.fill_config({"terrain": FLAT})
+    assert set(filled) == set(documented)
+    for key, value in filled.items():
+        if key != "terrain":
+            assert documented[key] == (value if isinstance(value, str) else json.dumps(value)), key
+    assert cfgmod.mode_config_from(filled) == ModeConfig()
+    assert cfgmod.forced_mode_from(filled) is None
+    assert cfgmod.classifier_from_config(filled).seed == 0
+    with pytest.raises(MissionConfigError, match="requires a 'terrain' section"):
+        cfgmod.fill_config({"seed": 1})
 
 
 def test_compare_prints_no_speedup_from_a_failed_run(tmp_path, capsys, monkeypatch):
@@ -162,9 +195,14 @@ def _map_without_unknown_pixel(tmp_path):
     lambda tmp_path: ("run", {"terrain": {"presets": "mixed"}}, "'presets' must be a list, not 'mixed'"),
     lambda tmp_path: ("run", {"terrain": {"presets": [["flat"]]}}, "unknown terrain preset ['flat']"),
     lambda tmp_path: ("run", {"terrain": {"specs": ["flat"]}}, "terrain spec must be an object, not 'flat'"),
+    lambda tmp_path: ("run", {"terrain": {"preset": "flat", "sede": 3}}, "not {'preset': 'flat', 'sede': 3}"),
+    lambda tmp_path: ("run", {"terrain": {"preset": "flat", "presets": ["rocky"]}},
+                      "one of preset, presets, specs, load"),
+    lambda tmp_path: ("run", {"terrain": {"seed": 3}}, "not {'seed': 3}"),
 ], ids=["waypoint.three_fields", "waypoint.not_a_number", "terrain.load.not_json",
         "render.spec_without_lacunarity", "render.map_without_unknown_pixel", "terrain.specs.object",
-        "terrain.presets.string", "terrain.presets.nested_list", "terrain.specs.string_item"])
+        "terrain.presets.string", "terrain.presets.nested_list", "terrain.specs.string_item",
+        "terrain.unknown_key", "terrain.two_sources", "terrain.no_source"])
 def test_malformed_input_is_config_error(tmp_path, capsys, make):
     command, source, message = make(tmp_path)
     target = source if command == "render" else _write_config(tmp_path, source)

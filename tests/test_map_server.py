@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from rovernav.errors import MissionConfigError
-from rovernav.map_server import MapServer, ReplanReason, WaypointQueue
-from rovernav.mapping import CostGrid
+from rovernav.map_server import MapServer, ReplanReason, WaypointQueue, load_global_map
+from rovernav.mapping import COST_MAX, COST_UNKNOWN, CostGrid
 from rovernav.mission import MissionRunner
 from rovernav.modes import NavMode
 from rovernav.planning import Path
@@ -249,3 +249,13 @@ class TestDump:
         assert (tmp_path / "map" / "global_cost.pgm").exists()
         assert (tmp_path / "map" / "global_source.ppm").exists()
         assert (tmp_path / "map" / "global_map.json").exists()
+
+    def test_dump_reloads_the_global_map(self, tmp_path):
+        srv = server((20.0, 10.0))
+        values = srv.global_map.values
+        values[0, 0], values[3, 7], values[19, 39] = 0, 37, COST_MAX
+        srv.dump(tmp_path / "map")
+        loaded = load_global_map(tmp_path / "map")
+        assert COST_UNKNOWN in loaded.values
+        assert np.array_equal(loaded.values, values)
+        assert (loaded.origin, loaded.cell_size) == (srv.global_map.origin, srv.global_map.cell_size)

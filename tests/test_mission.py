@@ -90,6 +90,17 @@ def test_golden_conservative_digest(check_invariants):
     assert mission_digest(metrics, result.trajectory) == CONSERVATIVE_DIGEST
 
 
+@pytest.mark.parametrize("seed", range(5))
+def test_forced_conservative_records_no_hazard(seed):
+    # The single-mode baseline may fail to arrive, never to stay safe: seed
+    # 2 ends in a timeout because its final waypoint lies on inflated lethal
+    # cells and the final goal is never relaxed, so only hazards are gated.
+    scene = build_scene("rocky", seed)
+    queue = WaypointQueue(list(scene.waypoints.points[:2]))
+    result = run_mission(scene.world, queue, None, forced_mode=NavMode.CONSERVATIVE, start=scene.start)
+    assert result.metrics.hazards == []
+
+
 def test_no_path_ending_counts_the_control_period(monkeypatch, check_invariants):
     # Every plan fails, so the streak reaches no_path_limit on the fifth
     # retry, at tick 80: an even tick, where control is due.
