@@ -6,7 +6,7 @@ merging global map server, and a closed-loop mission executor.
 """
 
 from .modes import NavMode, TerrainClass
-from .terrain import HeightField, Rock, RockSet, Terrain, TerrainSpec, build_mixed_terrain, build_terrain
+from .terrain import HeightField, Rock, Terrain, TerrainSpec, build_mixed_terrain, build_terrain
 from .world import HazardEvent, HazardKind, RoverState, VelocityCommand, World, step
 from .classify import (
     GeometricMetrics,

@@ -85,7 +85,7 @@ def cmd_gen_terrain(args) -> int:
     save_terrain(terrain, args.out)
     print(f"terrain: {terrain.extent_x:.0f} m x {terrain.extent_y:.0f} m, "
           f"{len(terrain.segments)} segment(s), {len(terrain.rocks)} rocks "
-          f"(coverage {terrain.rocks.achieved_coverage:.4f})")
+          f"(coverage {terrain.rock_coverage:.4f})")
     for seg in terrain.segments:
         print(f"  [{seg.x0:6.1f}, {seg.x1:6.1f}) {seg.spec.ground_truth_class.value:12s} "
               f"octaves={seg.spec.octaves} lacunarity={seg.spec.lacunarity} "

@@ -15,7 +15,7 @@ from dataclasses import dataclass, fields
 from pathlib import Path as FsPath
 
 from .classify import VlmConfig
-from .errors import MissionConfigError, ValidationError, VlmError
+from .errors import MissionConfigError, ValidationError, VlmError, malformed_input
 from .grids import cell_center
 from .map_server import WaypointQueue
 from .mission import (
@@ -183,9 +183,6 @@ CONFIG_KEYS = [
     ("waypoint_spacing", _AUTO_SPACING, _positive, "Arc spacing of auto-generated waypoints, meters."),
 ]
 
-_SPEC_KEYS = {f.name for f in fields(TerrainSpec)}
-
-
 def config_reference() -> str:
     lines = ["Mission configuration keys (JSON object):", ""]
     for key, default, _, doc in CONFIG_KEYS:
@@ -237,24 +234,11 @@ def terrain_from_config(cfg: dict) -> Terrain:
             return build_mixed_terrain([preset_spec(kind, seed * 31 + i)
                                         for i, kind in enumerate(t["presets"])])
         if "specs" in t:
-            return build_mixed_terrain([_spec_from_config(d) for d in t["specs"]])
+            with malformed_input("specs"):
+                return build_mixed_terrain([spec_from_dict(d) for d in t["specs"]])
         return load_terrain(t["load"])
     except (ValidationError, FileNotFoundError) as exc:
         raise MissionConfigError(f"bad terrain section: {exc}") from exc
-
-
-def _spec_from_config(d: dict) -> TerrainSpec:
-    if not isinstance(d, dict):
-        raise MissionConfigError(f"terrain spec must be an object, not {d!r}")
-    unknown = set(d.keys()) - _SPEC_KEYS
-    if unknown:
-        raise MissionConfigError(f"unknown terrain spec keys: {sorted(unknown)}")
-    try:
-        return spec_from_dict(d)
-    except KeyError as exc:
-        raise MissionConfigError(f"terrain spec missing key: {exc}") from exc
-    except (ValueError, TypeError) as exc:
-        raise MissionConfigError(f"bad terrain spec value: {exc}") from exc
 
 
 def scene_from_config(cfg: dict) -> SceneBundle:
@@ -269,8 +253,8 @@ def scene_from_config(cfg: dict) -> SceneBundle:
     if wp != "auto":
         queue = load_waypoints(wp["file"]) if "file" in wp else WaypointQueue(list(map(tuple, wp["points"])))
     # departure and arrival areas: no rocks, gentle ground
-    terrain.rocks.rocks = [
-        rock for rock in terrain.rocks.rocks
+    terrain.rocks = [
+        rock for rock in terrain.rocks
         if math.hypot(rock.x - start_xy[0], rock.y - start_xy[1]) > SPAWN_CLEARING + rock.radius
         and math.hypot(rock.x - goal_xy[0], rock.y - goal_xy[1]) > SPAWN_CLEARING + rock.radius
     ]

@@ -12,7 +12,8 @@ from __future__ import annotations
 import json
 import logging
 import math
-from dataclasses import dataclass, field
+import typing
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -133,15 +134,6 @@ class Rock:
         return np.where(inside, np.maximum(z, 0.0), 0.0)
 
 
-@dataclass
-class RockSet:
-    rocks: list[Rock] = field(default_factory=list)
-    achieved_coverage: float = 0.0
-
-    def __len__(self) -> int:
-        return len(self.rocks)
-
-
 def generate_heightfield(spec: TerrainSpec, origin: tuple[float, float] = (0.0, 0.0)) -> HeightField:
     """Generate the ground layer (no rocks) for a terrain spec.
 
@@ -216,14 +208,15 @@ def _lerp(a, b, t):
     return a + t * (b - a)
 
 
-def place_rocks(spec: TerrainSpec, fld: HeightField) -> RockSet:
-    """Sample rock discs until their total area matches the coverage target.
+def place_rocks(spec: TerrainSpec, fld: HeightField) -> list[Rock]:
+    """Rock discs sampled until their total area matches the coverage target,
+    in order of placement.
 
     Radii are uniform in ROCK_RADIUS_RANGE, heights 0.8x radius, and every
     rock lies strictly inside the tile (center + radius within the border).
     A candidate that would push the total disc area past target * (1 +
     COVERAGE_SLACK) is rejected and redrawn; after
-    ROCK_PLACEMENT_MAX_ATTEMPTS consecutive rejections the set is returned
+    ROCK_PLACEMENT_MAX_ATTEMPTS consecutive rejections the list is returned
     short, with a warning, rather than failing.
     """
     rng = np.random.default_rng(np.random.SeedSequence([spec.seed & 0xFFFFFFFFFFFFFFFF, 7]))
@@ -253,21 +246,21 @@ def place_rocks(spec: TerrainSpec, fld: HeightField) -> RockSet:
         rocks.append(Rock(x, y, radius, ROCK_HEIGHT_FACTOR * radius))
         area += disc
         attempts = 0
-    return RockSet(rocks, achieved_coverage=area / (spec.extent * spec.extent))
+    return rocks
 
 
-def add_rocks_to_field(fld: HeightField, rocks: RockSet) -> HeightField:
+def add_rocks_to_field(fld: HeightField, rocks: list[Rock]) -> HeightField:
     """Superimpose rock caps onto the ground layer.
 
     Where caps overlap, the tallest one wins (caps do not stack), so the
     total relief stays bounded by height_variation + the tallest rock.
     """
     out = fld.elevation.copy()
-    if not rocks.rocks:
+    if not rocks:
         return HeightField(out, fld.origin, fld.cell_size)
     xs, ys = cell_center(np.arange(fld.rows), np.arange(fld.cols), fld.origin, fld.cell_size)
     layer = np.zeros_like(out)
-    for rock in rocks.rocks:
+    for rock in rocks:
         (r0, r1), (c0, c1) = world_to_cell(
             [rock.x - rock.radius, rock.x + rock.radius],
             [rock.y - rock.radius, rock.y + rock.radius], fld.origin, fld.cell_size)
@@ -289,10 +282,15 @@ class TerrainSegment:
 
 @dataclass
 class Terrain:
-    """A generated world: ground layer, rocks, and the per-segment specs."""
+    """A generated world: ground layer, rocks, and the per-segment specs.
+
+    The specs and the rock list are the record `save_terrain` writes. Rock
+    coverage is derived from the list, so it stays true when the list is
+    edited (as `config.scene_from_config` clears the spawn sites).
+    """
 
     ground: HeightField
-    rocks: RockSet
+    rocks: list[Rock]
     segments: list[TerrainSegment]
 
     @property
@@ -302,6 +300,11 @@ class Terrain:
     @property
     def extent_y(self) -> float:
         return self.ground.extent_y
+
+    @property
+    def rock_coverage(self) -> float:
+        """Fraction of the map under rock discs (overlaps counted twice)."""
+        return sum(math.pi * r.radius * r.radius for r in self.rocks) / (self.extent_x * self.extent_y)
 
     def spec_at(self, x: float) -> TerrainSpec:
         for seg in self.segments:
@@ -342,7 +345,7 @@ def build_mixed_terrain(specs: list[TerrainSpec]) -> Terrain:
         if s.cell_size != cell or s.extent != extent:
             raise ValidationError("mixed terrain tiles must share extent and cell_size")
 
-    fields = []
+    tiles = []
     all_rocks: list[Rock] = []
     segments = []
     for i, spec in enumerate(specs):
@@ -364,13 +367,13 @@ def build_mixed_terrain(specs: list[TerrainSpec]) -> Terrain:
         rocks = place_rocks(spec, fld)
         inset_lo = ROCK_INSET_RAMPED if taller_left else 0.0
         inset_hi = ROCK_INSET_RAMPED if taller_right else 0.0
-        for rock in rocks.rocks:
+        for rock in rocks:
             if x0 + inset_lo <= rock.x - rock.radius and rock.x + rock.radius <= x0 + extent - inset_hi:
                 all_rocks.append(rock)
-        fields.append(fld)
+        tiles.append(fld)
         segments.append(TerrainSegment(x0, x0 + extent, spec))
 
-    elevation = np.concatenate([f.elevation for f in fields], axis=1)
+    elevation = np.concatenate([f.elevation for f in tiles], axis=1)
     # Smooth the residual seam discontinuity over a narrow band.
     band = max(int(3.0 / cell), 1)
     for i in range(1, len(specs)):
@@ -381,11 +384,7 @@ def build_mixed_terrain(specs: list[TerrainSpec]) -> Terrain:
         elevation[:, j0 : j1 + 1] = (
             elevation[:, [j0]] * (1 - t)[None, :] + elevation[:, [j1]] * t[None, :]
         )
-    ground = HeightField(elevation, (0.0, 0.0), cell)
-    # summed as `place_rocks` sums, so a single tile reports its own coverage
-    area = sum(math.pi * r.radius * r.radius for r in all_rocks)
-    rockset = RockSet(all_rocks, achieved_coverage=area / (len(specs) * extent * extent))
-    return Terrain(ground, rockset, segments)
+    return Terrain(HeightField(elevation, (0.0, 0.0), cell), all_rocks, segments)
 
 
 def _smoothstep(t):
@@ -413,8 +412,7 @@ def save_terrain(terrain: Terrain, out_dir) -> None:
     lo = float(full.elevation.min())
     hi = float(full.elevation.max())
     scale = (hi - lo) / 65535.0 if hi > lo else 1.0
-    gray16 = np.rint((full.elevation - lo) / scale).astype(np.uint16) if hi > lo else np.zeros_like(
-        full.elevation, dtype=np.uint16)
+    gray16 = np.rint((full.elevation - lo) / scale).astype(np.uint16)
     pgmio.write_pgm(out / ELEVATION_PGM, gray16, maxval=65535)
     meta = {
         "cell_size": terrain.ground.cell_size,
@@ -425,55 +423,54 @@ def save_terrain(terrain: Terrain, out_dir) -> None:
             {
                 "x0": seg.x0,
                 "x1": seg.x1,
-                "spec": _spec_to_dict(seg.spec),
+                "spec": spec_to_dict(seg.spec),
             }
             for seg in terrain.segments
         ],
-        "rocks": [[r.x, r.y, r.radius, r.height] for r in terrain.rocks.rocks],
-        "achieved_coverage": terrain.rocks.achieved_coverage,
+        "rocks": [[r.x, r.y, r.radius, r.height] for r in terrain.rocks],
+        "achieved_coverage": terrain.rock_coverage,
     }
     (out / TERRAIN_META).write_text(json.dumps(meta, indent=2, sort_keys=True), encoding="utf-8")
 
 
 def load_terrain(in_dir) -> Terrain:
-    """Rebuild a terrain from its export directory (exact inverse of save)."""
+    """Rebuild a terrain from its export directory (exact inverse of save):
+    the ground from the segment specs, the rocks as written. The sidecar's
+    `achieved_coverage` is not read back."""
     meta_path = Path(in_dir) / TERRAIN_META
     with malformed_input(str(meta_path)):
         meta = json.loads(meta_path.read_text(encoding="utf-8"))
         specs = [spec_from_dict(seg["spec"]) for seg in meta["segments"]]
         # The rock list in the sidecar is authoritative; it matches
         # regeneration but guards against future constant changes.
-        rocks = RockSet([Rock(*vals) for vals in meta["rocks"]],
-                        achieved_coverage=meta.get("achieved_coverage", 0.0))
+        rocks = [Rock(*vals) for vals in meta["rocks"]]
     terrain = build_mixed_terrain(specs)
     terrain.rocks = rocks
     return terrain
 
 
-def _spec_to_dict(spec: TerrainSpec) -> dict:
-    return {
-        "octaves": spec.octaves,
-        "lacunarity": spec.lacunarity,
-        "persistence": spec.persistence,
-        "height_variation": spec.height_variation,
-        "rock_coverage": spec.rock_coverage,
-        "extent": spec.extent,
-        "cell_size": spec.cell_size,
-        "seed": spec.seed,
-        "ground_truth_class": spec.ground_truth_class.value,
-    }
+# The one terrain-spec codec, for sidecar and config files. Each field's
+# type (int, float or TerrainClass) is also its converter.
+_SPEC_TYPES = typing.get_type_hints(TerrainSpec)
 
 
-def spec_from_dict(data: dict) -> TerrainSpec:
-    """Inverse of `_spec_to_dict`; `persistence` is optional (default 0.5)."""
-    return TerrainSpec(
-        octaves=int(data["octaves"]),
-        lacunarity=float(data["lacunarity"]),
-        persistence=float(data.get("persistence", 0.5)),
-        height_variation=float(data["height_variation"]),
-        rock_coverage=float(data["rock_coverage"]),
-        extent=float(data["extent"]),
-        cell_size=float(data["cell_size"]),
-        seed=int(data["seed"]),
-        ground_truth_class=TerrainClass(data["ground_truth_class"]),
-    )
+def spec_to_dict(spec: TerrainSpec) -> dict:
+    """The spec as a JSON object, one key per `TerrainSpec` field."""
+    data = {f.name: getattr(spec, f.name) for f in fields(TerrainSpec)}
+    return {**data, "ground_truth_class": spec.ground_truth_class.value}
+
+
+def spec_from_dict(data) -> TerrainSpec:
+    """Inverse of `spec_to_dict`.
+
+    A non-object or an unknown key raises `ValidationError`, a missing key
+    without a `TerrainSpec` default raises `KeyError`, and each value is
+    converted to its field's type (int, float or `TerrainClass`).
+    """
+    if not isinstance(data, dict):
+        raise ValidationError(f"terrain spec must be an object, not {data!r}")
+    unknown = set(data) - set(_SPEC_TYPES)
+    if unknown:
+        raise ValidationError(f"unknown terrain spec keys: {sorted(unknown)}")
+    return TerrainSpec(**{f.name: _SPEC_TYPES[f.name](data[f.name]) for f in fields(TerrainSpec)
+                          if f.name in data or f.default is MISSING})

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import EmptyPatchError, ValidationError
 from .grids import cell_center, plane_fit_points, slope_degrees
-from .terrain import HeightField, Rock, RockSet, Terrain, add_rocks_to_field
+from .terrain import HeightField, Rock, Terrain, add_rocks_to_field
 
 # Physics tick: 20 Hz divides every scheduler rate used by the mission.
 TICK_DT = 0.05
@@ -76,6 +76,10 @@ class VelocityCommand:
 
 
 class HazardKind(enum.Enum):
+    """What `World.check_hazard` reports. OFF_MAP: the footprint disc
+    leaves the hull of the ground's cell centres, half a cell inside each
+    map edge; beyond it the ground is only an edge-clamped extension."""
+
     ROCK_COLLISION = "rock_collision"
     TILT_EXCEEDED = "tilt_exceeded"
     OFF_MAP = "off_map"
@@ -120,10 +124,14 @@ class World:
         self._rng = np.random.default_rng(np.random.SeedSequence([seed & 0xFFFFFFFFFFFFFFFF, 23]))
         # Rocks sorted by x, searched by bisection in `_rocks_near`. The rock
         # list is read once, here.
-        rocks = sorted(terrain.rocks.rocks, key=lambda rock: rock.x)
+        rocks = sorted(terrain.rocks, key=lambda rock: rock.x)
         self._rocks_by_x = rocks
         self._rock_xs = [rock.x for rock in rocks]
         self._max_rock_radius = max((rock.radius for rock in rocks), default=0.0)
+        # Hull of the ground's cell centres, for `check_hazard`.
+        g = terrain.ground
+        xs, ys = cell_center(np.array([0, g.rows - 1]), np.array([0, g.cols - 1]), g.origin, g.cell_size)
+        (self._x_lo, self._x_hi), (self._y_lo, self._y_hi) = xs.tolist(), ys.tolist()
 
     @property
     def extent_x(self) -> float:
@@ -156,7 +164,7 @@ class World:
         z = np.asarray(self.terrain.ground.sample(xs[None, :], ys[:, None]), dtype=float)
         rocks = self._rocks_near(pose.x, pose.y, half + 0.1)
         if rocks:
-            z = add_rocks_to_field(HeightField(z, origin, resolution), RockSet(rocks)).elevation
+            z = add_rocks_to_field(HeightField(z, origin, resolution), rocks).elevation
         if self.sensor_sigma > 0:
             z = z + self._rng.normal(0.0, self.sensor_sigma, size=z.shape)
         return HeightField(z, origin, resolution)
@@ -177,19 +185,22 @@ class World:
     def check_hazard(self, pose: RoverState) -> HazardEvent | None:
         """First hazard triggered at this pose, if any.
 
-        Checked in order: off-map (footprint leaves the terrain), rock
-        contact (rock disc intersects the footprint disc), then tilt (plane
-        fit of the ground under the footprint steeper than the limit).
+        Checked in order: off-map (footprint leaves the hull of the ground's
+        cell centres), rock contact (rock disc intersects the footprint
+        disc), then tilt (plane fit of the ground under the footprint
+        steeper than the limit).
 
-        The tilt fit is skipped when the ground cells its samples blend,
-        `_tilt_window`, span less than `TILT_FLAT_RANGE` (1.107 m) in height:
-        every sample lies within that range, and the fitted gradient is at
-        most sum |w_i| * range / 2, under tan(TILT_LIMIT_DEG). The skip
-        therefore never changes the result.
+        Inside the hull no tilt sample meets the edge clamp of
+        `grids.bilinear_sample`, which flattens the ground and would
+        under-read the tilt. The tilt fit is skipped when the ground cells
+        its samples blend, `_tilt_window`, span less than `TILT_FLAT_RANGE`
+        (1.107 m) in height: every sample lies within that range, and the
+        fitted gradient is at most sum |w_i| * range / 2, under
+        tan(TILT_LIMIT_DEG). The skip therefore never changes the result.
         """
         r = FOOTPRINT_RADIUS
-        if (pose.x - r < 0 or pose.x + r > self.extent_x
-                or pose.y - r < 0 or pose.y + r > self.extent_y):
+        if (pose.x - r < self._x_lo or pose.x + r > self._x_hi
+                or pose.y - r < self._y_lo or pose.y + r > self._y_hi):
             pos = (min(max(pose.x, 0.0), self.extent_x), min(max(pose.y, 0.0), self.extent_y))
             return HazardEvent(HazardKind.OFF_MAP, pos, pose.time)
         for rock in self._rocks_near(pose.x, pose.y, r):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from rovernav.modes import TerrainClass
-from rovernav.terrain import HeightField, RockSet, Terrain, TerrainSegment, TerrainSpec
+from rovernav.terrain import HeightField, Terrain, TerrainSegment, TerrainSpec
 
 
 def make_spec(**overrides):
@@ -24,7 +24,7 @@ def flat_terrain(extent=60.0, cell=0.5, elevation=0.0):
     n = round(extent / cell)
     fld = HeightField(np.full((n, n), float(elevation)), (0.0, 0.0), cell)
     spec = make_spec(extent=extent, cell_size=cell, height_variation=0.0, rock_coverage=0.0)
-    return Terrain(fld, RockSet([]), [TerrainSegment(0.0, extent, spec)])
+    return Terrain(fld, [], [TerrainSegment(0.0, extent, spec)])
 
 
 def plane_terrain(slope_deg, extent=60.0, cell=0.5, axis="x"):
@@ -37,7 +37,7 @@ def plane_terrain(slope_deg, extent=60.0, cell=0.5, axis="x"):
     fld = HeightField(z, (0.0, 0.0), cell)
     spec = make_spec(extent=extent, cell_size=cell, height_variation=float(z.max()),
                      rock_coverage=0.0)
-    return Terrain(fld, RockSet([]), [TerrainSegment(0.0, extent, spec)])
+    return Terrain(fld, [], [TerrainSegment(0.0, extent, spec)])
 
 
 def full_grid(elevation: np.ndarray, cell=0.5, origin=(0.0, 0.0)) -> HeightField:

@@ -167,13 +167,14 @@ def _terrain_not_json(tmp_path):
     return "run", {"terrain": {"load": str(tmp_path / "terrain")}}, f"{meta_path}: Expecting property name"
 
 
-def _spec_without_lacunarity(tmp_path):
+def _sidecar_spec(tmp_path, edit, message):
+    """Render an exported terrain whose sidecar spec `edit` changed in place."""
     assert _gen_terrain(tmp_path) == cli.EXIT_OK
     meta_path = tmp_path / "terrain" / "terrain.json"
     meta = json.loads(meta_path.read_text(encoding="utf-8"))
-    del meta["segments"][0]["spec"]["lacunarity"]
+    edit(meta["segments"][0]["spec"])
     meta_path.write_text(json.dumps(meta), encoding="utf-8")
-    return "render", str(tmp_path / "terrain"), f"{meta_path}: missing key 'lacunarity'"
+    return "render", str(tmp_path / "terrain"), f"{meta_path}: {message}"
 
 
 def _map_without_unknown_pixel(tmp_path):
@@ -189,19 +190,23 @@ def _map_without_unknown_pixel(tmp_path):
     lambda tmp_path: _waypoint_line(tmp_path, "30,70,5"),
     lambda tmp_path: _waypoint_line(tmp_path, "abc,70"),
     _terrain_not_json,
-    _spec_without_lacunarity,
+    lambda tmp_path: _sidecar_spec(tmp_path, lambda spec: spec.pop("lacunarity"), "missing key 'lacunarity'"),
+    lambda tmp_path: _sidecar_spec(tmp_path, lambda spec: spec.update(lacunarty=2.0),
+                                   "unknown terrain spec keys: ['lacunarty']"),
     _map_without_unknown_pixel,
     lambda tmp_path: ("run", {"terrain": {"specs": SPEC}}, "'specs' must be a list"),
     lambda tmp_path: ("run", {"terrain": {"presets": "mixed"}}, "'presets' must be a list, not 'mixed'"),
     lambda tmp_path: ("run", {"terrain": {"presets": [["flat"]]}}, "unknown terrain preset ['flat']"),
     lambda tmp_path: ("run", {"terrain": {"specs": ["flat"]}}, "terrain spec must be an object, not 'flat'"),
+    lambda tmp_path: ("run", {"terrain": {"specs": [dict(SPEC, octave=3)]}}, "unknown terrain spec keys: ['octave']"),
     lambda tmp_path: ("run", {"terrain": {"preset": "flat", "sede": 3}}, "not {'preset': 'flat', 'sede': 3}"),
     lambda tmp_path: ("run", {"terrain": {"preset": "flat", "presets": ["rocky"]}},
                       "one of preset, presets, specs, load"),
     lambda tmp_path: ("run", {"terrain": {"seed": 3}}, "not {'seed': 3}"),
 ], ids=["waypoint.three_fields", "waypoint.not_a_number", "terrain.load.not_json",
-        "render.spec_without_lacunarity", "render.map_without_unknown_pixel", "terrain.specs.object",
-        "terrain.presets.string", "terrain.presets.nested_list", "terrain.specs.string_item",
+        "render.spec_without_lacunarity", "render.spec_unknown_key", "render.map_without_unknown_pixel",
+        "terrain.specs.object", "terrain.presets.string", "terrain.presets.nested_list",
+        "terrain.specs.string_item", "terrain.specs.unknown_key",
         "terrain.unknown_key", "terrain.two_sources", "terrain.no_source"])
 def test_malformed_input_is_config_error(tmp_path, capsys, make):
     command, source, message = make(tmp_path)
@@ -221,6 +226,6 @@ def test_cli_builds_the_benchmark_scenes(tmp_path, terrain, seed):
     ours = cfgmod.scene_from_config(cfg)
     bench = build_scene(terrain.get("preset", "mixed"), seed)
     assert ours.terrain.ground.elevation.tobytes() == bench.terrain.ground.elevation.tobytes()
-    assert ours.terrain.rocks.rocks == bench.terrain.rocks.rocks
+    assert ours.terrain.rocks == bench.terrain.rocks
     assert ours.waypoints.points == bench.waypoints.points
     assert ours.start == bench.start

@@ -1,13 +1,16 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
+from rovernav.config import preset_spec
 from rovernav.errors import ValidationError
 from rovernav.modes import TerrainClass
 from rovernav.terrain import (
     ROCK_RADIUS_RANGE,
     Rock,
+    TerrainSpec,
     add_rocks_to_field,
     build_mixed_terrain,
     build_terrain,
@@ -15,6 +18,8 @@ from rovernav.terrain import (
     load_terrain,
     place_rocks,
     save_terrain,
+    spec_from_dict,
+    spec_to_dict,
 )
 
 from conftest import make_spec
@@ -95,20 +100,20 @@ class TestRocks:
                          ground_truth_class=TerrainClass.ROCKY)
         fld = generate_heightfield(spec)
         rocks = place_rocks(spec, fld)
-        assert 0.036 <= rocks.achieved_coverage <= 0.044
+        assert 0.036 <= sum(math.pi * r.radius**2 for r in rocks) / 100.0**2 <= 0.044
 
     def test_deterministic(self):
         spec = make_spec(rock_coverage=0.03, ground_truth_class=TerrainClass.ROCKY)
         fld = generate_heightfield(spec)
         a = place_rocks(spec, fld)
         b = place_rocks(spec, fld)
-        assert a.rocks == b.rocks
+        assert a == b
 
     def test_rocks_strictly_inside_extent(self):
         spec = make_spec(rock_coverage=0.04, extent=80.0,
                          ground_truth_class=TerrainClass.ROCKY)
         fld = generate_heightfield(spec)
-        for rock in place_rocks(spec, fld).rocks:
+        for rock in place_rocks(spec, fld):
             assert rock.x - rock.radius >= 0.0
             assert rock.x + rock.radius <= 80.0
             assert rock.y - rock.radius >= 0.0
@@ -129,7 +134,7 @@ class TestRocks:
         fld = generate_heightfield(spec)
         rocks = place_rocks(spec, fld)
         full = add_rocks_to_field(fld, rocks)
-        tallest = max((r.height for r in rocks.rocks), default=0.0)
+        tallest = max((r.height for r in rocks), default=0.0)
         assert full.elevation.max() - full.elevation.min() <= 1.0 + tallest + 1e-9
 
 
@@ -156,7 +161,7 @@ class TestExportImport:
         save_terrain(terrain, tmp_path / "t")
         loaded = load_terrain(tmp_path / "t")
         assert np.array_equal(loaded.ground.elevation, terrain.ground.elevation)
-        assert loaded.rocks.rocks == terrain.rocks.rocks
+        assert loaded.rocks == terrain.rocks
         assert loaded.segments[0].spec == terrain.segments[0].spec
 
     def test_re_export_is_byte_identical(self, tmp_path):
@@ -165,3 +170,19 @@ class TestExportImport:
         save_terrain(load_terrain(tmp_path / "a"), tmp_path / "b")
         for name in ("elevation.pgm", "terrain.json"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+    def test_export_bytes_are_pinned(self, tmp_path):
+        # The files the rocky preset at seed 3 exports; a drift in the
+        # format or in generation changes them.
+        save_terrain(build_terrain(preset_spec("rocky", 3)), tmp_path)
+        for name, digest in [
+            ("terrain.json", "ecaba72e6d4f5a363026764e759a15b872c6a7467f7b80439a7679d839426f14"),
+            ("elevation.pgm", "125ca4bd5b6a3c74074ccb8e519eb19e715ba83c7473d494214e9fcdf498146d"),
+        ]:
+            assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
+
+
+    def test_spec_without_persistence_takes_the_spec_default(self):
+        data = spec_to_dict(make_spec(persistence=0.7))
+        del data["persistence"]
+        assert spec_from_dict(data) == make_spec(persistence=TerrainSpec.persistence)

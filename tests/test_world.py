@@ -7,7 +7,7 @@ import pytest
 import rovernav.world as world_module
 from rovernav.config import build_scene
 from rovernav.errors import EmptyPatchError
-from rovernav.terrain import HeightField, Rock, RockSet, Terrain, build_terrain
+from rovernav.terrain import HeightField, Rock, Terrain, build_terrain
 from rovernav.world import (
     FOOTPRINT_RADIUS,
     TILT_FLAT_RANGE,
@@ -76,7 +76,7 @@ class TestSensing:
 
     def test_rock_apex_sensed_at_full_height(self):
         terrain = flat_terrain()
-        terrain.rocks = RockSet([Rock(30.0, 30.0, 1.5, 1.2)])
+        terrain.rocks = [Rock(30.0, 30.0, 1.5, 1.2)]
         world = World(terrain)
         patch = world.sense_elevation_patch(RoverState(30.05, 30.05, 0), 10.0, 0.1)
         # apex cell: ground 0 plus (nearly) the full cap height
@@ -99,9 +99,9 @@ class TestSensing:
         # cap over the whole window, then noise from a generator of the same seed.
         spec = make_spec(extent=60.0, height_variation=2.0, rock_coverage=0.0)
         ground = build_terrain(spec)
-        rocks = RockSet([Rock(24.2, 30.0, 2.5, 1.6), Rock(35.9, 36.1, 3.0, 2.0),
-                         Rock(30.0, 24.05, 1.3, 0.9), Rock(31.0, 30.5, 1.0, 0.5),
-                         Rock(50.0, 50.0, 2.0, 1.0)])
+        rocks = [Rock(24.2, 30.0, 2.5, 1.6), Rock(35.9, 36.1, 3.0, 2.0),
+                 Rock(30.0, 24.05, 1.3, 0.9), Rock(31.0, 30.5, 1.0, 0.5),
+                 Rock(50.0, 50.0, 2.0, 1.0)]
         terrain = Terrain(ground.ground, rocks, ground.segments)
         pose, size, res, sigma, seed = RoverState(30.0, 30.0, 0), 12.0, 0.3, 0.02, 5
         patch = World(terrain, sensor_sigma=sigma, seed=seed).sense_elevation_patch(pose, size, res)
@@ -112,7 +112,7 @@ class TestSensing:
         ys = origin[1] + (np.arange(n) + 0.5) * res
         gx, gy = np.meshgrid(xs, ys)
         layer = np.zeros(gx.shape)
-        for rock in rocks.rocks:
+        for rock in rocks:
             layer = np.maximum(layer, rock.cap_height(gx, gy))
         assert layer[0].any() and layer[:, 0].any() and layer[-1].any() and layer[:, -1].any()
         rng = np.random.default_rng(np.random.SeedSequence([seed, 23]))
@@ -143,7 +143,7 @@ class TestSensing:
 class TestHazards:
     def test_pose_at_rock_center_collides(self):
         terrain = flat_terrain()
-        terrain.rocks = RockSet([Rock(30.0, 30.0, 1.0, 0.8)])
+        terrain.rocks = [Rock(30.0, 30.0, 1.0, 0.8)]
         world = World(terrain)
         ev = world.check_hazard(RoverState(30.0, 30.0, 0.0, time=4.0))
         assert ev is not None and ev.kind is HazardKind.ROCK_COLLISION
@@ -151,7 +151,7 @@ class TestHazards:
 
     def test_touching_disc_collides_but_clear_pose_does_not(self):
         terrain = flat_terrain()
-        terrain.rocks = RockSet([Rock(30.0, 30.0, 1.0, 0.8)])
+        terrain.rocks = [Rock(30.0, 30.0, 1.0, 0.8)]
         world = World(terrain)
         assert world.check_hazard(RoverState(30.0 + 3.2, 30.0, 0.0)) is not None
         assert world.check_hazard(RoverState(30.0 + 3.5, 30.0, 0.0)) is None
@@ -192,7 +192,7 @@ def skips_fit(world, pose):
 
 
 def terrain_of(elevation, cell=0.5):
-    return Terrain(HeightField(np.asarray(elevation, dtype=float), (0.0, 0.0), cell), RockSet([]), [])
+    return Terrain(HeightField(np.asarray(elevation, dtype=float), (0.0, 0.0), cell), [], [])
 
 
 class TestTiltEarlyOut:
@@ -231,13 +231,24 @@ class TestTiltEarlyOut:
     def test_planes_either_side_of_the_limit(self, slope, hazard, axis):
         world = World(plane_terrain(slope, axis=axis))
         rng = np.random.default_rng(3)
-        # A cell in from the edges, where the edge-clamped sampler flattens
-        # the plane.
-        for x, y in rng.uniform(FOOTPRINT_RADIUS + 0.5, 60.0 - FOOTPRINT_RADIUS - 0.5, (50, 2)):
+        # Every pose whose footprint stays within the outermost cell centres,
+        # a quarter metre in from each edge.
+        lo, hi = FOOTPRINT_RADIUS + 0.25, 60.0 - FOOTPRINT_RADIUS - 0.25
+        for x, y in [(lo, lo), (lo, hi), (hi, lo), (hi, hi)] + list(rng.uniform(lo, hi, (50, 2))):
             pose = RoverState(float(x), float(y), 0.0)
             got = world.check_hazard(pose)
             assert got == full_fit_hazard(world, pose)
             assert (got is not None and got.kind is HazardKind.TILT_EXCEEDED) == hazard
+
+    @pytest.mark.parametrize("edge", [2.3, 2.4, 2.5, 57.5, 57.6, 57.7])
+    @pytest.mark.parametrize("axis", ["x", "y"])
+    def test_steep_plane_is_a_hazard_up_to_the_edge(self, edge, axis):
+        # Beyond the outermost cell centres the edge-clamped sampler flattens
+        # the plane, so a footprint reaching there is off the map.
+        world = World(plane_terrain(30.1, axis=axis))
+        pose = RoverState(edge, 30.0, 0.0) if axis == "x" else RoverState(30.0, edge, 0.0)
+        got = world.check_hazard(pose)
+        assert got is not None and got.kind is HazardKind.OFF_MAP
 
     @pytest.mark.parametrize("h, skip, tilt", [
         (TILT_FLAT_RANGE * (1.0 - 1e-9), True, False),
@@ -304,14 +315,14 @@ class TestRockIndex:
                 Rock(qx, qy - 5.5, 3.0, 2.0), Rock(qx - 3.0, qy + 3.0, 0.5, 0.4),
                 Rock(math.nextafter(qx + 4.0, math.inf), qy, 1.5, 1.0)]
         terrain = flat_terrain(extent=100.0)
-        terrain.rocks = RockSet(rocks + edge)
+        terrain.rocks = rocks + edge
         world = World(terrain)
         near = world._rocks_near(qx, qy, radius)
-        assert Counter(near) == Counter(brute_force_rocks_near(terrain.rocks.rocks, qx, qy, radius))
+        assert Counter(near) == Counter(brute_force_rocks_near(terrain.rocks, qx, qy, radius))
         assert set(edge[:4]) <= set(near) and edge[4] not in near
         for x, y, rad in zip(rng.uniform(-5, 105, 300), rng.uniform(-5, 105, 300),
                              rng.choice([0.0, 0.1, FOOTPRINT_RADIUS, 10.1, 40.0], 300)):
-            want = brute_force_rocks_near(terrain.rocks.rocks, float(x), float(y), float(rad))
+            want = brute_force_rocks_near(terrain.rocks, float(x), float(y), float(rad))
             assert Counter(world._rocks_near(float(x), float(y), float(rad))) == Counter(want)
 
     def test_no_rocks(self):
@@ -319,10 +330,10 @@ class TestRockIndex:
 
     def test_sensing_and_hazards_ignore_rock_order(self):
         terrain = build_scene("rocky", 0).terrain
-        shuffled = list(terrain.rocks.rocks)
+        shuffled = list(terrain.rocks)
         np.random.default_rng(2).shuffle(shuffled)
         a = World(terrain, sensor_sigma=0.02, seed=4)
-        b = World(Terrain(terrain.ground, RockSet(shuffled), terrain.segments), sensor_sigma=0.02, seed=4)
+        b = World(Terrain(terrain.ground, shuffled, terrain.segments), sensor_sigma=0.02, seed=4)
         rng = np.random.default_rng(9)
         for x, y in rng.uniform(0.0, 140.0, (25, 2)):
             pose = RoverState(float(x), float(y), 0.0)
