@@ -16,10 +16,10 @@ from . import config as cfgmod
 from . import pgmio, render
 from .errors import MissionConfigError, RoverNavError, ValidationError, VlmError
 from .map_server import MAP_META, load_global_map
-from .mission import run_mission
+from .mission import compare_single_vs_multi, run_mission
 from .terrain import TERRAIN_META, load_terrain, save_terrain
 from .waypoints import save_waypoints
-from .world import TRAJECTORY_HEADER
+from .world import TRAJECTORY_HEADER, read_trajectory
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -126,8 +126,6 @@ def cmd_run(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    from .mission import compare_single_vs_multi
-
     cfg = cfgmod.load_mission_config(args.config)
     try:
         seeds = [int(s) for s in str(args.seeds).split(",") if s.strip() != ""]
@@ -170,7 +168,7 @@ def cmd_render(args) -> int:
     out = FsPath(args.out)
     out.mkdir(parents=True, exist_ok=True)
     terrain = None
-    trajectory_file = None
+    trajectory = None
     cost_map = None
     for art in args.artifacts:
         p = FsPath(art)
@@ -179,20 +177,19 @@ def cmd_render(args) -> int:
         elif p.is_dir() and (p / MAP_META).exists():
             cost_map = load_global_map(p)
         elif p.suffix == ".csv":
-            trajectory_file = p
+            trajectory = read_trajectory(p)
         else:
             raise ValidationError(f"cannot identify artifact kind: {p}")
 
     wrote = []
     if terrain is not None:
         image = render.render_terrain(terrain)
-        if trajectory_file is not None:
-            rows = trajectory_file.read_text(encoding="utf-8").splitlines()
-            image = render.draw_trajectory(image, rows, terrain.ground.origin,
+        if trajectory is not None:
+            image = render.draw_trajectory(image, trajectory, terrain.ground.origin,
                                            terrain.ground.cell_size)
         pgmio.write_ppm(out / "terrain.ppm", image)
         wrote.append("terrain.ppm")
-    elif trajectory_file is not None:
+    elif trajectory is not None:
         raise ValidationError("a trajectory render needs a terrain directory too")
     if cost_map is not None:
         pgmio.write_ppm(out / "global_cost.ppm", render.render_cost(cost_map))

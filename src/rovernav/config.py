@@ -14,6 +14,8 @@ import math
 from dataclasses import dataclass, fields
 from pathlib import Path as FsPath
 
+import numpy as np
+
 from .classify import VlmConfig
 from .errors import MissionConfigError, ValidationError, VlmError, malformed_input
 from .grids import cell_center
@@ -25,7 +27,8 @@ from .mission import (
     VlmClassifierBackend,
 )
 from .modes import NavMode, TerrainClass
-from .terrain import Terrain, TerrainSpec, build_mixed_terrain, build_terrain, load_terrain, spec_from_dict
+from .terrain import (Terrain, TerrainSpec, build_mixed_terrain, build_terrain, load_terrain,
+                      smoothstep, spec_from_dict)
 from .waypoints import DEFAULT_WAYPOINT_SPACING, load_waypoints, plan_waypoints
 from .world import RoverState, World
 
@@ -86,8 +89,6 @@ SPAWN_FLATTEN = 12.0
 
 def _flatten_site(terrain: Terrain, cx: float, cy: float, radius: float) -> None:
     """Blend the ground toward its local mean around an operations site."""
-    import numpy as np
-
     g = terrain.ground
     gx, gy = np.meshgrid(*cell_center(np.arange(g.rows), np.arange(g.cols), g.origin, g.cell_size))
     d = np.hypot(gx - cx, gy - cy)
@@ -95,8 +96,7 @@ def _flatten_site(terrain: Terrain, cx: float, cy: float, radius: float) -> None
     if not inside.any():
         return
     level = float(g.elevation[inside].mean())
-    t = np.clip(d / radius, 0.0, 1.0)
-    blend = t * t * (3.0 - 2.0 * t)
+    blend = smoothstep(d / radius)
     g.elevation[:] = np.where(inside, level + (g.elevation - level) * blend, g.elevation)
 
 

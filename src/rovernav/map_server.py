@@ -8,15 +8,15 @@ cautious mode's graded costmap. They merge in under a strict priority
 rule: data from a more cautious mode is never overwritten by a less
 cautious one. The server also runs the periodic path collision check,
 straight on the global `CostGrid`, that emits replan signals. The
-mission's waypoint queue, `WaypointQueue`, is defined here and owned by
-the mission runner.
+mission's route, `WaypointQueue`, is defined here as its ordered points
+alone; the mission runner keeps its own place along it.
 """
 
 from __future__ import annotations
 
 import enum
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path as FsPath
 
 import numpy as np
@@ -40,28 +40,9 @@ class ReplanReason(enum.Enum):
 @dataclass
 class WaypointQueue:
     points: list[tuple[float, float]]
-    cursor: int = field(default=0, init=False)
 
     def __len__(self) -> int:
         return len(self.points)
-
-    @property
-    def complete(self) -> bool:
-        return self.cursor >= len(self.points)
-
-    @property
-    def at_final(self) -> bool:
-        """The cursor is on the last waypoint, or past it."""
-        return self.cursor >= len(self.points) - 1
-
-    def current(self) -> tuple[float, float] | None:
-        if self.complete:
-            return None
-        return self.points[self.cursor]
-
-    def advance(self) -> None:
-        if not self.complete:
-            self.cursor += 1
 
 
 class MapServer:
@@ -179,7 +160,7 @@ class MapServer:
             "origin": list(gm.origin),
             "cell_size": gm.cell_size,
             "unknown_pixel": 255,
-            "source_codes": {"none": 0, "efficient": 1, "safe": 2, "conservative": 3},
+            "source_codes": {"none": 0, **{mode.value: mode.priority for mode in NavMode}},
         }
         (out / MAP_META).write_text(json.dumps(meta, indent=2, sort_keys=True), encoding="utf-8")
 
@@ -190,7 +171,9 @@ def load_global_map(dump_dir) -> CostGrid:
     with malformed_input(str(meta_path)):
         meta = json.loads(meta_path.read_text(encoding="utf-8"))
         unknown, origin, cell_size = meta["unknown_pixel"], tuple(meta["origin"]), float(meta["cell_size"])
-    pixels, _ = pgmio.read_pgm(FsPath(dump_dir) / "global_cost.pgm")
+    pgm_path = FsPath(dump_dir) / "global_cost.pgm"
+    with malformed_input(str(pgm_path)):
+        pixels, _ = pgmio.read_pgm(pgm_path)
     values = pixels.astype(np.int16)
     values[pixels == unknown] = COST_UNKNOWN
     return CostGrid(values, origin, cell_size)

@@ -100,11 +100,7 @@ class ModeConfig:
             raise ValidationError("mode speeds must strictly decrease with severity")
 
     def speed(self, mode: NavMode) -> float:
-        return {
-            NavMode.EFFICIENT: self.speed_efficient,
-            NavMode.SAFE: self.speed_safe,
-            NavMode.CONSERVATIVE: self.speed_conservative,
-        }[mode]
+        return getattr(self, f"speed_{mode.value}")
 
     def ticks(self, rate: float) -> int:
         return round(self.tick_rate / rate)
@@ -205,14 +201,12 @@ class ModeSwitcher:
 
     Moving to a more severe mode happens immediately; moving down requires
     the calmer class to persist for `DOWNSWITCH_PERIODS` consecutive
-    classifier periods. On classifier failure the previous assessment is
-    retained for one period; persistent failure falls back to the most
-    cautious mode.
+    classifier periods. On classifier failure the mode is kept for one
+    period; persistent failure falls back to the most cautious mode.
     """
 
     def __init__(self):
         self.mode: NavMode | None = None
-        self.assessment: TerrainAssessment | None = None
         self._pending: NavMode | None = None
         self._pending_count = 0
         self._missed = 0
@@ -222,10 +216,8 @@ class ModeSwitcher:
             self._missed += 1
             if self.mode is None or self._missed > 1:
                 self.mode = NavMode.CONSERVATIVE
-                self.assessment = None
             return self.mode
         self._missed = 0
-        self.assessment = assessment
         target = MODE_FOR_CLASS[assessment.terrain_class]
         if self.mode is None or target.priority > self.mode.priority:
             self.mode = target
@@ -270,8 +262,9 @@ class MissionRunner:
     arrival, and the timeout. The mission ends on the first of no_path,
     a hazard, complete or timeout.
 
-    The runner flies its own copy of the waypoint queue; the caller's
-    queue is never advanced.
+    The runner owns its place on the route: `leg` indexes the waypoint it
+    is driving to, and moves on when that waypoint is reached or skipped.
+    The route's points are only read.
     """
 
     def __init__(
@@ -286,16 +279,17 @@ class MissionRunner:
         if len(waypoints) == 0:
             raise MissionConfigError("waypoint queue is empty")
         for x, y in waypoints.points:
-            if not (0 <= x <= world.extent_x and 0 <= y <= world.extent_y):
+            if not (0 <= x <= world.terrain.extent_x and 0 <= y <= world.terrain.extent_y):
                 raise MissionConfigError(f"waypoint ({x:.1f}, {y:.1f}) outside the map extent")
         self.world = world
         self.config = config
         self.classifier = classifier
         self.forced_mode = forced_mode
-        self.server = MapServer((world.extent_x, world.extent_y))
-        self.waypoints = WaypointQueue(list(waypoints.points))
+        self.server = MapServer((world.terrain.extent_x, world.terrain.extent_y))
+        self.route = waypoints.points
+        self.leg = 0
         if start is None:
-            start = RoverState(*waypoints.points[0], 0.0)
+            start = RoverState(*self.route[0], 0.0)
         self.state = start
         self.switcher = ModeSwitcher()
         # cells the rover has actually traversed are proven drivable; they
@@ -315,7 +309,7 @@ class MissionRunner:
         }
         route_len = 0.0
         prev = (start.x, start.y)
-        for wp in waypoints.points:
+        for wp in self.route:
             route_len += math.hypot(wp[0] - prev[0], wp[1] - prev[1])
             prev = wp
         self.budget = config.timeout_factor * max(route_len, config.map_window) / config.speed_conservative
@@ -333,8 +327,12 @@ class MissionRunner:
 
     # -- helpers --
 
+    @property
+    def _final_leg(self) -> bool:
+        return self.leg == len(self.route) - 1
+
     def _classifier_center(self) -> tuple[float, float]:
-        wp = self.waypoints.current()
+        wp = self.route[self.leg]
         dx = wp[0] - self.state.x
         dy = wp[1] - self.state.y
         d = math.hypot(dx, dy)
@@ -345,8 +343,8 @@ class MissionRunner:
             ux, uy = dx / d, dy / d
         cx = self.state.x + look * ux
         cy = self.state.y + look * uy
-        cx = min(max(cx, 1.0), self.world.extent_x - 1.0)
-        cy = min(max(cy, 1.0), self.world.extent_y - 1.0)
+        cx = min(max(cx, 1.0), self.world.terrain.extent_x - 1.0)
+        cy = min(max(cy, 1.0), self.world.terrain.extent_y - 1.0)
         return (cx, cy)
 
     def _update_map(self, mode: NavMode) -> None:
@@ -543,11 +541,11 @@ class MissionRunner:
             return
         if self.stale_path or not self.tracker.reached(self.state):
             return
-        wp = self.waypoints.current()
+        wp = self.route[self.leg]
         d_wp = math.hypot(wp[0] - self.state.x, wp[1] - self.state.y)
         if d_wp > cfg.waypoint_tolerance:
-            if not self.waypoints.at_final and d_wp <= cfg.blocked_waypoint_slack:
-                self.waypoints.advance()
+            if not self._final_leg and d_wp <= cfg.blocked_waypoint_slack:
+                self.leg += 1
                 self.metrics.waypoints_skipped += 1
             self.tracker = None
 
@@ -557,7 +555,7 @@ class MissionRunner:
         mission ends with "no_path"."""
         if (self.tracker is not None and not self.stale_path) or n < self.next_plan_tick:
             return None
-        path = self._plan(self.mode, self.waypoints.current())
+        path = self._plan(self.mode, self.route[self.leg])
         if path is not None:
             self.tracker = PathTracker(path)
             self.stale_path = False
@@ -565,10 +563,10 @@ class MissionRunner:
         self.next_plan_tick = n + self.periods["collision"]
         if self._no_path_streak < self.config.no_path_limit:
             return None
-        if self.waypoints.at_final:
+        if self._final_leg:
             return "no_path"
         # this leg is walled off; route via the next one
-        self.waypoints.advance()
+        self.leg += 1
         self.metrics.waypoints_skipped += 1
         self._no_path_streak = 0
         self.next_plan_tick = n
@@ -579,7 +577,7 @@ class MissionRunner:
             self.last_cmd = VelocityCommand(0.0, 0.0)
         else:
             self.last_cmd = self.tracker.step(self.state, self.config.speed(self.mode),
-                                              taper=self.waypoints.at_final)
+                                              taper=self._final_leg)
 
     def _move(self) -> str | None:
         """One physics step under the last command, logged per mode, then
@@ -608,14 +606,14 @@ class MissionRunner:
         """Advance past a waypoint within tolerance. Returns "complete"
         after the last one, else None."""
         cfg = self.config
-        wp = self.waypoints.current()
-        tol = cfg.final_tolerance if self.waypoints.at_final else cfg.waypoint_tolerance
+        wp = self.route[self.leg]
+        tol = cfg.final_tolerance if self._final_leg else cfg.waypoint_tolerance
         if math.hypot(wp[0] - self.state.x, wp[1] - self.state.y) <= tol:
-            self.waypoints.advance()
+            self.leg += 1
             self.metrics.waypoints_reached += 1
             self.tracker = None
             self.next_plan_tick = 0
-            if self.waypoints.complete:
+            if self.leg == len(self.route):
                 return "complete"
         return None
 
@@ -661,23 +659,19 @@ class ComparisonReport:
             return math.inf
         return self.multi.total_distance / self.single.total_distance
 
-    def multi_time_shares(self) -> dict[str, float]:
-        total = self.multi.total_time
-        return {k: (v / total if total else 0.0) for k, v in sorted(self.multi.time_by_mode.items())}
-
-    def multi_distance_shares(self) -> dict[str, float]:
-        total = self.multi.total_distance
-        return {k: (v / total if total else 0.0) for k, v in sorted(self.multi.distance_by_mode.items())}
-
     def to_dict(self) -> dict:
+        def shares(by_mode: dict) -> dict[str, float]:
+            total = sum(by_mode.values())
+            return {k: round(v / total if total else 0.0, 6) for k, v in sorted(by_mode.items())}
+
         return {
             "single": self.single.to_dict(),
             "multi": self.multi.to_dict(),
             "time_ratio": round(self.time_ratio, 6) if self.valid else None,
             "speedup": round(self.speedup, 6) if self.valid else None,
             "distance_ratio": round(self.distance_ratio, 6),
-            "multi_time_shares": {k: round(v, 6) for k, v in self.multi_time_shares().items()},
-            "multi_distance_shares": {k: round(v, 6) for k, v in self.multi_distance_shares().items()},
+            "multi_time_shares": shares(self.multi.time_by_mode),
+            "multi_distance_shares": shares(self.multi.distance_by_mode),
         }
 
 

@@ -37,7 +37,9 @@ def read_pgm(path) -> tuple[np.ndarray, int]:
     height, rest = _token(raw, rest)
     maxval, rest = _token(raw, rest)
     width, height, maxval = int(width), int(height), int(maxval)
-    dtype = ">u2" if maxval > 255 else np.uint8
+    dtype = np.dtype(">u2" if maxval > 255 else np.uint8)
+    if len(raw) - rest < width * height * dtype.itemsize:
+        raise ValueError("truncated graymap data")
     data = np.frombuffer(raw, dtype=dtype, count=width * height, offset=rest)
     return data.reshape(height, width).astype(np.int64), maxval
 

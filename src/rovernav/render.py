@@ -14,6 +14,7 @@ from . import grids
 from .mapping import CostGrid
 from .modes import NavMode
 from .terrain import HeightField, Terrain
+from .world import RoverState
 
 MODE_COLORS = {
     NavMode.EFFICIENT.value: (80, 200, 120),
@@ -48,22 +49,17 @@ def render_cost(grid: CostGrid) -> np.ndarray:
     return rgb
 
 
-def draw_trajectory(image: np.ndarray, rows: list[str], origin, cell_size: float) -> np.ndarray:
-    """Overlay trajectory-log rows onto an image, colored by active mode.
+def draw_trajectory(image: np.ndarray, rows: list[tuple[RoverState, str]], origin,
+                    cell_size: float) -> np.ndarray:
+    """Overlay `world.read_trajectory` rows onto an image, colored by mode.
 
     Each point paints the 3x3 block around its cell, clipped to the image.
-    Rows use the trajectory CSV layout: time,x,y,heading,speed,mode.
     """
     out = image.copy()
     h, w = out.shape[:2]
-    for row in rows:
-        parts = row.strip().split(",")
-        if len(parts) != 6 or parts[0] == "time":
-            continue
-        x, y = float(parts[1]), float(parts[2])
-        mode = parts[5]
+    for state, mode in rows:
         color = MODE_COLORS.get(mode, (255, 255, 255))
-        r, c = grids.world_to_cell(x, y, origin, cell_size)
+        r, c = grids.world_to_cell(state.x, state.y, origin, cell_size)
         for dr in (-1, 0, 1):
             for dc in (-1, 0, 1):
                 rr, cc = r + dr, c + dc

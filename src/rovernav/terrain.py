@@ -360,9 +360,9 @@ def build_mixed_terrain(specs: list[TerrainSpec]) -> Terrain:
             xs = (np.arange(fld.cols) + 0.5) * cell
             env = np.ones(fld.cols)
             if taller_left:
-                env = np.minimum(env, _smoothstep(xs / SEAM_RAMP_M))
+                env = np.minimum(env, smoothstep(xs / SEAM_RAMP_M))
             if taller_right:
-                env = np.minimum(env, _smoothstep((extent - xs) / SEAM_RAMP_M))
+                env = np.minimum(env, smoothstep((extent - xs) / SEAM_RAMP_M))
             fld.elevation *= env
         rocks = place_rocks(spec, fld)
         inset_lo = ROCK_INSET_RAMPED if taller_left else 0.0
@@ -387,7 +387,8 @@ def build_mixed_terrain(specs: list[TerrainSpec]) -> Terrain:
     return Terrain(HeightField(elevation, (0.0, 0.0), cell), all_rocks, segments)
 
 
-def _smoothstep(t):
+def smoothstep(t):
+    """3t^2 - 2t^3 of t clipped to [0, 1], elementwise."""
     t = np.clip(t, 0.0, 1.0)
     return t * t * (3.0 - 2.0 * t)
 

@@ -9,6 +9,7 @@ window apart.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from pathlib import Path as FsPath
 
 import numpy as np
@@ -73,8 +74,6 @@ def plan_waypoints(dem: HeightField, start, goal,
     (wider slope limit, then no inflation) before giving up; a route the
     local planners must fight for beats no route at all.
     """
-    from dataclasses import replace
-
     last_error = None
     for slope_limit, inflation in ((COARSE_WEIGHTS.slope_max_deg, ROUTE_INFLATION),
                                    (28.0, ROUTE_INFLATION), (29.5, 0.0)):

@@ -12,10 +12,11 @@ import bisect
 import enum
 import math
 from dataclasses import dataclass
+from pathlib import Path as FsPath
 
 import numpy as np
 
-from .errors import EmptyPatchError, ValidationError
+from .errors import EmptyPatchError, ValidationError, malformed_input
 from .grids import cell_center, plane_fit_points, slope_degrees
 from .terrain import HeightField, Rock, Terrain, add_rocks_to_field
 
@@ -133,14 +134,6 @@ class World:
         xs, ys = cell_center(np.array([0, g.rows - 1]), np.array([0, g.cols - 1]), g.origin, g.cell_size)
         (self._x_lo, self._x_hi), (self._y_lo, self._y_hi) = xs.tolist(), ys.tolist()
 
-    @property
-    def extent_x(self) -> float:
-        return self.terrain.extent_x
-
-    @property
-    def extent_y(self) -> float:
-        return self.terrain.extent_y
-
     def sense_elevation_patch(self, pose: RoverState, size: float, resolution: float) -> HeightField:
         """Resample the true surface on a size x size window around the pose.
 
@@ -155,8 +148,8 @@ class World:
         if size <= 0 or resolution <= 0:
             raise ValidationError("size and resolution must be positive")
         half = size / 2.0
-        if (pose.x + half <= 0 or pose.x - half >= self.extent_x
-                or pose.y + half <= 0 or pose.y - half >= self.extent_y):
+        if (pose.x + half <= 0 or pose.x - half >= self.terrain.extent_x
+                or pose.y + half <= 0 or pose.y - half >= self.terrain.extent_y):
             raise EmptyPatchError("sensing window lies entirely outside the terrain")
         n = round(size / resolution)
         origin = (pose.x - half, pose.y - half)
@@ -179,7 +172,8 @@ class World:
         patch = self.sense_elevation_patch(pose, size, resolution)
         xs, ys = cell_center(np.arange(patch.rows), np.arange(patch.cols), patch.origin, patch.cell_size)
         gx, gy = np.broadcast_arrays(xs[None, :], ys[:, None])
-        inside = ((xs >= 0) & (xs <= self.extent_x))[None, :] & ((ys >= 0) & (ys <= self.extent_y))[:, None]
+        t = self.terrain
+        inside = ((xs >= 0) & (xs <= t.extent_x))[None, :] & ((ys >= 0) & (ys <= t.extent_y))[:, None]
         return np.column_stack([gx[inside], gy[inside], patch.elevation[inside]])
 
     def check_hazard(self, pose: RoverState) -> HazardEvent | None:
@@ -201,7 +195,8 @@ class World:
         r = FOOTPRINT_RADIUS
         if (pose.x - r < self._x_lo or pose.x + r > self._x_hi
                 or pose.y - r < self._y_lo or pose.y + r > self._y_hi):
-            pos = (min(max(pose.x, 0.0), self.extent_x), min(max(pose.y, 0.0), self.extent_y))
+            pos = (min(max(pose.x, 0.0), self.terrain.extent_x),
+                   min(max(pose.y, 0.0), self.terrain.extent_y))
             return HazardEvent(HazardKind.OFF_MAP, pos, pose.time)
         for rock in self._rocks_near(pose.x, pose.y, r):
             if math.hypot(rock.x - pose.x, rock.y - pose.y) < rock.radius + r:
@@ -254,3 +249,18 @@ TRAJECTORY_HEADER = "time,x,y,heading,speed,mode"
 def format_trajectory_row(state: RoverState, mode_name: str) -> str:
     return (f"{state.time:.3f},{state.x:.6f},{state.y:.6f},"
             f"{state.heading:.6f},{state.speed:.6f},{mode_name}")
+
+
+def read_trajectory(path) -> list[tuple[RoverState, str]]:
+    """The (state, mode name) of each `format_trajectory_row` row of a
+    trajectory file; header and blank lines are skipped."""
+    rows = []
+    for lineno, line in enumerate(FsPath(path).read_text(encoding="utf-8").splitlines(), 1):
+        line = line.strip()
+        if not line or line == TRAJECTORY_HEADER:
+            continue
+        with malformed_input(f"{path}:{lineno}: expected {TRAJECTORY_HEADER}, got {line!r}"):
+            *numbers, mode_name = line.split(",")
+            t, x, y, heading, speed = map(float, numbers)
+            rows.append((RoverState(x, y, heading, speed, t), mode_name))
+    return rows

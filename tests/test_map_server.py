@@ -183,30 +183,6 @@ class TestWindows:
 
 
 class TestWaypoints:
-    def test_sequential_access(self):
-        queue = WaypointQueue([(5.0, 5.0), (10.0, 10.0), (15.0, 15.0)])
-        assert queue.current() == (5.0, 5.0)
-        queue.advance()
-        assert queue.current() == (10.0, 10.0)
-        queue.advance()
-        assert queue.current() == (15.0, 15.0)
-
-    def test_complete_after_last(self):
-        queue = WaypointQueue([(5.0, 5.0)])
-        assert not queue.complete
-        queue.advance()
-        assert queue.complete and queue.current() is None
-        queue.advance()
-        assert queue.cursor == 1
-
-    def test_at_final_from_last_waypoint_on(self):
-        queue = WaypointQueue([(5.0, 5.0), (10.0, 10.0)])
-        seen = []
-        for _ in range(3):
-            seen.append(queue.at_final)
-            queue.advance()
-        assert seen == [False, True, True]
-
     def test_empty_queue_rejected(self):
         with pytest.raises(MissionConfigError, match="empty"):
             MissionRunner(World(flat_terrain()), WaypointQueue([]), None)

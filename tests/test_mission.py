@@ -3,6 +3,7 @@ import dataclasses
 import hashlib
 import http.server
 import json
+import math
 import sys
 import threading
 import time
@@ -115,12 +116,81 @@ def test_no_path_ending_counts_the_control_period(monkeypatch, check_invariants)
     assert check_invariants(metrics, result.trajectory, 80, NavMode.SAFE.value) == []
 
 
+def _closest_approach(trajectory, point):
+    xy = np.array([[float(v) for v in row.split(",")[1:3]] for row in trajectory])
+    return float(np.min(np.hypot(xy[:, 0] - point[0], xy[:, 1] - point[1])))
+
+
+def _line(start, end):
+    """A straight path sampled every 0.25 m at most, as the planners sample."""
+    return mission.Path(np.linspace(start, end, math.ceil(math.dist(start, end) / 0.25) + 1))
+
+
+def test_unplannable_intermediate_leg_is_skipped(monkeypatch):
+    # Every plan toward the walled-off first waypoint fails; after
+    # no_path_limit failures the mission routes on to the second one.
+    walled = (40.0, 20.0)
+    failures = []
+
+    def planner(grid, start, goal):
+        if math.dist(goal, walled) < 12.0:
+            failures.append(start)
+            raise InvalidStartError("start cell is blocked")
+        return _line(start, goal)
+
+    monkeypatch.setattr(mission, "astar_obstacle", planner)
+    result = run_mission(World(flat_terrain()), WaypointQueue([walled, (20.0, 40.0)]), None,
+                         forced_mode=NavMode.SAFE, start=RoverState(20.0, 20.0, 0.0))
+    metrics = result.metrics
+    assert (metrics.end_reason, metrics.waypoints_reached, metrics.waypoints_skipped) == ("complete", 1, 1)
+    assert len(failures) == ModeConfig.no_path_limit
+    assert _closest_approach(result.trajectory, walled) > ModeConfig.waypoint_tolerance
+
+
+def _stop_short(monkeypatch, blocked, stop):
+    """Route every plan toward `blocked` to `stop` instead, 5 m short of
+    it; returns the starts of those plans."""
+    starts = []
+
+    def planner(grid, start, goal):
+        if math.dist(goal, blocked) < 12.0:
+            starts.append(start)
+            return _line(start, stop)
+        return _line(start, goal)
+
+    monkeypatch.setattr(mission, "astar_obstacle", planner)
+    return starts
+
+
+def test_blocked_intermediate_waypoint_within_slack_is_skipped(monkeypatch):
+    blocked, stop = (40.0, 20.0), (35.0, 20.0)
+    starts = _stop_short(monkeypatch, blocked, stop)
+    result = run_mission(World(flat_terrain()), WaypointQueue([blocked, (20.0, 40.0)]), None,
+                         forced_mode=NavMode.SAFE, start=RoverState(20.0, 20.0, 0.0))
+    metrics = result.metrics
+    assert (metrics.end_reason, metrics.waypoints_reached, metrics.waypoints_skipped) == ("complete", 1, 1)
+    # skipped on arrival at the path's end, before any plan from there
+    assert all(math.dist(start, stop) > 1.0 for start in starts)
+    assert _closest_approach(result.trajectory, blocked) > ModeConfig.waypoint_tolerance
+
+
+def test_blocked_final_waypoint_is_never_skipped(monkeypatch):
+    blocked, stop = (40.0, 20.0), (35.0, 20.0)
+    starts = _stop_short(monkeypatch, blocked, stop)
+    result = run_mission(World(flat_terrain()), WaypointQueue([blocked]), None,
+                         forced_mode=NavMode.SAFE, start=RoverState(20.0, 20.0, 0.0))
+    metrics = result.metrics
+    assert (metrics.end_reason, metrics.waypoints_reached, metrics.waypoints_skipped) == ("no_path", 0, 0)
+    # the rover stood at the path's end, within the slack, and kept planning
+    assert sum(math.dist(start, stop) <= 1.0 for start in starts) == ModeConfig.no_path_limit
+
+
 def test_run_leaves_the_callers_queue_alone():
     queue = WaypointQueue([(30.0, 20.0)])
     result = run_mission(World(flat_terrain()), queue, None, forced_mode=NavMode.EFFICIENT,
                          start=RoverState(20.0, 20.0, 0.0))
     assert (result.metrics.success, result.metrics.waypoints_reached) == (True, 1)
-    assert queue.cursor == 0
+    assert queue == WaypointQueue([(30.0, 20.0)])
 
 
 def _runner(x=20.0, y=20.0):
@@ -140,7 +210,7 @@ def test_clear_breadcrumbs_clears_only_visited_cells():
 
 def test_arrival_on_the_final_waypoint_uses_its_tolerance():
     runner = _runner(x=39.4)
-    assert runner._arrive() is None and runner.waypoints.cursor == 0
+    assert runner._arrive() is None and runner.leg == 0
     runner.state = RoverState(40.0 - runner.config.final_tolerance, 20.0, 0.0)
     assert runner._arrive() == "complete"
 
@@ -267,14 +337,12 @@ def test_mode_switcher_keeps_mode_over_one_missed_verdict():
     switcher = ModeSwitcher()
     switcher.update(FLAT)
     assert _modes(switcher, [None, FLAT, None]) == [NavMode.EFFICIENT] * 3
-    assert switcher.assessment is FLAT
 
 
 def test_mode_switcher_falls_back_to_conservative():
     switcher = ModeSwitcher()
     switcher.update(FLAT)
     assert _modes(switcher, [None, None]) == [NavMode.EFFICIENT, NavMode.CONSERVATIVE]
-    assert switcher.assessment is None
     assert ModeSwitcher().update(None) is NavMode.CONSERVATIVE
 
 

@@ -4,6 +4,7 @@ import numpy as np
 
 from rovernav.render import MODE_COLORS, draw_trajectory, hillshade
 from rovernav.terrain import HeightField
+from rovernav.world import RoverState
 
 
 def test_hillshade_pinned():
@@ -21,7 +22,7 @@ def test_hillshade_flat_is_uniform():
 
 
 def _rows(*points, mode="safe"):
-    return ["time,x,y,heading,speed,mode"] + [f"0.0,{x},{y},0.0,0.0,{mode}" for x, y in points]
+    return [(RoverState(x, y, 0.0), mode) for x, y in points]
 
 
 def _blocks(shape, *cells):

@@ -11,11 +11,14 @@ from rovernav.terrain import HeightField, Rock, Terrain, build_terrain
 from rovernav.world import (
     FOOTPRINT_RADIUS,
     TILT_FLAT_RANGE,
+    TRAJECTORY_HEADER,
     HazardKind,
     RoverState,
     VelocityCommand,
     World,
+    format_trajectory_row,
     normalize_angle,
+    read_trajectory,
     step,
 )
 
@@ -210,8 +213,8 @@ class TestTiltEarlyOut:
         world = build_scene(kind, 0).world
         rng = np.random.default_rng(7)
         skipped = fitted = tilted = 0
-        for x, y, heading in zip(rng.uniform(0.0, world.extent_x, 600),
-                                 rng.uniform(0.0, world.extent_y, 600),
+        for x, y, heading in zip(rng.uniform(0.0, world.terrain.extent_x, 600),
+                                 rng.uniform(0.0, world.terrain.extent_y, 600),
                                  rng.uniform(-math.pi, math.pi, 600)):
             pose = RoverState(float(x), float(y), float(heading), time=1.5)
             got = world.check_hazard(pose)
@@ -341,3 +344,12 @@ class TestRockIndex:
             pb = b.sense_elevation_patch(pose, 20.0, 0.25).elevation
             assert pa.tobytes() == pb.tobytes()
             assert a.check_hazard(pose) == b.check_hazard(pose)
+
+
+def test_trajectory_rows_read_back_as_written(tmp_path):
+    states = [(RoverState(1.5, 2.25, -0.5, 0.75, 0.05), "safe"),
+              (RoverState(3.0, 2.5, 0.125, 2.0, 0.1), "efficient")]
+    rows = [format_trajectory_row(state, mode) for state, mode in states]
+    path = tmp_path / "trajectory.csv"
+    path.write_text(TRAJECTORY_HEADER + "\n" + "\n".join(rows) + "\n", encoding="utf-8")
+    assert read_trajectory(path) == states
