@@ -24,12 +24,13 @@ import numpy as np
 from .errors import ValidationError, malformed_input
 from .grids import cell_center, world_to_cell
 from .mapping import COST_MAX, COST_UNKNOWN, CostGrid
-from .modes import NavMode
+from .modes import MODE_COLORS, NavMode
 from .planning import COST_REPLAN_TOLERANCE, Path, path_collides, path_cost
 from . import pgmio
 
 GLOBAL_RESOLUTION = 0.5
 MAP_META = "global_map.json"  # names a map dump directory, beside global_cost.pgm
+NO_SOURCE_COLOR = (40, 40, 40)  # cells no mode wrote, in the source overlay
 
 
 class ReplanReason(enum.Enum):
@@ -70,35 +71,37 @@ class MapServer:
         same mode) with one ratchet: a lethal cell is never downgraded at
         equal priority, because a later sensing window with the hazard
         outside its bounds would otherwise erase inflation margins written
-        by an earlier, better-placed window. Finer local grids max-pool
-        into the coarser global cells. The fast mode performs no mapping,
-        so its updates are no-ops. Returns the number of cells written.
+        by an earlier, better-placed window. Each global cell takes the
+        max of the local cells whose centres it holds, so finer local grids
+        max-pool into it and coarser ones write one cell per local cell.
+        The fast mode performs no mapping, so its updates are no-ops.
+        Returns the number of cells written.
         """
         if mode is NavMode.EFFICIENT:
             return 0
-        known = local.values >= 0
-        if not known.any():
-            return 0
         gm = self.global_map
         rows, cols = gm.values.shape
-        rr, cc = np.nonzero(known)
-        xs, ys = cell_center(rr, cc, local.origin, local.cell_size)
+        # A local row (column) lies in one global row (column), and the
+        # global indices of successive local rows (columns) never decrease,
+        # so max-pooling is one reduceat over each run of equal indices per
+        # axis. Unknown cells (-1) lose every max to a known one.
+        xs, ys = cell_center(np.arange(local.rows), np.arange(local.cols), local.origin, local.cell_size)
         gr, gc = world_to_cell(xs, ys, gm.origin, gm.cell_size)
-        ok = (gr >= 0) & (gr < rows) & (gc >= 0) & (gc < cols)
-        if not ok.any():
+        on_r = (gr >= 0) & (gr < rows)
+        on_c = (gc >= 0) & (gc < cols)
+        if not (on_r.any() and on_c.any()):
             return 0
-        # Only the bounding box of the written cells can change: outside it
-        # the max-pooled local map is unknown everywhere.
-        gr, gc = gr[ok], gc[ok]
-        r0, c0 = int(gr.min()), int(gc.min())
-        box = (slice(r0, int(gr.max()) + 1), slice(c0, int(gc.max()) + 1))
+        gr, r_starts = np.unique(gr[on_r], return_index=True)
+        gc, c_starts = np.unique(gc[on_c], return_index=True)
+        acc = np.maximum.reduceat(local.values[np.ix_(on_r, on_c)], r_starts, axis=0)
+        acc = np.maximum.reduceat(acc, c_starts, axis=1)
+        box = np.ix_(gr, gc)
         values, source = gm.values[box], self.source[box]
-        acc = np.full(values.shape, COST_UNKNOWN, dtype=np.int16)
-        np.maximum.at(acc, (gr - r0, gc - c0), local.values[rr[ok], cc[ok]])
         downgrade = (values >= COST_MAX) & (mode.priority == source) & (acc < COST_MAX)
         writable = (acc >= 0) & (mode.priority >= source) & ~downgrade
         values[writable] = acc[writable]
         source[writable] = mode.priority
+        gm.values[box], self.source[box] = values, source
         return int(np.count_nonzero(writable))
 
     # -- windows -------------------------------------------------------------
@@ -151,11 +154,10 @@ class MapServer:
         gm = self.global_map
         pixels = np.where(gm.values < 0, 255, gm.values).astype(np.uint8)
         pgmio.write_pgm(out / "global_cost.pgm", pixels, maxval=255)
-        colors = np.array(
-            [[40, 40, 40], [80, 200, 120], [240, 180, 60], [200, 70, 70]], dtype=np.uint8
-        )
-        overlay = colors[self.source]
-        pgmio.write_ppm(out / "global_source.ppm", overlay)
+        colors = np.full((len(NavMode) + 1, 3), NO_SOURCE_COLOR, dtype=np.uint8)
+        for mode in NavMode:
+            colors[mode.priority] = MODE_COLORS[mode.value]
+        pgmio.write_ppm(out / "global_source.ppm", colors[self.source])
         meta = {
             "origin": list(gm.origin),
             "cell_size": gm.cell_size,

@@ -10,12 +10,15 @@ roughness, and step height. Each function that needs the known-cell mask
 takes it once, as `np.isfinite(elevation)`. `cost_to_obstacle` turns any
 cost layer into the safe view the mid-tier planner searches.
 `cost_features` is the one pass that fits the planes and applies the cost
-law; every costmap quantizes its output. All inflation goes through
+law; every costmap quantizes its output. `cost_cells` keeps a costmap
+before inflation as one uint8 code per cell, and `build_navigation_costmap`
+inflates such codes for planning. All inflation goes through
 `grids.dilate_disc`.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -39,6 +42,14 @@ DEFAULT_INFLATION_RADIUS = 3.5
 # Lethal inflation of the costmap's roughness and step hazards; see
 # `build_navigation_costmap`.
 BUMP_INFLATION_RADIUS = 1.5
+
+# Cost-cell codes, the uint8 form of a costmap before inflation: 0 for
+# unknown, 1 + cost for costs 0..100, and one code per source of a lethal
+# cell, since each source inflates by its own radius.
+CELL_UNKNOWN = 0
+CELL_SLOPE_LETHAL = COST_MAX + 2
+CELL_BUMP_LETHAL = COST_MAX + 3
+_CELL_COST = np.array([COST_UNKNOWN, *range(COST_MAX + 1), COST_MAX, COST_MAX], dtype=np.int16)
 
 
 class GridGeometry(NamedTuple):
@@ -147,6 +158,18 @@ class CostWeights:
     step_radius_m: float = 0.5
 
 
+def _feature_windows(cell: float, weights: CostWeights) -> tuple[int, float]:
+    """The plane-fit window side and the step ring radius, in cells."""
+    return max(int(round(weights.fit_window_m / cell)) | 1, 3), max(weights.step_radius_m / cell, 1.0)
+
+
+def cost_feature_reach(cell: float, weights: CostWeights = CostWeights()) -> int:
+    """Cells from a cell to the farthest height its cost features read: the
+    step ring, plus the half fit window of the planes the ring compares."""
+    win, ring = _feature_windows(cell, weights)
+    return win // 2 + int(ring)
+
+
 def cost_features(elev: HeightField, weights: CostWeights = CostWeights()):
     """Unrounded cost plus the raw (slope_deg, roughness, step) features.
 
@@ -163,11 +186,10 @@ def cost_features(elev: HeightField, weights: CostWeights = CostWeights()):
         raise ValidationError("elevation grid is empty")
     cell = elev.cell_size
     known = np.isfinite(elev.elevation)
-    win = max(int(round(weights.fit_window_m / cell)) | 1, 3)
+    win, ring = _feature_windows(cell, weights)
     a, b, c, rough, _ = plane_fit_grid(elev.elevation, win, cell)
     slope = slope_degrees(a, b)
     res = np.where(known, elev.elevation - c, 0.0)
-    ring = max(weights.step_radius_m / cell, 1.0)
     res_hi = disc_max(np.where(known, res, -np.inf), ring)
     res_lo = disc_min(np.where(known, res, np.inf), ring)
     step = np.maximum(res - res_lo, res_hi - res)
@@ -195,26 +217,46 @@ def compute_costmap(elev: HeightField, weights: CostWeights = CostWeights()) -> 
     return CostGrid(_quantize(f, np.isfinite(elev.elevation)), elev.origin, elev.cell_size)
 
 
-def build_navigation_costmap(elev: HeightField) -> CostGrid:
-    """Costmap with per-source lethal inflation for planning use.
+def cost_cells(elev: HeightField, weights: CostWeights = CostWeights()) -> np.ndarray:
+    """The costmap before inflation, one uint8 code per cell.
 
-    Slope-lethal cells mark the hazard itself, so they inflate by the full
-    footprint-plus-margin radius (`DEFAULT_INFLATION_RADIUS`). Roughness-
-    and step-lethal cells already extend half a fit window beyond the bump
-    that caused them; they only need a small quantization-and-tracking
-    margin (`BUMP_INFLATION_RADIUS`), or every boulder would seal the
-    corridors around it.
+    Known cells hold `CELL_SLOPE_LETHAL` or `CELL_BUMP_LETHAL` when a
+    feature saturates (slope first), else 1 + their rounded cost; unknown
+    cells hold `CELL_UNKNOWN`. `build_navigation_costmap` inflates them.
     """
-    weights = CostWeights()
     f, slope, rough, step = cost_features(elev, weights)
     known = np.isfinite(elev.elevation)
-    values = _quantize(f, known)
-    for mask, radius in (
-        (slope >= weights.slope_max_deg, DEFAULT_INFLATION_RADIUS),
-        ((rough >= weights.rough_max) | (step >= weights.step_max), BUMP_INFLATION_RADIUS),
-    ):
-        values[dilate_disc(mask & known, radius / elev.cell_size) & known] = COST_MAX
-    return CostGrid(values, elev.origin, elev.cell_size)
+    codes = (_quantize(f, known) + 1).astype(np.uint8)
+    codes[(rough >= weights.rough_max) | (step >= weights.step_max)] = CELL_BUMP_LETHAL
+    codes[slope >= weights.slope_max_deg] = CELL_SLOPE_LETHAL
+    codes[~known] = CELL_UNKNOWN
+    return codes
+
+
+def build_navigation_costmap(codes: np.ndarray, origin, cell_size: float, margin: int = 0) -> CostGrid:
+    """Costmap with per-source lethal inflation for planning use.
+
+    `codes` are `cost_cells` codes on a grid at `origin`; the result is the
+    cost of the cells `margin` cells in from each edge, so lethal cells in
+    the margin inflate into it. Slope-lethal cells mark the hazard itself,
+    so they inflate by the full footprint-plus-margin radius
+    (`DEFAULT_INFLATION_RADIUS`). Roughness- and step-lethal cells already
+    extend half a fit window beyond the bump that caused them; they only
+    need a small quantization-and-tracking margin (`BUMP_INFLATION_RADIUS`),
+    or every boulder would seal the corridors around it. Unknown cells stay
+    unknown.
+    """
+    rows, cols = codes.shape
+    values = _CELL_COST[codes[margin:rows - margin, margin:cols - margin]]
+    known = values >= 0
+    for code, radius in ((CELL_SLOPE_LETHAL, DEFAULT_INFLATION_RADIUS),
+                         (CELL_BUMP_LETHAL, BUMP_INFLATION_RADIUS)):
+        # lethal cells farther out than the radius cannot reach the result
+        pad = min(margin, math.ceil(radius / cell_size))
+        near = codes[margin - pad:rows - margin + pad, margin - pad:cols - margin + pad] == code
+        grown = dilate_disc(near, radius / cell_size)[pad:near.shape[0] - pad, pad:near.shape[1] - pad]
+        values[grown & known] = COST_MAX
+    return CostGrid(values, (origin[0] + margin * cell_size, origin[1] + margin * cell_size), cell_size)
 
 
 def inflate_lethal(cost: CostGrid, radius: float) -> CostGrid:

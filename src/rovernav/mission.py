@@ -42,11 +42,13 @@ from .grids import cell_center, world_to_cell
 from .map_server import MapServer, WaypointQueue
 from .mapping import (
     COST_MAX,
+    DEFAULT_INFLATION_RADIUS,
     CostGrid,
-    CostWeights,
     GridGeometry,
     build_elevation_grid,
     build_navigation_costmap,
+    cost_cells,
+    cost_feature_reach,
     cost_to_obstacle,
     extract_obstacles,
 )
@@ -239,6 +241,86 @@ class ModeSwitcher:
         return self.mode
 
 
+# --- the conservative costmap ---------------------------------------------------
+
+# Most cells one costmap build senses. A mission's first window, with the
+# inflation radius around it, is built in pieces under this bound, so that
+# its transient arrays stay within those of one 25.6 m sensing window.
+BUILD_PATCH_CELLS = 256 * 256
+
+
+class CostCellRecord:
+    """The conservative costmap's cells of one mission, each built once.
+
+    Cells lie on the world-fixed lattice of pitch `cell`: cell (i, j) has
+    its centre at ((j + 0.5) * cell, (i + 0.5) * cell). They are built in
+    blocks of `block` x `block` cells, one global map cell each (`shape` is
+    the global map's), and stored as `mapping.cost_cells` codes; a block
+    that was never built reads unknown. `window` builds every block of the
+    window, and of the inflation radius around it, that is not built yet,
+    then inflates the stored codes, so the halo of a lethal cell built at
+    an earlier tick still reaches cells built later.
+
+    A block is built from heights sensed on the centres of its cells and of
+    a `cost_feature_reach` margin around them, so its codes equal those of
+    one build over any larger patch, up to float rounding in the plane
+    fit. With sensor noise, the heights behind a cell's cost are therefore
+    drawn once per mission, when its block is built, not once per tick.
+    """
+
+    def __init__(self, world: World, shape: tuple[int, int], cell: float, block: int):
+        self.world = world
+        self.cell = cell
+        self.block = block
+        # np.zeros leaves the pages of blocks never built untouched.
+        self.codes = np.zeros((shape[0] * block, shape[1] * block), dtype=np.uint8)
+        self.built = np.zeros(shape, dtype=bool)
+        self.reach = cost_feature_reach(cell)
+        self.halo = math.ceil(DEFAULT_INFLATION_RADIUS / (cell * block))
+
+    def window(self, row: int, col: int, n: int) -> CostGrid:
+        """The inflated costmap over the n x n blocks from block (row, col)."""
+        h, k = self.halo, self.block
+        top, left = row - h, col - h
+        r0, r1 = max(top, 0), min(row + n + h, self.built.shape[0])
+        c0, c1 = max(left, 0), min(col + n + h, self.built.shape[1])
+        self._build(r0, c0, ~self.built[r0:r1, c0:c1])
+        # the codes over the window plus the halo; off the map stays unknown
+        codes = np.zeros(((n + 2 * h) * k,) * 2, dtype=np.uint8)
+        codes[(r0 - top) * k:(r1 - top) * k, (c0 - left) * k:(c1 - left) * k] = \
+            self.codes[r0 * k:r1 * k, c0 * k:c1 * k]
+        return build_navigation_costmap(codes, (left * k * self.cell, top * k * self.cell), self.cell, h * k)
+
+    def _build(self, row: int, col: int, todo: np.ndarray) -> None:
+        """Build the blocks marked in `todo` (from block (row, col)) as
+        rectangles: the runs of each block row, merged over consecutive
+        rows with equal runs."""
+        edges = np.diff(todo.astype(np.int8), prepend=0, append=0, axis=1)
+        for runs, group in itertools.groupby(tuple(np.flatnonzero(e).tolist()) for e in edges):
+            height = len(list(group))
+            for a, b in zip(runs[::2], runs[1::2]):
+                self._build_blocks(row, row + height, col + a, col + b)
+            row += height
+
+    def _build_blocks(self, r0: int, r1: int, c0: int, c1: int) -> None:
+        """Sense and cost blocks [r0, r1) x [c0, c1) with their margin,
+        halving the longer side while the sensed patch is over
+        `BUILD_PATCH_CELLS`."""
+        k, m = self.block, self.reach
+        shape = ((r1 - r0) * k + 2 * m, (c1 - c0) * k + 2 * m)
+        if shape[0] * shape[1] > BUILD_PATCH_CELLS and max(r1 - r0, c1 - c0) > 1:
+            if r1 - r0 >= c1 - c0:
+                pieces = ((r0, (r0 + r1) // 2, c0, c1), ((r0 + r1) // 2, r1, c0, c1))
+            else:
+                pieces = ((r0, r1, c0, (c0 + c1) // 2), (r0, r1, (c0 + c1) // 2, c1))
+            for piece in pieces:
+                self._build_blocks(*piece)
+            return
+        elev = self.world.sense_cells(((c0 * k - m) * self.cell, (r0 * k - m) * self.cell), shape, self.cell)
+        self.codes[r0 * k:r1 * k, c0 * k:c1 * k] = cost_cells(elev)[m:-m, m:-m]
+        self.built[r0:r1, c0:c1] = True
+
+
 # --- the executor ------------------------------------------------------------
 
 
@@ -286,6 +368,9 @@ class MissionRunner:
         self.classifier = classifier
         self.forced_mode = forced_mode
         self.server = MapServer((world.terrain.extent_x, world.terrain.extent_y))
+        # made by the first conservative map update, so that a mission that
+        # never maps conservatively allocates none of it
+        self.cost_record: CostCellRecord | None = None
         self.route = waypoints.points
         self.leg = 0
         if start is None:
@@ -349,34 +434,31 @@ class MissionRunner:
 
     def _update_map(self, mode: NavMode) -> None:
         """The mode's local map of the window around the rover, merged into
-        the global map; a no-op unless `mode` is the active mode.
+        the global map; a no-op unless `mode` is the active mode. The window
+        snaps to the global 0.5 m lattice.
 
-        Safe mode extracts obstacles on the global map's own 0.5 m cells
-        from points sensed every 0.25 m. Conservative mode builds a costmap
-        at 0.1 m, sensed and fit over a margin wider than the published
-        window, and writes only the interior: cost features near a grid
-        edge come from truncated fit windows and underestimate hazards. The
-        window snaps to the global 0.5 m lattice.
+        Safe mode extracts obstacles on the global map's own cells from
+        points sensed every 0.25 m. Conservative mode publishes the window
+        of the mission's `CostCellRecord` at 0.1 m, whose cells are sensed
+        on their own centres and built once each: with `sensor_sigma` > 0 a
+        cell's cost comes from one noise draw per mission, not one per tick.
         """
         if self.mode is not mode:
             return
-        cfg = self.config
         base = self.server.global_map.cell_size
+        size = self.config.map_window
+        col = math.floor((self.state.x - size / 2.0) / base)
+        row = math.floor((self.state.y - size / 2.0) / base)
+        n = round(size / base)
         if mode is NavMode.SAFE:
-            res, pitch, margin = base, cfg.sense_resolution_safe, 0.0
-            product = extract_obstacles
+            pts = self.world.sense_points(self.state, size + 1.0, self.config.sense_resolution_safe)
+            local = extract_obstacles(build_elevation_grid(pts, GridGeometry(n, n, (col * base, row * base), base)))
         else:
-            res, pitch, margin = cfg.cost_resolution, cfg.cost_resolution, CostWeights().fit_window_m / 2.0
-            product = build_navigation_costmap
-        size = cfg.map_window
-        x0 = math.floor((self.state.x - size / 2.0) / base) * base
-        y0 = math.floor((self.state.y - size / 2.0) / base) * base
-        n = round(size / res)
-        m = int(math.ceil(margin / res))
-        geom = GridGeometry(n + 2 * m, n + 2 * m, (x0 - m * res, y0 - m * res), res)
-        pts = self.world.sense_points(self.state, size + 2.0 * margin + 1.0, pitch)
-        local = product(build_elevation_grid(pts, geom))
-        self.server.update_from_local(CostGrid(local.values[m:m + n, m:m + n], (x0, y0), res), mode)
+            if self.cost_record is None:
+                self.cost_record = CostCellRecord(self.world, self.server.global_map.values.shape,
+                                                  self.config.cost_resolution, round(base / self.config.cost_resolution))
+            local = self.cost_record.window(row, col, n)
+        self.server.update_from_local(local, mode)
 
     def _clamp_goal(self, grid: CostGrid, goal) -> tuple[float, float]:
         eps = grid.cell_size * 0.5

@@ -37,6 +37,14 @@ _MODE_PRIORITY = {
     NavMode.CONSERVATIVE: 3,
 }
 
+# RGB colour of each mode, by mode name, wherever an image shows modes:
+# trajectories (`render`) and the map's source overlay (`MapServer.dump`).
+MODE_COLORS = {
+    NavMode.EFFICIENT.value: (80, 200, 120),
+    NavMode.SAFE.value: (245, 180, 60),
+    NavMode.CONSERVATIVE.value: (205, 75, 75),
+}
+
 MODE_FOR_CLASS = {
     TerrainClass.FLAT: NavMode.EFFICIENT,
     TerrainClass.ROCKY: NavMode.SAFE,

@@ -12,15 +12,10 @@ import numpy as np
 
 from . import grids
 from .mapping import CostGrid
-from .modes import NavMode
+from .modes import MODE_COLORS
 from .terrain import HeightField, Terrain
 from .world import RoverState
 
-MODE_COLORS = {
-    NavMode.EFFICIENT.value: (80, 200, 120),
-    NavMode.SAFE.value: (245, 180, 60),
-    NavMode.CONSERVATIVE.value: (205, 75, 75),
-}
 UNKNOWN_COLOR = (70, 90, 140)
 
 

@@ -2,8 +2,9 @@
 
 The rover is a unicycle: commanded linear/angular velocity integrates
 directly into pose, with no slip or dynamics. The world supplies simulated
-depth sensing (elevation patches around the rover) and watches for the
-three hazard conditions: rock contact, excessive tilt, and leaving the map.
+depth sensing (elevation patches around the rover, or on the cell centres
+of a map grid) and watches for the three hazard conditions: rock contact,
+excessive tilt, and leaving the map.
 """
 
 from __future__ import annotations
@@ -137,13 +138,8 @@ class World:
     def sense_elevation_patch(self, pose: RoverState, size: float, resolution: float) -> HeightField:
         """Resample the true surface on a size x size window around the pose.
 
-        The window is a lattice of cell centers, so the ground is sampled
-        bilinearly (edge-clamped beyond the map border) from one row of x
-        and one column of y, broadcast against each other. Rock caps are
-        then evaluated analytically by `add_rocks_to_field`, inside each
-        nearby rock's bounding box, so rocks register at their true height
-        regardless of the ground grid pitch. Optional zero-mean Gaussian
-        noise of the configured sigma is added per sample, last.
+        The window is a lattice of cell centers around the pose, sampled as
+        `_sense` does, edge-clamped beyond the map border.
         """
         if size <= 0 or resolution <= 0:
             raise ValidationError("size and resolution must be positive")
@@ -154,13 +150,46 @@ class World:
         n = round(size / resolution)
         origin = (pose.x - half, pose.y - half)
         xs, ys = cell_center(np.arange(n), np.arange(n), origin, resolution)
+        z = self._sense(xs, ys, origin, resolution, self._rocks_near(pose.x, pose.y, half + 0.1))
+        return HeightField(z, origin, resolution)
+
+    def sense_cells(self, origin, shape: tuple[int, int], resolution: float) -> HeightField:
+        """The surface at the cell centers of a rows x cols grid at `origin`,
+        sampled as `_sense` does, with NaN at centers off the map.
+
+        Every call draws fresh noise for every cell. The conservative
+        costmap (`mission.CostCellRecord`) senses each of its cells as a
+        core cell once per mission, so with `sensor_sigma` > 0 a cell's cost
+        comes from one draw per mission, not one per costmap tick.
+        """
+        rows, cols = shape
+        xs, ys = cell_center(np.arange(rows), np.arange(cols), origin, resolution)
+        hx, hy = cols * resolution / 2.0, rows * resolution / 2.0
+        rocks = self._rocks_near(origin[0] + hx, origin[1] + hy, max(hx, hy) + 0.1)
+        z = self._sense(xs, ys, origin, resolution, rocks)
+        t = self.terrain
+        z[~((ys >= 0) & (ys <= t.extent_y))] = np.nan
+        z[:, ~((xs >= 0) & (xs <= t.extent_x))] = np.nan
+        return HeightField(z, origin, resolution)
+
+    def _sense(self, xs, ys, origin, resolution: float, rocks: list[Rock]) -> np.ndarray:
+        """Heights at the grid of column centers `xs` and row centers `ys`
+        (cell centers of the grid at `origin`).
+
+        The ground is sampled bilinearly (edge-clamped beyond the map
+        border) from the row of x and the column of y, broadcast against
+        each other. The caps of `rocks`, which must hold every rock that
+        reaches the grid, are then evaluated analytically by
+        `add_rocks_to_field`, so rocks register at their true height
+        regardless of the ground grid pitch. Optional zero-mean Gaussian
+        noise of the configured sigma is added per sample, last.
+        """
         z = np.asarray(self.terrain.ground.sample(xs[None, :], ys[:, None]), dtype=float)
-        rocks = self._rocks_near(pose.x, pose.y, half + 0.1)
         if rocks:
             z = add_rocks_to_field(HeightField(z, origin, resolution), rocks).elevation
         if self.sensor_sigma > 0:
             z = z + self._rng.normal(0.0, self.sensor_sigma, size=z.shape)
-        return HeightField(z, origin, resolution)
+        return z
 
     def sense_points(self, pose: RoverState, size: float, resolution: float) -> np.ndarray:
         """Sensed patch as (N, 3) points, keeping only in-map samples.

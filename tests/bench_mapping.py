@@ -3,22 +3,37 @@ pytest-benchmark.
 
 The file name keeps it out of the default test run; run it with
 `python -m pytest tests/bench_mapping.py`. Sizes are those of the mission
-loop: the conservative mode senses a 25.6 m window at 0.1 m and builds its
-costmap on the 246 x 246 cell grid around it (a 20 m window plus a half fit
-window each side), and the safe mode extracts obstacles on a 20 m window at
-0.5 m. The terrain is the rocky preset, scene seed 0.
+loop. The conservative mode keeps a record of cost cells at 0.1 m: a
+straight move of 1 m between costmap ticks builds one strip of 10 x 270
+cells (the 20 m window plus the 3.5 m inflation radius each side), sensed
+with a 2.8 m feature margin, and every tick inflates the 27 m square of
+stored cells around the window. The safe mode extracts obstacles on a 20 m
+window at 0.5 m. The terrain is the rocky preset, scene seed 0.
 """
+
+import math
 
 import numpy as np
 import pytest
 
 from rovernav.config import build_scene
 from rovernav.grids import disc_max, disc_min
-from rovernav.mapping import GridGeometry, build_elevation_grid, build_navigation_costmap, extract_obstacles
+from rovernav.mapping import (
+    DEFAULT_INFLATION_RADIUS,
+    GridGeometry,
+    build_elevation_grid,
+    build_navigation_costmap,
+    cost_cells,
+    cost_feature_reach,
+    extract_obstacles,
+)
 from rovernav.world import TILT_FLAT_RANGE, RoverState
 
-SENSE_SIZE = 25.6
-COST_CELLS = 246
+CELL = 0.1
+WINDOW_CELLS = 200
+HALO = math.ceil(DEFAULT_INFLATION_RADIUS / CELL)
+REACH = cost_feature_reach(CELL)
+STRIP_CELLS = 10
 
 
 @pytest.fixture(scope="module")
@@ -28,36 +43,49 @@ def rocky():
     return scene.world, RoverState(70.0, 70.0, 0.0)
 
 
+def _patch(world, pose, rows, cols):
+    """Heights sensed on the 0.1 m lattice, rows x cols cells centred on the pose."""
+    origin = (round(pose.x / CELL - cols / 2) * CELL, round(pose.y / CELL - rows / 2) * CELL)
+    return world.sense_cells(origin, (rows, cols), CELL)
+
+
 @pytest.fixture(scope="module")
-def costmap_elevation(rocky):
+def strip_elevation(rocky):
     world, pose = rocky
-    pts = world.sense_points(pose, SENSE_SIZE, 0.1)
-    half = COST_CELLS * 0.1 / 2.0
-    geom = GridGeometry(COST_CELLS, COST_CELLS, (pose.x - half, pose.y - half), 0.1)
-    return build_elevation_grid(pts, geom)
+    return _patch(world, pose, WINDOW_CELLS + 2 * HALO + 2 * REACH, STRIP_CELLS + 2 * REACH)
 
 
-def test_build_navigation_costmap_246(benchmark, costmap_elevation):
-    # Every call after the first reuses the cached mask half of the plane
-    # fit, as the mission's all-known costmap grids do.
-    cost = benchmark(build_navigation_costmap, costmap_elevation)
-    assert cost.values.shape == (COST_CELLS, COST_CELLS)
+@pytest.fixture(scope="module")
+def window_codes(rocky):
+    world, pose = rocky
+    n = WINDOW_CELLS + 2 * HALO
+    return cost_cells(_patch(world, pose, n + 2 * REACH, n + 2 * REACH))[REACH:-REACH, REACH:-REACH]
 
 
-def test_step_disc_max_min_r5(benchmark, costmap_elevation):
+def test_sense_cells_strip(benchmark, rocky, strip_elevation):
+    world, pose = rocky
+    elev = benchmark(_patch, world, pose, *strip_elevation.elevation.shape)
+    assert np.isfinite(elev.elevation).all()
+
+
+def test_cost_cells_strip(benchmark, strip_elevation):
+    codes = benchmark(cost_cells, strip_elevation)
+    assert codes.shape == strip_elevation.elevation.shape
+
+
+def test_build_navigation_costmap_270(benchmark, window_codes):
+    cost = benchmark(build_navigation_costmap, window_codes, (0.0, 0.0), CELL, HALO)
+    assert cost.values.shape == (WINDOW_CELLS, WINDOW_CELLS)
+
+
+def test_step_disc_max_min_r5(benchmark, strip_elevation):
     # The step feature's inputs: heights with unknown cells at -inf / +inf.
-    z = costmap_elevation.elevation
+    z = strip_elevation.elevation
     known = np.isfinite(z)
     hi_in = np.where(known, z, -np.inf)
     lo_in = np.where(known, z, np.inf)
     hi, lo = benchmark(lambda: (disc_max(hi_in, 5.0), disc_min(lo_in, 5.0)))
     assert (hi >= lo).all()
-
-
-def test_sense_points_rocky_256(benchmark, rocky):
-    world, pose = rocky
-    pts = benchmark(world.sense_points, pose, SENSE_SIZE, 0.1)
-    assert pts.shape == (256 * 256, 3)
 
 
 def _ground_range(world, pose):
@@ -81,6 +109,12 @@ def test_check_hazard_steep(benchmark):
     # through to the tilt fit.
     assert _ground_range(world, pose) >= TILT_FLAT_RANGE
     assert benchmark(world.check_hazard, pose) is None
+
+
+def test_sense_points_safe_84(benchmark, rocky):
+    world, pose = rocky
+    pts = benchmark(world.sense_points, pose, 21.0, 0.25)
+    assert pts.shape == (84 * 84, 3)
 
 
 def test_extract_obstacles_40(benchmark, rocky):

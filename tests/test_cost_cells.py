@@ -1,0 +1,140 @@
+"""The conservative costmap's per-mission record of cost cells
+(`mission.CostCellRecord`): what it publishes, and how often it builds."""
+
+import math
+
+import numpy as np
+import pytest
+
+from rovernav.config import build_scene
+from rovernav.grids import dilate_disc
+from rovernav.mapping import (
+    DEFAULT_INFLATION_RADIUS,
+    CostWeights,
+    build_navigation_costmap,
+    cost_cells,
+    cost_feature_reach,
+    cost_features,
+)
+from rovernav.mission import MissionRunner, ModeConfig
+from rovernav.modes import NavMode
+from rovernav.world import RoverState
+
+CELL = ModeConfig.cost_resolution
+# Cells from the published window to the farthest height its costs read:
+# the inflation radius, then the feature reach of the cells inside it.
+WIDE_MARGIN = cost_feature_reach(CELL) + math.ceil(DEFAULT_INFLATION_RADIUS / CELL)
+THRESHOLD_EPS = 1e-9
+
+
+def conservative_runner(kind):
+    scene = build_scene(kind, 0)
+    runner = MissionRunner(scene.world, scene.waypoints, None, forced_mode=NavMode.CONSERVATIVE,
+                           start=scene.start)
+    published, sensed = [], []
+    merge, sense = runner.server.update_from_local, runner.world.sense_cells
+
+    def record_merge(local, mode):
+        published.append(local)
+        return merge(local, mode)
+
+    def record_sense(origin, shape, resolution):
+        sensed.append((origin, shape))
+        return sense(origin, shape, resolution)
+
+    runner.server.update_from_local = record_merge
+    runner.world.sense_cells = record_sense
+    return runner, published, sensed
+
+
+def publish_at(runner, published, x, y):
+    """The costmap window the runner merges with the rover at (x, y)."""
+    runner.state = RoverState(x, y, 0.0)
+    runner._update_map(NavMode.CONSERVATIVE)
+    return published[-1]
+
+
+def seeded_poses(world, start, count, seed):
+    """A random walk from `start`: steps of up to 2.5 m, and now and then a
+    jump back to an earlier pose, so windows move straight, diagonally, and
+    return over cells already built."""
+    rng = np.random.default_rng(seed)
+    t = world.terrain
+    poses = [start]
+    while len(poses) < count:
+        if rng.random() < 0.15:
+            poses.append(poses[int(rng.integers(len(poses)))])
+            continue
+        step = rng.uniform(0.2, 2.5)
+        heading = rng.uniform(0.0, 2.0 * math.pi)
+        x = min(max(poses[-1][0] + step * math.cos(heading), 3.0), t.extent_x - 3.0)
+        y = min(max(poses[-1][1] + step * math.sin(heading), 3.0), t.extent_y - 3.0)
+        poses.append((x, y))
+    return poses
+
+
+def from_scratch(world, window):
+    """One build of the window's costmap from a patch sensed on the same cell
+    centres and wide enough for every cell the window reads; also the cells
+    where float rounding may legitimately flip a code."""
+    m = WIDE_MARGIN
+    origin = (window.origin[0] - m * CELL, window.origin[1] - m * CELL)
+    elev = world.sense_cells(origin, (window.rows + 2 * m, window.cols + 2 * m), CELL)
+    expected = build_navigation_costmap(cost_cells(elev), origin, CELL, m)
+    w = CostWeights()
+    f, slope, rough, step = cost_features(elev, w)
+    near_rounding = np.abs(f - np.floor(f) - 0.5) < THRESHOLD_EPS
+    near_lethal = ((np.abs(slope - w.slope_max_deg) < THRESHOLD_EPS)
+                   | (np.abs(rough - w.rough_max) < THRESHOLD_EPS)
+                   | (np.abs(step - w.step_max) < THRESHOLD_EPS))
+    allowed = near_rounding | dilate_disc(near_lethal, DEFAULT_INFLATION_RADIUS / CELL)
+    return expected, allowed[m:-m, m:-m]
+
+
+@pytest.mark.parametrize("kind", ["rocky", "challenging"])
+def test_published_windows_equal_a_build_from_scratch(kind):
+    runner, published, sensed = conservative_runner(kind)
+    world = runner.world
+    start = (runner.state.x, runner.state.y)
+    for i, (x, y) in enumerate(seeded_poses(world, start, 20, seed=5)):
+        window = publish_at(runner, published, x, y)
+        expected, allowed = from_scratch(world, window)
+        assert (window.origin, window.values.shape) == (expected.origin, expected.values.shape)
+        differ = window.values != expected.values
+        # Costs built from different patches differ only by float rounding,
+        # which can flip a cell only where a feature sits on a threshold.
+        unexplained = np.argwhere(differ & ~allowed).tolist()
+        assert unexplained == [], (i, (x, y), unexplained[:20])
+        assert (window.values >= 0).any()
+
+
+def test_each_block_is_built_at_most_once():
+    runner, published, sensed = conservative_runner("rocky")
+    start = (runner.state.x, runner.state.y)
+    for x, y in seeded_poses(runner.world, start, 30, seed=11):
+        publish_at(runner, published, x, y)
+    record = runner.cost_record
+    k, m = record.block, record.reach
+    builds = np.zeros(record.built.shape, dtype=int)
+    for (x0, y0), (rows, cols) in sensed:
+        r0, c0 = round(y0 / CELL) + m, round(x0 / CELL) + m
+        builds[r0 // k:(r0 + rows - 2 * m) // k, c0 // k:(c0 + cols - 2 * m) // k] += 1
+    assert builds.max() == 1
+    assert np.array_equal(builds == 1, record.built)
+
+
+@pytest.mark.parametrize("x, y", [(15.05, 70.0), (20.15, 66.45), (4.0, 136.5)])
+def test_no_in_map_window_cell_is_unknown(x, y):
+    # The first two poses lie an odd multiple of 0.05 m off the map
+    # lattice: a lattice sensed around the rover and rasterized onto the
+    # map's cells left up to 15 712 of these windows' cells unknown. The
+    # last window hangs off a corner of the map.
+    runner, published, _ = conservative_runner("rocky")
+    window = publish_at(runner, published, x, y)
+    t = runner.world.terrain
+    xs = window.origin[0] + (np.arange(window.cols) + 0.5) * CELL
+    ys = window.origin[1] + (np.arange(window.rows) + 0.5) * CELL
+    in_map = ((ys >= 0) & (ys <= t.extent_y))[:, None] & ((xs >= 0) & (xs <= t.extent_x))[None, :]
+    assert in_map.sum() > 0
+    assert int(np.count_nonzero(window.values[in_map] < 0)) == 0
+    assert (window.values[~in_map] < 0).all()

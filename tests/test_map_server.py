@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from rovernav.errors import MissionConfigError
-from rovernav.map_server import MapServer, ReplanReason, WaypointQueue, load_global_map
+from rovernav.map_server import NO_SOURCE_COLOR, MapServer, ReplanReason, WaypointQueue, load_global_map
 from rovernav.mapping import COST_MAX, COST_UNKNOWN, CostGrid
 from rovernav.mission import MissionRunner
-from rovernav.modes import NavMode
+from rovernav.modes import MODE_COLORS, NavMode
 from rovernav.planning import Path
 from rovernav.world import World
 
@@ -225,6 +225,22 @@ class TestDump:
         assert (tmp_path / "map" / "global_cost.pgm").exists()
         assert (tmp_path / "map" / "global_source.ppm").exists()
         assert (tmp_path / "map" / "global_map.json").exists()
+
+    def test_source_overlay_uses_the_mode_palette(self, tmp_path):
+        srv = server((20.0, 10.0))
+        # the efficient mode maps nothing, so its cell is marked by hand
+        assert srv.update_from_local(cost_local([[50]], (1.0, 1.0)), NavMode.EFFICIENT) == 0
+        srv.source[2, 2] = NavMode.EFFICIENT.priority
+        srv.update_from_local(cost_local([[50]], (5.0, 1.0)), NavMode.SAFE)
+        srv.update_from_local(cost_local([[50]], (9.0, 1.0)), NavMode.CONSERVATIVE)
+        srv.dump(tmp_path / "map")
+        raw = (tmp_path / "map" / "global_source.ppm").read_bytes()
+        header = b"P6\n40 20\n255\n"
+        assert raw.startswith(header)
+        rgb = np.frombuffer(raw[len(header):], dtype=np.uint8).reshape(20, 40, 3)
+        for mode, col in ((NavMode.EFFICIENT, 2), (NavMode.SAFE, 10), (NavMode.CONSERVATIVE, 18)):
+            assert tuple(rgb[2, col]) == MODE_COLORS[mode.value], mode
+        assert tuple(rgb[0, 0]) == NO_SOURCE_COLOR
 
     def test_dump_reloads_the_global_map(self, tmp_path):
         srv = server((20.0, 10.0))

@@ -18,6 +18,8 @@ from rovernav.mapping import (
     build_elevation_grid,
     build_navigation_costmap,
     compute_costmap,
+    cost_cells,
+    cost_feature_reach,
     cost_features,
     cost_to_obstacle,
     extract_obstacles,
@@ -257,6 +259,19 @@ class TestCostmap:
             assert _law(s, r + dr, h, w) >= _law(s, r, h, w)
             assert _law(s, r, h + dh, w) >= _law(s, r, h, w)
 
+    def test_feature_reach_is_exact(self, rng):
+        """A cell's features read heights up to `cost_feature_reach` cells
+        away and no farther: a patch with that margin around a core gives
+        the core the features of any wider patch, and one cell less does not."""
+        cell, core, pad = 0.1, 80, 40
+        z = rng.normal(0.0, 0.05, size=(core + 2 * pad, core + 2 * pad))
+        wide = np.stack(cost_features(full_grid(z, cell=cell)))[:, pad:-pad, pad:-pad]
+        reach = cost_feature_reach(cell)
+        for margin, same in ((reach, True), (reach - 1, False)):
+            sub = z[pad - margin:-(pad - margin), pad - margin:-(pad - margin)]
+            got = np.stack(cost_features(full_grid(sub, cell=cell)))[:, margin:-margin, margin:-margin]
+            assert np.allclose(got, wide, rtol=0.0, atol=1e-9) is same, margin
+
 
 def _law(s, r, h, w):
     if s >= w.slope_max_deg or r >= w.rough_max or h >= w.step_max:
@@ -296,14 +311,14 @@ class TestNavigationCostmap:
         _, slope, rough, step = cost_features(elev)
         assert ((slope >= w.slope_max_deg) & known).any()
         assert (((rough >= w.rough_max) | (step >= w.step_max)) & known).any()
-        cost = build_navigation_costmap(elev)
+        cost = build_navigation_costmap(cost_cells(elev), elev.origin, elev.cell_size)
         assert cost.values.dtype == np.int16
         assert _sha(cost.values) == "67c67500320bb803f54e699c7a6580ada71e2fdcdadef47dea54b6f6aa80c720"
 
     def test_empty_grid_rejected(self):
         grid = HeightField(np.zeros((0, 5)), (0.0, 0.0), 0.1)
         with pytest.raises(ValidationError):
-            build_navigation_costmap(grid)
+            cost_cells(grid)
 
 
 class TestLethalInflation:

@@ -91,6 +91,22 @@ def test_golden_conservative_digest(check_invariants):
     assert mission_digest(metrics, result.trajectory) == CONSERVATIVE_DIGEST
 
 
+def _conservative_digest(kind):
+    scene = build_scene(kind, 0)
+    queue = WaypointQueue(list(scene.waypoints.points[:2]))
+    result = run_mission(scene.world, queue, None, forced_mode=NavMode.CONSERVATIVE, start=scene.start)
+    return mission_digest(result.metrics.to_dict(), result.trajectory)
+
+
+def test_conservative_missions_share_no_state():
+    # Each runner builds its own record of cost cells; nothing one mission
+    # builds may reach the next, on the same scene or after another one.
+    first = _conservative_digest("rocky")
+    assert _conservative_digest("rocky") == first
+    _conservative_digest("challenging")
+    assert _conservative_digest("rocky") == first == CONSERVATIVE_DIGEST
+
+
 @pytest.mark.parametrize("seed", range(5))
 def test_forced_conservative_records_no_hazard(seed):
     # The single-mode baseline may fail to arrive, never to stay safe: seed

@@ -2,7 +2,8 @@ import hashlib
 
 import numpy as np
 
-from rovernav.render import MODE_COLORS, draw_trajectory, hillshade
+from rovernav.modes import MODE_COLORS
+from rovernav.render import draw_trajectory, hillshade
 from rovernav.terrain import HeightField
 from rovernav.world import RoverState
 
