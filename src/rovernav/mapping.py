@@ -163,10 +163,10 @@ def _feature_windows(cell: float, weights: CostWeights) -> tuple[int, float]:
     return max(int(round(weights.fit_window_m / cell)) | 1, 3), max(weights.step_radius_m / cell, 1.0)
 
 
-def cost_feature_reach(cell: float, weights: CostWeights = CostWeights()) -> int:
-    """Cells from a cell to the farthest height its cost features read: the
-    step ring, plus the half fit window of the planes the ring compares."""
-    win, ring = _feature_windows(cell, weights)
+def cost_feature_reach(cell: float) -> int:
+    """Cells from a cell to the farthest height its `cost_cells` features
+    read: the step ring, plus the half fit window of the ring's planes."""
+    win, ring = _feature_windows(cell, CostWeights())
     return win // 2 + int(ring)
 
 
@@ -217,13 +217,14 @@ def compute_costmap(elev: HeightField, weights: CostWeights = CostWeights()) -> 
     return CostGrid(_quantize(f, np.isfinite(elev.elevation)), elev.origin, elev.cell_size)
 
 
-def cost_cells(elev: HeightField, weights: CostWeights = CostWeights()) -> np.ndarray:
+def cost_cells(elev: HeightField) -> np.ndarray:
     """The costmap before inflation, one uint8 code per cell.
 
     Known cells hold `CELL_SLOPE_LETHAL` or `CELL_BUMP_LETHAL` when a
     feature saturates (slope first), else 1 + their rounded cost; unknown
     cells hold `CELL_UNKNOWN`. `build_navigation_costmap` inflates them.
     """
+    weights = CostWeights()
     f, slope, rough, step = cost_features(elev, weights)
     known = np.isfinite(elev.elevation)
     codes = (_quantize(f, known) + 1).astype(np.uint8)
