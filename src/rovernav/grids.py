@@ -125,8 +125,7 @@ def plane_fit_grid(z: np.ndarray, window_cells: int, cell_size: float):
 def _cell_coords(shape, cell_size):
     """Cell-center x and y in meters from the grid corner, broadcast to shape."""
     rows, cols = shape
-    xs = (np.arange(cols) + 0.5) * cell_size
-    ys = (np.arange(rows) + 0.5) * cell_size
+    xs, ys = cell_center(np.arange(rows), np.arange(cols), (0.0, 0.0), cell_size)
     return np.broadcast_to(xs, shape), np.broadcast_to(ys[:, None], shape)
 
 

@@ -142,9 +142,7 @@ def generate_heightfield(spec: TerrainSpec, origin: tuple[float, float] = (0.0, 
     Deterministic in the spec's seed.
     """
     n = spec.cells
-    xs = (np.arange(n) + 0.5) * spec.cell_size
-    ys = (np.arange(n) + 0.5) * spec.cell_size
-    gx, gy = np.meshgrid(xs, ys)
+    gx, gy = np.meshgrid(*cell_center(np.arange(n), np.arange(n), (0.0, 0.0), spec.cell_size))
 
     rng = np.random.default_rng(np.random.SeedSequence([spec.seed & 0xFFFFFFFFFFFFFFFF, 11]))
     perm = rng.permutation(256)
@@ -357,7 +355,7 @@ def build_mixed_terrain(specs: list[TerrainSpec]) -> Terrain:
         taller_left = ramp_left and spec.height_variation > specs[i - 1].height_variation
         taller_right = ramp_right and spec.height_variation > specs[i + 1].height_variation
         if taller_left or taller_right:
-            xs = (np.arange(fld.cols) + 0.5) * cell
+            xs, _ = cell_center(0, np.arange(fld.cols), (0.0, 0.0), cell)
             env = np.ones(fld.cols)
             if taller_left:
                 env = np.minimum(env, smoothstep(xs / SEAM_RAMP_M))

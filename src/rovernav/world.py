@@ -149,8 +149,7 @@ class World:
             raise EmptyPatchError("sensing window lies entirely outside the terrain")
         n = round(size / resolution)
         origin = (pose.x - half, pose.y - half)
-        xs, ys = cell_center(np.arange(n), np.arange(n), origin, resolution)
-        z = self._sense(xs, ys, origin, resolution, self._rocks_near(pose.x, pose.y, half + 0.1))
+        _, _, z = self._sense(origin, (n, n), resolution)
         return HeightField(z, origin, resolution)
 
     def sense_cells(self, origin, shape: tuple[int, int], resolution: float) -> HeightField:
@@ -162,34 +161,37 @@ class World:
         core cell once per mission, so with `sensor_sigma` > 0 a cell's cost
         comes from one draw per mission, not one per costmap tick.
         """
+        xs, ys, z = self._sense(origin, shape, resolution)
+        z[~self._on_map(xs, ys)] = np.nan
+        return HeightField(z, origin, resolution)
+
+    def _sense(self, origin, shape: tuple[int, int], resolution: float):
+        """Heights at the cell centers of a rows x cols grid at `origin`, with
+        the centers' x per column and y per row: (xs, ys, z).
+
+        The ground is sampled bilinearly (edge-clamped beyond the map
+        border) from the row of x and the column of y, broadcast against
+        each other. The caps of the rocks that reach the grid are then
+        evaluated analytically by `add_rocks_to_field`, so rocks register
+        at their true height regardless of the ground grid pitch. Optional
+        zero-mean Gaussian noise of the configured sigma is added per
+        sample, last.
+        """
         rows, cols = shape
         xs, ys = cell_center(np.arange(rows), np.arange(cols), origin, resolution)
         hx, hy = cols * resolution / 2.0, rows * resolution / 2.0
         rocks = self._rocks_near(origin[0] + hx, origin[1] + hy, max(hx, hy) + 0.1)
-        z = self._sense(xs, ys, origin, resolution, rocks)
-        t = self.terrain
-        z[~((ys >= 0) & (ys <= t.extent_y))] = np.nan
-        z[:, ~((xs >= 0) & (xs <= t.extent_x))] = np.nan
-        return HeightField(z, origin, resolution)
-
-    def _sense(self, xs, ys, origin, resolution: float, rocks: list[Rock]) -> np.ndarray:
-        """Heights at the grid of column centers `xs` and row centers `ys`
-        (cell centers of the grid at `origin`).
-
-        The ground is sampled bilinearly (edge-clamped beyond the map
-        border) from the row of x and the column of y, broadcast against
-        each other. The caps of `rocks`, which must hold every rock that
-        reaches the grid, are then evaluated analytically by
-        `add_rocks_to_field`, so rocks register at their true height
-        regardless of the ground grid pitch. Optional zero-mean Gaussian
-        noise of the configured sigma is added per sample, last.
-        """
         z = np.asarray(self.terrain.ground.sample(xs[None, :], ys[:, None]), dtype=float)
         if rocks:
             z = add_rocks_to_field(HeightField(z, origin, resolution), rocks).elevation
         if self.sensor_sigma > 0:
             z = z + self._rng.normal(0.0, self.sensor_sigma, size=z.shape)
-        return z
+        return xs, ys, z
+
+    def _on_map(self, xs, ys) -> np.ndarray:
+        """Mask of the grid cells, at column centers `xs` and row centers `ys`, on the map."""
+        t = self.terrain
+        return ((ys >= 0) & (ys <= t.extent_y))[:, None] & ((xs >= 0) & (xs <= t.extent_x))[None, :]
 
     def sense_points(self, pose: RoverState, size: float, resolution: float) -> np.ndarray:
         """Sensed patch as (N, 3) points, keeping only in-map samples.
@@ -201,8 +203,7 @@ class World:
         patch = self.sense_elevation_patch(pose, size, resolution)
         xs, ys = cell_center(np.arange(patch.rows), np.arange(patch.cols), patch.origin, patch.cell_size)
         gx, gy = np.broadcast_arrays(xs[None, :], ys[:, None])
-        t = self.terrain
-        inside = ((xs >= 0) & (xs <= t.extent_x))[None, :] & ((ys >= 0) & (ys <= t.extent_y))[:, None]
+        inside = self._on_map(xs, ys)
         return np.column_stack([gx[inside], gy[inside], patch.elevation[inside]])
 
     def check_hazard(self, pose: RoverState) -> HazardEvent | None:

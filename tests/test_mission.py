@@ -16,6 +16,7 @@ import rovernav.mission as mission
 from rovernav.classify import TerrainAssessment, VlmConfig
 from rovernav.config import build_scene
 from rovernav.errors import InvalidStartError, ValidationError, VlmTimeoutError, VlmTransportError
+from rovernav.grids import world_to_cell
 from rovernav.map_server import WaypointQueue
 from rovernav.mapping import COST_MAX, CostGrid
 from rovernav.mission import (
@@ -30,19 +31,21 @@ from rovernav.mission import (
     run_mission,
 )
 from rovernav.modes import NavMode, TerrainClass
-from rovernav.world import RoverState, World
+from rovernav.planning import astar_cost
+from rovernav.world import RoverState, VelocityCommand, World
 
 from conftest import flat_terrain
 
 # sha256 of json(metrics, sorted keys) + b"\n" + the trajectory rows, for the
 # adaptive mock-classifier mission on build_scene(kind, 0). A change that
 # moves one of these must explain why. Mixed and challenging are the
-# benchmark's adaptive missions; both end in a rock collision.
+# benchmark's adaptive missions: mixed ends in a rock collision, challenging
+# in a timeout after a long run of failed safe-mode plans.
 GOLDEN_DIGESTS = {
     "flat": "89664f7dc96d8248d3662bfa5477f1b85a00faf8a69bc70e4be3bfd34e85e9fb",
     "rocky": "8c9df14903c8d4c025ef410b9fcb3ee12865e3249601e0d658f017b92eef4046",
     "mixed": "de1d0c96f18ebce4de196ce1d1ba42a6b306bf976370caa4c413bbdd28f7267a",
-    "challenging": "bf8e46d059fa2609c909698feaa4b71913d21d54d3f19e2fb4d6e4e249466ed5",
+    "challenging": "41727c69d700599094d4f0fba571dc386abcdd6105750c744090134ca44b453e",
 }
 
 # Forced-conservative mission on build_scene("rocky", 0), first 2 auto
@@ -214,14 +217,28 @@ def _runner(x=20.0, y=20.0):
     return MissionRunner(world, WaypointQueue([(40.0, 20.0)]), None, start=RoverState(x, y, 0.0))
 
 
-def test_clear_breadcrumbs_clears_only_visited_cells():
-    runner = _runner()
-    grid = CostGrid(np.full((4, 4), COST_MAX, dtype=np.int16), (10.0, 10.0), 0.5)
-    # inside: cell (2, 1); up to one cell left of / below the window: outside
-    runner._breadcrumbs = [(10.7, 11.2), (9.8, 11.2), (11.2, 9.7), (9.9, 9.9)]
-    runner._clear_breadcrumbs(grid)
-    cleared = np.argwhere(grid.values < COST_MAX)
-    assert cleared.tolist() == [[2, 1]]
+def test_planning_keeps_lethal_cells_on_the_rovers_trail(monkeypatch):
+    # Having driven over a cell does not prove it drivable: a cell the map
+    # marks lethal after the rover left it stays lethal for the planner.
+    start = (20.25, 20.25)  # the centre of a global map cell
+    runner = _runner(*start)
+    runner.last_cmd = VelocityCommand(0.5, 0.0)
+    for _ in range(120):  # 6 s east at 0.5 m/s, out of the start disc
+        assert runner._move() is None
+    assert runner.state.x - start[0] > 2.0 * runner.config.start_clear_radius
+    gm = runner.server.global_map
+    gm.values[:] = 0
+    gm.values[world_to_cell(*start, gm.origin, gm.cell_size)] = COST_MAX
+    searched = []
+
+    def record(grid, *args):
+        searched.append(grid)
+        return astar_cost(grid, *args)
+
+    monkeypatch.setattr(mission, "astar_cost", record)
+    assert runner._plan(NavMode.CONSERVATIVE, runner.route[0]) is not None
+    (grid,) = searched
+    assert grid.values[world_to_cell(*start, grid.origin, grid.cell_size)] == COST_MAX
 
 
 def test_arrival_on_the_final_waypoint_uses_its_tolerance():
