@@ -45,7 +45,6 @@ class TerrainAssessment:
     terrain_class: TerrainClass
     rock_complexity: float
     slope_complexity: float
-    timestamp: float = 0.0
 
     def __post_init__(self):
         if not (0.0 <= self.rock_complexity <= 1.0 and 0.0 <= self.slope_complexity <= 1.0):
@@ -55,8 +54,7 @@ class TerrainAssessment:
 @dataclass(frozen=True)
 class GeometricMetrics:
     rock_grid_count: float
-    slope_avg: float       # degrees
-    slope_variance: float  # degrees^2
+    slope_avg: float  # degrees
 
 
 # Radius of the region around its center that a classifier judges, meters.
@@ -75,9 +73,9 @@ def compute_terrain_metrics(patch: HeightField, radius: float) -> GeometricMetri
 
     Cells with a non-finite elevation are unknown. rock_grid_count counts
     cells whose known 3x3 neighborhood elevation standard deviation exceeds
-    STDDEV_ROCK_CELL. Average slope and slope variance come from
-    least-squares plane fits over overlapping FIT_WINDOW_M sub-windows
-    whose centers, FIT_STRIDE_M apart, lie inside the region.
+    STDDEV_ROCK_CELL. The average slope comes from least-squares plane
+    fits over overlapping FIT_WINDOW_M sub-windows whose centers,
+    FIT_STRIDE_M apart, lie inside the region.
     """
     z, known = patch.elevation, np.isfinite(patch.elevation)
     cell, origin = patch.cell_size, patch.origin
@@ -112,7 +110,6 @@ def compute_terrain_metrics(patch: HeightField, radius: float) -> GeometricMetri
     return GeometricMetrics(
         rock_grid_count=float(rock_grid_count),
         slope_avg=float(samples.mean()),
-        slope_variance=float(samples.var()),
     )
 
 
@@ -136,7 +133,7 @@ def _neighborhood_std(z: np.ndarray, known: np.ndarray) -> np.ndarray:
     return out
 
 
-def threshold_classify(metrics: GeometricMetrics, timestamp: float = 0.0) -> TerrainAssessment:
+def threshold_classify(metrics: GeometricMetrics) -> TerrainAssessment:
     """Classify from geometric metrics with the hand-set cutoffs in `modes`.
 
     Slope decides first (challenging), then rough-cell count (rocky), else
@@ -150,7 +147,7 @@ def threshold_classify(metrics: GeometricMetrics, timestamp: float = 0.0) -> Ter
         cls = TerrainClass.FLAT
     rock = min(max(metrics.rock_grid_count / 1000.0, 0.0), 1.0)
     slope = min(max(metrics.slope_avg / SLOPE_SCORE_FULL_DEG, 0.0), 1.0)
-    return TerrainAssessment(cls, rock, slope, timestamp)
+    return TerrainAssessment(cls, rock, slope)
 
 
 # --- vision-language wire client -------------------------------------------
@@ -170,7 +167,7 @@ class VlmConfig:
 _RESPONSE_FIELDS = {"terrain_class", "rock_complexity", "slope_complexity"}
 
 
-def vlm_classify(image: bytes, prompt: str, config: VlmConfig, timestamp: float = 0.0,
+def vlm_classify(image: bytes, prompt: str, config: VlmConfig,
                  api_key: str | None = None) -> TerrainAssessment:
     """Send an image + prompt to the configured endpoint, strictly parse.
 
@@ -202,10 +199,10 @@ def vlm_classify(image: bytes, prompt: str, config: VlmConfig, timestamp: float 
         if isinstance(exc, TimeoutError) or isinstance(getattr(exc, "reason", None), TimeoutError):
             raise VlmTimeoutError(f"endpoint timed out after {config.timeout_s}s") from exc
         raise VlmTransportError(f"endpoint request failed: {exc}") from exc
-    return parse_vlm_response(raw, timestamp)
+    return parse_vlm_response(raw)
 
 
-def parse_vlm_response(raw: bytes | str, timestamp: float = 0.0) -> TerrainAssessment:
+def parse_vlm_response(raw: bytes | str) -> TerrainAssessment:
     """Validate the strict JSON assessment object."""
     try:
         data = json.loads(raw)
@@ -230,7 +227,7 @@ def parse_vlm_response(raw: bytes | str, timestamp: float = 0.0) -> TerrainAsses
         if not 0.0 <= float(val) <= 1.0:
             raise VlmSchemaError(f"{key}={val} outside [0, 1]")
         scores[key] = float(val)
-    return TerrainAssessment(cls, scores["rock_complexity"], scores["slope_complexity"], timestamp)
+    return TerrainAssessment(cls, scores["rock_complexity"], scores["slope_complexity"])
 
 
 def render_patch_image(patch: HeightField) -> bytes:
@@ -256,7 +253,6 @@ def mock_classify(
     ground: HeightField,
     position: tuple[float, float],
     seed: int,
-    timestamp: float = 0.0,
 ) -> TerrainAssessment:
     """Deterministic assessment from the world's own generating parameters.
 
@@ -279,7 +275,7 @@ def mock_classify(
     rock = min(max(ROCK_SCORE_GAIN * spec.rock_coverage + jit_rock, 0.0), 1.0)
     slope_deg = _local_slope(ground, position)
     slope = min(max(slope_deg / SLOPE_SCORE_FULL_DEG + jit_slope, 0.0), 1.0)
-    return TerrainAssessment(class_for_scores(rock, slope), rock, slope, timestamp)
+    return TerrainAssessment(class_for_scores(rock, slope), rock, slope)
 
 
 def _local_slope(ground: HeightField, position: tuple[float, float]) -> float:

@@ -3,13 +3,15 @@
 One server instance owns the mission-wide costmap, a `CostGrid` (0-100
 traversal cost, -1 unknown), plus `source`, a per-cell record of which
 navigation mode wrote it. Every local map arrives as the same `CostGrid`
-type: the mid-tier mode's obstacle map (0 free, 100 obstacle) and the
-cautious mode's graded costmap. They merge in under a strict priority
-rule: data from a more cautious mode is never overwritten by a less
-cautious one. The server also runs the periodic path collision check,
-straight on the global `CostGrid`, that emits replan signals. The
-mission's route, `WaypointQueue`, is defined here as its ordered points
-alone; the mission runner keeps its own place along it.
+type at the global map's own cell size: the mid-tier mode's obstacle map
+(0 free, 100 obstacle) and the cautious mode's graded costmap, max-pooled
+into global cells by the mission runner. Each merges in as one slice of the
+global lattice under a strict priority rule: data from a more cautious
+mode is never overwritten by a less cautious one. The server also runs the
+periodic path collision check, straight on the global `CostGrid`, that
+emits replan signals. The mission's route, `WaypointQueue`, is defined
+here as its ordered points alone; the mission runner keeps its own place
+along it.
 """
 
 from __future__ import annotations
@@ -65,43 +67,34 @@ class MapServer:
     def update_from_local(self, local: CostGrid, mode: NavMode) -> int:
         """Merge a local map into the global costmap under mode priority.
 
-        Known local cells write into the global map only where the incoming
-        mode's priority is >= the priority already recorded for the cell.
-        Equal priority overwrites (newer data refines older data of the
-        same mode) with one ratchet: a lethal cell is never downgraded at
-        equal priority, because a later sensing window with the hazard
-        outside its bounds would otherwise erase inflation margins written
-        by an earlier, better-placed window. Each global cell takes the
-        max of the local cells whose centres it holds, so finer local grids
-        max-pool into it and coarser ones write one cell per local cell.
-        The fast mode performs no mapping, so its updates are no-ops.
-        Returns the number of cells written.
+        The local map must have the global map's cell size; each of its
+        cells writes the global cell that holds its centre, and cells off
+        the map are dropped. Known local cells write only where the
+        incoming mode's priority is >= the priority already recorded for
+        the cell. Equal priority overwrites (newer data refines older data
+        of the same mode) with one ratchet: a lethal cell is never
+        downgraded at equal priority, because a later sensing window with
+        the hazard outside its bounds would otherwise erase inflation
+        margins written by an earlier, better-placed window. The fast mode
+        performs no mapping, so its updates are no-ops. Returns the number
+        of cells written.
         """
+        gm = self.global_map
+        if local.cell_size != gm.cell_size:
+            raise ValidationError(f"local map cell size {local.cell_size} is not the global {gm.cell_size}")
         if mode is NavMode.EFFICIENT:
             return 0
-        gm = self.global_map
-        rows, cols = gm.values.shape
-        # A local row (column) lies in one global row (column), and the
-        # global indices of successive local rows (columns) never decrease,
-        # so max-pooling is one reduceat over each run of equal indices per
-        # axis. Unknown cells (-1) lose every max to a known one.
-        xs, ys = cell_center(np.arange(local.rows), np.arange(local.cols), local.origin, local.cell_size)
-        gr, gc = world_to_cell(xs, ys, gm.origin, gm.cell_size)
-        on_r = (gr >= 0) & (gr < rows)
-        on_c = (gc >= 0) & (gc < cols)
-        if not (on_r.any() and on_c.any()):
+        r0, c0 = map(int, world_to_cell(*cell_center(0, 0, local.origin, gm.cell_size), gm.origin, gm.cell_size))
+        rows = slice(max(r0, 0), min(r0 + local.rows, gm.rows))
+        cols = slice(max(c0, 0), min(c0 + local.cols, gm.cols))
+        if rows.start >= rows.stop or cols.start >= cols.stop:
             return 0
-        gr, r_starts = np.unique(gr[on_r], return_index=True)
-        gc, c_starts = np.unique(gc[on_c], return_index=True)
-        acc = np.maximum.reduceat(local.values[np.ix_(on_r, on_c)], r_starts, axis=0)
-        acc = np.maximum.reduceat(acc, c_starts, axis=1)
-        box = np.ix_(gr, gc)
-        values, source = gm.values[box], self.source[box]
-        downgrade = (values >= COST_MAX) & (mode.priority == source) & (acc < COST_MAX)
-        writable = (acc >= 0) & (mode.priority >= source) & ~downgrade
-        values[writable] = acc[writable]
+        incoming = local.values[rows.start - r0:rows.stop - r0, cols.start - c0:cols.stop - c0]
+        values, source = gm.values[rows, cols], self.source[rows, cols]
+        downgrade = (values >= COST_MAX) & (mode.priority == source) & (incoming < COST_MAX)
+        writable = (incoming >= 0) & (mode.priority >= source) & ~downgrade
+        values[writable] = incoming[writable]
         source[writable] = mode.priority
-        gm.values[box], self.source[box] = values, source
         return int(np.count_nonzero(writable))
 
     # -- windows -------------------------------------------------------------

@@ -10,10 +10,10 @@ roughness, and step height. Each function that needs the known-cell mask
 takes it once, as `np.isfinite(elevation)`. `cost_to_obstacle` turns any
 cost layer into the safe view the mid-tier planner searches.
 `cost_features` is the one pass that fits the planes and applies the cost
-law; every costmap quantizes its output. `cost_cells` keeps a costmap
-before inflation as one uint8 code per cell, and `build_navigation_costmap`
-inflates such codes for planning. All inflation goes through
-`grids.dilate_disc`.
+law. `cost_cells` is the one quantization: it keeps a costmap before
+inflation as one uint8 code per cell. `build_navigation_costmap` is the one
+lethal inflation of such codes, for the rover's local costmap and for the
+coarse route costmap alike. All inflation goes through `grids.dilate_disc`.
 """
 
 from __future__ import annotations
@@ -42,6 +42,12 @@ DEFAULT_INFLATION_RADIUS = 3.5
 # Lethal inflation of the costmap's roughness and step hazards; see
 # `build_navigation_costmap`.
 BUMP_INFLATION_RADIUS = 1.5
+
+# Weights of the slope, roughness and step terms of the cost law; slope
+# dominates.
+SLOPE_WEIGHT = 0.5
+ROUGH_WEIGHT = 0.3
+STEP_WEIGHT = 0.2
 
 # Cost-cell codes, the uint8 form of a costmap before inflation: 0 for
 # unknown, 1 + cost for costs 0..100, and one code per source of a lethal
@@ -140,17 +146,14 @@ def _nanmedian_layers(stack: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CostWeights:
-    """Weights and saturation limits for the traversal-cost features.
+    """Saturation limits and windows of the traversal-cost features.
 
-    Slope dominates; any feature at or past its limit makes the cell
-    lethal (cost 100) outright so a cliff can never be traded against
-    smooth surroundings. Step height is measured on slope-detrended
-    elevation within step_radius, so a smooth incline contributes no step.
+    Any feature at or past its limit makes the cell lethal (cost 100)
+    outright so a cliff can never be traded against smooth surroundings.
+    Step height is measured on slope-detrended elevation within
+    step_radius, so a smooth incline contributes no step.
     """
 
-    w_slope: float = 0.5
-    w_rough: float = 0.3
-    w_step: float = 0.2
     slope_max_deg: float = 30.0
     rough_max: float = 0.15
     step_max: float = 0.3
@@ -180,7 +183,8 @@ def cost_features(elev: HeightField, weights: CostWeights = CostWeights()):
     (`grids.disc_max`, `grids.disc_min`; unknown cells enter as -inf and
     +inf, so they never win).
     cost = 100 * (w_s*min(s/s_max,1) + w_r*min(r/r_max,1) +
-    w_h*min(h/h_max,1)), forced to 100 when any feature saturates.
+    w_h*min(h/h_max,1)), with the module's `*_WEIGHT`s, forced to 100 when
+    any feature saturates.
     """
     if elev.rows == 0 or elev.cols == 0:
         raise ValidationError("elevation grid is empty")
@@ -195,81 +199,57 @@ def cost_features(elev: HeightField, weights: CostWeights = CostWeights()):
     step = np.maximum(res - res_lo, res_hi - res)
     step = np.where(np.isfinite(step), step, 0.0)
     f = 100.0 * (
-        weights.w_slope * np.minimum(slope / weights.slope_max_deg, 1.0)
-        + weights.w_rough * np.minimum(rough / weights.rough_max, 1.0)
-        + weights.w_step * np.minimum(step / weights.step_max, 1.0)
+        SLOPE_WEIGHT * np.minimum(slope / weights.slope_max_deg, 1.0)
+        + ROUGH_WEIGHT * np.minimum(rough / weights.rough_max, 1.0)
+        + STEP_WEIGHT * np.minimum(step / weights.step_max, 1.0)
     )
     lethal = (slope >= weights.slope_max_deg) | (rough >= weights.rough_max) | (step >= weights.step_max)
     f[lethal] = 100.0
     return f, slope, rough, step
 
 
-def _quantize(f: np.ndarray, known: np.ndarray) -> np.ndarray:
-    """Round unrounded costs to int16 0..100, unknown cells to -1."""
-    values = np.clip(np.rint(f).astype(np.int16), 0, COST_MAX)
-    values[~known] = COST_UNKNOWN
-    return values
-
-
-def compute_costmap(elev: HeightField, weights: CostWeights = CostWeights()) -> CostGrid:
-    """Traversal cost: `cost_features` rounded to 0..100, unknown cells -1."""
-    f, *_ = cost_features(elev, weights)
-    return CostGrid(_quantize(f, np.isfinite(elev.elevation)), elev.origin, elev.cell_size)
-
-
-def cost_cells(elev: HeightField) -> np.ndarray:
+def cost_cells(elev: HeightField, weights: CostWeights = CostWeights()) -> np.ndarray:
     """The costmap before inflation, one uint8 code per cell.
 
     Known cells hold `CELL_SLOPE_LETHAL` or `CELL_BUMP_LETHAL` when a
-    feature saturates (slope first), else 1 + their rounded cost; unknown
-    cells hold `CELL_UNKNOWN`. `build_navigation_costmap` inflates them.
+    feature saturates (slope first), else 1 + their cost rounded to
+    0..100; unknown cells hold `CELL_UNKNOWN`. `build_navigation_costmap`
+    inflates them.
     """
-    weights = CostWeights()
     f, slope, rough, step = cost_features(elev, weights)
-    known = np.isfinite(elev.elevation)
-    codes = (_quantize(f, known) + 1).astype(np.uint8)
+    codes = (np.clip(np.rint(f).astype(np.int16), 0, COST_MAX) + 1).astype(np.uint8)
     codes[(rough >= weights.rough_max) | (step >= weights.step_max)] = CELL_BUMP_LETHAL
     codes[slope >= weights.slope_max_deg] = CELL_SLOPE_LETHAL
-    codes[~known] = CELL_UNKNOWN
+    codes[~np.isfinite(elev.elevation)] = CELL_UNKNOWN
     return codes
 
 
-def build_navigation_costmap(codes: np.ndarray, origin, cell_size: float, margin: int = 0) -> CostGrid:
+def build_navigation_costmap(codes: np.ndarray, origin, cell_size: float, margin: int = 0,
+                             radii: tuple[float, float] = (DEFAULT_INFLATION_RADIUS,
+                                                           BUMP_INFLATION_RADIUS)) -> CostGrid:
     """Costmap with per-source lethal inflation for planning use.
 
     `codes` are `cost_cells` codes on a grid at `origin`; the result is the
     cost of the cells `margin` cells in from each edge, so lethal cells in
-    the margin inflate into it. Slope-lethal cells mark the hazard itself,
-    so they inflate by the full footprint-plus-margin radius
-    (`DEFAULT_INFLATION_RADIUS`). Roughness- and step-lethal cells already
-    extend half a fit window beyond the bump that caused them; they only
-    need a small quantization-and-tracking margin (`BUMP_INFLATION_RADIUS`),
-    or every boulder would seal the corridors around it. Unknown cells stay
-    unknown.
+    the margin inflate into it. `radii` are the inflation radii of
+    slope-lethal and of bump-lethal cells, meters. By default slope-lethal
+    cells, which mark the hazard itself, inflate by the full
+    footprint-plus-margin radius (`DEFAULT_INFLATION_RADIUS`). Roughness-
+    and step-lethal cells already extend half a fit window beyond the bump
+    that caused them; they only need a small quantization-and-tracking
+    margin (`BUMP_INFLATION_RADIUS`), or every boulder would seal the
+    corridors around it. Unknown cells stay unknown.
     """
     rows, cols = codes.shape
     values = _CELL_COST[codes[margin:rows - margin, margin:cols - margin]]
     known = values >= 0
-    for code, radius in ((CELL_SLOPE_LETHAL, DEFAULT_INFLATION_RADIUS),
-                         (CELL_BUMP_LETHAL, BUMP_INFLATION_RADIUS)):
+    for code, radius in zip((CELL_SLOPE_LETHAL, CELL_BUMP_LETHAL), radii):
         # lethal cells farther out than the radius cannot reach the result
         pad = min(margin, math.ceil(radius / cell_size))
         near = codes[margin - pad:rows - margin + pad, margin - pad:cols - margin + pad] == code
         grown = dilate_disc(near, radius / cell_size)[pad:near.shape[0] - pad, pad:near.shape[1] - pad]
         values[grown & known] = COST_MAX
     return CostGrid(values, (origin[0] + margin * cell_size, origin[1] + margin * cell_size), cell_size)
-
-
-def inflate_lethal(cost: CostGrid, radius: float) -> CostGrid:
-    """Dilate lethal (cost 100) cells by the rover footprint radius.
-
-    Keeps the planner's center-point paths clear of lethal terrain by the
-    rover's own size. Unknown cells stay unknown.
-    """
-    out = cost.values.copy()
-    if radius > 0:
-        out[dilate_disc(cost.values >= COST_MAX, radius / cost.cell_size) & (cost.values >= 0)] = COST_MAX
-    return CostGrid(out, cost.origin, cost.cell_size)
 
 
 def cost_to_obstacle(grid: CostGrid) -> CostGrid:

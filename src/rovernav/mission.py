@@ -159,18 +159,18 @@ class MockClassifierBackend:
     def __init__(self, seed: int):
         self.seed = seed
 
-    def assess(self, world: World, center, timestamp: float) -> TerrainAssessment:
+    def assess(self, world: World, center) -> TerrainAssessment:
         spec = world.terrain.spec_at(center[0])
-        return mock_classify(spec, world.terrain.ground, center, self.seed, timestamp=timestamp)
+        return mock_classify(spec, world.terrain.ground, center, self.seed)
 
 
 class GeometricClassifierBackend:
     """Senses an elevation patch ahead and applies the geometric baseline."""
 
-    def assess(self, world: World, center, timestamp: float) -> TerrainAssessment:
+    def assess(self, world: World, center) -> TerrainAssessment:
         pose = RoverState(center[0], center[1], 0.0)
         patch = world.sense_elevation_patch(pose, CLASSIFIER_PATCH_SIZE, GEOMETRIC_PATCH_RESOLUTION)
-        return threshold_classify(compute_terrain_metrics(patch, ANALYSIS_RADIUS), timestamp)
+        return threshold_classify(compute_terrain_metrics(patch, ANALYSIS_RADIUS))
 
 
 class VlmClassifierBackend:
@@ -184,12 +184,12 @@ class VlmClassifierBackend:
         self.config = config
         self.prompt = default_prompt()
 
-    def assess(self, world: World, center, timestamp: float) -> TerrainAssessment:
+    def assess(self, world: World, center) -> TerrainAssessment:
         pose = RoverState(center[0], center[1], 0.0)
         patch = world.sense_elevation_patch(pose, CLASSIFIER_PATCH_SIZE, VLM_PATCH_RESOLUTION)
         image = render_patch_image(patch)
         api_key = os.environ.get(self.config.api_key_env)
-        return vlm_classify(image, self.prompt, self.config, timestamp, api_key)
+        return vlm_classify(image, self.prompt, self.config, api_key)
 
 
 # Consecutive classifier periods a calmer class must persist before the
@@ -427,10 +427,11 @@ class MissionRunner:
         snaps to the global 0.5 m lattice.
 
         Safe mode extracts obstacles on the global map's own cells from
-        points sensed every 0.25 m. Conservative mode publishes the window
-        of the mission's `CostCellRecord` at 0.1 m, whose cells are sensed
-        on their own centres and built once each: with `sensor_sigma` > 0 a
-        cell's cost comes from one noise draw per mission, not one per tick.
+        points sensed every 0.25 m. Conservative mode takes the window of
+        the mission's `CostCellRecord` at 0.1 m, whose cells are sensed on
+        their own centres and built once each (with `sensor_sigma` > 0 a
+        cell's cost comes from one noise draw per mission, not one per
+        tick), and max-pools each global cell's block of it.
         """
         if self.mode is not mode:
             return
@@ -438,14 +439,17 @@ class MissionRunner:
         size = self.config.map_window
         row, col = map(int, world_to_cell(self.state.x, self.state.y, (size / 2.0, size / 2.0), base))
         n = round(size / base)
+        origin = (col * base, row * base)
         if mode is NavMode.SAFE:
             pts = self.world.sense_points(self.state, size + 1.0, self.config.sense_resolution_safe)
-            local = extract_obstacles(build_elevation_grid(pts, GridGeometry(n, n, (col * base, row * base), base)))
+            local = extract_obstacles(build_elevation_grid(pts, GridGeometry(n, n, origin, base)))
         else:
             if self.cost_record is None:
                 self.cost_record = CostCellRecord(self.world, self.server.global_map.values.shape,
                                                   self.config.cost_resolution, round(base / self.config.cost_resolution))
-            local = self.cost_record.window(row, col, n)
+            k = self.cost_record.block
+            values = self.cost_record.window(row, col, n).values
+            local = CostGrid(values.reshape(n, k, n, k).max(axis=(1, 3)), origin, base)
         self.server.update_from_local(local, mode)
 
     def _clamp_goal(self, grid: CostGrid, goal) -> tuple[float, float]:
@@ -565,7 +569,7 @@ class MissionRunner:
         if self.forced_mode is not None or self.classifier is None:
             return
         try:
-            assessment = self.classifier.assess(self.world, self._classifier_center(), n * TICK_DT)
+            assessment = self.classifier.assess(self.world, self._classifier_center())
         except (VlmError, EmptyPatchError, InsufficientDataError):
             assessment = None
         mode = self.switcher.update(assessment)
@@ -704,10 +708,6 @@ class ComparisonReport:
                 and self.single.waypoints_reached == self.multi.waypoints_reached)
 
     @property
-    def time_ratio(self) -> float:
-        return self.multi.total_time / self.single.total_time if self.single.total_time else math.inf
-
-    @property
     def speedup(self) -> float:
         return self.single.total_time / self.multi.total_time if self.multi.total_time else math.inf
 
@@ -725,9 +725,8 @@ class ComparisonReport:
         return {
             "single": self.single.to_dict(),
             "multi": self.multi.to_dict(),
-            "time_ratio": round(self.time_ratio, 6) if self.valid else None,
             "speedup": round(self.speedup, 6) if self.valid else None,
-            "distance_ratio": round(self.distance_ratio, 6),
+            "distance_ratio": round(self.distance_ratio, 6) if self.valid else None,
             "multi_time_shares": shares(self.multi.time_by_mode),
             "multi_distance_shares": shares(self.multi.distance_by_mode),
         }

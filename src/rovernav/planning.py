@@ -70,11 +70,7 @@ class Path:
         return len(self.points)
 
     def length(self) -> float:
-        if len(self.points) < 2:
-            return 0.0
-        # np.sum's pairwise order, which can differ from arc_lengths()[-1]
-        # in the last bit; the mission's short-path test reads this sum.
-        return float(np.sum(np.hypot(*np.diff(self.points, axis=0).T)))
+        return float(self.arc_lengths()[-1])
 
     def arc_lengths(self) -> np.ndarray:
         """Cumulative arc length at each point (starts at 0). Computed on

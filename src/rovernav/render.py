@@ -51,13 +51,8 @@ def draw_trajectory(image: np.ndarray, rows: list[tuple[RoverState, str]], origi
     Each point paints the 3x3 block around its cell, clipped to the image.
     """
     out = image.copy()
-    h, w = out.shape[:2]
     for state, mode in rows:
-        color = MODE_COLORS.get(mode, (255, 255, 255))
         r, c = grids.world_to_cell(state.x, state.y, origin, cell_size)
-        for dr in (-1, 0, 1):
-            for dc in (-1, 0, 1):
-                rr, cc = r + dr, c + dc
-                if 0 <= rr < h and 0 <= cc < w:
-                    out[rr, cc] = color
+        # both bounds clamp at 0: a negative stop would count from the far edge
+        out[max(r - 1, 0):max(r + 2, 0), max(c - 1, 0):max(c + 2, 0)] = MODE_COLORS.get(mode, (255, 255, 255))
     return out

@@ -2,9 +2,11 @@
 
 The coarse model stands in for an orbital elevation source: the true
 heightfield mean-pooled to a 2 m grid, so fine obstacles mostly vanish and
-only large-scale relief steers the route. A cost-minimizing search over the
-coarse costmap yields a route, which is thinned to waypoints one local-map
-window apart.
+only large-scale relief steers the route. The coarse costmap goes through
+the local costmap's own pipeline (`mapping.cost_cells`, then
+`mapping.build_navigation_costmap`), with coarse-scale limits and one
+inflation radius for every lethal cell. A cost-minimizing search over it
+yields a route, which is thinned to waypoints one local-map window apart.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from pathlib import Path as FsPath
 import numpy as np
 
 from .errors import InvalidStartError, NoPathError, ValidationError, malformed_input
-from .mapping import CostWeights, CostGrid, compute_costmap, inflate_lethal
+from .mapping import CostWeights, CostGrid, build_navigation_costmap, cost_cells
 from .map_server import WaypointQueue
 from .planning import Path, astar_cost
 from .terrain import HeightField
@@ -33,8 +35,10 @@ COARSE_WEIGHTS = CostWeights(fit_window_m=8.0, step_radius_m=2.0, rough_max=0.6,
                              slope_max_deg=27.0)
 
 
-def global_cost_from_dem(dem: HeightField, weights: CostWeights = COARSE_WEIGHTS) -> CostGrid:
-    """Mean-pool the elevation model to COARSE_RESOLUTION cells, then cost it."""
+def global_cost_from_dem(dem: HeightField, weights: CostWeights = COARSE_WEIGHTS,
+                         inflation: float = ROUTE_INFLATION) -> CostGrid:
+    """Mean-pool the elevation model to COARSE_RESOLUTION cells, cost them,
+    and inflate every lethal cell by `inflation` meters."""
     if dem.rows == 0 or dem.cols == 0:
         raise ValidationError("elevation model is empty")
     block = max(round(COARSE_RESOLUTION / dem.cell_size), 1)
@@ -43,8 +47,10 @@ def global_cost_from_dem(dem: HeightField, weights: CostWeights = COARSE_WEIGHTS
     if rows == 0 or cols == 0:
         raise ValidationError("coarse resolution exceeds the model extent")
     trimmed = dem.elevation[: rows * block, : cols * block]
-    coarse = trimmed.reshape(rows, block, cols, block).mean(axis=(1, 3))
-    return compute_costmap(HeightField(coarse, dem.origin, block * dem.cell_size), weights)
+    coarse = HeightField(trimmed.reshape(rows, block, cols, block).mean(axis=(1, 3)), dem.origin,
+                         block * dem.cell_size)
+    return build_navigation_costmap(cost_cells(coarse, weights), coarse.origin, coarse.cell_size,
+                                    radii=(inflation, inflation))
 
 
 def sparsify_waypoints(path: Path, spacing: float = DEFAULT_WAYPOINT_SPACING) -> WaypointQueue:
@@ -77,10 +83,7 @@ def plan_waypoints(dem: HeightField, start, goal,
     last_error = None
     for slope_limit, inflation in ((COARSE_WEIGHTS.slope_max_deg, ROUTE_INFLATION),
                                    (28.0, ROUTE_INFLATION), (29.5, 0.0)):
-        weights = replace(COARSE_WEIGHTS, slope_max_deg=slope_limit)
-        cost = global_cost_from_dem(dem, weights)
-        if inflation > 0:
-            cost = inflate_lethal(cost, inflation)
+        cost = global_cost_from_dem(dem, replace(COARSE_WEIGHTS, slope_max_deg=slope_limit), inflation)
         try:
             route = astar_cost(cost, start, goal)
             return sparsify_waypoints(route, spacing)

@@ -15,9 +15,9 @@ from scipy import ndimage
 
 from rovernav.config import build_scene
 from rovernav.grids import dilate_disc
-from rovernav.mapping import COST_MAX, COST_UNKNOWN, CostGrid, cost_to_obstacle, inflate_lethal
+from rovernav.mapping import COST_MAX, COST_UNKNOWN, CostGrid, cost_to_obstacle
 from rovernav.planning import astar_cost, astar_obstacle, best_progress_path
-from rovernav.waypoints import ROUTE_INFLATION, global_cost_from_dem
+from rovernav.waypoints import global_cost_from_dem
 
 
 def _window(n, cell, graded, seed=0):
@@ -77,7 +77,7 @@ MIXED = build_scene("mixed", 0)
 
 def test_route_search_mixed(benchmark):
     def route():
-        cost = inflate_lethal(global_cost_from_dem(MIXED.terrain.ground), ROUTE_INFLATION)
+        cost = global_cost_from_dem(MIXED.terrain.ground)
         return astar_cost(cost, (MIXED.start.x, MIXED.start.y), MIXED.goal)
 
     path = benchmark(route)

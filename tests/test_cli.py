@@ -121,7 +121,8 @@ def test_compare_prints_no_speedup_from_a_failed_run(tmp_path, capsys, monkeypat
     row = capsys.readouterr().out.splitlines()[2].split()
     assert row[6] == "invalid"
     (report,) = json.loads((out / "comparison.json").read_text(encoding="utf-8"))
-    assert report["speedup"] is None and report["time_ratio"] is None
+    assert report["speedup"] is None and report["distance_ratio"] is None
+    assert "time_ratio" not in report
 
 
 def test_compare_runs_the_configured_classifier_and_sensor_noise(tmp_path, monkeypatch):

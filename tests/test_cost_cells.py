@@ -1,5 +1,6 @@
 """The conservative costmap's per-mission record of cost cells
-(`mission.CostCellRecord`): what it publishes, and how often it builds."""
+(`mission.CostCellRecord`): the windows it publishes, what the global map
+merges of them, and how often it builds."""
 
 import math
 
@@ -16,7 +17,7 @@ from rovernav.mapping import (
     cost_feature_reach,
     cost_features,
 )
-from rovernav.mission import MissionRunner, ModeConfig
+from rovernav.mission import CostCellRecord, MissionRunner, ModeConfig
 from rovernav.modes import NavMode
 from rovernav.world import RoverState
 
@@ -27,28 +28,36 @@ WIDE_MARGIN = cost_feature_reach(CELL) + math.ceil(DEFAULT_INFLATION_RADIUS / CE
 THRESHOLD_EPS = 1e-9
 
 
-def conservative_runner(kind):
+def conservative_runner(kind, monkeypatch):
+    """A forced-conservative runner on `build_scene(kind, 0)`, with the lists
+    it fills: the record's 0.1 m windows, the grids it merges into the
+    global map, and the patches it senses."""
     scene = build_scene(kind, 0)
     runner = MissionRunner(scene.world, scene.waypoints, None, forced_mode=NavMode.CONSERVATIVE,
                            start=scene.start)
-    published, sensed = [], []
-    merge, sense = runner.server.update_from_local, runner.world.sense_cells
+    published, merged, sensed = [], [], []
+    window, merge, sense = CostCellRecord.window, runner.server.update_from_local, runner.world.sense_cells
+
+    def record_window(record, row, col, n):
+        published.append(window(record, row, col, n))
+        return published[-1]
 
     def record_merge(local, mode):
-        published.append(local)
+        merged.append(local)
         return merge(local, mode)
 
     def record_sense(origin, shape, resolution):
         sensed.append((origin, shape))
         return sense(origin, shape, resolution)
 
+    monkeypatch.setattr(CostCellRecord, "window", record_window)
     runner.server.update_from_local = record_merge
     runner.world.sense_cells = record_sense
-    return runner, published, sensed
+    return runner, published, merged, sensed
 
 
 def publish_at(runner, published, x, y):
-    """The costmap window the runner merges with the rover at (x, y)."""
+    """The costmap window the runner publishes with the rover at (x, y)."""
     runner.state = RoverState(x, y, 0.0)
     runner._update_map(NavMode.CONSERVATIVE)
     return published[-1]
@@ -92,8 +101,8 @@ def from_scratch(world, window):
 
 
 @pytest.mark.parametrize("kind", ["rocky", "challenging"])
-def test_published_windows_equal_a_build_from_scratch(kind):
-    runner, published, sensed = conservative_runner(kind)
+def test_published_windows_equal_a_build_from_scratch(kind, monkeypatch):
+    runner, published, merged, _ = conservative_runner(kind, monkeypatch)
     world = runner.world
     start = (runner.state.x, runner.state.y)
     for i, (x, y) in enumerate(seeded_poses(world, start, 20, seed=5)):
@@ -106,10 +115,16 @@ def test_published_windows_equal_a_build_from_scratch(kind):
         unexplained = np.argwhere(differ & ~allowed).tolist()
         assert unexplained == [], (i, (x, y), unexplained[:20])
         assert (window.values >= 0).any()
+        # the global map merges each global cell's block maximum
+        local, k = merged[-1], runner.cost_record.block
+        n = window.rows // k
+        assert local.cell_size == runner.server.global_map.cell_size
+        assert local.origin == pytest.approx(window.origin, abs=1e-9)
+        assert np.array_equal(local.values, window.values.reshape(n, k, n, k).max(axis=(1, 3)))
 
 
-def test_each_block_is_built_at_most_once():
-    runner, published, sensed = conservative_runner("rocky")
+def test_each_block_is_built_at_most_once(monkeypatch):
+    runner, published, _, sensed = conservative_runner("rocky", monkeypatch)
     start = (runner.state.x, runner.state.y)
     for x, y in seeded_poses(runner.world, start, 30, seed=11):
         publish_at(runner, published, x, y)
@@ -124,12 +139,12 @@ def test_each_block_is_built_at_most_once():
 
 
 @pytest.mark.parametrize("x, y", [(15.05, 70.0), (20.15, 66.45), (4.0, 136.5)])
-def test_no_in_map_window_cell_is_unknown(x, y):
+def test_no_in_map_window_cell_is_unknown(x, y, monkeypatch):
     # The first two poses lie an odd multiple of 0.05 m off the map
     # lattice: a lattice sensed around the rover and rasterized onto the
     # map's cells left up to 15 712 of these windows' cells unknown. The
     # last window hangs off a corner of the map.
-    runner, published, _ = conservative_runner("rocky")
+    runner, published, _, _ = conservative_runner("rocky", monkeypatch)
     window = publish_at(runner, published, x, y)
     t = runner.world.terrain
     xs = window.origin[0] + (np.arange(window.cols) + 0.5) * CELL

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from rovernav.errors import MissionConfigError
+from rovernav.errors import MissionConfigError, ValidationError
 from rovernav.map_server import NO_SOURCE_COLOR, MapServer, ReplanReason, WaypointQueue, load_global_map
 from rovernav.mapping import COST_MAX, COST_UNKNOWN, CostGrid
 from rovernav.mission import MissionRunner
@@ -56,12 +56,12 @@ class TestUpdatePriority:
         assert srv.global_map.values[20, 21] == 0
         assert srv.global_map.values[21, 20] == -1  # unknown never written
 
-    def test_fine_grid_max_pools(self):
-        vals = np.zeros((5, 5), dtype=np.int16)
-        vals[2, 2] = 80
+    @pytest.mark.parametrize("cell", [0.1, 0.25, 1.0])
+    def test_other_cell_size_rejected(self, cell):
         srv = server()
-        srv.update_from_local(cost_local(vals, (10.0, 10.0), cell=0.1), NavMode.CONSERVATIVE)
-        assert srv.global_map.values[20, 20] == 80
+        with pytest.raises(ValidationError, match="cell size"):
+            srv.update_from_local(cost_local(np.zeros((5, 5)), (10.0, 10.0), cell), NavMode.CONSERVATIVE)
+        assert (srv.global_map.values == -1).all()
 
     def test_outside_extent_noop(self):
         srv = server()
@@ -108,8 +108,8 @@ class TestRandomizedInvariants:
 
 
 class TestMergeMatchesFullMap:
-    """The merge works on the bounding box of the written cells; the bytes
-    of the map and of `source` must equal those of a whole-map merge."""
+    """The merge writes one slice of the global map; the bytes of the map
+    and of `source` must equal those of a whole-map merge."""
 
     @staticmethod
     def replay(srv, windows):
@@ -129,29 +129,32 @@ class TestMergeMatchesFullMap:
             srv = server((40.0, 30.0))
             windows = []
             for _step in range(25):
-                cell = float(rng.choice([0.1, 0.25, 0.3, 0.5, 1.0]))
                 n = int(rng.integers(1, 41))
-                # origins reach past every edge, so windows hang off the map
-                origin = (float(rng.uniform(-0.8 * n * cell, 41.0)),
-                          float(rng.uniform(-0.8 * n * cell, 31.0)))
+                # origins lie off the lattice and reach past every edge, so
+                # windows hang off the map
+                origin = (float(rng.uniform(-0.4 * n, 41.0)), float(rng.uniform(-0.4 * n, 31.0)))
                 vals = rng.integers(0, 100, size=(n, n)).astype(np.int16)
                 vals[rng.random((n, n)) < 0.3] = 100
                 vals[rng.random((n, n)) < 0.2] = -1
-                windows.append((cost_local(vals, origin, cell), modes[rng.integers(3)]))
+                windows.append((cost_local(vals, origin), modes[rng.integers(3)]))
             self.replay(srv, windows)
 
     def test_equal_priority_lethal_ratchet(self):
+        # 5 x 6 lethal cells (rows 21-25, columns 20-25), of which the low
+        # window (rows and columns 18-23) overlaps 3 x 4
         lethal = np.full((6, 6), 100, dtype=np.int16)
         lethal[0] = -1
-        low = np.full((30, 30), 10, dtype=np.int16)
+        low = np.full((6, 6), 10, dtype=np.int16)
         srv = server((40.0, 30.0))
         self.replay(srv, [(cost_local(lethal, (9.9, 10.2)), NavMode.SAFE),
-                          (cost_local(low, (9.0, 9.0), 0.1), NavMode.SAFE)])
-        # the lethal cells inside the finer window survive the lower values
+                          (cost_local(low, (9.0, 9.0)), NavMode.SAFE)])
+        # the lethal cells inside the later window survive its lower values
         assert (srv.global_map.values == 100).sum() == 30
-        self.replay(srv, [(cost_local(low, (9.0, 9.0), 0.1), NavMode.CONSERVATIVE),
+        self.replay(srv, [(cost_local(low, (9.0, 9.0)), NavMode.CONSERVATIVE),
                           (cost_local(lethal, (9.9, 10.2)), NavMode.SAFE)])
-        assert 0 < (srv.global_map.values == 100).sum() < 30
+        # a more cautious mode lowers them, and the lethal window cannot
+        # raise them back
+        assert (srv.global_map.values == 100).sum() == 30 - 12
 
 
 class TestWindows:

@@ -7,6 +7,8 @@ import pytest
 from rovernav.errors import ValidationError
 from rovernav.grids import dilate_disc, neighbor_slices
 from rovernav.mapping import (
+    CELL_BUMP_LETHAL,
+    CELL_SLOPE_LETHAL,
     COST_MAX,
     COST_UNKNOWN,
     CostGrid,
@@ -14,16 +16,17 @@ from rovernav.mapping import (
     DEFAULT_INFLATION_RADIUS,
     DEFAULT_OBSTACLE_HEIGHT,
     GridGeometry,
+    ROUGH_WEIGHT,
+    SLOPE_WEIGHT,
+    STEP_WEIGHT,
     _nanmedian_layers,
     build_elevation_grid,
     build_navigation_costmap,
-    compute_costmap,
     cost_cells,
     cost_feature_reach,
     cost_features,
     cost_to_obstacle,
     extract_obstacles,
-    inflate_lethal,
 )
 from rovernav.terrain import HeightField
 
@@ -173,29 +176,34 @@ class TestSortedStackMedian:
             assert np.array_equal(extract_obstacles(full_grid(z)).values, want)
 
 
+def rounded_cost(elev):
+    """The costmap before inflation: `cost_cells` read back as costs."""
+    return build_navigation_costmap(cost_cells(elev), elev.origin, elev.cell_size, radii=(0.0, 0.0))
+
+
 class TestCostmap:
     def test_flat_zero_cost(self):
-        cost = compute_costmap(full_grid(np.zeros((40, 40))))
+        cost = rounded_cost(full_grid(np.zeros((40, 40))))
         assert np.all(cost.values == 0)
 
     def test_smooth_15_degree_slope_costs_25(self):
         n = 80
         xs = (np.arange(n) + 0.5) * 0.1
         z = np.tan(np.radians(15.0)) * np.tile(xs, (n, 1))
-        cost = compute_costmap(full_grid(z, cell=0.1))
+        cost = rounded_cost(full_grid(z, cell=0.1))
         assert np.all(cost.values == 25)
 
     def test_45_degree_slope_lethal(self):
         n = 60
         xs = (np.arange(n) + 0.5) * 0.1
         z = np.tan(np.radians(45.0)) * np.tile(xs, (n, 1))
-        cost = compute_costmap(full_grid(z, cell=0.1))
+        cost = rounded_cost(full_grid(z, cell=0.1))
         assert np.all(cost.values == COST_MAX)
 
     def test_unknown_maps_to_minus_one(self):
         grid = full_grid(np.zeros((20, 20)))
         grid.elevation[5, 5] = np.nan
-        cost = compute_costmap(grid)
+        cost = rounded_cost(grid)
         assert cost.values[5, 5] == COST_UNKNOWN
 
     def test_value_range_on_random_grids(self, rng):
@@ -204,7 +212,7 @@ class TestCostmap:
             grid = full_grid(z, cell=0.25)
             unknown = rng.random((30, 30)) < 0.2
             grid.elevation[unknown] = np.nan
-            cost = compute_costmap(grid)
+            cost = rounded_cost(grid)
             vals = cost.values
             assert vals.min() >= -1
             assert vals.max() <= 100
@@ -220,7 +228,7 @@ class TestCostmap:
         d2 = (gx - 6.0) ** 2 + (gy - 6.0) ** 2
         sphere_r = (1.0 + 0.64) / 1.6
         cap = np.where(d2 <= 1.0, np.sqrt(np.maximum(sphere_r**2 - d2, 0)) - (sphere_r - 0.8), 0.0)
-        cost = compute_costmap(full_grid(np.maximum(cap, 0.0), cell=cell))
+        cost = rounded_cost(full_grid(np.maximum(cap, 0.0), cell=cell))
         center = cost.values[55:65, 55:65]
         assert (center == COST_MAX).any()
 
@@ -276,9 +284,9 @@ class TestCostmap:
 def _law(s, r, h, w):
     if s >= w.slope_max_deg or r >= w.rough_max or h >= w.step_max:
         return 100.0
-    return 100.0 * (w.w_slope * min(s / w.slope_max_deg, 1.0)
-                    + w.w_rough * min(r / w.rough_max, 1.0)
-                    + w.w_step * min(h / w.step_max, 1.0))
+    return 100.0 * (SLOPE_WEIGHT * min(s / w.slope_max_deg, 1.0)
+                    + ROUGH_WEIGHT * min(r / w.rough_max, 1.0)
+                    + STEP_WEIGHT * min(h / w.step_max, 1.0))
 
 
 def _sha(values):
@@ -321,31 +329,40 @@ class TestNavigationCostmap:
             cost_cells(grid)
 
 
+def inflate(values, cell, radius, lethal_codes=(CELL_SLOPE_LETHAL,)):
+    """`build_navigation_costmap` of a cost grid whose lethal cells take the
+    given codes in turn, every source inflated by `radius`."""
+    codes = (np.asarray(values) + 1).astype(np.uint8)
+    rr, cc = np.nonzero(np.asarray(values) >= COST_MAX)
+    for i, (r, c) in enumerate(zip(rr, cc)):
+        codes[r, c] = lethal_codes[i % len(lethal_codes)]
+    return build_navigation_costmap(codes, (0.0, 0.0), cell, radii=(radius, radius))
+
+
 class TestLethalInflation:
     def test_lethal_dilated(self):
         vals = np.zeros((20, 20), dtype=np.int16)
         vals[10, 10] = 100
-        grid = inflate_lethal(
-            __import__("rovernav.mapping", fromlist=["CostGrid"]).CostGrid(vals, (0, 0), 0.5), 1.0
-        )
+        grid = inflate(vals, 0.5, 1.0)
         assert grid.values[10, 12] == 100
         assert grid.values[10, 14] == 0
 
     def test_unknown_not_overwritten(self):
         vals = np.full((10, 10), -1, dtype=np.int16)
         vals[5, 5] = 100
-        from rovernav.mapping import CostGrid
-
-        out = inflate_lethal(CostGrid(vals, (0, 0), 0.5), 2.0)
+        out = inflate(vals, 0.5, 2.0)
         assert out.values[5, 7] == -1
 
     def test_byte_pin_non_integer_radius(self):
+        # With equal radii, lethal cells split between the two sources
+        # inflate as one set.
         rng = np.random.default_rng(7)
         vals = rng.integers(0, 100, size=(60, 60)).astype(np.int16)
         vals[rng.random((60, 60)) < 0.01] = COST_MAX
         vals[rng.random((60, 60)) < 0.1] = COST_UNKNOWN
-        out = inflate_lethal(CostGrid(vals, (0.0, 0.0), 0.1), 0.35)  # 3.4999... cells
-        assert _sha(out.values) == "599486a91fcfc29b2836fd8ba361c494e3944fa30645d6fd07c2066c5e9e589d"
+        for codes in ((CELL_SLOPE_LETHAL,), (CELL_SLOPE_LETHAL, CELL_BUMP_LETHAL)):
+            out = inflate(vals, 0.1, 0.35, codes)  # 3.4999... cells
+            assert _sha(out.values) == "599486a91fcfc29b2836fd8ba361c494e3944fa30645d6fd07c2066c5e9e589d"
 
 
 class TestConversions:

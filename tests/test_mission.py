@@ -314,13 +314,16 @@ def test_comparison_speedup_only_when_both_runs_succeed(single_ok, multi_ok, mul
     # so their times are not compared either.
     single = MissionMetrics(success=single_ok, waypoints_reached=3)
     single.time_by_mode["conservative"] = 120.0
+    single.distance_by_mode["conservative"] = 50.0
     multi = MissionMetrics(success=multi_ok, waypoints_reached=multi_reached)
     multi.time_by_mode["safe"] = 40.0
+    multi.distance_by_mode["safe"] = 52.0
     row = ComparisonReport(single, multi).to_dict()
+    assert "time_ratio" not in row
     if single_ok and multi_ok and multi_reached == 3:
-        assert (row["speedup"], row["time_ratio"]) == (3.0, round(1 / 3, 6))
+        assert (row["speedup"], row["distance_ratio"]) == (3.0, 1.04)
     else:
-        assert row["speedup"] is None and row["time_ratio"] is None
+        assert row["speedup"] is None and row["distance_ratio"] is None
 
 
 def test_every_scheduler_rate_divides_the_tick():
@@ -448,8 +451,8 @@ def test_vlm_backend_sends_key_from_env(vlm_stub, monkeypatch, key, header):
         monkeypatch.delenv(config.api_key_env, raising=False)
     else:
         monkeypatch.setenv(config.api_key_env, key)
-    assessment = VlmClassifierBackend(config).assess(World(flat_terrain()), (30.0, 30.0), 5.0)
-    assert (assessment.terrain_class, assessment.timestamp) == (TerrainClass.ROCKY, 5.0)
+    assessment = VlmClassifierBackend(config).assess(World(flat_terrain()), (30.0, 30.0))
+    assert assessment.terrain_class is TerrainClass.ROCKY
     assert vlm_stub.auth_headers == [header]
 
 
@@ -465,4 +468,4 @@ def test_vlm_transport_failures_raise_vlm_errors(monkeypatch, fault, error):
     with _serve(_FaultyVlmStub, fault=fault) as server:
         config = VlmConfig(f"http://127.0.0.1:{server.server_port}/", timeout_s=0.2)
         with pytest.raises(error):
-            VlmClassifierBackend(config).assess(World(flat_terrain()), (30.0, 30.0), 5.0)
+            VlmClassifierBackend(config).assess(World(flat_terrain()), (30.0, 30.0))

@@ -50,3 +50,13 @@ def test_trajectory_points_off_image_draw_their_clipped_block():
     rows = _rows((-0.4, 3.5), (2.5, -0.7), (-0.2, -0.2))
     out = draw_trajectory(image, rows, (0.0, 0.0), 1.0)
     assert np.array_equal(out.any(axis=2), _blocks((6, 8), (3, -1), (-1, 2), (-1, -1)))
+
+
+def test_trajectory_points_two_cells_off_image_draw_nothing():
+    # Cells -2 and below, and cells past the far edge by two or more, have
+    # blocks wholly off the image; a stop index left at r + 2 would count
+    # from the far edge and paint most of the image.
+    image = np.zeros((6, 8, 3), dtype=np.uint8)
+    rows = _rows((-1.5, 3.5), (2.5, -2.5), (-5.0, -5.0), (9.5, 3.5), (2.5, 7.5), (-3.0, 7.2))
+    out = draw_trajectory(image, rows, (0.0, 0.0), 1.0)
+    assert not out.any()
