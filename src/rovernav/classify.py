@@ -38,6 +38,7 @@ from .modes import (
     class_for_scores,
 )
 from .terrain import HeightField, TerrainSpec
+from . import pgmio
 
 
 @dataclass(frozen=True)
@@ -157,11 +158,15 @@ def default_prompt() -> str:
     return resources.files("rovernav").joinpath("data/prompt_template.txt").read_text(encoding="utf-8")
 
 
+# The environment variable whose value, when set, is sent as the
+# endpoint's bearer token.
+VLM_KEY_ENV = "ROVERNAV_VLM_KEY"
+
+
 @dataclass(frozen=True)
 class VlmConfig:
     endpoint_url: str
     timeout_s: float = 10.0
-    api_key_env: str = "ROVERNAV_VLM_KEY"
 
 
 _RESPONSE_FIELDS = {"terrain_class", "rock_complexity", "slope_complexity"}
@@ -238,9 +243,7 @@ def render_patch_image(patch: HeightField) -> bytes:
     """
     shade = hillshade(patch.elevation, patch.cell_size)
     shade = np.clip((shade - shade.min()) / max(np.ptp(shade), 1e-9), 0.0, 1.0)
-    pixels = (shade * 255).astype(np.uint8)
-    header = f"P5\n{pixels.shape[1]} {pixels.shape[0]}\n255\n".encode("ascii")
-    return header + pixels.tobytes()
+    return pgmio.pgm_bytes((shade * 255).astype(np.uint8))
 
 
 # --- deterministic mock ------------------------------------------------------

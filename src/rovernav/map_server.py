@@ -9,14 +9,13 @@ into global cells by the mission runner. Each merges in as one slice of the
 global lattice under a strict priority rule: data from a more cautious
 mode is never overwritten by a less cautious one. The server also runs the
 periodic path collision check, straight on the global `CostGrid`, that
-emits replan signals. The mission's route, `WaypointQueue`, is defined
-here as its ordered points alone; the mission runner keeps its own place
-along it.
+condemns a path with a lethal cell under it. The mission's route,
+`WaypointQueue`, is defined here as its ordered points alone; the mission
+runner keeps its own place along it.
 """
 
 from __future__ import annotations
 
-import enum
 import json
 from dataclasses import dataclass
 from pathlib import Path as FsPath
@@ -27,17 +26,12 @@ from .errors import ValidationError, malformed_input
 from .grids import cell_center, world_to_cell
 from .mapping import COST_MAX, COST_UNKNOWN, CostGrid
 from .modes import MODE_COLORS, NavMode
-from .planning import COST_REPLAN_TOLERANCE, Path, path_collides, path_cost
+from .planning import Path, first_lethal_point
 from . import pgmio
 
 GLOBAL_RESOLUTION = 0.5
 MAP_META = "global_map.json"  # names a map dump directory, beside global_cost.pgm
 NO_SOURCE_COLOR = (40, 40, 40)  # cells no mode wrote, in the source overlay
-
-
-class ReplanReason(enum.Enum):
-    COLLISION = "collision"
-    COST_TOLERANCE = "cost_tolerance"
 
 
 @dataclass
@@ -128,15 +122,10 @@ class MapServer:
 
     # -- collision checks ------------------------------------------------------
 
-    def collision_check_tick(self, active_path: Path | None, mode: NavMode) -> ReplanReason | None:
-        """1 Hz check of the active path against the global map."""
-        if active_path is None:
-            return None
-        if path_collides(active_path, self.global_map):
-            return ReplanReason.COLLISION
-        if mode is NavMode.CONSERVATIVE and path_cost(active_path, self.global_map) > COST_REPLAN_TOLERANCE:
-            return ReplanReason.COST_TOLERANCE
-        return None
+    def collision_check_tick(self, path: Path) -> tuple[float, float] | None:
+        """1 Hz check of the tracked path against the global map: the first
+        path point on a lethal cell, which condemns the path, or None."""
+        return first_lethal_point(path, self.global_map)
 
     # -- dump -------------------------------------------------------------------
 

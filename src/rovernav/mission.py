@@ -19,6 +19,7 @@ import numpy as np
 
 from .classify import (
     ANALYSIS_RADIUS,
+    VLM_KEY_ENV,
     TerrainAssessment,
     VlmConfig,
     compute_terrain_metrics,
@@ -176,8 +177,8 @@ class GeometricClassifierBackend:
 class VlmClassifierBackend:
     """Renders the terrain ahead and queries the configured endpoint.
 
-    The API key, when one is set, comes from the environment variable named
-    by `config.api_key_env`, read on every request.
+    The API key, when one is set, comes from the environment variable
+    `VLM_KEY_ENV`, read on every request.
     """
 
     def __init__(self, config: VlmConfig):
@@ -188,7 +189,7 @@ class VlmClassifierBackend:
         pose = RoverState(center[0], center[1], 0.0)
         patch = world.sense_elevation_patch(pose, CLASSIFIER_PATCH_SIZE, VLM_PATCH_RESOLUTION)
         image = render_patch_image(patch)
-        api_key = os.environ.get(self.config.api_key_env)
+        api_key = os.environ.get(VLM_KEY_ENV)
         return vlm_classify(image, self.prompt, self.config, api_key)
 
 
@@ -338,11 +339,13 @@ class MissionRunner:
     classification (0.2 Hz), the one local-map step `_update_map` (the
     obstacle map at 1 Hz in safe mode, the costmap at 0.5 Hz in
     conservative mode), the path collision check (1 Hz),
-    the progress checks, planning when the path is missing or stale,
+    the progress checks, planning when there is no path,
     control (10 Hz), one physics step with its hazard check, waypoint
     arrival, and the timeout. The mission ends on the first of no_path,
     a hazard, complete or timeout. Planning opens only the disc under the
     rover: a lethal cell stays lethal even where the rover has driven.
+
+    The rover tracks one path, the current mode's, or none (`_plan_tick`).
 
     The runner owns its place on the route: `leg` indexes the waypoint it
     is driving to, and moves on when that waypoint is reached or skipped.
@@ -390,9 +393,6 @@ class MissionRunner:
 
         self.mode = forced_mode or NavMode.CONSERVATIVE
         self.tracker: PathTracker | None = None
-        # the tracked path was planned for an earlier mode; read only while
-        # a tracker exists, and reset with every new tracker
-        self.stale_path = False
         self.last_cmd = VelocityCommand(0.0, 0.0)
         self._no_path_streak = 0
         self.next_plan_tick = 0
@@ -537,13 +537,13 @@ class MissionRunner:
         for n in itertools.count():
             due = {name for name, period in self.periods.items() if n % period == 0}
             if "classifier" in due:
-                self._classify(n)
+                self._classify()
             if "obstacle_map" in due:
                 self._update_map(NavMode.SAFE)
             if "costmap" in due:
                 self._update_map(NavMode.CONSERVATIVE)
             if "collision" in due:
-                self._check_path(n)
+                self._check_path()
             self._check_progress()
             end = self._plan_tick(n)
             if end is None:
@@ -563,9 +563,9 @@ class MissionRunner:
 
     # -- one step per subsystem --
 
-    def _classify(self, n: int) -> None:
-        """Classify the terrain ahead; a mode change makes the path stale
-        and asks for a plan this tick."""
+    def _classify(self) -> None:
+        """Classify the terrain ahead; a mode change drops the path, so the
+        new mode plans its own."""
         if self.forced_mode is not None or self.classifier is None:
             return
         try:
@@ -575,17 +575,13 @@ class MissionRunner:
         mode = self.switcher.update(assessment)
         if mode is not self.mode:
             self.mode = mode
-            self.stale_path = True
-            self.next_plan_tick = n
+            self.tracker = None
 
-    def _check_path(self, n: int) -> None:
-        """Drop a path the global map now condemns and replan this tick."""
-        if self.tracker is None:
-            return
-        if self.server.collision_check_tick(self.tracker.path, self.mode) is not None:
+    def _check_path(self) -> None:
+        """Drop a path with a lethal cell under it."""
+        if self.tracker is not None and self.server.collision_check_tick(self.tracker.path) is not None:
             self.metrics.replan_count += 1
             self.tracker = None
-            self.next_plan_tick = n
 
     def _check_progress(self) -> None:
         """Drop a path the rover has left or used up.
@@ -606,7 +602,7 @@ class MissionRunner:
         if d_path > cfg.off_path_limit:
             self.tracker = None
             return
-        if self.stale_path or not self.tracker.reached(self.state):
+        if not self.tracker.reached(self.state):
             return
         wp = self.route[self.leg]
         d_wp = math.hypot(wp[0] - self.state.x, wp[1] - self.state.y)
@@ -617,15 +613,18 @@ class MissionRunner:
             self.tracker = None
 
     def _plan_tick(self, n: int) -> str | None:
-        """Plan when the path is missing or stale and the retry tick has
-        come. A leg that stays unplannable is skipped; on the final leg the
-        mission ends with "no_path"."""
-        if (self.tracker is not None and not self.stale_path) or n < self.next_plan_tick:
+        """Plan when there is no path and the retry tick has come.
+
+        The rover tracks one path or none. A mode switch drops the path, so
+        the new mode plans its own; so do a lethal cell under it, leaving it,
+        using it up and arriving. A failed plan is retried one collision
+        period later; a leg that stays unplannable is skipped, and on the
+        final leg the mission ends with "no_path"."""
+        if self.tracker is not None or n < self.next_plan_tick:
             return None
         path = self._plan(self.mode, self.route[self.leg])
         if path is not None:
             self.tracker = PathTracker(path)
-            self.stale_path = False
             return None
         self.next_plan_tick = n + self.periods["collision"]
         if self._no_path_streak < self.config.no_path_limit:
@@ -674,7 +673,6 @@ class MissionRunner:
             self.leg += 1
             self.metrics.waypoints_reached += 1
             self.tracker = None
-            self.next_plan_tick = 0
             if self.leg == len(self.route):
                 return "complete"
         return None

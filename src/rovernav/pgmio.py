@@ -12,19 +12,20 @@ from pathlib import Path
 import numpy as np
 
 
-def write_pgm(path, values: np.ndarray, maxval: int = 255) -> None:
-    """Write a 2-D unsigned integer array as a binary P5 graymap."""
+def pgm_bytes(values: np.ndarray, maxval: int = 255) -> bytes:
+    """A 2-D unsigned integer array as binary P5 graymap bytes."""
     values = np.asarray(values)
     if values.ndim != 2:
         raise ValueError("graymap data must be 2-D")
     if values.min() < 0 or values.max() > maxval:
         raise ValueError("graymap values out of range for maxval=%d" % maxval)
     header = f"P5\n{values.shape[1]} {values.shape[0]}\n{maxval}\n".encode("ascii")
-    if maxval > 255:
-        payload = values.astype(">u2").tobytes()
-    else:
-        payload = values.astype(np.uint8).tobytes()
-    Path(path).write_bytes(header + payload)
+    return header + values.astype(">u2" if maxval > 255 else np.uint8).tobytes()
+
+
+def write_pgm(path, values: np.ndarray, maxval: int = 255) -> None:
+    """Write a 2-D unsigned integer array as a binary P5 graymap."""
+    Path(path).write_bytes(pgm_bytes(values, maxval))
 
 
 def read_pgm(path) -> tuple[np.ndarray, int]:

@@ -43,7 +43,6 @@ SQRT2 = math.sqrt(2.0)
 
 PATH_SAMPLE_SPACING = 0.5
 COST_EDGE_ALPHA = 4.0
-COST_REPLAN_TOLERANCE = 80.0
 SPLINE_TANGENT_LEN = 2.0
 
 # Neighbor offsets in row-major order with their step lengths (cells).
@@ -321,25 +320,14 @@ def _nearest(rr, cc, gr, gc):
     return near[[d == least for d in to_goal]], least
 
 
-def path_collides(path: Path, grid: CostGrid) -> bool:
-    """True when any path point lands on a lethal cell (cost `COST_MAX`).
+def first_lethal_point(path: Path, grid: CostGrid) -> tuple[float, float] | None:
+    """The first path point, in path order, on a lethal cell (cost
+    `COST_MAX`), or None.
 
-    Points outside the grid are ignored, and unknown cells never collide:
-    a collision requires positive evidence.
+    Points outside the grid are ignored, and unknown cells are never
+    lethal: condemning a path requires positive evidence.
     """
-    return bool((_values_under(path, grid) >= COST_MAX).any())
-
-
-def path_cost(path: Path, grid: CostGrid) -> float:
-    """Mean cell cost over the path samples that land on known cells."""
-    values = _values_under(path, grid)
-    known = values[values >= 0]
-    # integer sum, so the mean matches a sequential float accumulation exactly
-    return int(known.sum()) / known.size if known.size else 0.0
-
-
-def _values_under(path: Path, grid: CostGrid) -> np.ndarray:
-    """Grid values under the path points that land inside the grid."""
     r, c = world_to_cell(path.points[:, 0], path.points[:, 1], grid.origin, grid.cell_size)
-    inside = (r >= 0) & (r < grid.rows) & (c >= 0) & (c < grid.cols)
-    return grid.values[r[inside], c[inside]]
+    inside = np.flatnonzero((r >= 0) & (r < grid.rows) & (c >= 0) & (c < grid.cols))
+    hits = inside[grid.values[r[inside], c[inside]] >= COST_MAX]
+    return tuple(path.points[hits[0]].tolist()) if hits.size else None

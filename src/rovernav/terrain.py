@@ -349,11 +349,9 @@ def build_mixed_terrain(specs: list[TerrainSpec]) -> Terrain:
     for i, spec in enumerate(specs):
         x0 = i * extent
         fld = generate_heightfield(spec, origin=(x0, 0.0))
-        ramp_left = i > 0 and abs(spec.height_variation - specs[i - 1].height_variation) > SEAM_RAMP_TRIGGER_M
-        ramp_right = (i < len(specs) - 1
-                      and abs(spec.height_variation - specs[i + 1].height_variation) > SEAM_RAMP_TRIGGER_M)
-        taller_left = ramp_left and spec.height_variation > specs[i - 1].height_variation
-        taller_right = ramp_right and spec.height_variation > specs[i + 1].height_variation
+        taller_left = i > 0 and spec.height_variation - specs[i - 1].height_variation > SEAM_RAMP_TRIGGER_M
+        taller_right = (i < len(specs) - 1
+                        and spec.height_variation - specs[i + 1].height_variation > SEAM_RAMP_TRIGGER_M)
         if taller_left or taller_right:
             xs, _ = cell_center(0, np.arange(fld.cols), (0.0, 0.0), cell)
             env = np.ones(fld.cols)

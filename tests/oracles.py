@@ -89,15 +89,15 @@ def dijkstra_weighted_cost(values, start, goal, lethal=100, alpha=4.0, cell_size
 
 
 def values_under_points(values, origin, cell_size, points):
-    """Grid values under the world points that land inside the grid."""
+    """The grid value under each world point, None for a point outside the
+    grid."""
     rows = len(values)
     cols = len(values[0])
     out = []
     for x, y in points:
         c = math.floor((x - origin[0]) / cell_size)
         r = math.floor((y - origin[1]) / cell_size)
-        if 0 <= r < rows and 0 <= c < cols:
-            out.append(values[r][c])
+        out.append(values[r][c] if 0 <= r < rows and 0 <= c < cols else None)
     return out
 
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from rovernav.errors import MissionConfigError, ValidationError
-from rovernav.map_server import NO_SOURCE_COLOR, MapServer, ReplanReason, WaypointQueue, load_global_map
+from rovernav.map_server import NO_SOURCE_COLOR, MapServer, WaypointQueue, load_global_map
 from rovernav.mapping import COST_MAX, COST_UNKNOWN, CostGrid
 from rovernav.mission import MissionRunner
 from rovernav.modes import MODE_COLORS, NavMode
@@ -200,24 +200,19 @@ class TestCollisionCheck:
         srv = server()
         srv.update_from_local(cost_local([[100]], (20.0, 20.0)), NavMode.SAFE)
         path = Path(np.array([[18.0, 20.25], [20.25, 20.25], [22.0, 20.25]]))
-        assert srv.collision_check_tick(path, NavMode.SAFE) is ReplanReason.COLLISION
+        assert srv.collision_check_tick(path) == (20.25, 20.25)
 
     def test_clear_path_silent(self):
         srv = server()
         srv.update_from_local(cost_local(np.zeros((10, 10)), (15.0, 15.0)), NavMode.SAFE)
         path = Path(np.array([[16.0, 16.0], [18.0, 18.0]]))
-        assert srv.collision_check_tick(path, NavMode.SAFE) is None
+        assert srv.collision_check_tick(path) is None
 
-    def test_cost_tolerance_in_cautious_mode(self):
+    def test_high_cost_below_lethal_is_silent(self):
         srv = server()
-        vals = np.full((10, 10), 85, dtype=np.int16)
-        srv.update_from_local(cost_local(vals, (15.0, 15.0)), NavMode.CONSERVATIVE)
+        srv.update_from_local(cost_local(np.full((10, 10), 99), (15.0, 15.0)), NavMode.CONSERVATIVE)
         path = Path(np.array([[16.0, 16.0], [17.0, 17.0], [18.0, 18.0]]))
-        assert srv.collision_check_tick(path, NavMode.CONSERVATIVE) is ReplanReason.COST_TOLERANCE
-        assert srv.collision_check_tick(path, NavMode.SAFE) is None
-
-    def test_no_path_no_signal(self):
-        assert server().collision_check_tick(None, NavMode.SAFE) is None
+        assert srv.collision_check_tick(path) is None
 
 
 class TestDump:

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import rovernav.mission as mission
-from rovernav.classify import TerrainAssessment, VlmConfig
+from rovernav.classify import VLM_KEY_ENV, TerrainAssessment, VlmConfig
 from rovernav.config import build_scene
 from rovernav.errors import InvalidStartError, ValidationError, VlmTimeoutError, VlmTransportError
 from rovernav.grids import world_to_cell
@@ -45,7 +45,7 @@ GOLDEN_DIGESTS = {
     "flat": "89664f7dc96d8248d3662bfa5477f1b85a00faf8a69bc70e4be3bfd34e85e9fb",
     "rocky": "8c9df14903c8d4c025ef410b9fcb3ee12865e3249601e0d658f017b92eef4046",
     "mixed": "de1d0c96f18ebce4de196ce1d1ba42a6b306bf976370caa4c413bbdd28f7267a",
-    "challenging": "41727c69d700599094d4f0fba571dc386abcdd6105750c744090134ca44b453e",
+    "challenging": "935a05207b74d1f051b8143d1ffc295792a1b5f4b5e8918ad66fc7f4b3b88c58",
 }
 
 # Forced-conservative mission on build_scene("rocky", 0), first 2 auto
@@ -382,6 +382,29 @@ def test_mode_switcher_falls_back_to_conservative():
     assert ModeSwitcher().update(None) is NavMode.CONSERVATIVE
 
 
+class _Verdicts:
+    """A classifier that returns the given verdicts in turn."""
+
+    def __init__(self, *verdicts):
+        self.verdicts = iter(verdicts)
+
+    def assess(self, world, center):
+        return next(self.verdicts)
+
+
+def test_mode_switch_drops_the_path():
+    runner = MissionRunner(World(flat_terrain()), WaypointQueue([(40.0, 20.0)]), _Verdicts(FLAT, FLAT, ROCKY),
+                           start=RoverState(20.0, 20.0, 0.0))
+    runner._classify()
+    assert runner.mode is NavMode.EFFICIENT
+    runner.tracker = mission.PathTracker(_line((20.0, 20.0), (40.0, 20.0)))
+    runner._classify()  # the same class keeps the path
+    assert runner.tracker is not None
+    runner._classify()
+    assert runner.mode is NavMode.SAFE
+    assert runner.tracker is None
+
+
 class _VlmStub(http.server.BaseHTTPRequestHandler):
     """Answers every POST with a fixed valid assessment and records its
     Authorization header."""
@@ -448,9 +471,9 @@ def test_vlm_backend_sends_key_from_env(vlm_stub, monkeypatch, key, header):
     config = VlmConfig(f"http://127.0.0.1:{vlm_stub.server_port}/", timeout_s=5.0)
     monkeypatch.setenv("NO_PROXY", "127.0.0.1")
     if key is None:
-        monkeypatch.delenv(config.api_key_env, raising=False)
+        monkeypatch.delenv(VLM_KEY_ENV, raising=False)
     else:
-        monkeypatch.setenv(config.api_key_env, key)
+        monkeypatch.setenv(VLM_KEY_ENV, key)
     assessment = VlmClassifierBackend(config).assess(World(flat_terrain()), (30.0, 30.0))
     assert assessment.terrain_class is TerrainClass.ROCKY
     assert vlm_stub.auth_headers == [header]

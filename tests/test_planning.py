@@ -7,13 +7,13 @@ from rovernav.errors import InvalidStartError, NoPathError
 from rovernav.grids import world_to_cell
 from rovernav.mapping import COST_MAX, COST_UNKNOWN, CostGrid, cost_to_obstacle
 from rovernav.planning import (
+    Path,
     astar_cost,
     astar_obstacle,
     best_progress_path,
     bspline_path,
+    first_lethal_point,
     octile,
-    path_collides,
-    path_cost,
 )
 
 from oracles import (
@@ -362,67 +362,44 @@ class TestPathChecks:
         cells[5, 5] = COST_MAX
         grid = obstacle_grid(cells)
         path = astar_obstacle(grid, center(5, 0), center(5, 9))
-        hit = type(path)(np.array([[5.5, 5.5]]))
-        assert path_collides(hit, grid)
-        assert not path_collides(path, grid)
+        assert first_lethal_point(Path(np.array([[5.5, 5.5]])), grid) == (5.5, 5.5)
+        assert first_lethal_point(path, grid) is None
 
     def test_unknown_cells_do_not_collide(self):
-        cells = np.full((6, 6), COST_UNKNOWN)
-        grid = cost_grid(cells)
-        probe = astar_obstacle(
-            obstacle_grid(np.zeros((6, 6))), center(0, 0), center(5, 5))
-        assert not path_collides(probe, grid)
+        values = np.zeros((6, 6), dtype=int)
+        values[:, :3] = COST_MAX - 1
+        values[:, 3:] = COST_UNKNOWN
+        pts = np.column_stack([np.arange(6) + 0.5, np.full(6, 2.5)])
+        assert first_lethal_point(Path(pts), cost_grid(values)) is None
 
     def test_points_outside_grid_ignored(self):
-        cells = np.zeros((4, 4))
-        grid = obstacle_grid(cells)
-        from rovernav.planning import Path
-
-        path = Path(np.array([[100.0, 100.0], [-5.0, 2.0]]))
-        assert not path_collides(path, grid)
+        values = np.full((4, 4), COST_MAX, dtype=int)
+        outside = np.array([[100.0, 100.0], [-5.0, 2.0], [2.0, -0.5], [4.0, 1.0]])
+        assert first_lethal_point(Path(outside), cost_grid(values)) is None
+        path = Path(np.vstack([outside, [[3.5, 0.5]]]))
+        assert first_lethal_point(path, cost_grid(values)) == (3.5, 0.5)
 
     def test_cost_lethal_collides(self):
         values = np.zeros((4, 4), dtype=int)
         values[1, 1] = 100
-        from rovernav.planning import Path
+        assert first_lethal_point(Path(np.array([[0.5, 0.5], [1.5, 1.5]])), cost_grid(values)) == (1.5, 1.5)
 
-        assert path_collides(Path(np.array([[1.5, 1.5]])), cost_grid(values))
-
-    def test_path_cost_mean(self):
-        from rovernav.planning import Path
-
+    def test_first_lethal_point_in_path_order(self):
         values = np.zeros((4, 8), dtype=int)
-        values[:, :4] = 20
-        values[:, 4:] = 60
-        grid = cost_grid(values)
-        pts = np.column_stack([np.arange(8) + 0.5, np.full(8, 1.5)])
-        assert path_cost(Path(pts), grid) == pytest.approx(40.0)
-
-    def test_path_cost_constant(self):
-        from rovernav.planning import Path
-
-        values = np.full((4, 4), 40, dtype=int)
-        pts = np.array([[0.5, 0.5], [1.5, 1.5], [2.5, 2.5]])
-        assert path_cost(Path(pts), cost_grid(values)) == 40.0
+        values[1, 2] = values[1, 6] = COST_MAX
+        pts = np.column_stack([np.arange(8)[::-1] + 0.5, np.full(8, 1.5)])
+        assert first_lethal_point(Path(pts), cost_grid(values)) == (6.5, 1.5)
+        assert first_lethal_point(Path(pts[::-1]), cost_grid(values)) == (2.5, 1.5)
 
     def test_checks_match_pointwise_oracle(self, rng):
-        from rovernav.planning import Path
-
         for _ in range(40):
             values = rng.integers(-1, 101, size=(12, 15))
             grid = CostGrid(values.astype(np.int16), (-2.0, 3.0), 0.5)
             pts = rng.uniform((-4.0, 1.0), (7.0, 11.0), size=(30, 2))
             under = values_under_points(values.tolist(), grid.origin, grid.cell_size, pts.tolist())
-            known = [float(v) for v in under if v >= 0]
-            path = Path(pts)
-            assert path_cost(path, grid) == (sum(known) / len(known) if known else 0.0)
-            assert path_collides(path, grid) == any(v >= COST_MAX for v in under)
-
-    def test_path_cost_unknown_only_is_zero(self):
-        from rovernav.planning import Path
-
-        values = np.full((4, 4), -1, dtype=int)
-        assert path_cost(Path(np.array([[1.5, 1.5]])), cost_grid(values)) == 0.0
+            lethal = [i for i, v in enumerate(under) if v is not None and v >= COST_MAX]
+            expected = tuple(pts[lethal[0]].tolist()) if lethal else None
+            assert first_lethal_point(Path(pts), grid) == expected
 
 
 class TestOctile:
