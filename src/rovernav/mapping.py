@@ -11,14 +11,14 @@ takes it once, as `np.isfinite(elevation)`. `cost_to_obstacle` turns any
 cost layer into the safe view the mid-tier planner searches.
 `cost_features` is the one pass that fits the planes and applies the cost
 law. `cost_cells` is the one quantization: it keeps a costmap before
-inflation as one uint8 code per cell. `build_navigation_costmap` is the one
-lethal inflation of such codes, for the rover's local costmap and for the
-coarse route costmap alike. All inflation goes through `grids.dilate_disc`.
+inflation as one uint8 code per cell. `lethal_halo` is the one lethal
+inflation of such codes, and `build_navigation_costmap` the one step from
+codes and halo to costs, for the rover's local costmap and for the coarse
+route costmap alike. All inflation goes through `grids.dilate_disc`.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -40,7 +40,7 @@ DEFAULT_OBSTACLE_HEIGHT = 0.12
 # (2 x 0.35 m at 0.5 m cells) plus tracking error.
 DEFAULT_INFLATION_RADIUS = 3.5
 # Lethal inflation of the costmap's roughness and step hazards; see
-# `build_navigation_costmap`.
+# `lethal_halo`.
 BUMP_INFLATION_RADIUS = 1.5
 
 # Weights of the slope, roughness and step terms of the cost law; slope
@@ -213,8 +213,8 @@ def cost_cells(elev: HeightField, weights: CostWeights = CostWeights()) -> np.nd
 
     Known cells hold `CELL_SLOPE_LETHAL` or `CELL_BUMP_LETHAL` when a
     feature saturates (slope first), else 1 + their cost rounded to
-    0..100; unknown cells hold `CELL_UNKNOWN`. `build_navigation_costmap`
-    inflates them.
+    0..100; unknown cells hold `CELL_UNKNOWN`. `lethal_halo` inflates the
+    lethal ones.
     """
     f, slope, rough, step = cost_features(elev, weights)
     codes = (np.clip(np.rint(f).astype(np.int16), 0, COST_MAX) + 1).astype(np.uint8)
@@ -224,32 +224,34 @@ def cost_cells(elev: HeightField, weights: CostWeights = CostWeights()) -> np.nd
     return codes
 
 
-def build_navigation_costmap(codes: np.ndarray, origin, cell_size: float, margin: int = 0,
-                             radii: tuple[float, float] = (DEFAULT_INFLATION_RADIUS,
-                                                           BUMP_INFLATION_RADIUS)) -> CostGrid:
-    """Costmap with per-source lethal inflation for planning use.
+def lethal_halo(codes: np.ndarray, cell_size: float,
+                radii: tuple[float, float] = (DEFAULT_INFLATION_RADIUS, BUMP_INFLATION_RADIUS)) -> np.ndarray:
+    """The cells of `codes` within reach of a lethal cell: one disc
+    inflation per source, each by its own radius (meters).
 
-    `codes` are `cost_cells` codes on a grid at `origin`; the result is the
-    cost of the cells `margin` cells in from each edge, so lethal cells in
-    the margin inflate into it. `radii` are the inflation radii of
-    slope-lethal and of bump-lethal cells, meters. By default slope-lethal
-    cells, which mark the hazard itself, inflate by the full
-    footprint-plus-margin radius (`DEFAULT_INFLATION_RADIUS`). Roughness-
-    and step-lethal cells already extend half a fit window beyond the bump
-    that caused them; they only need a small quantization-and-tracking
-    margin (`BUMP_INFLATION_RADIUS`), or every boulder would seal the
-    corridors around it. Unknown cells stay unknown.
+    `radii` are the inflation radii of slope-lethal and of bump-lethal
+    cells. By default slope-lethal cells, which mark the hazard itself,
+    inflate by the full footprint-plus-margin radius
+    (`DEFAULT_INFLATION_RADIUS`). Roughness- and step-lethal cells already
+    extend half a fit window beyond the bump that caused them; they only
+    need a small quantization-and-tracking margin (`BUMP_INFLATION_RADIUS`),
+    or every boulder would seal the corridors around it. A dilation is a
+    union of discs, so the halo of a grid is the union of the halos of any
+    pieces that cover it, each grown beyond its piece by the radius.
     """
-    rows, cols = codes.shape
-    values = _CELL_COST[codes[margin:rows - margin, margin:cols - margin]]
-    known = values >= 0
+    halo = np.zeros(codes.shape, dtype=bool)
     for code, radius in zip((CELL_SLOPE_LETHAL, CELL_BUMP_LETHAL), radii):
-        # lethal cells farther out than the radius cannot reach the result
-        pad = min(margin, math.ceil(radius / cell_size))
-        near = codes[margin - pad:rows - margin + pad, margin - pad:cols - margin + pad] == code
-        grown = dilate_disc(near, radius / cell_size)[pad:near.shape[0] - pad, pad:near.shape[1] - pad]
-        values[grown & known] = COST_MAX
-    return CostGrid(values, (origin[0] + margin * cell_size, origin[1] + margin * cell_size), cell_size)
+        halo |= dilate_disc(codes == code, radius / cell_size)
+    return halo
+
+
+def build_navigation_costmap(codes: np.ndarray, halo: np.ndarray, origin, cell_size: float) -> CostGrid:
+    """The planning costmap of `cost_cells` codes on a grid at `origin`:
+    each code's cost, and `COST_MAX` on the known cells of the lethal
+    `halo` (`lethal_halo`, same shape). Unknown cells stay unknown."""
+    values = _CELL_COST[codes]
+    values[halo & (codes != CELL_UNKNOWN)] = COST_MAX
+    return CostGrid(values, origin, cell_size)
 
 
 def cost_to_obstacle(grid: CostGrid) -> CostGrid:

@@ -51,6 +51,7 @@ from .mapping import (
     cost_feature_reach,
     cost_to_obstacle,
     extract_obstacles,
+    lethal_halo,
 )
 from .modes import MODE_FOR_CLASS, NavMode
 from .planning import Path, astar_cost, astar_obstacle, best_progress_path, bspline_path
@@ -256,10 +257,14 @@ class CostCellRecord:
     its centre at ((j + 0.5) * cell, (i + 0.5) * cell). They are built in
     blocks of `block` x `block` cells, one global map cell each (`shape` is
     the global map's), and stored as `mapping.cost_cells` codes; a block
-    that was never built reads unknown. `window` builds every block of the
-    window, and of the inflation radius around it, that is not built yet,
-    then inflates the stored codes, so the halo of a lethal cell built at
-    an earlier tick still reaches cells built later.
+    that was never built reads unknown. Beside the codes, on the same
+    lattice, `halo` marks the cells within a lethal radius of a built
+    lethal code (`mapping.lethal_halo`). Each build ORs the halo of the
+    codes it stores into it, so the halo is always that of every code built
+    so far. `window` builds every block of the window, and of the inflation
+    radius around it, that is not built yet; no lethal cell it has not
+    built can then reach the window, so it reads the costs straight from
+    the codes and the halo.
 
     A block is built from heights sensed on the centres of its cells and of
     a `cost_feature_reach` margin around them, so its codes equal those of
@@ -274,22 +279,28 @@ class CostCellRecord:
         self.block = block
         # np.zeros leaves the pages of blocks never built untouched.
         self.codes = np.zeros((shape[0] * block, shape[1] * block), dtype=np.uint8)
+        self.halo = np.zeros(self.codes.shape, dtype=bool)
         self.built = np.zeros(shape, dtype=bool)
         self.reach = cost_feature_reach(cell)
-        self.halo = math.ceil(DEFAULT_INFLATION_RADIUS / (cell * block))
+        # the largest lethal radius, in cells and in whole blocks
+        self.pad = math.ceil(DEFAULT_INFLATION_RADIUS / cell)
+        self.pad_blocks = math.ceil(DEFAULT_INFLATION_RADIUS / (cell * block))
 
     def window(self, row: int, col: int, n: int) -> CostGrid:
         """The inflated costmap over the n x n blocks from block (row, col)."""
-        h, k = self.halo, self.block
-        top, left = row - h, col - h
-        r0, r1 = max(top, 0), min(row + n + h, self.built.shape[0])
-        c0, c1 = max(left, 0), min(col + n + h, self.built.shape[1])
+        h, k = self.pad_blocks, self.block
+        r0, r1 = max(row - h, 0), min(row + n + h, self.built.shape[0])
+        c0, c1 = max(col - h, 0), min(col + n + h, self.built.shape[1])
         self._build(r0, c0, ~self.built[r0:r1, c0:c1])
-        # the codes over the window plus the halo; off the map stays unknown
-        codes = np.zeros(((n + 2 * h) * k,) * 2, dtype=np.uint8)
-        codes[(r0 - top) * k:(r1 - top) * k, (c0 - left) * k:(c1 - left) * k] = \
-            self.codes[r0 * k:r1 * k, c0 * k:c1 * k]
-        return build_navigation_costmap(codes, (left * k * self.cell, top * k * self.cell), self.cell, h * k)
+        # the window's codes and halo; off the map stays unknown
+        src = np.s_[max(row, 0) * k:(row + n) * k, max(col, 0) * k:(col + n) * k]
+        top, left = (max(row, 0) - row) * k, (max(col, 0) - col) * k
+        rows, cols = self.codes[src].shape
+        dst = np.s_[top:top + rows, left:left + cols]
+        codes = np.zeros((n * k, n * k), dtype=np.uint8)
+        halo = np.zeros((n * k, n * k), dtype=bool)
+        codes[dst], halo[dst] = self.codes[src], self.halo[src]
+        return build_navigation_costmap(codes, halo, (col * k * self.cell, row * k * self.cell), self.cell)
 
     def _build(self, row: int, col: int, todo: np.ndarray) -> None:
         """Build the blocks marked in `todo` (from block (row, col)) as
@@ -305,8 +316,8 @@ class CostCellRecord:
     def _build_blocks(self, r0: int, r1: int, c0: int, c1: int) -> None:
         """Sense and cost blocks [r0, r1) x [c0, c1) with their margin,
         halving the longer side while the sensed patch is over
-        `BUILD_PATCH_CELLS`."""
-        k, m = self.block, self.reach
+        `BUILD_PATCH_CELLS`, and grow their lethal cells into the halo."""
+        k, m, p = self.block, self.reach, self.pad
         shape = ((r1 - r0) * k + 2 * m, (c1 - c0) * k + 2 * m)
         if shape[0] * shape[1] > BUILD_PATCH_CELLS and max(r1 - r0, c1 - c0) > 1:
             if r1 - r0 >= c1 - c0:
@@ -318,6 +329,10 @@ class CostCellRecord:
             return
         elev = self.world.sense_cells(((c0 * k - m) * self.cell, (r0 * k - m) * self.cell), shape, self.cell)
         self.codes[r0 * k:r1 * k, c0 * k:c1 * k] = cost_cells(elev)[m:-m, m:-m]
+        # The new lethal cells reach `pad` cells beyond the blocks; lethal
+        # cells built before add only halo that is already set.
+        ring = np.s_[max(r0 * k - p, 0):r1 * k + p, max(c0 * k - p, 0):c1 * k + p]
+        self.halo[ring] |= lethal_halo(self.codes[ring], self.cell)
         self.built[r0:r1, c0:c1] = True
 
 

@@ -3,10 +3,11 @@
 The coarse model stands in for an orbital elevation source: the true
 heightfield mean-pooled to a 2 m grid, so fine obstacles mostly vanish and
 only large-scale relief steers the route. The coarse costmap goes through
-the local costmap's own pipeline (`mapping.cost_cells`, then
-`mapping.build_navigation_costmap`), with coarse-scale limits and one
-inflation radius for every lethal cell. A cost-minimizing search over it
-yields a route, which is thinned to waypoints one local-map window apart.
+the local costmap's own pipeline (`mapping.cost_cells`,
+`mapping.lethal_halo`, then `mapping.build_navigation_costmap`), with
+coarse-scale limits and one inflation radius for every lethal cell. A
+cost-minimizing search over it yields a route, which is thinned to
+waypoints one local-map window apart.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from pathlib import Path as FsPath
 import numpy as np
 
 from .errors import InvalidStartError, NoPathError, ValidationError, malformed_input
-from .mapping import CostWeights, CostGrid, build_navigation_costmap, cost_cells
+from .mapping import CostWeights, CostGrid, build_navigation_costmap, cost_cells, lethal_halo
 from .map_server import WaypointQueue
 from .planning import Path, astar_cost
 from .terrain import HeightField
@@ -49,8 +50,9 @@ def global_cost_from_dem(dem: HeightField, weights: CostWeights = COARSE_WEIGHTS
     trimmed = dem.elevation[: rows * block, : cols * block]
     coarse = HeightField(trimmed.reshape(rows, block, cols, block).mean(axis=(1, 3)), dem.origin,
                          block * dem.cell_size)
-    return build_navigation_costmap(cost_cells(coarse, weights), coarse.origin, coarse.cell_size,
-                                    radii=(inflation, inflation))
+    codes = cost_cells(coarse, weights)
+    halo = lethal_halo(codes, coarse.cell_size, (inflation, inflation))
+    return build_navigation_costmap(codes, halo, coarse.origin, coarse.cell_size)
 
 
 def sparsify_waypoints(path: Path, spacing: float = DEFAULT_WAYPOINT_SPACING) -> WaypointQueue:

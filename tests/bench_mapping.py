@@ -6,8 +6,9 @@ The file name keeps it out of the default test run; run it with
 loop. The conservative mode keeps a record of cost cells at 0.1 m: a
 straight move of 1 m between costmap ticks builds one strip of 10 x 270
 cells (the 20 m window plus the 3.5 m inflation radius each side), sensed
-with a 2.8 m feature margin, and every tick inflates the 27 m square of
-stored cells around the window. The safe mode extracts obstacles on a 20 m
+with a 2.8 m feature margin, and grows the strip's lethal cells into the
+record's halo over the strip padded by the radius. Each tick then only reads
+the 20 m window's costs from its stored codes and halo. The safe mode extracts obstacles on a 20 m
 window at 0.5 m. The terrain is the rocky preset, scene seed 0.
 """
 
@@ -26,6 +27,7 @@ from rovernav.mapping import (
     cost_cells,
     cost_feature_reach,
     extract_obstacles,
+    lethal_halo,
 )
 from rovernav.world import TILT_FLAT_RANGE, RoverState
 
@@ -56,9 +58,18 @@ def strip_elevation(rocky):
 
 
 @pytest.fixture(scope="module")
+def strip_codes(rocky):
+    """A strip's codes padded by the inflation radius, as the record grows
+    its halo: the stored codes of the strip and of the cells around it."""
+    world, pose = rocky
+    rows, cols = WINDOW_CELLS + 4 * HALO, STRIP_CELLS + 2 * HALO
+    return cost_cells(_patch(world, pose, rows + 2 * REACH, cols + 2 * REACH))[REACH:-REACH, REACH:-REACH]
+
+
+@pytest.fixture(scope="module")
 def window_codes(rocky):
     world, pose = rocky
-    n = WINDOW_CELLS + 2 * HALO
+    n = WINDOW_CELLS
     return cost_cells(_patch(world, pose, n + 2 * REACH, n + 2 * REACH))[REACH:-REACH, REACH:-REACH]
 
 
@@ -73,8 +84,14 @@ def test_cost_cells_strip(benchmark, strip_elevation):
     assert codes.shape == strip_elevation.elevation.shape
 
 
-def test_build_navigation_costmap_270(benchmark, window_codes):
-    cost = benchmark(build_navigation_costmap, window_codes, (0.0, 0.0), CELL, HALO)
+def test_lethal_halo_strip(benchmark, strip_codes):
+    halo = benchmark(lethal_halo, strip_codes, CELL)
+    assert halo.shape == strip_codes.shape
+
+
+def test_build_navigation_costmap_200(benchmark, window_codes):
+    halo = lethal_halo(window_codes, CELL)
+    cost = benchmark(build_navigation_costmap, window_codes, halo, (0.0, 0.0), CELL)
     assert cost.values.shape == (WINDOW_CELLS, WINDOW_CELLS)
 
 

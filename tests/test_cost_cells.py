@@ -10,13 +10,18 @@ import pytest
 from rovernav.config import build_scene
 from rovernav.grids import dilate_disc
 from rovernav.mapping import (
+    BUMP_INFLATION_RADIUS,
+    CELL_BUMP_LETHAL,
+    CELL_SLOPE_LETHAL,
     DEFAULT_INFLATION_RADIUS,
     CostWeights,
     build_navigation_costmap,
     cost_cells,
     cost_feature_reach,
     cost_features,
+    lethal_halo,
 )
+from rovernav import mapping
 from rovernav.mission import CostCellRecord, MissionRunner, ModeConfig
 from rovernav.modes import NavMode
 from rovernav.world import RoverState
@@ -89,7 +94,9 @@ def from_scratch(world, window):
     m = WIDE_MARGIN
     origin = (window.origin[0] - m * CELL, window.origin[1] - m * CELL)
     elev = world.sense_cells(origin, (window.rows + 2 * m, window.cols + 2 * m), CELL)
-    expected = build_navigation_costmap(cost_cells(elev), origin, CELL, m)
+    codes, inner = cost_cells(elev), np.s_[m:-m, m:-m]
+    expected = build_navigation_costmap(codes[inner], lethal_halo(codes, CELL)[inner],
+                                        (origin[0] + m * CELL, origin[1] + m * CELL), CELL)
     w = CostWeights()
     f, slope, rough, step = cost_features(elev, w)
     near_rounding = np.abs(f - np.floor(f) - 0.5) < THRESHOLD_EPS
@@ -97,7 +104,7 @@ def from_scratch(world, window):
                    | (np.abs(rough - w.rough_max) < THRESHOLD_EPS)
                    | (np.abs(step - w.step_max) < THRESHOLD_EPS))
     allowed = near_rounding | dilate_disc(near_lethal, DEFAULT_INFLATION_RADIUS / CELL)
-    return expected, allowed[m:-m, m:-m]
+    return expected, allowed[inner]
 
 
 @pytest.mark.parametrize("kind", ["rocky", "challenging"])
@@ -136,6 +143,38 @@ def test_each_block_is_built_at_most_once(monkeypatch):
         builds[r0 // k:(r0 + rows - 2 * m) // k, c0 // k:(c0 + cols - 2 * m) // k] += 1
     assert builds.max() == 1
     assert np.array_equal(builds == 1, record.built)
+
+
+def test_halo_is_that_of_every_stored_code(monkeypatch):
+    # The last two windows hang off a corner and an edge of the map, so the
+    # halo grown there is clipped to the map.
+    runner, published, _, _ = conservative_runner("rocky", monkeypatch)
+    start = (runner.state.x, runner.state.y)
+    for x, y in [*seeded_poses(runner.world, start, 20, seed=3), (4.0, 136.5), (139.5, 70.0)]:
+        publish_at(runner, published, x, y)
+    codes = runner.cost_record.codes
+    assert (codes == CELL_SLOPE_LETHAL).any() and (codes == CELL_BUMP_LETHAL).any()
+    expected = (dilate_disc(codes == CELL_SLOPE_LETHAL, DEFAULT_INFLATION_RADIUS / CELL)
+                | dilate_disc(codes == CELL_BUMP_LETHAL, BUMP_INFLATION_RADIUS / CELL))
+    assert np.array_equal(runner.cost_record.halo, expected)
+
+
+def test_a_refresh_that_builds_no_block_inflates_nothing(monkeypatch):
+    runner, published, _, _ = conservative_runner("rocky", monkeypatch)
+    calls = []
+    dilate = mapping.dilate_disc
+
+    def counted(mask, radius_cells):
+        calls.append(radius_cells)
+        return dilate(mask, radius_cells)
+
+    monkeypatch.setattr(mapping, "dilate_disc", counted)
+    first = publish_at(runner, published, 70.0, 70.0)
+    assert calls
+    calls.clear()
+    again = publish_at(runner, published, 70.0, 70.0)
+    assert calls == []
+    assert np.array_equal(again.values, first.values)
 
 
 @pytest.mark.parametrize("x, y", [(15.05, 70.0), (20.15, 66.45), (4.0, 136.5)])

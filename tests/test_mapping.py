@@ -27,6 +27,7 @@ from rovernav.mapping import (
     cost_features,
     cost_to_obstacle,
     extract_obstacles,
+    lethal_halo,
 )
 from rovernav.terrain import HeightField
 
@@ -178,7 +179,8 @@ class TestSortedStackMedian:
 
 def rounded_cost(elev):
     """The costmap before inflation: `cost_cells` read back as costs."""
-    return build_navigation_costmap(cost_cells(elev), elev.origin, elev.cell_size, radii=(0.0, 0.0))
+    codes = cost_cells(elev)
+    return build_navigation_costmap(codes, np.zeros(codes.shape, dtype=bool), elev.origin, elev.cell_size)
 
 
 class TestCostmap:
@@ -319,7 +321,8 @@ class TestNavigationCostmap:
         _, slope, rough, step = cost_features(elev)
         assert ((slope >= w.slope_max_deg) & known).any()
         assert (((rough >= w.rough_max) | (step >= w.step_max)) & known).any()
-        cost = build_navigation_costmap(cost_cells(elev), elev.origin, elev.cell_size)
+        codes = cost_cells(elev)
+        cost = build_navigation_costmap(codes, lethal_halo(codes, elev.cell_size), elev.origin, elev.cell_size)
         assert cost.values.dtype == np.int16
         assert _sha(cost.values) == "67c67500320bb803f54e699c7a6580ada71e2fdcdadef47dea54b6f6aa80c720"
 
@@ -330,13 +333,13 @@ class TestNavigationCostmap:
 
 
 def inflate(values, cell, radius, lethal_codes=(CELL_SLOPE_LETHAL,)):
-    """`build_navigation_costmap` of a cost grid whose lethal cells take the
+    """The navigation costmap of a cost grid whose lethal cells take the
     given codes in turn, every source inflated by `radius`."""
     codes = (np.asarray(values) + 1).astype(np.uint8)
     rr, cc = np.nonzero(np.asarray(values) >= COST_MAX)
     for i, (r, c) in enumerate(zip(rr, cc)):
         codes[r, c] = lethal_codes[i % len(lethal_codes)]
-    return build_navigation_costmap(codes, (0.0, 0.0), cell, radii=(radius, radius))
+    return build_navigation_costmap(codes, lethal_halo(codes, cell, (radius, radius)), (0.0, 0.0), cell)
 
 
 class TestLethalInflation:
