@@ -7,9 +7,10 @@ loop. The conservative mode keeps a record of cost cells at 0.1 m: a
 straight move of 1 m between costmap ticks builds one strip of 10 x 270
 cells (the 20 m window plus the 3.5 m inflation radius each side), sensed
 with a 2.8 m feature margin, and grows the strip's lethal cells into the
-record's halo over the strip padded by the radius. Each tick then only reads
-the 20 m window's costs from its stored codes and halo. The safe mode extracts obstacles on a 20 m
-window at 0.5 m. The terrain is the rocky preset, scene seed 0.
+record's halo over the strip padded by the radius. Each tick then only
+reads the 20 m window's costs from its stored codes and halo. The safe mode
+extracts obstacles on a 20 m window at 0.5 m. The terrain is the rocky
+preset, scene seed 0.
 """
 
 import math
