@@ -11,7 +11,10 @@ inflation (`dilate_disc`), the disc extrema (`disc_max`, `disc_min`, one
 The solve is split into a sample-layout half and a height half; for grids
 the layout half depends only on which cells are known (finite), so
 `plane_fit_grid` caches it for the last mask seen and refits a new surface
-on an unchanged mask from its four height moments alone.
+on an unchanged mask from its four height moments alone. Given a margin,
+`plane_fit_grid` (through `window_sums`) fits only the `interior` cells:
+every cell still enters the window sums, and the fits equal the interior
+of the whole grid's bit for bit.
 """
 
 from __future__ import annotations
@@ -87,34 +90,50 @@ def bilinear_sample(values: np.ndarray, origin, cell_size, xs, ys):
             + v10 * (1 - tx) * ty + v11 * tx * ty)
 
 
-def window_sums(arr: np.ndarray, size: int) -> np.ndarray:
-    """Sum of `arr` over a size x size window centered on each cell.
+def window_sums(arr: np.ndarray, size: int, margin: int = 0) -> np.ndarray:
+    """Sum of `arr` over a size x size window centered on each cell, for
+    the cells at least `margin` cells from the border.
 
     Windows are truncated at the array border (missing cells contribute 0).
+    The sums are the two 1-D passes of `ndimage.uniform_filter`, axis 0
+    first: down every column, then along the kept rows only, in place.
+    Each pass keeps a running sum along whole lines, so dropping rows
+    between the passes changes no bit of the rows that are kept.
     """
-    return ndimage.uniform_filter(arr, size=size, mode="constant", cval=0.0) * (size * size)
+    s = ndimage.uniform_filter1d(arr, size, axis=0, mode="constant", cval=0.0)[margin:arr.shape[0] - margin]
+    ndimage.uniform_filter1d(s, size, axis=1, output=s, mode="constant", cval=0.0)
+    return s[:, margin:arr.shape[1] - margin] * (size * size)
 
 
-def plane_fit_grid(z: np.ndarray, window_cells: int, cell_size: float):
+def interior(shape, margin: int):
+    """The slices of a grid of `shape` that drop `margin` cells on every side."""
+    return np.s_[margin:shape[0] - margin, margin:shape[1] - margin]
+
+
+def plane_fit_grid(z: np.ndarray, window_cells: int, cell_size: float, margin: int = 0):
     """Least-squares plane fit of the neighborhood around every cell.
 
     Fits z = a*dx + b*dy + c over the known (finite) cells of each centered
     window_cells x window_cells window (dx, dy in meters relative to the
     window center); a non-finite z marks an unknown cell. Returns (a, b, c,
-    rms_residual, count) arrays. Cells whose window holds fewer than 3
-    known samples, or a degenerate sample layout, get a zero plane and zero
-    residual. The mask half of the solve is cached (`_mask_geometry`), so
-    the returned count is read-only.
+    rms_residual, count) arrays over the cells at least `margin` from the
+    border; every cell of `z` still feeds the window sums, so they equal
+    the `interior` of the margin-0 fit bit for bit. Cells whose window
+    holds fewer than 3 known samples, or a degenerate sample layout, get a
+    zero plane and zero residual. The mask half of the solve is cached
+    (`_mask_geometry`), so the returned count is read-only.
     """
     known = np.isfinite(z)
-    geom = _mask_geometry(known.shape, window_cells, cell_size, known.tobytes())
+    geom = _mask_geometry(known.shape, window_cells, cell_size, margin, known.tobytes())
     count, ok = geom[0], geom[-1]
     gx, gy = _cell_coords(known.shape, cell_size)
     zk = np.where(known, z, 0.0)
-    sz = window_sums(zk, window_cells)
-    szx = window_sums(zk * gx, window_cells)
-    szy = window_sums(zk * gy, window_cells)
-    szz = window_sums(zk * zk, window_cells)
+    sz = window_sums(zk, window_cells, margin)
+    szx = window_sums(zk * gx, window_cells, margin)
+    szy = window_sums(zk * gy, window_cells, margin)
+    szz = window_sums(zk * zk, window_cells, margin)
+    kept = interior(known.shape, margin)
+    gx, gy = gx[kept], gy[kept]
     # Empty windows (count = 0) divide by zero; ok is false there.
     with np.errstate(divide="ignore", invalid="ignore"):
         a, b, c, ss_res = _plane_solve(geom, sz, szx - gx * sz, szy - gy * sz, szz)
@@ -130,8 +149,9 @@ def _cell_coords(shape, cell_size):
 
 
 @functools.lru_cache(maxsize=1)
-def _mask_geometry(shape, window_cells, cell_size, known_bytes):
-    """`_plane_geometry` of every window of a mask, kept for the last mask.
+def _mask_geometry(shape, window_cells, cell_size, margin, known_bytes):
+    """`_plane_geometry` of every window of a mask, on the cells at least
+    `margin` from its border, kept for the last mask.
 
     The moments are taken about each window's own center cell, which keeps
     the normal equations exact for irregular known-cell masks. The arrays
@@ -141,7 +161,7 @@ def _mask_geometry(shape, window_cells, cell_size, known_bytes):
     gx, gy = _cell_coords(shape, cell_size)
 
     def w(a):
-        return window_sums(a, window_cells)
+        return window_sums(a, window_cells, margin)
 
     # The known-cell count, rounded: the filter can sum 3 cells to 2.999...,
     # which would fail the 3-sample test.
@@ -151,6 +171,8 @@ def _mask_geometry(shape, window_cells, cell_size, known_bytes):
     sxx = w(k * gx * gx)
     syy = w(k * gy * gy)
     sxy = w(k * gx * gy)
+    kept = interior(shape, margin)
+    gx, gy = gx[kept], gy[kept]
     with np.errstate(divide="ignore", invalid="ignore"):
         geom = _plane_geometry(
             s1, sx - s1 * gx, sy - s1 * gy,

@@ -11,8 +11,11 @@ takes it once, as `np.isfinite(elevation)`. `cost_to_obstacle` turns any
 cost layer into the safe view the mid-tier planner searches.
 `cost_features` is the one pass that fits the planes and applies the cost
 law. `cost_cells` is the one quantization: it keeps a costmap before
-inflation as one uint8 code per cell. `lethal_halo` is the one lethal
-inflation of such codes, and `build_navigation_costmap` the one step from
+inflation as one uint8 code per cell. Both take a margin: the cells within
+it of the border feed the plane fits and step rings of the cells inside,
+and get no cost of their own. `lethal_halo` is the one lethal inflation
+of such codes, each source's transform cropped to its lethal cells' box
+grown by its radius, and `build_navigation_costmap` the one step from
 codes and halo to costs, for the rover's local costmap and for the coarse
 route costmap alike. All inflation goes through `grids.dilate_disc`.
 """
@@ -25,7 +28,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ValidationError
-from .grids import dilate_disc, disc_max, disc_min, neighbor_slices, plane_fit_grid, slope_degrees, world_to_cell
+from .grids import (
+    dilate_disc, disc_max, disc_min, interior, neighbor_slices, plane_fit_grid, slope_degrees, world_to_cell,
+)
 from .terrain import HeightField
 
 COST_MAX = 100
@@ -173,8 +178,9 @@ def cost_feature_reach(cell: float) -> int:
     return win // 2 + int(ring)
 
 
-def cost_features(elev: HeightField, weights: CostWeights = CostWeights()):
-    """Unrounded cost plus the raw (slope_deg, roughness, step) features.
+def cost_features(elev: HeightField, weights: CostWeights = CostWeights(), margin: int = 0):
+    """Unrounded cost plus the raw (slope_deg, roughness, step) features,
+    on the cells at least `margin` from the border.
 
     Per cell: fit a plane over the footprint-scaled window (slope = plane
     inclination, roughness = RMS residual of the fit), then measure the
@@ -185,17 +191,28 @@ def cost_features(elev: HeightField, weights: CostWeights = CostWeights()):
     cost = 100 * (w_s*min(s/s_max,1) + w_r*min(r/r_max,1) +
     w_h*min(h/h_max,1)), with the module's `*_WEIGHT`s, forced to 100 when
     any feature saturates.
+    Every cell's height feeds the plane-fit sums, but planes are fitted
+    only on the kept cells and their step ring, and features and costs
+    only on the kept cells, so the result is the `grids.interior` of the
+    margin-0 result bit for bit.
     """
-    if elev.rows == 0 or elev.cols == 0:
-        raise ValidationError("elevation grid is empty")
+    if margin < 0 or 2 * margin >= min(elev.rows, elev.cols):
+        raise ValidationError(f"a margin of {margin} cells leaves no cell of the {elev.rows} x {elev.cols} "
+                              "elevation grid")
     cell = elev.cell_size
-    known = np.isfinite(elev.elevation)
     win, ring = _feature_windows(cell, weights)
-    a, b, c, rough, _ = plane_fit_grid(elev.elevation, win, cell)
-    slope = slope_degrees(a, b)
-    res = np.where(known, elev.elevation - c, 0.0)
-    res_hi = disc_max(np.where(known, res, -np.inf), ring)
-    res_lo = disc_min(np.where(known, res, np.inf), ring)
+    # Planes on the kept cells and their step ring. A ring around a kept
+    # cell then lies inside the fitted cells, or clamps at the border just
+    # as over the whole grid.
+    r = min(int(ring), margin)
+    a, b, c, rough, _ = plane_fit_grid(elev.elevation, win, cell, margin - r)
+    z = elev.elevation[interior(elev.elevation.shape, margin - r)]
+    known = np.isfinite(z)
+    res = np.where(known, z - c, 0.0)
+    kept = interior(z.shape, r)
+    res_hi = disc_max(np.where(known, res, -np.inf), ring)[kept]
+    res_lo = disc_min(np.where(known, res, np.inf), ring)[kept]
+    slope, rough, res = slope_degrees(a[kept], b[kept]), rough[kept], res[kept]
     step = np.maximum(res - res_lo, res_hi - res)
     step = np.where(np.isfinite(step), step, 0.0)
     f = 100.0 * (
@@ -208,19 +225,20 @@ def cost_features(elev: HeightField, weights: CostWeights = CostWeights()):
     return f, slope, rough, step
 
 
-def cost_cells(elev: HeightField, weights: CostWeights = CostWeights()) -> np.ndarray:
-    """The costmap before inflation, one uint8 code per cell.
+def cost_cells(elev: HeightField, weights: CostWeights = CostWeights(), margin: int = 0) -> np.ndarray:
+    """The costmap before inflation, one uint8 code per cell at least
+    `margin` cells from the border (`cost_features`).
 
     Known cells hold `CELL_SLOPE_LETHAL` or `CELL_BUMP_LETHAL` when a
     feature saturates (slope first), else 1 + their cost rounded to
     0..100; unknown cells hold `CELL_UNKNOWN`. `lethal_halo` inflates the
     lethal ones.
     """
-    f, slope, rough, step = cost_features(elev, weights)
+    f, slope, rough, step = cost_features(elev, weights, margin)
     codes = (np.clip(np.rint(f).astype(np.int16), 0, COST_MAX) + 1).astype(np.uint8)
     codes[(rough >= weights.rough_max) | (step >= weights.step_max)] = CELL_BUMP_LETHAL
     codes[slope >= weights.slope_max_deg] = CELL_SLOPE_LETHAL
-    codes[~np.isfinite(elev.elevation)] = CELL_UNKNOWN
+    codes[~np.isfinite(elev.elevation[interior(elev.elevation.shape, margin)])] = CELL_UNKNOWN
     return codes
 
 
@@ -241,7 +259,16 @@ def lethal_halo(codes: np.ndarray, cell_size: float,
     """
     halo = np.zeros(codes.shape, dtype=bool)
     for code, radius in zip((CELL_SLOPE_LETHAL, CELL_BUMP_LETHAL), radii):
-        halo |= dilate_disc(codes == code, radius / cell_size)
+        mask = codes == code
+        rows, cols = np.flatnonzero(mask.any(axis=1)), np.flatnonzero(mask.any(axis=0))
+        if rows.size == 0:
+            continue
+        # Every cell of the disc around a lethal cell lies in the lethal
+        # cells' bounding box grown by the radius, and so does every
+        # cell's nearest lethal cell: the transform over the box is exact.
+        p = int(radius / cell_size) + 1
+        box = np.s_[max(rows[0] - p, 0):rows[-1] + p + 1, max(cols[0] - p, 0):cols[-1] + p + 1]
+        halo[box] |= dilate_disc(mask[box], radius / cell_size)
     return halo
 
 

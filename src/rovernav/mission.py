@@ -269,8 +269,11 @@ class CostCellRecord:
     A block is built from heights sensed on the centres of its cells and of
     a `cost_feature_reach` margin around them, so its codes equal those of
     one build over any larger patch, up to float rounding in the plane
-    fit. With sensor noise, the heights behind a cell's cost are therefore
-    drawn once per mission, when its block is built, not once per tick.
+    fit. The margin cells only feed the plane-fit sums: `cost_cells` fits,
+    rings and costs the block's own cells alone (`margin`), with the codes
+    of the whole patch's interior byte for byte. With sensor noise, the
+    heights behind a cell's cost are drawn once per mission, when its
+    block is built, not once per tick.
     """
 
     def __init__(self, world: World, shape: tuple[int, int], cell: float, block: int):
@@ -328,7 +331,7 @@ class CostCellRecord:
                 self._build_blocks(*piece)
             return
         elev = self.world.sense_cells(((c0 * k - m) * self.cell, (r0 * k - m) * self.cell), shape, self.cell)
-        self.codes[r0 * k:r1 * k, c0 * k:c1 * k] = cost_cells(elev)[m:-m, m:-m]
+        self.codes[r0 * k:r1 * k, c0 * k:c1 * k] = cost_cells(elev, margin=m)
         # The new lethal cells reach `pad` cells beyond the blocks; lethal
         # cells built before add only halo that is already set.
         ring = np.s_[max(r0 * k - p, 0):r1 * k + p, max(c0 * k - p, 0):c1 * k + p]

@@ -6,10 +6,11 @@ The file name keeps it out of the default test run; run it with
 loop. The conservative mode keeps a record of cost cells at 0.1 m: a
 straight move of 1 m between costmap ticks builds one strip of 10 x 270
 cells (the 20 m window plus the 3.5 m inflation radius each side), sensed
-with a 2.8 m feature margin, and grows the strip's lethal cells into the
-record's halo over the strip padded by the radius. Each tick then only
-reads the 20 m window's costs from its stored codes and halo. The safe mode
-extracts obstacles on a 20 m window at 0.5 m. The terrain is the rocky
+with a 2.8 m feature margin and costed on its 10 x 270 kept cells alone
+(`cost_cells(strip, margin=REACH)`), and grows the strip's lethal cells
+into the record's halo over the strip padded by the radius. Each tick then
+only reads the 20 m window's costs from its stored codes and halo. The safe
+mode extracts obstacles on a 20 m window at 0.5 m. The terrain is the rocky
 preset, scene seed 0.
 """
 
@@ -64,14 +65,14 @@ def strip_codes(rocky):
     its halo: the stored codes of the strip and of the cells around it."""
     world, pose = rocky
     rows, cols = WINDOW_CELLS + 4 * HALO, STRIP_CELLS + 2 * HALO
-    return cost_cells(_patch(world, pose, rows + 2 * REACH, cols + 2 * REACH))[REACH:-REACH, REACH:-REACH]
+    return cost_cells(_patch(world, pose, rows + 2 * REACH, cols + 2 * REACH), margin=REACH)
 
 
 @pytest.fixture(scope="module")
 def window_codes(rocky):
     world, pose = rocky
     n = WINDOW_CELLS
-    return cost_cells(_patch(world, pose, n + 2 * REACH, n + 2 * REACH))[REACH:-REACH, REACH:-REACH]
+    return cost_cells(_patch(world, pose, n + 2 * REACH, n + 2 * REACH), margin=REACH)
 
 
 def test_sense_cells_strip(benchmark, rocky, strip_elevation):
@@ -81,8 +82,8 @@ def test_sense_cells_strip(benchmark, rocky, strip_elevation):
 
 
 def test_cost_cells_strip(benchmark, strip_elevation):
-    codes = benchmark(cost_cells, strip_elevation)
-    assert codes.shape == strip_elevation.elevation.shape
+    codes = benchmark(cost_cells, strip_elevation, margin=REACH)
+    assert codes.shape == (WINDOW_CELLS + 2 * HALO, STRIP_CELLS)
 
 
 def test_lethal_halo_strip(benchmark, strip_codes):

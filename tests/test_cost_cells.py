@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from rovernav.config import build_scene
-from rovernav.grids import dilate_disc
+from rovernav.grids import dilate_disc, interior, plane_fit_grid
 from rovernav.mapping import (
     BUMP_INFLATION_RADIUS,
     CELL_BUMP_LETHAL,
@@ -21,6 +21,7 @@ from rovernav.mapping import (
     cost_features,
     lethal_halo,
 )
+from rovernav.mapping import _feature_windows
 from rovernav import mapping
 from rovernav.mission import CostCellRecord, MissionRunner, ModeConfig
 from rovernav.modes import NavMode
@@ -105,6 +106,29 @@ def from_scratch(world, window):
                    | (np.abs(step - w.step_max) < THRESHOLD_EPS))
     allowed = near_rounding | dilate_disc(near_lethal, DEFAULT_INFLATION_RADIUS / CELL)
     return expected, allowed[inner]
+
+
+@pytest.mark.parametrize("kind, origin", [
+    ("rocky", (67.3, 55.0)), ("challenging", (18.4, 40.2)),
+    # hanging off the map's corner: two thirds of the cells are unknown
+    ("rocky", (-3.3, -13.0)),
+])
+def test_a_build_costs_the_interior_of_its_patch(kind, origin):
+    """A record's build: a strip of blocks sensed with its feature margin
+    and costed with `margin`, equal byte for byte to the interior of the
+    codes of its whole patch."""
+    world = build_scene(kind, 0).world
+    m = cost_feature_reach(CELL)
+    elev = world.sense_cells(origin, (270 + 2 * m, 10 + 2 * m), CELL)
+    kept = interior(elev.elevation.shape, m)
+    codes = cost_cells(elev, margin=m)
+    assert codes.shape == (270, 10)
+    assert codes.tobytes() == cost_cells(elev)[kept].tobytes()
+    win, ring = _feature_windows(CELL, CostWeights())
+    fit = interior(elev.elevation.shape, m - int(ring))
+    for got, want in zip(plane_fit_grid(elev.elevation, win, CELL, m - int(ring)),
+                         plane_fit_grid(elev.elevation, win, CELL)):
+        assert np.array_equal(got, want[fit])
 
 
 @pytest.mark.parametrize("kind", ["rocky", "challenging"])

@@ -3,7 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from rovernav.grids import bilinear_sample, dilate_disc, disc_max, disc_min, plane_fit_grid, plane_fit_points
+from scipy import ndimage
+
+from rovernav.grids import (
+    bilinear_sample, dilate_disc, disc_max, disc_min, interior, plane_fit_grid, plane_fit_points, window_sums,
+)
 
 import oracles
 from oracles import dilate_disc as dilate_disc_oracle
@@ -140,6 +144,41 @@ def test_plane_fit_grid_collinear_cells_give_zero_plane_anywhere():
         a, b, c_, rms, _ = plane_fit_grid(z, 9, 0.5)
         for out in (a, b, c_, rms):
             assert not out.any(), (r, c)
+
+
+@pytest.mark.parametrize("size", [3, 5, 47])
+def test_window_sums_are_the_uniform_filter(size):
+    # `window_sums` makes `uniform_filter`'s two passes itself, axis 0
+    # first; the bits are the filter's only if scipy keeps that order.
+    rng = np.random.default_rng(size)
+    for shape in ((66, 326), (31, 12), (5, 60), (1, 9)):
+        a = rng.normal(0.0, 1.0, shape) * 10.0 ** rng.integers(-3, 3, shape)
+        want = ndimage.uniform_filter(a, size, mode="constant") * (size * size)
+        assert np.array_equal(window_sums(a, size, 0), want), shape
+
+
+@pytest.mark.parametrize("size", [3, 5, 47])
+def test_window_sums_margin_is_the_interior(size):
+    rng = np.random.default_rng(100 + size)
+    for shape, margin in (((66, 326), 28), ((31, 12), 5), ((9, 9), 4), ((20, 7), 1)):
+        a = rng.normal(0.0, 1.0, shape)
+        assert np.array_equal(window_sums(a, size, margin), window_sums(a, size)[interior(shape, margin)])
+
+
+@pytest.mark.parametrize("window", [3, 5, 47])
+def test_plane_fit_grid_margin_is_the_interior(window):
+    # Random unknown cells, and the margin fit before and after the margin-0
+    # fit of the same mask, so the cached layout must follow the margin.
+    rng = np.random.default_rng(200 + window)
+    for shape, margin, unknown in (((66, 120), 23, 0.1), ((30, 41), 7, 0.5), ((12, 15), 5, 0.0)):
+        z = rng.normal(0.0, 1.0, shape) + 0.3 * np.arange(shape[1]) * 0.1
+        z[rng.random(shape) < unknown] = np.nan
+        cropped = plane_fit_grid(z, window, 0.1, margin)
+        whole = plane_fit_grid(z, window, 0.1)
+        again = plane_fit_grid(z, window, 0.1, margin)
+        for got, want, repeat in zip(cropped, whole, again):
+            assert np.array_equal(got, want[interior(shape, margin)])
+            assert np.array_equal(repeat, got)
 
 
 def test_plane_fit_points_matches_lstsq():

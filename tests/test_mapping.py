@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from rovernav.errors import ValidationError
-from rovernav.grids import dilate_disc, neighbor_slices
+from rovernav.grids import dilate_disc, interior, neighbor_slices
 from rovernav.mapping import (
+    BUMP_INFLATION_RADIUS,
     CELL_BUMP_LETHAL,
     CELL_SLOPE_LETHAL,
     COST_MAX,
@@ -331,6 +332,24 @@ class TestNavigationCostmap:
         with pytest.raises(ValidationError):
             cost_cells(grid)
 
+    def test_margin_is_the_interior_on_random_unknown_cells(self, rng):
+        w = CostWeights()
+        for shape, margin, unknown in (((90, 70), 28, 0.05), ((60, 61), 3, 0.4), ((70, 70), 34, 0.0)):
+            z = np.cumsum(rng.normal(0.0, 0.03, size=shape), axis=0)
+            z[rng.random(shape) < unknown] = np.nan
+            elev = HeightField(z, (1.0, 2.0), 0.1)
+            kept = interior(shape, margin)
+            assert np.array_equal(cost_cells(elev, w, margin), cost_cells(elev, w)[kept])
+            for got, want in zip(cost_features(elev, w, margin), cost_features(elev, w)):
+                assert np.array_equal(got, want[kept])
+
+    def test_margin_leaving_no_cells_rejected(self):
+        grid = HeightField(np.zeros((10, 20)), (0.0, 0.0), 0.1)
+        assert cost_cells(grid, margin=4).shape == (2, 12)
+        for margin in (5, 6, -1):
+            with pytest.raises(ValidationError):
+                cost_cells(grid, margin=margin)
+
 
 def inflate(values, cell, radius, lethal_codes=(CELL_SLOPE_LETHAL,)):
     """The navigation costmap of a cost grid whose lethal cells take the
@@ -366,6 +385,47 @@ class TestLethalInflation:
         for codes in ((CELL_SLOPE_LETHAL,), (CELL_SLOPE_LETHAL, CELL_BUMP_LETHAL)):
             out = inflate(vals, 0.1, 0.35, codes)  # 3.4999... cells
             assert _sha(out.values) == "599486a91fcfc29b2836fd8ba361c494e3944fa30645d6fd07c2066c5e9e589d"
+
+
+def _halo_uncropped(codes, cell, radii=(DEFAULT_INFLATION_RADIUS, BUMP_INFLATION_RADIUS)):
+    """Each source's disc inflation over the whole grid."""
+    halo = np.zeros(codes.shape, dtype=bool)
+    for code, radius in zip((CELL_SLOPE_LETHAL, CELL_BUMP_LETHAL), radii):
+        halo |= dilate_disc(codes == code, radius / cell)
+    return halo
+
+
+class TestLethalHaloCrop:
+    """`lethal_halo` transforms only each source's bounding box grown by
+    its radius; the halo is the whole-grid one."""
+
+    @pytest.mark.parametrize("cell", [0.1, 0.5])
+    def test_random_codes(self, rng, cell):
+        for shape, density in (((120, 90), 0.002), ((80, 300), 0.0005), ((40, 40), 0.05)):
+            codes = rng.integers(1, 102, size=shape).astype(np.uint8)
+            u = rng.random(shape)
+            codes[u < density] = CELL_SLOPE_LETHAL
+            codes[(u >= density) & (u < 3 * density)] = CELL_BUMP_LETHAL
+            assert np.array_equal(lethal_halo(codes, cell), _halo_uncropped(codes, cell))
+
+    def test_no_lethal_cell(self):
+        codes = np.full((50, 60), 40, dtype=np.uint8)
+        assert not lethal_halo(codes, 0.1).any()
+
+    def test_single_lethal_cell(self):
+        for code in (CELL_SLOPE_LETHAL, CELL_BUMP_LETHAL):
+            codes = np.ones((101, 101), dtype=np.uint8)
+            codes[50, 50] = code
+            assert np.array_equal(lethal_halo(codes, 0.1), _halo_uncropped(codes, 0.1))
+
+    def test_lethal_cells_on_the_border(self):
+        for cell, (r, c) in ((0.1, (0, 0)), (0.1, (79, 5)), (0.5, (3, 119)), (0.1, (79, 119))):
+            codes = np.ones((80, 120), dtype=np.uint8)
+            codes[r, c] = CELL_SLOPE_LETHAL
+            codes[79 - r, 119 - c] = CELL_BUMP_LETHAL
+            assert np.array_equal(lethal_halo(codes, cell), _halo_uncropped(codes, cell))
+            radii = (0.35, 0.35)
+            assert np.array_equal(lethal_halo(codes, cell, radii), _halo_uncropped(codes, cell, radii))
 
 
 class TestConversions:
