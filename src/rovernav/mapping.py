@@ -1,12 +1,14 @@
 """Local mapping: elevation rasterization, obstacle extraction, costmaps.
 
-Sensed point clouds become `HeightField`s (max-z per cell, so thin
-obstacles survive; cells no point reached hold NaN, the unknown mark of
-every elevation raster). Every map product derived from them is a
-`CostGrid` (0..100 traversal cost, -1 unknown): the mid-tier mode's
-obstacle map is one with only 0 (free) and `COST_MAX` (obstacle) in its
-known cells, and the cautious mode's costmap grades cost by slope,
-roughness, and step height. Each function that needs the known-cell mask
+Heights are `HeightField`s sensed by `World.sense_points`: the costmap
+senses on its own cell centres, and the obstacle map rasterizes a finer
+patch onto its cells (`build_elevation_grid`: max height per cell, so
+thin obstacles survive). NaN, the unknown mark of every elevation raster,
+holds where a cell is off the map or no known sample reached it. Every
+map product derived from them is a `CostGrid` (0..100 traversal cost, -1
+unknown): the mid-tier mode's obstacle map is one with only 0 (free) and
+`COST_MAX` (obstacle) in its known cells, and the cautious mode's costmap
+grades cost by slope, roughness, and step height. Each function that needs the known-cell mask
 takes it once, as `np.isfinite(elevation)`. `cost_to_obstacle` turns any
 cost layer into the safe view the mid-tier planner searches.
 `cost_features` is the one pass that fits the planes and applies the cost
@@ -23,13 +25,13 @@ route costmap alike. All inflation goes through `grids.dilate_disc`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ValidationError
 from .grids import (
-    dilate_disc, disc_max, disc_min, interior, neighbor_slices, plane_fit_grid, slope_degrees, world_to_cell,
+    cell_center, dilate_disc, disc_max, disc_min, interior, neighbor_slices, plane_fit_grid, slope_degrees,
+    world_to_cell,
 )
 from .terrain import HeightField
 
@@ -63,13 +65,6 @@ CELL_BUMP_LETHAL = COST_MAX + 3
 _CELL_COST = np.array([COST_UNKNOWN, *range(COST_MAX + 1), COST_MAX, COST_MAX], dtype=np.int16)
 
 
-class GridGeometry(NamedTuple):
-    rows: int
-    cols: int
-    origin: tuple[float, float]
-    cell_size: float
-
-
 @dataclass
 class CostGrid:
     """Traversal cost per cell: integers 0..100, or -1 for unknown."""
@@ -87,20 +82,23 @@ class CostGrid:
         return self.values.shape[1]
 
 
-def build_elevation_grid(points: np.ndarray, geometry: GridGeometry) -> HeightField:
-    """Rasterize (x, y, z) points onto a grid, keeping the max z per cell.
+def build_elevation_grid(patch: HeightField, shape: tuple[int, int], origin, cell_size: float) -> HeightField:
+    """Rasterize the known samples of a sensed patch onto a rows x cols grid
+    at `origin`, keeping the max height per cell.
 
-    Cells that receive no points hold NaN (unknown). Points outside the
-    geometry are dropped.
+    Each sample lands in the cell that holds its lattice centre. Unknown
+    (NaN) samples and samples outside the grid are dropped, and cells that
+    receive no sample hold NaN (unknown).
     """
-    rows, cols, origin, cell = geometry
-    pts = np.asarray(points, dtype=float).reshape(-1, 3)
-    r, c = world_to_cell(pts[:, 0], pts[:, 1], origin, cell)
-    ok = (r >= 0) & (r < rows) & (c >= 0) & (c < cols)
-    elevation = np.full((rows, cols), -np.inf)
-    np.maximum.at(elevation, (r[ok], c[ok]), pts[ok, 2])
+    rows, cols = shape
+    xs, ys = cell_center(np.arange(patch.rows), np.arange(patch.cols), patch.origin, patch.cell_size)
+    r, c = world_to_cell(xs, ys, origin, cell_size)
+    r, c = np.broadcast_arrays(r[:, None], c[None, :])
+    ok = np.isfinite(patch.elevation) & (r >= 0) & (r < rows) & (c >= 0) & (c < cols)
+    elevation = np.full(shape, -np.inf)
+    np.maximum.at(elevation, (r[ok], c[ok]), patch.elevation[ok])
     elevation[np.isneginf(elevation)] = np.nan
-    return HeightField(elevation, origin, cell)
+    return HeightField(elevation, origin, cell_size)
 
 
 def extract_obstacles(elev: HeightField) -> CostGrid:

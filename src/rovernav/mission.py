@@ -44,7 +44,6 @@ from .map_server import MapServer, WaypointQueue
 from .mapping import (
     DEFAULT_INFLATION_RADIUS,
     CostGrid,
-    GridGeometry,
     build_elevation_grid,
     build_navigation_costmap,
     cost_cells,
@@ -155,6 +154,13 @@ GEOMETRIC_PATCH_RESOLUTION = 0.1
 VLM_PATCH_RESOLUTION = 0.5
 
 
+def _classifier_patch(world: World, center, resolution: float):
+    """The CLASSIFIER_PATCH_SIZE square patch centred on `center`."""
+    half = CLASSIFIER_PATCH_SIZE / 2.0
+    n = round(CLASSIFIER_PATCH_SIZE / resolution)
+    return world.sense_elevation_patch((center[0] - half, center[1] - half), (n, n), resolution)
+
+
 class MockClassifierBackend:
     """Scores terrain from the generating spec; no sensing, no network."""
 
@@ -170,8 +176,7 @@ class GeometricClassifierBackend:
     """Senses an elevation patch ahead and applies the geometric baseline."""
 
     def assess(self, world: World, center) -> TerrainAssessment:
-        pose = RoverState(center[0], center[1], 0.0)
-        patch = world.sense_elevation_patch(pose, CLASSIFIER_PATCH_SIZE, GEOMETRIC_PATCH_RESOLUTION)
+        patch = _classifier_patch(world, center, GEOMETRIC_PATCH_RESOLUTION)
         return threshold_classify(compute_terrain_metrics(patch, ANALYSIS_RADIUS))
 
 
@@ -187,8 +192,7 @@ class VlmClassifierBackend:
         self.prompt = default_prompt()
 
     def assess(self, world: World, center) -> TerrainAssessment:
-        pose = RoverState(center[0], center[1], 0.0)
-        patch = world.sense_elevation_patch(pose, CLASSIFIER_PATCH_SIZE, VLM_PATCH_RESOLUTION)
+        patch = _classifier_patch(world, center, VLM_PATCH_RESOLUTION)
         image = render_patch_image(patch)
         api_key = os.environ.get(VLM_KEY_ENV)
         return vlm_classify(image, self.prompt, self.config, api_key)
@@ -330,7 +334,7 @@ class CostCellRecord:
             for piece in pieces:
                 self._build_blocks(*piece)
             return
-        elev = self.world.sense_cells(((c0 * k - m) * self.cell, (r0 * k - m) * self.cell), shape, self.cell)
+        elev = self.world.sense_points(((c0 * k - m) * self.cell, (r0 * k - m) * self.cell), shape, self.cell)
         self.codes[r0 * k:r1 * k, c0 * k:c1 * k] = cost_cells(elev, margin=m)
         # The new lethal cells reach `pad` cells beyond the blocks; lethal
         # cells built before add only halo that is already set.
@@ -444,12 +448,13 @@ class MissionRunner:
         the global map; a no-op unless `mode` is the active mode. The window
         snaps to the global 0.5 m lattice.
 
-        Safe mode extracts obstacles on the global map's own cells from
-        points sensed every 0.25 m. Conservative mode takes the window of
-        the mission's `CostCellRecord` at 0.1 m, whose cells are sensed on
-        their own centres and built once each (with `sensor_sigma` > 0 a
-        cell's cost comes from one noise draw per mission, not one per
-        tick), and max-pools each global cell's block of it.
+        Safe mode extracts obstacles on the global map's own cells from a
+        patch sensed every 0.25 m over the window plus half a meter each
+        side. Conservative mode takes the window of the mission's
+        `CostCellRecord` at 0.1 m, whose cells are sensed on their own
+        centres and built once each (with `sensor_sigma` > 0 a cell's cost
+        comes from one noise draw per mission, not one per tick), and
+        max-pools each global cell's block of it.
         """
         if self.mode is not mode:
             return
@@ -459,8 +464,11 @@ class MissionRunner:
         n = round(size / base)
         origin = (col * base, row * base)
         if mode is NavMode.SAFE:
-            pts = self.world.sense_points(self.state, size + 1.0, self.config.sense_resolution_safe)
-            local = extract_obstacles(build_elevation_grid(pts, GridGeometry(n, n, origin, base)))
+            span, pitch = size + 1.0, self.config.sense_resolution_safe
+            side = round(span / pitch)
+            corner = (self.state.x - span / 2.0, self.state.y - span / 2.0)
+            patch = self.world.sense_points(corner, (side, side), pitch)
+            local = extract_obstacles(build_elevation_grid(patch, (n, n), origin, base))
         else:
             if self.cost_record is None:
                 self.cost_record = CostCellRecord(self.world, self.server.global_map.values.shape,

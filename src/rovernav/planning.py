@@ -208,9 +208,7 @@ def _search(blocked, mult, start, goal=None, targets=()):
     width = cols + 2
     wall = np.ones((rows + 2, width), dtype=bool)
     wall[1:-1, 1:-1] = blocked
-    dist = [math.inf] * wall.size
-    for i in np.flatnonzero(wall).tolist():
-        dist[i] = -math.inf
+    dist = np.where(wall, -math.inf, math.inf).ravel().tolist()
     came = [-1] * len(dist)
     closed = bytearray(len(dist))
     uniform = mult is None

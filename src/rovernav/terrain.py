@@ -87,10 +87,11 @@ class TerrainSpec:
 class HeightField:
     """Cell-centered elevation grid. Row 0 sits at the minimum-y edge.
 
-    The one elevation raster of the package. A non-finite height marks an
-    unknown cell; rasterized sensing (`mapping.build_elevation_grid`) writes
-    NaN where no point landed, and every reader takes its known-cell mask
-    from `np.isfinite(elevation)`.
+    The one elevation raster of the package, sensed patches included. A
+    non-finite height marks an unknown cell: `World.sense_points` writes NaN
+    at cell centres off the map, `mapping.build_elevation_grid` where no
+    known sample landed, and every reader takes its known-cell mask from
+    `np.isfinite(elevation)`.
     """
 
     elevation: np.ndarray

@@ -2,9 +2,10 @@
 
 The rover is a unicycle: commanded linear/angular velocity integrates
 directly into pose, with no slip or dynamics. The world supplies simulated
-depth sensing (elevation patches around the rover, or on the cell centres
-of a map grid) and watches for the three hazard conditions: rock contact,
-excessive tilt, and leaving the map.
+depth sensing (`World.sense_elevation_patch`, heights on the cell centres
+of any lattice, and `World.sense_points`, the same patch with NaN off the
+map, which the maps read) and watches for the three hazard conditions:
+rock contact, excessive tilt, and leaving the map.
 """
 
 from __future__ import annotations
@@ -135,76 +136,52 @@ class World:
         xs, ys = cell_center(np.array([0, g.rows - 1]), np.array([0, g.cols - 1]), g.origin, g.cell_size)
         (self._x_lo, self._x_hi), (self._y_lo, self._y_hi) = xs.tolist(), ys.tolist()
 
-    def sense_elevation_patch(self, pose: RoverState, size: float, resolution: float) -> HeightField:
-        """Resample the true surface on a size x size window around the pose.
-
-        The window is a lattice of cell centers around the pose, sampled as
-        `_sense` does, edge-clamped beyond the map border.
-        """
-        if size <= 0 or resolution <= 0:
-            raise ValidationError("size and resolution must be positive")
-        half = size / 2.0
-        if (pose.x + half <= 0 or pose.x - half >= self.terrain.extent_x
-                or pose.y + half <= 0 or pose.y - half >= self.terrain.extent_y):
-            raise EmptyPatchError("sensing window lies entirely outside the terrain")
-        n = round(size / resolution)
-        origin = (pose.x - half, pose.y - half)
-        _, _, z = self._sense(origin, (n, n), resolution)
-        return HeightField(z, origin, resolution)
-
-    def sense_cells(self, origin, shape: tuple[int, int], resolution: float) -> HeightField:
-        """The surface at the cell centers of a rows x cols grid at `origin`,
-        sampled as `_sense` does, with NaN at centers off the map.
-
-        Every call draws fresh noise for every cell. The conservative
-        costmap (`mission.CostCellRecord`) senses each of its cells as a
-        core cell once per mission, so with `sensor_sigma` > 0 a cell's cost
-        comes from one draw per mission, not one per costmap tick.
-        """
-        xs, ys, z = self._sense(origin, shape, resolution)
-        z[~self._on_map(xs, ys)] = np.nan
-        return HeightField(z, origin, resolution)
-
-    def _sense(self, origin, shape: tuple[int, int], resolution: float):
-        """Heights at the cell centers of a rows x cols grid at `origin`, with
-        the centers' x per column and y per row: (xs, ys, z).
+    def sense_elevation_patch(self, origin, shape: tuple[int, int], resolution: float) -> HeightField:
+        """The surface at the cell centres of a rows x cols lattice at
+        `origin` with pitch `resolution`: the rover's one sensor.
 
         The ground is sampled bilinearly (edge-clamped beyond the map
         border) from the row of x and the column of y, broadcast against
-        each other. The caps of the rocks that reach the grid are then
+        each other. The caps of the rocks that reach the patch are then
         evaluated analytically by `add_rocks_to_field`, so rocks register
         at their true height regardless of the ground grid pitch. Optional
         zero-mean Gaussian noise of the configured sigma is added per
-        sample, last.
+        sample, last: one draw per call, so a cell sensed twice reads two
+        draws. Raises `EmptyPatchError` when the patch lies wholly off the
+        map.
         """
         rows, cols = shape
-        xs, ys = cell_center(np.arange(rows), np.arange(cols), origin, resolution)
+        if rows <= 0 or cols <= 0 or resolution <= 0:
+            raise ValidationError("shape and resolution must be positive")
         hx, hy = cols * resolution / 2.0, rows * resolution / 2.0
+        if (origin[0] + cols * resolution <= 0 or origin[0] >= self.terrain.extent_x
+                or origin[1] + rows * resolution <= 0 or origin[1] >= self.terrain.extent_y):
+            raise EmptyPatchError("sensing patch lies entirely outside the terrain")
+        xs, ys = cell_center(np.arange(rows), np.arange(cols), origin, resolution)
         rocks = self._rocks_near(origin[0] + hx, origin[1] + hy, max(hx, hy) + 0.1)
         z = np.asarray(self.terrain.ground.sample(xs[None, :], ys[:, None]), dtype=float)
         if rocks:
             z = add_rocks_to_field(HeightField(z, origin, resolution), rocks).elevation
         if self.sensor_sigma > 0:
             z = z + self._rng.normal(0.0, self.sensor_sigma, size=z.shape)
-        return xs, ys, z
+        return HeightField(z, origin, resolution)
 
-    def _on_map(self, xs, ys) -> np.ndarray:
-        """Mask of the grid cells, at column centers `xs` and row centers `ys`, on the map."""
-        t = self.terrain
-        return ((ys >= 0) & (ys <= t.extent_y))[:, None] & ((xs >= 0) & (xs <= t.extent_x))[None, :]
+    def sense_points(self, origin, shape: tuple[int, int], resolution: float) -> HeightField:
+        """`sense_elevation_patch` as the maps read it: NaN at every cell
+        centre off the map, so a map keeps those cells unknown instead of
+        inheriting edge-clamped ground.
 
-    def sense_points(self, pose: RoverState, size: float, resolution: float) -> np.ndarray:
-        """Sensed patch as (N, 3) points, keeping only in-map samples.
-
-        Cells of the window that fall outside the terrain produce no points,
-        so downstream grids keep them unknown instead of inheriting
-        edge-clamped elevation.
+        The conservative costmap (`mission.CostCellRecord`) senses each of
+        its cells as a core cell once per mission, so with `sensor_sigma`
+        > 0 a cell's cost comes from one draw per mission, not one per
+        costmap tick.
         """
-        patch = self.sense_elevation_patch(pose, size, resolution)
-        xs, ys = cell_center(np.arange(patch.rows), np.arange(patch.cols), patch.origin, patch.cell_size)
-        gx, gy = np.broadcast_arrays(xs[None, :], ys[:, None])
-        inside = self._on_map(xs, ys)
-        return np.column_stack([gx[inside], gy[inside], patch.elevation[inside]])
+        patch = self.sense_elevation_patch(origin, shape, resolution)
+        xs, ys = cell_center(np.arange(patch.rows), np.arange(patch.cols), origin, resolution)
+        t = self.terrain
+        on_map = ((ys >= 0) & (ys <= t.extent_y))[:, None] & ((xs >= 0) & (xs <= t.extent_x))[None, :]
+        patch.elevation[~on_map] = np.nan
+        return patch
 
     def check_hazard(self, pose: RoverState) -> HazardEvent | None:
         """First hazard triggered at this pose, if any.

@@ -10,8 +10,9 @@ with a 2.8 m feature margin and costed on its 10 x 270 kept cells alone
 (`cost_cells(strip, margin=REACH)`), and grows the strip's lethal cells
 into the record's halo over the strip padded by the radius. Each tick then
 only reads the 20 m window's costs from its stored codes and halo. The safe
-mode extracts obstacles on a 20 m window at 0.5 m. The terrain is the rocky
-preset, scene seed 0.
+mode senses 84 x 84 samples at 0.25 m (a 21 m patch), rasterizes them onto
+the 40 x 40 cells of a 20 m window at 0.5 m and extracts obstacles there.
+The terrain is the rocky preset, scene seed 0.
 """
 
 import math
@@ -20,10 +21,9 @@ import numpy as np
 import pytest
 
 from rovernav.config import build_scene
-from rovernav.grids import disc_max, disc_min
+from rovernav.grids import disc_max, disc_min, interior
 from rovernav.mapping import (
     DEFAULT_INFLATION_RADIUS,
-    GridGeometry,
     build_elevation_grid,
     build_navigation_costmap,
     cost_cells,
@@ -50,7 +50,7 @@ def rocky():
 def _patch(world, pose, rows, cols):
     """Heights sensed on the 0.1 m lattice, rows x cols cells centred on the pose."""
     origin = (round(pose.x / CELL - cols / 2) * CELL, round(pose.y / CELL - rows / 2) * CELL)
-    return world.sense_cells(origin, (rows, cols), CELL)
+    return world.sense_points(origin, (rows, cols), CELL)
 
 
 @pytest.fixture(scope="module")
@@ -75,7 +75,7 @@ def window_codes(rocky):
     return cost_cells(_patch(world, pose, n + 2 * REACH, n + 2 * REACH), margin=REACH)
 
 
-def test_sense_cells_strip(benchmark, rocky, strip_elevation):
+def test_sense_points_strip(benchmark, rocky, strip_elevation):
     world, pose = rocky
     elev = benchmark(_patch, world, pose, *strip_elevation.elevation.shape)
     assert np.isfinite(elev.elevation).all()
@@ -98,8 +98,11 @@ def test_build_navigation_costmap_200(benchmark, window_codes):
 
 
 def test_step_disc_max_min_r5(benchmark, strip_elevation):
-    # The step feature's inputs: heights with unknown cells at -inf / +inf.
-    z = strip_elevation.elevation
+    # The step feature's inputs: heights with unknown cells at -inf / +inf,
+    # on the cells it fits planes on, the strip's kept cells and their
+    # 5-cell step ring.
+    z = strip_elevation.elevation[interior(strip_elevation.elevation.shape, REACH - 5)]
+    assert z.shape == (WINDOW_CELLS + 2 * HALO + 10, STRIP_CELLS + 10)
     known = np.isfinite(z)
     hi_in = np.where(known, z, -np.inf)
     lo_in = np.where(known, z, np.inf)
@@ -130,16 +133,26 @@ def test_check_hazard_steep(benchmark):
     assert benchmark(world.check_hazard, pose) is None
 
 
+def _safe_patch(world, pose):
+    """The safe mode's 21 m patch of 84 x 84 samples at 0.25 m around the pose."""
+    return world.sense_points((pose.x - 10.5, pose.y - 10.5), (84, 84), 0.25)
+
+
 def test_sense_points_safe_84(benchmark, rocky):
     world, pose = rocky
-    pts = benchmark(world.sense_points, pose, 21.0, 0.25)
-    assert pts.shape == (84 * 84, 3)
+    patch = benchmark(_safe_patch, world, pose)
+    assert patch.elevation.shape == (84, 84)
+
+
+def test_build_elevation_grid_40(benchmark, rocky):
+    world, pose = rocky
+    patch = _safe_patch(world, pose)
+    elev = benchmark(build_elevation_grid, patch, (40, 40), (pose.x - 10.0, pose.y - 10.0), 0.5)
+    assert np.isfinite(elev.elevation).all()
 
 
 def test_extract_obstacles_40(benchmark, rocky):
     world, pose = rocky
-    pts = world.sense_points(pose, 21.0, 0.25)
-    geom = GridGeometry(40, 40, (pose.x - 10.0, pose.y - 10.0), 0.5)
-    elev = build_elevation_grid(pts, geom)
+    elev = build_elevation_grid(_safe_patch(world, pose), (40, 40), (pose.x - 10.0, pose.y - 10.0), 0.5)
     grid = benchmark(extract_obstacles, elev)
     assert grid.values.shape == (40, 40)

@@ -3,8 +3,8 @@
 These deliberately share no code with the package: plain-dict Dijkstra
 over the same 8-connected movement model, the dict/heap grid search the
 planners used before their flat-array core (with the planners built on it),
-a full-map priority merge, a brute-force point-to-segment distance, a
-shift-and-OR disc dilation, shift-and-compare disc extrema and a per-window
+a full-map priority merge, a sample-by-sample max rasterizer, a
+brute-force point-to-segment distance, a shift-and-OR disc dilation, shift-and-compare disc extrema and a per-window
 least-squares plane fit. Keep them simple and slow.
 """
 
@@ -98,6 +98,29 @@ def values_under_points(values, origin, cell_size, points):
         c = math.floor((x - origin[0]) / cell_size)
         r = math.floor((y - origin[1]) / cell_size)
         out.append(values[r][c] if 0 <= r < rows and 0 <= c < cols else None)
+    return out
+
+
+def rasterize_max(heights, patch_origin, pitch, rows, cols, origin, cell):
+    """Max-height raster of a lattice of samples, as nested lists.
+
+    `heights[i][j]` is the sample at the centre of lattice cell (i, j) of
+    pitch `pitch` from `patch_origin`. Each finite sample goes, one at a
+    time, to the grid cell holding that centre; NaN samples and samples
+    outside the rows x cols grid at `origin` are skipped. A cell no sample
+    reached holds NaN.
+    """
+    out = [[math.nan] * cols for _ in range(rows)]
+    for i, line in enumerate(heights):
+        for j, z in enumerate(line):
+            if not math.isfinite(z):
+                continue
+            x = patch_origin[0] + (j + 0.5) * pitch
+            y = patch_origin[1] + (i + 0.5) * pitch
+            r = math.floor((y - origin[1]) / cell)
+            c = math.floor((x - origin[0]) / cell)
+            if 0 <= r < rows and 0 <= c < cols and not z <= out[r][c]:
+                out[r][c] = z
     return out
 
 

@@ -42,7 +42,7 @@ def conservative_runner(kind, monkeypatch):
     runner = MissionRunner(scene.world, scene.waypoints, None, forced_mode=NavMode.CONSERVATIVE,
                            start=scene.start)
     published, merged, sensed = [], [], []
-    window, merge, sense = CostCellRecord.window, runner.server.update_from_local, runner.world.sense_cells
+    window, merge, sense = CostCellRecord.window, runner.server.update_from_local, runner.world.sense_points
 
     def record_window(record, row, col, n):
         published.append(window(record, row, col, n))
@@ -58,7 +58,7 @@ def conservative_runner(kind, monkeypatch):
 
     monkeypatch.setattr(CostCellRecord, "window", record_window)
     runner.server.update_from_local = record_merge
-    runner.world.sense_cells = record_sense
+    runner.world.sense_points = record_sense
     return runner, published, merged, sensed
 
 
@@ -94,7 +94,7 @@ def from_scratch(world, window):
     where float rounding may legitimately flip a code."""
     m = WIDE_MARGIN
     origin = (window.origin[0] - m * CELL, window.origin[1] - m * CELL)
-    elev = world.sense_cells(origin, (window.rows + 2 * m, window.cols + 2 * m), CELL)
+    elev = world.sense_points(origin, (window.rows + 2 * m, window.cols + 2 * m), CELL)
     codes, inner = cost_cells(elev), np.s_[m:-m, m:-m]
     expected = build_navigation_costmap(codes[inner], lethal_halo(codes, CELL)[inner],
                                         (origin[0] + m * CELL, origin[1] + m * CELL), CELL)
@@ -119,7 +119,7 @@ def test_a_build_costs_the_interior_of_its_patch(kind, origin):
     codes of its whole patch."""
     world = build_scene(kind, 0).world
     m = cost_feature_reach(CELL)
-    elev = world.sense_cells(origin, (270 + 2 * m, 10 + 2 * m), CELL)
+    elev = world.sense_points(origin, (270 + 2 * m, 10 + 2 * m), CELL)
     kept = interior(elev.elevation.shape, m)
     codes = cost_cells(elev, margin=m)
     assert codes.shape == (270, 10)

@@ -16,7 +16,6 @@ from rovernav.mapping import (
     CostWeights,
     DEFAULT_INFLATION_RADIUS,
     DEFAULT_OBSTACLE_HEIGHT,
-    GridGeometry,
     ROUGH_WEIGHT,
     SLOPE_WEIGHT,
     STEP_WEIGHT,
@@ -32,36 +31,61 @@ from rovernav.mapping import (
 )
 from rovernav.terrain import HeightField
 
+import oracles
 from conftest import full_grid
 
 
-def geometry(n=40, cell=0.5):
-    return GridGeometry(n, n, (0.0, 0.0), cell)
+def lattice(heights, origin=(0.0, 0.0), pitch=1.0) -> HeightField:
+    """A sensed patch: `heights` at the centres of a lattice of pitch `pitch`."""
+    return HeightField(np.array(heights, dtype=float), origin, pitch)
 
 
 class TestElevationGrid:
     def test_plane_of_points_fills_grid(self):
-        geom = geometry(10, 1.0)
-        xs, ys = np.meshgrid(np.arange(10) + 0.5, np.arange(10) + 0.5)
-        pts = np.column_stack([xs.ravel(), ys.ravel(), np.ones(100)])
-        grid = build_elevation_grid(pts, geom)
-        assert np.isfinite(grid.elevation).all()
+        grid = build_elevation_grid(lattice(np.ones((10, 10))), (10, 10), (0.0, 0.0), 1.0)
         assert np.all(grid.elevation == 1.0)
 
     def test_empty_points_all_unknown(self):
-        grid = build_elevation_grid(np.empty((0, 3)), geometry())
+        # a patch with no known sample
+        grid = build_elevation_grid(lattice(np.full((8, 8), np.nan), pitch=0.5), (40, 40), (0.0, 0.0), 0.5)
+        assert grid.elevation.shape == (40, 40)
         assert np.isnan(grid.elevation).all()
 
     def test_max_z_rule(self):
-        geom = geometry(4, 1.0)
-        pts = np.array([[1.5, 1.5, 0.2], [1.6, 1.4, 0.7]])
-        grid = build_elevation_grid(pts, geom)
+        # the four 0.5 m samples of cell (1, 1) of the 1 m grid
+        heights = np.zeros((8, 8))
+        heights[2:4, 2:4] = [[0.2, 0.7], [-0.4, 0.1]]
+        grid = build_elevation_grid(lattice(heights, pitch=0.5), (4, 4), (0.0, 0.0), 1.0)
         assert grid.elevation[1, 1] == 0.7
+        assert np.all(np.delete(grid.elevation.ravel(), 5) == 0.0)
 
     def test_out_of_bounds_points_dropped(self):
-        geom = geometry(4, 1.0)
-        grid = build_elevation_grid(np.array([[100.0, 100.0, 1.0]]), geom)
+        grid = build_elevation_grid(lattice(np.ones((3, 3)), origin=(99.0, 99.0)), (4, 4), (0.0, 0.0), 1.0)
         assert np.isnan(grid.elevation).all()
+
+    @pytest.mark.parametrize("seed, patch_origin, shape, pitch, origin, cell", [
+        # NaN holes inside a patch that covers the grid
+        (0, (-0.7, -0.4), (44, 52), 0.25, (0.0, 0.0), 0.5),
+        # hanging off the grid's lower-left and upper-right corners
+        (1, (-6.3, -4.1), (48, 52), 0.25, (0.0, 0.0), 0.5),
+        (2, (7.9, 8.6), (30, 30), 0.3, (0.0, 0.0), 0.5),
+        # pitches that do not divide the cell, off-lattice grid origins
+        (3, (1.13, -2.07), (57, 41), 0.37, (2.5, -1.0), 0.5),
+        (4, (30.05, 70.45), (84, 84), 0.25, (31.0, 71.5), 0.5),
+        (5, (0.0, 0.0), (25, 33), 0.7, (0.35, 0.0), 1.1),
+        # every centre on a cell edge
+        (6, (-0.25, -0.25), (30, 30), 0.5, (0.0, 0.0), 0.5),
+    ])
+    def test_matches_a_sample_by_sample_rasterizer(self, seed, patch_origin, shape, pitch, origin, cell):
+        rng = np.random.default_rng(seed)
+        heights = rng.normal(0.0, 1.0, shape)
+        heights[rng.random(shape) < 0.2] = np.nan
+        rows, cols = 20, 24
+        grid = build_elevation_grid(lattice(heights, patch_origin, pitch), (rows, cols), origin, cell)
+        want = oracles.rasterize_max(heights.tolist(), patch_origin, pitch, rows, cols, origin, cell)
+        assert (grid.origin, grid.cell_size) == (origin, cell)
+        np.testing.assert_array_equal(grid.elevation, np.array(want))
+        assert np.isfinite(grid.elevation).any()
 
 
 def _within_inflation(shape, center, cell):

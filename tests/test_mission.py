@@ -1,8 +1,6 @@
 import contextlib
 import dataclasses
-import hashlib
 import http.server
-import json
 import math
 import sys
 import threading
@@ -14,7 +12,7 @@ import pytest
 
 import rovernav.mission as mission
 from rovernav.classify import VLM_KEY_ENV, TerrainAssessment, VlmConfig
-from rovernav.config import build_scene
+from rovernav.config import build_scene, fill_config, scene_from_config
 from rovernav.errors import InvalidStartError, ValidationError, VlmTimeoutError, VlmTransportError
 from rovernav.grids import world_to_cell
 from rovernav.map_server import WaypointQueue
@@ -36,11 +34,12 @@ from rovernav.world import RoverState, VelocityCommand, World
 
 from conftest import flat_terrain
 
-# sha256 of json(metrics, sorted keys) + b"\n" + the trajectory rows, for the
-# adaptive mock-classifier mission on build_scene(kind, 0). A change that
-# moves one of these must explain why. Mixed and challenging are the
-# benchmark's adaptive missions: mixed ends in a rock collision, challenging
-# in a timeout after a long run of failed safe-mode plans.
+# `scenarios.mission_digest` (sha256 of json(metrics, sorted keys) + b"\n" +
+# the trajectory rows) of the adaptive mock-classifier mission on
+# build_scene(kind, 0). A change that moves one of these must explain why.
+# Mixed and challenging are the benchmark's adaptive missions: mixed ends in
+# a rock collision, challenging in a timeout after a long run of failed
+# safe-mode plans.
 GOLDEN_DIGESTS = {
     "flat": "89664f7dc96d8248d3662bfa5477f1b85a00faf8a69bc70e4be3bfd34e85e9fb",
     "rocky": "8c9df14903c8d4c025ef410b9fcb3ee12865e3249601e0d658f017b92eef4046",
@@ -52,62 +51,79 @@ GOLDEN_DIGESTS = {
 # waypoints, no classifier: the only digest that runs the costmap path.
 CONSERVATIVE_DIGEST = "5ad6b2e404bbd4ece4846f0ed3cd4ceeb46bbde5377f0848999c98895eb2e5b2"
 
+# The rocky seed-0 scene with sensor_sigma 0.02, which pins the order and
+# number of noise draws: the forced-conservative mission above (the
+# costmap's record senses each block once), and the adaptive mock mission,
+# which runs in safe mode and senses a fresh patch every second.
+NOISY_CONSERVATIVE_DIGEST = "757daccdfb9124abee4be3d80ab643cb3eb83f3431130d39d1a464560cc31655"
+NOISY_ADAPTIVE_DIGEST = "0e9ad701cb58c1edc6e8155db8af1b041e92c8f2e392b8609f6bfd3b471a2b82"
+
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def mission_digest(metrics: dict, trajectory: list) -> str:
-    h = hashlib.sha256()
-    h.update(json.dumps(metrics, sort_keys=True).encode())
-    h.update(b"\n")
-    h.update("\n".join(trajectory).encode())
-    return h.hexdigest()
-
-
 @pytest.fixture
-def check_invariants(monkeypatch):
-    """The benchmark's run invariants, which every mission keeps."""
+def scenarios(monkeypatch):
+    """The benchmark's scenario module: its behaviour digest and the run
+    invariants that every mission keeps."""
     monkeypatch.syspath_prepend(str(PERFBENCH))
     monkeypatch.delitem(sys.modules, "scenarios", raising=False)
     import scenarios
 
-    return scenarios.check_invariants
+    return scenarios
 
 
-def test_golden_digests(check_invariants):
-    got = {}
-    for kind in GOLDEN_DIGESTS:
-        scene = build_scene(kind, 0)
-        result = run_mission(scene.world, scene.waypoints, MockClassifierBackend(0), start=scene.start)
-        metrics = result.metrics.to_dict()
-        assert check_invariants(metrics, result.trajectory, len(result.trajectory), None) == [], kind
-        got[kind] = mission_digest(metrics, result.trajectory)
-    assert got == GOLDEN_DIGESTS
-
-
-def test_golden_conservative_digest(check_invariants):
-    scene = build_scene("rocky", 0)
-    queue = WaypointQueue(list(scene.waypoints.points[:2]))
-    result = run_mission(scene.world, queue, None, forced_mode=NavMode.CONSERVATIVE, start=scene.start)
-    metrics = result.metrics.to_dict()
-    assert check_invariants(metrics, result.trajectory, len(result.trajectory),
-                            NavMode.CONSERVATIVE.value) == []
-    assert mission_digest(metrics, result.trajectory) == CONSERVATIVE_DIGEST
-
-
-def _conservative_digest(kind):
+@pytest.mark.parametrize("kind", GOLDEN_DIGESTS)
+def test_golden_digests(kind, scenarios):
     scene = build_scene(kind, 0)
+    result = run_mission(scene.world, scene.waypoints, MockClassifierBackend(0), start=scene.start)
+    metrics = result.metrics.to_dict()
+    assert scenarios.check_invariants(metrics, result.trajectory, len(result.trajectory), None) == []
+    assert scenarios.mission_digest(metrics, result.trajectory) == GOLDEN_DIGESTS[kind]
+
+
+def _conservative_run(scene):
+    """Metrics and trajectory of the forced-conservative mission over the
+    scene's first 2 waypoints."""
     queue = WaypointQueue(list(scene.waypoints.points[:2]))
     result = run_mission(scene.world, queue, None, forced_mode=NavMode.CONSERVATIVE, start=scene.start)
-    return mission_digest(result.metrics.to_dict(), result.trajectory)
+    return result.metrics.to_dict(), result.trajectory
 
 
-def test_conservative_missions_share_no_state():
+def test_golden_conservative_digest(scenarios):
+    metrics, trajectory = _conservative_run(build_scene("rocky", 0))
+    assert scenarios.check_invariants(metrics, trajectory, len(trajectory), NavMode.CONSERVATIVE.value) == []
+    assert scenarios.mission_digest(metrics, trajectory) == CONSERVATIVE_DIGEST
+
+
+def test_conservative_missions_share_no_state(scenarios):
     # Each runner builds its own record of cost cells; nothing one mission
     # builds may reach the next, on the same scene or after another one.
-    first = _conservative_digest("rocky")
-    assert _conservative_digest("rocky") == first
-    _conservative_digest("challenging")
-    assert _conservative_digest("rocky") == first == CONSERVATIVE_DIGEST
+    def digest(kind):
+        return scenarios.mission_digest(*_conservative_run(build_scene(kind, 0)))
+
+    first = digest("rocky")
+    assert digest("rocky") == first
+    digest("challenging")
+    assert digest("rocky") == first == CONSERVATIVE_DIGEST
+
+
+def _noisy_rocky_scene():
+    return scene_from_config(fill_config({"terrain": {"preset": "rocky"}, "seed": 0, "sensor_sigma": 0.02}))
+
+
+def test_noisy_conservative_digest(scenarios):
+    metrics, trajectory = _conservative_run(_noisy_rocky_scene())
+    assert scenarios.check_invariants(metrics, trajectory, len(trajectory), NavMode.CONSERVATIVE.value) == []
+    assert scenarios.mission_digest(metrics, trajectory) == NOISY_CONSERVATIVE_DIGEST
+
+
+def test_noisy_adaptive_digest(scenarios):
+    scene = _noisy_rocky_scene()
+    result = run_mission(scene.world, scene.waypoints, MockClassifierBackend(0), start=scene.start)
+    metrics = result.metrics.to_dict()
+    assert metrics["time_by_mode"]["safe"] == metrics["total_time"] > 0
+    assert scenarios.check_invariants(metrics, result.trajectory, len(result.trajectory), None) == []
+    assert scenarios.mission_digest(metrics, result.trajectory) == NOISY_ADAPTIVE_DIGEST
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -121,7 +137,7 @@ def test_forced_conservative_records_no_hazard(seed):
     assert result.metrics.hazards == []
 
 
-def test_no_path_ending_counts_the_control_period(monkeypatch, check_invariants):
+def test_no_path_ending_counts_the_control_period(monkeypatch, scenarios):
     # Every plan fails, so the streak reaches no_path_limit on the fifth
     # retry, at tick 80: an even tick, where control is due.
     def blocked(*args, **kwargs):
@@ -132,7 +148,7 @@ def test_no_path_ending_counts_the_control_period(monkeypatch, check_invariants)
                          forced_mode=NavMode.SAFE, start=RoverState(20.0, 20.0, 0.0))
     metrics = result.metrics.to_dict()
     assert (metrics["success"], metrics["end_reason"]) == (False, "no_path")
-    assert check_invariants(metrics, result.trajectory, 80, NavMode.SAFE.value) == []
+    assert scenarios.check_invariants(metrics, result.trajectory, 80, NavMode.SAFE.value) == []
 
 
 def _closest_approach(trajectory, point):

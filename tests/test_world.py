@@ -6,7 +6,7 @@ import pytest
 
 import rovernav.world as world_module
 from rovernav.config import build_scene
-from rovernav.errors import EmptyPatchError
+from rovernav.errors import EmptyPatchError, ValidationError
 from rovernav.terrain import HeightField, Rock, Terrain, build_terrain
 from rovernav.world import (
     FOOTPRINT_RADIUS,
@@ -66,22 +66,28 @@ class TestStep:
         assert -math.pi < normalize_angle(2.5 * math.pi) <= math.pi
 
 
+def patch_around(world, x, y, size, resolution):
+    """The size x size patch centred on (x, y)."""
+    n = round(size / resolution)
+    return world.sense_elevation_patch((x - size / 2, y - size / 2), (n, n), resolution)
+
+
 class TestSensing:
     def test_flat_world_patch_is_zero(self):
         world = World(flat_terrain())
-        patch = world.sense_elevation_patch(RoverState(30, 30, 0), 20.0, 0.5)
+        patch = patch_around(world, 30, 30, 20.0, 0.5)
         assert np.all(patch.elevation == 0.0)
 
     def test_patch_shape_matches_request(self):
         world = World(flat_terrain())
-        patch = world.sense_elevation_patch(RoverState(30, 30, 0), 20.0, 0.1)
-        assert patch.rows == patch.cols == 200
+        patch = world.sense_elevation_patch((20.0, 25.0), (200, 150), 0.1)
+        assert (patch.rows, patch.cols, patch.origin, patch.cell_size) == (200, 150, (20.0, 25.0), 0.1)
 
     def test_rock_apex_sensed_at_full_height(self):
         terrain = flat_terrain()
         terrain.rocks = [Rock(30.0, 30.0, 1.5, 1.2)]
         world = World(terrain)
-        patch = world.sense_elevation_patch(RoverState(30.05, 30.05, 0), 10.0, 0.1)
+        patch = patch_around(world, 30.05, 30.05, 10.0, 0.1)
         # apex cell: ground 0 plus (nearly) the full cap height
         assert patch.elevation.max() == pytest.approx(1.2, abs=0.01)
 
@@ -89,7 +95,7 @@ class TestSensing:
         spec = make_spec(extent=60.0, height_variation=2.0, rock_coverage=0.0)
         terrain = build_terrain(spec)
         world = World(terrain)
-        patch = world.sense_elevation_patch(RoverState(30, 30, 0), 12.0, 0.3)
+        patch = patch_around(world, 30, 30, 12.0, 0.3)
         xs = patch.origin[0] + (np.arange(patch.cols) + 0.5) * patch.cell_size
         ys = patch.origin[1] + (np.arange(patch.rows) + 0.5) * patch.cell_size
         gx, gy = np.meshgrid(xs, ys)
@@ -106,11 +112,9 @@ class TestSensing:
                  Rock(30.0, 24.05, 1.3, 0.9), Rock(31.0, 30.5, 1.0, 0.5),
                  Rock(50.0, 50.0, 2.0, 1.0)]
         terrain = Terrain(ground.ground, rocks, ground.segments)
-        pose, size, res, sigma, seed = RoverState(30.0, 30.0, 0), 12.0, 0.3, 0.02, 5
-        patch = World(terrain, sensor_sigma=sigma, seed=seed).sense_elevation_patch(pose, size, res)
+        origin, n, res, sigma, seed = (24.0, 24.0), 40, 0.3, 0.02, 5
+        patch = World(terrain, sensor_sigma=sigma, seed=seed).sense_elevation_patch(origin, (n, n), res)
 
-        origin = (pose.x - size / 2, pose.y - size / 2)
-        n = round(size / res)
         xs = origin[0] + (np.arange(n) + 0.5) * res
         ys = origin[1] + (np.arange(n) + 0.5) * res
         gx, gy = np.meshgrid(xs, ys)
@@ -125,20 +129,40 @@ class TestSensing:
     def test_fully_outside_window_raises(self):
         world = World(flat_terrain(extent=60.0))
         with pytest.raises(EmptyPatchError):
-            world.sense_elevation_patch(RoverState(200.0, 200.0, 0), 20.0, 0.5)
+            world.sense_elevation_patch((190.0, 190.0), (40, 40), 0.5)
+        with pytest.raises(EmptyPatchError):
+            world.sense_points((190.0, 190.0), (40, 40), 0.5)
+
+    @pytest.mark.parametrize("origin, shape", [
+        ((-20.0, 10.0), (40, 40)), ((10.0, -20.0), (40, 40)),
+        ((60.0, 10.0), (4, 4)), ((10.0, 60.0), (4, 4)),
+    ])
+    def test_window_touching_the_border_from_outside_raises(self, origin, shape):
+        world = World(flat_terrain(extent=60.0))
+        with pytest.raises(EmptyPatchError):
+            world.sense_points(origin, shape, 0.5)
+
+    @pytest.mark.parametrize("shape, resolution", [((0, 4), 0.5), ((4, -1), 0.5), ((4, 4), 0.0)])
+    def test_empty_lattice_rejected(self, shape, resolution):
+        with pytest.raises(ValidationError):
+            World(flat_terrain()).sense_elevation_patch((10.0, 10.0), shape, resolution)
 
     def test_sense_points_drop_out_of_map_cells(self):
-        world = World(flat_terrain(extent=60.0))
-        pts = world.sense_points(RoverState(5.0, 5.0, 0), 20.0, 0.5)
-        assert len(pts) > 0
-        assert (pts[:, 0] >= 0).all() and (pts[:, 1] >= 0).all()
-        # window reached beyond the border, so some cells were dropped
-        assert len(pts) < 40 * 40
+        # The patch hangs 5 m off the map's lower-left corner: its first ten
+        # rows and columns of 0.5 m cells have centres off the map.
+        t = build_scene("rocky", 0).terrain
+        patch = World(t, sensor_sigma=0.02, seed=1).sense_points((-5.0, -5.0), (40, 40), 0.5)
+        full = World(t, sensor_sigma=0.02, seed=1).sense_elevation_patch((-5.0, -5.0), (40, 40), 0.5)
+        known = np.isfinite(patch.elevation)
+        assert not known[:10].any() and not known[:, :10].any() and known[10:, 10:].all()
+        # the same draws, in the same order, as the patch they mask
+        assert patch.elevation[10:, 10:].tobytes() == full.elevation[10:, 10:].tobytes()
+        assert (patch.origin, patch.cell_size) == (full.origin, full.cell_size)
 
     def test_noise_deterministic_per_seed(self):
         t = flat_terrain()
-        a = World(t, sensor_sigma=0.02, seed=3).sense_elevation_patch(RoverState(30, 30, 0), 10, 0.5)
-        b = World(t, sensor_sigma=0.02, seed=3).sense_elevation_patch(RoverState(30, 30, 0), 10, 0.5)
+        a = patch_around(World(t, sensor_sigma=0.02, seed=3), 30, 30, 10, 0.5)
+        b = patch_around(World(t, sensor_sigma=0.02, seed=3), 30, 30, 10, 0.5)
         assert np.array_equal(a.elevation, b.elevation)
         assert a.elevation.std() > 0.0
 
@@ -340,8 +364,8 @@ class TestRockIndex:
         rng = np.random.default_rng(9)
         for x, y in rng.uniform(0.0, 140.0, (25, 2)):
             pose = RoverState(float(x), float(y), 0.0)
-            pa = a.sense_elevation_patch(pose, 20.0, 0.25).elevation
-            pb = b.sense_elevation_patch(pose, 20.0, 0.25).elevation
+            pa = patch_around(a, pose.x, pose.y, 20.0, 0.25).elevation
+            pb = patch_around(b, pose.x, pose.y, 20.0, 0.25).elevation
             assert pa.tobytes() == pb.tobytes()
             assert a.check_hazard(pose) == b.check_hazard(pose)
 
