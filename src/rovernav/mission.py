@@ -346,6 +346,13 @@ class CostCellRecord:
 # --- the executor ------------------------------------------------------------
 
 
+def _segment_distance(pts: np.ndarray, x: float, y: float) -> float:
+    """Distance from (x, y) to the nearest segment of `pts`; inf for one point."""
+    ab, ap = np.diff(pts, axis=0), np.array([x, y]) - pts[:-1]
+    t = np.clip((ap * ab).sum(axis=1) / np.maximum((ab * ab).sum(axis=1), 1e-300), 0.0, 1.0)
+    return float(np.min(np.hypot(*(ap - t[:, None] * ab).T), initial=math.inf))
+
+
 @dataclass
 class MissionResult:
     metrics: MissionMetrics
@@ -368,6 +375,9 @@ class MissionRunner:
     rover: a lethal cell stays lethal even where the rover has driven.
 
     The rover tracks one path, the current mode's, or none (`_plan_tick`).
+    A blocked leg has three ways out: one flood to the reachable cell
+    nearest the waypoint (`_plan`), the slack skip when that flood ends
+    close to it, and the skip after `no_path_limit` failed plans.
 
     The runner owns its place on the route: `leg` indexes the waypoint it
     is driving to, and moves on when that waypoint is reached or skipped.
@@ -417,6 +427,7 @@ class MissionRunner:
         self.tracker: PathTracker | None = None
         self.last_cmd = VelocityCommand(0.0, 0.0)
         self._no_path_streak = 0
+        self._flood_path = False  # the tracked path came from the flood fallback
         self.next_plan_tick = 0
         self.metrics = MissionMetrics()
         self.trajectory: list[str] = []
@@ -486,6 +497,17 @@ class MissionRunner:
         y1 = grid.origin[1] + grid.rows * grid.cell_size - eps
         return (min(max(goal[0], x0), x1), min(max(goal[1], y0), y1))
 
+    def _sensed_goal(self, grid: CostGrid, goal) -> tuple[float, float]:
+        """The first point on a known cell (lethal counts) walking from the
+        goal back along the chord to the rover, one cell at a time."""
+        x, y = self.state.x, self.state.y
+        d = math.hypot(goal[0] - x, goal[1] - y)
+        t = np.arange(math.floor(d / grid.cell_size) + 1) * (grid.cell_size / max(d, grid.cell_size))
+        xs, ys = goal[0] - t * (goal[0] - x), goal[1] - t * (goal[1] - y)
+        rows, cols = world_to_cell(xs, ys, grid.origin, grid.cell_size)
+        known = np.flatnonzero(grid.values[rows.clip(0, grid.rows - 1), cols.clip(0, grid.cols - 1)] >= 0)
+        return (float(xs[known[0]]), float(ys[known[0]])) if known.size else goal
+
     def _clear_start(self, grid: CostGrid) -> None:
         """Zero out the cells under the rover so planning can always leave
         the (physically occupied, hazard-checked) current pose."""
@@ -504,40 +526,35 @@ class MissionRunner:
     def _plan(self, mode: NavMode, waypoint) -> Path | None:
         """Plan a path toward the waypoint with the mode's machinery.
 
-        The search runs over a window of the global map, every cell as
-        mapped but the disc under the rover (`_clear_start`). The goal is
-        the waypoint clamped into the window. When the direct planner finds
-        no route (goal blocked, or walled off by inflated terrain), a flood
-        search returns the path to the reachable cell with best progress
-        toward the goal instead. Returns None when the window holds no data
-        yet, the start is walled in, or the path stays in the start disc.
+        The search runs over the `map_window` of the global map around the
+        rover, at the global cell (safe) or `cost_resolution`
+        (conservative), every cell as mapped but the disc under the rover
+        (`_clear_start`). The goal is the waypoint clamped into the window,
+        and in conservative mode pulled back onto sensed ground
+        (`_sensed_goal`). When the direct search finds no route, one flood
+        returns the path to the reachable cell nearest the goal instead.
+        Returns None when the window holds no data yet, the start is walled
+        in, or the path stays in the start disc.
         """
         if mode is NavMode.EFFICIENT:
             return bspline_path((self.state.x, self.state.y), waypoint, self.state.heading)
-        # After two failed plans, retry over a doubled window (0.2 m when
-        # conservative). Without it, mock mixed seed 4 reaches 17 waypoints
-        # instead of 18 and geometric challenging seed 0 2 instead of 3; with
-        # it, mock challenging seed 0 retries here 424 times and times out at
-        # 1946 s instead of ending no_path at 153 s (build_scene courses).
-        escape = self._no_path_streak >= 2
-        size = self.config.map_window * (2.0 if escape else 1.0)
-        if mode is NavMode.SAFE:
-            res = self.server.global_map.cell_size
-        else:
-            res = 0.2 if escape else self.config.cost_resolution
-        window = self.server.get_local_window((self.state.x, self.state.y), size, res)
+        res = self.server.global_map.cell_size if mode is NavMode.SAFE else self.config.cost_resolution
+        window = self.server.get_local_window((self.state.x, self.state.y), self.config.map_window, res)
         if int(np.count_nonzero(window.values >= 0)) == 0:
             return None
         self._clear_start(window)
         start = (self.state.x, self.state.y)
         goal = self._clamp_goal(window, waypoint)
-        grid = cost_to_obstacle(window) if mode is NavMode.SAFE else window
+        if mode is NavMode.SAFE:
+            grid, search = cost_to_obstacle(window), astar_obstacle
+        else:
+            grid, goal, search = window, self._sensed_goal(window, goal), astar_cost
+        flood = False
         try:
             try:
-                path = (astar_obstacle(grid, start, goal) if mode is NavMode.SAFE
-                        else astar_cost(grid, start, goal))
+                path = search(grid, start, goal)
             except NoPathError:
-                path = best_progress_path(grid, start, goal)
+                path, flood = best_progress_path(grid, start, goal), True
         except InvalidStartError:
             self._no_path_streak += 1
             return None
@@ -555,6 +572,7 @@ class MissionRunner:
             self._no_path_streak += 1
             return None
         self._no_path_streak = 0
+        self._flood_path = flood
         return Path(pts)
 
     # -- the schedule --
@@ -617,15 +635,17 @@ class MissionRunner:
         the rover actually is, keeping deviations bounded. Partial-leg
         paths (goal clamped to the local window, or best reachable
         progress) end short of the waypoint: replan from the new pose once
-        consumed. A waypoint that cannot be touched but is already close
-        counts as served.
+        consumed. A waypoint the flood could not reach but that is already
+        close counts as served.
         """
         if self.tracker is None:
             return
         cfg = self.config
         pts = self.tracker.path.points
         d_path = float(np.min(np.hypot(pts[:, 0] - self.state.x, pts[:, 1] - self.state.y)))
-        if d_path > cfg.off_path_limit:
+        # the nearest segment is never farther than the nearest vertex
+        if (d_path > cfg.off_path_limit
+                and _segment_distance(pts, self.state.x, self.state.y) > cfg.off_path_limit):
             self.tracker = None
             return
         if not self.tracker.reached(self.state):
@@ -633,7 +653,7 @@ class MissionRunner:
         wp = self.route[self.leg]
         d_wp = math.hypot(wp[0] - self.state.x, wp[1] - self.state.y)
         if d_wp > cfg.waypoint_tolerance:
-            if not self._final_leg and d_wp <= cfg.blocked_waypoint_slack:
+            if self._flood_path and not self._final_leg and d_wp <= cfg.blocked_waypoint_slack:
                 self.leg += 1
                 self.metrics.waypoints_skipped += 1
             self.tracker = None

@@ -14,9 +14,9 @@ keeps the search on open cells. It runs in two modes:
 * goal mode: A* toward a goal cell with the octile heuristic
   (`astar_obstacle`, `astar_cost`).
 * flood mode: Dijkstra from the start with no goal (h = 0).
-  `best_progress_path` targets the reachable cell that gets closest to a
-  goal the direct planners could not reach. It finds the candidates from
-  the start's connected component, then floods only until it settles the
+  `best_progress_path` targets the reachable cell nearest a goal the
+  direct planners could not reach. It finds the candidates from the
+  start's connected component, then floods only until it settles the
   first of them.
 
 All searches are deterministic: ties break on lower f, then lower h, then
@@ -36,7 +36,7 @@ import numpy as np
 from scipy import ndimage
 
 from .errors import InvalidStartError, NoPathError, ValidationError
-from .grids import cell_center, neighbor_slices, world_to_cell
+from .grids import cell_center, world_to_cell
 from .mapping import COST_MAX, CostGrid
 
 SQRT2 = math.sqrt(2.0)
@@ -264,21 +264,15 @@ def best_progress_path(grid: CostGrid, start, goal) -> Path:
 
     The target is the reachable cell with the smallest Euclidean distance
     to the goal (ties: lower path weight, then row-major order). When no
-    reachable cell improves on the start (the rover is pressed against a
-    wall), the target becomes the reachable frontier cell nearest the goal
-    - a cell bordering unknown space - so fresh sensing from there can
-    open the route; the safe view has no unknown cells, so there it keeps
-    the nearest reachable cell. Falls back to a single-point path at the
-    start cell when nothing else is reachable. Used when the direct
-    planners report no path, so the rover can still make progress around
-    large blocked regions.
+    reachable cell is nearer the goal than the start cell, the path is the
+    single point at the start cell. Used when the direct planners report
+    no path, so the rover can still make progress around large blocked
+    regions.
 
-    The reachable cells are the start's 8-connected component of open
-    cells, which is exactly the set a flood of the search graph settles.
-    The candidates - every reachable cell at the target's distance to the
-    goal - come from that set. The flood (the search core without a goal)
-    stops at the first candidate it settles, which is the one of least
-    path weight, then row-major order.
+    The candidates, every reachable cell at the least distance to the
+    goal, come from the start's 8-connected component of open cells: the
+    set a flood settles. The flood stops at the first candidate it settles,
+    the one of least path weight, then row-major order.
     """
     blocked, mult = _graph(grid)
     rows, cols = blocked.shape
@@ -287,35 +281,15 @@ def best_progress_path(grid: CostGrid, start, goal) -> Path:
         raise InvalidStartError("start cell is blocked or outside the grid")
     labels, _ = ndimage.label(~blocked, structure=np.ones((3, 3)))
     rr, cc = np.nonzero(labels == labels[sr, sc])
-    near, to_goal = _nearest(rr, cc, gr, gc)
-    min_progress_cells = 3.0 / grid.cell_size
-    if to_goal >= math.hypot(sr - gr, sc - gc) - min_progress_cells:
-        # walled in: aim for the reachable frontier nearest the goal
-        unknown = grid.values < 0
-        near_unknown = np.zeros_like(unknown)
-        for dst, src in neighbor_slices(unknown.shape):
-            near_unknown[dst] |= unknown[src]
-        frontier = near_unknown[rr, cc]
-        if frontier.any():
-            rr, cc = rr[frontier], cc[frontier]
-            near, _ = _nearest(rr, cc, gr, gc)
-    cells = _search(blocked, mult, (sr, sc), targets=zip(rr[near].tolist(), cc[near].tolist()))
-    return Path(np.column_stack(cell_center(*cells, grid.origin, grid.cell_size)))
-
-
-def _nearest(rr, cc, gr, gc):
-    """Positions in (rr, cc) of the cells at the least `math.hypot` distance
-    to the goal cell (gr, gc), and that distance.
-
-    The square roots of distinct integer squared distances lie many ulps
-    apart on any grid that fits in memory, so only cells of the least
-    squared distance can tie; math.hypot settles the tie among those.
-    """
+    # The square roots of distinct integer squared distances lie many ulps
+    # apart on any grid that fits in memory, so only cells of the least
+    # squared distance can tie; math.hypot settles the tie among those.
     d2 = (rr - gr) ** 2 + (cc - gc) ** 2
-    near = np.flatnonzero(d2 == d2.min())
-    to_goal = [math.hypot(r - gr, c - gc) for r, c in zip(rr[near].tolist(), cc[near].tolist())]
-    least = min(to_goal)
-    return near[[d == least for d in to_goal]], least
+    tie = d2 == d2.min()
+    to_goal = {(r, c): math.hypot(r - gr, c - gc) for r, c in zip(rr[tie].tolist(), cc[tie].tolist())}
+    least = min(to_goal.values())
+    cells = _search(blocked, mult, (sr, sc), targets=[cell for cell, d in to_goal.items() if d == least])
+    return Path(np.column_stack(cell_center(*cells, grid.origin, grid.cell_size)))
 
 
 def first_lethal_point(path: Path, grid: CostGrid) -> tuple[float, float] | None:

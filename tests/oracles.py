@@ -9,7 +9,6 @@ least-squares plane fit. Keep them simple and slow.
 """
 
 import heapq
-import itertools
 import math
 
 import numpy as np
@@ -317,7 +316,7 @@ def search_astar_cells(values, start, goal):
     return _cells_to(came, cols, start[0] * cols + start[1], goal[0] * cols + goal[1])
 
 
-def search_best_progress_cells(values, start, goal, cell_size):
+def search_best_progress_cells(values, start, goal):
     """Cell path to the best-progress target of a flood from an open start."""
     blocked, mult = search_graph(values)
     cols = blocked.shape[1]
@@ -328,16 +327,6 @@ def search_best_progress_cells(values, start, goal, cell_size):
     to_goal = list(map(math.hypot, (rr - gr).tolist(), (cc - gc).tolist()))
     weight = [dist[idx] for idx in closed]
     best = min(zip(to_goal, weight, closed))
-    if best[0] >= math.hypot(sr - gr, sc - gc) - 3.0 / cell_size:
-        unknown = np.asarray(values) < 0
-        padded = np.pad(unknown, 1)
-        rows = unknown.shape[0]
-        near_unknown = np.zeros_like(unknown)
-        for dr in (-1, 0, 1):
-            for dc in (-1, 0, 1):
-                near_unknown |= padded[1 + dr:1 + dr + rows, 1 + dc:1 + dc + cols]
-        frontier = near_unknown.ravel()[closed].tolist()
-        best = min(itertools.compress(zip(to_goal, weight, closed), frontier), default=best)
     return _cells_to(came, cols, sr * cols + sc, best[2])
 
 

@@ -1,5 +1,6 @@
 import contextlib
 import dataclasses
+import hashlib
 import http.server
 import math
 import sys
@@ -13,7 +14,7 @@ import pytest
 import rovernav.mission as mission
 from rovernav.classify import VLM_KEY_ENV, TerrainAssessment, VlmConfig
 from rovernav.config import build_scene, fill_config, scene_from_config
-from rovernav.errors import InvalidStartError, ValidationError, VlmTimeoutError, VlmTransportError
+from rovernav.errors import InvalidStartError, NoPathError, ValidationError, VlmTimeoutError, VlmTransportError
 from rovernav.grids import world_to_cell
 from rovernav.map_server import WaypointQueue
 from rovernav.mapping import COST_MAX, CostGrid
@@ -37,14 +38,13 @@ from conftest import flat_terrain
 # `scenarios.mission_digest` (sha256 of json(metrics, sorted keys) + b"\n" +
 # the trajectory rows) of the adaptive mock-classifier mission on
 # build_scene(kind, 0). A change that moves one of these must explain why.
-# Mixed and challenging are the benchmark's adaptive missions: mixed ends in
-# a rock collision, challenging in a timeout after a long run of failed
-# safe-mode plans.
+# Mixed is the benchmark's adaptive mission: it completes with 24 of 29
+# waypoints reached. Challenging ends no_path with 2 of 9 reached.
 GOLDEN_DIGESTS = {
     "flat": "89664f7dc96d8248d3662bfa5477f1b85a00faf8a69bc70e4be3bfd34e85e9fb",
-    "rocky": "8c9df14903c8d4c025ef410b9fcb3ee12865e3249601e0d658f017b92eef4046",
-    "mixed": "de1d0c96f18ebce4de196ce1d1ba42a6b306bf976370caa4c413bbdd28f7267a",
-    "challenging": "935a05207b74d1f051b8143d1ffc295792a1b5f4b5e8918ad66fc7f4b3b88c58",
+    "rocky": "55ca16d400aa04d12f63ee0ab663d5a44c6f622b40a00ccb1f64f15100221819",
+    "mixed": "bf7f5f6ac74fb82b40f9b0ca2d12c7e1287abd688b0f0d1a23471029db9f955c",
+    "challenging": "af118ddc5a818278bd367dbb61e50bbb0a7c211bdcc8be6bb4ce69dd5f7a5e9e",
 }
 
 # Forced-conservative mission on build_scene("rocky", 0), first 2 auto
@@ -54,9 +54,12 @@ CONSERVATIVE_DIGEST = "5ad6b2e404bbd4ece4846f0ed3cd4ceeb46bbde5377f0848999c98895
 # The rocky seed-0 scene with sensor_sigma 0.02, which pins the order and
 # number of noise draws: the forced-conservative mission above (the
 # costmap's record senses each block once), and the adaptive mock mission,
-# which runs in safe mode and senses a fresh patch every second.
+# which runs in safe mode and senses a fresh patch every second. The noise
+# moves 5 of that mission's map cells but none of its plans, so its pin
+# takes the sha256 of the final global map's bytes as well.
 NOISY_CONSERVATIVE_DIGEST = "757daccdfb9124abee4be3d80ab643cb3eb83f3431130d39d1a464560cc31655"
-NOISY_ADAPTIVE_DIGEST = "0e9ad701cb58c1edc6e8155db8af1b041e92c8f2e392b8609f6bfd3b471a2b82"
+NOISY_ADAPTIVE_DIGEST = "55ca16d400aa04d12f63ee0ab663d5a44c6f622b40a00ccb1f64f15100221819"
+NOISY_ADAPTIVE_MAP = "20c6b5a15a4b0042959820d51dae4e1e5fe04892ab9d9547e08832d03afe1ebd"
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -124,17 +127,31 @@ def test_noisy_adaptive_digest(scenarios):
     assert metrics["time_by_mode"]["safe"] == metrics["total_time"] > 0
     assert scenarios.check_invariants(metrics, result.trajectory, len(result.trajectory), None) == []
     assert scenarios.mission_digest(metrics, result.trajectory) == NOISY_ADAPTIVE_DIGEST
+    assert hashlib.sha256(result.server.global_map.values.tobytes()).hexdigest() == NOISY_ADAPTIVE_MAP
 
 
 @pytest.mark.parametrize("seed", range(5))
 def test_forced_conservative_records_no_hazard(seed):
-    # The single-mode baseline may fail to arrive, never to stay safe: seed
-    # 2 ends in a timeout because its final waypoint lies on inflated lethal
-    # cells and the final goal is never relaxed, so only hazards are gated.
+    # The single-mode baseline may fail to arrive, never to stay safe. Seed
+    # 2's final waypoint lies on inflated lethal cells and the final goal is
+    # never relaxed: the flood ends short of it, and the mission ends
+    # no_path once no plan makes progress.
     scene = build_scene("rocky", seed)
     queue = WaypointQueue(list(scene.waypoints.points[:2]))
     result = run_mission(scene.world, queue, None, forced_mode=NavMode.CONSERVATIVE, start=scene.start)
     assert result.metrics.hazards == []
+    assert result.metrics.end_reason == ("no_path" if seed == 2 else "complete")
+
+
+def test_forced_conservative_serves_every_waypoint():
+    # The conservative goal lands on sensed ground, so each leg plans
+    # directly to its waypoint instead of flooding short of it and skipping
+    scene = build_scene("rocky", 0)
+    queue = WaypointQueue(list(scene.waypoints.points[:3]))
+    result = run_mission(scene.world, queue, None, forced_mode=NavMode.CONSERVATIVE, start=scene.start)
+    metrics = result.metrics
+    assert (metrics.end_reason, metrics.waypoints_reached, metrics.waypoints_skipped) == ("complete", 3, 0)
+    assert metrics.hazards == []
 
 
 def test_no_path_ending_counts_the_control_period(monkeypatch, scenarios):
@@ -182,18 +199,27 @@ def test_unplannable_intermediate_leg_is_skipped(monkeypatch):
     assert _closest_approach(result.trajectory, walled) > ModeConfig.waypoint_tolerance
 
 
-def _stop_short(monkeypatch, blocked, stop):
+def _stop_short(monkeypatch, blocked, stop, fallback=True):
     """Route every plan toward `blocked` to `stop` instead, 5 m short of
-    it; returns the starts of those plans."""
+    it: through the flood fallback, the direct planner finding no path, or
+    with `fallback` False as a direct path. Returns the starts of those
+    plans."""
     starts = []
 
     def planner(grid, start, goal):
         if math.dist(goal, blocked) < 12.0:
+            if fallback:
+                raise NoPathError("goal cell is blocked")
             starts.append(start)
             return _line(start, stop)
         return _line(start, goal)
 
+    def flood(grid, start, goal):
+        starts.append(start)
+        return _line(start, stop)
+
     monkeypatch.setattr(mission, "astar_obstacle", planner)
+    monkeypatch.setattr(mission, "best_progress_path", flood)
     return starts
 
 
@@ -207,6 +233,36 @@ def test_blocked_intermediate_waypoint_within_slack_is_skipped(monkeypatch):
     # skipped on arrival at the path's end, before any plan from there
     assert all(math.dist(start, stop) > 1.0 for start in starts)
     assert _closest_approach(result.trajectory, blocked) > ModeConfig.waypoint_tolerance
+
+
+def test_short_direct_path_does_not_skip_its_waypoint(monkeypatch):
+    # A direct path that ends short (the goal clamped into the window, here
+    # a stand-in) proves nothing blocked: the rover replans from its end,
+    # and only the no-path streak skips the waypoint.
+    blocked, stop = (40.0, 20.0), (35.0, 20.0)
+    starts = _stop_short(monkeypatch, blocked, stop, fallback=False)
+    result = run_mission(World(flat_terrain()), WaypointQueue([blocked, (20.0, 40.0)]), None,
+                         forced_mode=NavMode.SAFE, start=RoverState(20.0, 20.0, 0.0))
+    metrics = result.metrics
+    assert (metrics.end_reason, metrics.waypoints_reached, metrics.waypoints_skipped) == ("complete", 1, 1)
+    assert sum(math.dist(start, stop) <= 1.0 for start in starts) == ModeConfig.no_path_limit
+
+
+def test_rover_between_two_vertices_stays_on_its_path(monkeypatch):
+    # The cross-track error is measured to the path's segments: mid-way
+    # along a long straight segment, far from both of its vertices, the
+    # rover is on its path and keeps it.
+    starts = []
+
+    def planner(grid, start, goal):
+        starts.append(start)
+        return mission.Path([start, goal])
+
+    monkeypatch.setattr(mission, "astar_obstacle", planner)
+    result = run_mission(World(flat_terrain()), WaypointQueue([(28.0, 24.0)]), None,
+                         forced_mode=NavMode.SAFE, start=RoverState(20.0, 20.0, 0.0))
+    assert result.metrics.success
+    assert starts == [(20.0, 20.0)]
 
 
 def test_blocked_final_waypoint_is_never_skipped(monkeypatch):
@@ -255,6 +311,34 @@ def test_planning_keeps_lethal_cells_on_the_rovers_trail(monkeypatch):
     assert runner._plan(NavMode.CONSERVATIVE, runner.route[0]) is not None
     (grid,) = searched
     assert grid.values[world_to_cell(*start, grid.origin, grid.cell_size)] == COST_MAX
+
+
+def test_conservative_goal_in_unknown_cells_lands_on_sensed_ground(monkeypatch):
+    # The waypoint lies beyond the sensed strip x < 25: the goal walks back
+    # along the chord from the rover to the last known cell.
+    runner = _runner(20.25, 20.25)
+    gm = runner.server.global_map
+    gm.values[:, :50] = 0
+    goals = []
+
+    def record(grid, start, goal):
+        goals.append((grid, goal))
+        return astar_cost(grid, start, goal)
+
+    monkeypatch.setattr(mission, "astar_cost", record)
+    assert runner._plan(NavMode.CONSERVATIVE, (40.0, 22.25)) is not None
+    ((grid, goal),) = goals
+    assert grid.values[world_to_cell(*goal, grid.origin, grid.cell_size)] >= 0
+    assert 25.0 - grid.cell_size <= goal[0] < 25.0
+    # on the chord from the rover to the goal clamped into the window
+    cx, cy = runner._clamp_goal(grid, (40.0, 22.25))
+    assert goal[1] == pytest.approx(20.25 + (goal[0] - 20.25) * (cy - 20.25) / (cx - 20.25))
+
+
+def test_conservative_goal_on_a_lethal_cell_stays():
+    runner = _runner(20.25, 20.25)
+    grid = CostGrid(np.full((200, 200), COST_MAX, dtype=np.int16), (10.0, 10.0), 0.1)
+    assert runner._sensed_goal(grid, (29.95, 22.25)) == (29.95, 22.25)
 
 
 def test_arrival_on_the_final_waypoint_uses_its_tolerance():

@@ -232,17 +232,12 @@ class TestBestProgress:
         # from row 2 both candidates cost 3 + sqrt(2); the lower row wins
         assert tuple(self.walled((2, 0)).points[-1]) == center(1, 4)
 
-    def test_costmap_walled_in_aims_for_frontier(self):
+    def test_costmap_walled_in_stays(self):
+        # no reachable cell is nearer the goal than the start, unknown
+        # ground on the start's side included
         values = np.zeros((12, 12), dtype=int)
         values[:, 6] = 100
         values[0, 0:3] = -1
-        path = best_progress_path(cost_grid(values), center(6, 5), center(6, 11))
-        # (1, 3) borders the unknown patch and is the frontier cell nearest the goal
-        assert tuple(path.points[-1]) == center(1, 3)
-
-    def test_costmap_walled_in_without_frontier_stays(self):
-        values = np.zeros((12, 12), dtype=int)
-        values[:, 6] = 100
         path = best_progress_path(cost_grid(values), center(6, 5), center(6, 11))
         assert path.points.tolist() == [list(center(6, 5))]
 
@@ -328,7 +323,7 @@ class TestSearchOracle:
                 for planner, view in ((astar_cost, grid), (astar_obstacle, cost_to_obstacle(grid))):
                     if not 0 <= view.values[start] < COST_MAX:
                         continue
-                    expected = search_best_progress_cells(view.values, start, goal, cell_size)
+                    expected = search_best_progress_cells(view.values, start, goal)
                     got = best_progress_path(view, s, g)
                     assert np.array_equal(self.cells(got, cell_size), expected)
                     counts["best_progress"] += 1
