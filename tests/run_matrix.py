@@ -138,12 +138,12 @@ def summary(scenes: dict) -> dict:
     }
 
 
-def write_matrix(jobs: int) -> Path:
-    presets = sorted({spec[0] for spec in SCENES.values()},
-                     key=lambda p: -sum(spec[0] == p for spec in SCENES.values()))
+def write_matrix() -> Path:
+    # GROUPS runs from the cheapest preset to the costliest; start the costliest first
+    presets = list(dict.fromkeys(group[0] for group in reversed(GROUPS)))
     scenes = {}
     spawn = multiprocessing.get_context("spawn")
-    with concurrent.futures.ProcessPoolExecutor(jobs, mp_context=spawn, max_tasks_per_child=1) as pool:
+    with concurrent.futures.ProcessPoolExecutor(2, mp_context=spawn, max_tasks_per_child=1) as pool:
         for part in pool.map(run_preset, presets):
             scenes.update(part)
     sha = _git("rev-parse", "HEAD").strip() or "unknown"
@@ -160,7 +160,7 @@ def write_matrix(jobs: int) -> Path:
 
 
 def newest_matrix(root: Path = ROOT) -> dict:
-    """The committed matrix file written last."""
+    """The matrix file with the latest `written` stamp."""
     files = [json.loads(p.read_text()) for p in root.glob("MATRIX_*.json")]
     return max(files, key=lambda m: m["written"])
 
@@ -189,7 +189,6 @@ def diff(before: dict, after: dict) -> str:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--jobs", type=int, default=2, help="worker processes (default 2)")
     parser.add_argument("--diff", nargs=2, metavar=("BEFORE", "AFTER"), type=Path,
                         help="print the scenes whose outcome moved between two matrix files")
     args = parser.parse_args(argv)
@@ -197,7 +196,7 @@ def main(argv=None) -> int:
         before, after = (json.loads(p.read_text()) for p in args.diff)
         print(diff(before, after))
         return 0
-    print(write_matrix(args.jobs))
+    print(write_matrix())
     return 0
 
 
