@@ -12,14 +12,14 @@ grades cost by slope, roughness, and step height. Each function that needs the k
 takes it once, as `np.isfinite(elevation)`. `cost_to_obstacle` turns any
 cost layer into the safe view the mid-tier planner searches.
 `cost_features` is the one pass that fits the planes and applies the cost
-law. `cost_cells` is the one quantization: it keeps a costmap before
-inflation as one uint8 code per cell. Both take a margin: the cells within
-it of the border feed the plane fits and step rings of the cells inside,
-and get no cost of their own. `lethal_halo` is the one lethal inflation
-of such codes, each source's transform cropped to its lethal cells' box
-grown by its radius, and `build_navigation_costmap` the one step from
-codes and halo to costs, for the rover's local costmap and for the coarse
-route costmap alike. All inflation goes through `grids.dilate_disc`.
+law. `cost_cells` is the one quantization: it keeps a costmap as one uint8
+code per cell. Both take a margin: the cells within it of the border feed
+the plane fits and step rings of the cells inside, and get no cost of their
+own. `lethal_halo` is the one lethal inflation of such codes, in place,
+each source's transform cropped to its lethal cells' box grown by its
+radius, and `build_navigation_costmap` the one step from codes to costs,
+for the rover's local costmap and for the coarse route costmap alike.
+All inflation goes through `grids.dilate_disc`.
 """
 
 from __future__ import annotations
@@ -56,13 +56,16 @@ SLOPE_WEIGHT = 0.5
 ROUGH_WEIGHT = 0.3
 STEP_WEIGHT = 0.2
 
-# Cost-cell codes, the uint8 form of a costmap before inflation: 0 for
-# unknown, 1 + cost for costs 0..100, and one code per source of a lethal
-# cell, since each source inflates by its own radius.
+# Cost-cell codes, the uint8 form of a costmap: 0 for unknown, 1 + cost for
+# costs 0..100, one per source of a lethal cell (each inflates by its own
+# radius), and one for a known cell in a lethal cell's inflation. A code's
+# cost never falls as the code rises, so a block's highest code costs its
+# highest cost.
 CELL_UNKNOWN = 0
 CELL_SLOPE_LETHAL = COST_MAX + 2
 CELL_BUMP_LETHAL = COST_MAX + 3
-_CELL_COST = np.array([COST_UNKNOWN, *range(COST_MAX + 1), COST_MAX, COST_MAX], dtype=np.int16)
+CELL_HALO = COST_MAX + 4
+_CELL_COST = np.array([COST_UNKNOWN, *range(COST_MAX + 1), COST_MAX, COST_MAX, COST_MAX], dtype=np.int16)
 
 
 @dataclass
@@ -241,8 +244,9 @@ def cost_cells(elev: HeightField, weights: CostWeights = CostWeights(), margin: 
 
 
 def lethal_halo(codes: np.ndarray, cell_size: float,
-                radii: tuple[float, float] = (DEFAULT_INFLATION_RADIUS, BUMP_INFLATION_RADIUS)) -> np.ndarray:
-    """The cells of `codes` within reach of a lethal cell: one disc
+                radii: tuple[float, float] = (DEFAULT_INFLATION_RADIUS, BUMP_INFLATION_RADIUS)) -> None:
+    """Mark `CELL_HALO`, in place, on the known cells of `codes` within
+    reach of a lethal cell that are not lethal themselves: one disc
     inflation per source, each by its own radius (meters).
 
     `radii` are the inflation radii of slope-lethal and of bump-lethal
@@ -255,7 +259,6 @@ def lethal_halo(codes: np.ndarray, cell_size: float,
     union of discs, so the halo of a grid is the union of the halos of any
     pieces that cover it, each grown beyond its piece by the radius.
     """
-    halo = np.zeros(codes.shape, dtype=bool)
     for code, radius in zip((CELL_SLOPE_LETHAL, CELL_BUMP_LETHAL), radii):
         mask = codes == code
         rows, cols = np.flatnonzero(mask.any(axis=1)), np.flatnonzero(mask.any(axis=0))
@@ -266,17 +269,14 @@ def lethal_halo(codes: np.ndarray, cell_size: float,
         # cell's nearest lethal cell: the transform over the box is exact.
         p = int(radius / cell_size) + 1
         box = np.s_[max(rows[0] - p, 0):rows[-1] + p + 1, max(cols[0] - p, 0):cols[-1] + p + 1]
-        halo[box] |= dilate_disc(mask[box], radius / cell_size)
-    return halo
+        view, halo = codes[box], dilate_disc(mask[box], radius / cell_size)
+        view[halo & (view != CELL_UNKNOWN) & (view <= COST_MAX + 1)] = CELL_HALO
 
 
-def build_navigation_costmap(codes: np.ndarray, halo: np.ndarray, origin, cell_size: float) -> CostGrid:
-    """The planning costmap of `cost_cells` codes on a grid at `origin`:
-    each code's cost, and `COST_MAX` on the known cells of the lethal
-    `halo` (`lethal_halo`, same shape). Unknown cells stay unknown."""
-    values = _CELL_COST[codes]
-    values[halo & (codes != CELL_UNKNOWN)] = COST_MAX
-    return CostGrid(values, origin, cell_size)
+def build_navigation_costmap(codes: np.ndarray, origin, cell_size: float) -> CostGrid:
+    """The planning costmap of `cost_cells` codes, inflated or not, on a
+    grid at `origin`: each code's cost. Unknown cells stay unknown."""
+    return CostGrid(_CELL_COST[codes], origin, cell_size)
 
 
 def cost_to_obstacle(grid: CostGrid) -> CostGrid:

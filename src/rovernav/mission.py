@@ -261,14 +261,14 @@ class CostCellRecord:
     its centre at ((j + 0.5) * cell, (i + 0.5) * cell). They are built in
     blocks of `block` x `block` cells, one global map cell each (`shape` is
     the global map's), and stored as `mapping.cost_cells` codes; a block
-    that was never built reads unknown. Beside the codes, on the same
-    lattice, `halo` marks the cells within a lethal radius of a built
-    lethal code (`mapping.lethal_halo`). Each build ORs the halo of the
-    codes it stores into it, so the halo is always that of every code built
-    so far. `window` builds every block of the window, and of the inflation
-    radius around it, that is not built yet; no lethal cell it has not
-    built can then reach the window, so it reads the costs straight from
-    the codes and the halo.
+    that was never built reads unknown. Each build folds the lethal halo
+    into the known codes around it (`mapping.lethal_halo`): its own lethal
+    cells mark the built cells within reach, and the lethal cells built
+    before mark its new cells. So a known code is `CELL_HALO` exactly when
+    a lethal code built so far reaches it. `window` builds every block of
+    the window, and of the inflation radius around it, that is not built
+    yet; no lethal cell it has not built can then reach the window, so it
+    reads each block's highest code straight from the record.
 
     A block is built from heights sensed on the centres of its cells and of
     a `cost_feature_reach` margin around them, so its codes equal those of
@@ -286,28 +286,25 @@ class CostCellRecord:
         self.block = block
         # np.zeros leaves the pages of blocks never built untouched.
         self.codes = np.zeros((shape[0] * block, shape[1] * block), dtype=np.uint8)
-        self.halo = np.zeros(self.codes.shape, dtype=bool)
         self.built = np.zeros(shape, dtype=bool)
         self.reach = cost_feature_reach(cell)
         # the largest lethal radius, in cells and in whole blocks
         self.pad = math.ceil(DEFAULT_INFLATION_RADIUS / cell)
         self.pad_blocks = math.ceil(DEFAULT_INFLATION_RADIUS / (cell * block))
 
-    def window(self, row: int, col: int, n: int) -> CostGrid:
-        """The inflated costmap over the n x n blocks from block (row, col)."""
+    def window(self, row: int, col: int, n: int) -> np.ndarray:
+        """The highest code of each of the n x n blocks from block (row,
+        col), as an n x n uint8 array; blocks off the map read unknown."""
         h, k = self.pad_blocks, self.block
         r0, r1 = max(row - h, 0), min(row + n + h, self.built.shape[0])
         c0, c1 = max(col - h, 0), min(col + n + h, self.built.shape[1])
         self._build(r0, c0, ~self.built[r0:r1, c0:c1])
-        # the window's codes and halo; off the map stays unknown
-        src = np.s_[max(row, 0) * k:(row + n) * k, max(col, 0) * k:(col + n) * k]
-        top, left = (max(row, 0) - row) * k, (max(col, 0) - col) * k
-        rows, cols = self.codes[src].shape
-        dst = np.s_[top:top + rows, left:left + cols]
-        codes = np.zeros((n * k, n * k), dtype=np.uint8)
-        halo = np.zeros((n * k, n * k), dtype=bool)
-        codes[dst], halo[dst] = self.codes[src], self.halo[src]
-        return build_navigation_costmap(codes, halo, (col * k * self.cell, row * k * self.cell), self.cell)
+        src = self.codes[max(row, 0) * k:(row + n) * k, max(col, 0) * k:(col + n) * k]
+        rows, cols = src.shape[0] // k, src.shape[1] // k
+        top, left = max(row, 0) - row, max(col, 0) - col
+        codes = np.zeros((n, n), dtype=np.uint8)
+        codes[top:top + rows, left:left + cols] = src.reshape(rows, k, cols, k).max(axis=(1, 3))
+        return codes
 
     def _build(self, row: int, col: int, todo: np.ndarray) -> None:
         """Build the blocks marked in `todo` (from block (row, col)) as
@@ -323,7 +320,7 @@ class CostCellRecord:
     def _build_blocks(self, r0: int, r1: int, c0: int, c1: int) -> None:
         """Sense and cost blocks [r0, r1) x [c0, c1) with their margin,
         halving the longer side while the sensed patch is over
-        `BUILD_PATCH_CELLS`, and grow their lethal cells into the halo."""
+        `BUILD_PATCH_CELLS`, and fold the lethal halo into them and around."""
         k, m, p = self.block, self.reach, self.pad
         shape = ((r1 - r0) * k + 2 * m, (c1 - c0) * k + 2 * m)
         if shape[0] * shape[1] > BUILD_PATCH_CELLS and max(r1 - r0, c1 - c0) > 1:
@@ -336,10 +333,10 @@ class CostCellRecord:
             return
         elev = self.world.sense_points(((c0 * k - m) * self.cell, (r0 * k - m) * self.cell), shape, self.cell)
         self.codes[r0 * k:r1 * k, c0 * k:c1 * k] = cost_cells(elev, margin=m)
-        # The new lethal cells reach `pad` cells beyond the blocks; lethal
-        # cells built before add only halo that is already set.
-        ring = np.s_[max(r0 * k - p, 0):r1 * k + p, max(c0 * k - p, 0):c1 * k + p]
-        self.halo[ring] |= lethal_halo(self.codes[ring], self.cell)
+        # The new lethal cells reach `pad` cells beyond the blocks, and
+        # every lethal cell that reaches the blocks lies within `pad` of
+        # them; the others mark only cells already marked.
+        lethal_halo(self.codes[max(r0 * k - p, 0):r1 * k + p, max(c0 * k - p, 0):c1 * k + p], self.cell)
         self.built[r0:r1, c0:c1] = True
 
 
@@ -462,10 +459,10 @@ class MissionRunner:
         Safe mode extracts obstacles on the global map's own cells from a
         patch sensed every 0.25 m over the window plus half a meter each
         side. Conservative mode takes the window of the mission's
-        `CostCellRecord` at 0.1 m, whose cells are sensed on their own
+        `CostCellRecord`, whose 0.1 m cells are sensed on their own
         centres and built once each (with `sensor_sigma` > 0 a cell's cost
-        comes from one noise draw per mission, not one per tick), and
-        max-pools each global cell's block of it.
+        comes from one noise draw per mission, not one per tick), and costs
+        the highest code of each global cell's block: its highest cost.
         """
         if self.mode is not mode:
             return
@@ -484,9 +481,7 @@ class MissionRunner:
             if self.cost_record is None:
                 self.cost_record = CostCellRecord(self.world, self.server.global_map.values.shape,
                                                   self.config.cost_resolution, round(base / self.config.cost_resolution))
-            k = self.cost_record.block
-            values = self.cost_record.window(row, col, n).values
-            local = CostGrid(values.reshape(n, k, n, k).max(axis=(1, 3)), origin, base)
+            local = build_navigation_costmap(self.cost_record.window(row, col, n), origin, base)
         self.server.update_from_local(local, mode)
 
     def _clamp_goal(self, grid: CostGrid, goal) -> tuple[float, float]:
@@ -515,13 +510,10 @@ class MissionRunner:
         x, y = self.state.x, self.state.y
         (r0, r1), (c0, c1) = world_to_cell(
             [x - radius, x + radius], [y - radius, y + radius], grid.origin, grid.cell_size)
-        rows = np.arange(max(r0, 0), min(r1 + 1, grid.rows))
-        cols = np.arange(max(c0, 0), min(c1 + 1, grid.cols))
-        xs, ys = cell_center(rows, cols, grid.origin, grid.cell_size)
-        for r, cy in zip(rows, ys.tolist()):
-            for c, cx in zip(cols, xs.tolist()):
-                if math.hypot(cx - x, cy - y) <= radius:
-                    grid.values[r, c] = 0
+        r0, c0 = max(r0, 0), max(c0, 0)
+        xs, ys = cell_center(np.arange(r0, min(r1 + 1, grid.rows)), np.arange(c0, min(c1 + 1, grid.cols)),
+                             grid.origin, grid.cell_size)
+        grid.values[r0:r0 + ys.size, c0:c0 + xs.size][np.hypot(xs - x, ys[:, None] - y) <= radius] = 0
 
     def _plan(self, mode: NavMode, waypoint) -> Path | None:
         """Plan a path toward the waypoint with the mode's machinery.

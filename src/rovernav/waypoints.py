@@ -51,8 +51,8 @@ def global_cost_from_dem(dem: HeightField, weights: CostWeights = COARSE_WEIGHTS
     coarse = HeightField(trimmed.reshape(rows, block, cols, block).mean(axis=(1, 3)), dem.origin,
                          block * dem.cell_size)
     codes = cost_cells(coarse, weights)
-    halo = lethal_halo(codes, coarse.cell_size, (inflation, inflation))
-    return build_navigation_costmap(codes, halo, coarse.origin, coarse.cell_size)
+    lethal_halo(codes, coarse.cell_size, (inflation, inflation))
+    return build_navigation_costmap(codes, coarse.origin, coarse.cell_size)
 
 
 def sparsify_waypoints(path: Path, spacing: float = DEFAULT_WAYPOINT_SPACING) -> WaypointQueue:

@@ -3,16 +3,17 @@ pytest-benchmark.
 
 The file name keeps it out of the default test run; run it with
 `python -m pytest tests/bench_mapping.py`. Sizes are those of the mission
-loop. The conservative mode keeps a record of cost cells at 0.1 m: a
+loop. The conservative mode keeps a record of cost-cell codes at 0.1 m: a
 straight move of 1 m between costmap ticks builds one strip of 10 x 270
 cells (the 20 m window plus the 3.5 m inflation radius each side), sensed
 with a 2.8 m feature margin and costed on its 10 x 270 kept cells alone
-(`cost_cells(strip, margin=REACH)`), and grows the strip's lethal cells
-into the record's halo over the strip padded by the radius. Each tick then
-only reads the 20 m window's costs from its stored codes and halo. The safe
-mode senses 84 x 84 samples at 0.25 m (a 21 m patch), rasterizes them onto
-the 40 x 40 cells of a 20 m window at 0.5 m and extracts obstacles there.
-The terrain is the rocky preset, scene seed 0.
+(`cost_cells(strip, margin=REACH)`), and folds the lethal halo in place
+into the stored codes of the strip padded by the radius (`lethal_halo`).
+Each tick then reads the 20 m window as the highest code of each of its
+40 x 40 blocks of 5 x 5 cells and costs those at 0.5 m. The safe mode
+senses 84 x 84 samples at 0.25 m (a 21 m patch), rasterizes them onto the
+40 x 40 cells of a 20 m window at 0.5 m and extracts obstacles there. The
+terrain is the rocky preset, scene seed 0.
 """
 
 import math
@@ -22,7 +23,9 @@ import pytest
 
 from rovernav.config import build_scene
 from rovernav.grids import disc_max, disc_min, interior
+from rovernav.map_server import MapServer
 from rovernav.mapping import (
+    CELL_HALO,
     DEFAULT_INFLATION_RADIUS,
     build_elevation_grid,
     build_navigation_costmap,
@@ -31,9 +34,11 @@ from rovernav.mapping import (
     extract_obstacles,
     lethal_halo,
 )
+from rovernav.mission import CostCellRecord
 from rovernav.world import TILT_FLAT_RANGE, RoverState
 
 CELL = 0.1
+BASE = 0.5
 WINDOW_CELLS = 200
 HALO = math.ceil(DEFAULT_INFLATION_RADIUS / CELL)
 REACH = cost_feature_reach(CELL)
@@ -61,18 +66,26 @@ def strip_elevation(rocky):
 
 @pytest.fixture(scope="module")
 def strip_codes(rocky):
-    """A strip's codes padded by the inflation radius, as the record grows
-    its halo: the stored codes of the strip and of the cells around it."""
+    """A strip's codes padded by the inflation radius, as the record folds
+    its halo in: the stored codes of the strip and of the cells around it."""
     world, pose = rocky
     rows, cols = WINDOW_CELLS + 4 * HALO, STRIP_CELLS + 2 * HALO
     return cost_cells(_patch(world, pose, rows + 2 * REACH, cols + 2 * REACH), margin=REACH)
 
 
 @pytest.fixture(scope="module")
-def window_codes(rocky):
+def window_record(rocky):
+    """A record with the 20 m window around the pose, and the inflation
+    radius around it, built: the window's block and its n, as a tick reads
+    them."""
     world, pose = rocky
-    n = WINDOW_CELLS
-    return cost_cells(_patch(world, pose, n + 2 * REACH, n + 2 * REACH), margin=REACH)
+    t = world.terrain
+    record = CostCellRecord(world, MapServer((t.extent_x, t.extent_y)).global_map.values.shape, CELL,
+                            round(BASE / CELL))
+    n = round(WINDOW_CELLS * CELL / BASE)
+    row, col = round(pose.y / BASE) - n // 2, round(pose.x / BASE) - n // 2
+    record.window(row, col, n)
+    return record, row, col, n
 
 
 def test_sense_points_strip(benchmark, rocky, strip_elevation):
@@ -86,15 +99,25 @@ def test_cost_cells_strip(benchmark, strip_elevation):
     assert codes.shape == (WINDOW_CELLS + 2 * HALO, STRIP_CELLS)
 
 
+def _fold(codes):
+    lethal_halo(codes, CELL)
+    return codes
+
+
 def test_lethal_halo_strip(benchmark, strip_codes):
-    halo = benchmark(lethal_halo, strip_codes, CELL)
-    assert halo.shape == strip_codes.shape
+    # the fold writes in place: each round folds a fresh copy, untimed
+    codes = benchmark.pedantic(_fold, setup=lambda: ((strip_codes.copy(),), {}), rounds=20)
+    assert codes.shape == strip_codes.shape and (codes == CELL_HALO).any()
 
 
-def test_build_navigation_costmap_200(benchmark, window_codes):
-    halo = lethal_halo(window_codes, CELL)
-    cost = benchmark(build_navigation_costmap, window_codes, halo, (0.0, 0.0), CELL)
-    assert cost.values.shape == (WINDOW_CELLS, WINDOW_CELLS)
+def test_read_window_costs_40(benchmark, window_record):
+    record, row, col, n = window_record
+
+    def read():
+        return build_navigation_costmap(record.window(row, col, n), (col * BASE, row * BASE), BASE)
+
+    cost = benchmark(read)
+    assert cost.values.shape == (n, n) and (cost.values >= 0).all()
 
 
 def test_step_disc_max_min_r5(benchmark, strip_elevation):

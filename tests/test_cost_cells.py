@@ -1,6 +1,6 @@
 """The conservative costmap's per-mission record of cost cells
-(`mission.CostCellRecord`): the windows it publishes, what the global map
-merges of them, and how often it builds."""
+(`mission.CostCellRecord`): the codes behind the windows it publishes, what
+the global map merges of them, and how often it builds."""
 
 import math
 
@@ -12,8 +12,11 @@ from rovernav.grids import dilate_disc, interior, plane_fit_grid
 from rovernav.mapping import (
     BUMP_INFLATION_RADIUS,
     CELL_BUMP_LETHAL,
+    CELL_HALO,
     CELL_SLOPE_LETHAL,
+    CELL_UNKNOWN,
     DEFAULT_INFLATION_RADIUS,
+    CostGrid,
     CostWeights,
     build_navigation_costmap,
     cost_cells,
@@ -23,6 +26,7 @@ from rovernav.mapping import (
 )
 from rovernav.mapping import _feature_windows
 from rovernav import mapping
+from rovernav import mission
 from rovernav.mission import CostCellRecord, MissionRunner, ModeConfig
 from rovernav.modes import NavMode
 from rovernav.world import RoverState
@@ -36,8 +40,8 @@ THRESHOLD_EPS = 1e-9
 
 def conservative_runner(kind, monkeypatch):
     """A forced-conservative runner on `build_scene(kind, 0)`, with the lists
-    it fills: the record's 0.1 m windows, the grids it merges into the
-    global map, and the patches it senses."""
+    it fills: the record's windows (`window_cells`), the grids it merges
+    into the global map, and the patches it senses."""
     scene = build_scene(kind, 0)
     runner = MissionRunner(scene.world, scene.waypoints, None, forced_mode=NavMode.CONSERVATIVE,
                            start=scene.start)
@@ -45,8 +49,9 @@ def conservative_runner(kind, monkeypatch):
     window, merge, sense = CostCellRecord.window, runner.server.update_from_local, runner.world.sense_points
 
     def record_window(record, row, col, n):
-        published.append(window(record, row, col, n))
-        return published[-1]
+        blocks = window(record, row, col, n)
+        published.append(window_cells(record, row, col, n))
+        return blocks
 
     def record_merge(local, mode):
         merged.append(local)
@@ -62,8 +67,19 @@ def conservative_runner(kind, monkeypatch):
     return runner, published, merged, sensed
 
 
+def window_cells(record, row, col, n):
+    """The record's 0.1 m codes over the n x n blocks from block (row, col),
+    with unknown off the map, as a grid of codes."""
+    k = record.block
+    codes = np.zeros((n * k, n * k), dtype=np.uint8)
+    src = record.codes[max(row, 0) * k:(row + n) * k, max(col, 0) * k:(col + n) * k]
+    top, left = (max(row, 0) - row) * k, (max(col, 0) - col) * k
+    codes[top:top + src.shape[0], left:left + src.shape[1]] = src
+    return CostGrid(codes, (col * k * record.cell, row * k * record.cell), record.cell)
+
+
 def publish_at(runner, published, x, y):
-    """The costmap window the runner publishes with the rover at (x, y)."""
+    """The codes of the window the runner publishes with the rover at (x, y)."""
     runner.state = RoverState(x, y, 0.0)
     runner._update_map(NavMode.CONSERVATIVE)
     return published[-1]
@@ -89,15 +105,16 @@ def seeded_poses(world, start, count, seed):
 
 
 def from_scratch(world, window):
-    """One build of the window's costmap from a patch sensed on the same cell
-    centres and wide enough for every cell the window reads; also the cells
-    where float rounding may legitimately flip a code."""
+    """One build of the window's codes, the halo folded in, from a patch
+    sensed on the same cell centres and wide enough for every cell the
+    window reads; also the cells where float rounding may legitimately
+    flip a code."""
     m = WIDE_MARGIN
     origin = (window.origin[0] - m * CELL, window.origin[1] - m * CELL)
     elev = world.sense_points(origin, (window.rows + 2 * m, window.cols + 2 * m), CELL)
     codes, inner = cost_cells(elev), np.s_[m:-m, m:-m]
-    expected = build_navigation_costmap(codes[inner], lethal_halo(codes, CELL)[inner],
-                                        (origin[0] + m * CELL, origin[1] + m * CELL), CELL)
+    lethal_halo(codes, CELL)
+    expected = CostGrid(codes[inner], (origin[0] + m * CELL, origin[1] + m * CELL), CELL)
     w = CostWeights()
     f, slope, rough, step = cost_features(elev, w)
     near_rounding = np.abs(f - np.floor(f) - 0.5) < THRESHOLD_EPS
@@ -145,13 +162,14 @@ def test_published_windows_equal_a_build_from_scratch(kind, monkeypatch):
         # which can flip a cell only where a feature sits on a threshold.
         unexplained = np.argwhere(differ & ~allowed).tolist()
         assert unexplained == [], (i, (x, y), unexplained[:20])
-        assert (window.values >= 0).any()
-        # the global map merges each global cell's block maximum
+        assert (window.values != CELL_UNKNOWN).any()
+        # the global map merges each global cell's highest cost
         local, k = merged[-1], runner.cost_record.block
         n = window.rows // k
+        costs = build_navigation_costmap(window.values, window.origin, CELL).values
         assert local.cell_size == runner.server.global_map.cell_size
         assert local.origin == pytest.approx(window.origin, abs=1e-9)
-        assert np.array_equal(local.values, window.values.reshape(n, k, n, k).max(axis=(1, 3)))
+        assert np.array_equal(local.values, costs.reshape(n, k, n, k).max(axis=(1, 3)))
 
 
 def test_each_block_is_built_at_most_once(monkeypatch):
@@ -173,14 +191,29 @@ def test_halo_is_that_of_every_stored_code(monkeypatch):
     # The last two windows hang off a corner and an edge of the map, so the
     # halo grown there is clipped to the map.
     runner, published, _, _ = conservative_runner("rocky", monkeypatch)
+    built = []  # each build's top-left cell and its codes before the fold
+    cost = mission.cost_cells
+
+    def recorded(elev, margin):
+        codes = cost(elev, margin=margin)
+        built.append((round(elev.origin[1] / CELL) + margin, round(elev.origin[0] / CELL) + margin, codes.copy()))
+        return codes
+
+    monkeypatch.setattr(mission, "cost_cells", recorded)
     start = (runner.state.x, runner.state.y)
     for x, y in [*seeded_poses(runner.world, start, 20, seed=3), (4.0, 136.5), (139.5, 70.0)]:
         publish_at(runner, published, x, y)
     codes = runner.cost_record.codes
-    assert (codes == CELL_SLOPE_LETHAL).any() and (codes == CELL_BUMP_LETHAL).any()
-    expected = (dilate_disc(codes == CELL_SLOPE_LETHAL, DEFAULT_INFLATION_RADIUS / CELL)
-                | dilate_disc(codes == CELL_BUMP_LETHAL, BUMP_INFLATION_RADIUS / CELL))
-    assert np.array_equal(runner.cost_record.halo, expected)
+    raw = np.zeros_like(codes)
+    for r, c, block in built:
+        raw[r:r + block.shape[0], c:c + block.shape[1]] = block
+    slope, bump = raw == CELL_SLOPE_LETHAL, raw == CELL_BUMP_LETHAL
+    assert slope.any() and bump.any()
+    halo = dilate_disc(slope, DEFAULT_INFLATION_RADIUS / CELL) | dilate_disc(bump, BUMP_INFLATION_RADIUS / CELL)
+    expected = halo & (raw != CELL_UNKNOWN) & ~slope & ~bump
+    assert np.array_equal(codes == CELL_HALO, expected)
+    # every other code, the lethal ones among them, is the one built
+    assert np.array_equal(codes[~expected], raw[~expected])
 
 
 def test_a_refresh_that_builds_no_block_inflates_nothing(monkeypatch):
@@ -214,5 +247,5 @@ def test_no_in_map_window_cell_is_unknown(x, y, monkeypatch):
     ys = window.origin[1] + (np.arange(window.rows) + 0.5) * CELL
     in_map = ((ys >= 0) & (ys <= t.extent_y))[:, None] & ((xs >= 0) & (xs <= t.extent_x))[None, :]
     assert in_map.sum() > 0
-    assert int(np.count_nonzero(window.values[in_map] < 0)) == 0
-    assert (window.values[~in_map] < 0).all()
+    assert int(np.count_nonzero(window.values[in_map] == CELL_UNKNOWN)) == 0
+    assert (window.values[~in_map] == CELL_UNKNOWN).all()

@@ -9,7 +9,9 @@ from rovernav.grids import dilate_disc, interior, neighbor_slices
 from rovernav.mapping import (
     BUMP_INFLATION_RADIUS,
     CELL_BUMP_LETHAL,
+    CELL_HALO,
     CELL_SLOPE_LETHAL,
+    CELL_UNKNOWN,
     COST_MAX,
     COST_UNKNOWN,
     CostGrid,
@@ -19,6 +21,7 @@ from rovernav.mapping import (
     ROUGH_WEIGHT,
     SLOPE_WEIGHT,
     STEP_WEIGHT,
+    _CELL_COST,
     _nanmedian_layers,
     build_elevation_grid,
     build_navigation_costmap,
@@ -204,8 +207,7 @@ class TestSortedStackMedian:
 
 def rounded_cost(elev):
     """The costmap before inflation: `cost_cells` read back as costs."""
-    codes = cost_cells(elev)
-    return build_navigation_costmap(codes, np.zeros(codes.shape, dtype=bool), elev.origin, elev.cell_size)
+    return build_navigation_costmap(cost_cells(elev), elev.origin, elev.cell_size)
 
 
 class TestCostmap:
@@ -347,7 +349,8 @@ class TestNavigationCostmap:
         assert ((slope >= w.slope_max_deg) & known).any()
         assert (((rough >= w.rough_max) | (step >= w.step_max)) & known).any()
         codes = cost_cells(elev)
-        cost = build_navigation_costmap(codes, lethal_halo(codes, elev.cell_size), elev.origin, elev.cell_size)
+        lethal_halo(codes, elev.cell_size)
+        cost = build_navigation_costmap(codes, elev.origin, elev.cell_size)
         assert cost.values.dtype == np.int16
         assert _sha(cost.values) == "67c67500320bb803f54e699c7a6580ada71e2fdcdadef47dea54b6f6aa80c720"
 
@@ -382,7 +385,8 @@ def inflate(values, cell, radius, lethal_codes=(CELL_SLOPE_LETHAL,)):
     rr, cc = np.nonzero(np.asarray(values) >= COST_MAX)
     for i, (r, c) in enumerate(zip(rr, cc)):
         codes[r, c] = lethal_codes[i % len(lethal_codes)]
-    return build_navigation_costmap(codes, lethal_halo(codes, cell, (radius, radius)), (0.0, 0.0), cell)
+    lethal_halo(codes, cell, (radius, radius))
+    return build_navigation_costmap(codes, (0.0, 0.0), cell)
 
 
 class TestLethalInflation:
@@ -411,17 +415,26 @@ class TestLethalInflation:
             assert _sha(out.values) == "599486a91fcfc29b2836fd8ba361c494e3944fa30645d6fd07c2066c5e9e589d"
 
 
-def _halo_uncropped(codes, cell, radii=(DEFAULT_INFLATION_RADIUS, BUMP_INFLATION_RADIUS)):
-    """Each source's disc inflation over the whole grid."""
+def _fold_uncropped(codes, cell, radii=(DEFAULT_INFLATION_RADIUS, BUMP_INFLATION_RADIUS)):
+    """`codes` with each source's disc inflation over the whole grid folded
+    in: `CELL_HALO` on its known, non-lethal cells."""
     halo = np.zeros(codes.shape, dtype=bool)
     for code, radius in zip((CELL_SLOPE_LETHAL, CELL_BUMP_LETHAL), radii):
         halo |= dilate_disc(codes == code, radius / cell)
-    return halo
+    lethal = (codes == CELL_SLOPE_LETHAL) | (codes == CELL_BUMP_LETHAL)
+    return np.where(halo & (codes != CELL_UNKNOWN) & ~lethal, CELL_HALO, codes).astype(np.uint8)
+
+
+def _folded(codes, cell, radii=(DEFAULT_INFLATION_RADIUS, BUMP_INFLATION_RADIUS)):
+    """A copy of `codes` after `lethal_halo`."""
+    out = codes.copy()
+    assert lethal_halo(out, cell, radii) is None
+    return out
 
 
 class TestLethalHaloCrop:
     """`lethal_halo` transforms only each source's bounding box grown by
-    its radius; the halo is the whole-grid one."""
+    its radius; the fold is the whole-grid one."""
 
     @pytest.mark.parametrize("cell", [0.1, 0.5])
     def test_random_codes(self, rng, cell):
@@ -430,26 +443,50 @@ class TestLethalHaloCrop:
             u = rng.random(shape)
             codes[u < density] = CELL_SLOPE_LETHAL
             codes[(u >= density) & (u < 3 * density)] = CELL_BUMP_LETHAL
-            assert np.array_equal(lethal_halo(codes, cell), _halo_uncropped(codes, cell))
+            codes[u > 0.9] = CELL_UNKNOWN
+            assert np.array_equal(_folded(codes, cell), _fold_uncropped(codes, cell))
 
     def test_no_lethal_cell(self):
         codes = np.full((50, 60), 40, dtype=np.uint8)
-        assert not lethal_halo(codes, 0.1).any()
+        assert np.array_equal(_folded(codes, 0.1), codes)
 
     def test_single_lethal_cell(self):
         for code in (CELL_SLOPE_LETHAL, CELL_BUMP_LETHAL):
             codes = np.ones((101, 101), dtype=np.uint8)
             codes[50, 50] = code
-            assert np.array_equal(lethal_halo(codes, 0.1), _halo_uncropped(codes, 0.1))
+            assert np.array_equal(_folded(codes, 0.1), _fold_uncropped(codes, 0.1))
 
     def test_lethal_cells_on_the_border(self):
         for cell, (r, c) in ((0.1, (0, 0)), (0.1, (79, 5)), (0.5, (3, 119)), (0.1, (79, 119))):
             codes = np.ones((80, 120), dtype=np.uint8)
             codes[r, c] = CELL_SLOPE_LETHAL
             codes[79 - r, 119 - c] = CELL_BUMP_LETHAL
-            assert np.array_equal(lethal_halo(codes, cell), _halo_uncropped(codes, cell))
+            assert np.array_equal(_folded(codes, cell), _fold_uncropped(codes, cell))
             radii = (0.35, 0.35)
-            assert np.array_equal(lethal_halo(codes, cell, radii), _halo_uncropped(codes, cell, radii))
+            assert np.array_equal(_folded(codes, cell, radii), _fold_uncropped(codes, cell, radii))
+
+
+class TestCodeOrder:
+    """A code's cost never falls as the code rises, so a block's highest
+    code costs the block's highest cost."""
+
+    def test_cost_never_falls_as_the_code_rises(self):
+        assert len(_CELL_COST) == CELL_HALO + 1
+        assert (np.diff(_CELL_COST) >= 0).all()
+        assert _CELL_COST[[CELL_UNKNOWN, 1, COST_MAX + 1]].tolist() == [COST_UNKNOWN, 0, COST_MAX]
+        assert (_CELL_COST[[CELL_SLOPE_LETHAL, CELL_BUMP_LETHAL, CELL_HALO]] == COST_MAX).all()
+
+    @pytest.mark.parametrize("k", [2, 5])
+    def test_block_max_of_codes_costs_the_block_max_of_costs(self, rng, k):
+        for n, top in ((8, CELL_HALO + 1), (20, CELL_HALO + 1), (20, 3)):
+            codes = rng.integers(0, top, size=(n * k, n * k)).astype(np.uint8)
+            flat = codes.reshape(-1)
+            flat[rng.choice(flat.size, len(_CELL_COST), replace=False)] = np.arange(len(_CELL_COST))
+            assert np.unique(codes).size == len(_CELL_COST)
+            blocks = codes.reshape(n, k, n, k).max(axis=(1, 3))
+            costs = build_navigation_costmap(codes, (0.0, 0.0), 0.1).values
+            assert np.array_equal(build_navigation_costmap(blocks, (0.0, 0.0), 0.5).values,
+                                  costs.reshape(n, k, n, k).max(axis=(1, 3)))
 
 
 class TestConversions:

@@ -363,6 +363,17 @@ def test_clear_start_clears_disc_under_rover():
     assert np.array_equal(grid.values == 0, inside)
 
 
+@pytest.mark.parametrize("x, y", [(9.2, 9.3), (12.9, 10.1), (13.6, 13.4), (8.5, 12.0), (20.0, 20.0)])
+def test_clear_start_clips_the_disc_to_the_grid(x, y):
+    # poses near a corner or edge of the grid, beyond it, and far from it
+    runner = _runner(x=x, y=y)
+    grid = CostGrid(np.full((8, 8), COST_MAX, dtype=np.int16), (9.0, 9.0), 0.5)
+    runner._clear_start(grid)
+    all_r, all_c = np.mgrid[0:8, 0:8]
+    inside = np.hypot(9.0 + (all_c + 0.5) * 0.5 - x, 9.0 + (all_r + 0.5) * 0.5 - y) <= runner.config.start_clear_radius
+    assert np.array_equal(grid.values == 0, inside)
+
+
 def test_benchmark_targets_resolve(monkeypatch):
     # the benchmark wraps package functions by name; a rename must fail here
     monkeypatch.syspath_prepend(str(PERFBENCH))
