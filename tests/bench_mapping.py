@@ -76,8 +76,8 @@ def strip_codes(rocky):
 @pytest.fixture(scope="module")
 def window_record(rocky):
     """A record with the 20 m window around the pose, and the inflation
-    radius around it, built: the window's block and its n, as a tick reads
-    them."""
+    radius around it, built; with the window's first block (row, col) and
+    its side n in blocks, as a tick reads them."""
     world, pose = rocky
     t = world.terrain
     record = CostCellRecord(world, MapServer((t.extent_x, t.extent_y)).global_map.values.shape, CELL,
