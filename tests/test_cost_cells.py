@@ -40,8 +40,9 @@ THRESHOLD_EPS = 1e-9
 
 def conservative_runner(kind, monkeypatch):
     """A forced-conservative runner on `build_scene(kind, 0)`, with the lists
-    it fills: the record's windows (`window_cells`), the grids it merges
-    into the global map, and the patches it senses."""
+    it fills: each window the record publishes, as its 0.1 m codes
+    (`window_cells`) and the block codes `CostCellRecord.window` returned,
+    the grids it merges into the global map, and the patches it senses."""
     scene = build_scene(kind, 0)
     runner = MissionRunner(scene.world, scene.waypoints, None, forced_mode=NavMode.CONSERVATIVE,
                            start=scene.start)
@@ -50,7 +51,7 @@ def conservative_runner(kind, monkeypatch):
 
     def record_window(record, row, col, n):
         blocks = window(record, row, col, n)
-        published.append(window_cells(record, row, col, n))
+        published.append((window_cells(record, row, col, n), blocks))
         return blocks
 
     def record_merge(local, mode):
@@ -79,7 +80,8 @@ def window_cells(record, row, col, n):
 
 
 def publish_at(runner, published, x, y):
-    """The codes of the window the runner publishes with the rover at (x, y)."""
+    """The window the runner publishes with the rover at (x, y): its 0.1 m
+    codes and its block codes."""
     runner.state = RoverState(x, y, 0.0)
     runner._update_map(NavMode.CONSERVATIVE)
     return published[-1]
@@ -154,7 +156,7 @@ def test_published_windows_equal_a_build_from_scratch(kind, monkeypatch):
     world = runner.world
     start = (runner.state.x, runner.state.y)
     for i, (x, y) in enumerate(seeded_poses(world, start, 20, seed=5)):
-        window = publish_at(runner, published, x, y)
+        window, blocks = publish_at(runner, published, x, y)
         expected, allowed = from_scratch(world, window)
         assert (window.origin, window.values.shape) == (expected.origin, expected.values.shape)
         differ = window.values != expected.values
@@ -163,9 +165,11 @@ def test_published_windows_equal_a_build_from_scratch(kind, monkeypatch):
         unexplained = np.argwhere(differ & ~allowed).tolist()
         assert unexplained == [], (i, (x, y), unexplained[:20])
         assert (window.values != CELL_UNKNOWN).any()
-        # the global map merges each global cell's highest cost
+        # each block code is the highest 0.1 m code of its block, and the
+        # global map merges each global cell's highest cost
         local, k = merged[-1], runner.cost_record.block
         n = window.rows // k
+        assert np.array_equal(blocks, window.values.reshape(n, k, n, k).max(axis=(1, 3)))
         costs = build_navigation_costmap(window.values, window.origin, CELL).values
         assert local.cell_size == runner.server.global_map.cell_size
         assert local.origin == pytest.approx(window.origin, abs=1e-9)
@@ -226,12 +230,13 @@ def test_a_refresh_that_builds_no_block_inflates_nothing(monkeypatch):
         return dilate(mask, radius_cells)
 
     monkeypatch.setattr(mapping, "dilate_disc", counted)
-    first = publish_at(runner, published, 70.0, 70.0)
+    first, first_blocks = publish_at(runner, published, 70.0, 70.0)
     assert calls
     calls.clear()
-    again = publish_at(runner, published, 70.0, 70.0)
+    again, again_blocks = publish_at(runner, published, 70.0, 70.0)
     assert calls == []
     assert np.array_equal(again.values, first.values)
+    assert np.array_equal(again_blocks, first_blocks)
 
 
 @pytest.mark.parametrize("x, y", [(15.05, 70.0), (20.15, 66.45), (4.0, 136.5)])
@@ -241,7 +246,7 @@ def test_no_in_map_window_cell_is_unknown(x, y, monkeypatch):
     # map's cells left up to 15 712 of these windows' cells unknown. The
     # last window hangs off a corner of the map.
     runner, published, _, _ = conservative_runner("rocky", monkeypatch)
-    window = publish_at(runner, published, x, y)
+    window, blocks = publish_at(runner, published, x, y)
     t = runner.world.terrain
     xs = window.origin[0] + (np.arange(window.cols) + 0.5) * CELL
     ys = window.origin[1] + (np.arange(window.rows) + 0.5) * CELL
@@ -249,3 +254,12 @@ def test_no_in_map_window_cell_is_unknown(x, y, monkeypatch):
     assert in_map.sum() > 0
     assert int(np.count_nonzero(window.values[in_map] == CELL_UNKNOWN)) == 0
     assert (window.values[~in_map] == CELL_UNKNOWN).all()
+    # the block codes `CostCellRecord.window` returned: unknown on exactly
+    # the blocks off the map, and each in-map block's highest code
+    k = runner.cost_record.block
+    n = window.rows // k
+    on_map = in_map.reshape(n, k, n, k)
+    assert np.array_equal(on_map.any(axis=(1, 3)), on_map.all(axis=(1, 3)))
+    in_map_blocks = on_map.all(axis=(1, 3))
+    assert np.array_equal(blocks == CELL_UNKNOWN, ~in_map_blocks)
+    assert np.array_equal(blocks, window.values.reshape(n, k, n, k).max(axis=(1, 3)))

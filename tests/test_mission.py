@@ -348,29 +348,33 @@ def test_arrival_on_the_final_waypoint_uses_its_tolerance():
     assert runner._arrive() == "complete"
 
 
-def test_clear_start_clears_disc_under_rover():
-    runner = _runner(x=10.5, y=10.5)
+def _clear_start_on_grid(x, y):
+    """Clear the start of a rover at (x, y) on an 8 x 8 lethal grid from
+    (9, 9) at 0.5 m; the runner, the grid, and the cells whose centres lie
+    within the start radius of the rover."""
+    runner = _runner(x=x, y=y)
     grid = CostGrid(np.full((8, 8), COST_MAX, dtype=np.int16), (9.0, 9.0), 0.5)
     runner._clear_start(grid)
+    all_r, all_c = np.mgrid[0:8, 0:8]
+    inside = np.hypot(9.0 + (all_c + 0.5) * 0.5 - x,
+                      9.0 + (all_r + 0.5) * 0.5 - y) <= runner.config.start_clear_radius
+    return runner, grid, inside
+
+
+def test_clear_start_clears_disc_under_rover():
+    runner, grid, inside = _clear_start_on_grid(10.5, 10.5)
     rr, cc = np.nonzero(grid.values == 0)
     xs = 9.0 + (cc + 0.5) * 0.5
     ys = 9.0 + (rr + 0.5) * 0.5
     assert len(rr) > 0
     assert (np.hypot(xs - 10.5, ys - 10.5) <= runner.config.start_clear_radius).all()
-    all_r, all_c = np.mgrid[0:8, 0:8]
-    inside = np.hypot(9.0 + (all_c + 0.5) * 0.5 - 10.5,
-                      9.0 + (all_r + 0.5) * 0.5 - 10.5) <= runner.config.start_clear_radius
     assert np.array_equal(grid.values == 0, inside)
 
 
 @pytest.mark.parametrize("x, y", [(9.2, 9.3), (12.9, 10.1), (13.6, 13.4), (8.5, 12.0), (20.0, 20.0)])
 def test_clear_start_clips_the_disc_to_the_grid(x, y):
     # poses near a corner or edge of the grid, beyond it, and far from it
-    runner = _runner(x=x, y=y)
-    grid = CostGrid(np.full((8, 8), COST_MAX, dtype=np.int16), (9.0, 9.0), 0.5)
-    runner._clear_start(grid)
-    all_r, all_c = np.mgrid[0:8, 0:8]
-    inside = np.hypot(9.0 + (all_c + 0.5) * 0.5 - x, 9.0 + (all_r + 0.5) * 0.5 - y) <= runner.config.start_clear_radius
+    _, grid, inside = _clear_start_on_grid(x, y)
     assert np.array_equal(grid.values == 0, inside)
 
 
