@@ -5,16 +5,17 @@ cell (r, c) has its center at (origin_x + (c + 0.5) * cell_size,
 origin_y + (r + 0.5) * cell_size). This module holds the only copies of
 the world<->cell transform (`world_to_cell`, `cell_center`), the 3x3
 neighborhood (`neighbor_slices`), the hillshade (`hillshade`), disc
-inflation (`dilate_disc`), the disc extrema (`disc_max`, `disc_min`, one
-1-D filter per disc row width) and the least-squares plane solve, which
-`plane_fit_grid` and `plane_fit_points` share, next to bilinear sampling.
-The solve is split into a sample-layout half and a height half; for grids
-the layout half depends only on which cells are known (finite), so
-`plane_fit_grid` caches it for the last mask seen and refits a new surface
-on an unchanged mask from its four height moments alone. Given a margin,
-`plane_fit_grid` (through `window_sums`) fits only the `interior` cells:
-every cell still enters the window sums, and the fits equal the interior
-of the whole grid's bit for bit.
+inflation (`dilate_disc`), the disc extrema (`disc_max`, `disc_min`, row
+segments read from one doubling table of column runs) and the
+least-squares plane solve, which `plane_fit_grid` and `plane_fit_points`
+share, next to bilinear sampling. The solve is split into a sample-layout
+half and a height half; for grids the layout half depends only on which
+cells are known (finite), so `plane_fit_grid` caches it for the last two
+masks seen (the two strip shapes that diagonal moves alternate) and
+refits a new surface on a cached mask from its four height moments
+alone. Given a margin, `plane_fit_grid` (through `window_sums`) fits only
+the `interior` cells: every cell still enters the window sums, and the
+fits equal the interior of the whole grid's bit for bit.
 """
 
 from __future__ import annotations
@@ -67,7 +68,10 @@ def bilinear_sample(values: np.ndarray, origin, cell_size, xs, ys):
     """Bilinearly interpolate a cell-centered grid at world coordinates.
 
     Coordinates beyond the outermost cell centers clamp to the edge value,
-    so the result is defined (and finite) everywhere.
+    so the result is defined (and finite) everywhere. `xs` and `ys` may be
+    any shapes that broadcast, such as a point set or a (1, C) x (R, 1)
+    lattice; the four corners are taken from the flat grid at one index
+    per sample, so a lattice reads only the cells it samples.
     """
     fx = (np.asarray(xs, dtype=float) - origin[0]) / cell_size - 0.5
     fy = (np.asarray(ys, dtype=float) - origin[1]) / cell_size - 0.5
@@ -78,14 +82,16 @@ def bilinear_sample(values: np.ndarray, origin, cell_size, xs, ys):
     # reads its one column (row) twice.
     c0 = np.minimum(fx.astype(int), max(cols - 2, 0))
     r0 = np.minimum(fy.astype(int), max(rows - 2, 0))
-    c1 = c0 + (cols > 1)
-    r1 = r0 + (rows > 1)
     tx = fx - c0
     ty = fy - r0
-    v00 = values[r0, c0]
-    v01 = values[r0, c1]
-    v10 = values[r1, c0]
-    v11 = values[r1, c1]
+    flat = values.ravel()
+    i00 = r0 * cols + c0
+    i01 = i00 + (cols > 1)
+    down = cols * (rows > 1)
+    v00 = flat.take(i00)
+    v01 = flat.take(i01)
+    v10 = flat.take(i00 + down)
+    v11 = flat.take(i01 + down)
     return (v00 * (1 - tx) * (1 - ty) + v01 * tx * (1 - ty)
             + v10 * (1 - tx) * ty + v11 * tx * ty)
 
@@ -148,10 +154,10 @@ def _cell_coords(shape, cell_size):
     return np.broadcast_to(xs, shape), np.broadcast_to(ys[:, None], shape)
 
 
-@functools.lru_cache(maxsize=1)
+@functools.lru_cache(maxsize=2)
 def _mask_geometry(shape, window_cells, cell_size, margin, known_bytes):
     """`_plane_geometry` of every window of a mask, on the cells at least
-    `margin` from its border, kept for the last mask.
+    `margin` from its border, kept for the last two masks.
 
     The moments are taken about each window's own center cell, which keeps
     the normal equations exact for irregular known-cell masks. The arrays
@@ -265,30 +271,41 @@ def dilate_disc(mask: np.ndarray, radius_cells: float) -> np.ndarray:
 def disc_max(values: np.ndarray, radius_cells: float) -> np.ndarray:
     """Maximum of `values` over the disc `disk_footprint(radius_cells)`
     around each cell, edge cells repeated beyond the border."""
-    return _disc_extremum(values, radius_cells, ndimage.maximum_filter1d, np.maximum)
+    return _disc_extremum(values, radius_cells, np.maximum)
 
 
 def disc_min(values: np.ndarray, radius_cells: float) -> np.ndarray:
     """Minimum counterpart of `disc_max`."""
-    return _disc_extremum(values, radius_cells, ndimage.minimum_filter1d, np.minimum)
+    return _disc_extremum(values, radius_cells, np.minimum)
 
 
-def _disc_extremum(values, radius_cells, filter1d, combine):
-    """The disc as row segments: its row at offset dy spans columns -w..w,
-    so it is one 1-D filter of width 2w + 1 (one per distinct w), read dy
-    rows away with the row index clamped to the grid. Max and min round
-    nothing, so this equals the 2-D footprint filter bit for bit.
+def _disc_extremum(values, radius_cells, combine):
+    """The disc as row segments: its row at offset dy spans columns -w..w.
+
+    The grid is padded once, with edge values, by the disc's reach, and a
+    doubling table holds the extremum of every run of 1, 2, 4, ... padded
+    columns. A segment of width 2w + 1 is two runs of the longest such
+    length, overlapping to cover it, read dy rows away. Max and min round
+    nothing and ignore repeats, so every value equals the 2-D footprint
+    filter's (for values without NaN).
     """
-    half = disk_footprint(radius_cells).sum(axis=1) // 2
+    half = (disk_footprint(radius_cells).sum(axis=1) // 2).tolist()
     reach = len(half) // 2
-    rows = values.shape[0]
-    # Edge-padded by `reach` rows: padded row y + i is row y + i - reach, clamped.
-    padded = {w: np.pad(filter1d(values, 2 * w + 1, axis=1, mode="nearest"),
-                        ((reach, reach), (0, 0)), mode="edge")
-              for w in set(half.tolist())}
-    out = padded[half[0]][:rows].copy()
-    for i, w in enumerate(half.tolist()[1:], start=1):
-        combine(out, padded[w][i:i + rows], out=out)
+    rows, cols = values.shape
+    # runs[k][y, j]: the extremum of padded row y over columns j .. j + 2**k - 1,
+    # where padded cell (y, j) is cell (y - reach, j - reach), clamped.
+    runs = [np.pad(values, reach, mode="edge")]
+    while 2 ** len(runs) <= 2 * reach + 1:
+        s = 2 ** (len(runs) - 1)
+        runs.append(combine(runs[-1][:, :-s], runs[-1][:, s:]))
+    segments = {}
+    for w in set(half):
+        k = (2 * w + 1).bit_length() - 1
+        lo, hi = reach - w, reach + w + 1 - 2 ** k
+        segments[w] = combine(runs[k][:, lo:lo + cols], runs[k][:, hi:hi + cols])
+    out = segments[half[0]][:rows].copy()
+    for i, w in enumerate(half[1:], start=1):
+        combine(out, segments[w][i:i + rows], out=out)
     return out
 
 

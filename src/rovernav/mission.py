@@ -303,7 +303,10 @@ class CostCellRecord:
         rows, cols = src.shape[0] // k, src.shape[1] // k
         top, left = max(row, 0) - row, max(col, 0) - col
         codes = np.zeros((n, n), dtype=np.uint8)
-        codes[top:top + rows, left:left + cols] = src.reshape(rows, k, cols, k).max(axis=(1, 3))
+        # Each block's highest code: down its k rows, then across its k
+        # columns, two reductions along rows in memory order.
+        down = src.reshape(rows, k, cols * k).max(axis=1)
+        codes[top:top + rows, left:left + cols] = down.reshape(rows, cols, k).max(axis=2)
         return codes
 
     def _build(self, row: int, col: int, todo: np.ndarray) -> None:

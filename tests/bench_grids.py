@@ -1,4 +1,5 @@
-"""Microbenchmarks of the two plane fits, with pytest-benchmark.
+"""Microbenchmarks of the two plane fits and of ground sampling, with
+pytest-benchmark.
 
 The file name keeps it out of the default test run; run it with
 `python -m pytest tests/bench_grids.py`.
@@ -8,7 +9,8 @@ import math
 
 import numpy as np
 
-from rovernav.grids import plane_fit_grid, plane_fit_points
+from rovernav.config import build_scene
+from rovernav.grids import bilinear_sample, plane_fit_grid, plane_fit_points
 from rovernav.world import FOOTPRINT_RADIUS
 
 
@@ -33,3 +35,16 @@ def test_plane_fit_points_tilt_pattern(benchmark):
     points = np.column_stack([xs, ys, 0.1 * xs + 0.3 * ys])
     a, b, _ = benchmark(plane_fit_points, points)
     assert math.isclose(a, 0.1) and math.isclose(b, 0.3)
+
+
+def test_bilinear_sample_strip_lattice_mixed(benchmark):
+    # The ground under one sensed costmap strip, 326 x 66 cells of 0.1 m
+    # (270 x 10 built cells and the 2.8 m feature margin), on the mixed
+    # course's 280 x 1120 ground of 0.5 m cells: wide enough that reading
+    # whole ground rows instead of the sampled cells would show.
+    ground = build_scene("mixed", 0).world.terrain.ground
+    assert ground.elevation.shape == (280, 1120)
+    xs = 300.0 + (np.arange(66) + 0.5) * 0.1
+    ys = 60.0 + (np.arange(326) + 0.5) * 0.1
+    z = benchmark(bilinear_sample, ground.elevation, ground.origin, ground.cell_size, xs[None, :], ys[:, None])
+    assert z.shape == (326, 66) and np.isfinite(z).all()

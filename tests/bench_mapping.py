@@ -34,7 +34,7 @@ from rovernav.mapping import (
     extract_obstacles,
     lethal_halo,
 )
-from rovernav.mission import CostCellRecord
+from rovernav.mission import BUILD_PATCH_CELLS, CostCellRecord
 from rovernav.world import TILT_FLAT_RANGE, RoverState
 
 CELL = 0.1
@@ -97,6 +97,18 @@ def test_sense_points_strip(benchmark, rocky, strip_elevation):
 def test_cost_cells_strip(benchmark, strip_elevation):
     codes = benchmark(cost_cells, strip_elevation, margin=REACH)
     assert codes.shape == (WINDOW_CELLS + 2 * HALO, STRIP_CELLS)
+
+
+def test_cost_cells_first_window_piece(benchmark, rocky):
+    # A mission's first costmap window builds 54 x 54 blocks (the 40-block
+    # window and the inflation radius around it) in two pieces of 27 x 54
+    # blocks under `BUILD_PATCH_CELLS`; one piece, with its feature margin.
+    world, pose = rocky
+    k = round(BASE / CELL)
+    piece = _patch(world, pose, 27 * k + 2 * REACH, 54 * k + 2 * REACH)
+    assert piece.elevation.size <= BUILD_PATCH_CELLS
+    codes = benchmark(cost_cells, piece, margin=REACH)
+    assert codes.shape == (27 * k, 54 * k)
 
 
 def _fold(codes):

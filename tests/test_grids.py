@@ -6,7 +6,8 @@ import pytest
 from scipy import ndimage
 
 from rovernav.grids import (
-    bilinear_sample, dilate_disc, disc_max, disc_min, interior, plane_fit_grid, plane_fit_points, window_sums,
+    _mask_geometry, bilinear_sample, dilate_disc, disc_max, disc_min, interior, plane_fit_grid, plane_fit_points,
+    window_sums,
 )
 
 import oracles
@@ -50,7 +51,8 @@ def test_single_border_cell(radius):
         _check(mask, radius)
 
 
-DISC_EXTREMA_RADII = [1.0, 2.5, 5.0, math.sqrt(13), 7.3]
+# 0 and 0.5 are one-cell discs: a segment of a single column.
+DISC_EXTREMA_RADII = [0.0, 0.5, 1.0, 2.5, 5.0, math.sqrt(13), 7.3]
 
 
 def _holey_grid(rng, shape):
@@ -67,8 +69,14 @@ def test_disc_extrema_match_oracle(radius):
     # Shapes include grids narrower and shorter than the disc, where the
     # clamped rows and columns repeat the edge many times over.
     rng = np.random.default_rng(int(radius * 100))
-    for shape in ((24, 31), (40, 9), (3, 17), (1, 12), (11, 1), (2, 2)):
-        grid = _holey_grid(rng, shape)
+    grids = [_holey_grid(rng, shape) for shape in ((24, 31), (40, 9), (3, 17), (1, 12), (11, 1), (2, 2))]
+    # A whole row and a whole column of infinities, each way round.
+    for sign in (1.0, -1.0):
+        grid = rng.normal(0.0, 1.0, (19, 23))
+        grid[6, :] = sign * np.inf
+        grid[:, 15] = -sign * np.inf
+        grids.append(grid)
+    for grid in grids:
         assert np.array_equal(disc_max(grid, radius), oracles.disc_max(grid, radius))
         assert np.array_equal(disc_min(grid, radius), oracles.disc_min(grid, radius))
 
@@ -103,6 +111,29 @@ def test_plane_fit_grid_cache_follows_the_mask():
         _check_plane_fit(rng.normal(0.0, 1.0, shape), known, window, cell)
     for _ in range(3):
         _check_plane_fit(rng.normal(0.0, 1.0, shape) + 0.2 * np.arange(shape[0])[:, None], masks[0], window, cell)
+
+
+def test_plane_fit_grid_cache_keeps_two_alternating_strips():
+    # Diagonal moves build a row strip and a column strip in turn, each
+    # with its own margin. Both masks stay cached: the second pass hits on
+    # both and gives each strip its cleared-cache fit bit for bit.
+    rng = np.random.default_rng(13)
+    strips = []
+    for shape, margin in (((14, 33), 3), ((31, 12), 4)):
+        z = rng.normal(0.0, 1.0, shape)
+        z[rng.random(shape) < 0.1] = np.nan
+        strips.append((z, margin))
+    fresh = []
+    for z, margin in strips:
+        _mask_geometry.cache_clear()
+        fresh.append(plane_fit_grid(z, 5, 0.1, margin))
+    _mask_geometry.cache_clear()
+    for _ in range(2):
+        for (z, margin), want in zip(strips, fresh):
+            got = plane_fit_grid(z, 5, 0.1, margin)
+            assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
+    info = _mask_geometry.cache_info()
+    assert (info.misses, info.hits) == (2, 2)
 
 
 def test_plane_fit_grid_count_is_read_only():
@@ -220,12 +251,24 @@ def _bilinear_reference(values, origin, cell_size, xs, ys):
 @pytest.mark.parametrize("shape", [(40, 30), (1, 12), (9, 1), (1, 1)])
 def test_bilinear_sample_matches_reference_bit_for_bit(shape):
     # 200 sets of 17 points, the size of the footprint tilt sample, spread
-    # 3 m past every edge so that many points land off the map.
+    # 3 m past every edge so that many points land off the map, then
+    # lattices over the same span.
     rng = np.random.default_rng(shape[0] * 100 + shape[1])
     values = rng.normal(0.0, 2.0, shape)
     origin, cell = (5.0, -3.0), 0.5
-    for _ in range(200):
-        xs = rng.uniform(origin[0] - 3.0, origin[0] + shape[1] * cell + 3.0, 17)
-        ys = rng.uniform(origin[1] - 3.0, origin[1] + shape[0] * cell + 3.0, 17)
+    x_lo, x_hi = origin[0] - 3.0, origin[0] + shape[1] * cell + 3.0
+    y_lo, y_hi = origin[1] - 3.0, origin[1] + shape[0] * cell + 3.0
+    samples = [(rng.uniform(x_lo, x_hi, 17), rng.uniform(y_lo, y_hi, 17)) for _ in range(200)]
+    # Lattices as the sensor reads the ground, (1, C) x (R, 1): regular
+    # ones at several pitches and random ones, all running past every edge.
+    for step in (0.1, 0.25, 0.5, 0.7):
+        xs, ys = np.arange(x_lo, x_hi, step), np.arange(y_lo, y_hi, step)
+        samples.append((xs[None, :], ys[:, None]))
+    for _ in range(20):
+        xs = np.sort(rng.uniform(x_lo, x_hi, rng.integers(1, 40)))
+        ys = np.sort(rng.uniform(y_lo, y_hi, rng.integers(1, 40)))
+        samples.append((xs[None, :], ys[:, None]))
+    for xs, ys in samples:
         got = bilinear_sample(values, origin, cell, xs, ys)
-        assert np.array_equal(got, _bilinear_reference(values, origin, cell, xs, ys))
+        want = _bilinear_reference(values, origin, cell, xs, ys)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
