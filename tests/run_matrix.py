@@ -10,10 +10,17 @@ time, and writes `MATRIX_<sha>.json` at the repository root: `<sha>` is the
 checkout's git HEAD, and `dirty` records uncommitted changes under `src/`.
 Each scene records its end reason, reached and skipped waypoints, hazards,
 simulated time, mission digest (`perfbench/scenarios.mission_digest`), the
+run invariants it breaks (`perfbench/scenarios.check_invariants`), the
 number of plans (`MissionRunner._plan` calls) and of `best_progress_path`
 fallbacks, and its host time. Everything but the host time is exactly
-reproducible. pytest does not collect this file; `tests/test_matrix.py`
-re-runs its cheap scenes against the newest committed file.
+reproducible. pytest does not collect this file.
+
+The newest committed file is the one record of pinned whole-scene
+missions: `tests/test_matrix.py` re-runs the `TIER1` scenes against it.
+To re-pin after a change that moves an outcome on purpose, run
+`python tests/run_matrix.py`, then `--diff` the newest committed file
+against the new one, and commit the new file with each moved scene
+explained in CHANGES.md.
 """
 
 from __future__ import annotations
@@ -39,7 +46,7 @@ import rovernav.mission as mission  # noqa: E402
 from rovernav.config import build_scene  # noqa: E402
 from rovernav.map_server import WaypointQueue  # noqa: E402
 from rovernav.modes import NavMode  # noqa: E402
-from scenarios import mission_digest  # noqa: E402
+from scenarios import check_invariants, mission_digest  # noqa: E402
 
 SEEDS = range(5)
 # (preset, classifier, first n auto waypoints or None for all). The
@@ -64,6 +71,15 @@ def scene_name(preset: str, classifier: str, prefix: int | None, seed: int) -> s
 
 
 SCENES = {scene_name(*group, seed): (*group, seed) for group in GROUPS for seed in SEEDS}
+
+# The scenes tier-1 re-runs, about 21 s on 2 cores: every mock and every
+# rocky scene, and the cheapest geometric scene of the two costlier courses.
+# The set changes only in a change that says so in CHANGES.md.
+TIER1 = (
+    *(name for name, spec in SCENES.items() if spec[1] == "mock" or spec[0] == "rocky"),
+    "challenging/geometric/seed1",
+    "mixed/geometric/seed2",
+)
 
 
 @contextlib.contextmanager
@@ -109,6 +125,8 @@ def run_scene(preset: str, classifier: str, prefix: int | None, seed: int) -> di
         "hazards": metrics["hazards"],
         "sim_s": metrics["total_time"],
         "digest": mission_digest(metrics, result.trajectory),
+        "violations": check_invariants(metrics, result.trajectory, len(result.trajectory),
+                                       forced and forced.value),
         "plans": counts["plans"],
         "best_progress_path": counts["best_progress_path"],
         "host_s": round(host_s, 2),

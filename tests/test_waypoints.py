@@ -151,8 +151,8 @@ class TestFullPipeline:
         assert queue.points[-1] == pytest.approx((130.0, 70.0), abs=1.5)
 
     def test_build_scene_routes_pinned(self):
-        # Every auto route of the presets, seeds 0-4: the golden missions
-        # fly seed 0 only.
+        # Every auto route of the presets, seeds 0-4: the routes the
+        # scenario matrix flies.
         digest = hashlib.sha256()
         for kind in ("flat", "rocky", "challenging", "mixed"):
             for seed in range(5):
