@@ -29,6 +29,7 @@ import argparse
 import concurrent.futures
 import contextlib
 import datetime
+import functools
 import json
 import multiprocessing
 import subprocess
@@ -131,6 +132,13 @@ def run_scene(preset: str, classifier: str, prefix: int | None, seed: int) -> di
         "best_progress_path": counts["best_progress_path"],
         "host_s": round(host_s, 2),
     }
+
+
+@functools.cache
+def scene_record(name: str) -> dict:
+    """`run_scene` of the named scene, flown once per process, so that the
+    tests that check the same scene share one run."""
+    return run_scene(*SCENES[name])
 
 
 def run_preset(preset: str) -> dict:

@@ -36,6 +36,6 @@ def test_tier1_names_matrix_scenes():
 
 @pytest.mark.parametrize("name", run_matrix.TIER1)
 def test_matrix_scene_matches_its_committed_digest(name):
-    record = run_matrix.run_scene(*run_matrix.SCENES[name])
+    record = run_matrix.scene_record(name)
     assert record["violations"] == [], record
     assert record["digest"] == MATRIX["scenes"][name]["digest"], (record, MATRIX["scenes"][name])

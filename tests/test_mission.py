@@ -63,6 +63,35 @@ def scenarios(monkeypatch):
     return scenarios
 
 
+def _assert_matrix_pin(name):
+    record = run_matrix.scene_record(name)
+    assert record["violations"] == [], record
+    assert record["digest"] == run_matrix.newest_matrix()["scenes"][name]["digest"]
+
+
+@pytest.mark.parametrize("kind", ["flat", "rocky", "mixed", "challenging"])
+def test_golden_digests(kind):
+    # The adaptive mock mission on build_scene(kind, 0); mixed is the
+    # benchmark's adaptive mission.
+    _assert_matrix_pin(f"{kind}/mock/seed0")
+
+
+def test_golden_conservative_digest():
+    # The benchmark's forced-conservative mission: the costmap path.
+    _assert_matrix_pin("rocky/conservative-first2/seed0")
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_forced_conservative_records_no_hazard(seed):
+    # The single-mode baseline may fail to arrive, never to stay safe. Seed
+    # 2's final waypoint lies on inflated lethal cells and the final goal is
+    # never relaxed: the flood ends short of it, and the mission ends
+    # no_path once no plan makes progress.
+    record = run_matrix.scene_record(f"rocky/conservative-first2/seed{seed}")
+    assert record["hazards"] == []
+    assert record["end_reason"] == ("no_path" if seed == 2 else "complete")
+
+
 def _conservative_run(scene):
     """Metrics and trajectory of the forced-conservative mission over the
     scene's first 2 waypoints."""
