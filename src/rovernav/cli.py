@@ -1,6 +1,8 @@
 """Command-line interface.
 
-Subcommands: gen-terrain, run, compare, render, config-ref. Exit codes:
+Subcommands: gen-terrain, run, compare, render, config-ref. `run` writes
+the map dump, cost image included; `render` draws a terrain, with a
+trajectory on top. Exit codes:
 0 success, 2 usage or configuration problem, 3 mission failure (outputs
 still written), 4 classifier backend unavailable.
 """
@@ -15,7 +17,6 @@ from pathlib import Path as FsPath
 from . import config as cfgmod
 from . import pgmio, render
 from .errors import MissionConfigError, RoverNavError, ValidationError, VlmError
-from .map_server import MAP_META, load_global_map
 from .mission import compare_single_vs_multi, run_mission
 from .terrain import TERRAIN_META, load_terrain, save_terrain
 from .waypoints import save_waypoints
@@ -28,6 +29,8 @@ EXIT_BACKEND = 4
 
 # The paper's multi-mode speedup over the conservative-only baseline (a
 # 79.5 % gain), printed beside each measured one and kept in every row.
+# The abstract gives neither the mode speed caps nor the terrain mix behind
+# it, so the repo's valid pairs agree with it in direction only.
 REFERENCE_SPEEDUP = 1.795
 
 
@@ -68,9 +71,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seeds", default="0", help="comma-separated seed list")
     p.set_defaults(func=cmd_compare)
 
-    p = sub.add_parser("render", help="render terrain / trajectory / map artifacts")
+    p = sub.add_parser("render", help="render a terrain, with a trajectory on top")
     p.add_argument("artifacts", nargs="+",
-                   help="terrain dir, map dump dir, and/or trajectory csv")
+                   help="terrain dir, and optionally a trajectory csv")
     p.add_argument("-o", "--out", default="render_out")
     p.set_defaults(func=cmd_render)
 
@@ -169,34 +172,23 @@ def cmd_render(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     terrain = None
     trajectory = None
-    cost_map = None
     for art in args.artifacts:
         p = FsPath(art)
         if p.is_dir() and (p / TERRAIN_META).exists():
             terrain = load_terrain(p)
-        elif p.is_dir() and (p / MAP_META).exists():
-            cost_map = load_global_map(p)
         elif p.suffix == ".csv":
             trajectory = read_trajectory(p)
         else:
             raise ValidationError(f"cannot identify artifact kind: {p}")
 
-    wrote = []
-    if terrain is not None:
-        image = render.render_terrain(terrain)
-        if trajectory is not None:
-            image = render.draw_trajectory(image, trajectory, terrain.ground.origin,
-                                           terrain.ground.cell_size)
-        pgmio.write_ppm(out / "terrain.ppm", image)
-        wrote.append("terrain.ppm")
-    elif trajectory is not None:
+    if terrain is None:
         raise ValidationError("a trajectory render needs a terrain directory too")
-    if cost_map is not None:
-        pgmio.write_ppm(out / "global_cost.ppm", render.render_cost(cost_map))
-        wrote.append("global_cost.ppm")
-    if not wrote:
-        raise ValidationError("nothing to render")
-    print(f"wrote {', '.join(wrote)} to {out}/")
+    image = render.render_terrain(terrain)
+    if trajectory is not None:
+        image = render.draw_trajectory(image, trajectory, terrain.ground.origin,
+                                       terrain.ground.cell_size)
+    pgmio.write_ppm(out / "terrain.ppm", image)
+    print(f"wrote terrain.ppm to {out}/")
     return EXIT_OK
 
 

@@ -22,7 +22,7 @@ from pathlib import Path as FsPath
 
 import numpy as np
 
-from .errors import ValidationError, malformed_input
+from .errors import ValidationError
 from .grids import cell_center, world_to_cell
 from .mapping import COST_MAX, COST_UNKNOWN, CostGrid
 from .modes import MODE_COLORS, NavMode
@@ -30,8 +30,8 @@ from .planning import Path, first_lethal_point
 from . import pgmio
 
 GLOBAL_RESOLUTION = 0.5
-MAP_META = "global_map.json"  # names a map dump directory, beside global_cost.pgm
 NO_SOURCE_COLOR = (40, 40, 40)  # cells no mode wrote, in the source overlay
+UNKNOWN_COLOR = (70, 90, 140)  # unknown cells, in the cost image
 
 
 @dataclass
@@ -130,12 +130,18 @@ class MapServer:
     # -- dump -------------------------------------------------------------------
 
     def dump(self, out_dir) -> None:
-        """Write the value graymap, source-mode overlay, and metadata."""
+        """Write the value graymap, its colour image (gray cost, unknown in
+        UNKNOWN_COLOR), the source-mode overlay, and metadata."""
         out = FsPath(out_dir)
         out.mkdir(parents=True, exist_ok=True)
         gm = self.global_map
-        pixels = np.where(gm.values < 0, 255, gm.values).astype(np.uint8)
+        unknown = gm.values < 0
+        pixels = np.where(unknown, 255, gm.values).astype(np.uint8)
         pgmio.write_pgm(out / "global_cost.pgm", pixels, maxval=255)
+        gray = np.clip(gm.values / 100.0 * 255.0, 0, 255).astype(np.uint8)
+        rgb = np.repeat(gray[..., None], 3, axis=2)
+        rgb[unknown] = UNKNOWN_COLOR
+        pgmio.write_ppm(out / "global_cost.ppm", rgb)
         colors = np.full((len(NavMode) + 1, 3), NO_SOURCE_COLOR, dtype=np.uint8)
         for mode in NavMode:
             colors[mode.priority] = MODE_COLORS[mode.value]
@@ -146,18 +152,4 @@ class MapServer:
             "unknown_pixel": 255,
             "source_codes": {"none": 0, **{mode.value: mode.priority for mode in NavMode}},
         }
-        (out / MAP_META).write_text(json.dumps(meta, indent=2, sort_keys=True), encoding="utf-8")
-
-
-def load_global_map(dump_dir) -> CostGrid:
-    """The global costmap that `MapServer.dump` wrote to `dump_dir`."""
-    meta_path = FsPath(dump_dir) / MAP_META
-    with malformed_input(str(meta_path)):
-        meta = json.loads(meta_path.read_text(encoding="utf-8"))
-        unknown, origin, cell_size = meta["unknown_pixel"], tuple(meta["origin"]), float(meta["cell_size"])
-    pgm_path = FsPath(dump_dir) / "global_cost.pgm"
-    with malformed_input(str(pgm_path)):
-        pixels, _ = pgmio.read_pgm(pgm_path)
-    values = pixels.astype(np.int16)
-    values[pixels == unknown] = COST_UNKNOWN
-    return CostGrid(values, origin, cell_size)
+        (out / "global_map.json").write_text(json.dumps(meta, indent=2, sort_keys=True), encoding="utf-8")

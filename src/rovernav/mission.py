@@ -207,8 +207,9 @@ class ModeSwitcher:
     """Mode selection with fail-safe fallback and down-switch hysteresis.
 
     Moving to a more severe mode happens immediately; moving down requires
-    the calmer class to persist for `DOWNSWITCH_PERIODS` consecutive
-    classifier periods. On classifier failure the mode is kept for one
+    the calmer class in `DOWNSWITCH_PERIODS` verdicts in a row. A missed
+    verdict (classifier failure) breaks the run, so a down-switch streak
+    starts again after it. On classifier failure the mode is kept for one
     period; persistent failure falls back to the most cautious mode.
     """
 
@@ -221,6 +222,8 @@ class ModeSwitcher:
     def update(self, assessment: TerrainAssessment | None) -> NavMode:
         if assessment is None:
             self._missed += 1
+            self._pending = None
+            self._pending_count = 0
             if self.mode is None or self._missed > 1:
                 self.mode = NavMode.CONSERVATIVE
             return self.mode
@@ -546,13 +549,13 @@ class MissionRunner:
             grid, goal, search = window, self._sensed_goal(window, goal), astar_cost
         flood = False
         try:
-            try:
-                path = search(grid, start, goal)
-            except NoPathError:
-                path, flood = best_progress_path(grid, start, goal), True
+            path = search(grid, start, goal)
         except InvalidStartError:
             self._no_path_streak += 1
             return None
+        except NoPathError:
+            # the search checked the start first, so the flood from it runs
+            path, flood = best_progress_path(grid, start, goal), True
         pts = path.points
         end_err = math.hypot(pts[-1][0] - waypoint[0], pts[-1][1] - waypoint[1])
         if 1e-9 < end_err <= window.cell_size * 1.5:

@@ -1,8 +1,8 @@
-"""Binary portable graymap reader and graymap / pixmap writers.
+"""Binary portable graymap and pixmap writers.
 
 Only the features this package needs: P5 graymaps at maxval 255 or 65535
-(16-bit samples big-endian, per the netpbm convention), read and written,
-and P6 pixmaps at maxval 255, written only. No external imaging dependency.
+(16-bit samples big-endian, per the netpbm convention) and P6 pixmaps at
+maxval 255. No reader, and no external imaging dependency.
 """
 
 from __future__ import annotations
@@ -28,23 +28,6 @@ def write_pgm(path, values: np.ndarray, maxval: int = 255) -> None:
     Path(path).write_bytes(pgm_bytes(values, maxval))
 
 
-def read_pgm(path) -> tuple[np.ndarray, int]:
-    """Read a binary P5 graymap. Returns (values, maxval)."""
-    raw = Path(path).read_bytes()
-    magic, rest = _token(raw, 0)
-    if magic != b"P5":
-        raise ValueError("not a binary P5 graymap")
-    width, rest = _token(raw, rest)
-    height, rest = _token(raw, rest)
-    maxval, rest = _token(raw, rest)
-    width, height, maxval = int(width), int(height), int(maxval)
-    dtype = np.dtype(">u2" if maxval > 255 else np.uint8)
-    if len(raw) - rest < width * height * dtype.itemsize:
-        raise ValueError("truncated graymap data")
-    data = np.frombuffer(raw, dtype=dtype, count=width * height, offset=rest)
-    return data.reshape(height, width).astype(np.int64), maxval
-
-
 def write_ppm(path, rgb: np.ndarray) -> None:
     """Write an (H, W, 3) uint8 array as a binary P6 pixmap."""
     rgb = np.asarray(rgb, dtype=np.uint8)
@@ -52,22 +35,3 @@ def write_ppm(path, rgb: np.ndarray) -> None:
         raise ValueError("pixmap data must have shape (H, W, 3)")
     header = f"P6\n{rgb.shape[1]} {rgb.shape[0]}\n255\n".encode("ascii")
     Path(path).write_bytes(header + rgb.tobytes())
-
-
-def _token(raw: bytes, offset: int) -> tuple[bytes, int]:
-    """Next whitespace-delimited header token, skipping # comments."""
-    i = offset
-    while True:
-        while i < len(raw) and raw[i : i + 1].isspace():
-            i += 1
-        if i < len(raw) and raw[i : i + 1] == b"#":
-            while i < len(raw) and raw[i : i + 1] != b"\n":
-                i += 1
-            continue
-        break
-    start = i
-    while i < len(raw) and not raw[i : i + 1].isspace():
-        i += 1
-    if start == i:
-        raise ValueError("truncated netpbm header")
-    return raw[start:i], i + 1

@@ -147,41 +147,35 @@ def astar_cost(grid: CostGrid, start, goal) -> Path:
     """
     if np.allclose(start, goal):
         return Path(start)
-    blocked, mult = _graph(grid)
-    rows, cols = blocked.shape
-    sr, sc, gr, gc = _endpoint_cells(grid, start, goal)
-    if not (0 <= sr < rows and 0 <= sc < cols):
-        raise InvalidStartError("start lies outside the grid")
-    if not (0 <= gr < rows and 0 <= gc < cols):
-        raise NoPathError("goal lies outside the grid")
-    if blocked[sr, sc]:
-        raise InvalidStartError("start cell is blocked")
-    if blocked[gr, gc]:
-        raise NoPathError("goal cell is blocked")
-    cells = _search(blocked, mult, (sr, sc), goal=(gr, gc))
+    blocked, mult, start_cell, (gr, gc) = _graph(grid, start, goal)
+    if not (0 <= gr < grid.rows and 0 <= gc < grid.cols) or blocked[gr, gc]:
+        raise NoPathError("goal cell is blocked or outside the grid")
+    cells = _search(blocked, mult, start_cell, goal=(gr, gc))
     if cells is None:
         raise NoPathError("no admissible path to the goal")
     return Path(np.column_stack(cell_center(*cells, grid.origin, grid.cell_size)))
 
 
-def _graph(grid: CostGrid):
-    """(blocked mask, per-cell edge multiplier) of a grid.
+def _graph(grid: CostGrid, start, goal):
+    """(blocked mask, per-cell edge multiplier, start cell, goal cell) of a
+    search from world point `start` toward `goal` on a grid.
 
     Lethal and unknown cells are blocked. The multiplier is None (uniform
     weights) when no open cell has cost: 1 + alpha * 0 / 100 is exactly 1,
-    so this only skips the per-edge arithmetic.
+    so this only skips the per-edge arithmetic. Raises InvalidStartError
+    for a start off the grid or on a blocked cell; the goal cell is
+    returned unchecked.
     """
     values = grid.values
     blocked = (values >= COST_MAX) | (values < 0)
-    if not ((values > 0) & ~blocked).any():
-        return blocked, None
-    return blocked, 1.0 + COST_EDGE_ALPHA * values.astype(float) / 100.0
-
-
-def _endpoint_cells(grid, start, goal) -> tuple[int, int, int, int]:
     (sr, gr), (sc, gc) = np.array(world_to_cell(
         [start[0], goal[0]], [start[1], goal[1]], grid.origin, grid.cell_size)).tolist()
-    return sr, sc, gr, gc
+    if not (0 <= sr < grid.rows and 0 <= sc < grid.cols) or blocked[sr, sc]:
+        raise InvalidStartError("start cell is blocked or outside the grid")
+    mult = None
+    if ((values > 0) & ~blocked).any():
+        mult = 1.0 + COST_EDGE_ALPHA * values.astype(float) / 100.0
+    return blocked, mult, (sr, sc), (gr, gc)
 
 
 def _search(blocked, mult, start, goal=None, targets=()):
@@ -274,11 +268,7 @@ def best_progress_path(grid: CostGrid, start, goal) -> Path:
     set a flood settles. The flood stops at the first candidate it settles,
     the one of least path weight, then row-major order.
     """
-    blocked, mult = _graph(grid)
-    rows, cols = blocked.shape
-    sr, sc, gr, gc = _endpoint_cells(grid, start, goal)
-    if not (0 <= sr < rows and 0 <= sc < cols) or blocked[sr, sc]:
-        raise InvalidStartError("start cell is blocked or outside the grid")
+    blocked, mult, (sr, sc), (gr, gc) = _graph(grid, start, goal)
     labels, _ = ndimage.label(~blocked, structure=np.ones((3, 3)))
     rr, cc = np.nonzero(labels == labels[sr, sc])
     # The square roots of distinct integer squared distances lie many ulps

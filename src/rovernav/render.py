@@ -1,9 +1,10 @@
-"""Plain-pixmap rendering of terrain, maps, and trajectories.
+"""Plain-pixmap rendering of terrain and trajectories.
 
 Everything draws into (H, W, 3) uint8 arrays written as binary P6 files,
 so outputs stay diffable and dependency-free. Row 0 of the arrays is the
 minimum-y edge; viewers show the world flipped, which is fine for
-diagnostics.
+diagnostics. The map's cost image is drawn where the map is written, by
+`MapServer.dump`.
 """
 
 from __future__ import annotations
@@ -11,12 +12,9 @@ from __future__ import annotations
 import numpy as np
 
 from . import grids
-from .mapping import CostGrid
 from .modes import MODE_COLORS
 from .terrain import HeightField, Terrain
 from .world import RoverState
-
-UNKNOWN_COLOR = (70, 90, 140)
 
 
 def hillshade(fld: HeightField) -> np.ndarray:
@@ -33,15 +31,6 @@ def render_terrain(terrain: Terrain) -> np.ndarray:
     gray = hillshade(terrain.full_field()).astype(float)
     rgb = np.stack([gray * 0.95, gray * 0.62, gray * 0.45], axis=-1)
     return np.clip(rgb, 0, 255).astype(np.uint8)
-
-
-def render_cost(grid: CostGrid) -> np.ndarray:
-    """Costs as grayscale; unknown cells in a distinct blue."""
-    vals = grid.values
-    gray = np.clip(vals.astype(float) / 100.0 * 255.0, 0, 255).astype(np.uint8)
-    rgb = np.stack([gray, gray, gray], axis=-1)
-    rgb[vals < 0] = UNKNOWN_COLOR
-    return rgb
 
 
 def draw_trajectory(image: np.ndarray, rows: list[tuple[RoverState, str]], origin,

@@ -6,7 +6,6 @@ from rovernav import cli, mission
 from rovernav import config as cfgmod
 from rovernav.config import MIXED_SEQUENCE, build_scene
 from rovernav.errors import MissionConfigError
-from rovernav.map_server import MapServer
 from rovernav.mission import ComparisonReport, GeometricClassifierBackend, MissionMetrics, MissionResult, ModeConfig
 from rovernav.modes import NavMode
 from rovernav.world import TRAJECTORY_HEADER
@@ -179,27 +178,10 @@ def _sidecar_spec(tmp_path, edit, message):
     return "render", str(tmp_path / "terrain"), f"{meta_path}: {message}"
 
 
-def _map_without_unknown_pixel(tmp_path):
-    MapServer((20.0, 20.0)).dump(tmp_path / "map")
-    meta_path = tmp_path / "map" / "global_map.json"
-    meta = json.loads(meta_path.read_text(encoding="utf-8"))
-    del meta["unknown_pixel"]
-    meta_path.write_text(json.dumps(meta), encoding="utf-8")
-    return "render", str(tmp_path / "map"), f"{meta_path}: missing key 'unknown_pixel'"
-
-
 def _trajectory_line(tmp_path, line):
     path = tmp_path / "trajectory.csv"
     path.write_text(f"{TRAJECTORY_HEADER}\n0.050,1.0,2.0,0.0,0.5,safe\n{line}\n", encoding="utf-8")
     return "render", str(path), f"{path}:3: expected {TRAJECTORY_HEADER}, got {line!r}"
-
-
-def _map_pgm(tmp_path, edit, message):
-    """Render a map dump whose global_cost.pgm `edit` rewrote."""
-    MapServer((20.0, 20.0)).dump(tmp_path / "map")
-    pgm_path = tmp_path / "map" / "global_cost.pgm"
-    pgm_path.write_bytes(edit(pgm_path.read_bytes()))
-    return "render", str(tmp_path / "map"), f"{pgm_path}: {message}"
 
 
 @pytest.mark.parametrize("make", [
@@ -209,12 +191,8 @@ def _map_pgm(tmp_path, edit, message):
     lambda tmp_path: _sidecar_spec(tmp_path, lambda spec: spec.pop("lacunarity"), "missing key 'lacunarity'"),
     lambda tmp_path: _sidecar_spec(tmp_path, lambda spec: spec.update(lacunarty=2.0),
                                    "unknown terrain spec keys: ['lacunarty']"),
-    _map_without_unknown_pixel,
     lambda tmp_path: _trajectory_line(tmp_path, "0.100,abc,2.0,0.0,0.5,safe"),
     lambda tmp_path: _trajectory_line(tmp_path, "0.100,1.0,2.0,safe"),
-    lambda tmp_path: _map_pgm(tmp_path, lambda raw: raw[:-1], "truncated graymap data"),
-    lambda tmp_path: _map_pgm(tmp_path, lambda raw: raw[:6], "truncated netpbm header"),
-    lambda tmp_path: _map_pgm(tmp_path, lambda raw: b"P2" + raw[2:], "not a binary P5 graymap"),
     lambda tmp_path: ("run", {"terrain": {"specs": SPEC}}, "'specs' must be a list"),
     lambda tmp_path: ("run", {"terrain": {"presets": "mixed"}}, "'presets' must be a list, not 'mixed'"),
     lambda tmp_path: ("run", {"terrain": {"presets": [["flat"]]}}, "unknown terrain preset ['flat']"),
@@ -225,9 +203,8 @@ def _map_pgm(tmp_path, edit, message):
                       "one of preset, presets, specs, load"),
     lambda tmp_path: ("run", {"terrain": {"seed": 3}}, "not {'seed': 3}"),
 ], ids=["waypoint.three_fields", "waypoint.not_a_number", "terrain.load.not_json",
-        "render.spec_without_lacunarity", "render.spec_unknown_key", "render.map_without_unknown_pixel",
-        "render.trajectory.not_a_number", "render.trajectory.four_fields", "render.pgm.truncated_data",
-        "render.pgm.truncated_header", "render.pgm.not_p5",
+        "render.spec_without_lacunarity", "render.spec_unknown_key",
+        "render.trajectory.not_a_number", "render.trajectory.four_fields",
         "terrain.specs.object", "terrain.presets.string", "terrain.presets.nested_list",
         "terrain.specs.string_item", "terrain.specs.unknown_key",
         "terrain.unknown_key", "terrain.two_sources", "terrain.no_source"])

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from rovernav.errors import MissionConfigError, ValidationError
-from rovernav.map_server import NO_SOURCE_COLOR, MapServer, WaypointQueue, load_global_map
+from rovernav.map_server import NO_SOURCE_COLOR, UNKNOWN_COLOR, MapServer, WaypointQueue
 from rovernav.mapping import COST_MAX, COST_UNKNOWN, CostGrid
 from rovernav.mission import MissionRunner
 from rovernav.modes import MODE_COLORS, NavMode
@@ -215,14 +215,21 @@ class TestCollisionCheck:
         assert srv.collision_check_tick(path) is None
 
 
+def pixmap(path, rows, cols):
+    """The (rows, cols, 3) pixels of a binary P6 file of that size."""
+    raw = path.read_bytes()
+    header = f"P6\n{cols} {rows}\n255\n".encode("ascii")
+    assert raw.startswith(header)
+    return np.frombuffer(raw[len(header):], dtype=np.uint8).reshape(rows, cols, 3)
+
+
 class TestDump:
     def test_dump_writes_artifacts(self, tmp_path):
         srv = server()
         srv.update_from_local(cost_local([[50]], (10.0, 10.0)), NavMode.SAFE)
         srv.dump(tmp_path / "map")
-        assert (tmp_path / "map" / "global_cost.pgm").exists()
-        assert (tmp_path / "map" / "global_source.ppm").exists()
-        assert (tmp_path / "map" / "global_map.json").exists()
+        for name in ("global_cost.pgm", "global_cost.ppm", "global_source.ppm", "global_map.json"):
+            assert (tmp_path / "map" / name).exists(), name
 
     def test_source_overlay_uses_the_mode_palette(self, tmp_path):
         srv = server((20.0, 10.0))
@@ -232,20 +239,20 @@ class TestDump:
         srv.update_from_local(cost_local([[50]], (5.0, 1.0)), NavMode.SAFE)
         srv.update_from_local(cost_local([[50]], (9.0, 1.0)), NavMode.CONSERVATIVE)
         srv.dump(tmp_path / "map")
-        raw = (tmp_path / "map" / "global_source.ppm").read_bytes()
-        header = b"P6\n40 20\n255\n"
-        assert raw.startswith(header)
-        rgb = np.frombuffer(raw[len(header):], dtype=np.uint8).reshape(20, 40, 3)
+        rgb = pixmap(tmp_path / "map" / "global_source.ppm", 20, 40)
         for mode, col in ((NavMode.EFFICIENT, 2), (NavMode.SAFE, 10), (NavMode.CONSERVATIVE, 18)):
             assert tuple(rgb[2, col]) == MODE_COLORS[mode.value], mode
         assert tuple(rgb[0, 0]) == NO_SOURCE_COLOR
 
-    def test_dump_reloads_the_global_map(self, tmp_path):
+    def test_cost_image_draws_costs_gray_and_unknown_cells_apart(self, tmp_path):
         srv = server((20.0, 10.0))
         values = srv.global_map.values
         values[0, 0], values[3, 7], values[19, 39] = 0, 37, COST_MAX
         srv.dump(tmp_path / "map")
-        loaded = load_global_map(tmp_path / "map")
-        assert COST_UNKNOWN in loaded.values
-        assert np.array_equal(loaded.values, values)
-        assert (loaded.origin, loaded.cell_size) == (srv.global_map.origin, srv.global_map.cell_size)
+        rgb = pixmap(tmp_path / "map" / "global_cost.ppm", 20, 40)
+        assert tuple(rgb[0, 0]) == (0, 0, 0)
+        assert tuple(rgb[3, 7]) == (94, 94, 94)  # 37 / 100 * 255 = 94.35, truncated
+        assert tuple(rgb[19, 39]) == (255, 255, 255)
+        unknown = values == COST_UNKNOWN
+        assert np.count_nonzero(unknown) == 20 * 40 - 3
+        assert (rgb[unknown] == UNKNOWN_COLOR).all()

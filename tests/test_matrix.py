@@ -5,7 +5,9 @@ record of pinned whole-scene missions. Tier-1 re-runs the scenes named in
 `run_matrix.TIER1` against it: each keeps its digest, which covers its end
 reason, waypoints and hazards, and breaks no run invariant. `TIER1` changes
 only in a change that says so in CHANGES.md; `tests/run_matrix.py` gives
-the re-pin steps.
+the re-pin steps, and CI flies all 45 scenes against the file. Two gates
+read the file alone: no baseline or geometric hazard, and a bound on plans
+per reached waypoint.
 """
 
 import pytest
@@ -25,6 +27,20 @@ def test_newest_matrix_records_no_baseline_or_geometric_hazard():
     hazards = {name: record["hazards"] for name, record in MATRIX["scenes"].items()
                if run_matrix.SCENES[name][1] in ("conservative", "geometric") and record["hazards"]}
     assert hazards == {}
+
+
+# A leg whose paths are dropped again and again replans without end: mock
+# challenging seed 0 once made 1501 plans for 2 reached waypoints before
+# timing out. When the bound was set the worst ratio was 34.5 (that same
+# scene, 69 plans for 2 reached): the bound sits just above, far below the
+# thrash.
+MAX_PLANS_PER_REACHED = 40
+
+
+def test_newest_matrix_plans_per_reached_waypoint_stay_bounded():
+    over = {name: (record["plans"], record["reached"]) for name, record in MATRIX["scenes"].items()
+            if record["plans"] > MAX_PLANS_PER_REACHED * max(record["reached"], 1)}
+    assert over == {}
 
 
 def test_tier1_names_matrix_scenes():

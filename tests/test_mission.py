@@ -480,6 +480,14 @@ def test_mode_switcher_keeps_mode_over_one_missed_verdict():
     assert _modes(switcher, [None, FLAT, None]) == [NavMode.EFFICIENT] * 3
 
 
+def test_mode_switcher_missed_verdict_restarts_the_downswitch_streak():
+    # one calm verdict after a miss, or after the fail-safe fallback, is a
+    # streak of one: it must not finish a streak begun before the miss
+    assert _modes(ModeSwitcher(), [ROCKY, FLAT, None, None, FLAT]) == [
+        NavMode.SAFE, NavMode.SAFE, NavMode.SAFE, NavMode.CONSERVATIVE, NavMode.CONSERVATIVE]
+    assert _modes(ModeSwitcher(), [CHALLENGING, FLAT, None, FLAT]) == [NavMode.CONSERVATIVE] * 4
+
+
 def test_mode_switcher_falls_back_to_conservative():
     switcher = ModeSwitcher()
     switcher.update(FLAT)
