@@ -83,6 +83,11 @@ class PathTracker:
         self.path = path
         self._cursor = 0
 
+    @property
+    def cursor(self) -> int:
+        """Index of the path point closest to the rover at the last step."""
+        return self._cursor
+
     def step(self, state: RoverState, target_speed: float, taper: bool = True) -> VelocityCommand:
         cmd, self._cursor = pure_pursuit(state, self.path, target_speed, self._cursor, taper)
         return cmd

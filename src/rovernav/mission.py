@@ -635,15 +635,24 @@ class MissionRunner:
         progress) end short of the waypoint: replan from the new pose once
         consumed. A waypoint the flood could not reach but that is already
         close counts as served.
+
+        The path is left when both its nearest vertex and its nearest
+        segment lie beyond `off_path_limit`. The nearest vertex is never
+        farther than the tracker's cursor vertex, so while the cursor
+        vertex lies within the limit the whole-path scan is skipped. That
+        test takes a relative 1e-12 off the limit, far more than
+        `math.hypot` and `np.hypot` can differ by.
         """
         if self.tracker is None:
             return
         cfg = self.config
+        x, y = self.state.x, self.state.y
         pts = self.tracker.path.points
-        d_path = float(np.min(np.hypot(pts[:, 0] - self.state.x, pts[:, 1] - self.state.y)))
+        cx, cy = pts[self.tracker.cursor].tolist()
         # the nearest segment is never farther than the nearest vertex
-        if (d_path > cfg.off_path_limit
-                and _segment_distance(pts, self.state.x, self.state.y) > cfg.off_path_limit):
+        if (math.hypot(cx - x, cy - y) >= cfg.off_path_limit * (1.0 - 1e-12)
+                and float(np.min(np.hypot(pts[:, 0] - x, pts[:, 1] - y))) > cfg.off_path_limit
+                and _segment_distance(pts, x, y) > cfg.off_path_limit):
             self.tracker = None
             return
         if not self.tracker.reached(self.state):

@@ -6,6 +6,16 @@ depth sensing (`World.sense_elevation_patch`, heights on the cell centres
 of any lattice, and `World.sense_points`, the same patch with NaN off the
 map, which the maps read) and watches for the three hazard conditions:
 rock contact, excessive tilt, and leaving the map.
+
+A `World` reads its terrain's rock list and ground once: the rock index is
+built in `__init__`, and the ground's steepest cell-to-cell rise on the
+first tilt refresh of `check_hazard`. Neither may change afterwards.
+`check_hazard` carries a bound on the footprint's fitted tilt gradient from
+the pose where it last refreshed one, and skips the tilt test while the
+bound, grown by the distance moved, stays under the limit less the rounding
+margin of `TILT_FLAT_RANGE`. The bound holds because the bilinear ground is
+Lipschitz and every in-map tilt sample lies inside the hull of the cell
+centres, where no edge clamp flattens it.
 """
 
 from __future__ import annotations
@@ -50,13 +60,31 @@ def _tilt_weight_sum() -> float:
     return total
 
 
+_TILT_WEIGHT_SUM = _tilt_weight_sum()
+
 # The slope weights sum to zero, so (a, b) = sum of w_i * (z_i - c) for any
 # c, and with c midway between the lowest and highest ground cell the
 # samples blend, |(a, b)| <= sum |w_i| * range / 2. Ground whose height range
 # stays under this bound therefore fits a plane under TILT_LIMIT_DEG. The
 # factor 1 - 1e-6 is the rounding margin: the fit's and the arctan's float
 # error is orders of magnitude smaller for ground heights up to 1e6 m.
-TILT_FLAT_RANGE = (2.0 * math.tan(math.radians(TILT_LIMIT_DEG)) / _tilt_weight_sum()) * (1.0 - 1e-6)
+TILT_FLAT_RANGE = (2.0 * math.tan(math.radians(TILT_LIMIT_DEG)) / _TILT_WEIGHT_SUM) * (1.0 - 1e-6)
+
+# The same limit on the fitted gradient |(a, b)| itself, with the same
+# rounding margin: `check_hazard` skips a pose whose carried bound stays
+# under it.
+_TILT_GRADIENT_LIMIT = math.tan(math.radians(TILT_LIMIT_DEG)) * (1.0 - 1e-6)
+
+
+def _ground_gradient_bound(ground: HeightField) -> float:
+    """hypot(Gx, Gy): Gx and Gy are the largest height differences between
+    adjacent cells along x and along y, divided by the cell size. Within a
+    cell, the bilinear surface's x slope blends two such x differences and
+    its y slope two y differences, so its gradient never exceeds this."""
+    z = ground.elevation
+    gx = float(np.abs(np.diff(z, axis=1)).max(initial=0.0))
+    gy = float(np.abs(np.diff(z, axis=0)).max(initial=0.0))
+    return math.hypot(gx, gy) / ground.cell_size
 
 
 @dataclass(frozen=True)
@@ -135,6 +163,11 @@ class World:
         g = terrain.ground
         xs, ys = cell_center(np.array([0, g.rows - 1]), np.array([0, g.cols - 1]), g.origin, g.cell_size)
         (self._x_lo, self._x_hi), (self._y_lo, self._y_hi) = xs.tolist(), ys.tolist()
+        # The carried tilt bound of `check_hazard`: (x, y, bound) at the last
+        # refresh, and how fast the bound grows per metre moved, set on the
+        # first refresh so that a scene build does no extra work.
+        self._tilt_carry = None
+        self._tilt_growth = None
 
     def sense_elevation_patch(self, origin, shape: tuple[int, int], resolution: float) -> HeightField:
         """The surface at the cell centres of a rows x cols lattice at
@@ -189,15 +222,33 @@ class World:
         Checked in order: off-map (footprint leaves the hull of the ground's
         cell centres), rock contact (rock disc intersects the footprint
         disc), then tilt (plane fit of the ground under the footprint
-        steeper than the limit).
+        steeper than the limit). The off-map and rock checks run on every
+        call; the tilt test has two exact early-outs.
 
         Inside the hull no tilt sample meets the edge clamp of
         `grids.bilinear_sample`, which flattens the ground and would
-        under-read the tilt. The tilt fit is skipped when the ground cells
-        its samples blend, `_tilt_window`, span less than `TILT_FLAT_RANGE`
+        under-read the tilt. The fitted gradient is (a, b) = sum of w_i * z_i
+        over the samples, with sum |w_i| = S = 24/23 (`_tilt_weight_sum`).
+
+        Flat window: the tilt fit is skipped when the ground cells its
+        samples blend, `_tilt_window`, span less than `TILT_FLAT_RANGE`
         (1.107 m) in height: every sample lies within that range, and the
-        fitted gradient is at most sum |w_i| * range / 2, under
-        tan(TILT_LIMIT_DEG). The skip therefore never changes the result.
+        fitted gradient is at most B = S * range / 2, under
+        tan(TILT_LIMIT_DEG). Otherwise the fit gives B = |(a, b)|.
+
+        Carried bound: the world keeps B and the pose q where it was last
+        refreshed. With Gx and Gy the ground's largest height differences
+        between adjacent cells along x and y, divided by the cell size, the
+        bilinear ground's gradient is at most G = hypot(Gx, Gy) everywhere,
+        so a sample moves by at most G * |p - q| between poses p and q. Both
+        footprints lie in the hull, which is convex, so the segment between
+        each pair of samples does too and meets no clamp. The fit therefore
+        moves by at most L * |p - q| with L = S * G, and while
+        B + L * |p - q| stays under tan(TILT_LIMIT_DEG) * (1 - 1e-6), the
+        rounding margin of `TILT_FLAT_RANGE`, the pose cannot tilt past the
+        limit and the window is not read. L is computed on the first
+        refresh, from the ground as it is then. Neither skip ever changes
+        the result.
         """
         r = FOOTPRINT_RADIUS
         if (pose.x - r < self._x_lo or pose.x + r > self._x_hi
@@ -208,13 +259,22 @@ class World:
         for rock in self._rocks_near(pose.x, pose.y, r):
             if math.hypot(rock.x - pose.x, rock.y - pose.y) < rock.radius + r:
                 return HazardEvent(HazardKind.ROCK_COLLISION, (pose.x, pose.y), pose.time)
+        if self._tilt_carry is not None:
+            x, y, bound = self._tilt_carry
+            if bound + self._tilt_growth * math.hypot(pose.x - x, pose.y - y) < _TILT_GRADIENT_LIMIT:
+                return None
+        elif self._tilt_growth is None:
+            self._tilt_growth = _TILT_WEIGHT_SUM * _ground_gradient_bound(self.terrain.ground)
         window = self.terrain.ground.elevation[self._tilt_window(pose.x, pose.y)]
-        if window.max() - window.min() < TILT_FLAT_RANGE:
+        span = float(window.max() - window.min())
+        if span < TILT_FLAT_RANGE:
+            self._tilt_carry = (pose.x, pose.y, _TILT_WEIGHT_SUM * span / 2.0)
             return None
         xs = pose.x + _TILT_DX
         ys = pose.y + _TILT_DY
         zs = np.asarray(self.terrain.ground.sample(xs, ys), dtype=float)
         a, b, _ = plane_fit_points(np.column_stack([xs, ys, zs]))
+        self._tilt_carry = (pose.x, pose.y, math.hypot(a, b))
         if slope_degrees(a, b) > TILT_LIMIT_DEG:
             return HazardEvent(HazardKind.TILT_EXCEEDED, (pose.x, pose.y), pose.time)
         return None

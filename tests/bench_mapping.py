@@ -150,13 +150,20 @@ def _ground_range(world, pose):
     return window.max() - window.min()
 
 
+def _check_hazard_afresh(world, pose):
+    """`check_hazard` with the world's carried tilt bound reset, so every
+    call reads the window as a tick does after a jump."""
+    world._tilt_carry = None
+    return world.check_hazard(pose)
+
+
 def test_check_hazard(benchmark, rocky):
     world, pose = rocky
     # Flat ground with no hazard: the off-map and rock checks run, then the
     # ground's height range under the footprint ends the check before the
-    # tilt fit, as on most ticks.
+    # tilt fit.
     assert _ground_range(world, pose) < TILT_FLAT_RANGE
-    assert benchmark(world.check_hazard, pose) is None
+    assert benchmark(_check_hazard_afresh, world, pose) is None
 
 
 def test_check_hazard_steep(benchmark):
@@ -165,7 +172,22 @@ def test_check_hazard_steep(benchmark):
     # 4.3 m of relief under the footprint but no hazard, so the check runs
     # through to the tilt fit.
     assert _ground_range(world, pose) >= TILT_FLAT_RANGE
-    assert benchmark(world.check_hazard, pose) is None
+    assert benchmark(_check_hazard_afresh, world, pose) is None
+
+
+def _walk_hazards(world, poses):
+    world._tilt_carry = None
+    return [world.check_hazard(pose) for pose in poses]
+
+
+def test_check_hazard_walk(benchmark):
+    # 300 ticks of 0.04 m (0.8 m/s, the safe-mode cap) over the challenging
+    # tile, from the steep pose above: most ticks answer the tilt test from
+    # the bound carried from the last window read or fit.
+    world = build_scene("challenging", 0).world
+    poses = [RoverState(20.0 + 0.04 * i, 50.0, 0.0) for i in range(300)]
+    hazards = benchmark(_walk_hazards, world, poses)
+    assert hazards == [None] * len(poses)
 
 
 def _safe_patch(world, pose):

@@ -192,7 +192,9 @@ def newest_matrix(root: Path = ROOT) -> dict:
 
 
 def diff(before: dict, after: dict) -> str:
-    """A markdown table of the scenes whose digest moved, and the totals."""
+    """A markdown table of the scenes whose digest moved, the totals, and
+    each course's summed host time, which no gate reads: host time is not
+    reproducible."""
     lines = ["| scene | before | after |", "|---|---|---|"]
 
     def outcome(r):
@@ -210,6 +212,10 @@ def diff(before: dict, after: dict) -> str:
     lines.append(f"{moved} of {len(before['scenes'])} scenes moved.")
     for key in ("reached", "skipped", "hazards", "end_reasons", "plans", "best_progress_path"):
         lines.append(f"- {key}: {before['summary'][key]} -> {after['summary'][key]}")
+    for course in dict.fromkeys(SCENES[name][0] for name in before["scenes"]):
+        b, a = (sum(r["host_s"] for name, r in m["scenes"].items() if SCENES[name][0] == course)
+                for m in (before, after))
+        lines.append(f"- host_s, {course} (not gated): {b:.2f} -> {a:.2f}")
     return "\n".join(lines)
 
 

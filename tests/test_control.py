@@ -69,7 +69,7 @@ class TestPurePursuit:
         cursors = []
         for _ in range(100):
             cmd = tracker.step(state, 2.0)
-            cursors.append(tracker._cursor)
+            cursors.append(tracker.cursor)
             state = step(state, cmd, 0.1)
         assert all(b >= a for a, b in zip(cursors, cursors[1:]))
 

@@ -10,6 +10,8 @@ read the file alone: no baseline or geometric hazard, and a bound on plans
 per reached waypoint.
 """
 
+import copy
+
 import pytest
 
 import run_matrix
@@ -55,3 +57,14 @@ def test_matrix_scene_matches_its_committed_digest(name):
     record = run_matrix.scene_record(name)
     assert record["violations"] == [], record
     assert record["digest"] == MATRIX["scenes"][name]["digest"], (record, MATRIX["scenes"][name])
+
+
+def test_diff_shows_host_time_per_course_beside_the_gated_line():
+    after = copy.deepcopy(MATRIX)
+    after["scenes"]["mixed/mock/seed0"]["host_s"] += 1.0
+    lines = run_matrix.diff(MATRIX, after).splitlines()
+    assert "0 of 45 scenes moved." in lines
+    mixed = sum(r["host_s"] for name, r in MATRIX["scenes"].items() if name.startswith("mixed/"))
+    assert f"- host_s, mixed (not gated): {mixed:.2f} -> {mixed + 1.0:.2f}" in lines
+    assert [line.split(",")[1].split()[0] for line in lines if line.startswith("- host_s,")] == [
+        "flat", "rocky", "challenging", "mixed"]

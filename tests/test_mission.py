@@ -14,6 +14,7 @@ import pytest
 import rovernav.mission as mission
 from rovernav.classify import VLM_KEY_ENV, TerrainAssessment, VlmConfig
 from rovernav.config import build_scene, fill_config, scene_from_config
+from rovernav.control import GOAL_TOLERANCE
 from rovernav.errors import InvalidStartError, NoPathError, ValidationError, VlmTimeoutError, VlmTransportError
 from rovernav.grids import world_to_cell
 from rovernav.map_server import WaypointQueue
@@ -253,6 +254,65 @@ def test_rover_between_two_vertices_stays_on_its_path(monkeypatch):
                          forced_mode=NavMode.SAFE, start=RoverState(20.0, 20.0, 0.0))
     assert result.metrics.success
     assert starts == [(20.0, 20.0)]
+
+
+def _hairpin():
+    """Out along y = 20, up the turn at x = 30 and back along y = 24, every
+    0.25 m to x = 26, then one long segment to x = 16."""
+    points = np.vstack([_line((20.0, 20.0), (30.0, 20.0)).points,
+                        _line((30.0, 20.0), (30.0, 24.0)).points[1:],
+                        _line((30.0, 24.0), (26.0, 24.0)).points[1:],
+                        [(16.0, 24.0)]])
+    return mission.Path(points)
+
+
+def _old_rule_keeps(pts, x, y, limit):
+    """The whole-path rule: the rover is on its path when a vertex or a
+    segment lies within the limit."""
+    vertex = np.hypot(pts[:, 0] - x, pts[:, 1] - y).min()
+    a, b = pts[:-1], pts[1:]
+    t = np.clip(((x - a[:, 0]) * (b[:, 0] - a[:, 0]) + (y - a[:, 1]) * (b[:, 1] - a[:, 1]))
+                / np.maximum(((b - a) ** 2).sum(axis=1), 1e-300), 0.0, 1.0)
+    segment = np.hypot(a[:, 0] + t * (b[:, 0] - a[:, 0]) - x, a[:, 1] + t * (b[:, 1] - a[:, 1]) - y).min()
+    return bool(min(vertex, segment) <= limit)
+
+
+def _keeps(runner, path, cursor_at, x, y):
+    """Whether `_check_progress` keeps `path` with the rover at (x, y) and
+    the tracker's cursor on the vertex nearest `cursor_at`."""
+    runner.tracker = mission.PathTracker(path)
+    runner.tracker.step(RoverState(*cursor_at, 0.0), 1.0)
+    runner.state = RoverState(x, y, 0.0)
+    runner._check_progress()
+    return runner.tracker is not None
+
+
+@pytest.mark.parametrize("x, y, kept", [
+    (28.0, 23.2, True),   # 0.8 m from a vertex of the way back
+    (21.0, 23.2, True),   # 0.8 m from the long segment, far from its ends
+    (23.0, 22.0, False),  # 2 m from both legs
+    (35.0, 22.0, False),  # beyond the turn
+])
+def test_off_path_check_reads_the_whole_path_beyond_the_cursor(x, y, kept):
+    runner, path, limit = _runner(), _hairpin(), ModeConfig.off_path_limit
+    cursor_at = (25.0, 20.0)
+    assert math.dist(cursor_at, (x, y)) > limit
+    assert _keeps(runner, path, cursor_at, x, y) is kept
+    assert _old_rule_keeps(path.points, x, y, limit) is kept
+
+
+def test_off_path_check_agrees_with_the_whole_path_rule():
+    runner, path, limit = _runner(), _hairpin(), ModeConfig.off_path_limit
+    rng = np.random.default_rng(31)
+    decided = set()
+    for cursor_at in [(20.0, 20.0), (25.0, 20.0), (30.0, 22.0), (27.0, 24.0), (16.0, 24.0)]:
+        for x, y in rng.uniform((14.0, 17.0), (33.0, 27.0), (400, 2)):
+            if math.dist((x, y), path.points[-1]) <= 2 * GOAL_TOLERANCE:
+                continue  # a used-up path is dropped whatever the rule
+            kept = _old_rule_keeps(path.points, x, y, limit)
+            assert _keeps(runner, path, cursor_at, x, y) is kept, (cursor_at, x, y)
+            decided.add(kept)
+    assert decided == {True, False}
 
 
 def test_blocked_final_waypoint_is_never_skipped(monkeypatch):

@@ -205,21 +205,43 @@ class TestHazards:
 
 
 def full_fit_hazard(world, pose):
-    """`check_hazard` with the flat-ground early-out switched off, so the
-    tilt plane fit runs on every in-map, rock-free pose."""
+    """`check_hazard` with both tilt early-outs switched off, the flat
+    window and the carried bound, so the tilt plane fit runs on every
+    in-map, rock-free pose. The world's carried bound is restored after the
+    call, so the oracle leaves the checked world as it found it."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(world_module, "TILT_FLAT_RANGE", -math.inf)
+        mp.setattr(world, "_tilt_carry", None)
         return world.check_hazard(pose)
 
 
 def skips_fit(world, pose):
-    """Whether `check_hazard` answers this pose without the plane fit."""
+    """Whether the flat-window test answers this pose without the plane
+    fit."""
     window = world.terrain.ground.elevation[world._tilt_window(pose.x, pose.y)]
     return bool(window.max() - window.min() < TILT_FLAT_RANGE)
 
 
 def terrain_of(elevation, cell=0.5):
     return Terrain(HeightField(np.asarray(elevation, dtype=float), (0.0, 0.0), cell), [], [])
+
+
+ADVERSARIAL_POSE = RoverState(15.13, 14.87, 0.0)
+
+
+def adversarial_terrain(h, cell=0.5, n=60):
+    """Every ground cell holds +h/2 or -h/2: +h/2 in the bilinear stencil of
+    each tilt sample around `ADVERSARIAL_POSE` whose x slope weight is
+    positive (the weight has the sign of the sample's x offset), -h/2
+    elsewhere, so the samples pull the fitted x slope as far as ground of
+    range h can."""
+    pose = ADVERSARIAL_POSE
+    z = np.full((n, n), -h / 2)
+    for sx, sy in zip(pose.x + world_module._TILT_DX, pose.y + world_module._TILT_DY):
+        if sx > pose.x:
+            c0, r0 = math.floor(sx / cell - 0.5), math.floor(sy / cell - 0.5)
+            z[r0:r0 + 2, c0:c0 + 2] = h / 2
+    return terrain_of(z, cell)
 
 
 class TestTiltEarlyOut:
@@ -283,19 +305,8 @@ class TestTiltEarlyOut:
         (4.0, False, True),
     ])
     def test_adversarial_ground(self, h, skip, tilt):
-        # Every ground cell holds +h/2 or -h/2: +h/2 in the bilinear stencil
-        # of each sample whose x slope weight is positive (the weight has the
-        # sign of the sample's x offset), -h/2 elsewhere, so the samples pull
-        # the fitted x slope as far as ground of range h can.
-        cell, n = 0.5, 60
-        pose = RoverState(15.13, 14.87, 0.0)
-        dx, dy = world_module._TILT_DX, world_module._TILT_DY
-        z = np.full((n, n), -h / 2)
-        for sx, sy in zip(pose.x + dx, pose.y + dy):
-            if sx > pose.x:
-                c0, r0 = math.floor(sx / cell - 0.5), math.floor(sy / cell - 0.5)
-                z[r0:r0 + 2, c0:c0 + 2] = h / 2
-        world = World(terrain_of(z, cell))
+        pose = ADVERSARIAL_POSE
+        world = World(adversarial_terrain(h))
         assert skips_fit(world, pose) is skip
         got = world.check_hazard(pose)
         assert got == full_fit_hazard(world, pose)
@@ -322,6 +333,148 @@ class TestTiltEarlyOut:
                 zs = HeightField(masked, (0.0, 0.0), cell).sample(x + world_module._TILT_DX,
                                                                   y + world_module._TILT_DY)
                 assert np.isfinite(zs).all(), (x, y)
+
+
+def walk(terrain, rng, n, start=None):
+    """n poses of a walk over the map in steps of 0.01-0.2 m with a drifting
+    heading, from `start` or a random pose. Now and then the walk jumps to a
+    random pose, and off-map poses and poses on a rock are mixed in without
+    moving it."""
+    lo = FOOTPRINT_RADIUS + 0.3
+    hi_x, hi_y = terrain.extent_x - lo, terrain.extent_y - lo
+
+    def anywhere():
+        return float(rng.uniform(lo, hi_x)), float(rng.uniform(lo, hi_y))
+
+    x, y = anywhere() if start is None else start
+    heading = float(rng.uniform(-math.pi, math.pi))
+    poses = []
+    while len(poses) < n:
+        u = rng.random()
+        if u < 0.01:
+            poses.append(RoverState(float(rng.uniform(0.0, FOOTPRINT_RADIUS)), y, heading))
+        elif u < 0.02 and terrain.rocks:
+            rock = terrain.rocks[rng.integers(len(terrain.rocks))]
+            poses.append(RoverState(rock.x + 0.5 * rock.radius, rock.y, heading))
+        else:
+            if u < 0.04:
+                x, y = anywhere()
+            else:
+                heading += float(rng.normal(0.0, 0.2))
+                length = float(rng.uniform(0.01, 0.2))
+                x, y = x + length * math.cos(heading), y + length * math.sin(heading)
+                if not (lo <= x <= hi_x and lo <= y <= hi_y):
+                    x, y = anywhere()
+            poses.append(RoverState(x, y, heading))
+    return poses
+
+
+def ramp_terrain(extent=60.0, cell=0.5):
+    """z = k * x^2, whose slope 2 * k * x reaches 30 degrees at x = 30 m."""
+    n = round(extent / cell)
+    x = (np.arange(n) + 0.5) * cell
+    k = math.tan(math.radians(30.0)) / 60.0
+    return terrain_of(np.tile(k * x * x, (n, 1)), cell)
+
+
+def check_walk(world, poses):
+    """Every pose's hazard against `full_fit_hazard`'s, pose by pose, and
+    how often the checked world answered the tilt test from the carried
+    bound, from the flat window and from the fit. Wherever the tilt test
+    ran, the bound it used or refreshed must hold the fitted gradient."""
+    calls = Counter()
+    window, fit = world._tilt_window, world_module.plane_fit_points
+
+    def counted_window(x, y):
+        calls["window"] += 1
+        return window(x, y)
+
+    def counted_fit(points):
+        calls["fit"] += 1
+        return fit(points)
+
+    def fitted_gradient(pose):
+        xs, ys = pose.x + world_module._TILT_DX, pose.y + world_module._TILT_DY
+        a, b, _ = fit(np.column_stack([xs, ys, world.terrain.ground.sample(xs, ys)]))
+        return math.hypot(a, b)
+
+    got, want, paths = [], [], Counter()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(world, "_tilt_window", counted_window)
+        mp.setattr(world_module, "plane_fit_points", counted_fit)
+        for pose in poses:
+            before, carry = calls.copy(), world._tilt_carry
+            got.append(world.check_hazard(pose))
+            if got[-1] is None or got[-1].kind is HazardKind.TILT_EXCEEDED:
+                read = calls - before
+                path = "fit" if read["fit"] else "flat" if read["window"] else "carried"
+                paths[path] += 1
+                if path == "carried":
+                    x, y, bound = carry
+                    bound += world._tilt_growth * math.hypot(pose.x - x, pose.y - y)
+                else:
+                    bound = world._tilt_carry[2]
+                # up to the fit's float error, far under the rounding margin
+                assert fitted_gradient(pose) <= bound + 1e-12, (pose, path)
+            want.append(full_fit_hazard(world, pose))
+    for pose, g, w in zip(poses, got, want):
+        assert g == w, pose
+    first = [next((i for i, h in enumerate(hs) if h is not None), None) for hs in (got, want)]
+    assert first[0] == first[1]
+    return got, paths
+
+
+class TestCarriedTiltBound:
+    def test_growth_is_the_stated_bound(self):
+        # a plane of slope s along x: adjacent cells differ by s * cell
+        world = World(plane_terrain(20.0))
+        assert world._tilt_growth is None
+        world.check_hazard(RoverState(30.0, 30.0, 0.0))
+        slope = math.tan(math.radians(20.0))
+        assert world._tilt_growth == pytest.approx(24.0 / 23.0 * slope, rel=1e-12)
+        assert world_module._TILT_WEIGHT_SUM == pytest.approx(24.0 / 23.0, rel=1e-12)
+
+    def test_scene_build_leaves_the_growth_unset(self):
+        assert build_scene("mixed", 0).world._tilt_growth is None
+
+    @pytest.mark.parametrize("kind", ["challenging", "mixed"])
+    def test_preset_walk_matches_full_fit(self, kind):
+        world = build_scene(kind, 0).world
+        got, paths = check_walk(world, walk(world.terrain, np.random.default_rng(17), 3000))
+        kinds = Counter(h.kind for h in got if h is not None)
+        assert kinds[HazardKind.OFF_MAP] > 0 and kinds[HazardKind.ROCK_COLLISION] > 0
+        assert paths["carried"] > 0 and paths["flat"] > 0 and paths["fit"] > 0
+        if kind == "mixed":
+            assert kinds[HazardKind.TILT_EXCEEDED] > 0
+
+    @pytest.mark.parametrize("slope, hazard", [(29.9, False), (30.1, True)])
+    @pytest.mark.parametrize("axis", ["x", "y"])
+    def test_plane_walks_match_full_fit(self, slope, hazard, axis):
+        world = World(plane_terrain(slope, axis=axis))
+        got, paths = check_walk(world, walk(world.terrain, np.random.default_rng(5), 800))
+        tilted = sum(h is not None and h.kind is HazardKind.TILT_EXCEEDED for h in got)
+        assert (tilted > 0) is hazard
+        assert paths["fit"] > 0
+
+    @pytest.mark.parametrize("h", [TILT_FLAT_RANGE * (1.0 - 1e-9), TILT_FLAT_RANGE * (1.0 + 1e-9), 4.0])
+    def test_adversarial_ground_walk_matches_full_fit(self, h):
+        world = World(adversarial_terrain(h))
+        start = (ADVERSARIAL_POSE.x, ADVERSARIAL_POSE.y)
+        got, _ = check_walk(world, [ADVERSARIAL_POSE, *walk(world.terrain, np.random.default_rng(23), 600, start)])
+        assert (got[0] is not None) is (h == 4.0)
+
+    def test_ramp_walk_crosses_the_limit_where_the_fit_does(self):
+        world = World(ramp_terrain())
+        rng = np.random.default_rng(29)
+        x, poses = FOOTPRINT_RADIUS + 0.3, []
+        while x < 60.0 - FOOTPRINT_RADIUS - 0.3:
+            poses.append(RoverState(x, 30.0 + math.sin(x), 0.0, time=0.05 * len(poses)))
+            x += float(rng.uniform(0.01, 0.2))
+        got, paths = check_walk(world, poses)
+        first = next(i for i, h in enumerate(got) if h is not None)
+        assert got[first].kind is HazardKind.TILT_EXCEEDED
+        assert 29.0 < poses[first].x < 31.0
+        assert paths["carried"] > 0 and paths["fit"] > 0
 
 
 def brute_force_rocks_near(rocks, x, y, radius):
