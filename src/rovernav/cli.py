@@ -42,7 +42,7 @@ def main(argv=None) -> int:
     except VlmError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BACKEND
-    except (RoverNavError, FileNotFoundError) as exc:
+    except RoverNavError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -12,12 +12,11 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, fields
-from pathlib import Path as FsPath
 
 import numpy as np
 
 from .classify import VlmConfig
-from .errors import MissionConfigError, ValidationError, VlmError, malformed_input
+from .errors import MissionConfigError, ValidationError, VlmError, malformed_input, read_input_text
 from .grids import cell_center
 from .map_server import WaypointQueue
 from .mission import (
@@ -157,9 +156,6 @@ def _speeds(values) -> list[float]:
     return speeds
 
 
-_AUTO_SPACING = ("auto: " + "".join(f"{m:g} m on the {kind} preset, " for kind, m in SCENARIO_SPACING.items())
-                 + f"{DEFAULT_WAYPOINT_SPACING:g} m otherwise")
-
 CONFIG_KEYS = [
     ("terrain", "(required)", _terrain, "Terrain source: {\"preset\": name, \"seed\": n}, "
      "{\"presets\": [names...], \"seed\": n} for a mixed course, "
@@ -180,7 +176,10 @@ CONFIG_KEYS = [
      "noise, meters; `compare` applies it to both of its runs."),
     ("speeds", tuple(f.default for f in fields(ModeConfig)), _speeds, "Path-following speed caps "
      "[efficient, safe, conservative], m/s."),
-    ("waypoint_spacing", _AUTO_SPACING, _positive, "Arc spacing of auto-generated waypoints, meters."),
+    ("waypoint_spacing", "auto", lambda value: value if value == "auto" else _positive(value),
+     "Arc spacing of auto-generated waypoints, meters; auto: "
+     + "".join(f"{m:g} m on the {kind} preset, " for kind, m in SCENARIO_SPACING.items())
+     + f"{DEFAULT_WAYPOINT_SPACING:g} m otherwise."),
 ]
 
 def config_reference() -> str:
@@ -212,13 +211,10 @@ def fill_config(cfg: dict) -> dict:
 
 
 def load_mission_config(path) -> dict:
-    p = FsPath(path)
-    if not p.exists():
-        raise MissionConfigError(f"config file not found: {p}")
     try:
-        cfg = json.loads(p.read_text(encoding="utf-8"))
+        cfg = json.loads(read_input_text(path))
     except json.JSONDecodeError as exc:
-        raise MissionConfigError(f"{p}: config is not valid JSON: {exc}") from exc
+        raise MissionConfigError(f"{path}: config is not valid JSON: {exc}") from exc
     if not isinstance(cfg, dict):
         raise MissionConfigError("config must be a JSON object")
     return fill_config(cfg)
@@ -237,7 +233,7 @@ def terrain_from_config(cfg: dict) -> Terrain:
             with malformed_input("specs"):
                 return build_mixed_terrain([spec_from_dict(d) for d in t["specs"]])
         return load_terrain(t["load"])
-    except (ValidationError, FileNotFoundError) as exc:
+    except ValidationError as exc:
         raise MissionConfigError(f"bad terrain section: {exc}") from exc
 
 
@@ -265,7 +261,7 @@ def scene_from_config(cfg: dict) -> SceneBundle:
         # The coarse route model is the bare ground layer: an orbital
         # elevation product resolves hills, not meter-scale boulders.
         spacing = cfg["waypoint_spacing"]
-        if spacing == _AUTO_SPACING:
+        if spacing == "auto":
             spacing = SCENARIO_SPACING.get(cfg["terrain"].get("preset"), DEFAULT_WAYPOINT_SPACING)
         queue = plan_waypoints(terrain.ground, start_xy, goal_xy, spacing=spacing)
     heading = math.atan2(goal_xy[1] - start_xy[1], goal_xy[0] - start_xy[0])

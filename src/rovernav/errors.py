@@ -1,6 +1,7 @@
 """Exception types shared across the package."""
 
 from contextlib import contextmanager
+from pathlib import Path
 
 
 class RoverNavError(Exception):
@@ -9,6 +10,18 @@ class RoverNavError(Exception):
 
 class ValidationError(RoverNavError, ValueError):
     """Input violates a documented precondition or invariant."""
+
+
+def read_input_text(path) -> str:
+    """The UTF-8 text of an input file. A path that cannot be read, such as
+    a missing file or a directory, or a file that is not UTF-8 text, raises
+    a `ValidationError` whose message starts with the path."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise ValidationError(f"{path}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path}: not UTF-8 text: {exc}") from exc
 
 
 @contextmanager

@@ -116,7 +116,7 @@ class MapServer:
         src_r, src_c = world_to_cell(xs, ys, gm.origin, gm.cell_size)
         src_c = np.clip(src_c, 0, gm.cols - 1)
         src_r = np.clip(src_r, 0, gm.rows - 1)
-        block = gm.values[np.ix_(src_r, src_c)].copy()
+        block = gm.values[np.ix_(src_r, src_c)]
         origin = (gm.origin[0] + c0 * resolution, gm.origin[1] + r0 * resolution)
         return CostGrid(block, origin, resolution)
 

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ValidationError, malformed_input
+from .errors import ValidationError, malformed_input, read_input_text
 from .modes import ROCK_SCORE_CUTOFF, ROCK_SCORE_GAIN, TerrainClass
 from . import pgmio
 from .grids import bilinear_sample, cell_center, world_to_cell
@@ -436,8 +436,9 @@ def load_terrain(in_dir) -> Terrain:
     the ground from the segment specs, the rocks as written. The sidecar's
     `achieved_coverage` is not read back."""
     meta_path = Path(in_dir) / TERRAIN_META
+    text = read_input_text(meta_path)
     with malformed_input(str(meta_path)):
-        meta = json.loads(meta_path.read_text(encoding="utf-8"))
+        meta = json.loads(text)
         specs = [spec_from_dict(seg["spec"]) for seg in meta["segments"]]
         # The rock list in the sidecar is authoritative; it matches
         # regeneration but guards against future constant changes.

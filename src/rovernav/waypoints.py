@@ -17,7 +17,7 @@ from pathlib import Path as FsPath
 
 import numpy as np
 
-from .errors import InvalidStartError, NoPathError, ValidationError, malformed_input
+from .errors import InvalidStartError, NoPathError, ValidationError, malformed_input, read_input_text
 from .mapping import CostWeights, CostGrid, build_navigation_costmap, cost_cells, lethal_halo
 from .map_server import WaypointQueue
 from .planning import Path, astar_cost
@@ -102,7 +102,7 @@ def save_waypoints(queue: WaypointQueue, path) -> None:
 def load_waypoints(path) -> WaypointQueue:
     """Read an ordered x,y waypoint file (# starts a comment line)."""
     points = []
-    for lineno, line in enumerate(FsPath(path).read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, line in enumerate(read_input_text(path).splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue

@@ -5,17 +5,14 @@ directly into pose, with no slip or dynamics. The world supplies simulated
 depth sensing (`World.sense_elevation_patch`, heights on the cell centres
 of any lattice, and `World.sense_points`, the same patch with NaN off the
 map, which the maps read) and watches for the three hazard conditions:
-rock contact, excessive tilt, and leaving the map.
+leaving the map, rock contact and excessive tilt.
 
 A `World` reads its terrain's rock list and ground once: the rock index is
 built in `__init__`, and the ground's steepest cell-to-cell rise on the
-first tilt refresh of `check_hazard`. Neither may change afterwards.
-`check_hazard` carries a bound on the footprint's fitted tilt gradient from
-the pose where it last refreshed one, and skips the tilt test while the
-bound, grown by the distance moved, stays under the limit less the rounding
-margin of `TILT_FLAT_RANGE`. The bound holds because the bilinear ground is
-Lipschitz and every in-map tilt sample lies inside the hull of the cell
-centres, where no edge clamp flattens it.
+first refresh of `check_hazard`. Neither may change afterwards.
+`check_hazard` carries one clearance from the pose where it last refreshed
+it: how far the rover may move before any hazard test could change its
+answer. Within it the check returns at once.
 """
 
 from __future__ import annotations
@@ -24,11 +21,10 @@ import bisect
 import enum
 import math
 from dataclasses import dataclass
-from pathlib import Path as FsPath
 
 import numpy as np
 
-from .errors import EmptyPatchError, ValidationError, malformed_input
+from .errors import EmptyPatchError, ValidationError, malformed_input, read_input_text
 from .grids import cell_center, plane_fit_points, slope_degrees
 from .terrain import HeightField, Rock, Terrain, add_rocks_to_field
 
@@ -49,30 +45,18 @@ _TILT_DY = np.concatenate([[0.0], 0.5 * FOOTPRINT_RADIUS * np.sin(_RING_ANGLES),
                            FOOTPRINT_RADIUS * np.sin(_RING_ANGLES)])
 
 
-def _tilt_weight_sum() -> float:
-    """Sum over the samples of |w_i|, where the fitted gradient is
-    (a, b) = sum of w_i * z_i: the gradient of the fit to unit height at
-    sample i and zero elsewhere."""
-    total = 0.0
-    for unit in np.eye(len(_TILT_DX)):
-        a, b, _ = plane_fit_points(np.column_stack([_TILT_DX, _TILT_DY, unit]))
-        total += math.hypot(a, b)
-    return total
+# The fitted tilt gradient (a, b) of `plane_fit_points` is linear in the
+# heights: (a, b) = _TILT_WEIGHTS @ z, whose column i is the gradient of the
+# fit to unit height at sample i and zero elsewhere. The pattern is centred
+# and symmetric, so column i is (x_i, y_i) / sum x_j^2 and the sum of the
+# column norms, S, is 8 * (1.15 + 2.3) / (4 * (1.15^2 + 2.3^2)) = 24 / 23.
+_TILT_WEIGHTS = np.array([plane_fit_points(np.column_stack([_TILT_DX, _TILT_DY, unit]))[:2]
+                          for unit in np.eye(len(_TILT_DX))]).T
+_TILT_WEIGHT_SUM = float(np.hypot(*_TILT_WEIGHTS).sum())
 
-
-_TILT_WEIGHT_SUM = _tilt_weight_sum()
-
-# The slope weights sum to zero, so (a, b) = sum of w_i * (z_i - c) for any
-# c, and with c midway between the lowest and highest ground cell the
-# samples blend, |(a, b)| <= sum |w_i| * range / 2. Ground whose height range
-# stays under this bound therefore fits a plane under TILT_LIMIT_DEG. The
-# factor 1 - 1e-6 is the rounding margin: the fit's and the arctan's float
-# error is orders of magnitude smaller for ground heights up to 1e6 m.
-TILT_FLAT_RANGE = (2.0 * math.tan(math.radians(TILT_LIMIT_DEG)) / _TILT_WEIGHT_SUM) * (1.0 - 1e-6)
-
-# The same limit on the fitted gradient |(a, b)| itself, with the same
-# rounding margin: `check_hazard` skips a pose whose carried bound stays
-# under it.
+# tan(TILT_LIMIT_DEG) less a relative rounding margin of 1e-6: the fit's
+# and the arctan's float error is orders of magnitude smaller for ground
+# heights up to 1e6 m. A carried tilt slack runs out at this gradient.
 _TILT_GRADIENT_LIMIT = math.tan(math.radians(TILT_LIMIT_DEG)) * (1.0 - 1e-6)
 
 
@@ -163,10 +147,10 @@ class World:
         g = terrain.ground
         xs, ys = cell_center(np.array([0, g.rows - 1]), np.array([0, g.cols - 1]), g.origin, g.cell_size)
         (self._x_lo, self._x_hi), (self._y_lo, self._y_hi) = xs.tolist(), ys.tolist()
-        # The carried tilt bound of `check_hazard`: (x, y, bound) at the last
-        # refresh, and how fast the bound grows per metre moved, set on the
-        # first refresh so that a scene build does no extra work.
-        self._tilt_carry = None
+        # The carried clearance of `check_hazard`, (x, y, clearance), none
+        # before the first refresh; L, the fit's growth per metre moved, is
+        # set on that refresh so that a scene build does no extra work.
+        self._clearance = (0.0, 0.0, -math.inf)
         self._tilt_growth = None
 
     def sense_elevation_patch(self, origin, shape: tuple[int, int], resolution: float) -> HeightField:
@@ -219,81 +203,56 @@ class World:
     def check_hazard(self, pose: RoverState) -> HazardEvent | None:
         """First hazard triggered at this pose, if any.
 
-        Checked in order: off-map (footprint leaves the hull of the ground's
-        cell centres), rock contact (rock disc intersects the footprint
-        disc), then tilt (plane fit of the ground under the footprint
-        steeper than the limit). The off-map and rock checks run on every
-        call; the tilt test has two exact early-outs.
+        Checked in order: off-map (the footprint disc leaves the hull of the
+        ground's cell centres), rock contact (a rock disc intersects the
+        footprint disc), then tilt (the plane fit of the ground at the 17
+        footprint samples is steeper than the limit).
 
-        Inside the hull no tilt sample meets the edge clamp of
-        `grids.bilinear_sample`, which flattens the ground and would
-        under-read the tilt. The fitted gradient is (a, b) = sum of w_i * z_i
-        over the samples, with sum |w_i| = S = 24/23 (`_tilt_weight_sum`).
+        A refresh measures how far the rover may move from this pose q
+        before any test could change its answer, the least of:
+        - the footprint's clearance to the hull, negative when off the map;
+        - the tilt slack (tan(TILT_LIMIT_DEG) * (1 - 1e-6) - |g|) / L;
+        - the gap between the footprint and each rock disc, negative on
+          contact.
+        It keeps that distance less a rounding margin of 1e-9 m, far above
+        the float error of these distances on maps up to 10 km across, and
+        every later pose p with |p - q| under it returns None untested.
 
-        Flat window: the tilt fit is skipped when the ground cells its
-        samples blend, `_tilt_window`, span less than `TILT_FLAT_RANGE`
-        (1.107 m) in height: every sample lies within that range, and the
-        fitted gradient is at most B = S * range / 2, under
-        tan(TILT_LIMIT_DEG). Otherwise the fit gives B = |(a, b)|.
-
-        Carried bound: the world keeps B and the pose q where it was last
-        refreshed. With Gx and Gy the ground's largest height differences
-        between adjacent cells along x and y, divided by the cell size, the
-        bilinear ground's gradient is at most G = hypot(Gx, Gy) everywhere,
-        so a sample moves by at most G * |p - q| between poses p and q. Both
-        footprints lie in the hull, which is convex, so the segment between
-        each pair of samples does too and meets no clamp. The fit therefore
-        moves by at most L * |p - q| with L = S * G, and while
-        B + L * |p - q| stays under tan(TILT_LIMIT_DEG) * (1 - 1e-6), the
-        rounding margin of `TILT_FLAT_RANGE`, the pose cannot tilt past the
-        limit and the window is not read. L is computed on the first
-        refresh, from the ground as it is then. Neither skip ever changes
-        the result.
+        The skip never changes the answer:
+        - The hull is convex, so a footprint within its clearance of q's
+          stays inside, and no tilt sample meets the edge clamp of
+          `grids.bilinear_sample`, which would flatten the ground.
+        - The fitted gradient is g = _TILT_WEIGHTS @ z, with sum |w_i| =
+          S = 24/23. The ground's gradient is at most G = hypot(Gx, Gy)
+          everywhere, Gx and Gy its largest height differences between
+          adjacent cells along x and y over the cell size, so each in-map
+          sample and g move by at most G * |p - q| and L * |p - q|, with
+          L = S * G, computed on the first refresh.
+        - A rock disc's gap shrinks by at most |p - q|. The rocks are read
+          from `_rocks_near` out to the hull clearance and the tilt slack,
+          so a rock it leaves out is farther than the kept distance.
         """
-        r = FOOTPRINT_RADIUS
-        if (pose.x - r < self._x_lo or pose.x + r > self._x_hi
-                or pose.y - r < self._y_lo or pose.y + r > self._y_hi):
-            pos = (min(max(pose.x, 0.0), self.terrain.extent_x),
-                   min(max(pose.y, 0.0), self.terrain.extent_y))
-            return HazardEvent(HazardKind.OFF_MAP, pos, pose.time)
-        for rock in self._rocks_near(pose.x, pose.y, r):
-            if math.hypot(rock.x - pose.x, rock.y - pose.y) < rock.radius + r:
-                return HazardEvent(HazardKind.ROCK_COLLISION, (pose.x, pose.y), pose.time)
-        if self._tilt_carry is not None:
-            x, y, bound = self._tilt_carry
-            if bound + self._tilt_growth * math.hypot(pose.x - x, pose.y - y) < _TILT_GRADIENT_LIMIT:
-                return None
-        elif self._tilt_growth is None:
-            self._tilt_growth = _TILT_WEIGHT_SUM * _ground_gradient_bound(self.terrain.ground)
-        window = self.terrain.ground.elevation[self._tilt_window(pose.x, pose.y)]
-        span = float(window.max() - window.min())
-        if span < TILT_FLAT_RANGE:
-            self._tilt_carry = (pose.x, pose.y, _TILT_WEIGHT_SUM * span / 2.0)
+        x, y = pose.x, pose.y
+        qx, qy, clearance = self._clearance
+        if math.hypot(x - qx, y - qy) < clearance:
             return None
-        xs = pose.x + _TILT_DX
-        ys = pose.y + _TILT_DY
-        zs = np.asarray(self.terrain.ground.sample(xs, ys), dtype=float)
-        a, b, _ = plane_fit_points(np.column_stack([xs, ys, zs]))
-        self._tilt_carry = (pose.x, pose.y, math.hypot(a, b))
+        r = FOOTPRINT_RADIUS
+        hull = min(x - r - self._x_lo, self._x_hi - (x + r), y - r - self._y_lo, self._y_hi - (y + r))
+        if self._tilt_growth is None:
+            self._tilt_growth = _TILT_WEIGHT_SUM * _ground_gradient_bound(self.terrain.ground)
+        a, b = (_TILT_WEIGHTS @ self.terrain.ground.sample(x + _TILT_DX, y + _TILT_DY)).tolist()
+        slack = (_TILT_GRADIENT_LIMIT - math.hypot(a, b)) / self._tilt_growth if self._tilt_growth else math.inf
+        gap = min((math.hypot(rock.x - x, rock.y - y) - (rock.radius + r)
+                   for rock in self._rocks_near(x, y, r + max(min(hull, slack), 0.0))), default=math.inf)
+        self._clearance = (x, y, min(hull, slack, gap) - 1e-9)
+        if hull < 0.0:
+            pos = (min(max(x, 0.0), self.terrain.extent_x), min(max(y, 0.0), self.terrain.extent_y))
+            return HazardEvent(HazardKind.OFF_MAP, pos, pose.time)
+        if gap < 0.0:
+            return HazardEvent(HazardKind.ROCK_COLLISION, (x, y), pose.time)
         if slope_degrees(a, b) > TILT_LIMIT_DEG:
-            return HazardEvent(HazardKind.TILT_EXCEEDED, (pose.x, pose.y), pose.time)
+            return HazardEvent(HazardKind.TILT_EXCEEDED, (x, y), pose.time)
         return None
-
-    def _tilt_window(self, x: float, y: float) -> tuple[slice, slice]:
-        """(rows, cols) of the ground cells the tilt samples around (x, y)
-        can blend, for a pose whose footprint lies on the map.
-
-        A sample at fractional cell coordinate f (`grids.bilinear_sample`)
-        reads cells floor(f) and floor(f) + 1, and every sample lies within
-        FOOTPRINT_RADIUS of the pose. The window adds one cell each side as
-        slack for rounding, and is clamped to the grid as the sampler clamps.
-        """
-        ground = self.terrain.ground
-        reach = FOOTPRINT_RADIUS / ground.cell_size
-        fx = (x - ground.origin[0]) / ground.cell_size
-        fy = (y - ground.origin[1]) / ground.cell_size
-        return (slice(max(math.floor(fy - reach - 1.5), 0), min(math.floor(fy + reach + 2.5), ground.rows)),
-                slice(max(math.floor(fx - reach - 1.5), 0), min(math.floor(fx + reach + 2.5), ground.cols)))
 
     def _rocks_near(self, x: float, y: float, radius: float) -> list[Rock]:
         """Rocks whose bounding box comes within radius of (x, y) on both
@@ -322,7 +281,7 @@ def read_trajectory(path) -> list[tuple[RoverState, str]]:
     """The (state, mode name) of each `format_trajectory_row` row of a
     trajectory file; header and blank lines are skipped."""
     rows = []
-    for lineno, line in enumerate(FsPath(path).read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, line in enumerate(read_input_text(path).splitlines(), 1):
         line = line.strip()
         if not line or line == TRAJECTORY_HEADER:
             continue

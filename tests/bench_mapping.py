@@ -35,7 +35,7 @@ from rovernav.mapping import (
     lethal_halo,
 )
 from rovernav.mission import BUILD_PATCH_CELLS, CostCellRecord
-from rovernav.world import TILT_FLAT_RANGE, RoverState
+from rovernav.world import RoverState
 
 CELL = 0.1
 BASE = 0.5
@@ -145,45 +145,40 @@ def test_step_disc_max_min_r5(benchmark, strip_elevation):
     assert (hi >= lo).all()
 
 
-def _ground_range(world, pose):
-    window = world.terrain.ground.elevation[world._tilt_window(pose.x, pose.y)]
-    return window.max() - window.min()
-
-
 def _check_hazard_afresh(world, pose):
-    """`check_hazard` with the world's carried tilt bound reset, so every
-    call reads the window as a tick does after a jump."""
-    world._tilt_carry = None
+    """`check_hazard` with the world's carried clearance dropped, so every
+    call refreshes it as a tick does after a jump."""
+    world._clearance = (0.0, 0.0, -math.inf)
     return world.check_hazard(pose)
 
 
-def test_check_hazard(benchmark, rocky):
+def test_check_hazard_refresh(benchmark, rocky):
     world, pose = rocky
-    # Flat ground with no hazard: the off-map and rock checks run, then the
-    # ground's height range under the footprint ends the check before the
-    # tilt fit.
-    assert _ground_range(world, pose) < TILT_FLAT_RANGE
+    # Among rocks with no hazard: the hull clearance, the tilt slack and the
+    # rock gaps are all measured.
     assert benchmark(_check_hazard_afresh, world, pose) is None
 
 
-def test_check_hazard_steep(benchmark):
-    world = build_scene("challenging", 0).world
-    pose = RoverState(20.0, 50.0, 0.0)
-    # 4.3 m of relief under the footprint but no hazard, so the check runs
-    # through to the tilt fit.
-    assert _ground_range(world, pose) >= TILT_FLAT_RANGE
-    assert benchmark(_check_hazard_afresh, world, pose) is None
+def test_check_hazard_carried(benchmark, rocky):
+    world, pose = rocky
+    # A tick 4 cm on from a refreshed pose, inside its clearance: the check
+    # returns before any test.
+    assert _check_hazard_afresh(world, pose) is None
+    assert world._clearance[2] > 0.04
+    moved = RoverState(pose.x + 0.04, pose.y, pose.heading)
+    assert benchmark(world.check_hazard, moved) is None
+    assert world._clearance[:2] == (pose.x, pose.y)
 
 
 def _walk_hazards(world, poses):
-    world._tilt_carry = None
+    world._clearance = (0.0, 0.0, -math.inf)
     return [world.check_hazard(pose) for pose in poses]
 
 
 def test_check_hazard_walk(benchmark):
     # 300 ticks of 0.04 m (0.8 m/s, the safe-mode cap) over the challenging
-    # tile, from the steep pose above: most ticks answer the tilt test from
-    # the bound carried from the last window read or fit.
+    # tile, from a pose with 4.3 m of relief under the footprint: most ticks
+    # answer from the clearance carried from the last refresh.
     world = build_scene("challenging", 0).world
     poses = [RoverState(20.0 + 0.04 * i, 50.0, 0.0) for i in range(300)]
     hazards = benchmark(_walk_hazards, world, poses)

@@ -4,14 +4,19 @@ These deliberately share no code with the package: plain-dict Dijkstra
 over the same 8-connected movement model, the dict/heap grid search the
 planners used before their flat-array core (with the planners built on it),
 a full-map priority merge, a sample-by-sample max rasterizer, a
-brute-force point-to-segment distance, a shift-and-OR disc dilation, shift-and-compare disc extrema and a per-window
-least-squares plane fit. Keep them simple and slow.
+brute-force point-to-segment distance, a shift-and-OR disc dilation,
+shift-and-compare disc extrema, a per-window least-squares plane fit and a
+hazard check with nothing carried between poses. Keep them simple and
+slow.
 """
 
 import heapq
 import math
 
 import numpy as np
+
+from rovernav.grids import cell_center, plane_fit_points, slope_degrees
+from rovernav.world import _TILT_DX, _TILT_DY, FOOTPRINT_RADIUS, TILT_LIMIT_DEG, HazardEvent, HazardKind
 
 SQRT2 = math.sqrt(2.0)
 
@@ -354,3 +359,30 @@ def merge_full_map(values, source, local_values, local_origin, local_cell, prior
     values[writable] = acc[writable]
     source[writable] = priority
     return int(np.count_nonzero(writable))
+
+
+def cell_hull(ground):
+    """(x_lo, x_hi, y_lo, y_hi): the box of the ground's cell centres."""
+    (x_lo, x_hi), (y_lo, y_hi) = cell_center(np.array([0, ground.rows - 1]), np.array([0, ground.cols - 1]),
+                                             ground.origin, ground.cell_size)
+    return float(x_lo), float(x_hi), float(y_lo), float(y_hi)
+
+
+def hazard_at(terrain, pose):
+    """The first hazard at `pose` from the three definitions, in the order
+    `World.check_hazard` reports them: off-map when the footprint disc
+    leaves the hull of the ground's cell centres, rock contact by a scan of
+    every rock disc, then tilt by the `plane_fit_points` fit of the ground
+    at the 17 footprint samples."""
+    g, r, x, y = terrain.ground, FOOTPRINT_RADIUS, pose.x, pose.y
+    x_lo, x_hi, y_lo, y_hi = cell_hull(g)
+    if x - r < x_lo or x + r > x_hi or y - r < y_lo or y + r > y_hi:
+        position = (min(max(x, 0.0), terrain.extent_x), min(max(y, 0.0), terrain.extent_y))
+        return HazardEvent(HazardKind.OFF_MAP, position, pose.time)
+    if any(math.hypot(rock.x - x, rock.y - y) < rock.radius + r for rock in terrain.rocks):
+        return HazardEvent(HazardKind.ROCK_COLLISION, (x, y), pose.time)
+    xs, ys = x + _TILT_DX, y + _TILT_DY
+    a, b, _ = plane_fit_points(np.column_stack([xs, ys, g.sample(xs, ys)]))
+    if slope_degrees(a, b) > TILT_LIMIT_DEG:
+        return HazardEvent(HazardKind.TILT_EXCEEDED, (x, y), pose.time)
+    return None

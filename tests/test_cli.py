@@ -76,6 +76,26 @@ def test_non_numeric_config_value_is_config_error(tmp_path, capsys, command, cfg
     assert capsys.readouterr().err.startswith("error: ")
 
 
+def _not_utf8(tmp_path, name):
+    path = tmp_path / name
+    path.write_bytes(b"\xff\xfe{\n")
+    return str(path)
+
+
+@pytest.mark.parametrize("make", [
+    lambda tmp_path: ("run", str(tmp_path), str(tmp_path)),
+    lambda tmp_path: ("run", _write_config(tmp_path, {"terrain": FLAT, "waypoints": {"file": str(tmp_path)}}),
+                      str(tmp_path)),
+    lambda tmp_path: ("run", _not_utf8(tmp_path, "mission.json"), "mission.json: not UTF-8 text"),
+    lambda tmp_path: ("render", _not_utf8(tmp_path, "trajectory.csv"), "trajectory.csv: not UTF-8 text"),
+], ids=["config.directory", "waypoints.directory", "config.not_utf8", "render.trajectory.not_utf8"])
+def test_unreadable_input_file_is_config_error(tmp_path, capsys, make):
+    command, target, named = make(tmp_path)
+    assert cli.main([command, target, "-o", str(tmp_path / "out")]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and named in err, err
+
+
 @pytest.mark.parametrize("argv, code", [
     (["run"], cli.EXIT_BACKEND),
     (["compare"], cli.EXIT_BACKEND),
@@ -106,6 +126,24 @@ def test_config_ref_documents_the_defaults_a_config_gets(capsys):
     assert cfgmod.classifier_from_config(filled).seed == 0
     with pytest.raises(MissionConfigError, match="requires a 'terrain' section"):
         cfgmod.fill_config({"seed": 1})
+
+
+def test_fill_config_accepts_every_printed_default():
+    # A config that spells out each default as `config-ref` prints it: JSON,
+    # or a bare word such as auto.
+    lines = cfgmod.config_reference().splitlines()
+    printed = {key.strip(): line.removeprefix("      default: ")
+               for key, line in zip(lines, lines[1:]) if line.startswith("      default: ")}
+    cfg = {"terrain": FLAT}
+    for key, text in printed.items():
+        if key != "terrain":
+            try:
+                cfg[key] = json.loads(text)
+            except json.JSONDecodeError:
+                cfg[key] = text
+    assert set(cfg) == {key for key, *_ in cfgmod.CONFIG_KEYS}
+    filled = cfgmod.fill_config(cfg)
+    assert json.dumps(filled, sort_keys=True) == json.dumps(cfgmod.fill_config({"terrain": FLAT}), sort_keys=True)
 
 
 def test_compare_prints_no_speedup_from_a_failed_run(tmp_path, capsys, monkeypatch):

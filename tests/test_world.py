@@ -7,10 +7,11 @@ import pytest
 import rovernav.world as world_module
 from rovernav.config import build_scene
 from rovernav.errors import EmptyPatchError, ValidationError
+from rovernav.grids import plane_fit_points
 from rovernav.terrain import HeightField, Rock, Terrain, build_terrain
 from rovernav.world import (
     FOOTPRINT_RADIUS,
-    TILT_FLAT_RANGE,
+    TILT_LIMIT_DEG,
     TRAJECTORY_HEADER,
     HazardKind,
     RoverState,
@@ -23,6 +24,7 @@ from rovernav.world import (
 )
 
 from conftest import flat_terrain, make_spec, plane_terrain
+from oracles import cell_hull, hazard_at
 
 
 class TestStep:
@@ -204,24 +206,6 @@ class TestHazards:
         assert 0.0 <= ev.position[0] <= 60.0
 
 
-def full_fit_hazard(world, pose):
-    """`check_hazard` with both tilt early-outs switched off, the flat
-    window and the carried bound, so the tilt plane fit runs on every
-    in-map, rock-free pose. The world's carried bound is restored after the
-    call, so the oracle leaves the checked world as it found it."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(world_module, "TILT_FLAT_RANGE", -math.inf)
-        mp.setattr(world, "_tilt_carry", None)
-        return world.check_hazard(pose)
-
-
-def skips_fit(world, pose):
-    """Whether the flat-window test answers this pose without the plane
-    fit."""
-    window = world.terrain.ground.elevation[world._tilt_window(pose.x, pose.y)]
-    return bool(window.max() - window.min() < TILT_FLAT_RANGE)
-
-
 def terrain_of(elevation, cell=0.5):
     return Terrain(HeightField(np.asarray(elevation, dtype=float), (0.0, 0.0), cell), [], [])
 
@@ -244,36 +228,41 @@ def adversarial_terrain(h, cell=0.5, n=60):
     return terrain_of(z, cell)
 
 
+def _adversarial_limit():
+    """The h at which the fit at `ADVERSARIAL_POSE` on `adversarial_terrain(h)`
+    tilts exactly TILT_LIMIT_DEG: the fitted gradient is linear in h."""
+    xs, ys = ADVERSARIAL_POSE.x + world_module._TILT_DX, ADVERSARIAL_POSE.y + world_module._TILT_DY
+    a, b, _ = plane_fit_points(np.column_stack([xs, ys, adversarial_terrain(1.0).ground.sample(xs, ys)]))
+    return math.tan(math.radians(TILT_LIMIT_DEG)) / math.hypot(a, b)
+
+
+ADVERSARIAL_LIMIT = _adversarial_limit()
+
+
 class TestTiltEarlyOut:
-    def test_threshold_is_the_stated_bound(self):
-        # The pattern is centred and symmetric, so the fit's slope weights
-        # are w_i = (x_i, y_i) / sum x_j^2, and sum |w_i| = sum r_i / sum x_j^2
-        # = 8 * (1.15 + 2.3) / (4 * (1.15^2 + 2.3^2)) = 24 / 23.
-        bound = 2.0 * math.tan(math.radians(30.0)) * 23.0 / 24.0
-        assert TILT_FLAT_RANGE < bound
-        assert TILT_FLAT_RANGE == pytest.approx(bound, rel=2e-6)
-        assert TILT_FLAT_RANGE == pytest.approx(1.107, abs=5e-4)
+    def test_weights_are_the_plane_fit(self):
+        rng = np.random.default_rng(13)
+        for scale in (0.01, 1.0, 100.0):
+            for z in rng.normal(0.0, scale, (50, len(world_module._TILT_DX))):
+                a, b, _ = plane_fit_points(np.column_stack([world_module._TILT_DX, world_module._TILT_DY, z]))
+                assert world_module._TILT_WEIGHTS @ z == pytest.approx([a, b], rel=0.0, abs=1e-12 * scale)
 
     @pytest.mark.parametrize("kind", ["flat", "rocky", "challenging", "mixed"])
     def test_preset_scenes_match_full_fit(self, kind):
         world = build_scene(kind, 0).world
         rng = np.random.default_rng(7)
-        skipped = fitted = tilted = 0
+        carried = tilted = 0
         for x, y, heading in zip(rng.uniform(0.0, world.terrain.extent_x, 600),
                                  rng.uniform(0.0, world.terrain.extent_y, 600),
                                  rng.uniform(-math.pi, math.pi, 600)):
             pose = RoverState(float(x), float(y), float(heading), time=1.5)
             got = world.check_hazard(pose)
-            assert got == full_fit_hazard(world, pose), pose
-            if got is None or got.kind is HazardKind.TILT_EXCEEDED:
-                if skips_fit(world, pose):
-                    skipped += 1
-                else:
-                    fitted += 1
+            assert got == hazard_at(world.terrain, pose), pose
+            carried += world._clearance[2] > 0.0
             tilted += got is not None and got.kind is HazardKind.TILT_EXCEEDED
-        assert skipped > 0
+        assert carried > 0
         if kind in ("challenging", "mixed"):
-            assert fitted > 0 and tilted > 0
+            assert tilted > 0
 
     @pytest.mark.parametrize("slope, hazard", [(29.9, False), (30.1, True)])
     @pytest.mark.parametrize("axis", ["x", "y"])
@@ -286,7 +275,7 @@ class TestTiltEarlyOut:
         for x, y in [(lo, lo), (lo, hi), (hi, lo), (hi, hi)] + list(rng.uniform(lo, hi, (50, 2))):
             pose = RoverState(float(x), float(y), 0.0)
             got = world.check_hazard(pose)
-            assert got == full_fit_hazard(world, pose)
+            assert got == hazard_at(world.terrain, pose)
             assert (got is not None and got.kind is HazardKind.TILT_EXCEEDED) == hazard
 
     @pytest.mark.parametrize("edge", [2.3, 2.4, 2.5, 57.5, 57.6, 57.7])
@@ -299,40 +288,21 @@ class TestTiltEarlyOut:
         got = world.check_hazard(pose)
         assert got is not None and got.kind is HazardKind.OFF_MAP
 
-    @pytest.mark.parametrize("h, skip, tilt", [
-        (TILT_FLAT_RANGE * (1.0 - 1e-9), True, False),
-        (TILT_FLAT_RANGE * (1.0 + 1e-9), False, False),
+    @pytest.mark.parametrize("h, carried, tilt", [
+        (ADVERSARIAL_LIMIT * 0.5, True, False),
+        (ADVERSARIAL_LIMIT * (1.0 - 1e-9), False, False),
+        (ADVERSARIAL_LIMIT * (1.0 + 1e-9), False, True),
         (4.0, False, True),
     ])
-    def test_adversarial_ground(self, h, skip, tilt):
+    def test_adversarial_ground(self, h, carried, tilt):
+        # Either side of the limit, and within the tilt slack's rounding
+        # margin of it, so that the check keeps no clearance.
         pose = ADVERSARIAL_POSE
         world = World(adversarial_terrain(h))
-        assert skips_fit(world, pose) is skip
         got = world.check_hazard(pose)
-        assert got == full_fit_hazard(world, pose)
+        assert got == hazard_at(world.terrain, pose)
         assert (got is not None and got.kind is HazardKind.TILT_EXCEEDED) is tilt
-
-    @pytest.mark.parametrize("cell, n", [(0.5, 40), (0.5, 12), (0.25, 40), (1.0, 9), (0.3, 31)])
-    def test_window_holds_every_cell_the_samples_read(self, cell, n):
-        # Cells outside the window are NaN, and a bilinear read of a NaN cell
-        # gives NaN even at zero weight, so a finite sample read only window
-        # cells.
-        rng = np.random.default_rng(11)
-        extent = n * cell
-        world = World(terrain_of(rng.normal(size=(n, n)), cell))
-        r = FOOTPRINT_RADIUS
-        edges = [r, extent - r]
-        # poses whose footprint edge lies on a cell center or a cell edge
-        lattice = [k * cell / 2 + off for k in range(2 * n + 1) for off in (r, -r)]
-        coords = edges + [v for v in lattice if r <= v <= extent - r] + list(rng.uniform(r, extent - r, 20))
-        for x in coords:
-            for y in edges + list(rng.choice(coords, 4)):
-                masked = np.full((n, n), np.nan)
-                rows, cols = world._tilt_window(x, y)
-                masked[rows, cols] = world.terrain.ground.elevation[rows, cols]
-                zs = HeightField(masked, (0.0, 0.0), cell).sample(x + world_module._TILT_DX,
-                                                                  y + world_module._TILT_DY)
-                assert np.isfinite(zs).all(), (x, y)
+        assert (world._clearance[2] > 0.0) is carried
 
 
 def walk(terrain, rng, n, start=None):
@@ -369,6 +339,33 @@ def walk(terrain, rng, n, start=None):
     return poses
 
 
+def grazing_walk(terrain, rng, legs):
+    """Legs that each close in on a rock disc or a map edge along a straight
+    line, halving the gap from under a metre down to a picometre, then step
+    a few float steps either side of contact and on through it: a leg
+    towards an edge runs off the map."""
+    r = FOOTPRINT_RADIUS
+    x_lo, x_hi, y_lo, y_hi = cell_hull(terrain.ground)
+    edges = [(x_lo + r, 1.0, "x"), (x_hi - r, -1.0, "x"), (y_lo + r, 1.0, "y"), (y_hi - r, -1.0, "y")]
+    poses = []
+    for _ in range(legs):
+        start = float(rng.uniform(0.05, 1.0))
+        gaps = [start * 0.5 ** k for k in range(40)] + [2e-14, 1e-14, 0.0, -1e-14, -2e-14, -0.01, -0.5]
+        theta = float(rng.uniform(-math.pi, math.pi))
+        if rng.random() < 0.75:
+            rock = terrain.rocks[rng.integers(len(terrain.rocks))]
+            ux, uy, contact = math.cos(theta), math.sin(theta), rock.radius + r
+            poses += [RoverState(rock.x + (contact + gap) * ux, rock.y + (contact + gap) * uy, theta)
+                      for gap in gaps]
+        else:
+            at, inward, axis = edges[rng.integers(len(edges))]
+            across = float(rng.uniform(r + 1.0, min(terrain.extent_x, terrain.extent_y) - r - 1.0))
+            for gap in gaps:
+                v = at + inward * gap
+                poses.append(RoverState(v, across, theta) if axis == "x" else RoverState(across, v, theta))
+    return poses
+
+
 def ramp_terrain(extent=60.0, cell=0.5):
     """z = k * x^2, whose slope 2 * k * x reaches 30 degrees at x = 30 m."""
     n = round(extent / cell)
@@ -377,46 +374,55 @@ def ramp_terrain(extent=60.0, cell=0.5):
     return terrain_of(np.tile(k * x * x, (n, 1)), cell)
 
 
+def true_clearance(world, pose):
+    """The least of the three distances a refresh keeps, from the
+    definitions: the footprint's clearance to the hull of the cell centres,
+    the tilt slack of the `plane_fit_points` fit, and the gap to every rock
+    disc."""
+    terrain, r = world.terrain, FOOTPRINT_RADIUS
+    g = terrain.ground
+    x_lo, x_hi, y_lo, y_hi = cell_hull(g)
+    hull = min(pose.x - r - x_lo, x_hi - (pose.x + r), pose.y - r - y_lo, y_hi - (pose.y + r))
+    xs, ys = pose.x + world_module._TILT_DX, pose.y + world_module._TILT_DY
+    a, b, _ = plane_fit_points(np.column_stack([xs, ys, g.sample(xs, ys)]))
+    limit = math.tan(math.radians(TILT_LIMIT_DEG)) * (1.0 - 1e-6)
+    slack = (limit - math.hypot(a, b)) / world._tilt_growth if world._tilt_growth else math.inf
+    gaps = [math.hypot(rock.x - pose.x, rock.y - pose.y) - (rock.radius + r) for rock in terrain.rocks]
+    return min(hull, slack, *gaps)
+
+
 def check_walk(world, poses):
-    """Every pose's hazard against `full_fit_hazard`'s, pose by pose, and
-    how often the checked world answered the tilt test from the carried
-    bound, from the flat window and from the fit. Wherever the tilt test
-    ran, the bound it used or refreshed must hold the fitted gradient."""
+    """Every pose's hazard against `oracles.hazard_at`'s, pose by pose, and
+    how often the checked world refreshed its clearance or answered from
+    the carried one. A skipped pose reads neither the ground nor the rock
+    index, and each refresh keeps at least the rounding margin less than
+    the true clearance."""
     calls = Counter()
-    window, fit = world._tilt_window, world_module.plane_fit_points
+    rocks_near, sample = world._rocks_near, world.terrain.ground.sample
 
-    def counted_window(x, y):
-        calls["window"] += 1
-        return window(x, y)
+    def counted_rocks_near(*args):
+        calls["rocks"] += 1
+        return rocks_near(*args)
 
-    def counted_fit(points):
-        calls["fit"] += 1
-        return fit(points)
+    def counted_sample(*args):
+        calls["sample"] += 1
+        return sample(*args)
 
-    def fitted_gradient(pose):
-        xs, ys = pose.x + world_module._TILT_DX, pose.y + world_module._TILT_DY
-        a, b, _ = fit(np.column_stack([xs, ys, world.terrain.ground.sample(xs, ys)]))
-        return math.hypot(a, b)
-
-    got, want, paths = [], [], Counter()
+    got, paths = [], Counter()
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(world, "_tilt_window", counted_window)
-        mp.setattr(world_module, "plane_fit_points", counted_fit)
+        mp.setattr(world, "_rocks_near", counted_rocks_near)
+        mp.setattr(world.terrain.ground, "sample", counted_sample)
         for pose in poses:
-            before, carry = calls.copy(), world._tilt_carry
+            before = calls.copy()
             got.append(world.check_hazard(pose))
-            if got[-1] is None or got[-1].kind is HazardKind.TILT_EXCEEDED:
-                read = calls - before
-                path = "fit" if read["fit"] else "flat" if read["window"] else "carried"
-                paths[path] += 1
-                if path == "carried":
-                    x, y, bound = carry
-                    bound += world._tilt_growth * math.hypot(pose.x - x, pose.y - y)
-                else:
-                    bound = world._tilt_carry[2]
-                # up to the fit's float error, far under the rounding margin
-                assert fitted_gradient(pose) <= bound + 1e-12, (pose, path)
-            want.append(full_fit_hazard(world, pose))
+            read = calls - before
+            if read:
+                assert read == Counter(rocks=1, sample=1), pose
+                paths["refreshed"] += 1
+                assert world._clearance[2] <= true_clearance(world, pose) - 0.5e-9, pose
+            else:
+                paths["carried"] += 1
+    want = [hazard_at(world.terrain, pose) for pose in poses]
     for pose, g, w in zip(poses, got, want):
         assert g == w, pose
     first = [next((i for i, h in enumerate(hs) if h is not None), None) for hs in (got, want)]
@@ -443,9 +449,17 @@ class TestCarriedTiltBound:
         got, paths = check_walk(world, walk(world.terrain, np.random.default_rng(17), 3000))
         kinds = Counter(h.kind for h in got if h is not None)
         assert kinds[HazardKind.OFF_MAP] > 0 and kinds[HazardKind.ROCK_COLLISION] > 0
-        assert paths["carried"] > 0 and paths["flat"] > 0 and paths["fit"] > 0
+        assert paths["carried"] > 0 and paths["refreshed"] > 0
         if kind == "mixed":
             assert kinds[HazardKind.TILT_EXCEEDED] > 0
+
+    def test_grazing_walk_matches_full_fit(self):
+        world = build_scene("rocky", 0).world
+        poses = grazing_walk(world.terrain, np.random.default_rng(31), 60)
+        got, paths = check_walk(world, poses)
+        kinds = Counter(h.kind for h in got if h is not None)
+        assert kinds[HazardKind.OFF_MAP] > 0 and kinds[HazardKind.ROCK_COLLISION] > 0
+        assert paths["carried"] > 0 and paths["refreshed"] > 0
 
     @pytest.mark.parametrize("slope, hazard", [(29.9, False), (30.1, True)])
     @pytest.mark.parametrize("axis", ["x", "y"])
@@ -454,14 +468,14 @@ class TestCarriedTiltBound:
         got, paths = check_walk(world, walk(world.terrain, np.random.default_rng(5), 800))
         tilted = sum(h is not None and h.kind is HazardKind.TILT_EXCEEDED for h in got)
         assert (tilted > 0) is hazard
-        assert paths["fit"] > 0
+        assert paths["refreshed"] > 0
 
-    @pytest.mark.parametrize("h", [TILT_FLAT_RANGE * (1.0 - 1e-9), TILT_FLAT_RANGE * (1.0 + 1e-9), 4.0])
+    @pytest.mark.parametrize("h", [ADVERSARIAL_LIMIT * (1.0 - 1e-9), ADVERSARIAL_LIMIT * (1.0 + 1e-9), 4.0])
     def test_adversarial_ground_walk_matches_full_fit(self, h):
         world = World(adversarial_terrain(h))
         start = (ADVERSARIAL_POSE.x, ADVERSARIAL_POSE.y)
         got, _ = check_walk(world, [ADVERSARIAL_POSE, *walk(world.terrain, np.random.default_rng(23), 600, start)])
-        assert (got[0] is not None) is (h == 4.0)
+        assert (got[0] is not None) is (h > ADVERSARIAL_LIMIT)
 
     def test_ramp_walk_crosses_the_limit_where_the_fit_does(self):
         world = World(ramp_terrain())
@@ -474,7 +488,7 @@ class TestCarriedTiltBound:
         first = next(i for i, h in enumerate(got) if h is not None)
         assert got[first].kind is HazardKind.TILT_EXCEEDED
         assert 29.0 < poses[first].x < 31.0
-        assert paths["carried"] > 0 and paths["fit"] > 0
+        assert paths["carried"] > 0 and paths["refreshed"] > 0
 
 
 def brute_force_rocks_near(rocks, x, y, radius):
