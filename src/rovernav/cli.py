@@ -16,8 +16,9 @@ from pathlib import Path as FsPath
 
 from . import config as cfgmod
 from . import pgmio, render
+from .compare import compare_single_vs_multi
 from .errors import MissionConfigError, RoverNavError, ValidationError, VlmError
-from .mission import compare_single_vs_multi, run_mission
+from .mission import run_mission
 from .terrain import TERRAIN_META, load_terrain, save_terrain
 from .waypoints import save_waypoints
 from .world import TRAJECTORY_HEADER, read_trajectory

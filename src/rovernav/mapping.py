@@ -19,11 +19,15 @@ own. `lethal_halo` is the one lethal inflation of such codes, in place,
 each source's transform cropped to its lethal cells' box grown by its
 radius, and `build_navigation_costmap` the one step from codes to costs,
 for the rover's local costmap and for the coarse route costmap alike.
-All inflation goes through `grids.dilate_disc`.
+All inflation goes through `grids.dilate_disc`. `CostCellRecord` keeps a
+mission's codes, each cell built once, and publishes the windows the
+conservative mode plans on.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +38,7 @@ from .grids import (
     world_to_cell,
 )
 from .terrain import HeightField
+from .world import World
 
 COST_MAX = 100
 COST_UNKNOWN = -1
@@ -288,3 +293,100 @@ def cost_to_obstacle(grid: CostGrid) -> CostGrid:
     """
     values = np.where(grid.values >= COST_MAX, COST_MAX, 0).astype(np.int16)
     return CostGrid(values, grid.origin, grid.cell_size)
+
+
+# --- the conservative costmap ---------------------------------------------------
+
+# Most cells one costmap build senses. A mission's first window, with the
+# inflation radius around it, is built in pieces under this bound, so that
+# its transient arrays stay within those of one 25.6 m sensing window.
+BUILD_PATCH_CELLS = 256 * 256
+
+
+class CostCellRecord:
+    """The conservative costmap's cells of one mission, each built once.
+
+    Cells lie on the world-fixed lattice of pitch `cell`: cell (i, j) has
+    its centre at ((j + 0.5) * cell, (i + 0.5) * cell). They are built in
+    blocks of `block` x `block` cells, one global map cell each (`shape` is
+    the global map's), and stored as `cost_cells` codes; a block that was
+    never built reads unknown. Each build folds the lethal halo into the
+    known codes around it (`lethal_halo`): its own lethal cells mark the
+    built cells within reach, and the lethal cells built before mark its
+    new cells. So a known code is `CELL_HALO` exactly when
+    a lethal code built so far reaches it. `window` builds every block of
+    the window, and of the inflation radius around it, that is not built
+    yet; no lethal cell it has not built can then reach the window, so it
+    reads each block's highest code straight from the record.
+
+    A block is built from heights sensed on the centres of its cells and of
+    a `cost_feature_reach` margin around them, so its codes equal those of
+    one build over any larger patch, up to float rounding in the plane
+    fit. The margin cells only feed the plane-fit sums: `cost_cells` fits,
+    rings and costs the block's own cells alone (`margin`), with the codes
+    of the whole patch's interior byte for byte. With sensor noise, the
+    heights behind a cell's cost are drawn once per mission, when its
+    block is built, not once per tick.
+    """
+
+    def __init__(self, world: World, shape: tuple[int, int], cell: float, block: int):
+        self.world = world
+        self.cell = cell
+        self.block = block
+        # np.zeros leaves the pages of blocks never built untouched.
+        self.codes = np.zeros((shape[0] * block, shape[1] * block), dtype=np.uint8)
+        self.built = np.zeros(shape, dtype=bool)
+        self.reach = cost_feature_reach(cell)
+        # the largest lethal radius, in cells and in whole blocks
+        self.pad = math.ceil(DEFAULT_INFLATION_RADIUS / cell)
+        self.pad_blocks = math.ceil(DEFAULT_INFLATION_RADIUS / (cell * block))
+
+    def window(self, row: int, col: int, n: int) -> np.ndarray:
+        """The highest code of each of the n x n blocks from block (row,
+        col), as an n x n uint8 array; blocks off the map read unknown."""
+        h, k = self.pad_blocks, self.block
+        r0, r1 = max(row - h, 0), min(row + n + h, self.built.shape[0])
+        c0, c1 = max(col - h, 0), min(col + n + h, self.built.shape[1])
+        self._build(r0, c0, ~self.built[r0:r1, c0:c1])
+        src = self.codes[max(row, 0) * k:(row + n) * k, max(col, 0) * k:(col + n) * k]
+        rows, cols = src.shape[0] // k, src.shape[1] // k
+        top, left = max(row, 0) - row, max(col, 0) - col
+        codes = np.zeros((n, n), dtype=np.uint8)
+        # Each block's highest code: down its k rows, then across its k
+        # columns, two reductions along rows in memory order.
+        down = src.reshape(rows, k, cols * k).max(axis=1)
+        codes[top:top + rows, left:left + cols] = down.reshape(rows, cols, k).max(axis=2)
+        return codes
+
+    def _build(self, row: int, col: int, todo: np.ndarray) -> None:
+        """Build the blocks marked in `todo` (from block (row, col)) as
+        rectangles: the runs of each block row, merged over consecutive
+        rows with equal runs."""
+        edges = np.diff(todo.astype(np.int8), prepend=0, append=0, axis=1)
+        for runs, group in itertools.groupby(tuple(np.flatnonzero(e).tolist()) for e in edges):
+            height = len(list(group))
+            for a, b in zip(runs[::2], runs[1::2]):
+                self._build_blocks(row, row + height, col + a, col + b)
+            row += height
+
+    def _build_blocks(self, r0: int, r1: int, c0: int, c1: int) -> None:
+        """Sense and cost blocks [r0, r1) x [c0, c1) with their margin,
+        halving the longer side while the sensed patch is over
+        `BUILD_PATCH_CELLS`, and fold the lethal halo into them and around."""
+        k, m, p = self.block, self.reach, self.pad
+        shape = ((r1 - r0) * k + 2 * m, (c1 - c0) * k + 2 * m)
+        if shape[0] * shape[1] > BUILD_PATCH_CELLS and max(r1 - r0, c1 - c0) > 1:
+            if r1 - r0 >= c1 - c0:
+                pieces = ((r0, (r0 + r1) // 2, c0, c1), ((r0 + r1) // 2, r1, c0, c1))
+            else:
+                pieces = ((r0, r1, c0, (c0 + c1) // 2), (r0, r1, (c0 + c1) // 2, c1))
+            for piece in pieces:
+                self._build_blocks(*piece)
+            return
+        elev = self.world.sense_points(((c0 * k - m) * self.cell, (r0 * k - m) * self.cell), shape, self.cell)
+        self.codes[r0 * k:r1 * k, c0 * k:c1 * k] = cost_cells(elev, margin=m)
+        # The new lethal cells reach `pad` cells beyond the blocks, and
+        # every lethal cell that reaches the blocks lies within `pad` of
+        # them; the others mark only cells already marked.
+        lethal_halo(self.codes[max(r0 * k - p, 0):r1 * k + p, max(c0 * k - p, 0):c1 * k + p], self.cell)
+        self.built[r0:r1, c0:c1] = True

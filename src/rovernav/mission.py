@@ -6,6 +6,11 @@ next waypoint); its verdict selects the navigation mode, which in turn
 selects the speed cap, the mapping product, and the planner. Everything is
 simulated time; a run is exactly reproducible from its seed when using the
 mock or geometric classifier.
+
+Each plan has one kind: "spline" (efficient mode), "direct" (the search
+reached the goal), "flood" (no route, so the path to the reachable cell
+nearest the goal), "no_data" (the window holds no known cell) or
+"walled_in" (the start is). `MissionResult.plans` tallies them.
 """
 
 from __future__ import annotations
@@ -13,6 +18,7 @@ from __future__ import annotations
 import itertools
 import math
 import os
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -42,15 +48,12 @@ from .errors import (
 from .grids import cell_center, world_to_cell
 from .map_server import MapServer, WaypointQueue
 from .mapping import (
-    DEFAULT_INFLATION_RADIUS,
+    CostCellRecord,
     CostGrid,
     build_elevation_grid,
     build_navigation_costmap,
-    cost_cells,
-    cost_feature_reach,
     cost_to_obstacle,
     extract_obstacles,
-    lethal_halo,
 )
 from .modes import MODE_FOR_CLASS, NavMode
 from .planning import Path, astar_cost, astar_obstacle, best_progress_path, bspline_path
@@ -249,103 +252,6 @@ class ModeSwitcher:
         return self.mode
 
 
-# --- the conservative costmap ---------------------------------------------------
-
-# Most cells one costmap build senses. A mission's first window, with the
-# inflation radius around it, is built in pieces under this bound, so that
-# its transient arrays stay within those of one 25.6 m sensing window.
-BUILD_PATCH_CELLS = 256 * 256
-
-
-class CostCellRecord:
-    """The conservative costmap's cells of one mission, each built once.
-
-    Cells lie on the world-fixed lattice of pitch `cell`: cell (i, j) has
-    its centre at ((j + 0.5) * cell, (i + 0.5) * cell). They are built in
-    blocks of `block` x `block` cells, one global map cell each (`shape` is
-    the global map's), and stored as `mapping.cost_cells` codes; a block
-    that was never built reads unknown. Each build folds the lethal halo
-    into the known codes around it (`mapping.lethal_halo`): its own lethal
-    cells mark the built cells within reach, and the lethal cells built
-    before mark its new cells. So a known code is `CELL_HALO` exactly when
-    a lethal code built so far reaches it. `window` builds every block of
-    the window, and of the inflation radius around it, that is not built
-    yet; no lethal cell it has not built can then reach the window, so it
-    reads each block's highest code straight from the record.
-
-    A block is built from heights sensed on the centres of its cells and of
-    a `cost_feature_reach` margin around them, so its codes equal those of
-    one build over any larger patch, up to float rounding in the plane
-    fit. The margin cells only feed the plane-fit sums: `cost_cells` fits,
-    rings and costs the block's own cells alone (`margin`), with the codes
-    of the whole patch's interior byte for byte. With sensor noise, the
-    heights behind a cell's cost are drawn once per mission, when its
-    block is built, not once per tick.
-    """
-
-    def __init__(self, world: World, shape: tuple[int, int], cell: float, block: int):
-        self.world = world
-        self.cell = cell
-        self.block = block
-        # np.zeros leaves the pages of blocks never built untouched.
-        self.codes = np.zeros((shape[0] * block, shape[1] * block), dtype=np.uint8)
-        self.built = np.zeros(shape, dtype=bool)
-        self.reach = cost_feature_reach(cell)
-        # the largest lethal radius, in cells and in whole blocks
-        self.pad = math.ceil(DEFAULT_INFLATION_RADIUS / cell)
-        self.pad_blocks = math.ceil(DEFAULT_INFLATION_RADIUS / (cell * block))
-
-    def window(self, row: int, col: int, n: int) -> np.ndarray:
-        """The highest code of each of the n x n blocks from block (row,
-        col), as an n x n uint8 array; blocks off the map read unknown."""
-        h, k = self.pad_blocks, self.block
-        r0, r1 = max(row - h, 0), min(row + n + h, self.built.shape[0])
-        c0, c1 = max(col - h, 0), min(col + n + h, self.built.shape[1])
-        self._build(r0, c0, ~self.built[r0:r1, c0:c1])
-        src = self.codes[max(row, 0) * k:(row + n) * k, max(col, 0) * k:(col + n) * k]
-        rows, cols = src.shape[0] // k, src.shape[1] // k
-        top, left = max(row, 0) - row, max(col, 0) - col
-        codes = np.zeros((n, n), dtype=np.uint8)
-        # Each block's highest code: down its k rows, then across its k
-        # columns, two reductions along rows in memory order.
-        down = src.reshape(rows, k, cols * k).max(axis=1)
-        codes[top:top + rows, left:left + cols] = down.reshape(rows, cols, k).max(axis=2)
-        return codes
-
-    def _build(self, row: int, col: int, todo: np.ndarray) -> None:
-        """Build the blocks marked in `todo` (from block (row, col)) as
-        rectangles: the runs of each block row, merged over consecutive
-        rows with equal runs."""
-        edges = np.diff(todo.astype(np.int8), prepend=0, append=0, axis=1)
-        for runs, group in itertools.groupby(tuple(np.flatnonzero(e).tolist()) for e in edges):
-            height = len(list(group))
-            for a, b in zip(runs[::2], runs[1::2]):
-                self._build_blocks(row, row + height, col + a, col + b)
-            row += height
-
-    def _build_blocks(self, r0: int, r1: int, c0: int, c1: int) -> None:
-        """Sense and cost blocks [r0, r1) x [c0, c1) with their margin,
-        halving the longer side while the sensed patch is over
-        `BUILD_PATCH_CELLS`, and fold the lethal halo into them and around."""
-        k, m, p = self.block, self.reach, self.pad
-        shape = ((r1 - r0) * k + 2 * m, (c1 - c0) * k + 2 * m)
-        if shape[0] * shape[1] > BUILD_PATCH_CELLS and max(r1 - r0, c1 - c0) > 1:
-            if r1 - r0 >= c1 - c0:
-                pieces = ((r0, (r0 + r1) // 2, c0, c1), ((r0 + r1) // 2, r1, c0, c1))
-            else:
-                pieces = ((r0, r1, c0, (c0 + c1) // 2), (r0, r1, (c0 + c1) // 2, c1))
-            for piece in pieces:
-                self._build_blocks(*piece)
-            return
-        elev = self.world.sense_points(((c0 * k - m) * self.cell, (r0 * k - m) * self.cell), shape, self.cell)
-        self.codes[r0 * k:r1 * k, c0 * k:c1 * k] = cost_cells(elev, margin=m)
-        # The new lethal cells reach `pad` cells beyond the blocks, and
-        # every lethal cell that reaches the blocks lies within `pad` of
-        # them; the others mark only cells already marked.
-        lethal_halo(self.codes[max(r0 * k - p, 0):r1 * k + p, max(c0 * k - p, 0):c1 * k + p], self.cell)
-        self.built[r0:r1, c0:c1] = True
-
-
 # --- the executor ------------------------------------------------------------
 
 
@@ -361,6 +267,8 @@ class MissionResult:
     metrics: MissionMetrics
     trajectory: list
     server: MapServer
+    # plans made, by `MissionRunner._plan` kind; in no digest
+    plans: Counter = field(default_factory=Counter)
 
 
 class MissionRunner:
@@ -378,9 +286,12 @@ class MissionRunner:
     rover: a lethal cell stays lethal even where the rover has driven.
 
     The rover tracks one path, the current mode's, or none (`_plan_tick`).
-    A blocked leg has three ways out: one flood to the reachable cell
-    nearest the waypoint (`_plan`), the slack skip when that flood ends
-    close to it, and the skip after `no_path_limit` failed plans.
+    `_plan` returns a plan's kind and its path, and `_plan_tick` keeps the
+    books from them. A blocked leg has three ways out: a "flood" plan to
+    the reachable cell nearest the waypoint, the slack skip when that
+    flood ends close to it, and the skip after `no_path_limit` failed
+    plans ("walled_in", or a "direct" or "flood" path too short to count;
+    "no_data" counts none).
 
     The runner owns its place on the route: `leg` indexes the waypoint it
     is driving to, and moves on when that waypoint is reached or skipped.
@@ -432,6 +343,7 @@ class MissionRunner:
         self._no_path_streak = 0
         self._flood_path = False  # the tracked path came from the flood fallback
         self.next_plan_tick = 0
+        self.plans: Counter = Counter()  # plans made, by kind
         self.metrics = MissionMetrics()
         self.trajectory: list[str] = []
 
@@ -521,25 +433,28 @@ class MissionRunner:
                              grid.origin, grid.cell_size)
         grid.values[r0:r0 + ys.size, c0:c0 + xs.size][np.hypot(xs - x, ys[:, None] - y) <= radius] = 0
 
-    def _plan(self, mode: NavMode, waypoint) -> Path | None:
-        """Plan a path toward the waypoint with the mode's machinery.
+    def _plan(self, mode: NavMode, waypoint) -> tuple[str, Path | None]:
+        """Plan a path toward the waypoint with the mode's machinery, and
+        return the plan's kind with the path, or with None.
 
-        The search runs over the `map_window` of the global map around the
-        rover, at the global cell (safe) or `cost_resolution`
-        (conservative), every cell as mapped but the disc under the rover
-        (`_clear_start`). The goal is the waypoint clamped into the window,
-        and in conservative mode pulled back onto sensed ground
-        (`_sensed_goal`). When the direct search finds no route, one flood
-        returns the path to the reachable cell nearest the goal instead.
-        Returns None when the window holds no data yet, the start is walled
-        in, or the path stays in the start disc.
+        Efficient mode fits a B-spline (kind "spline"). The cautious modes
+        search the `map_window` of the global map around the rover, at the
+        global cell (safe) or `cost_resolution` (conservative), every cell
+        as mapped but the disc under the rover (`_clear_start`). The goal
+        is the waypoint clamped into the window, and in conservative mode
+        pulled back onto sensed ground (`_sensed_goal`). The kind is
+        "direct" when the search reaches the goal, "flood" when it finds no
+        route and one flood returns the path to the reachable cell nearest
+        the goal instead, "no_data" when the window holds no known cell
+        yet, and "walled_in" when the start is. A direct or flood path that
+        stays in the start disc short of the waypoint comes back as None.
         """
         if mode is NavMode.EFFICIENT:
-            return bspline_path((self.state.x, self.state.y), waypoint, self.state.heading)
+            return "spline", bspline_path((self.state.x, self.state.y), waypoint, self.state.heading)
         res = self.server.global_map.cell_size if mode is NavMode.SAFE else self.config.cost_resolution
         window = self.server.get_local_window((self.state.x, self.state.y), self.config.map_window, res)
         if int(np.count_nonzero(window.values >= 0)) == 0:
-            return None
+            return "no_data", None
         self._clear_start(window)
         start = (self.state.x, self.state.y)
         goal = self._clamp_goal(window, waypoint)
@@ -547,15 +462,14 @@ class MissionRunner:
             grid, search = cost_to_obstacle(window), astar_obstacle
         else:
             grid, goal, search = window, self._sensed_goal(window, goal), astar_cost
-        flood = False
+        kind = "direct"
         try:
             path = search(grid, start, goal)
         except InvalidStartError:
-            self._no_path_streak += 1
-            return None
+            return "walled_in", None
         except NoPathError:
             # the search checked the start first, so the flood from it runs
-            path, flood = best_progress_path(grid, start, goal), True
+            path, kind = best_progress_path(grid, start, goal), "flood"
         pts = path.points
         end_err = math.hypot(pts[-1][0] - waypoint[0], pts[-1][1] - waypoint[1])
         if 1e-9 < end_err <= window.cell_size * 1.5:
@@ -567,11 +481,8 @@ class MissionRunner:
                 and Path(pts).length() < 2.0 * self.config.start_clear_radius + 0.2):
             # no meaningful progress is possible on this leg (anything this
             # short stays inside the start-clearing bubble)
-            self._no_path_streak += 1
-            return None
-        self._no_path_streak = 0
-        self._flood_path = flood
-        return Path(pts)
+            return kind, None
+        return kind, Path(pts)
 
     # -- the schedule --
 
@@ -601,7 +512,7 @@ class MissionRunner:
         self.metrics.end_reason = end
         # ticks 0..n ran each subsystem on every multiple of its period
         self.metrics.scheduler_counts = {name: n // period + 1 for name, period in self.periods.items()}
-        return MissionResult(self.metrics, self.trajectory, self.server)
+        return MissionResult(self.metrics, self.trajectory, self.server, self.plans)
 
     # -- one step per subsystem --
 
@@ -672,13 +583,25 @@ class MissionRunner:
         the new mode plans its own; so do a lethal cell under it, leaving it,
         using it up and arriving. A failed plan is retried one collision
         period later; a leg that stays unplannable is skipped, and on the
-        final leg the mission ends with "no_path"."""
+        final leg the mission ends with "no_path".
+
+        This is the one place that keeps the plans' books: the tally of
+        kinds, the no-path streak and the flood flag. A safe or
+        conservative path resets the streak and records whether it came
+        from the flood; a spline leaves both as they were. A failed plan
+        adds to the streak unless the window held no data yet."""
         if self.tracker is not None or n < self.next_plan_tick:
             return None
-        path = self._plan(self.mode, self.route[self.leg])
+        kind, path = self._plan(self.mode, self.route[self.leg])
+        self.plans[kind] += 1
         if path is not None:
+            if kind != "spline":
+                self._no_path_streak = 0
+                self._flood_path = kind == "flood"
             self.tracker = PathTracker(path)
             return None
+        if kind != "no_data":
+            self._no_path_streak += 1
         self.next_plan_tick = n + self.periods["collision"]
         if self._no_path_streak < self.config.no_path_limit:
             return None
@@ -741,67 +664,3 @@ def run_mission(
 ) -> MissionResult:
     runner = MissionRunner(world, waypoints, classifier, config, forced_mode, start)
     return runner.run()
-
-
-# --- single-mode vs multi-mode comparison -------------------------------------
-
-
-@dataclass
-class ComparisonReport:
-    single: MissionMetrics
-    multi: MissionMetrics
-
-    @property
-    def valid(self) -> bool:
-        """Both runs succeeded and reached the same number of waypoints;
-        only then are their times compared."""
-        return (self.single.success and self.multi.success
-                and self.single.waypoints_reached == self.multi.waypoints_reached)
-
-    @property
-    def speedup(self) -> float:
-        return self.single.total_time / self.multi.total_time if self.multi.total_time else math.inf
-
-    @property
-    def distance_ratio(self) -> float:
-        if not self.single.total_distance:
-            return math.inf
-        return self.multi.total_distance / self.single.total_distance
-
-    def to_dict(self) -> dict:
-        def shares(by_mode: dict) -> dict[str, float]:
-            total = sum(by_mode.values())
-            return {k: round(v / total if total else 0.0, 6) for k, v in sorted(by_mode.items())}
-
-        return {
-            "single": self.single.to_dict(),
-            "multi": self.multi.to_dict(),
-            "speedup": round(self.speedup, 6) if self.valid else None,
-            "distance_ratio": round(self.distance_ratio, 6) if self.valid else None,
-            "multi_time_shares": shares(self.multi.time_by_mode),
-            "multi_distance_shares": shares(self.multi.distance_by_mode),
-        }
-
-
-def compare_single_vs_multi(
-    terrain,
-    waypoints: WaypointQueue,
-    seed: int,
-    classifier,
-    config: ModeConfig = ModeConfig(),
-    start: RoverState | None = None,
-    sensor_sigma: float = 0.0,
-) -> ComparisonReport:
-    """Run the cautious-only baseline and the adaptive system, driven by
-    `classifier`, on the same world and waypoints, then report times,
-    distances, and mode shares.
-
-    Mission failures propagate into the report (success flags / end
-    reasons), not as exceptions.
-    """
-    single_world = World(terrain, sensor_sigma=sensor_sigma, seed=seed)
-    single = run_mission(single_world, waypoints, None, config,
-                         forced_mode=NavMode.CONSERVATIVE, start=start)
-    multi_world = World(terrain, sensor_sigma=sensor_sigma, seed=seed)
-    multi = run_mission(multi_world, waypoints, classifier, config, forced_mode=None, start=start)
-    return ComparisonReport(single.metrics, multi.metrics)

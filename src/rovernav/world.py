@@ -188,7 +188,7 @@ class World:
         centre off the map, so a map keeps those cells unknown instead of
         inheriting edge-clamped ground.
 
-        The conservative costmap (`mission.CostCellRecord`) senses each of
+        The conservative costmap (`mapping.CostCellRecord`) senses each of
         its cells as a core cell once per mission, so with `sensor_sigma`
         > 0 a cell's cost comes from one draw per mission, not one per
         costmap tick.

@@ -25,8 +25,10 @@ from rovernav.config import build_scene
 from rovernav.grids import disc_max, disc_min, interior
 from rovernav.map_server import MapServer
 from rovernav.mapping import (
+    BUILD_PATCH_CELLS,
     CELL_HALO,
     DEFAULT_INFLATION_RADIUS,
+    CostCellRecord,
     build_elevation_grid,
     build_navigation_costmap,
     cost_cells,
@@ -34,7 +36,6 @@ from rovernav.mapping import (
     extract_obstacles,
     lethal_halo,
 )
-from rovernav.mission import BUILD_PATCH_CELLS, CostCellRecord
 from rovernav.world import RoverState
 
 CELL = 0.1

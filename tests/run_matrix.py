@@ -11,9 +11,10 @@ checkout's git HEAD, and `dirty` records uncommitted changes under `src/`.
 Each scene records its end reason, reached and skipped waypoints, hazards,
 simulated time, mission digest (`perfbench/scenarios.mission_digest`), the
 run invariants it breaks (`perfbench/scenarios.check_invariants`), the
-number of plans (`MissionRunner._plan` calls) and of `best_progress_path`
-fallbacks, and its host time. Everything but the host time is exactly
-reproducible. pytest does not collect this file.
+number of plans and of flood (`best_progress_path`) fallbacks among them,
+both read from the mission's tally of plan kinds (`MissionResult.plans`),
+and its host time. Everything but the host time is exactly reproducible.
+pytest does not collect this file.
 
 The newest committed file is the one record of pinned whole-scene
 missions: `tests/test_matrix.py` re-runs the `TIER1` scenes against it.
@@ -27,7 +28,6 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
-import contextlib
 import datetime
 import functools
 import json
@@ -83,26 +83,6 @@ TIER1 = (
 )
 
 
-@contextlib.contextmanager
-def _counting(counts: Counter):
-    """Count `MissionRunner._plan` calls and the flood fallbacks among them."""
-    plan, flood = mission.MissionRunner._plan, mission.best_progress_path
-
-    def counted_plan(self, *args):
-        counts["plans"] += 1
-        return plan(self, *args)
-
-    def counted_flood(*args):
-        counts["best_progress_path"] += 1
-        return flood(*args)
-
-    mission.MissionRunner._plan, mission.best_progress_path = counted_plan, counted_flood
-    try:
-        yield
-    finally:
-        mission.MissionRunner._plan, mission.best_progress_path = plan, flood
-
-
 def run_scene(preset: str, classifier: str, prefix: int | None, seed: int) -> dict:
     """Fly one scene of the matrix and return its record."""
     scene = build_scene(preset, seed)
@@ -112,10 +92,8 @@ def run_scene(preset: str, classifier: str, prefix: int | None, seed: int) -> di
     backend = {"mock": mission.MockClassifierBackend(seed),
                "geometric": mission.GeometricClassifierBackend()}.get(classifier)
     forced = NavMode.CONSERVATIVE if backend is None else None
-    counts = Counter()
     t0 = time.perf_counter()
-    with _counting(counts):
-        result = mission.run_mission(scene.world, queue, backend, forced_mode=forced, start=scene.start)
+    result = mission.run_mission(scene.world, queue, backend, forced_mode=forced, start=scene.start)
     host_s = time.perf_counter() - t0
     metrics = result.metrics.to_dict()
     return {
@@ -128,8 +106,8 @@ def run_scene(preset: str, classifier: str, prefix: int | None, seed: int) -> di
         "digest": mission_digest(metrics, result.trajectory),
         "violations": check_invariants(metrics, result.trajectory, len(result.trajectory),
                                        forced and forced.value),
-        "plans": counts["plans"],
-        "best_progress_path": counts["best_progress_path"],
+        "plans": sum(result.plans.values()),
+        "best_progress_path": result.plans["flood"],
         "host_s": round(host_s, 2),
     }
 

@@ -2,11 +2,12 @@ import json
 
 import pytest
 
-from rovernav import cli, mission
+from rovernav import cli, compare
 from rovernav import config as cfgmod
+from rovernav.compare import ComparisonReport
 from rovernav.config import MIXED_SEQUENCE, build_scene
 from rovernav.errors import MissionConfigError
-from rovernav.mission import ComparisonReport, GeometricClassifierBackend, MissionMetrics, MissionResult, ModeConfig
+from rovernav.mission import GeometricClassifierBackend, MissionMetrics, MissionResult, ModeConfig
 from rovernav.modes import NavMode
 from rovernav.world import TRAJECTORY_HEADER
 
@@ -171,7 +172,7 @@ def test_compare_runs_the_configured_classifier_and_sensor_noise(tmp_path, monke
         metrics.time_by_mode["conservative"] = 10.0
         return MissionResult(metrics, [], None)
 
-    monkeypatch.setattr(mission, "run_mission", fake_run_mission)
+    monkeypatch.setattr(compare, "run_mission", fake_run_mission)
     cfg = {"terrain": {"specs": [SPEC]}, "waypoints": {"points": [[15, 10], [5, 10]]},
            "classifier": "geometric", "sensor_sigma": 0.02}
     assert cli.main(["compare", _write_config(tmp_path, cfg), "-o", str(tmp_path / "out")]) == cli.EXIT_OK

@@ -1,5 +1,5 @@
 """The conservative costmap's per-mission record of cost cells
-(`mission.CostCellRecord`): the codes behind the windows it publishes, what
+(`mapping.CostCellRecord`): the codes behind the windows it publishes, what
 the global map merges of them, and how often it builds."""
 
 import math
@@ -24,10 +24,9 @@ from rovernav.mapping import (
     cost_features,
     lethal_halo,
 )
-from rovernav.mapping import _feature_windows
+from rovernav.mapping import CostCellRecord, _feature_windows
 from rovernav import mapping
-from rovernav import mission
-from rovernav.mission import CostCellRecord, MissionRunner, ModeConfig
+from rovernav.mission import MissionRunner, ModeConfig
 from rovernav.modes import NavMode
 from rovernav.world import RoverState
 
@@ -196,14 +195,14 @@ def test_halo_is_that_of_every_stored_code(monkeypatch):
     # halo grown there is clipped to the map.
     runner, published, _, _ = conservative_runner("rocky", monkeypatch)
     built = []  # each build's top-left cell and its codes before the fold
-    cost = mission.cost_cells
+    cost = mapping.cost_cells
 
     def recorded(elev, margin):
         codes = cost(elev, margin=margin)
         built.append((round(elev.origin[1] / CELL) + margin, round(elev.origin[0] / CELL) + margin, codes.copy()))
         return codes
 
-    monkeypatch.setattr(mission, "cost_cells", recorded)
+    monkeypatch.setattr(mapping, "cost_cells", recorded)
     start = (runner.state.x, runner.state.y)
     for x, y in [*seeded_poses(runner.world, start, 20, seed=3), (4.0, 136.5), (139.5, 70.0)]:
         publish_at(runner, published, x, y)

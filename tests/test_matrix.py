@@ -3,11 +3,11 @@
 The newest committed `MATRIX_*.json` (latest `written` stamp) is the one
 record of pinned whole-scene missions. Tier-1 re-runs the scenes named in
 `run_matrix.TIER1` against it: each keeps its digest, which covers its end
-reason, waypoints and hazards, and breaks no run invariant. `TIER1` changes
-only in a change that says so in CHANGES.md; `tests/run_matrix.py` gives
-the re-pin steps, and CI flies all 45 scenes against the file. Two gates
-read the file alone: no baseline or geometric hazard, and a bound on plans
-per reached waypoint.
+reason, waypoints and hazards, keeps its counts of plans and floods, and
+breaks no run invariant. `TIER1` changes only in a change that says so in
+CHANGES.md; `tests/run_matrix.py` gives the re-pin steps, and CI flies all
+45 scenes against the file. Two gates read the file alone: no baseline or
+geometric hazard, and a bound on plans per reached waypoint.
 """
 
 import copy
@@ -57,6 +57,10 @@ def test_matrix_scene_matches_its_committed_digest(name):
     record = run_matrix.scene_record(name)
     assert record["violations"] == [], record
     assert record["digest"] == MATRIX["scenes"][name]["digest"], (record, MATRIX["scenes"][name])
+    # the plan counts are in no digest; a bookkeeping change that keeps the
+    # digest but moves a count fails here
+    committed = MATRIX["scenes"][name]
+    assert (record["plans"], record["best_progress_path"]) == (committed["plans"], committed["best_progress_path"])
 
 
 def test_diff_shows_host_time_per_course_beside_the_gated_line():

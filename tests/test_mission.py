@@ -13,6 +13,7 @@ import pytest
 
 import rovernav.mission as mission
 from rovernav.classify import VLM_KEY_ENV, TerrainAssessment, VlmConfig
+from rovernav.compare import ComparisonReport
 from rovernav.config import build_scene, fill_config, scene_from_config
 from rovernav.control import GOAL_TOLERANCE
 from rovernav.errors import InvalidStartError, NoPathError, ValidationError, VlmTimeoutError, VlmTransportError
@@ -21,7 +22,6 @@ from rovernav.map_server import WaypointQueue
 from rovernav.mapping import COST_MAX, CostGrid
 from rovernav.mission import (
     DOWNSWITCH_PERIODS,
-    ComparisonReport,
     MissionMetrics,
     MissionRunner,
     MockClassifierBackend,
@@ -187,6 +187,7 @@ def test_unplannable_intermediate_leg_is_skipped(monkeypatch):
     metrics = result.metrics
     assert (metrics.end_reason, metrics.waypoints_reached, metrics.waypoints_skipped) == ("complete", 1, 1)
     assert len(failures) == ModeConfig.no_path_limit
+    assert result.plans["walled_in"] == ModeConfig.no_path_limit
     assert _closest_approach(result.trajectory, walled) > ModeConfig.waypoint_tolerance
 
 
@@ -315,6 +316,20 @@ def test_off_path_check_agrees_with_the_whole_path_rule():
     assert decided == {True, False}
 
 
+def test_off_path_check_drops_a_path_just_beyond_the_limit_at_the_cursor():
+    # The cursor vertex lies a relative 1e-10 beyond the limit, inside the
+    # band the cursor test's 1e-12 allowance must not skip, and the arms of
+    # the V leave it at 45 degrees away from the rover, so every other
+    # vertex and every segment lies farther still: the rover has left it.
+    runner, limit = _runner(), ModeConfig.off_path_limit
+    apex = (25.0, 20.0)
+    path = mission.Path(np.vstack([_line((20.0, 25.0), apex).points, _line(apex, (30.0, 25.0)).points[1:]]))
+    x, y = apex[0], apex[1] - limit * (1.0 + 1e-10)
+    assert limit < math.hypot(apex[0] - x, apex[1] - y) < limit * (1.0 + 1e-9)
+    assert _old_rule_keeps(path.points, x, y, limit) is False
+    assert _keeps(runner, path, apex, x, y) is False
+
+
 def test_blocked_final_waypoint_is_never_skipped(monkeypatch):
     blocked, stop = (40.0, 20.0), (35.0, 20.0)
     starts = _stop_short(monkeypatch, blocked, stop)
@@ -358,9 +373,107 @@ def test_planning_keeps_lethal_cells_on_the_rovers_trail(monkeypatch):
         return astar_cost(grid, *args)
 
     monkeypatch.setattr(mission, "astar_cost", record)
-    assert runner._plan(NavMode.CONSERVATIVE, runner.route[0]) is not None
+    kind, path = runner._plan(NavMode.CONSERVATIVE, runner.route[0])
+    assert kind == "direct" and path is not None
     (grid,) = searched
     assert grid.values[world_to_cell(*start, grid.origin, grid.cell_size)] == COST_MAX
+
+
+def _plans_without_side_effects(runner, mode, waypoint):
+    """`runner._plan(mode, waypoint)`, checking that it assigns no attribute
+    of the runner."""
+    before = dict(vars(runner))
+    out = runner._plan(mode, waypoint)
+    assert vars(runner).keys() == before.keys()
+    assert [k for k, v in vars(runner).items() if v is not before[k]] == []
+    return out
+
+
+def _short_line(grid, start, goal):
+    """A search that returns a path 1 m long: it stays in the start disc."""
+    return _line(start, (start[0] + 1.0, start[1]))
+
+
+def _raise(error):
+    def search(*args):
+        raise error("stand-in")
+    return search
+
+
+@pytest.mark.parametrize("mode", [NavMode.SAFE, NavMode.CONSERVATIVE])
+def test_plan_returns_its_kind_and_path(monkeypatch, mode):
+    runner = _runner(20.25, 20.25)
+    waypoint = runner.route[0]
+    assert _plans_without_side_effects(runner, mode, waypoint) == ("no_data", None)
+    gm = runner.server.global_map
+    gm.values[:] = 0
+    kind, path = _plans_without_side_effects(runner, mode, waypoint)
+    assert kind == "direct" and path.points[-1][0] > 30.0 - gm.cell_size
+    # a lethal wall across the window between the rover and the waypoint
+    wall = world_to_cell(27.0, 0.0, gm.origin, gm.cell_size)[1]
+    gm.values[:, wall:wall + 2] = COST_MAX
+    kind, path = _plans_without_side_effects(runner, mode, waypoint)
+    assert kind == "flood" and 20.25 + 2.0 * runner.config.start_clear_radius < path.points[-1][0] < 27.0
+
+    search = "astar_obstacle" if mode is NavMode.SAFE else "astar_cost"
+    monkeypatch.setattr(mission, search, _raise(InvalidStartError))
+    assert _plans_without_side_effects(runner, mode, waypoint) == ("walled_in", None)
+    # a direct path and a flood that stay in the start disc
+    monkeypatch.setattr(mission, search, _short_line)
+    assert _plans_without_side_effects(runner, mode, waypoint) == ("direct", None)
+    monkeypatch.setattr(mission, search, _raise(NoPathError))
+    monkeypatch.setattr(mission, "best_progress_path", _short_line)
+    assert _plans_without_side_effects(runner, mode, waypoint) == ("flood", None)
+
+
+def test_efficient_plan_is_a_spline():
+    runner = _runner(20.25, 20.25)
+    kind, path = _plans_without_side_effects(runner, NavMode.EFFICIENT, runner.route[0])
+    assert kind == "spline"
+    assert path.points[0].tolist() == [20.25, 20.25] and path.points[-1].tolist() == [40.0, 20.0]
+
+
+def test_plan_tick_keeps_the_books_from_the_plan_kind(monkeypatch):
+    # (kind, path or None, the no-path streak and the flood flag after it)
+    path = _line((20.0, 20.0), (30.0, 20.0))
+    steps = [
+        ("walled_in", None, 1, False),
+        ("no_data", None, 1, False),  # no data yet is no failure
+        ("flood", None, 2, False),
+        ("spline", path, 2, False),   # a spline leaves the streak...
+        ("flood", path, 0, True),
+        ("spline", path, 0, True),    # ...and the flood flag
+        ("direct", path, 0, False),
+    ]
+    runner = _runner()
+    plans = iter(steps)
+    monkeypatch.setattr(runner, "_plan", lambda mode, waypoint: next(plans)[:2])
+    for kind, made, streak, flood in steps:
+        runner.tracker = None
+        assert runner._plan_tick(runner.next_plan_tick) is None
+        assert (runner.tracker is not None, runner._no_path_streak, runner._flood_path) == (
+            made is not None, streak, flood), kind
+    assert runner.plans == {"walled_in": 1, "no_data": 1, "flood": 2, "spline": 2, "direct": 1}
+
+
+def test_spline_plan_between_failed_safe_plans_leaves_the_no_path_streak(monkeypatch):
+    # Two walled-in safe plans, a spline in efficient mode, then safe
+    # again: the leg on the final waypoint ends "no_path" at the
+    # no_path_limit-th failure, counting the two before the spline.
+    monkeypatch.setattr(mission, "astar_obstacle", _raise(InvalidStartError))
+    runner = _runner(20.25, 20.25)
+    runner.server.global_map.values[:] = 0
+
+    def plan(mode):
+        runner.mode, runner.tracker = mode, None
+        return runner._plan_tick(runner.next_plan_tick)
+
+    assert [plan(NavMode.SAFE) for _ in range(2)] == [None, None]
+    assert plan(NavMode.EFFICIENT) is None and runner.tracker is not None
+    assert runner._no_path_streak == 2
+    ends = [plan(NavMode.SAFE) for _ in range(ModeConfig.no_path_limit - 2)]
+    assert ends == [None] * (ModeConfig.no_path_limit - 3) + ["no_path"]
+    assert runner.plans == {"walled_in": ModeConfig.no_path_limit, "spline": 1}
 
 
 def test_conservative_goal_in_unknown_cells_lands_on_sensed_ground(monkeypatch):
@@ -376,7 +489,8 @@ def test_conservative_goal_in_unknown_cells_lands_on_sensed_ground(monkeypatch):
         return astar_cost(grid, start, goal)
 
     monkeypatch.setattr(mission, "astar_cost", record)
-    assert runner._plan(NavMode.CONSERVATIVE, (40.0, 22.25)) is not None
+    kind, path = runner._plan(NavMode.CONSERVATIVE, (40.0, 22.25))
+    assert kind == "direct" and path is not None
     ((grid, goal),) = goals
     assert grid.values[world_to_cell(*goal, grid.origin, grid.cell_size)] >= 0
     assert 25.0 - grid.cell_size <= goal[0] < 25.0
