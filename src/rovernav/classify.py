@@ -1,4 +1,4 @@
-"""Terrain-complexity classification.
+"""Terrain-complexity classification, from patch to navigation mode.
 
 Three interchangeable backends produce the same assessment type:
 
@@ -8,6 +8,10 @@ Three interchangeable backends produce the same assessment type:
   external vision-language endpoint and enforces a strict JSON response;
 * a deterministic mock that scores terrain straight from the generating
   parameters, so closed-loop runs need no network and no model.
+
+The sensing backends judge a square patch around a point
+(`_classifier_patch`), and `ModeSwitcher` turns their verdicts, or a missed
+one, into a navigation mode. The mission runner only asks.
 """
 
 from __future__ import annotations
@@ -15,6 +19,8 @@ from __future__ import annotations
 import base64
 import http.client
 import json
+import os
+import urllib.parse
 import urllib.request
 from dataclasses import dataclass
 from importlib import resources
@@ -31,13 +37,16 @@ from .errors import (
 from .grids import cell_center, hillshade, neighbor_slices, plane_fit_grid, plane_fit_points, slope_degrees
 from .modes import (
     CHALLENGING_MIN_SLOPE_DEG,
+    MODE_FOR_CLASS,
     ROCK_SCORE_GAIN,
     ROCKY_MIN_ROUGH_CELLS,
     SLOPE_SCORE_FULL_DEG,
+    NavMode,
     TerrainClass,
     class_for_scores,
 )
 from .terrain import HeightField, TerrainSpec
+from .world import World
 from . import pgmio
 
 
@@ -165,8 +174,19 @@ VLM_KEY_ENV = "ROVERNAV_VLM_KEY"
 
 @dataclass(frozen=True)
 class VlmConfig:
+    """Where to send a classification request: an http or https URL with a
+    host, else `ValidationError`."""
+
     endpoint_url: str
     timeout_s: float = 10.0
+
+    def __post_init__(self):
+        try:
+            url = urllib.parse.urlsplit(self.endpoint_url)
+        except ValueError as exc:  # such as an unclosed IPv6 bracket
+            raise ValidationError(f"vlm_endpoint {self.endpoint_url!r}: {exc}") from exc
+        if url.scheme not in ("http", "https") or not url.hostname:
+            raise ValidationError(f"vlm_endpoint {self.endpoint_url!r} is not an http(s) URL with a host")
 
 
 _RESPONSE_FIELDS = {"terrain_class", "rock_complexity", "slope_complexity"}
@@ -207,11 +227,21 @@ def vlm_classify(image: bytes, prompt: str, config: VlmConfig,
     return parse_vlm_response(raw)
 
 
+def _unique_keys(pairs: list) -> dict:
+    """`json.loads` object hook that rejects a repeated key."""
+    data = dict(pairs)
+    if len(data) != len(pairs):
+        raise VlmSchemaError("response repeats a field")
+    return data
+
+
 def parse_vlm_response(raw: bytes | str) -> TerrainAssessment:
     """Validate the strict JSON assessment object."""
     try:
-        data = json.loads(raw)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        data = json.loads(raw, object_pairs_hook=_unique_keys)
+    except ValueError as exc:
+        # JSONDecodeError and UnicodeDecodeError are ValueErrors, and so is
+        # an integer past Python's digit limit for int()
         raise VlmSchemaError(f"response is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise VlmSchemaError("response must be a JSON object")
@@ -229,7 +259,8 @@ def parse_vlm_response(raw: bytes | str) -> TerrainAssessment:
         val = data[key]
         if isinstance(val, bool) or not isinstance(val, (int, float)):
             raise VlmSchemaError(f"{key} must be a number")
-        if not 0.0 <= float(val) <= 1.0:
+        # compared before float(), which overflows on a large enough integer
+        if not 0.0 <= val <= 1.0:
             raise VlmSchemaError(f"{key}={val} outside [0, 1]")
         scores[key] = float(val)
     return TerrainAssessment(cls, scores["rock_complexity"], scores["slope_complexity"])
@@ -292,3 +323,89 @@ def _local_slope(ground: HeightField, position: tuple[float, float]) -> float:
     zs = np.asarray(ground.sample(xs, ys), dtype=float)
     a, b, _ = plane_fit_points(np.column_stack([xs, ys, zs]))
     return float(slope_degrees(a, b))
+
+
+# --- backends ----------------------------------------------------------------
+
+
+# Side of the patch a sensing classifier senses, meters: the bounding square
+# of the analysed disc. Then each backend's sample pitch.
+CLASSIFIER_PATCH_SIZE = 2 * ANALYSIS_RADIUS
+GEOMETRIC_PATCH_RESOLUTION = 0.1
+VLM_PATCH_RESOLUTION = 0.5
+
+
+def _classifier_patch(world: World, center, resolution: float) -> HeightField:
+    """The CLASSIFIER_PATCH_SIZE square patch centred on `center`."""
+    half = CLASSIFIER_PATCH_SIZE / 2.0
+    n = round(CLASSIFIER_PATCH_SIZE / resolution)
+    return world.sense_elevation_patch((center[0] - half, center[1] - half), (n, n), resolution)
+
+
+class MockClassifierBackend:
+    """Scores terrain from the generating spec; no sensing, no network."""
+
+    def __init__(self, seed: int):
+        self.seed = seed
+
+    def assess(self, world: World, center) -> TerrainAssessment:
+        spec = world.terrain.spec_at(center[0])
+        return mock_classify(spec, world.terrain.ground, center, self.seed)
+
+
+class GeometricClassifierBackend:
+    """Senses an elevation patch ahead and applies the geometric baseline."""
+
+    def assess(self, world: World, center) -> TerrainAssessment:
+        patch = _classifier_patch(world, center, GEOMETRIC_PATCH_RESOLUTION)
+        return threshold_classify(compute_terrain_metrics(patch, ANALYSIS_RADIUS))
+
+
+class VlmClassifierBackend:
+    """Renders the terrain ahead and queries the configured endpoint.
+
+    The API key, when one is set, comes from the environment variable
+    `VLM_KEY_ENV`, read on every request.
+    """
+
+    def __init__(self, config: VlmConfig):
+        self.config = config
+        self.prompt = default_prompt()
+
+    def assess(self, world: World, center) -> TerrainAssessment:
+        patch = _classifier_patch(world, center, VLM_PATCH_RESOLUTION)
+        image = render_patch_image(patch)
+        api_key = os.environ.get(VLM_KEY_ENV)
+        return vlm_classify(image, self.prompt, self.config, api_key)
+
+
+# --- the mode rule -----------------------------------------------------------
+
+
+class ModeSwitcher:
+    """Mode selection with fail-safe fallback and down-switch hysteresis.
+
+    It remembers the mode and the previous verdict's mode, which is None
+    after a missed verdict (classifier failure). A verdict takes its mode
+    when there is no mode yet, when it is more severe, or when it equals
+    the previous verdict's: moving down takes two calmer verdicts of one
+    mode in a row, with no miss between them. A miss keeps the mode for
+    one period; one with no verdict before it, at the start or after
+    another miss, falls back to the most cautious mode.
+    """
+
+    def __init__(self):
+        self.mode: NavMode | None = None
+        self._last: NavMode | None = None
+
+    def update(self, assessment: TerrainAssessment | None) -> NavMode:
+        if assessment is None:
+            if self._last is None:
+                self.mode = NavMode.CONSERVATIVE
+            self._last = None
+            return self.mode
+        target = MODE_FOR_CLASS[assessment.terrain_class]
+        if self.mode is None or target.priority > self.mode.priority or target is self._last:
+            self.mode = target
+        self._last = target
+        return self.mode

@@ -15,16 +15,11 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .classify import VlmConfig
+from .classify import GeometricClassifierBackend, MockClassifierBackend, VlmClassifierBackend, VlmConfig
 from .errors import MissionConfigError, ValidationError, VlmError, malformed_input, read_input_text
 from .grids import cell_center
 from .map_server import WaypointQueue
-from .mission import (
-    GeometricClassifierBackend,
-    MockClassifierBackend,
-    ModeConfig,
-    VlmClassifierBackend,
-)
+from .mission import ModeConfig
 from .modes import NavMode, TerrainClass
 from .terrain import (Terrain, TerrainSpec, build_mixed_terrain, build_terrain, load_terrain,
                       smoothstep, spec_from_dict)
@@ -170,7 +165,7 @@ CONFIG_KEYS = [
     ("mode", "auto", _one_of("auto", *(m.value for m in NavMode)), "auto (classifier-driven) or a "
      "forced mode: efficient | safe | conservative."),
     ("vlm_endpoint", None, lambda url: url if url is None else str(url),
-     "Endpoint URL for the vlm classifier (required with it)."),
+     "Endpoint of the vlm classifier, an http or https URL (required with it)."),
     ("vlm_timeout_s", VlmConfig.timeout_s, _positive, "Request timeout for the vlm classifier, seconds."),
     ("sensor_sigma", 0.0, lambda sigma: _positive(sigma, zero_ok=True), "Std-dev of elevation sensing "
      "noise, meters; `compare` applies it to both of its runs."),
@@ -273,8 +268,8 @@ def mode_config_from(cfg: dict) -> ModeConfig:
 
 
 def classifier_from_config(cfg: dict):
-    """The configured classifier backend; a vlm classifier without an
-    endpoint raises `VlmError`, since no backend can be reached."""
+    """The configured classifier backend. A vlm classifier without an endpoint
+    raises `VlmError`, and one with a malformed endpoint `ValidationError`."""
     name = cfg["classifier"]
     if name == "mock":
         return MockClassifierBackend(cfg["seed"])

@@ -1,11 +1,12 @@
-"""Closed-loop mission executor.
+"""Closed-loop mission executor: this module keeps only the runner.
 
 `MissionRunner` drives every subsystem at its own rate on a fixed 20 Hz
-tick. The classifier looks at the terrain ahead of the rover (toward the
-next waypoint); its verdict selects the navigation mode, which in turn
-selects the speed cap, the mapping product, and the planner. Everything is
-simulated time; a run is exactly reproducible from its seed when using the
-mock or geometric classifier.
+tick. It asks the classifier about the terrain ahead of the rover (toward
+the next waypoint); the mode rule turns the verdict into a navigation mode,
+which selects the speed cap, the mapping product, and the planner. The
+backends and the rule live in `rovernav.classify`. Everything is simulated
+time; a run is exactly reproducible from its seed when using the mock or
+geometric classifier.
 
 Each plan has one kind: "spline" (efficient mode), "direct" (the search
 reached the goal), "flood" (no route, so the path to the reachable cell
@@ -17,24 +18,13 @@ from __future__ import annotations
 
 import itertools
 import math
-import os
 from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .classify import (
-    ANALYSIS_RADIUS,
-    VLM_KEY_ENV,
-    TerrainAssessment,
-    VlmConfig,
-    compute_terrain_metrics,
-    default_prompt,
-    mock_classify,
-    render_patch_image,
-    threshold_classify,
-    vlm_classify,
-)
+from . import classify
+from .classify import ModeSwitcher
 from .control import PathTracker
 from .errors import (
     EmptyPatchError,
@@ -55,7 +45,7 @@ from .mapping import (
     cost_to_obstacle,
     extract_obstacles,
 )
-from .modes import MODE_FOR_CLASS, NavMode
+from .modes import NavMode
 from .planning import Path, astar_cost, astar_obstacle, best_progress_path, bspline_path
 from .world import (
     RoverState,
@@ -147,112 +137,9 @@ class MissionMetrics:
         }
 
 
-# --- classifier backends -----------------------------------------------------
-
-
-# Side of the square patch a sensing classifier looks at, meters, and the
-# sample pitch of each backend's patch.
-CLASSIFIER_PATCH_SIZE = 20.0
-GEOMETRIC_PATCH_RESOLUTION = 0.1
-VLM_PATCH_RESOLUTION = 0.5
-
-
-def _classifier_patch(world: World, center, resolution: float):
-    """The CLASSIFIER_PATCH_SIZE square patch centred on `center`."""
-    half = CLASSIFIER_PATCH_SIZE / 2.0
-    n = round(CLASSIFIER_PATCH_SIZE / resolution)
-    return world.sense_elevation_patch((center[0] - half, center[1] - half), (n, n), resolution)
-
-
-class MockClassifierBackend:
-    """Scores terrain from the generating spec; no sensing, no network."""
-
-    def __init__(self, seed: int):
-        self.seed = seed
-
-    def assess(self, world: World, center) -> TerrainAssessment:
-        spec = world.terrain.spec_at(center[0])
-        return mock_classify(spec, world.terrain.ground, center, self.seed)
-
-
-class GeometricClassifierBackend:
-    """Senses an elevation patch ahead and applies the geometric baseline."""
-
-    def assess(self, world: World, center) -> TerrainAssessment:
-        patch = _classifier_patch(world, center, GEOMETRIC_PATCH_RESOLUTION)
-        return threshold_classify(compute_terrain_metrics(patch, ANALYSIS_RADIUS))
-
-
-class VlmClassifierBackend:
-    """Renders the terrain ahead and queries the configured endpoint.
-
-    The API key, when one is set, comes from the environment variable
-    `VLM_KEY_ENV`, read on every request.
-    """
-
-    def __init__(self, config: VlmConfig):
-        self.config = config
-        self.prompt = default_prompt()
-
-    def assess(self, world: World, center) -> TerrainAssessment:
-        patch = _classifier_patch(world, center, VLM_PATCH_RESOLUTION)
-        image = render_patch_image(patch)
-        api_key = os.environ.get(VLM_KEY_ENV)
-        return vlm_classify(image, self.prompt, self.config, api_key)
-
-
-# Consecutive classifier periods a calmer class must persist before the
-# mode moves down to it.
-DOWNSWITCH_PERIODS = 2
-
-
-class ModeSwitcher:
-    """Mode selection with fail-safe fallback and down-switch hysteresis.
-
-    Moving to a more severe mode happens immediately; moving down requires
-    the calmer class in `DOWNSWITCH_PERIODS` verdicts in a row. A missed
-    verdict (classifier failure) breaks the run, so a down-switch streak
-    starts again after it. On classifier failure the mode is kept for one
-    period; persistent failure falls back to the most cautious mode.
-    """
-
-    def __init__(self):
-        self.mode: NavMode | None = None
-        self._pending: NavMode | None = None
-        self._pending_count = 0
-        self._missed = 0
-
-    def update(self, assessment: TerrainAssessment | None) -> NavMode:
-        if assessment is None:
-            self._missed += 1
-            self._pending = None
-            self._pending_count = 0
-            if self.mode is None or self._missed > 1:
-                self.mode = NavMode.CONSERVATIVE
-            return self.mode
-        self._missed = 0
-        target = MODE_FOR_CLASS[assessment.terrain_class]
-        if self.mode is None or target.priority > self.mode.priority:
-            self.mode = target
-            self._pending = None
-            self._pending_count = 0
-        elif target.priority < self.mode.priority:
-            if self._pending is target:
-                self._pending_count += 1
-            else:
-                self._pending = target
-                self._pending_count = 1
-            if self._pending_count >= DOWNSWITCH_PERIODS:
-                self.mode = target
-                self._pending = None
-                self._pending_count = 0
-        else:
-            self._pending = None
-            self._pending_count = 0
-        return self.mode
-
-
-# --- the executor ------------------------------------------------------------
+# `perfbench/` reads the mock backend from here; drop this alias when the
+# benchmark imports it from `rovernav.classify` (ROADMAP item 8).
+MockClassifierBackend = classify.MockClassifierBackend
 
 
 def _segment_distance(pts: np.ndarray, x: float, y: float) -> float:

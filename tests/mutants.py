@@ -77,6 +77,23 @@ MUTANTS = (
     Mutant("a direct path sets the flood flag", "mission.py",
            "self._flood_path = kind == \"flood\"", "self._flood_path = kind in (\"flood\", \"direct\")",
            ("tests/test_mission.py",)),
+    # The mode rule in `ModeSwitcher.update`. Each also fails
+    # `test_mode_switcher_matches_the_counting_oracle`. The first fails
+    # `test_golden_digests[challenging]` before
+    # `test_mode_switcher_downgrade_waits_for_consecutive_calmer_verdicts`;
+    # the other two fail `test_mode_switcher_missed_verdict_restarts_the_downswitch_streak`
+    # and `test_mode_switcher_falls_back_to_conservative`.
+    Mutant("a down-switch after one calmer verdict", "classify.py",
+           "target.priority > self.mode.priority or target is self._last:",
+           "target is not self.mode or target is self._last:",
+           ("tests/test_mission.py",)),
+    Mutant("a miss keeps the remembered verdict", "classify.py",
+           "                self.mode = NavMode.CONSERVATIVE\n            self._last = None\n",
+           "                self.mode = NavMode.CONSERVATIVE\n",
+           ("tests/test_mission.py",)),
+    Mutant("two misses in a row keep the mode", "classify.py",
+           "if self._last is None:", "if self.mode is None:",
+           ("tests/test_mission.py",)),
 )
 
 COPIED = ("src", "tests", "perfbench", "pyproject.toml")

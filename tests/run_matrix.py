@@ -44,6 +44,7 @@ for _path in (ROOT / "src", ROOT / "perfbench"):
         sys.path.insert(0, str(_path))
 
 import rovernav.mission as mission  # noqa: E402
+from rovernav.classify import GeometricClassifierBackend, MockClassifierBackend  # noqa: E402
 from rovernav.config import build_scene  # noqa: E402
 from rovernav.map_server import WaypointQueue  # noqa: E402
 from rovernav.modes import NavMode  # noqa: E402
@@ -89,8 +90,8 @@ def run_scene(preset: str, classifier: str, prefix: int | None, seed: int) -> di
     queue = scene.waypoints
     if prefix is not None:
         queue = WaypointQueue(list(queue.points[:prefix]))
-    backend = {"mock": mission.MockClassifierBackend(seed),
-               "geometric": mission.GeometricClassifierBackend()}.get(classifier)
+    backend = {"mock": MockClassifierBackend(seed),
+               "geometric": GeometricClassifierBackend()}.get(classifier)
     forced = NavMode.CONSERVATIVE if backend is None else None
     t0 = time.perf_counter()
     result = mission.run_mission(scene.world, queue, backend, forced_mode=forced, start=scene.start)

@@ -5,8 +5,11 @@ import numpy as np
 import pytest
 
 from rovernav.classify import (
+    GeometricClassifierBackend,
     GeometricMetrics,
+    MockClassifierBackend,
     TerrainAssessment,
+    VlmConfig,
     compute_terrain_metrics,
     mock_classify,
     parse_vlm_response,
@@ -15,7 +18,6 @@ from rovernav.classify import (
 )
 from rovernav.config import build_scene
 from rovernav.errors import InsufficientDataError, ValidationError, VlmSchemaError
-from rovernav.mission import GeometricClassifierBackend, MockClassifierBackend
 from rovernav.modes import TerrainClass, class_for_scores
 from rovernav.terrain import HeightField
 
@@ -123,6 +125,26 @@ class TestVlmParsing:
                 b'{"terrain_class":"flat","rock_complexity":0.1,"slope_complexity":0.1,"note":"hi"}'
             )
 
+    def test_repeated_field_rejected(self):
+        with pytest.raises(VlmSchemaError):
+            parse_vlm_response(
+                b'{"terrain_class":"flat","rock_complexity":0.1,"slope_complexity":0.1,"rock_complexity":0.2}'
+            )
+
+    def test_score_too_large_for_a_float_rejected(self):
+        # a 400-digit integer parses, but float() overflows on it
+        with pytest.raises(VlmSchemaError):
+            parse_vlm_response(
+                b'{"terrain_class":"flat","rock_complexity":1' + b"0" * 399 + b',"slope_complexity":0.1}'
+            )
+
+    def test_score_past_the_integer_digit_limit_rejected(self):
+        # json.loads refuses an integer of more than 4300 digits
+        with pytest.raises(VlmSchemaError):
+            parse_vlm_response(
+                b'{"terrain_class":"flat","rock_complexity":1' + b"0" * 4999 + b',"slope_complexity":0.1}'
+            )
+
     def test_missing_field_rejected(self):
         with pytest.raises(VlmSchemaError):
             parse_vlm_response(b'{"terrain_class":"flat","rock_complexity":0.1}')
@@ -138,6 +160,12 @@ class TestVlmParsing:
     def test_boolean_score_rejected(self):
         with pytest.raises(VlmSchemaError):
             parse_vlm_response(b'{"terrain_class":"flat","rock_complexity":true,"slope_complexity":0.1}')
+
+
+@pytest.mark.parametrize("endpoint", ["not a url", "http://[::1", "ftp://host/", "http:///path", ""])
+def test_vlm_config_rejects_an_endpoint_that_is_no_http_url_with_a_host(endpoint):
+    with pytest.raises(ValidationError):
+        VlmConfig(endpoint)
 
 
 class TestMockClassifier:

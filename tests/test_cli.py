@@ -7,7 +7,8 @@ from rovernav import config as cfgmod
 from rovernav.compare import ComparisonReport
 from rovernav.config import MIXED_SEQUENCE, build_scene
 from rovernav.errors import MissionConfigError
-from rovernav.mission import GeometricClassifierBackend, MissionMetrics, MissionResult, ModeConfig
+from rovernav.classify import GeometricClassifierBackend
+from rovernav.mission import MissionMetrics, MissionResult, ModeConfig
 from rovernav.modes import NavMode
 from rovernav.world import TRAJECTORY_HEADER
 
@@ -68,9 +69,11 @@ FLAT = {"preset": "flat"}
              "vlm_timeout_s": 0}),
     ("run", {"terrain": FLAT, "classifier": "vlm", "vlm_endpoint": "http://localhost:9/",
              "vlm_timeout_s": float("nan")}),
+    ("run", {"terrain": FLAT, "classifier": "vlm", "vlm_endpoint": "not a url"}),
 ], ids=["sensor_sigma", "speeds", "terrain.seed", "seed", "waypoint_spacing", "vlm_timeout_s",
         "reference_speedup", "start", "start.string", "goal", "waypoints.points", "waypoints.points.pair",
-        "sensor_sigma.negative", "sensor_sigma.nan", "vlm_timeout_s.zero", "vlm_timeout_s.nan"])
+        "sensor_sigma.negative", "sensor_sigma.nan", "vlm_timeout_s.zero", "vlm_timeout_s.nan",
+        "vlm_endpoint"])
 def test_non_numeric_config_value_is_config_error(tmp_path, capsys, command, cfg):
     path = _write_config(tmp_path, cfg)
     assert cli.main([command, path, "-o", str(tmp_path / "out")]) == cli.EXIT_CONFIG
