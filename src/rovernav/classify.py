@@ -175,7 +175,7 @@ VLM_KEY_ENV = "ROVERNAV_VLM_KEY"
 @dataclass(frozen=True)
 class VlmConfig:
     """Where to send a classification request: an http or https URL with a
-    host, else `ValidationError`."""
+    host and, if any, a port in 0-65535, else `ValidationError`."""
 
     endpoint_url: str
     timeout_s: float = 10.0
@@ -183,7 +183,8 @@ class VlmConfig:
     def __post_init__(self):
         try:
             url = urllib.parse.urlsplit(self.endpoint_url)
-        except ValueError as exc:  # such as an unclosed IPv6 bracket
+            url.port  # raises on a port that is no number in range
+        except ValueError as exc:  # such as an unclosed IPv6 bracket or port "abc"
             raise ValidationError(f"vlm_endpoint {self.endpoint_url!r}: {exc}") from exc
         if url.scheme not in ("http", "https") or not url.hostname:
             raise ValidationError(f"vlm_endpoint {self.endpoint_url!r} is not an http(s) URL with a host")

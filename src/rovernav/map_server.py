@@ -93,32 +93,21 @@ class MapServer:
 
     # -- windows -------------------------------------------------------------
 
-    def get_local_window(self, pose_xy, size: float, resolution: float) -> CostGrid:
-        """Snapshot of the global map over a window around the pose.
-
-        Nearest-neighbor resampling to the requested resolution; the window
-        is clamped to the map extent. The returned grid is a copy and never
-        changes as the global map keeps updating.
+    def get_local_window(self, pose_xy, size: float) -> CostGrid:
+        """Copy of the global map's cells over a window about `size` meters
+        wide around the pose, clamped inside the map at full size. The copy
+        never changes as the global map keeps updating.
         """
-        if size <= 0 or resolution <= 0:
-            raise ValidationError("size and resolution must be positive")
+        if size <= 0:
+            raise ValidationError("size must be positive")
         gm = self.global_map
-        total_c = round(gm.cols * gm.cell_size / resolution)
-        total_r = round(gm.rows * gm.cell_size / resolution)
-        n = min(round(size / resolution), total_c, total_r)
+        n = min(round(size / gm.cell_size), gm.cols, gm.rows)
         half = size / 2.0
-        # Snap the window onto the requested-resolution lattice anchored at
-        # the map origin, then clamp it inside the extent at full size.
-        r0, c0 = world_to_cell(pose_xy[0] - half, pose_xy[1] - half, gm.origin, resolution)
-        c0 = min(max(int(c0), 0), total_c - n)
-        r0 = min(max(int(r0), 0), total_r - n)
-        xs, ys = cell_center(np.arange(r0, r0 + n), np.arange(c0, c0 + n), gm.origin, resolution)
-        src_r, src_c = world_to_cell(xs, ys, gm.origin, gm.cell_size)
-        src_c = np.clip(src_c, 0, gm.cols - 1)
-        src_r = np.clip(src_r, 0, gm.rows - 1)
-        block = gm.values[np.ix_(src_r, src_c)]
-        origin = (gm.origin[0] + c0 * resolution, gm.origin[1] + r0 * resolution)
-        return CostGrid(block, origin, resolution)
+        r0, c0 = world_to_cell(pose_xy[0] - half, pose_xy[1] - half, gm.origin, gm.cell_size)
+        c0 = min(max(int(c0), 0), gm.cols - n)
+        r0 = min(max(int(r0), 0), gm.rows - n)
+        origin = (gm.origin[0] + c0 * gm.cell_size, gm.origin[1] + r0 * gm.cell_size)
+        return CostGrid(gm.values[r0:r0 + n, c0:c0 + n].copy(), origin, gm.cell_size)
 
     # -- collision checks ------------------------------------------------------
 

@@ -169,8 +169,9 @@ class MissionRunner:
     the progress checks, planning when there is no path,
     control (10 Hz), one physics step with its hazard check, waypoint
     arrival, and the timeout. The mission ends on the first of no_path,
-    a hazard, complete or timeout. Planning opens only the disc under the
-    rover: a lethal cell stays lethal even where the rover has driven.
+    a hazard, complete or timeout. Both cautious modes plan on the global
+    map's own cells around the rover, and open only the disc under it: a
+    lethal cell stays lethal even where the rover has driven.
 
     The rover tracks one path, the current mode's, or none (`_plan_tick`).
     `_plan` returns a plan's kind and its path, and `_plan_tick` keeps the
@@ -325,9 +326,10 @@ class MissionRunner:
         return the plan's kind with the path, or with None.
 
         Efficient mode fits a B-spline (kind "spline"). The cautious modes
-        search the `map_window` of the global map around the rover, at the
-        global cell (safe) or `cost_resolution` (conservative), every cell
-        as mapped but the disc under the rover (`_clear_start`). The goal
+        search the same window: the global map's own cells over the
+        `map_window` around the rover, every cell as mapped but the disc
+        under the rover (`_clear_start`). Safe mode searches it as an
+        obstacle grid, conservative mode as a costmap. The goal
         is the waypoint clamped into the window, and in conservative mode
         pulled back onto sensed ground (`_sensed_goal`). The kind is
         "direct" when the search reaches the goal, "flood" when it finds no
@@ -338,8 +340,7 @@ class MissionRunner:
         """
         if mode is NavMode.EFFICIENT:
             return "spline", bspline_path((self.state.x, self.state.y), waypoint, self.state.heading)
-        res = self.server.global_map.cell_size if mode is NavMode.SAFE else self.config.cost_resolution
-        window = self.server.get_local_window((self.state.x, self.state.y), self.config.map_window, res)
+        window = self.server.get_local_window((self.state.x, self.state.y), self.config.map_window)
         if int(np.count_nonzero(window.values >= 0)) == 0:
             return "no_data", None
         self._clear_start(window)

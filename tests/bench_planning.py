@@ -2,9 +2,9 @@
 
 The file name keeps it out of the default test run; run it with
 `python -m pytest tests/bench_planning.py`. The windows match what the
-mission loop plans on: the safe view (`cost_to_obstacle`) of a 20 m window
-at 0.5 m cells, and a 20 m costmap window at 0.1 m. The
-route search is the one `waypoints.plan_waypoints` runs while the mixed
+mission loop plans on, a 20 m window of the global map's 0.5 m cells: its
+safe view (`cost_to_obstacle`), and the graded costmap that the
+conservative mode searches as it is. The route search is the one `waypoints.plan_waypoints` runs while the mixed
 course (seed 0) is set up: the coarse costmap of its ground layer, inflated,
 then `astar_cost` from start to goal.
 """
@@ -57,16 +57,16 @@ def test_best_progress_path_safe_view(benchmark, size):
     assert len(path) > 1
 
 
-COSTMAP = _window(200, 0.1, graded=True)
+COSTMAP = _window(40, 0.5, graded=True)
 
 
-def test_astar_cost_200(benchmark):
+def test_astar_cost_40(benchmark):
     window, start, goal = COSTMAP
     path = benchmark(astar_cost, window, start, goal)
     assert len(path) > 1
 
 
-def test_best_progress_path_costmap_200(benchmark):
+def test_best_progress_path_costmap_40(benchmark):
     window, start, goal = COSTMAP
     path = benchmark(best_progress_path, window, start, goal)
     assert len(path) > 1

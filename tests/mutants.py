@@ -77,6 +77,16 @@ MUTANTS = (
     Mutant("a direct path sets the flood flag", "mission.py",
            "self._flood_path = kind == \"flood\"", "self._flood_path = kind in (\"flood\", \"direct\")",
            ("tests/test_mission.py",)),
+    # The cautious modes' planning window: the global map's own cells,
+    # clamped inside the map at full size, searched as a costmap in
+    # conservative mode.
+    Mutant("the window's far-edge clamp one cell off", "map_server.py",
+           "gm.cols - n", "gm.cols - n + 1",
+           ("tests/test_map_server.py",)),
+    Mutant("the conservative plan searches the obstacle view", "mission.py",
+           "grid, goal, search = window, self._sensed_goal(window, goal), astar_cost",
+           "grid, goal, search = cost_to_obstacle(window), self._sensed_goal(window, goal), astar_cost",
+           ("tests/test_mission.py",)),
     # The mode rule in `ModeSwitcher.update`. Each also fails
     # `test_mode_switcher_matches_the_counting_oracle`. The first fails
     # `test_golden_digests[challenging]` before

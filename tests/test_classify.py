@@ -162,7 +162,8 @@ class TestVlmParsing:
             parse_vlm_response(b'{"terrain_class":"flat","rock_complexity":true,"slope_complexity":0.1}')
 
 
-@pytest.mark.parametrize("endpoint", ["not a url", "http://[::1", "ftp://host/", "http:///path", ""])
+@pytest.mark.parametrize("endpoint", ["not a url", "http://[::1", "ftp://host/", "http:///path", "",
+                                      "http://localhost:abc/", "http://h:99999/", "http://h:-1/"])
 def test_vlm_config_rejects_an_endpoint_that_is_no_http_url_with_a_host(endpoint):
     with pytest.raises(ValidationError):
         VlmConfig(endpoint)

@@ -70,10 +70,11 @@ FLAT = {"preset": "flat"}
     ("run", {"terrain": FLAT, "classifier": "vlm", "vlm_endpoint": "http://localhost:9/",
              "vlm_timeout_s": float("nan")}),
     ("run", {"terrain": FLAT, "classifier": "vlm", "vlm_endpoint": "not a url"}),
+    ("run", {"terrain": FLAT, "classifier": "vlm", "vlm_endpoint": "http://localhost:abc/"}),
 ], ids=["sensor_sigma", "speeds", "terrain.seed", "seed", "waypoint_spacing", "vlm_timeout_s",
         "reference_speedup", "start", "start.string", "goal", "waypoints.points", "waypoints.points.pair",
         "sensor_sigma.negative", "sensor_sigma.nan", "vlm_timeout_s.zero", "vlm_timeout_s.nan",
-        "vlm_endpoint"])
+        "vlm_endpoint", "vlm_endpoint.port"])
 def test_non_numeric_config_value_is_config_error(tmp_path, capsys, command, cfg):
     path = _write_config(tmp_path, cfg)
     assert cli.main([command, path, "-o", str(tmp_path / "out")]) == cli.EXIT_CONFIG

@@ -101,7 +101,7 @@ class TestRandomizedInvariants:
                 srv.update_from_local(local, mode)
                 assert np.array_equal(after_vals, srv.global_map.values)
                 assert np.array_equal(after_src, srv.source)
-                window = srv.get_local_window((15.0, 15.0), 10.0, 0.5)
+                window = srv.get_local_window((15.0, 15.0), 10.0)
                 snapshots.append((window, window.values.copy()))
             for window, frozen in snapshots:
                 assert np.array_equal(window.values, frozen)
@@ -159,14 +159,14 @@ class TestMergeMatchesFullMap:
 
 class TestWindows:
     def test_untouched_region_all_unknown(self):
-        win = server().get_local_window((20.0, 20.0), 10.0, 0.5)
+        win = server().get_local_window((20.0, 20.0), 10.0)
         assert (win.values == -1).all()
 
     def test_aligned_window_is_identity(self):
         srv = server()
         vals = np.arange(100).reshape(10, 10).astype(np.int16)
         srv.update_from_local(cost_local(vals, (10.0, 10.0)), NavMode.CONSERVATIVE)
-        win = srv.get_local_window((12.5, 12.5), 5.0, 0.5)
+        win = srv.get_local_window((12.5, 12.5), 5.0)
         r0 = int(win.origin[1] / 0.5)
         c0 = int(win.origin[0] / 0.5)
         assert np.array_equal(
@@ -174,15 +174,24 @@ class TestWindows:
         )
 
     def test_window_dimensions(self):
-        win = server().get_local_window((20.0, 20.0), 20.0, 0.5)
+        win = server().get_local_window((20.0, 20.0), 20.0)
         assert win.rows == win.cols == 40
-        fine = server().get_local_window((20.0, 20.0), 20.0, 0.1)
-        assert fine.rows == fine.cols == 200
+        assert win.cell_size == 0.5
 
     def test_window_clamped_at_border(self):
-        win = server().get_local_window((1.0, 1.0), 20.0, 0.5)
+        win = server().get_local_window((1.0, 1.0), 20.0)
         assert win.rows == win.cols == 40
         assert win.origin == (0.0, 0.0)
+
+    def test_window_clamped_at_far_corner(self):
+        # a pose near (extent_x, extent_y) puts the window's origin at
+        # extent - size, at full size, on a map that is not square
+        srv = server((40.0, 30.0))
+        srv.global_map.values[:] = np.arange(60 * 80).reshape(60, 80)
+        win = srv.get_local_window((39.0, 29.0), 20.0)
+        assert win.rows == win.cols == 40
+        assert win.origin == (20.0, 10.0)
+        assert np.array_equal(win.values, srv.global_map.values[20:, 40:])
 
 
 class TestWaypoints:

@@ -25,8 +25,8 @@ from rovernav.compare import ComparisonReport
 from rovernav.config import build_scene, fill_config, scene_from_config
 from rovernav.control import GOAL_TOLERANCE
 from rovernav.errors import InvalidStartError, NoPathError, ValidationError, VlmTimeoutError, VlmTransportError
-from rovernav.grids import world_to_cell
-from rovernav.map_server import WaypointQueue
+from rovernav.grids import cell_center, world_to_cell
+from rovernav.map_server import GLOBAL_RESOLUTION, WaypointQueue
 from rovernav.mapping import COST_MAX, CostGrid
 from rovernav.mission import MissionMetrics, MissionRunner, ModeConfig, run_mission
 from rovernav.modes import NavMode, TerrainClass
@@ -377,6 +377,32 @@ def test_planning_keeps_lethal_cells_on_the_rovers_trail(monkeypatch):
     assert kind == "direct" and path is not None
     (grid,) = searched
     assert grid.values[world_to_cell(*start, grid.origin, grid.cell_size)] == COST_MAX
+
+
+def test_conservative_plan_searches_the_global_maps_own_cells(monkeypatch):
+    # The costmap search gets the global map's cells over the window, not a
+    # resampling of them: outside the start disc every cell holds the
+    # global map's value.
+    runner = _runner(20.25, 20.25)
+    gm = runner.server.global_map
+    gm.values[:] = np.random.default_rng(0).integers(-1, COST_MAX + 1, gm.values.shape)
+    searched = []
+
+    def record(grid, *args):
+        searched.append(grid)
+        return astar_cost(grid, *args)
+
+    monkeypatch.setattr(mission, "astar_cost", record)
+    runner._plan(NavMode.CONSERVATIVE, runner.route[0])
+    (grid,) = searched
+    assert grid.cell_size == GLOBAL_RESOLUTION
+    assert grid.rows == grid.cols == round(ModeConfig.map_window / GLOBAL_RESOLUTION)
+    c0, r0 = (round(v / GLOBAL_RESOLUTION) for v in grid.origin)
+    xs, ys = cell_center(np.arange(grid.rows), np.arange(grid.cols), grid.origin, grid.cell_size)
+    outside = np.hypot(xs - 20.25, ys[:, None] - 20.25) > runner.config.start_clear_radius
+    mapped = gm.values[r0:r0 + grid.rows, c0:c0 + grid.cols]
+    assert np.array_equal(grid.values[outside], mapped[outside])
+    assert (grid.values[~outside] == 0).all()
 
 
 def _plans_without_side_effects(runner, mode, waypoint):
