@@ -46,7 +46,7 @@ from conftest import flat_terrain
 # that mission's map cells but none of its plans, so its digest is that of
 # the matrix's noiseless `rocky/mock/seed0`, and its pin adds the sha256 of
 # the final global map's bytes.
-NOISY_CONSERVATIVE_DIGEST = "757daccdfb9124abee4be3d80ab643cb3eb83f3431130d39d1a464560cc31655"
+NOISY_CONSERVATIVE_DIGEST = "15f880807524e456ad0c842c6ae6e568324faa83c915f10a184540cbc1180366"
 NOISY_ADAPTIVE_DIGEST = "55ca16d400aa04d12f63ee0ab663d5a44c6f622b40a00ccb1f64f15100221819"
 NOISY_ADAPTIVE_MAP = "20c6b5a15a4b0042959820d51dae4e1e5fe04892ab9d9547e08832d03afe1ebd"
 
