@@ -4,9 +4,10 @@ The file name keeps it out of the default test run; run it with
 `python -m pytest tests/bench_planning.py`. The windows match what the
 mission loop plans on, a 20 m window of the global map's 0.5 m cells: its
 safe view (`cost_to_obstacle`), and the graded costmap that the
-conservative mode searches as it is. The route search is the one `waypoints.plan_waypoints` runs while the mixed
-course (seed 0) is set up: the coarse costmap of its ground layer, inflated,
-then `astar_cost` from start to goal.
+conservative mode searches as it is. The route search is the one
+`waypoints.plan_waypoints` runs while the mixed course (seed 0) is set up:
+the coarse costmap of its ground layer, inflated, then `astar_cost` from
+start to goal.
 """
 
 import numpy as np

@@ -380,9 +380,8 @@ def test_planning_keeps_lethal_cells_on_the_rovers_trail(monkeypatch):
 
 
 def test_conservative_plan_searches_the_global_maps_own_cells(monkeypatch):
-    # The costmap search gets the global map's cells over the window, not a
-    # resampling of them: outside the start disc every cell holds the
-    # global map's value.
+    # The costmap search gets the global map's own cells over the window:
+    # outside the start disc every cell holds the global map's value.
     runner = _runner(20.25, 20.25)
     gm = runner.server.global_map
     gm.values[:] = np.random.default_rng(0).integers(-1, COST_MAX + 1, gm.values.shape)
