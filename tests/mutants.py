@@ -87,6 +87,12 @@ MUTANTS = (
            "grid, goal, search = window, self._sensed_goal(window, goal), astar_cost",
            "grid, goal, search = cost_to_obstacle(window), self._sensed_goal(window, goal), astar_cost",
            ("tests/test_mission.py",)),
+    # The costmap's record senses each block with the world's noise. At
+    # GLOBAL_RESOLUTION the noise moves no plan of the pinned noisy mission,
+    # so only its map pin sees this.
+    Mutant("the cost record senses without noise", "mapping.py",
+           "elev = self.world.sense_points(", "elev = type(self.world)(self.world.terrain).sense_points(",
+           ("tests/test_mission.py",)),
     # The mode rule in `ModeSwitcher.update`. Each also fails
     # `test_mode_switcher_matches_the_counting_oracle`. The first fails
     # `test_golden_digests[challenging]` before

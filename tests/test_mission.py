@@ -30,7 +30,7 @@ from rovernav.map_server import GLOBAL_RESOLUTION, WaypointQueue
 from rovernav.mapping import COST_MAX, CostGrid
 from rovernav.mission import MissionMetrics, MissionRunner, ModeConfig, run_mission
 from rovernav.modes import NavMode, TerrainClass
-from rovernav.planning import astar_cost
+from rovernav.planning import astar_cost, first_lethal_point
 from rovernav.world import RoverState, VelocityCommand, World
 
 import oracles
@@ -42,11 +42,13 @@ from conftest import flat_terrain
 # sensor_sigma 0.02, and so the order and number of noise draws: the
 # forced-conservative mission over the first 2 waypoints (the costmap's
 # record senses each block once), and the adaptive mock mission, which runs
-# in safe mode and senses a fresh patch every second. The noise moves 5 of
-# that mission's map cells but none of its plans, so its digest is that of
-# the matrix's noiseless `rocky/mock/seed0`, and its pin adds the sha256 of
-# the final global map's bytes.
+# in safe mode and senses a fresh patch every second. The noise moves map
+# cells (3097 and 5) but none of either mission's plans, so each digest is
+# that of the matrix's noiseless `rocky/conservative-first2/seed0` and
+# `rocky/mock/seed0`. Each pin therefore adds the sha256 of the final global
+# map's bytes, which is what the noise draws reach.
 NOISY_CONSERVATIVE_DIGEST = "15f880807524e456ad0c842c6ae6e568324faa83c915f10a184540cbc1180366"
+NOISY_CONSERVATIVE_MAP = "33b3d4bd7ce4797393489847dd833994bfd10d13827902f278360e5a8964f06a"
 NOISY_ADAPTIVE_DIGEST = "55ca16d400aa04d12f63ee0ab663d5a44c6f622b40a00ccb1f64f15100221819"
 NOISY_ADAPTIVE_MAP = "20c6b5a15a4b0042959820d51dae4e1e5fe04892ab9d9547e08832d03afe1ebd"
 
@@ -94,18 +96,21 @@ def test_forced_conservative_records_no_hazard(seed):
 
 
 def _conservative_run(scene):
-    """Metrics and trajectory of the forced-conservative mission over the
-    scene's first 2 waypoints."""
+    """The forced-conservative mission over the scene's first 2 waypoints."""
     queue = WaypointQueue(list(scene.waypoints.points[:2]))
-    result = run_mission(scene.world, queue, None, forced_mode=NavMode.CONSERVATIVE, start=scene.start)
-    return result.metrics.to_dict(), result.trajectory
+    return run_mission(scene.world, queue, None, forced_mode=NavMode.CONSERVATIVE, start=scene.start)
+
+
+def _map_sha(result):
+    return hashlib.sha256(result.server.global_map.values.tobytes()).hexdigest()
 
 
 def test_conservative_missions_share_no_state(scenarios):
     # Each runner builds its own record of cost cells; nothing one mission
     # builds may reach the next, on the same scene or after another one.
     def digest(kind):
-        return scenarios.mission_digest(*_conservative_run(build_scene(kind, 0)))
+        result = _conservative_run(build_scene(kind, 0))
+        return scenarios.mission_digest(result.metrics.to_dict(), result.trajectory)
 
     first = digest("rocky")
     assert digest("rocky") == first
@@ -119,9 +124,11 @@ def _noisy_rocky_scene():
 
 
 def test_noisy_conservative_digest(scenarios):
-    metrics, trajectory = _conservative_run(_noisy_rocky_scene())
+    result = _conservative_run(_noisy_rocky_scene())
+    metrics, trajectory = result.metrics.to_dict(), result.trajectory
     assert scenarios.check_invariants(metrics, trajectory, len(trajectory), NavMode.CONSERVATIVE.value) == []
     assert scenarios.mission_digest(metrics, trajectory) == NOISY_CONSERVATIVE_DIGEST
+    assert _map_sha(result) == NOISY_CONSERVATIVE_MAP != _map_sha(_conservative_run(build_scene("rocky", 0)))
 
 
 def test_noisy_adaptive_digest(scenarios):
@@ -131,7 +138,7 @@ def test_noisy_adaptive_digest(scenarios):
     assert metrics["time_by_mode"]["safe"] == metrics["total_time"] > 0
     assert scenarios.check_invariants(metrics, result.trajectory, len(result.trajectory), None) == []
     assert scenarios.mission_digest(metrics, result.trajectory) == NOISY_ADAPTIVE_DIGEST
-    assert hashlib.sha256(result.server.global_map.values.tobytes()).hexdigest() == NOISY_ADAPTIVE_MAP
+    assert _map_sha(result) == NOISY_ADAPTIVE_MAP
 
 
 def test_forced_conservative_serves_every_waypoint():
@@ -402,6 +409,30 @@ def test_conservative_plan_searches_the_global_maps_own_cells(monkeypatch):
     mapped = gm.values[r0:r0 + grid.rows, c0:c0 + grid.cols]
     assert np.array_equal(grid.values[outside], mapped[outside])
     assert (grid.values[~outside] == 0).all()
+
+
+def test_conservative_path_finishes_on_the_waypoint_over_no_lethal_cell(monkeypatch):
+    # The search ends on the goal cell's centre, up to 1.5 cells (0.75 m at
+    # GLOBAL_RESOLUTION) from the waypoint, and `_plan` finishes the path on
+    # the waypoint with one straight segment that no search checked. Over
+    # the forced-conservative rocky scenes, sampled every 0.01 m, no such
+    # segment touches a lethal cell of the global map.
+    segments = []
+    plan = MissionRunner._plan
+
+    def recording_plan(self, mode, waypoint):
+        kind, path = plan(self, mode, waypoint)
+        if mode is NavMode.CONSERVATIVE and path is not None:
+            last, end = path.points[-2:]
+            if np.array_equal(end, waypoint) and not np.array_equal(last, waypoint):
+                dense = mission.Path(np.linspace(last, end, 100))
+                segments.append(first_lethal_point(dense, self.server.global_map))
+        return kind, path
+
+    monkeypatch.setattr(MissionRunner, "_plan", recording_plan)
+    for seed in range(5):
+        run_matrix.run_scene("rocky", "conservative", 2, seed)
+    assert segments == [None] * 9
 
 
 def _plans_without_side_effects(runner, mode, waypoint):
