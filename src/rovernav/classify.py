@@ -10,8 +10,10 @@ Three interchangeable backends produce the same assessment type:
   parameters, so closed-loop runs need no network and no model.
 
 The sensing backends judge a square patch around a point
-(`_classifier_patch`), and `ModeSwitcher` turns their verdicts, or a missed
-one, into a navigation mode. The mission runner only asks.
+(`_classifier_patch`). `ModeSwitcher` turns each verdict into its class's
+navigation mode, and a missed one into conservative mode, as the paper
+switches "to the most suitable navigation mode" for the terrain classified.
+The mission runner only asks.
 """
 
 from __future__ import annotations
@@ -384,29 +386,11 @@ class VlmClassifierBackend:
 
 
 class ModeSwitcher:
-    """Mode selection with fail-safe fallback and down-switch hysteresis.
-
-    It remembers the mode and the previous verdict's mode, which is None
-    after a missed verdict (classifier failure). A verdict takes its mode
-    when there is no mode yet, when it is more severe, or when it equals
-    the previous verdict's: moving down takes two calmer verdicts of one
-    mode in a row, with no miss between them. A miss keeps the mode for
-    one period; one with no verdict before it, at the start or after
-    another miss, falls back to the most cautious mode.
-    """
-
-    def __init__(self):
-        self.mode: NavMode | None = None
-        self._last: NavMode | None = None
+    """The mode rule: a verdict selects its class's mode, and a missed
+    verdict (classifier failure) selects the most cautious mode. Nothing
+    carries from one verdict to the next."""
 
     def update(self, assessment: TerrainAssessment | None) -> NavMode:
         if assessment is None:
-            if self._last is None:
-                self.mode = NavMode.CONSERVATIVE
-            self._last = None
-            return self.mode
-        target = MODE_FOR_CLASS[assessment.terrain_class]
-        if self.mode is None or target.priority > self.mode.priority or target is self._last:
-            self.mode = target
-        self._last = target
-        return self.mode
+            return NavMode.CONSERVATIVE
+        return MODE_FOR_CLASS[assessment.terrain_class]

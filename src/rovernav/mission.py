@@ -162,16 +162,17 @@ class MissionRunner:
     """One mission on a fixed 20 Hz tick.
 
     `run` is the schedule. Each tick runs the subsystems whose period
-    (`ModeConfig` rate, in ticks) is due, in order:
-    classification (0.2 Hz), the one local-map step `_update_map` (the
-    obstacle map at 1 Hz in safe mode, the costmap at 0.5 Hz in
-    conservative mode), the path collision check (1 Hz),
-    the progress checks, planning when there is no path,
-    control (10 Hz), one physics step with its hazard check, waypoint
-    arrival, and the timeout. The mission ends on the first of no_path,
-    a hazard, complete or timeout. Both cautious modes plan on the global
-    map's own cells around the rover, and open only the disc under it: a
-    lethal cell stays lethal even where the rover has driven.
+    (`ModeConfig` rate, in ticks) is due, in order: classification
+    (0.2 Hz), the one local-map step `_update_map` (the obstacle map at
+    1 Hz in safe mode, the costmap at 0.5 Hz in conservative mode), the
+    path collision check (1 Hz), the progress checks, planning when there
+    is no path, control (10 Hz), one physics step with its hazard check,
+    waypoint arrival, and the timeout. The mode is the latest verdict's,
+    or conservative when the classifier failed; no earlier verdict
+    counts. The mission ends on the first of no_path, a hazard, complete
+    or timeout. Both cautious modes plan on the global map's own cells
+    around the rover, and open only the disc under it: a lethal cell stays
+    lethal even where the rover has driven.
 
     The rover tracks one path, the current mode's, or none (`_plan_tick`).
     `_plan` returns a plan's kind and its path, and `_plan_tick` keeps the
@@ -197,9 +198,12 @@ class MissionRunner:
     ):
         if len(waypoints) == 0:
             raise MissionConfigError("waypoint queue is empty")
-        for x, y in waypoints.points:
+        points = [("waypoint", p) for p in waypoints.points]
+        if start is not None:
+            points.append(("start", (start.x, start.y)))
+        for what, (x, y) in points:
             if not (0 <= x <= world.terrain.extent_x and 0 <= y <= world.terrain.extent_y):
-                raise MissionConfigError(f"waypoint ({x:.1f}, {y:.1f}) outside the map extent")
+                raise MissionConfigError(f"{what} ({x:.1f}, {y:.1f}) outside the map extent")
         self.world = world
         self.config = config
         self.classifier = classifier
@@ -405,8 +409,9 @@ class MissionRunner:
     # -- one step per subsystem --
 
     def _classify(self) -> None:
-        """Classify the terrain ahead; a mode change drops the path, so the
-        new mode plans its own."""
+        """Classify the terrain ahead and take the verdict's mode, or
+        conservative mode when the classifier fails. A mode change drops
+        the path, so the new mode plans its own."""
         if self.forced_mode is not None or self.classifier is None:
             return
         try:

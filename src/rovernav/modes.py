@@ -2,8 +2,7 @@
 
 Each terrain class activates one navigation mode (`MODE_FOR_CLASS`), and
 the modes are totally ordered by `NavMode.priority`: it decides which
-mode's map data wins a merge conflict and how mode-switch hysteresis is
-applied.
+mode's map data wins a merge conflict.
 """
 
 from __future__ import annotations

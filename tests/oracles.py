@@ -6,8 +6,7 @@ planners used before their flat-array core (with the planners built on it),
 a full-map priority merge, a sample-by-sample max rasterizer, a
 brute-force point-to-segment distance, a shift-and-OR disc dilation,
 shift-and-compare disc extrema, a per-window least-squares plane fit, a
-hazard check with nothing carried between poses and the mode switcher that
-counted a pending down-switch streak. Keep them simple and slow.
+hazard check with nothing carried between poses. Keep them simple and slow.
 """
 
 import heapq
@@ -16,7 +15,6 @@ import math
 import numpy as np
 
 from rovernav.grids import cell_center, plane_fit_points, slope_degrees
-from rovernav.modes import MODE_FOR_CLASS, NavMode
 from rovernav.world import _TILT_DX, _TILT_DY, FOOTPRINT_RADIUS, TILT_LIMIT_DEG, HazardEvent, HazardKind
 
 SQRT2 = math.sqrt(2.0)
@@ -387,47 +385,3 @@ def hazard_at(terrain, pose):
     if slope_degrees(a, b) > TILT_LIMIT_DEG:
         return HazardEvent(HazardKind.TILT_EXCEEDED, (x, y), pose.time)
     return None
-
-
-class CountingModeSwitcher:
-    """The mode rule as a counter: moving up is immediate, moving down needs
-    the calmer class in `DOWNSWITCH_PERIODS` verdicts in a row, and a missed
-    verdict (None) breaks the run. One miss keeps the mode; a second in a
-    row, or one before any mode, falls back to conservative."""
-
-    DOWNSWITCH_PERIODS = 2
-
-    def __init__(self):
-        self.mode = None
-        self._pending = None
-        self._pending_count = 0
-        self._missed = 0
-
-    def update(self, assessment):
-        if assessment is None:
-            self._missed += 1
-            self._pending = None
-            self._pending_count = 0
-            if self.mode is None or self._missed > 1:
-                self.mode = NavMode.CONSERVATIVE
-            return self.mode
-        self._missed = 0
-        target = MODE_FOR_CLASS[assessment.terrain_class]
-        if self.mode is None or target.priority > self.mode.priority:
-            self.mode = target
-            self._pending = None
-            self._pending_count = 0
-        elif target.priority < self.mode.priority:
-            if self._pending is target:
-                self._pending_count += 1
-            else:
-                self._pending = target
-                self._pending_count = 1
-            if self._pending_count >= self.DOWNSWITCH_PERIODS:
-                self.mode = target
-                self._pending = None
-                self._pending_count = 0
-        else:
-            self._pending = None
-            self._pending_count = 0
-        return self.mode

@@ -3,7 +3,8 @@
 Run it from a checkout:
 
     python tests/run_matrix.py              # fly every scene, write MATRIX_<sha>.json
-    python tests/run_matrix.py --diff A B   # the scenes whose outcome moved from A to B
+    python tests/run_matrix.py --diff A B   # the scenes whose outcome moved from A to B,
+                                            # and the headline pairs before and after
 
 It flies the 45 scenes of `SCENES`, one worker process per preset, two at a
 time, and writes `MATRIX_<sha>.json` at the repository root: `<sha>` is the
@@ -45,6 +46,7 @@ for _path in (ROOT / "src", ROOT / "perfbench"):
 
 import rovernav.mission as mission  # noqa: E402
 from rovernav.classify import GeometricClassifierBackend, MockClassifierBackend  # noqa: E402
+from rovernav.compare import ComparisonReport  # noqa: E402
 from rovernav.config import build_scene  # noqa: E402
 from rovernav.map_server import WaypointQueue  # noqa: E402
 from rovernav.modes import NavMode  # noqa: E402
@@ -170,10 +172,30 @@ def newest_matrix(root: Path = ROOT) -> dict:
     return max(files, key=lambda m: m["written"])
 
 
+def _metrics(record: dict) -> mission.MissionMetrics:
+    # a record keeps the total simulated time, not its split by mode
+    return mission.MissionMetrics(success=record["end_reason"] == "complete", end_reason=record["end_reason"],
+                                  time_by_mode={"total": record["sim_s"]}, waypoints_reached=record["reached"])
+
+
+def mixed_pairs(matrix: dict) -> dict:
+    """The headline comparison of each adaptive mixed scene in the matrix
+    against the forced-conservative scene of its seed, by adaptive scene."""
+    pairs = {}
+    for name, record in matrix["scenes"].items():
+        preset, classifier, prefix, seed = SCENES[name]
+        if preset == "mixed" and classifier != "conservative":
+            single = matrix["scenes"][scene_name(preset, "conservative", prefix, seed)]
+            pairs[name] = ComparisonReport(_metrics(single), _metrics(record))
+    return pairs
+
+
 def diff(before: dict, after: dict) -> str:
     """A markdown table of the scenes whose digest moved, the totals, and
     each course's summed host time, which no gate reads: host time is not
-    reproducible."""
+    reproducible. Then each adaptive mixed scene's comparison with the
+    forced-conservative scene of its seed, its speedup when valid, and the
+    count of valid pairs."""
     lines = ["| scene | before | after |", "|---|---|---|"]
 
     def outcome(r):
@@ -195,6 +217,16 @@ def diff(before: dict, after: dict) -> str:
         b, a = (sum(r["host_s"] for name, r in m["scenes"].items() if SCENES[name][0] == course)
                 for m in (before, after))
         lines.append(f"- host_s, {course} (not gated): {b:.2f} -> {a:.2f}")
+
+    def speedup(report):
+        return f"{report.speedup:.3f}" if report.valid else "invalid"
+
+    lines += ["", "| mixed pair, against forced conservative | before | after |", "|---|---|---|"]
+    pairs = [mixed_pairs(m) for m in (before, after)]
+    for name, b in pairs[0].items():
+        lines.append(f"| {name} | {speedup(b)} | {speedup(pairs[1][name])} |")
+    valid = [sum(report.valid for report in p.values()) for p in pairs]
+    lines += ["", f"valid mixed pairs: {valid[0]} -> {valid[1]}"]
     return "\n".join(lines)
 
 

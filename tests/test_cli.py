@@ -115,6 +115,14 @@ def test_vlm_without_endpoint_is_backend_error(tmp_path, capsys, argv, code):
     assert err.startswith("error: ") if code == cli.EXIT_BACKEND else err == ""
 
 
+def test_start_outside_the_map_is_config_error(tmp_path, capsys):
+    path = _write_config(tmp_path, {"terrain": FLAT, "start": [-50, 70],
+                                    "waypoints": {"points": [[30, 70], [60, 70]]}, "mode": "conservative"})
+    assert cli.main(["run", path, "-o", str(tmp_path / "out")]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "start (-50.0, 70.0) outside the map extent" in err, err
+
+
 def test_config_ref_documents_the_defaults_a_config_gets(capsys):
     assert cli.main(["config-ref"]) == cli.EXIT_OK
     lines = capsys.readouterr().out.splitlines()

@@ -72,3 +72,46 @@ def test_diff_shows_host_time_per_course_beside_the_gated_line():
     assert f"- host_s, mixed (not gated): {mixed:.2f} -> {mixed + 1.0:.2f}" in lines
     assert [line.split(",")[1].split()[0] for line in lines if line.startswith("- host_s,")] == [
         "flat", "rocky", "challenging", "mixed"]
+
+
+def _record(end_reason, sim_s, reached):
+    return {"end_reason": end_reason, "waypoints": 22, "reached": reached, "skipped": 22 - reached,
+            "hazards": [], "sim_s": sim_s, "digest": f"{end_reason} {sim_s} {reached}", "violations": [],
+            "plans": 30, "best_progress_path": 2, "host_s": 1.0}
+
+
+def _matrix(scenes):
+    return {"summary": run_matrix.summary(scenes), "scenes": scenes}
+
+
+def test_diff_reports_each_mixed_pair_and_the_count_of_valid_ones():
+    # seed 0: the geometric pair becomes valid; the mock pair stays valid
+    # but its adaptive time moves. Seed 1: the baseline's end makes both
+    # pairs invalid before, and a lost waypoint keeps the mock pair invalid.
+    before = _matrix({
+        "mixed/mock/seed0": _record("complete", 500.0, 20),
+        "mixed/geometric/seed0": _record("no_path", 300.0, 18),
+        "mixed/conservative/seed0": _record("complete", 1000.0, 20),
+        "mixed/mock/seed1": _record("complete", 400.0, 21),
+        "mixed/geometric/seed1": _record("complete", 450.0, 21),
+        "mixed/conservative/seed1": _record("no_path", 900.0, 21),
+    })
+    after = copy.deepcopy(before)
+    after["scenes"].update({
+        "mixed/mock/seed0": _record("complete", 400.0, 20),
+        "mixed/geometric/seed0": _record("complete", 625.0, 20),
+        "mixed/mock/seed1": _record("complete", 380.0, 20),
+        "mixed/conservative/seed1": _record("complete", 990.0, 21),
+    })
+    after["summary"] = run_matrix.summary(after["scenes"])
+    lines = run_matrix.diff(before, after).splitlines()
+    assert "4 of 6 scenes moved." in lines
+    pairs = lines[lines.index("| mixed pair, against forced conservative | before | after |"):]
+    assert pairs[2:] == [
+        "| mixed/mock/seed0 | 2.000 | 2.500 |",
+        "| mixed/geometric/seed0 | invalid | 1.600 |",
+        "| mixed/mock/seed1 | invalid | invalid |",
+        "| mixed/geometric/seed1 | invalid | 2.200 |",
+        "",
+        "valid mixed pairs: 1 -> 3",
+    ]

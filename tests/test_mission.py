@@ -24,7 +24,15 @@ from rovernav.classify import (
 from rovernav.compare import ComparisonReport
 from rovernav.config import build_scene, fill_config, scene_from_config
 from rovernav.control import GOAL_TOLERANCE
-from rovernav.errors import InvalidStartError, NoPathError, ValidationError, VlmTimeoutError, VlmTransportError
+from rovernav.errors import (
+    EmptyPatchError,
+    InsufficientDataError,
+    InvalidStartError,
+    NoPathError,
+    ValidationError,
+    VlmTimeoutError,
+    VlmTransportError,
+)
 from rovernav.grids import cell_center, world_to_cell
 from rovernav.map_server import GLOBAL_RESOLUTION, WaypointQueue
 from rovernav.mapping import COST_MAX, CostGrid
@@ -33,7 +41,6 @@ from rovernav.modes import NavMode, TerrainClass
 from rovernav.planning import astar_cost, first_lethal_point
 from rovernav.world import RoverState, VelocityCommand, World
 
-import oracles
 import run_matrix
 from conftest import flat_terrain
 
@@ -688,57 +695,27 @@ def test_mode_switcher_upgrades_immediately():
         NavMode.EFFICIENT, NavMode.SAFE, NavMode.CONSERVATIVE]
 
 
-def test_mode_switcher_downgrade_waits_for_consecutive_calmer_verdicts():
-    switcher = ModeSwitcher()
-    switcher.update(CHALLENGING)
-    assert _modes(switcher, [FLAT] * 2) == [NavMode.CONSERVATIVE, NavMode.EFFICIENT]
-
-
-def test_mode_switcher_interrupted_streak_resets():
-    switcher = ModeSwitcher()
-    switcher.update(CHALLENGING)
-    # a same-mode verdict, then a different calmer class, each restart the count
-    assert _modes(switcher, [FLAT, CHALLENGING, FLAT, ROCKY, ROCKY]) == [
-        NavMode.CONSERVATIVE, NavMode.CONSERVATIVE, NavMode.CONSERVATIVE,
-        NavMode.CONSERVATIVE, NavMode.SAFE]
-
-
-def test_mode_switcher_keeps_mode_over_one_missed_verdict():
-    switcher = ModeSwitcher()
-    switcher.update(FLAT)
-    assert _modes(switcher, [None, FLAT, None]) == [NavMode.EFFICIENT] * 3
-
-
-def test_mode_switcher_missed_verdict_restarts_the_downswitch_streak():
-    # one calm verdict after a miss, or after the fail-safe fallback, is a
-    # streak of one: it must not finish a streak begun before the miss
-    assert _modes(ModeSwitcher(), [ROCKY, FLAT, None, None, FLAT]) == [
-        NavMode.SAFE, NavMode.SAFE, NavMode.SAFE, NavMode.CONSERVATIVE, NavMode.CONSERVATIVE]
-    assert _modes(ModeSwitcher(), [CHALLENGING, FLAT, None, FLAT]) == [NavMode.CONSERVATIVE] * 4
-
-
-def test_mode_switcher_falls_back_to_conservative():
-    switcher = ModeSwitcher()
-    switcher.update(FLAT)
-    assert _modes(switcher, [None, None]) == [NavMode.EFFICIENT, NavMode.CONSERVATIVE]
-    assert ModeSwitcher().update(None) is NavMode.CONSERVATIVE
-
-
-def test_mode_switcher_matches_the_counting_oracle():
-    # every verdict sequence of length 1-7, misses included: 21 844 of them
-    for length in range(1, 8):
-        for verdicts in itertools.product((None, FLAT, ROCKY, CHALLENGING), repeat=length):
-            assert _modes(ModeSwitcher(), verdicts) == _modes(oracles.CountingModeSwitcher(), verdicts), verdicts
+def test_mode_switcher_follows_each_verdict_alone():
+    # each class selects its mode and a miss selects conservative, whatever
+    # came before: every verdict follows every run of two
+    expected = {None: NavMode.CONSERVATIVE, FLAT: NavMode.EFFICIENT, ROCKY: NavMode.SAFE,
+                CHALLENGING: NavMode.CONSERVATIVE}
+    for verdicts in itertools.product(expected, repeat=3):
+        assert _modes(ModeSwitcher(), verdicts) == [expected[v] for v in verdicts], verdicts
 
 
 class _Verdicts:
-    """A classifier that returns the given verdicts in turn."""
+    """A classifier that returns the given verdicts in turn, and raises
+    those that are exceptions."""
 
     def __init__(self, *verdicts):
         self.verdicts = iter(verdicts)
 
     def assess(self, world, center):
-        return next(self.verdicts)
+        verdict = next(self.verdicts)
+        if isinstance(verdict, Exception):
+            raise verdict
+        return verdict
 
 
 def test_mode_switch_drops_the_path():
@@ -752,6 +729,20 @@ def test_mode_switch_drops_the_path():
     runner._classify()
     assert runner.mode is NavMode.SAFE
     assert runner.tracker is None
+
+
+@pytest.mark.parametrize("error", [VlmTimeoutError, EmptyPatchError, InsufficientDataError])
+def test_failed_verdict_drives_conservatively_until_the_next_verdict(error):
+    runner = MissionRunner(World(flat_terrain()), WaypointQueue([(40.0, 20.0)]),
+                           _Verdicts(FLAT, error("no verdict"), FLAT), start=RoverState(20.0, 20.0, 0.0))
+    runner._classify()
+    assert runner.mode is NavMode.EFFICIENT
+    runner.tracker = mission.PathTracker(_line((20.0, 20.0), (40.0, 20.0)))
+    runner._classify()
+    assert runner.mode is NavMode.CONSERVATIVE
+    assert runner.tracker is None
+    runner._classify()
+    assert runner.mode is NavMode.EFFICIENT
 
 
 class _VlmStub(http.server.BaseHTTPRequestHandler):
