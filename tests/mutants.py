@@ -95,7 +95,9 @@ MUTANTS = (
            ("tests/test_mission.py",)),
     # The mode rule in `ModeSwitcher.update`: a missed verdict selects
     # conservative mode, and the runner counts each classifier failure as a
-    # missed verdict.
+    # missed verdict. The first fails
+    # `test_mode_switcher_follows_each_verdict_alone`, the second
+    # `test_failed_verdict_drives_conservatively_until_the_next_verdict[InsufficientDataError]`.
     Mutant("a missed verdict selects efficient mode", "classify.py",
            "return NavMode.CONSERVATIVE", "return NavMode.EFFICIENT",
            ("tests/test_mission.py",)),

@@ -223,8 +223,8 @@ def diff(before: dict, after: dict) -> str:
 
     lines += ["", "| mixed pair, against forced conservative | before | after |", "|---|---|---|"]
     pairs = [mixed_pairs(m) for m in (before, after)]
-    for name, b in pairs[0].items():
-        lines.append(f"| {name} | {speedup(b)} | {speedup(pairs[1][name])} |")
+    for name, report in pairs[0].items():
+        lines.append(f"| {name} | {speedup(report)} | {speedup(pairs[1][name])} |")
     valid = [sum(report.valid for report in p.values()) for p in pairs]
     lines += ["", f"valid mixed pairs: {valid[0]} -> {valid[1]}"]
     return "\n".join(lines)

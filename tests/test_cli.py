@@ -115,14 +115,6 @@ def test_vlm_without_endpoint_is_backend_error(tmp_path, capsys, argv, code):
     assert err.startswith("error: ") if code == cli.EXIT_BACKEND else err == ""
 
 
-def test_start_outside_the_map_is_config_error(tmp_path, capsys):
-    path = _write_config(tmp_path, {"terrain": FLAT, "start": [-50, 70],
-                                    "waypoints": {"points": [[30, 70], [60, 70]]}, "mode": "conservative"})
-    assert cli.main(["run", path, "-o", str(tmp_path / "out")]) == cli.EXIT_CONFIG
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and "start (-50.0, 70.0) outside the map extent" in err, err
-
-
 def test_config_ref_documents_the_defaults_a_config_gets(capsys):
     assert cli.main(["config-ref"]) == cli.EXIT_OK
     lines = capsys.readouterr().out.splitlines()
@@ -253,12 +245,14 @@ def _trajectory_line(tmp_path, line):
     lambda tmp_path: ("run", {"terrain": {"preset": "flat", "presets": ["rocky"]}},
                       "one of preset, presets, specs, load"),
     lambda tmp_path: ("run", {"terrain": {"seed": 3}}, "not {'seed': 3}"),
+    lambda tmp_path: ("run", {"terrain": FLAT, "start": [-50, 70], "waypoints": {"points": [[30, 70], [60, 70]]},
+                              "mode": "conservative"}, "start (-50.0, 70.0) outside the map extent"),
 ], ids=["waypoint.three_fields", "waypoint.not_a_number", "terrain.load.not_json",
         "render.spec_without_lacunarity", "render.spec_unknown_key",
         "render.trajectory.not_a_number", "render.trajectory.four_fields",
         "terrain.specs.object", "terrain.presets.string", "terrain.presets.nested_list",
         "terrain.specs.string_item", "terrain.specs.unknown_key",
-        "terrain.unknown_key", "terrain.two_sources", "terrain.no_source"])
+        "terrain.unknown_key", "terrain.two_sources", "terrain.no_source", "start.off_map"])
 def test_malformed_input_is_config_error(tmp_path, capsys, make):
     command, source, message = make(tmp_path)
     target = source if command == "render" else _write_config(tmp_path, source)
