@@ -8,11 +8,13 @@ map, which the maps read) and watches for the three hazard conditions:
 leaving the map, rock contact and excessive tilt.
 
 A `World` reads its terrain's rock list and ground once: the rock index is
-built in `__init__`, and the ground's steepest cell-to-cell rise on the
-first refresh of `check_hazard`. Neither may change afterwards.
-`check_hazard` carries one clearance from the pose where it last refreshed
-it: how far the rover may move before any hazard test could change its
-answer. Within it the check returns at once.
+built in `__init__`, and the ground's cell-to-cell rises on the first
+refresh of `check_hazard`. Neither may change afterwards. `check_hazard`
+carries one clearance from the pose where it last refreshed it: how far the
+rover may move before any hazard test could change its answer. Within it
+the check returns at once. The tilt part of it is bounded by the steepest
+rise near that pose, so flat ground carries metres even on a map that is
+steep elsewhere.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyPatchError, ValidationError, malformed_input, read_input_text
-from .grids import cell_center, plane_fit_points, slope_degrees
+from .grids import cell_center, plane_fit_points, slope_degrees, world_to_cell
 from .terrain import HeightField, Rock, Terrain, add_rocks_to_field
 
 # Physics tick: 20 Hz divides every scheduler rate used by the mission.
@@ -59,16 +61,11 @@ _TILT_WEIGHT_SUM = float(np.hypot(*_TILT_WEIGHTS).sum())
 # heights up to 1e6 m. A carried tilt slack runs out at this gradient.
 _TILT_GRADIENT_LIMIT = math.tan(math.radians(TILT_LIMIT_DEG)) * (1.0 - 1e-6)
 
-
-def _ground_gradient_bound(ground: HeightField) -> float:
-    """hypot(Gx, Gy): Gx and Gy are the largest height differences between
-    adjacent cells along x and along y, divided by the cell size. Within a
-    cell, the bilinear surface's x slope blends two such x differences and
-    its y slope two y differences, so its gradient never exceeds this."""
-    z = ground.elevation
-    gx = float(np.abs(np.diff(z, axis=1)).max(initial=0.0))
-    gy = float(np.abs(np.diff(z, axis=0)).max(initial=0.0))
-    return math.hypot(gx, gy) / ground.cell_size
+# The farthest a carried tilt slack reaches, in metres. The gradient bound
+# is read within FOOTPRINT_RADIUS + this of the refresh pose, so a longer
+# cap reads a wider, often steeper neighbourhood. The benchmark's mixed
+# course mission refreshes 447, 397 and 405 times with caps of 2, 4 and 8 m.
+_TILT_SLACK_CAP = 4.0
 
 
 @dataclass(frozen=True)
@@ -148,10 +145,12 @@ class World:
         xs, ys = cell_center(np.array([0, g.rows - 1]), np.array([0, g.cols - 1]), g.origin, g.cell_size)
         (self._x_lo, self._x_hi), (self._y_lo, self._y_hi) = xs.tolist(), ys.tolist()
         # The carried clearance of `check_hazard`, (x, y, clearance), none
-        # before the first refresh; L, the fit's growth per metre moved, is
-        # set on that refresh so that a scene build does no extra work.
+        # before the first refresh; the ground's absolute height differences
+        # between adjacent cells along x and along y, which bound the fit's
+        # growth, are set on that refresh so that a scene build does no
+        # extra work.
         self._clearance = (0.0, 0.0, -math.inf)
-        self._tilt_growth = None
+        self._ground_steps = None
 
     def sense_elevation_patch(self, origin, shape: tuple[int, int], resolution: float) -> HeightField:
         """The surface at the cell centres of a rows x cols lattice at
@@ -211,7 +210,9 @@ class World:
         A refresh measures how far the rover may move from this pose q
         before any test could change its answer, the least of:
         - the footprint's clearance to the hull, negative when off the map;
-        - the tilt slack (tan(TILT_LIMIT_DEG) * (1 - 1e-6) - |g|) / L;
+        - the tilt slack min((tan(TILT_LIMIT_DEG) * (1 - 1e-6) - |g|) / L,
+          cap), with cap = _TILT_SLACK_CAP and L = `_tilt_growth(q)`; when
+          L is 0 the slack is cap;
         - the gap between the footprint and each rock disc, negative on
           contact.
         It keeps that distance less a rounding margin of 1e-9 m, far above
@@ -223,11 +224,13 @@ class World:
           stays inside, and no tilt sample meets the edge clamp of
           `grids.bilinear_sample`, which would flatten the ground.
         - The fitted gradient is g = _TILT_WEIGHTS @ z, with sum |w_i| =
-          S = 24/23. The ground's gradient is at most G = hypot(Gx, Gy)
-          everywhere, Gx and Gy its largest height differences between
-          adjacent cells along x and y over the cell size, so each in-map
-          sample and g move by at most G * |p - q| and L * |p - q|, with
-          L = S * G, computed on the first refresh.
+          S = 24/23. For |p - q| under the slack, at most cap, each tilt
+          sample's straight path from q + o to p + o (|o| <= R, the
+          footprint radius) stays within R + cap of q. On that disc the
+          ground's gradient is at most G = hypot(Gx, Gy) / cell, Gx and Gy
+          the largest height differences between adjacent cells along x and
+          y that the bilinear surface there blends, so each sample and g
+          move by at most G * |p - q| and L * |p - q|, with L = S * G.
         - A rock disc's gap shrinks by at most |p - q|. The rocks are read
           from `_rocks_near` out to the hull clearance and the tilt slack,
           so a rock it leaves out is farther than the kept distance.
@@ -238,10 +241,9 @@ class World:
             return None
         r = FOOTPRINT_RADIUS
         hull = min(x - r - self._x_lo, self._x_hi - (x + r), y - r - self._y_lo, self._y_hi - (y + r))
-        if self._tilt_growth is None:
-            self._tilt_growth = _TILT_WEIGHT_SUM * _ground_gradient_bound(self.terrain.ground)
         a, b = (_TILT_WEIGHTS @ self.terrain.ground.sample(x + _TILT_DX, y + _TILT_DY)).tolist()
-        slack = (_TILT_GRADIENT_LIMIT - math.hypot(a, b)) / self._tilt_growth if self._tilt_growth else math.inf
+        growth = self._tilt_growth(x, y)
+        slack = min((_TILT_GRADIENT_LIMIT - math.hypot(a, b)) / growth if growth else math.inf, _TILT_SLACK_CAP)
         gap = min((math.hypot(rock.x - x, rock.y - y) - (rock.radius + r)
                    for rock in self._rocks_near(x, y, r + max(min(hull, slack), 0.0))), default=math.inf)
         self._clearance = (x, y, min(hull, slack, gap) - 1e-9)
@@ -253,6 +255,33 @@ class World:
         if slope_degrees(a, b) > TILT_LIMIT_DEG:
             return HazardEvent(HazardKind.TILT_EXCEEDED, (x, y), pose.time)
         return None
+
+    def _tilt_growth(self, x: float, y: float) -> float:
+        """L at q = (x, y): S * hypot(Gx, Gy) / cell, Gx and Gy the largest
+        absolute height differences between adjacent cells along x and
+        along y near q.
+
+        Between the centres of four cells the bilinear surface's x slope
+        blends the x differences of their two rows, and its y slope the y
+        differences of their two columns. "Near q" is the box of those
+        centre-to-centre pieces that covers the disc of radius
+        FOOTPRINT_RADIUS + _TILT_SLACK_CAP around q, grown by one piece on
+        each side, which also holds the second row or column of each. The
+        box is clamped into the map, as the sampler clamps its points."""
+        g = self.terrain.ground
+        if self._ground_steps is None:
+            z = g.elevation
+            self._ground_steps = (np.abs(np.diff(z, axis=1)), np.abs(np.diff(z, axis=0)))
+        reach, half = FOOTPRINT_RADIUS + _TILT_SLACK_CAP, 0.5 * g.cell_size
+        rows, cols = world_to_cell(np.array([x - reach, x + reach]), np.array([y - reach, y + reach]),
+                                   (g.origin[0] + half, g.origin[1] + half), g.cell_size)
+        (r_lo, r_hi), (c_lo, c_hi) = rows.tolist(), cols.tolist()
+        r0, r1 = min(max(r_lo - 1, 0), g.rows - 1), min(max(r_hi + 1, 0), g.rows - 1)
+        c0, c1 = min(max(c_lo - 1, 0), g.cols - 1), min(max(c_hi + 1, 0), g.cols - 1)
+        steps_x, steps_y = self._ground_steps
+        gx = float(steps_x[r0:r1 + 1, c0:c1 + 1].max(initial=0.0))
+        gy = float(steps_y[r0:r1 + 1, c0:c1 + 1].max(initial=0.0))
+        return _TILT_WEIGHT_SUM * math.hypot(gx, gy) / g.cell_size
 
     def _rocks_near(self, x: float, y: float, radius: float) -> list[Rock]:
         """Rocks whose bounding box comes within radius of (x, y) on both
@@ -279,7 +308,8 @@ def format_trajectory_row(state: RoverState, mode_name: str) -> str:
 
 def read_trajectory(path) -> list[tuple[RoverState, str]]:
     """The (state, mode name) of each `format_trajectory_row` row of a
-    trajectory file; header and blank lines are skipped."""
+    trajectory file; header and blank lines are skipped. A row with a
+    number that is not finite is malformed."""
     rows = []
     for lineno, line in enumerate(read_input_text(path).splitlines(), 1):
         line = line.strip()
@@ -287,6 +317,8 @@ def read_trajectory(path) -> list[tuple[RoverState, str]]:
             continue
         with malformed_input(f"{path}:{lineno}: expected {TRAJECTORY_HEADER}, got {line!r}"):
             *numbers, mode_name = line.split(",")
-            t, x, y, heading, speed = map(float, numbers)
+            t, x, y, heading, speed = values = [float(v) for v in numbers]
+            if not all(map(math.isfinite, values)):
+                raise ValueError("not every number is finite")
             rows.append((RoverState(x, y, heading, speed, t), mode_name))
     return rows

@@ -186,6 +186,16 @@ def test_check_hazard_walk(benchmark):
     assert hazards == [None] * len(poses)
 
 
+def test_check_hazard_flat_walk(benchmark):
+    # 2 700 ticks 0.1 m apart along the mixed course's two flat tiles: the
+    # tilt slack's bound is read near each refresh pose, so the steep
+    # challenging tile does not shorten the clearance carried here.
+    world = build_scene("mixed", 0).world
+    poses = [RoverState(5.0 + 0.1 * i, 70.0, 0.0) for i in range(2700)]
+    hazards = benchmark(_walk_hazards, world, poses)
+    assert hazards == [None] * len(poses)
+
+
 def _safe_patch(world, pose):
     """The safe mode's 21 m patch of 84 x 84 samples at 0.25 m around the pose."""
     return world.sense_points((pose.x - 10.5, pose.y - 10.5), (84, 84), 0.25)

@@ -49,13 +49,27 @@ MUTANTS = (
            "cfg.off_path_limit * (1.0 - 1e-12)", "cfg.off_path_limit * (1.0 + 1e-9)",
            ("tests/test_mission.py",)),
     # The carried clearance of `World.check_hazard`: the rocks within it,
-    # the tilt slack's growth bound, the hull term and the rounding margin.
+    # the tilt slack's local growth bound and its cap, the hull term and the
+    # rounding margin. The growth mutant fails
+    # `test_growth_on_a_plane_is_the_stated_bound`; the reach mutant fails
+    # `test_preset_walk_matches_full_fit[challenging]` and the cap mutant
+    # `test_pose_beyond_the_bound_of_a_cliff_carries_the_cap[22.9]`, and
+    # both fail `test_cliff_walk_tilts_where_the_fit_does` by its hazard
+    # answers alone.
     Mutant("hazard check reads rocks at the footprint only", "world.py",
            "self._rocks_near(x, y, r + max(min(hull, slack), 0.0))", "self._rocks_near(x, y, r)",
            ("tests/test_world.py",)),
     Mutant("tilt growth L halved", "world.py",
-           "self._tilt_growth = _TILT_WEIGHT_SUM * _ground_gradient_bound(self.terrain.ground)",
-           "self._tilt_growth = 0.5 * _TILT_WEIGHT_SUM * _ground_gradient_bound(self.terrain.ground)",
+           "return _TILT_WEIGHT_SUM * math.hypot(gx, gy) / g.cell_size",
+           "return 0.5 * _TILT_WEIGHT_SUM * math.hypot(gx, gy) / g.cell_size",
+           ("tests/test_world.py",)),
+    Mutant("tilt growth read within the footprint radius only", "world.py",
+           "reach, half = FOOTPRINT_RADIUS + _TILT_SLACK_CAP, 0.5 * g.cell_size",
+           "reach, half = FOOTPRINT_RADIUS, 0.5 * g.cell_size",
+           ("tests/test_world.py",)),
+    Mutant("tilt slack without the cap", "world.py",
+           "slack = min((_TILT_GRADIENT_LIMIT - math.hypot(a, b)) / growth if growth else math.inf, _TILT_SLACK_CAP)",
+           "slack = (_TILT_GRADIENT_LIMIT - math.hypot(a, b)) / growth if growth else math.inf",
            ("tests/test_world.py",)),
     Mutant("carried clearance without the hull term", "world.py",
            "self._clearance = (x, y, min(hull, slack, gap) - 1e-9)",

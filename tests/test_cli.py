@@ -236,6 +236,8 @@ def _trajectory_line(tmp_path, line):
                                    "unknown terrain spec keys: ['lacunarty']"),
     lambda tmp_path: _trajectory_line(tmp_path, "0.100,abc,2.0,0.0,0.5,safe"),
     lambda tmp_path: _trajectory_line(tmp_path, "0.100,1.0,2.0,safe"),
+    lambda tmp_path: _trajectory_line(tmp_path, "0.0,nan,10,0,0,safe"),
+    lambda tmp_path: _trajectory_line(tmp_path, "0.05,inf,10,0,0,safe"),
     lambda tmp_path: ("run", {"terrain": {"specs": SPEC}}, "'specs' must be a list"),
     lambda tmp_path: ("run", {"terrain": {"presets": "mixed"}}, "'presets' must be a list, not 'mixed'"),
     lambda tmp_path: ("run", {"terrain": {"presets": [["flat"]]}}, "unknown terrain preset ['flat']"),
@@ -250,6 +252,7 @@ def _trajectory_line(tmp_path, line):
 ], ids=["waypoint.three_fields", "waypoint.not_a_number", "terrain.load.not_json",
         "render.spec_without_lacunarity", "render.spec_unknown_key",
         "render.trajectory.not_a_number", "render.trajectory.four_fields",
+        "render.trajectory.not_finite.nan", "render.trajectory.not_finite.inf",
         "terrain.specs.object", "terrain.presets.string", "terrain.presets.nested_list",
         "terrain.specs.string_item", "terrain.specs.unknown_key",
         "terrain.unknown_key", "terrain.two_sources", "terrain.no_source", "start.off_map"])

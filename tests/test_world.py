@@ -7,7 +7,7 @@ import pytest
 import rovernav.world as world_module
 from rovernav.config import build_scene
 from rovernav.errors import EmptyPatchError, ValidationError
-from rovernav.grids import plane_fit_points
+from rovernav.grids import cell_center, plane_fit_points
 from rovernav.terrain import HeightField, Rock, Terrain, build_terrain
 from rovernav.world import (
     FOOTPRINT_RADIUS,
@@ -374,11 +374,45 @@ def ramp_terrain(extent=60.0, cell=0.5):
     return terrain_of(np.tile(k * x * x, (n, 1)), cell)
 
 
+def cliff_terrain(extent=60.0, cell=0.5):
+    """Flat ground at z = 0 on the cell centres below x = 30 m and at 10 m
+    beyond: one 10 m step between the centres at 29.75 and 30.25 m."""
+    n = round(extent / cell)
+    x = (np.arange(n) + 0.5) * cell
+    return terrain_of(np.tile(np.where(x < 30.0, 0.0, 10.0), (n, 1)), cell)
+
+
+def _steps_within(z, along, across, qa, qb, reach):
+    """The largest |z[j, i + 1] - z[j, i]| that shapes the bilinear surface
+    within `reach` of (qa, qb). The difference between the centres i and
+    i + 1 of line j sets the slope along the lines for along[i] <= a <=
+    along[i + 1], and for across[j - 1] <= b <= across[j + 1], on without
+    end past an edge line, where the sampler clamps to it."""
+    steps = np.abs(np.diff(z, axis=1))
+    d_along = np.maximum(np.maximum(along[:-1] - qa, qa - along[1:]), 0.0)
+    lo, hi = np.concatenate([[-np.inf], across[:-1]]), np.concatenate([across[1:], [np.inf]])
+    d_across = np.maximum(np.maximum(lo - qb, qb - hi), 0.0)
+    return float(steps[np.hypot(d_across[:, None], d_along[None, :]) <= reach].max(initial=0.0))
+
+
+def true_growth(terrain, x, y):
+    """The fit's growth per metre moved from (x, y), from its definition:
+    S = sum of the fit weights' norms, times the ground's steepest rises
+    along x and along y within FOOTPRINT_RADIUS + the slack cap of (x, y),
+    over the cell size."""
+    g = terrain.ground
+    xs, ys = cell_center(np.arange(g.rows), np.arange(g.cols), g.origin, g.cell_size)
+    reach = FOOTPRINT_RADIUS + world_module._TILT_SLACK_CAP
+    gx = _steps_within(g.elevation, xs, ys, x, y, reach)
+    gy = _steps_within(g.elevation.T, ys, xs, y, x, reach)
+    return world_module._TILT_WEIGHT_SUM * math.hypot(gx, gy) / g.cell_size
+
+
 def true_clearance(world, pose):
     """The least of the three distances a refresh keeps, from the
     definitions: the footprint's clearance to the hull of the cell centres,
-    the tilt slack of the `plane_fit_points` fit, and the gap to every rock
-    disc."""
+    the tilt slack of the `plane_fit_points` fit over `true_growth`, capped,
+    and the gap to every rock disc."""
     terrain, r = world.terrain, FOOTPRINT_RADIUS
     g = terrain.ground
     x_lo, x_hi, y_lo, y_hi = cell_hull(g)
@@ -386,7 +420,8 @@ def true_clearance(world, pose):
     xs, ys = pose.x + world_module._TILT_DX, pose.y + world_module._TILT_DY
     a, b, _ = plane_fit_points(np.column_stack([xs, ys, g.sample(xs, ys)]))
     limit = math.tan(math.radians(TILT_LIMIT_DEG)) * (1.0 - 1e-6)
-    slack = (limit - math.hypot(a, b)) / world._tilt_growth if world._tilt_growth else math.inf
+    growth = true_growth(terrain, pose.x, pose.y)
+    slack = min((limit - math.hypot(a, b)) / growth if growth else math.inf, world_module._TILT_SLACK_CAP)
     gaps = [math.hypot(rock.x - pose.x, rock.y - pose.y) - (rock.radius + r) for rock in terrain.rocks]
     return min(hull, slack, *gaps)
 
@@ -396,7 +431,8 @@ def check_walk(world, poses):
     how often the checked world refreshed its clearance or answered from
     the carried one. A skipped pose reads neither the ground nor the rock
     index, and each refresh keeps at least the rounding margin less than
-    the true clearance."""
+    the true clearance, or no clearance where that is negative: the world's
+    growth, read over a wider box, can scale a negative tilt slack less."""
     calls = Counter()
     rocks_near, sample = world._rocks_near, world.terrain.ground.sample
 
@@ -419,7 +455,7 @@ def check_walk(world, poses):
             if read:
                 assert read == Counter(rocks=1, sample=1), pose
                 paths["refreshed"] += 1
-                assert world._clearance[2] <= true_clearance(world, pose) - 0.5e-9, pose
+                assert world._clearance[2] <= max(true_clearance(world, pose), 0.0) - 0.5e-9, pose
             else:
                 paths["carried"] += 1
     want = [hazard_at(world.terrain, pose) for pose in poses]
@@ -431,17 +467,26 @@ def check_walk(world, poses):
 
 
 class TestCarriedTiltBound:
-    def test_growth_is_the_stated_bound(self):
+    def test_growth_on_a_plane_is_the_stated_bound(self):
         # a plane of slope s along x: adjacent cells differ by s * cell
+        # everywhere, so every pose, the edges' too, reads S * s
         world = World(plane_terrain(20.0))
-        assert world._tilt_growth is None
-        world.check_hazard(RoverState(30.0, 30.0, 0.0))
         slope = math.tan(math.radians(20.0))
-        assert world._tilt_growth == pytest.approx(24.0 / 23.0 * slope, rel=1e-12)
+        poses = [(0.0, 0.0), (30.0, 30.0), (59.9, 12.3), (-5.0, 70.0), *np.random.default_rng(2).uniform(0, 60, (20, 2))]
+        for x, y in poses:
+            assert world._tilt_growth(float(x), float(y)) == pytest.approx(24.0 / 23.0 * slope, rel=1e-12)
         assert world_module._TILT_WEIGHT_SUM == pytest.approx(24.0 / 23.0, rel=1e-12)
 
+    @pytest.mark.parametrize("x", [22.9, 37.1])
+    def test_pose_beyond_the_bound_of_a_cliff_carries_the_cap(self, x):
+        # More than FOOTPRINT_RADIUS + the cap + one cell from the step's
+        # piece of ground, [29.75, 30.25] m, the ground read is flat.
+        world = World(cliff_terrain())
+        assert world.check_hazard(RoverState(x, 30.0, 0.0)) is None
+        assert world._clearance[2] == world_module._TILT_SLACK_CAP - 1e-9
+
     def test_scene_build_leaves_the_growth_unset(self):
-        assert build_scene("mixed", 0).world._tilt_growth is None
+        assert build_scene("mixed", 0).world._ground_steps is None
 
     @pytest.mark.parametrize("kind", ["challenging", "mixed"])
     def test_preset_walk_matches_full_fit(self, kind):
@@ -476,6 +521,27 @@ class TestCarriedTiltBound:
         start = (ADVERSARIAL_POSE.x, ADVERSARIAL_POSE.y)
         got, _ = check_walk(world, [ADVERSARIAL_POSE, *walk(world.terrain, np.random.default_rng(23), 600, start)])
         assert (got[0] is not None) is (h > ADVERSARIAL_LIMIT)
+
+    @pytest.mark.parametrize("start", [16.5, 17.0, 17.5, 18.0, 20.0])
+    def test_cliff_walk_tilts_where_the_fit_does(self, start):
+        # Metres of flat ground, then the cliff: a slack carried past the
+        # cap, or a bound read short of the cliff, steps onto it untested.
+        world = World(cliff_terrain())
+        poses = [RoverState(start + 0.05 * i, 30.0, 0.0, time=0.05 * i)
+                 for i in range(round((29.0 - start) / 0.05) + 1)]
+        got, paths = check_walk(world, poses)
+        first = next(i for i, h in enumerate(got) if h is not None)
+        assert got[first].kind is HazardKind.TILT_EXCEEDED
+        assert poses[first].x == pytest.approx(27.8)
+        assert paths["carried"] > 0
+
+    def test_flat_tiles_carry_metres(self):
+        # The mixed course's flat tiles, 2 700 poses 0.1 m apart: the bound
+        # read near each pose ignores the steep challenging tile.
+        world = build_scene("mixed", 0).world
+        got, paths = check_walk(world, [RoverState(5.0 + 0.1 * i, 70.0, 0.0) for i in range(2700)])
+        assert got == [None] * 2700
+        assert paths["refreshed"] <= 100
 
     def test_ramp_walk_crosses_the_limit_where_the_fit_does(self):
         world = World(ramp_terrain())
