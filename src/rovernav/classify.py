@@ -1,9 +1,10 @@
 """Terrain-complexity classification, from patch to navigation mode.
 
-Three interchangeable backends produce the same assessment type:
+Three interchangeable backends produce the same assessment type; the two
+offline ones class their scores by `class_for_scores` (`from_scores`):
 
 * a geometric baseline that counts rough cells and fits local planes on an
-  elevation patch, then applies hand-set thresholds;
+  elevation patch, scoring the count over 240 cells and the slope over 28 deg;
 * a wire client that sends a rendered image plus a text prompt to an
   external vision-language endpoint and enforces a strict JSON response;
 * a deterministic mock that scores terrain straight from the generating
@@ -36,12 +37,14 @@ from .errors import (
     VlmTimeoutError,
     VlmTransportError,
 )
-from .grids import cell_center, hillshade, neighbor_slices, plane_fit_grid, plane_fit_points, slope_degrees
+from .grids import cell_center, hillshade, plane_fit_grid, plane_fit_points, slope_degrees, window_sums
 from .modes import (
     CHALLENGING_MIN_SLOPE_DEG,
     MODE_FOR_CLASS,
+    ROCK_SCORE_CUTOFF,
     ROCK_SCORE_GAIN,
     ROCKY_MIN_ROUGH_CELLS,
+    SLOPE_SCORE_CUTOFF,
     SLOPE_SCORE_FULL_DEG,
     NavMode,
     TerrainClass,
@@ -61,6 +64,12 @@ class TerrainAssessment:
     def __post_init__(self):
         if not (0.0 <= self.rock_complexity <= 1.0 and 0.0 <= self.slope_complexity <= 1.0):
             raise ValidationError("complexity scores must lie in [0, 1]")
+
+    @classmethod
+    def from_scores(cls, rock: float, slope: float) -> TerrainAssessment:
+        """The scores clamped to [0, 1], classed by `class_for_scores`."""
+        rock, slope = min(max(rock, 0.0), 1.0), min(max(slope, 0.0), 1.0)
+        return cls(class_for_scores(rock, slope), rock, slope)
 
 
 @dataclass(frozen=True)
@@ -126,40 +135,23 @@ def compute_terrain_metrics(patch: HeightField, radius: float) -> GeometricMetri
 
 
 def _neighborhood_std(z: np.ndarray, known: np.ndarray) -> np.ndarray:
-    """Std-dev of the known 3x3 neighborhood around each cell."""
+    """Std-dev of the known 3x3 neighborhood around each cell, 0 where none is."""
     vals = np.where(known, z, 0.0)
-    mask = known.astype(float)
-    vals_sq = vals * vals
-    s1 = np.zeros(z.shape)
-    sv = np.zeros(z.shape)
-    sq = np.zeros(z.shape)
-    for dst, src in neighbor_slices(z.shape):
-        s1[dst] += mask[src]
-        sv[dst] += vals[src]
-        sq[dst] += vals_sq[src]
-    out = np.zeros(z.shape)
-    ok = s1 > 0
-    mean = np.where(ok, sv / np.maximum(s1, 1), 0.0)
-    var = np.where(ok, sq / np.maximum(s1, 1) - mean * mean, 0.0)
-    out[ok] = np.sqrt(np.maximum(var[ok], 0.0))
-    return out
+    n, s, sq = (window_sums(a, 3) for a in (known.astype(float), vals, vals * vals))
+    n = np.rint(n)  # the known-cell count, rounded as in `grids._mask_geometry`
+    ok = n > 0
+    mean = np.where(ok, s / np.maximum(n, 1), 0.0)
+    var = np.where(ok, sq / np.maximum(n, 1) - mean * mean, 0.0)
+    return np.sqrt(np.maximum(var, 0.0))
 
 
 def threshold_classify(metrics: GeometricMetrics) -> TerrainAssessment:
-    """Classify from geometric metrics with the hand-set cutoffs in `modes`.
-
-    Slope decides first (challenging), then rough-cell count (rocky), else
-    flat. Scores are normalized projections of the same metrics.
-    """
-    if metrics.slope_avg > CHALLENGING_MIN_SLOPE_DEG:
-        cls = TerrainClass.CHALLENGING
-    elif metrics.rock_grid_count >= ROCKY_MIN_ROUGH_CELLS:
-        cls = TerrainClass.ROCKY
-    else:
-        cls = TerrainClass.FLAT
-    rock = min(max(metrics.rock_grid_count / 1000.0, 0.0), 1.0)
-    slope = min(max(metrics.slope_avg / SLOPE_SCORE_FULL_DEG, 0.0), 1.0)
-    return TerrainAssessment(cls, rock, slope)
+    """Class geometric metrics by the one rule, on score scales that put the
+    baseline's splits in `modes` (60 rough cells, 14 deg) on the score cutoffs."""
+    return TerrainAssessment.from_scores(
+        metrics.rock_grid_count / (ROCKY_MIN_ROUGH_CELLS / ROCK_SCORE_CUTOFF),
+        metrics.slope_avg / (CHALLENGING_MIN_SLOPE_DEG / SLOPE_SCORE_CUTOFF),
+    )
 
 
 # --- vision-language wire client -------------------------------------------
@@ -309,10 +301,8 @@ def mock_classify(
     rng = np.random.default_rng(key)
     jit_rock, jit_slope = rng.uniform(-MOCK_JITTER, MOCK_JITTER, size=2)
 
-    rock = min(max(ROCK_SCORE_GAIN * spec.rock_coverage + jit_rock, 0.0), 1.0)
-    slope_deg = _local_slope(ground, position)
-    slope = min(max(slope_deg / SLOPE_SCORE_FULL_DEG + jit_slope, 0.0), 1.0)
-    return TerrainAssessment(class_for_scores(rock, slope), rock, slope)
+    return TerrainAssessment.from_scores(ROCK_SCORE_GAIN * spec.rock_coverage + jit_rock,
+                                         _local_slope(ground, position) / SLOPE_SCORE_FULL_DEG + jit_slope)
 
 
 def _local_slope(ground: HeightField, position: tuple[float, float]) -> float:

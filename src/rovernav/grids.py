@@ -4,7 +4,8 @@ All grids in this package are row-major with row 0 at the minimum-y edge;
 cell (r, c) has its center at (origin_x + (c + 0.5) * cell_size,
 origin_y + (r + 0.5) * cell_size). This module holds the only copies of
 the world<->cell transform (`world_to_cell`, `cell_center`), the 3x3
-neighborhood (`neighbor_slices`), the hillshade (`hillshade`), disc
+neighborhood of the obstacle median (`neighbor_slices`), box sums
+(`window_sums`), the hillshade (`hillshade`), disc
 inflation (`dilate_disc`), the disc extrema (`disc_max`, `disc_min`, row
 segments read from one doubling table of column runs) and the
 least-squares plane solve, which `plane_fit_grid` and `plane_fit_points`

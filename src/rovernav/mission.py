@@ -183,8 +183,8 @@ class MissionRunner:
     "no_data" counts none).
 
     The runner owns its place on the route: `leg` indexes the waypoint it
-    is driving to, and moves on when that waypoint is reached or skipped.
-    The route's points are only read.
+    is driving to, and `_next_leg` moves it on when that waypoint is
+    reached or skipped. The route's points are only read.
     """
 
     def __init__(
@@ -465,8 +465,7 @@ class MissionRunner:
         d_wp = math.hypot(wp[0] - self.state.x, wp[1] - self.state.y)
         if d_wp > cfg.waypoint_tolerance:
             if self._flood_path and not self._final_leg and d_wp <= cfg.blocked_waypoint_slack:
-                self.leg += 1
-                self.metrics.waypoints_skipped += 1
+                self._next_leg(reached=False)
             self.tracker = None
 
     def _plan_tick(self, n: int) -> str | None:
@@ -501,9 +500,7 @@ class MissionRunner:
         if self._final_leg:
             return "no_path"
         # this leg is walled off; route via the next one
-        self.leg += 1
-        self.metrics.waypoints_skipped += 1
-        self._no_path_streak = 0
+        self._next_leg(reached=False)
         self.next_plan_tick = n
         return None
 
@@ -539,12 +536,19 @@ class MissionRunner:
         wp = self.route[self.leg]
         tol = cfg.final_tolerance if self._final_leg else cfg.waypoint_tolerance
         if math.hypot(wp[0] - self.state.x, wp[1] - self.state.y) <= tol:
-            self.leg += 1
-            self.metrics.waypoints_reached += 1
-            self.tracker = None
+            self._next_leg(reached=True)
             if self.leg == len(self.route):
                 return "complete"
         return None
+
+    def _next_leg(self, reached: bool) -> None:
+        """Count this waypoint reached or skipped, and drive to the next one
+        with no path and a new no-path streak: the streak counts one leg."""
+        self.leg += 1
+        self.metrics.waypoints_reached += reached
+        self.metrics.waypoints_skipped += not reached
+        self._no_path_streak = 0
+        self.tracker = None
 
 
 def run_mission(

@@ -50,21 +50,22 @@ MODE_FOR_CLASS = {
     TerrainClass.CHALLENGING: NavMode.CONSERVATIVE,
 }
 
-# Class cutoffs on the (rock, slope) complexity scores, shared by the mock
-# classifier and terrain-spec validation. The mock's rock score is
-# ROCK_SCORE_GAIN x rock coverage; a slope score is an inclination over
-# SLOPE_SCORE_FULL_DEG. Both scores clamp to [0, 1].
+# Class cutoffs on the (rock, slope) complexity scores, compared only in
+# `class_for_scores`. The mock's rock score is ROCK_SCORE_GAIN x rock
+# coverage; its slope score is an inclination over SLOPE_SCORE_FULL_DEG.
+# Both scores clamp to [0, 1].
 ROCK_SCORE_GAIN = 9.0
 SLOPE_SCORE_FULL_DEG = 45.0
 ROCK_SCORE_CUTOFF = 0.25
 SLOPE_SCORE_CUTOFF = 0.5
 
-# Class cutoffs of the geometric baseline on its raw metrics. They split
-# the measured flat/rocky/challenging populations at their midpoints: flat
+# The geometric baseline's splits on its raw metrics. They split the
+# measured flat/rocky/challenging populations at their midpoints: flat
 # patches measure ~0 rough cells against >=125 for rocky ones, and rocky
 # patches stay below ~8 deg average slope against >=20 deg for challenging
 # ones. Slope variance is deliberately unused; it overlaps between the
-# rocky and challenging populations.
+# rocky and challenging populations. The baseline's scores put each split
+# on its score cutoff: rough cells over 240, and slope over 28 deg.
 ROCKY_MIN_ROUGH_CELLS = 60.0
 CHALLENGING_MIN_SLOPE_DEG = 14.0
 

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ValidationError, malformed_input, read_input_text
-from .modes import ROCK_SCORE_CUTOFF, ROCK_SCORE_GAIN, TerrainClass
+from .modes import ROCK_SCORE_GAIN, TerrainClass, class_for_scores
 from . import pgmio
 from .grids import bilinear_sample, cell_center, world_to_cell
 
@@ -72,10 +72,10 @@ class TerrainSpec:
         cells = self.extent / self.cell_size
         if abs(cells - round(cells)) > 1e-9 or round(cells) < 1:
             raise ValidationError("extent must be a positive integer multiple of cell_size")
-        rock_score = min(ROCK_SCORE_GAIN * self.rock_coverage, 1.0)
-        if self.ground_truth_class is TerrainClass.FLAT and rock_score >= ROCK_SCORE_CUTOFF:
+        rock_class = class_for_scores(min(ROCK_SCORE_GAIN * self.rock_coverage, 1.0), 0.0)
+        if self.ground_truth_class is TerrainClass.FLAT and rock_class is not TerrainClass.FLAT:
             raise ValidationError("rock_coverage too high for a flat ground-truth class")
-        if self.ground_truth_class is TerrainClass.ROCKY and rock_score < ROCK_SCORE_CUTOFF:
+        if self.ground_truth_class is TerrainClass.ROCKY and rock_class is not TerrainClass.ROCKY:
             raise ValidationError("rock_coverage too low for a rocky ground-truth class")
 
     @property

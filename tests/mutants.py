@@ -118,6 +118,30 @@ MUTANTS = (
     Mutant("a classifier without data is no missed verdict", "mission.py",
            "(VlmError, EmptyPatchError, InsufficientDataError)", "(VlmError, EmptyPatchError)",
            ("tests/test_mission.py",)),
+    # The runner's ends: a hazard ends the mission where it happened, and
+    # so does the budget. The first two fail
+    # `test_efficient_mission_into_a_rock_ends_in_rock_collision`, the
+    # third `test_mission_past_its_budget_ends_in_timeout`.
+    Mutant("the runner ignores hazards", "mission.py",
+           "hazard = self.world.check_hazard(self.state)", "hazard = self.world.check_hazard(self.state) and None",
+           ("tests/test_mission.py",)),
+    Mutant("a hazard is recorded but the mission goes on", "mission.py",
+           "return hazard.kind.value", "return None",
+           ("tests/test_mission.py",)),
+    Mutant("the timeout never ends a mission", "mission.py",
+           "end = \"timeout\"", "end = None",
+           ("tests/test_mission.py",)),
+    # The geometric baseline's scores and roughness. The divisor mutant
+    # fails `test_scores_normalized` (and moves the 60-cell split of
+    # `test_splits_land_on_the_score_cutoffs`), the window mutant
+    # `test_neighborhood_std_is_the_std_of_the_known_3x3_cells`.
+    Mutant("the geometric rock divisor one cell too large", "classify.py",
+           "metrics.rock_grid_count / (ROCKY_MIN_ROUGH_CELLS / ROCK_SCORE_CUTOFF)",
+           "metrics.rock_grid_count / (ROCKY_MIN_ROUGH_CELLS / ROCK_SCORE_CUTOFF + 1)",
+           ("tests/test_classify.py",)),
+    Mutant("the roughness std over a 5x5 window", "classify.py",
+           "window_sums(a, 3)", "window_sums(a, 5)",
+           ("tests/test_classify.py",)),
 )
 
 COPIED = ("src", "tests", "perfbench", "pyproject.toml")

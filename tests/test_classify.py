@@ -1,4 +1,5 @@
 import hashlib
+import math
 from collections import Counter
 
 import numpy as np
@@ -10,6 +11,7 @@ from rovernav.classify import (
     MockClassifierBackend,
     TerrainAssessment,
     VlmConfig,
+    _neighborhood_std,
     compute_terrain_metrics,
     mock_classify,
     parse_vlm_response,
@@ -18,7 +20,7 @@ from rovernav.classify import (
 )
 from rovernav.config import build_scene
 from rovernav.errors import InsufficientDataError, ValidationError, VlmSchemaError
-from rovernav.modes import TerrainClass, class_for_scores
+from rovernav.modes import ROCK_SCORE_CUTOFF, TerrainClass, class_for_scores
 from rovernav.terrain import HeightField
 
 from conftest import make_spec, plane_terrain
@@ -80,6 +82,19 @@ class TestGeometricMetrics:
         b = compute_terrain_metrics(patch_from(np.rot90(z).copy(), cell), radius=5.0)
         assert abs(a.slope_avg - b.slope_avg) < 0.5
 
+    def test_neighborhood_std_is_the_std_of_the_known_3x3_cells(self):
+        rng = np.random.default_rng(3)
+        z = rng.normal(0.0, 0.3, size=(12, 15))
+        z[rng.random(z.shape) < 0.3] = np.nan
+        known = np.isfinite(z)
+        got = _neighborhood_std(z, known)
+        for r, c in np.ndindex(z.shape):
+            block = z[max(r - 1, 0):r + 2, max(c - 1, 0):c + 2]
+            block = block[np.isfinite(block)]
+            # the box sums' sum-of-squares form leaves ~1e-15 of rounding in a
+            # zero variance here, which the square root lifts to ~3e-8
+            assert got[r, c] == pytest.approx(block.std() if block.size else 0.0, abs=1e-6), (r, c)
+
     def test_unknown_only_region_raises(self):
         with pytest.raises(InsufficientDataError):
             compute_terrain_metrics(patch_from(np.full((50, 50), np.nan)), radius=2.0)
@@ -96,12 +111,30 @@ class TestThresholdClassify:
         assert threshold_classify(metrics).terrain_class is expected
 
     def test_scores_normalized(self):
-        a = threshold_classify(GeometricMetrics(500, 22.5))
-        assert a.rock_complexity == pytest.approx(0.5)
-        assert a.slope_complexity == pytest.approx(0.5)
-        b = threshold_classify(GeometricMetrics(5000, 90.0))
-        assert b.rock_complexity == 1.0
-        assert b.slope_complexity == 1.0
+        # 240 rough cells and 28 deg score 1; the baseline's splits score
+        # the shared cutoffs
+        a = threshold_classify(GeometricMetrics(120, 14.0))
+        assert (a.rock_complexity, a.slope_complexity) == (0.5, 0.5)
+        b = threshold_classify(GeometricMetrics(60, 7.0))
+        assert (b.rock_complexity, b.slope_complexity) == (ROCK_SCORE_CUTOFF, 0.25)
+        c = threshold_classify(GeometricMetrics(5000, 90.0))
+        assert (c.rock_complexity, c.slope_complexity) == (1.0, 1.0)
+
+    @pytest.mark.parametrize("rough, slope, cls", [
+        (59, 0.0, TerrainClass.FLAT),
+        (60, 0.0, TerrainClass.ROCKY),
+        (0, math.nextafter(14.0, 0.0), TerrainClass.FLAT),
+        (0, 14.0, TerrainClass.CHALLENGING),
+        (60, math.nextafter(14.0, 0.0), TerrainClass.ROCKY),
+    ], ids=["59_cells", "60_cells", "below_14_deg", "14_deg", "60_cells_below_14_deg"])
+    def test_splits_land_on_the_score_cutoffs(self, rough, slope, cls):
+        a = threshold_classify(GeometricMetrics(rough, slope))
+        assert a.terrain_class is cls
+        assert a.terrain_class is class_for_scores(a.rock_complexity, a.slope_complexity)
+
+    def test_from_scores_clamps_and_classes(self):
+        assert TerrainAssessment.from_scores(-0.5, 7.0) == TerrainAssessment(TerrainClass.CHALLENGING, 0.0, 1.0)
+        assert TerrainAssessment.from_scores(0.25, 0.4999) == TerrainAssessment(TerrainClass.ROCKY, 0.25, 0.4999)
 
 
 class TestVlmParsing:

@@ -1,5 +1,7 @@
+import hashlib
 import json
 
+import numpy as np
 import pytest
 
 from rovernav import cli, compare
@@ -9,7 +11,7 @@ from rovernav.config import MIXED_SEQUENCE, build_scene
 from rovernav.errors import MissionConfigError
 from rovernav.classify import GeometricClassifierBackend
 from rovernav.mission import MissionMetrics, MissionResult, ModeConfig
-from rovernav.modes import NavMode
+from rovernav.modes import MODE_COLORS, NavMode
 from rovernav.world import TRAJECTORY_HEADER
 
 SPEC = {
@@ -277,3 +279,20 @@ def test_cli_builds_the_benchmark_scenes(tmp_path, terrain, seed):
     assert ours.terrain.rocks == bench.terrain.rocks
     assert ours.waypoints.points == bench.waypoints.points
     assert ours.start == bench.start
+
+
+def test_render_draws_the_trajectory_of_a_run_on_its_terrain(tmp_path):
+    assert _gen_terrain(tmp_path, extent=40.0) == cli.EXIT_OK
+    cfg = _write_config(tmp_path, {"terrain": {"load": str(tmp_path / "terrain")}, "mode": "efficient",
+                                   "start": [10, 20], "goal": [30, 20], "waypoints": {"points": [[30, 20]]}})
+    assert cli.main(["run", cfg, "-o", str(tmp_path / "run")]) == cli.EXIT_OK
+    argv = ["render", str(tmp_path / "terrain"), str(tmp_path / "run" / "trajectory.csv"), "-o", str(tmp_path / "out")]
+    assert cli.main(argv) == cli.EXIT_OK
+    image = (tmp_path / "out" / "terrain.ppm").read_bytes()
+    header = b"P6\n80 80\n255\n"
+    assert image.startswith(header)
+    # the efficient-mode trace is drawn along y = 20 m, row 40 of the 0.5 m cells
+    pixels = np.frombuffer(image[len(header):], dtype=np.uint8).reshape(80, 80, 3)
+    assert (pixels[40] == MODE_COLORS[NavMode.EFFICIENT.value]).all(axis=1).sum() >= 30
+    assert hashlib.sha256(image).hexdigest() == (
+        "1228fc52c55f3c5625e2a0b00bc3fc43ef9c56ccee1cf17f1690737e965e84da")

@@ -39,7 +39,8 @@ from rovernav.mapping import COST_MAX, CostGrid
 from rovernav.mission import MissionMetrics, MissionRunner, ModeConfig, run_mission
 from rovernav.modes import NavMode, TerrainClass
 from rovernav.planning import astar_cost, first_lethal_point
-from rovernav.world import RoverState, VelocityCommand, World
+from rovernav.terrain import Rock
+from rovernav.world import FOOTPRINT_RADIUS, TICK_DT, RoverState, VelocityCommand, World, format_trajectory_row
 
 import run_matrix
 from conftest import flat_terrain
@@ -539,6 +540,29 @@ def test_spline_plan_between_failed_safe_plans_leaves_the_no_path_streak(monkeyp
     assert runner.plans == {"walled_in": ModeConfig.no_path_limit, "spline": 1}
 
 
+def test_arrival_starts_the_next_leg_with_no_failed_plans(monkeypatch):
+    # Two walled-in safe plans, then a spline that reaches the first
+    # waypoint: the final leg still takes no_path_limit failed plans before
+    # it ends "no_path", none carried from the leg before.
+    monkeypatch.setattr(mission, "astar_obstacle", _raise(InvalidStartError))
+    world = World(flat_terrain())
+    runner = MissionRunner(world, WaypointQueue([(30.0, 20.0), (40.0, 20.0)]), None,
+                           start=RoverState(20.25, 20.25, 0.0))
+    runner.server.global_map.values[:] = 0
+
+    def plan(mode):
+        runner.mode, runner.tracker = mode, None
+        return runner._plan_tick(runner.next_plan_tick)
+
+    assert [plan(NavMode.SAFE) for _ in range(2)] == [None, None]
+    assert plan(NavMode.EFFICIENT) is None and runner._no_path_streak == 2
+    runner.state = RoverState(30.0, 20.0, 0.0)
+    assert runner._arrive() is None
+    assert (runner.leg, runner.metrics.waypoints_reached, runner._no_path_streak) == (1, 1, 0)
+    ends = [plan(NavMode.SAFE) for _ in range(ModeConfig.no_path_limit)]
+    assert ends == [None] * (ModeConfig.no_path_limit - 1) + ["no_path"]
+
+
 def test_conservative_goal_in_unknown_cells_lands_on_sensed_ground(monkeypatch):
     # The waypoint lies beyond the sensed strip x < 25: the goal walks back
     # along the chord from the rover to the last known cell.
@@ -666,6 +690,85 @@ def test_comparison_speedup_only_when_both_runs_succeed(single_ok, multi_ok, mul
         assert (row["speedup"], row["distance_ratio"]) == (3.0, 1.04)
     else:
         assert row["speedup"] is None and row["distance_ratio"] is None
+
+
+def _ramp_terrain(slope_deg, foot):
+    """Level ground that turns, at x = `foot`, into a ramp rising east."""
+    terrain = flat_terrain()
+    g = terrain.ground
+    xs, _ = cell_center(0, np.arange(g.cols), g.origin, g.cell_size)
+    g.elevation[:] = math.tan(math.radians(slope_deg)) * np.maximum(xs - foot, 0.0)
+    return terrain
+
+
+def _assert_ends_on_the_hazard(terrain, waypoints, start, kind):
+    """Fly a forced-efficient mission that must end in hazard `kind`, and
+    check the end against a fresh world: the trajectory's last row is the
+    first pose that fails the check, with that hazard."""
+    runner = MissionRunner(World(terrain), WaypointQueue(waypoints), None,
+                           forced_mode=NavMode.EFFICIENT, start=start)
+    result = runner.run()
+    metrics, state = result.metrics, runner.state
+    assert (metrics.end_reason, metrics.success) == (kind, False)
+    hazard = World(terrain).check_hazard(state)
+    assert (hazard.kind.value, hazard.position) == (kind, (state.x, state.y))
+    assert metrics.hazards == [{"kind": kind, "x": round(state.x, 3), "y": round(state.y, 3),
+                                "time": round(state.time, 3)}]
+    assert len(result.trajectory) == round(state.time / TICK_DT)
+    assert result.trajectory[-1] == format_trajectory_row(state, NavMode.EFFICIENT.value)
+    t, x, y, heading, speed = map(float, result.trajectory[-2].split(",")[:5])
+    assert World(terrain).check_hazard(RoverState(x, y, heading, speed, t)) is None
+    return state
+
+
+def test_efficient_mission_into_a_rock_ends_in_rock_collision():
+    terrain = flat_terrain()
+    terrain.rocks = [Rock(30.0, 20.0, 1.0, 0.5)]
+    state = _assert_ends_on_the_hazard(terrain, [(40.0, 20.0)], RoverState(20.0, 20.0, 0.0), "rock_collision")
+    # the footprint disc (2.3 m) touches the 1 m rock 3.3 m from its centre
+    assert math.hypot(state.x - 30.0, state.y - 20.0) < FOOTPRINT_RADIUS + 1.0
+
+
+def test_efficient_mission_up_a_35_degree_ramp_ends_in_tilt_exceeded():
+    state = _assert_ends_on_the_hazard(_ramp_terrain(35.0, 30.0), [(45.0, 30.0)], RoverState(20.0, 30.0, 0.0),
+                                       "tilt_exceeded")
+    assert 30.0 - FOOTPRINT_RADIUS < state.x < 45.0
+
+
+def test_mission_to_a_waypoint_on_the_map_edge_ends_off_map():
+    state = _assert_ends_on_the_hazard(flat_terrain(), [(60.0, 30.0)], RoverState(40.0, 30.0, 0.0), "off_map")
+    # the footprint leaves the hull of the cell centres, 0.25 m inside the edge
+    assert state.x + FOOTPRINT_RADIUS > 60.0 - 0.25
+
+
+class _ShortTimeout(ModeConfig):
+    timeout_factor = 0.05
+
+
+def test_mission_past_its_budget_ends_in_timeout():
+    # budget 0.05 * 20 m / 0.5 m/s = 2 s: too short for 20 m at 2 m/s
+    runner = MissionRunner(World(flat_terrain()), WaypointQueue([(40.0, 20.0)]), None, _ShortTimeout(),
+                           forced_mode=NavMode.EFFICIENT, start=RoverState(20.0, 20.0, 0.0))
+    assert runner.budget == pytest.approx(2.0)
+    result = runner.run()
+    metrics = result.metrics
+    assert (metrics.end_reason, metrics.success, metrics.hazards, metrics.waypoints_reached) == (
+        "timeout", False, [], 0)
+    # it ends on the first tick n whose start, n * TICK_DT, lies past the budget
+    n = len(result.trajectory) - 1
+    assert n * TICK_DT > runner.budget >= (n - 1) * TICK_DT
+    assert round(runner.state.time / TICK_DT) == n + 1
+
+
+def test_mission_given_no_start_starts_on_its_first_waypoint_facing_east():
+    runner = MissionRunner(World(flat_terrain()), WaypointQueue([(20.0, 20.0), (45.0, 20.0)]), None,
+                           forced_mode=NavMode.EFFICIENT)
+    assert runner.state == RoverState(20.0, 20.0, 0.0)
+    # the budget's route is the 25 m leg between the waypoints
+    assert runner.budget == ModeConfig.timeout_factor * 25.0 / ModeConfig.speed_conservative
+    result = runner.run()
+    assert (result.metrics.end_reason, result.metrics.waypoints_reached) == ("complete", 2)
+    assert result.trajectory[0].split(",")[1:3] == ["20.000000", "20.000000"]
 
 
 def test_every_scheduler_rate_divides_the_tick():

@@ -6,7 +6,7 @@ import pytest
 
 from rovernav.config import preset_spec
 from rovernav.errors import ValidationError
-from rovernav.modes import TerrainClass
+from rovernav.modes import ROCK_SCORE_CUTOFF, ROCK_SCORE_GAIN, TerrainClass
 from rovernav.terrain import (
     ROCK_RADIUS_RANGE,
     Rock,
@@ -86,6 +86,22 @@ class TestHeightfield:
             make_spec(rock_coverage=0.04, ground_truth_class=TerrainClass.FLAT)
         with pytest.raises(ValidationError):
             make_spec(rock_coverage=0.01, ground_truth_class=TerrainClass.ROCKY)
+
+    def test_class_consistency_splits_at_the_rock_score_cutoff(self):
+        # the least coverage whose rock score reaches ROCK_SCORE_CUTOFF is
+        # rocky, and the float below it is flat, as `class_for_scores` says
+        at = ROCK_SCORE_CUTOFF / ROCK_SCORE_GAIN
+        while ROCK_SCORE_GAIN * at < ROCK_SCORE_CUTOFF:
+            at = math.nextafter(at, 1.0)
+        while ROCK_SCORE_GAIN * math.nextafter(at, 0.0) >= ROCK_SCORE_CUTOFF:
+            at = math.nextafter(at, 0.0)
+        below = math.nextafter(at, 0.0)
+        assert make_spec(rock_coverage=at, ground_truth_class=TerrainClass.ROCKY).rock_coverage == at
+        assert make_spec(rock_coverage=below, ground_truth_class=TerrainClass.FLAT).rock_coverage == below
+        with pytest.raises(ValidationError, match="too high for a flat"):
+            make_spec(rock_coverage=at, ground_truth_class=TerrainClass.FLAT)
+        with pytest.raises(ValidationError, match="too low for a rocky"):
+            make_spec(rock_coverage=below, ground_truth_class=TerrainClass.ROCKY)
 
 
 class TestRocks:
