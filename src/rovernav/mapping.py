@@ -38,7 +38,7 @@ from .grids import (
     world_to_cell,
 )
 from .terrain import HeightField
-from .world import World
+from .world import TILT_LIMIT_DEG, World
 
 COST_MAX = 100
 COST_UNKNOWN = -1
@@ -165,7 +165,7 @@ class CostWeights:
     step_radius, so a smooth incline contributes no step.
     """
 
-    slope_max_deg: float = 30.0
+    slope_max_deg: float = TILT_LIMIT_DEG  # the rover's tilt limit
     rough_max: float = 0.15
     step_max: float = 0.3
     fit_window_m: float = 4.6

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import classify
 from .classify import ModeSwitcher
-from .control import PathTracker
+from .control import GOAL_TOLERANCE, PathTracker
 from .errors import (
     EmptyPatchError,
     InsufficientDataError,
@@ -71,7 +71,6 @@ class ModeConfig:
 
     map_window = 20.0
     cost_resolution = 0.1
-    sense_resolution_safe = 0.25
     control_rate = 10.0
     obstacle_rate = 1.0
     costmap_rate = 0.5
@@ -80,7 +79,6 @@ class ModeConfig:
     tick_rate = 1.0 / TICK_DT
     classifier_lookahead = 12.0
     waypoint_tolerance = 1.0
-    final_tolerance = 0.5
     start_clear_radius = 1.15
     # An intermediate waypoint whose surroundings are blocked counts as
     # served once the rover stands at the closest approachable point within
@@ -143,10 +141,12 @@ MockClassifierBackend = classify.MockClassifierBackend
 
 
 def _segment_distance(pts: np.ndarray, x: float, y: float) -> float:
-    """Distance from (x, y) to the nearest segment of `pts`; inf for one point."""
-    ab, ap = np.diff(pts, axis=0), np.array([x, y]) - pts[:-1]
-    t = np.clip((ap * ab).sum(axis=1) / np.maximum((ab * ab).sum(axis=1), 1e-300), 0.0, 1.0)
-    return float(np.min(np.hypot(*(ap - t[:, None] * ab).T), initial=math.inf))
+    """Distance from (x, y) to the nearest segment of `pts`, or to its one
+    point. The first point's distance starts the minimum; segment 0 at
+    t = 0 computes the same value."""
+    ap, ab = np.array([x, y]) - pts, np.diff(pts, axis=0)
+    t = np.clip((ap[:-1] * ab).sum(axis=1) / np.maximum((ab * ab).sum(axis=1), 1e-300), 0.0, 1.0)
+    return float(np.min(np.hypot(*(ap[:-1] - t[:, None] * ab).T), initial=np.hypot(*ap[0])))
 
 
 @dataclass
@@ -179,12 +179,17 @@ class MissionRunner:
     books from them. A blocked leg has three ways out: a "flood" plan to
     the reachable cell nearest the waypoint, the slack skip when that
     flood ends close to it, and the skip after `no_path_limit` failed
-    plans ("walled_in", or a "direct" or "flood" path too short to count;
-    "no_data" counts none).
+    plans ("walled_in", or a "direct" or "flood" path too short to count
+    or that cannot move the rover; "no_data" counts none).
 
     The runner owns its place on the route: `leg` indexes the waypoint it
     is driving to, and `_next_leg` moves it on when that waypoint is
-    reached or skipped. The route's points are only read.
+    reached or skipped. The route's points are only read. A leg ends on
+    one rule, `_tolerance`: the rover reaches an intermediate waypoint
+    within `waypoint_tolerance` (1 m), and the final one within the
+    tracker's stop radius `GOAL_TOLERANCE` (0.5 m), where the rover stops
+    at the end of a path that finishes on it. A used-up path that leaves
+    the rover beyond that radius is dropped and the leg replanned.
     """
 
     def __init__(
@@ -245,6 +250,13 @@ class MissionRunner:
     def _final_leg(self) -> bool:
         return self.leg == len(self.route) - 1
 
+    @property
+    def _tolerance(self) -> float:
+        """The leg's arrival radius: `waypoint_tolerance` on an
+        intermediate leg, and on the final one the tracker's stop radius
+        `GOAL_TOLERANCE`, where the rover stops at its path's end."""
+        return GOAL_TOLERANCE if self._final_leg else self.config.waypoint_tolerance
+
     def _classifier_center(self) -> tuple[float, float]:
         wp = self.route[self.leg]
         dx = wp[0] - self.state.x
@@ -267,8 +279,9 @@ class MissionRunner:
         snaps to the global 0.5 m lattice.
 
         Safe mode extracts obstacles on the global map's own cells from a
-        patch sensed every 0.25 m over the window plus half a meter each
-        side. Conservative mode takes the window of the mission's
+        patch sensed every half cell (0.25 m) over the window plus half a
+        meter each side, so each cell keeps the highest of 2 x 2 samples.
+        Conservative mode takes the window of the mission's
         `CostCellRecord`, whose 0.1 m cells are sensed on their own
         centres and built once each (with `sensor_sigma` > 0 a cell's cost
         comes from one noise draw per mission, not one per tick), and costs
@@ -282,7 +295,7 @@ class MissionRunner:
         n = round(size / base)
         origin = (col * base, row * base)
         if mode is NavMode.SAFE:
-            span, pitch = size + 1.0, self.config.sense_resolution_safe
+            span, pitch = size + 1.0, base / 2.0
             side = round(span / pitch)
             corner = (self.state.x - span / 2.0, self.state.y - span / 2.0)
             patch = self.world.sense_points(corner, (side, side), pitch)
@@ -339,8 +352,13 @@ class MissionRunner:
         "direct" when the search reaches the goal, "flood" when it finds no
         route and one flood returns the path to the reachable cell nearest
         the goal instead, "no_data" when the window holds no known cell
-        yet, and "walled_in" when the start is. A direct or flood path that
-        stays in the start disc short of the waypoint comes back as None.
+        yet, and "walled_in" when the start is. A path whose end lies
+        within 1.5 cells of the waypoint is finished on it. A direct or
+        flood path that ends short of its waypoint comes back as None when
+        it ends beyond `waypoint_tolerance` of the waypoint and stays in
+        the start disc, or when it cannot move the rover: its end lies
+        within `GOAL_TOLERANCE` of the rover, where the tracker stops at
+        once.
         """
         if mode is NavMode.EFFICIENT:
             return "spline", bspline_path((self.state.x, self.state.y), waypoint, self.state.heading)
@@ -373,6 +391,10 @@ class MissionRunner:
                 and Path(pts).length() < 2.0 * self.config.start_clear_radius + 0.2):
             # no meaningful progress is possible on this leg (anything this
             # short stays inside the start-clearing bubble)
+            return kind, None
+        if end_err > 0.0 and math.hypot(pts[-1][0] - start[0], pts[-1][1] - start[1]) <= GOAL_TOLERANCE:
+            # the tracker would stop where the rover stands, short of the
+            # waypoint: the path cannot move the rover
             return kind, None
         return kind, Path(pts)
 
@@ -434,18 +456,20 @@ class MissionRunner:
 
         A large cross-track excursion (turn-around sweeps after a
         direction-reversing replan) invalidates the path: replan from where
-        the rover actually is, keeping deviations bounded. Partial-leg
-        paths (goal clamped to the local window, or best reachable
-        progress) end short of the waypoint: replan from the new pose once
-        consumed. A waypoint the flood could not reach but that is already
-        close counts as served.
+        the rover actually is, keeping deviations bounded. A path is used
+        up when the tracker has stopped at its end; if the rover stands
+        beyond the leg's `_tolerance` of the waypoint there (the goal was
+        clamped to the local window, the flood got only so close, or the
+        path ended a little short), it is dropped and the leg replanned
+        from the new pose. An intermediate waypoint the flood could not
+        reach but that is already within `blocked_waypoint_slack` counts
+        as served.
 
-        The path is left when both its nearest vertex and its nearest
-        segment lie beyond `off_path_limit`. The nearest vertex is never
-        farther than the tracker's cursor vertex, so while the cursor
-        vertex lies within the limit the whole-path scan is skipped. That
-        test takes a relative 1e-12 off the limit, far more than
-        `math.hypot` and `np.hypot` can differ by.
+        The path is left when its nearest segment, or its one point, lies
+        beyond `off_path_limit`. That is never farther than the tracker's
+        cursor vertex, so while the cursor vertex lies within the limit the
+        whole-path scan is skipped. That test takes a relative 1e-12 off
+        the limit, far more than `math.hypot` and `np.hypot` can differ by.
         """
         if self.tracker is None:
             return
@@ -453,9 +477,7 @@ class MissionRunner:
         x, y = self.state.x, self.state.y
         pts = self.tracker.path.points
         cx, cy = pts[self.tracker.cursor].tolist()
-        # the nearest segment is never farther than the nearest vertex
         if (math.hypot(cx - x, cy - y) >= cfg.off_path_limit * (1.0 - 1e-12)
-                and float(np.min(np.hypot(pts[:, 0] - x, pts[:, 1] - y))) > cfg.off_path_limit
                 and _segment_distance(pts, x, y) > cfg.off_path_limit):
             self.tracker = None
             return
@@ -463,7 +485,7 @@ class MissionRunner:
             return
         wp = self.route[self.leg]
         d_wp = math.hypot(wp[0] - self.state.x, wp[1] - self.state.y)
-        if d_wp > cfg.waypoint_tolerance:
+        if d_wp > self._tolerance:
             if self._flood_path and not self._final_leg and d_wp <= cfg.blocked_waypoint_slack:
                 self._next_leg(reached=False)
             self.tracker = None
@@ -530,12 +552,10 @@ class MissionRunner:
         return hazard.kind.value
 
     def _arrive(self) -> str | None:
-        """Advance past a waypoint within tolerance. Returns "complete"
-        after the last one, else None."""
-        cfg = self.config
+        """Advance past a waypoint within the leg's `_tolerance`. Returns
+        "complete" after the last one, else None."""
         wp = self.route[self.leg]
-        tol = cfg.final_tolerance if self._final_leg else cfg.waypoint_tolerance
-        if math.hypot(wp[0] - self.state.x, wp[1] - self.state.y) <= tol:
+        if math.hypot(wp[0] - self.state.x, wp[1] - self.state.y) <= self._tolerance:
             self._next_leg(reached=True)
             if self.leg == len(self.route):
                 return "complete"

@@ -271,14 +271,9 @@ def best_progress_path(grid: CostGrid, start, goal) -> Path:
     blocked, mult, (sr, sc), (gr, gc) = _graph(grid, start, goal)
     labels, _ = ndimage.label(~blocked, structure=np.ones((3, 3)))
     rr, cc = np.nonzero(labels == labels[sr, sc])
-    # The square roots of distinct integer squared distances lie many ulps
-    # apart on any grid that fits in memory, so only cells of the least
-    # squared distance can tie; math.hypot settles the tie among those.
     d2 = (rr - gr) ** 2 + (cc - gc) ** 2
     tie = d2 == d2.min()
-    to_goal = {(r, c): math.hypot(r - gr, c - gc) for r, c in zip(rr[tie].tolist(), cc[tie].tolist())}
-    least = min(to_goal.values())
-    cells = _search(blocked, mult, (sr, sc), targets=[cell for cell, d in to_goal.items() if d == least])
+    cells = _search(blocked, mult, (sr, sc), targets=list(zip(rr[tie].tolist(), cc[tie].tolist())))
     return Path(np.column_stack(cell_center(*cells, grid.origin, grid.cell_size)))
 
 

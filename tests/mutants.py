@@ -91,6 +91,19 @@ MUTANTS = (
     Mutant("a direct path sets the flood flag", "mission.py",
            "self._flood_path = kind == \"flood\"", "self._flood_path = kind in (\"flood\", \"direct\")",
            ("tests/test_mission.py",)),
+    # The end of a leg: the final leg's radius is the tracker's stop
+    # radius, for the used-up test as for arrival, and a plan whose path
+    # ends within that radius of the rover, short of its waypoint, fails.
+    # The first fails
+    # `test_rover_parked_short_of_the_final_waypoint_replans_onto_it`, the
+    # second `test_path_that_cannot_move_the_rover_fails_on_the_final_leg`.
+    Mutant("the used-up test reads the intermediate tolerance on the final leg", "mission.py",
+           "if d_wp > self._tolerance:", "if d_wp > cfg.waypoint_tolerance:",
+           ("tests/test_mission.py",)),
+    Mutant("a path that cannot move the rover counts as a plan", "mission.py",
+           "if end_err > 0.0 and math.hypot(pts[-1][0] - start[0], pts[-1][1] - start[1]) <= GOAL_TOLERANCE:",
+           "if False:",
+           ("tests/test_mission.py",)),
     # The cautious modes' planning window: the global map's own cells,
     # clamped inside the map at full size, searched as a costmap in
     # conservative mode.

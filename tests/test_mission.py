@@ -207,10 +207,10 @@ def test_unplannable_intermediate_leg_is_skipped(monkeypatch):
 
 
 def _stop_short(monkeypatch, blocked, stop, fallback=True):
-    """Route every plan toward `blocked` to `stop` instead, 5 m short of
-    it: through the flood fallback, the direct planner finding no path, or
-    with `fallback` False as a direct path. Returns the starts of those
-    plans."""
+    """Route every plan toward `blocked` (its goal within 12 m of it) to
+    `stop` instead, short of it: through the flood fallback, the direct
+    planner finding no path, or with `fallback` False as a direct path.
+    Returns the starts of those plans."""
     starts = []
 
     def planner(grid, start, goal):
@@ -354,6 +354,62 @@ def test_blocked_final_waypoint_is_never_skipped(monkeypatch):
     assert (metrics.end_reason, metrics.waypoints_reached, metrics.waypoints_skipped) == ("no_path", 0, 0)
     # the rover stood at the path's end, within the slack, and kept planning
     assert sum(math.dist(start, stop) <= 1.0 for start in starts) == ModeConfig.no_path_limit
+
+
+def _safe_run(route):
+    """A forced-safe mission on the flat 60 m terrain from (20, 20), facing
+    east; the runner and its result."""
+    runner = MissionRunner(World(flat_terrain()), WaypointQueue(route), None, forced_mode=NavMode.SAFE,
+                           start=RoverState(20.0, 20.0, 0.0))
+    return runner, runner.run()
+
+
+def test_rover_parked_short_of_the_final_waypoint_replans_onto_it(monkeypatch):
+    # The first path ends at (40.3, 20.75), 0.81 m from the final waypoint:
+    # too far to be finished on it. The tracker stops the rover within
+    # GOAL_TOLERANCE of that end, 0.76 m from the waypoint: inside
+    # waypoint_tolerance but beyond the final leg's radius, so the used-up
+    # path is dropped and the next plan finishes on the waypoint.
+    waypoint = (40.0, 20.0)
+    starts = []
+
+    def planner(grid, start, goal):
+        starts.append(start)
+        return _line(start, (40.3, 20.75) if len(starts) == 1 else goal)
+
+    monkeypatch.setattr(mission, "astar_obstacle", planner)
+    runner, result = _safe_run([waypoint])
+    metrics = result.metrics
+    assert (metrics.end_reason, metrics.waypoints_reached) == ("complete", 1)
+    assert result.plans == {"direct": 2}
+    assert GOAL_TOLERANCE < math.dist(starts[1], waypoint) <= ModeConfig.waypoint_tolerance
+    assert math.dist((runner.state.x, runner.state.y), waypoint) <= GOAL_TOLERANCE
+
+
+def test_path_that_cannot_move_the_rover_fails_on_the_final_leg(monkeypatch):
+    # Every path toward the waypoint ends at (39.2, 20), 0.8 m short of it:
+    # within waypoint_tolerance, and too far to be finished on it. The
+    # tracker stops the rover 0.5 m before that end, 1.3 m from the
+    # waypoint, and from there every new path ends within GOAL_TOLERANCE of
+    # the rover: each such plan fails, and the final leg ends "no_path"
+    # after no_path_limit of them instead of replanning in place every tick
+    # until the timeout.
+    starts = _stop_short(monkeypatch, (40.0, 20.0), (39.2, 20.0), fallback=False)
+    _, result = _safe_run([(40.0, 20.0)])
+    metrics = result.metrics
+    assert (metrics.end_reason, metrics.waypoints_reached, metrics.waypoints_skipped) == ("no_path", 0, 0)
+    assert result.plans == {"direct": 1 + ModeConfig.no_path_limit}
+    assert all(math.dist(start, (39.2, 20.0)) <= GOAL_TOLERANCE for start in starts[1:])
+
+
+def test_path_that_cannot_move_the_rover_fails_on_an_intermediate_leg(monkeypatch):
+    # The same paths on the first of two legs: after no_path_limit failed
+    # plans the first waypoint is skipped, and the second one is reached.
+    starts = _stop_short(monkeypatch, (40.0, 20.0), (39.2, 20.0), fallback=False)
+    _, result = _safe_run([(40.0, 20.0), (20.0, 40.0)])
+    metrics = result.metrics
+    assert (metrics.end_reason, metrics.waypoints_reached, metrics.waypoints_skipped) == ("complete", 1, 1)
+    assert len(starts) == 1 + ModeConfig.no_path_limit
 
 
 def test_run_leaves_the_callers_queue_alone():
@@ -595,7 +651,7 @@ def test_conservative_goal_on_a_lethal_cell_stays():
 def test_arrival_on_the_final_waypoint_uses_its_tolerance():
     runner = _runner(x=39.4)
     assert runner._arrive() is None and runner.leg == 0
-    runner.state = RoverState(40.0 - runner.config.final_tolerance, 20.0, 0.0)
+    runner.state = RoverState(40.0 - GOAL_TOLERANCE, 20.0, 0.0)
     assert runner._arrive() == "complete"
 
 
